@@ -1,22 +1,32 @@
-//! Minimal flag parsing shared by the experiment binaries.
+//! Command-line parsing for the figure binary.
 //!
-//! Every binary accepts `--seed N` (workload seed, default 42) and
-//! `--fault-seed N` (seed for a randomized fault plan where the binary
-//! supports fault injection). Binaries that run experiments also accept
-//! `--trace PATH`: record a Chrome-trace/Perfetto JSON of the run's
-//! verb/op/fault events (in virtual time) to `PATH`, plus a
-//! `PATH.metrics.csv` metrics-registry snapshot next to it. The main
-//! sweeps additionally accept `--cache-capacity N`: attach a client-side
-//! cache of `N` entries (`0` = unbounded) to the pointer-resolving
-//! designs' operation path, and `--racecheck` (or `NAMDEX_RACECHECK=1`):
-//! install the happens-before race detector on every cluster the sweep
-//! builds and fail the run on any violation. Both `--flag N` and
-//! `--flag=N` forms work; flags the binaries do not know are ignored so
-//! wrappers can pass extra arguments through.
+//! `bench <figure>… | all | list [flags]`. Positional arguments name
+//! figures (validated against the registry by [`crate::figures::select`]);
+//! the flags are
+//!
+//! - `--seed N` — workload seed (default 42);
+//! - `--fault-seed N` — replace `ext_fault_tolerance`'s scripted
+//!   schedule with a randomized plan drawn from this seed;
+//! - `--trace PATH` — record a Chrome-trace/Perfetto JSON of every
+//!   experiment's verb/op/fault events (in virtual time), the first to
+//!   `PATH`, later ones numbered, each with a `*.metrics.csv`
+//!   metrics-registry snapshot next to it;
+//! - `--cache-capacity N` — attach a client-side cache of `N` entries
+//!   (`0` = unbounded) to the shared sweeps' pointer-resolving designs;
+//! - `--racecheck` — install the happens-before race detector on every
+//!   cluster and fail the run on any violation.
+//!
+//! Both `--flag N` and `--flag=N` forms work. An unknown flag is an
+//! error that lists the known ones.
 
-/// Arguments recognised by the experiment binaries.
+/// The flags the binary accepts, for error messages and `list`.
+pub const FLAGS: &str = "--seed N, --fault-seed N, --trace PATH, --cache-capacity N, --racecheck";
+
+/// A parsed command line.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct BenchArgs {
+    /// Positional arguments: figure names, `all` or `list`.
+    pub figures: Vec<String>,
     /// `--seed`: workload generation seed.
     pub seed: Option<u64>,
     /// `--fault-seed`: randomized fault-plan seed.
@@ -27,8 +37,7 @@ pub struct BenchArgs {
     /// unbounded). Absent = caching off.
     pub cache_capacity: Option<usize>,
     /// `--racecheck`: install the happens-before race detector on the
-    /// cluster and fail the run on any violation. Also settable via
-    /// `NAMDEX_RACECHECK=1`.
+    /// cluster and fail the run on any violation.
     pub racecheck: bool,
 }
 
@@ -37,29 +46,25 @@ impl BenchArgs {
     pub fn seed_or_default(&self) -> u64 {
         self.seed.unwrap_or(42)
     }
-
-    /// The trace output path, if `--trace` was given.
-    pub fn trace_path(&self) -> Option<std::path::PathBuf> {
-        self.trace.as_ref().map(std::path::PathBuf::from)
-    }
 }
 
-/// Parse the process arguments.
-pub fn parse_args() -> BenchArgs {
-    parse_from(std::env::args().skip(1))
-}
-
-/// Parse an explicit argument list (testable core of [`parse_args`]).
-pub fn parse_from(args: impl Iterator<Item = String>) -> BenchArgs {
+/// Parse an argument list (without the program name).
+pub fn parse_from(args: impl Iterator<Item = String>) -> Result<BenchArgs, String> {
     let mut out = BenchArgs::default();
     let mut args = args.peekable();
     while let Some(arg) = args.next() {
+        if !arg.starts_with("--") {
+            out.figures.push(arg);
+            continue;
+        }
         let (flag, inline) = match arg.split_once('=') {
             Some((f, v)) => (f.to_string(), Some(v.to_string())),
             None => (arg, None),
         };
         if flag == "--racecheck" {
-            // Boolean flag: no value.
+            if inline.is_some() {
+                return Err("--racecheck takes no value".into());
+            }
             out.racecheck = true;
             continue;
         }
@@ -67,95 +72,112 @@ pub fn parse_from(args: impl Iterator<Item = String>) -> BenchArgs {
             flag.as_str(),
             "--seed" | "--fault-seed" | "--trace" | "--cache-capacity"
         ) {
-            continue;
+            return Err(format!("unknown flag {flag}; known flags: {FLAGS}"));
         }
-        let value = inline.or_else(|| args.next());
-        let value = value.unwrap_or_else(|| panic!("{flag} needs a value"));
+        let value = inline
+            .or_else(|| args.next())
+            .ok_or_else(|| format!("{flag} needs a value"))?;
         if flag == "--trace" {
             out.trace = Some(value);
             continue;
         }
-        let parsed = value
+        let parsed: u64 = value
             .parse()
-            .unwrap_or_else(|_| panic!("{flag} expects an unsigned integer, got {value:?}"));
+            .map_err(|_| format!("{flag} expects an unsigned integer, got {value:?}"))?;
         match flag.as_str() {
             "--seed" => out.seed = Some(parsed),
             "--fault-seed" => out.fault_seed = Some(parsed),
-            _ => out.cache_capacity = Some(parsed as usize),
+            _ => {
+                out.cache_capacity = Some(
+                    usize::try_from(parsed)
+                        .map_err(|_| format!("{flag} {parsed} does not fit this platform"))?,
+                )
+            }
         }
     }
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn parse(args: &[&str]) -> BenchArgs {
+    fn parse(args: &[&str]) -> Result<BenchArgs, String> {
         parse_from(args.iter().map(|s| s.to_string()))
     }
 
     #[test]
-    fn parses_both_flag_forms() {
+    fn parses_both_flag_forms_and_positionals() {
         assert_eq!(
-            parse(&["--seed", "7", "--fault-seed=9"]),
-            BenchArgs {
+            parse(&["fig12_inserts", "--seed", "7", "table1", "--fault-seed=9"]),
+            Ok(BenchArgs {
+                figures: vec!["fig12_inserts".into(), "table1".into()],
                 seed: Some(7),
                 fault_seed: Some(9),
-                trace: None,
-                cache_capacity: None,
-                racecheck: false,
-            }
+                ..BenchArgs::default()
+            })
         );
     }
 
     #[test]
     fn parses_trace_path() {
-        let got = parse(&["--trace", "out.json", "--seed=3"]);
+        let got = parse(&["--trace", "out.json", "--seed=3"]).unwrap();
         assert_eq!(got.trace.as_deref(), Some("out.json"));
-        assert_eq!(got.trace_path(), Some(std::path::PathBuf::from("out.json")));
         assert_eq!(got.seed, Some(3));
-        let eq = parse(&["--trace=/tmp/t.json"]);
+        let eq = parse(&["--trace=/tmp/t.json"]).unwrap();
         assert_eq!(eq.trace.as_deref(), Some("/tmp/t.json"));
     }
 
     #[test]
     fn parses_cache_capacity() {
-        let got = parse(&["--cache-capacity", "0"]);
-        assert_eq!(got.cache_capacity, Some(0));
-        let eq = parse(&["--cache-capacity=4096"]);
-        assert_eq!(eq.cache_capacity, Some(4096));
-        assert_eq!(parse(&[]).cache_capacity, None);
+        assert_eq!(
+            parse(&["--cache-capacity", "0"]).unwrap().cache_capacity,
+            Some(0)
+        );
+        assert_eq!(
+            parse(&["--cache-capacity=4096"]).unwrap().cache_capacity,
+            Some(4096)
+        );
+        assert_eq!(parse(&[]).unwrap().cache_capacity, None);
     }
 
     #[test]
     fn parses_racecheck_flag() {
-        assert!(parse(&["--racecheck"]).racecheck);
+        assert!(parse(&["--racecheck"]).unwrap().racecheck);
         // Boolean: consumes no value.
-        let got = parse(&["--racecheck", "--seed", "5"]);
+        let got = parse(&["--racecheck", "--seed", "5"]).unwrap();
         assert!(got.racecheck);
         assert_eq!(got.seed, Some(5));
-        assert!(!parse(&[]).racecheck);
+        assert!(!parse(&[]).unwrap().racecheck);
+        assert!(parse(&["--racecheck=1"]).is_err());
     }
 
     #[test]
-    fn unknown_flags_are_ignored() {
-        let got = parse(&["--verbose", "--seed=3", "positional"]);
-        assert_eq!(got.seed, Some(3));
-        assert_eq!(got.fault_seed, None);
+    fn unknown_flags_are_errors_that_list_the_known_ones() {
+        let err = parse(&["fig08_throughput_unif", "--sed", "7"]).unwrap_err();
+        assert!(err.contains("--sed"), "{err}");
+        for flag in [
+            "--seed",
+            "--fault-seed",
+            "--trace",
+            "--cache-capacity",
+            "--racecheck",
+        ] {
+            assert!(err.contains(flag), "{err}");
+        }
     }
 
     #[test]
     fn defaults_when_absent() {
-        let got = parse(&[]);
+        let got = parse(&[]).unwrap();
         assert_eq!(got, BenchArgs::default());
         assert_eq!(got.seed_or_default(), 42);
-        assert_eq!(got.trace_path(), None);
     }
 
     #[test]
-    #[should_panic(expected = "expects an unsigned integer")]
-    fn rejects_malformed_values() {
-        parse(&["--seed", "many"]);
+    fn rejects_malformed_and_missing_values() {
+        let err = parse(&["--seed", "many"]).unwrap_err();
+        assert!(err.contains("expects an unsigned integer"), "{err}");
+        assert!(parse(&["--seed"]).unwrap_err().contains("needs a value"));
     }
 }

@@ -134,8 +134,7 @@ pub struct ExperimentConfig {
     /// exists so those tests can run the same experiment on both.
     pub scheduler: simnet::SchedulerKind,
     /// Install the happens-before race detector on the cluster and
-    /// panic at the end of the run if any rule fired. Also switched on
-    /// by `--racecheck` on any bench binary or `NAMDEX_RACECHECK=1`.
+    /// panic at the end of the run if any rule fired (`--racecheck`).
     pub racecheck: bool,
 }
 
@@ -214,7 +213,7 @@ pub struct ExperimentResult {
     /// design is [`DesignKind::Learned`]).
     pub learned: Option<LearnedStats>,
     /// Scheduling events the simulator processed over the whole run
-    /// (deterministic; divide by wall time for a raw-speed figure).
+    /// (deterministic).
     pub sim_events: u64,
     /// Completed crash/recovery cycles, in completion order (empty
     /// unless the spec runs `Durability::Wal` and the fault plan
@@ -234,14 +233,22 @@ fn delta(end: &ServerStats, start: &ServerStats) -> ServerStats {
     }
 }
 
-/// Build the configured design over freshly loaded data.
-fn build_design(cfg: &ExperimentConfig, nam: &NamCluster, data: Dataset) -> Design {
+/// Build the configured design over the freshly loaded standard
+/// dataset of `cfg.num_keys` records.
+pub fn build_design(cfg: &ExperimentConfig, nam: &NamCluster) -> Design {
+    let data = Dataset::new(cfg.num_keys);
     let layout = PageLayout::new(cfg.page_size);
     let n = nam.num_servers();
     let domain = data.domain();
     let range_partition = match cfg.data_dist {
         DataDist::Uniform => PartitionMap::range_uniform(n, domain),
         DataDist::Skewed => PartitionMap::range_fractions(&skew_fractions(n), domain),
+    };
+    let fg = FgConfig {
+        layout,
+        fill: 0.7,
+        head_stride: cfg.head_stride,
+        cache_capacity: cfg.cache_capacity,
     };
     match cfg.design {
         DesignKind::Cg => {
@@ -257,54 +264,16 @@ fn build_design(cfg: &ExperimentConfig, nam: &NamCluster, data: Dataset) -> Desi
                 0.7,
             ))
         }
-        DesignKind::Fg => Design::Fg(FineGrained::build(
-            &nam.rdma,
-            FgConfig {
-                layout,
-                fill: 0.7,
-                head_stride: cfg.head_stride,
-                cache_capacity: cfg.cache_capacity,
-            },
-            data.iter(),
-        )),
-        DesignKind::Hybrid => Design::Hybrid(Hybrid::build(
-            nam,
-            FgConfig {
-                layout,
-                fill: 0.7,
-                head_stride: cfg.head_stride,
-                cache_capacity: cfg.cache_capacity,
-            },
-            range_partition,
-            data.iter(),
-        )),
-        DesignKind::Learned => Design::Learned(Learned::build(
-            nam,
-            FgConfig {
-                layout,
-                fill: 0.7,
-                head_stride: cfg.head_stride,
-                cache_capacity: cfg.cache_capacity,
-            },
-            range_partition,
-            data.iter(),
-        )),
+        DesignKind::Fg => Design::Fg(FineGrained::build(&nam.rdma, fg, data.iter())),
+        DesignKind::Hybrid => Design::Hybrid(Hybrid::build(nam, fg, range_partition, data.iter())),
+        DesignKind::Learned => {
+            Design::Learned(Learned::build(nam, fg, range_partition, data.iter()))
+        }
     }
-}
-
-/// Wall-clock nanoseconds since the first call, for the process-wide
-/// events/sec meter. Reporting only — never feeds back into simulation
-/// state, so determinism is untouched.
-#[allow(clippy::disallowed_methods, clippy::disallowed_types)]
-fn wall_nanos() -> u64 {
-    use std::time::Instant; // xtask: allow(wall-clock-instant)
-    static EPOCH: std::sync::OnceLock<Instant> = std::sync::OnceLock::new();
-    EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64 // xtask: allow(wall-clock-instant)
 }
 
 /// Run one experiment to completion and return its measurements.
 pub fn run_experiment(cfg: &ExperimentConfig) -> ExperimentResult {
-    let wall_start = wall_nanos();
     let sim = Sim::with_scheduler(cfg.scheduler);
     // Model-checker parity hook: route every scheduling decision through
     // the explicit FIFO policy so `cargo xtask mc` can prove the
@@ -324,14 +293,7 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> ExperimentResult {
     // Telemetry (installed before the build so even setup-phase verbs,
     // if any, are observed; the run is untelemetered when no trace is
     // requested and the observer hooks stay behind their flag check).
-    // `--trace` on any bench binary traces every experiment the process
-    // runs: the first to the given path, later ones numbered.
-    let trace_path = cfg.trace_path.clone().or_else(|| {
-        crate::cli::parse_args()
-            .trace_path()
-            .map(next_cli_trace_path)
-    });
-    let tel = trace_path.as_ref().map(|_| {
+    let tel = cfg.trace_path.as_ref().map(|_| {
         let tel = Telemetry::with_trace(Registry::new());
         tel.install(&nam.rdma);
         tel
@@ -341,13 +303,12 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> ExperimentResult {
     // like telemetry so every timed verb of the run is clocked). The
     // run *fails* on a violation — a race under a bench workload is a
     // protocol bug, not a statistic.
-    let racecheck_on = cfg.racecheck
-        || crate::cli::parse_args().racecheck
-        || std::env::var_os("NAMDEX_RACECHECK").is_some_and(|v| v == "1");
-    let race = racecheck_on.then(|| racecheck::Racecheck::install(&nam.rdma, cfg.page_size));
+    let race = cfg
+        .racecheck
+        .then(|| racecheck::Racecheck::install(&nam.rdma, cfg.page_size));
 
     let data = Dataset::new(cfg.num_keys);
-    let design = build_design(cfg, &nam, data);
+    let design = build_design(cfg, &nam);
 
     let warmup_end = sim.now() + cfg.warmup;
     let end = warmup_end + cfg.measure;
@@ -500,7 +461,7 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> ExperimentResult {
         })
         .collect();
 
-    let metrics = match (&tel, &trace_path) {
+    let metrics = match (&tel, &cfg.trace_path) {
         (Some(tel), Some(path)) => {
             assert_eq!(
                 tel.breakdown_mismatches(),
@@ -532,7 +493,6 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> ExperimentResult {
         race.assert_clean();
     }
 
-    crate::trajectory::meter_record(sim.events_processed(), wall_nanos() - wall_start);
     ExperimentResult {
         ops: count,
         throughput: count as f64 / secs,
@@ -555,39 +515,6 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> ExperimentResult {
 /// `out.metrics.csv`.
 pub fn metrics_csv_path(trace_path: &std::path::Path) -> PathBuf {
     trace_path.with_extension("metrics.csv")
-}
-
-thread_local! {
-    /// Traced-experiment ordinal within this process (sweeps run many
-    /// experiments; each needs its own trace file).
-    static TRACE_SEQ: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
-}
-
-/// Resolve the CLI `--trace PATH` for the next experiment in this
-/// process: the first keeps `PATH` verbatim, later ones number
-/// themselves before the extension (`out.json` → `out.2.json`, …) so a
-/// sweep's traces never overwrite each other. Run order is
-/// deterministic, so the numbering is too.
-fn next_cli_trace_path(path: PathBuf) -> PathBuf {
-    let seq = TRACE_SEQ.with(|c| {
-        let n = c.get() + 1;
-        c.set(n);
-        n
-    });
-    if seq <= 1 {
-        return path;
-    }
-    let ext = path.extension().map(|e| e.to_string_lossy().into_owned());
-    let stem = path
-        .file_stem()
-        .unwrap_or_default()
-        .to_string_lossy()
-        .into_owned();
-    let numbered = match ext {
-        Some(ext) => format!("{stem}.{seq}.{ext}"),
-        None => format!("{stem}.{seq}"),
-    };
-    path.with_file_name(numbered)
 }
 
 #[cfg(test)]

@@ -1,0 +1,86 @@
+//! Appendix A.4: opportunities of client-side caching — point lookups
+//! with and without the engine's cache layer, for both pointer-resolving
+//! designs (read-mostly workload, concurrent splits kept out so the
+//! numbers isolate the cache effect).
+//!
+//! Caching runs through the *integrated* operation path: the same
+//! `Design::lookup` every other figure uses, with the index built under
+//! `cache_capacity` so the engine's `Cached` node source serves hits
+//! (FG: inner pages; Hybrid: leaf routes). The hit ratio comes from
+//! `Design::cache_stats()` and lands as a column of `a04_caching.csv`.
+
+use std::rc::Rc;
+
+use nam::NamCluster;
+use rdma_sim::{ClusterSpec, Endpoint};
+use simnet::rng::DetRng;
+use simnet::stats::Counter;
+use simnet::{Sim, SimDur, SimTime};
+
+use super::{Ctx, Rows};
+use crate::driver::{build_design, DesignKind, ExperimentConfig};
+
+/// Throughput and cache hit ratio of one configuration.
+fn run(design: DesignKind, cached: bool, clients: usize, keys: u64) -> (f64, f64) {
+    let sim = Sim::new();
+    let nam = NamCluster::new(&sim, ClusterSpec::default());
+    let cfg = ExperimentConfig {
+        design,
+        num_keys: keys,
+        cache_capacity: cached.then_some(0),
+        ..ExperimentConfig::default()
+    };
+    let idx = build_design(&cfg, &nam);
+    let warmup = SimTime::from_millis(3);
+    let end = warmup + SimDur::from_millis(25);
+    let ops = Rc::new(Counter::new());
+    for c in 0..clients {
+        let idx = idx.clone();
+        let ep = Endpoint::new(&nam.rdma);
+        let sim_c = sim.clone();
+        let ops = ops.clone();
+        let mut rng = DetRng::seed_from_u64(42 ^ c as u64);
+        sim.spawn(async move {
+            loop {
+                let key = rng.next_u64_below(keys) * 8;
+                let t0 = sim_c.now();
+                idx.lookup(&ep, key).await.expect("fault-free run");
+                if t0 >= warmup && sim_c.now() <= end {
+                    ops.inc();
+                }
+            }
+        });
+    }
+    sim.run_until(end);
+    let hit_ratio = idx.cache_stats().unwrap_or_default().hit_ratio();
+    (ops.get() as f64 / 0.025, hit_ratio)
+}
+
+/// The figure body.
+pub fn a04_caching(ctx: &Ctx) -> Vec<Rows> {
+    println!("Appendix A.4: Client-side caching through the engine (point queries)\n");
+    let mut rows = Vec::new();
+    for (name, design) in [("fg", DesignKind::Fg), ("hybrid", DesignKind::Hybrid)] {
+        println!(
+            "{name}\n{:>8} {:>16} {:>16} {:>8} {:>10}",
+            "clients", "uncached", "cached", "speedup", "hit ratio"
+        );
+        for clients in [20usize, 80, 160, 240] {
+            let (base, _) = run(design, false, clients, ctx.num_keys());
+            let (fast, hit_ratio) = run(design, true, clients, ctx.num_keys());
+            println!(
+                "{clients:>8} {base:>16.0} {fast:>16.0} {:>7.1}x {hit_ratio:>10.4}",
+                fast / base.max(1.0)
+            );
+            rows.push(strs![
+                name,
+                clients,
+                format!("{base:.1}"),
+                format!("{fast:.1}"),
+                format!("{hit_ratio:.4}"),
+            ]);
+        }
+        println!();
+    }
+    vec![rows]
+}

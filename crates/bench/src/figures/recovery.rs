@@ -14,37 +14,20 @@
 //! and off and reports the durable device-op counts — the batching win
 //! the WAL's group-commit path exists for.
 //!
-//! Outputs `results/ext_recovery.csv`, `results/BENCH_recovery.json`
-//! and an ASCII RTO curve. `--seed N` reseeds the (deterministic)
-//! workload; `--quick` shrinks the sweep.
+//! Outputs `ext_recovery.csv`, `BENCH_recovery.json` and an ASCII RTO
+//! curve. `--seed N` reseeds the (deterministic) workload;
+//! `NAMDEX_QUICK=1` shrinks the sweep.
 
-use bench::figures::{quick, DESIGNS};
-use bench::plot::{ascii_chart, results_dir, write_csv, Series};
-use bench::DesignKind;
-use blink::PageLayout;
-use nam::{NamCluster, PartitionMap};
-use namdex_core::{CoarseGrained, Design, FgConfig, FineGrained, Hybrid, Learned};
-use rdma_sim::{ClusterSpec, Durability, Endpoint};
-use simnet::{Sim, SimDur};
 use std::fmt::Write as _;
 
-/// Loaded records (multiples of 8; inserted keys are odd, so fresh).
-fn load_keys() -> u64 {
-    if quick() {
-        20_000
-    } else {
-        50_000
-    }
-}
+use nam::NamCluster;
+use namdex_core::Design;
+use rdma_sim::{ClusterSpec, Durability, Endpoint};
+use simnet::{Sim, SimDur};
 
-/// Un-checkpointed insert batch sizes swept for the curve.
-fn sweep() -> Vec<u64> {
-    if quick() {
-        vec![250, 1_000, 4_000]
-    } else {
-        vec![1_000, 4_000, 16_000]
-    }
-}
+use super::{Ctx, Rows, DESIGNS};
+use crate::driver::{build_design, DesignKind, ExperimentConfig};
+use crate::plot::{ascii_chart, Series};
 
 /// Restart boot latency: deliberately small so the curve shows the
 /// *replay* term growing, not a flat 2ms boot floor.
@@ -65,27 +48,15 @@ fn spec() -> ClusterSpec {
     }
 }
 
-fn build(kind: DesignKind, nam: &NamCluster) -> Design {
-    let items = (0..load_keys()).map(|i| (i * 8, i));
-    let partition = PartitionMap::range_uniform(nam.num_servers(), load_keys() * 8);
-    let cfg = FgConfig {
-        layout: PageLayout::default(),
-        fill: 0.7,
-        head_stride: 8,
-        cache_capacity: None,
+/// `load_keys` records at multiples of 8 (inserted keys are odd, so
+/// fresh).
+fn build(kind: DesignKind, load_keys: u64, nam: &NamCluster) -> Design {
+    let cfg = ExperimentConfig {
+        design: kind,
+        num_keys: load_keys,
+        ..ExperimentConfig::default()
     };
-    match kind {
-        DesignKind::Cg => Design::Cg(CoarseGrained::build(
-            nam,
-            PageLayout::default(),
-            partition,
-            items,
-            0.7,
-        )),
-        DesignKind::Fg => Design::Fg(FineGrained::build(&nam.rdma, cfg, items)),
-        DesignKind::Hybrid => Design::Hybrid(Hybrid::build(nam, cfg, partition, items)),
-        DesignKind::Learned => Design::Learned(Learned::build(nam, cfg, partition, items)),
-    }
+    build_design(&cfg, nam)
 }
 
 /// One measured point of the curve.
@@ -100,11 +71,11 @@ struct Point {
 /// Drive `writes` acknowledged inserts (8 concurrent writers, fresh
 /// odd keys spread over the whole domain), then crash + restart the
 /// hot server and return the measured recovery.
-fn measure(kind: DesignKind, writes: u64, seed: u64) -> Point {
+fn measure(kind: DesignKind, load_keys: u64, writes: u64, seed: u64) -> Point {
     let sim = Sim::new();
     let nam = NamCluster::new(&sim, spec());
-    let design = build(kind, &nam);
-    let domain = load_keys() * 8;
+    let design = build(kind, load_keys, &nam);
+    let domain = load_keys * 8;
     let stride = (domain / writes.max(1)).max(2) & !1;
     const WRITERS: u64 = 8;
     for w in 0..WRITERS {
@@ -149,7 +120,7 @@ fn measure(kind: DesignKind, writes: u64, seed: u64) -> Point {
 
 /// Device-op counts for one fixed insert workload with and without
 /// group commit (summed over all servers).
-fn group_commit_ops(seed: u64, group_commit: bool) -> (u64, u64) {
+fn group_commit_ops(load_keys: u64, seed: u64, group_commit: bool) -> (u64, u64) {
     let sim = Sim::new();
     let nam = NamCluster::new(
         &sim,
@@ -158,8 +129,8 @@ fn group_commit_ops(seed: u64, group_commit: bool) -> (u64, u64) {
             ..spec()
         },
     );
-    let design = build(DesignKind::Cg, &nam);
-    let domain = load_keys() * 8;
+    let design = build(DesignKind::Cg, load_keys, &nam);
+    let domain = load_keys * 8;
     for w in 0..12u64 {
         let design = design.clone();
         let ep = Endpoint::new(&nam.rdma);
@@ -181,9 +152,16 @@ fn group_commit_ops(seed: u64, group_commit: bool) -> (u64, u64) {
     (flushes, records)
 }
 
-fn main() {
-    let args = bench::parse_args();
-    let seed = args.seed_or_default();
+/// The figure body.
+pub fn ext_recovery(ctx: &Ctx) -> Vec<Rows> {
+    let seed = ctx.seed;
+    let load_keys: u64 = if ctx.quick { 20_000 } else { 50_000 };
+    // Un-checkpointed insert batch sizes swept for the curve.
+    let sweep: &[u64] = if ctx.quick {
+        &[250, 1_000, 4_000]
+    } else {
+        &[1_000, 4_000, 16_000]
+    };
     println!(
         "Extension: recovery curve (RTO vs un-checkpointed log, seed {seed}, \
          boot {}us)\n",
@@ -194,13 +172,13 @@ fn main() {
         "design", "writes", "log bytes", "replay bytes", "RTO (us)", "replay MB/s"
     );
 
-    let mut csv = Vec::new();
+    let mut rows = Vec::new();
     let mut series: Vec<Series> = Vec::new();
     let mut json_designs = String::new();
     for (di, design) in DESIGNS.into_iter().enumerate() {
-        let points: Vec<Point> = sweep()
-            .into_iter()
-            .map(|writes| measure(design, writes, seed))
+        let points: Vec<Point> = sweep
+            .iter()
+            .map(|&writes| measure(design, load_keys, writes, seed))
             .collect();
         for p in &points {
             println!(
@@ -212,11 +190,11 @@ fn main() {
                 p.rto_us,
                 p.replay_mbps
             );
-            csv.push(vec![
-                design.label().to_string(),
-                p.writes.to_string(),
-                p.log_bytes.to_string(),
-                p.replay_bytes.to_string(),
+            rows.push(strs![
+                design.label(),
+                p.writes,
+                p.log_bytes,
+                p.replay_bytes,
                 format!("{:.1}", p.rto_us),
                 format!("{:.1}", p.replay_mbps),
             ]);
@@ -255,8 +233,8 @@ fn main() {
         );
     }
 
-    let (group_flushes, group_records) = group_commit_ops(seed, true);
-    let (per_flushes, per_records) = group_commit_ops(seed, false);
+    let (group_flushes, group_records) = group_commit_ops(load_keys, seed, true);
+    let (per_flushes, per_records) = group_commit_ops(load_keys, seed, false);
     assert_eq!(group_records, per_records, "same workload, same records");
     println!(
         "\ngroup commit: {group_records} records in {group_flushes} device ops \
@@ -274,41 +252,15 @@ fn main() {
         )
     );
 
-    let path = results_dir().join("ext_recovery.csv");
-    write_csv(
-        &path,
-        &[
-            "design",
-            "writes",
-            "log_bytes",
-            "replay_bytes",
-            "rto_us",
-            "replay_mbps",
-        ],
-        &csv,
-    )
-    .expect("csv");
-    println!("wrote {}", path.display());
-
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"figure\": \"recovery\",\n");
-    let _ = writeln!(json, "  \"seed\": {seed},");
-    let _ = writeln!(json, "  \"boot_us\": {},", BOOT.as_nanos() / 1_000);
-    json.push_str("  \"designs\": [\n");
-    json.push_str(&json_designs);
-    json.push_str("  ],\n");
-    let _ = writeln!(
-        json,
-        "  \"group_commit\": {{\"records\": {group_records}, \
-         \"device_flushes\": {group_flushes}, \
-         \"per_record_flushes\": {per_flushes}}}"
+    let json = format!(
+        "{{\n  \"figure\": \"recovery\",\n  \"seed\": {seed},\n  \"boot_us\": {},\n  \
+         \"designs\": [\n{json_designs}  ],\n  \"group_commit\": {{\"records\": {group_records}, \
+         \"device_flushes\": {group_flushes}, \"per_record_flushes\": {per_flushes}}}\n}}\n",
+        BOOT.as_nanos() / 1_000
     );
-    json.push_str("}\n");
-    let path = results_dir().join("BENCH_recovery.json");
+    let path = ctx.results_dir.join("BENCH_recovery.json");
+    std::fs::create_dir_all(&ctx.results_dir).expect("create results directory");
     std::fs::write(&path, json).expect("bench json");
     println!("wrote {}", path.display());
-    if let Some(summary) = bench::trajectory::process_events_summary() {
-        println!("{summary}");
-    }
+    vec![rows]
 }

@@ -1,4 +1,4 @@
-//! ASCII charts and CSV output for the figure binaries.
+//! ASCII charts, tables and CSV output for the figures.
 
 use std::fmt::Write as _;
 use std::path::Path;
@@ -120,13 +120,13 @@ pub fn format_si(v: f64) -> String {
     }
 }
 
-/// Write a CSV file (creating parent directories).
-pub fn write_csv(path: &Path, header: &[&str], rows: &[Vec<String>]) -> std::io::Result<()> {
+/// Write a CSV file under its header line (creating parent directories).
+pub fn write_csv(path: &Path, header: &str, rows: &[Vec<String>]) -> std::io::Result<()> {
     if let Some(dir) = path.parent() {
         std::fs::create_dir_all(dir)?;
     }
     let mut out = String::new();
-    out.push_str(&header.join(","));
+    out.push_str(header);
     out.push('\n');
     for row in rows {
         out.push_str(&row.join(","));
@@ -135,11 +135,24 @@ pub fn write_csv(path: &Path, header: &[&str], rows: &[Vec<String>]) -> std::io:
     std::fs::write(path, out)
 }
 
-/// Standard results directory for figure CSVs.
-pub fn results_dir() -> std::path::PathBuf {
-    std::path::PathBuf::from(
-        std::env::var("NAMDEX_RESULTS_DIR").unwrap_or_else(|_| "results".into()),
-    )
+/// Render rows under their CSV header line as a right-aligned text
+/// table.
+pub fn ascii_table(header: &str, rows: &[Vec<String>]) -> String {
+    let head: Vec<String> = header.split(',').map(String::from).collect();
+    let mut widths: Vec<usize> = head.iter().map(String::len).collect();
+    for row in rows {
+        for (w, cell) in widths.iter_mut().zip(row) {
+            *w = (*w).max(cell.len());
+        }
+    }
+    let mut out = String::new();
+    for row in std::iter::once(&head).chain(rows) {
+        for (cell, w) in row.iter().zip(&widths) {
+            let _ = write!(out, "  {cell:>w$}");
+        }
+        out.push('\n');
+    }
+    out
 }
 
 #[cfg(test)]
@@ -182,12 +195,24 @@ mod tests {
     }
 
     #[test]
+    fn table_aligns_columns() {
+        let rows = vec![
+            vec!["Fine-Grained".to_string(), "7".to_string()],
+            vec!["Hybrid".to_string(), "1234".to_string()],
+        ];
+        assert_eq!(
+            ascii_table("design,ops", &rows),
+            "        design   ops\n  Fine-Grained     7\n        Hybrid  1234\n"
+        );
+    }
+
+    #[test]
     fn csv_round_trip() {
         let dir = std::env::temp_dir().join("namdex_plot_test");
         let path = dir.join("t.csv");
         write_csv(
             &path,
-            &["a", "b"],
+            "a,b",
             &[vec!["1".into(), "2".into()], vec!["3".into(), "4".into()]],
         )
         .unwrap();

@@ -7,7 +7,7 @@
 //! rollbacks, writes landing on unlocked pages, reads of epoch-retired
 //! memory) *happen* — but without a checker they only surface as
 //! corrupted answers, usually far from the buggy verb. This crate turns
-//! the verb stream exposed by `rdma-sim`'s `sanitizer` feature into an
+//! the verb stream exposed by `rdma_sim::observer` into an
 //! online checker of the optimistic-lock-coupling protocol shared by all
 //! three index designs (§3.2/§4.2 of the paper), plus an end-of-run
 //! structural walk over the B-link pages ([`walk`]).

@@ -511,8 +511,8 @@ impl Sim {
 
     /// Total scheduling events sequenced so far (timers, wakeups,
     /// spawns). Monotone over the life of the simulation — the raw
-    /// event-loop work metric the bench trajectory divides by wall
-    /// time for its events/sec figure.
+    /// event-loop work metric the benchmark divides host time by for
+    /// its ns/event figure.
     pub fn events_processed(&self) -> u64 {
         self.inner.seq.get()
     }

@@ -22,7 +22,7 @@
 //! suppresses), so the gate is itself gated.
 //!
 //! `cargo xtask trace-check` exercises the telemetry exporter: it runs
-//! the seeded `trace_demo` experiment twice with `--trace`, validates
+//! the seeded `trace_demo` figure twice with `--trace`, validates
 //! the Chrome-trace JSON line by line (required fields, matched B/E
 //! stacks per track, non-decreasing duration-event timestamps), and
 //! fails unless the two same-seed traces are byte-identical (FNV-1a
@@ -32,14 +32,6 @@
 //! `crates/mc`): FIFO-policy engine parity, the clean schedule-
 //! exploration matrix, and the mutation hunts that prove the checkers
 //! catch the re-introduced historical bugs and the seeded races.
-//!
-//! `cargo xtask perf-smoke` is the performance gate: engine-parity
-//! digest first (speed from a changed engine is meaningless), then a
-//! quick fig08 run whose events/sec is compared — warn-only, CI
-//! machines vary — against the last entry of `results/BENCH_fig08.json`,
-//! then the same run with `NAMDEX_RACECHECK=1` to pin the race
-//! detector's zero-perturbation invariant and record its wall-clock
-//! overhead as a trajectory note.
 //!
 //! `cargo xtask racecheck` is the dynamic race-detector gate (unit
 //! tests, clean matrix, observer-order regression), and `cargo xtask
@@ -427,9 +419,8 @@ fn run_trace_demo(root: &Path, out: &Path) -> Result<(), String> {
             "--release",
             "-p",
             "bench",
-            "--bin",
-            "trace_demo",
             "--",
+            "trace_demo",
             "--seed",
             "42",
             "--trace",
@@ -507,18 +498,6 @@ fn engine_parity(bless: bool) -> ExitCode {
 fn engine_parity_inner(bless: bool, mc_fifo: bool) -> ExitCode {
     let root = repo_root();
     let dir = root.join("target").join("engine-parity");
-    // Fresh scratch results dir every run: the sweep caches its rows as
-    // CSV, and a stale cache would turn the gate into a self-compare.
-    if dir.exists() {
-        if let Err(e) = fs::remove_dir_all(&dir) {
-            eprintln!("engine-parity: cannot clear {}: {e}", dir.display());
-            return ExitCode::FAILURE;
-        }
-    }
-    if let Err(e) = fs::create_dir_all(&dir) {
-        eprintln!("engine-parity: cannot create {}: {e}", dir.display());
-        return ExitCode::FAILURE;
-    }
     let mut cmd = std::process::Command::new("cargo");
     // The golden digest predates the learned design; pin the sweep to
     // the original three so adding designs never invalidates the gate.
@@ -535,9 +514,8 @@ fn engine_parity_inner(bless: bool, mc_fifo: bool) -> ExitCode {
             "--release",
             "-p",
             "bench",
-            "--bin",
-            "fig08_throughput_unif",
             "--",
+            "fig08_throughput_unif",
             "--seed",
             "42",
         ])
@@ -592,264 +570,6 @@ fn engine_parity_inner(bless: bool, mc_fifo: bool) -> ExitCode {
     println!(
         "engine-parity{}: quick fig08 sweep matches golden {golden} — ok",
         if mc_fifo { " (FIFO policy)" } else { "" }
-    );
-    ExitCode::SUCCESS
-}
-
-// ---------------------------------------------------------------------
-// perf-smoke: behaviour-pinned speed check for CI.
-
-/// A trajectory point: `(design label, events/sec, sim events)`.
-type DesignPoint = (String, f64, u64);
-
-/// Pull `(design label, events/sec, sim events)` triples out of a
-/// `BENCH_*.json` trajectory file, keeping the **last** occurrence per
-/// design — in the appended-entries format, later entries supersede
-/// earlier ones, and a legacy single-snapshot file degenerates to the
-/// same thing.
-fn bench_design_points(text: &str) -> Vec<DesignPoint> {
-    let mut out: Vec<DesignPoint> = Vec::new();
-    for line in text.lines() {
-        let line = line.replace("\": ", "\":");
-        let Some(design) = json_str_field(&line, "design").map(String::from) else {
-            continue;
-        };
-        let Some(eps) = json_num_field(&line, "events_per_sec") else {
-            continue;
-        };
-        let events = json_num_field(&line, "sim_events").unwrap_or(0.0) as u64;
-        if let Some(slot) = out.iter_mut().find(|(d, ..)| *d == design) {
-            slot.1 = eps;
-            slot.2 = events;
-        } else {
-            out.push((design, eps, events));
-        }
-    }
-    out
-}
-
-/// The last `"date"` field in a trajectory file (the entry the most
-/// recent run appended), or "unknown".
-fn bench_last_date(text: &str) -> String {
-    text.lines()
-        .rev()
-        .find_map(|l| json_str_field(&l.replace("\": ", "\":"), "date").map(String::from))
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
-/// Run the quick seed-pinned fig08 sweep into `results_dir` (cleared
-/// first) with `extra_env` set, and parse its trajectory points.
-fn quick_fig08_points(
-    root: &Path,
-    results_dir: &Path,
-    extra_env: &[(&str, &str)],
-) -> Result<(Vec<DesignPoint>, String), ExitCode> {
-    if results_dir.exists() {
-        if let Err(e) = fs::remove_dir_all(results_dir) {
-            eprintln!("perf-smoke: cannot clear {}: {e}", results_dir.display());
-            return Err(ExitCode::FAILURE);
-        }
-    }
-    if let Err(e) = fs::create_dir_all(results_dir) {
-        eprintln!("perf-smoke: cannot create {}: {e}", results_dir.display());
-        return Err(ExitCode::FAILURE);
-    }
-    let mut cmd = std::process::Command::new("cargo");
-    cmd.current_dir(root)
-        .env("NAMDEX_QUICK", "1")
-        .env("NAMDEX_RESULTS_DIR", results_dir);
-    for (k, v) in extra_env {
-        cmd.env(k, v);
-    }
-    let status = cmd
-        .args([
-            "run",
-            "--release",
-            "-p",
-            "bench",
-            "--bin",
-            "fig08_throughput_unif",
-            "--",
-            "--seed",
-            "42",
-        ])
-        .status();
-    match status {
-        Ok(s) if s.success() => {}
-        Ok(s) => {
-            eprintln!("perf-smoke: fig08_throughput_unif exited with {s}");
-            return Err(ExitCode::FAILURE);
-        }
-        Err(e) => {
-            eprintln!("perf-smoke: failed to launch cargo: {e}");
-            return Err(ExitCode::FAILURE);
-        }
-    }
-    match fs::read_to_string(results_dir.join("BENCH_fig08.json")) {
-        Ok(t) => Ok((bench_design_points(&t), bench_last_date(&t))),
-        Err(e) => {
-            eprintln!("perf-smoke: quick run produced no BENCH_fig08.json: {e}");
-            Err(ExitCode::FAILURE)
-        }
-    }
-}
-
-/// Append `note` to the `"notes": [...]` array of the committed
-/// trajectory file at `path` (creating the array after the `"figure"`
-/// line when absent). A note that is already present verbatim is not
-/// duplicated. Best-effort: a missing or unparseable file only warns —
-/// the measurement was already printed.
-fn append_bench_note(path: &Path, note: &str) {
-    let Ok(text) = fs::read_to_string(path) else {
-        println!(
-            "perf-smoke: no committed {} — note not recorded",
-            path.display()
-        );
-        return;
-    };
-    if text.contains(note) {
-        return;
-    }
-    let updated = if let Some(start) = text.find("\"notes\": [") {
-        // Existing array: insert before its closing bracket.
-        match text[start..].find(']') {
-            Some(i) => {
-                let close = start + i;
-                let body = text[start + "\"notes\": [".len()..close].trim_end();
-                let sep = if body.trim().is_empty() { "" } else { "," };
-                format!(
-                    "{}{sep}\n    \"{note}\"\n  {}",
-                    &text[..start + "\"notes\": [".len() + body.len()],
-                    &text[close..]
-                )
-            }
-            None => return,
-        }
-    } else if let Some(line_end) = text
-        .find("\"figure\":")
-        .and_then(|i| text[i..].find('\n').map(|j| i + j))
-    {
-        format!(
-            "{}\n  \"notes\": [\n    \"{note}\"\n  ],{}",
-            &text[..line_end],
-            &text[line_end..]
-        )
-    } else {
-        eprintln!(
-            "perf-smoke: warning: {} has no figure line; note not recorded",
-            path.display()
-        );
-        return;
-    };
-    match fs::write(path, updated) {
-        Ok(()) => println!("perf-smoke: recorded note in {}", path.display()),
-        Err(e) => eprintln!("perf-smoke: warning: cannot write {}: {e}", path.display()),
-    }
-}
-
-/// `cargo xtask perf-smoke` — the CI perf gate, two steps:
-///
-/// 1. **Parity first**: re-run the engine-parity digest check, because a
-///    speed number from a behaviourally-changed engine is meaningless.
-/// 2. **Speed delta, warn-only**: run the quick fig08 sweep (all four
-///    designs) into a scratch results dir and compare its trajectory
-///    events/sec per design against the last appended entry in
-///    `results/BENCH_fig08.json`. Wall-clock speed varies across CI
-///    runners, so a slowdown only *warns*; the committed trajectory is
-///    re-baselined by deliberate fig08 runs on the dev machine.
-/// 3. **Racecheck overhead, warn-only**: the same sweep re-run with
-///    `NAMDEX_RACECHECK=1`. The detector must not perturb the
-///    simulation (identical per-design sim_events — hard failure if
-///    not); its wall-clock cost per design is printed, warned about
-///    past 2.5x, and recorded as a note in the committed
-///    `results/BENCH_fig08.json` so the overhead has a PR-over-PR
-///    trajectory too.
-fn perf_smoke() -> ExitCode {
-    let code = engine_parity(false);
-    if code != ExitCode::SUCCESS {
-        return code;
-    }
-    let root = repo_root();
-    let dir = root.join("target").join("perf-smoke");
-    let (fresh, _) = match quick_fig08_points(&root, &dir, &[]) {
-        Ok(v) => v,
-        Err(code) => return code,
-    };
-    let baseline_path = root.join("results").join("BENCH_fig08.json");
-    let mut warned = false;
-    match fs::read_to_string(&baseline_path) {
-        Ok(t) => {
-            for (design, base_eps, _) in &bench_design_points(&t) {
-                let Some((_, eps, _)) = fresh.iter().find(|(d, ..)| d == design) else {
-                    eprintln!("perf-smoke: warning: {design} missing from fresh run");
-                    warned = true;
-                    continue;
-                };
-                let ratio = if *base_eps > 0.0 { eps / base_eps } else { 1.0 };
-                println!(
-                    "perf-smoke: {design}: {:.2}M ev/s vs baseline {:.2}M ({:+.0}%)",
-                    eps / 1e6,
-                    base_eps / 1e6,
-                    (ratio - 1.0) * 100.0
-                );
-                if ratio < 0.7 {
-                    eprintln!(
-                        "perf-smoke: warning: {design} events/sec dropped more than 30% \
-                         below the committed trajectory (machine noise, or a real \
-                         event-loop regression — check locally)"
-                    );
-                    warned = true;
-                }
-            }
-        }
-        Err(_) => {
-            println!(
-                "perf-smoke: no committed {} — nothing to compare",
-                baseline_path.display()
-            );
-        }
-    }
-    // Racecheck overhead: same sweep, detector installed.
-    let race_dir = root.join("target").join("perf-smoke-racecheck");
-    let (raced, date) = match quick_fig08_points(&root, &race_dir, &[("NAMDEX_RACECHECK", "1")]) {
-        Ok(v) => v,
-        Err(code) => return code,
-    };
-    let mut note = format!("racecheck-overhead {date}:");
-    for (design, eps, events) in &fresh {
-        let Some((_, r_eps, r_events)) = raced.iter().find(|(d, ..)| d == design) else {
-            eprintln!("perf-smoke: {design} missing from racecheck run");
-            return ExitCode::FAILURE;
-        };
-        // The detector observes; it must not perturb. Virtual time is
-        // deterministic, so this is a hard failure, not a warning.
-        if events != r_events {
-            eprintln!(
-                "perf-smoke: racecheck run changed {design} sim_events \
-                 ({events} -> {r_events}) — the detector perturbed the simulation"
-            );
-            return ExitCode::FAILURE;
-        }
-        let overhead = if *r_eps > 0.0 { eps / r_eps } else { 1.0 };
-        println!(
-            "perf-smoke: {design}: racecheck overhead {overhead:.2}x \
-             ({:.2}M -> {:.2}M ev/s)",
-            eps / 1e6,
-            r_eps / 1e6
-        );
-        if overhead > 2.5 {
-            eprintln!(
-                "perf-smoke: warning: racecheck slows {design} more than 2.5x \
-                 (machine noise, or new per-verb work on the detector hot path)"
-            );
-            warned = true;
-        }
-        note.push_str(&format!(" {design} {overhead:.2}x,"));
-    }
-    append_bench_note(&baseline_path, note.trim_end_matches(','));
-    println!(
-        "perf-smoke: parity ok, racecheck non-perturbing, speed delta {} (warn-only)",
-        if warned { "WARNED" } else { "clean" }
     );
     ExitCode::SUCCESS
 }
@@ -1031,12 +751,11 @@ fn main() -> ExitCode {
         Some("protolint") if args.len() == 1 => protolint_gate(false),
         Some("protolint") if args[1] == "--emit-docs" => protolint_gate(true),
         Some("verb-model") if args.len() == 1 => verb_model(),
-        Some("perf-smoke") if args.len() == 1 => perf_smoke(),
         Some("racecheck") if args.len() == 1 => racecheck_gate(),
         Some("check-all") if args.len() == 1 => check_all(),
         _ => {
             eprintln!(
-                "usage: cargo xtask <lint [--self-test] | trace-check | engine-parity [--bless] | mc [--quick] | protolint [--emit-docs] | verb-model | perf-smoke | racecheck | check-all>"
+                "usage: cargo xtask <lint [--self-test] | trace-check | engine-parity [--bless] | mc [--quick] | protolint [--emit-docs] | verb-model | racecheck | check-all>"
             );
             ExitCode::FAILURE
         }
@@ -1141,30 +860,6 @@ mod tests {
         assert!(validate_trace(&bad).unwrap_err().contains("pid"));
         // Empty array.
         assert!(validate_trace("[\n]").is_err());
-    }
-
-    #[test]
-    fn bench_points_keep_last_entry_per_design() {
-        // Appended-entries shape: the same design appears once per entry;
-        // the later (newer) number must win.
-        let text = "{\n  \"figure\": \"fig08\",\n  \"entries\": [\n\
-            {\"date\": \"2026-07-01\", \"designs\": [\n\
-            {\"design\": \"Hybrid\", \"ops_per_sec\": 1.0, \"sim_events\": 9, \"events_per_sec\": 1000000},\n\
-            {\"design\": \"Learned\", \"ops_per_sec\": 1.0, \"sim_events\": 9, \"events_per_sec\": 1500000}]},\n\
-            {\"date\": \"2026-08-01\", \"designs\": [\n\
-            {\"design\": \"Hybrid\", \"ops_per_sec\": 1.0, \"sim_events\": 9, \"events_per_sec\": 4000000}]}\n\
-            ]\n}\n";
-        let pts = bench_design_points(text);
-        assert_eq!(pts.len(), 2);
-        assert_eq!(pts[0], ("Hybrid".to_string(), 4_000_000.0, 9));
-        assert_eq!(pts[1], ("Learned".to_string(), 1_500_000.0, 9));
-        // Legacy single-snapshot files parse the same way.
-        let legacy = "{\"designs\": [\n\
-            {\"design\": \"Coarse-Grained\", \"ops_per_sec\": 2.0, \"sim_events\": 3, \"events_per_sec\": 2158651}\n]}";
-        assert_eq!(
-            bench_design_points(legacy),
-            vec![("Coarse-Grained".to_string(), 2_158_651.0, 3)]
-        );
     }
 
     #[test]

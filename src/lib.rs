@@ -65,8 +65,6 @@ pub use nam as cluster;
 pub use namdex_core as index;
 pub use racecheck;
 pub use rdma_sim as rdma;
-#[cfg(feature = "sanitizer")]
-pub use sanitizer;
 pub use simnet as sim;
 pub use telemetry;
 pub use ycsb as workload;

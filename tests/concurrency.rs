@@ -14,35 +14,24 @@ fn cluster() -> (Sim, NamCluster) {
     (sim, nam)
 }
 
-/// With `--features sanitizer`, arm the protocol checker over the torture
-/// run; [`finish_sanitized`] then requires a clean verdict. Both are
-/// no-ops in default builds.
-#[cfg(feature = "sanitizer")]
-fn arm_sanitized(nam: &NamCluster, design: &Design) -> Rc<namdex::sanitizer::Sanitizer> {
+/// Arm the protocol checker over the torture run; [`finish_sanitized`]
+/// then requires a clean verdict.
+fn arm_sanitized(nam: &NamCluster, design: &Design) -> Rc<sanitizer::Sanitizer> {
     let page_size = match design {
         Design::Cg(_) => PageLayout::default().page_size(),
         Design::Fg(d) => d.layout().page_size(),
         Design::Hybrid(d) => d.layout().page_size(),
         Design::Learned(d) => d.layout().page_size(),
     };
-    let san = namdex::sanitizer::Sanitizer::install(&nam.rdma, page_size);
-    namdex::sanitizer::walk::register_design(&san, design);
+    let san = sanitizer::Sanitizer::install(&nam.rdma, page_size);
+    sanitizer::walk::register_design(&san, design);
     san
 }
-#[cfg(not(feature = "sanitizer"))]
-struct NoSanitizer;
-#[cfg(not(feature = "sanitizer"))]
-fn arm_sanitized(_nam: &NamCluster, _design: &Design) -> NoSanitizer {
-    NoSanitizer
-}
 
-#[cfg(feature = "sanitizer")]
-fn finish_sanitized(san: &namdex::sanitizer::Sanitizer, design: &Design) {
+fn finish_sanitized(san: &sanitizer::Sanitizer, design: &Design) {
     assert_eq!(san.check_structure(design), 0, "structural walk");
     san.assert_clean();
 }
-#[cfg(not(feature = "sanitizer"))]
-fn finish_sanitized(_san: &NoSanitizer, _design: &Design) {}
 
 fn small_fg_cfg() -> FgConfig {
     FgConfig {

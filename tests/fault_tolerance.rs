@@ -6,8 +6,8 @@
 //! *between its lock-acquire CAS and its unlock FAA* — and requires
 //! that every design completes the workload anyway: a contender breaks
 //! the orphaned lease after its virtual-time expiry, no key is lost or
-//! duplicated, and (under `--features sanitizer`) the run is violation-
-//! free and passes the structural walk.
+//! duplicated, and the run is violation-free under the protocol
+//! sanitizer and passes its structural walk.
 
 use namdex::index::OpError;
 use namdex::prelude::*;
@@ -20,32 +20,22 @@ fn cluster() -> (Sim, NamCluster) {
     (sim, nam)
 }
 
-#[cfg(feature = "sanitizer")]
-fn arm_sanitized(nam: &NamCluster, design: &Design) -> Rc<namdex::sanitizer::Sanitizer> {
+fn arm_sanitized(nam: &NamCluster, design: &Design) -> Rc<sanitizer::Sanitizer> {
     let page_size = match design {
         Design::Cg(_) => PageLayout::default().page_size(),
         Design::Fg(d) => d.layout().page_size(),
         Design::Hybrid(d) => d.layout().page_size(),
         Design::Learned(d) => d.layout().page_size(),
     };
-    let san = namdex::sanitizer::Sanitizer::install(&nam.rdma, page_size);
-    namdex::sanitizer::walk::register_design(&san, design);
+    let san = sanitizer::Sanitizer::install(&nam.rdma, page_size);
+    sanitizer::walk::register_design(&san, design);
     san
 }
-#[cfg(not(feature = "sanitizer"))]
-struct NoSanitizer;
-#[cfg(not(feature = "sanitizer"))]
-fn arm_sanitized(_nam: &NamCluster, _design: &Design) -> NoSanitizer {
-    NoSanitizer
-}
 
-#[cfg(feature = "sanitizer")]
-fn finish_sanitized(san: &namdex::sanitizer::Sanitizer, design: &Design) {
+fn finish_sanitized(san: &sanitizer::Sanitizer, design: &Design) {
     assert_eq!(san.check_structure(design), 0, "structural walk");
     san.assert_clean();
 }
-#[cfg(not(feature = "sanitizer"))]
-fn finish_sanitized(_san: &NoSanitizer, _design: &Design) {}
 
 const KEYS: u64 = 500;
 

@@ -55,15 +55,10 @@ fn run_script(design_kind: u8, page_size: usize, loaded: u64, script: Vec<Script
         )),
     };
 
-    // Under `--features sanitizer`, every scripted run also executes with
-    // the protocol checker active and must stay violation-free.
-    #[cfg(feature = "sanitizer")]
-    let san = {
-        let san = namdex::sanitizer::Sanitizer::install(&nam.rdma, page_size);
-        namdex::sanitizer::walk::register_design(&san, &design);
-        san
-    };
-    #[cfg(feature = "sanitizer")]
+    // Every scripted run executes with the protocol checker active and
+    // must stay violation-free.
+    let san = sanitizer::Sanitizer::install(&nam.rdma, page_size);
+    sanitizer::walk::register_design(&san, &design);
     let design_for_walk = design.clone();
 
     let ep = Endpoint::new(&nam.rdma);
@@ -101,11 +96,8 @@ fn run_script(design_kind: u8, page_size: usize, loaded: u64, script: Vec<Script
         }
     });
     sim.run();
-    #[cfg(feature = "sanitizer")]
-    {
-        assert_eq!(san.check_structure(&design_for_walk), 0, "structural walk");
-        san.assert_clean();
-    }
+    assert_eq!(san.check_structure(&design_for_walk), 0, "structural walk");
+    san.assert_clean();
 }
 
 proptest! {

@@ -1,4 +1,4 @@
-//! Protocol sanitizer tests (run with `--features sanitizer`).
+//! Protocol sanitizer tests.
 //!
 //! Positive half: the three designs' torture workloads must run *clean*
 //! under the verb-level checker and pass the end-of-run structural walk.
@@ -7,12 +7,10 @@
 //! of an epoch-retired region — must each be detected and reported with
 //! server / byte-range / virtual-time / client context.
 
-#![cfg(feature = "sanitizer")]
-
 use namdex::index::gc;
 use namdex::prelude::*;
-use namdex::sanitizer::{walk, Sanitizer, ViolationKind};
 use namdex::tree::layout::lock_word;
+use sanitizer::{walk, Sanitizer, ViolationKind};
 use std::rc::Rc;
 
 fn cluster() -> (Sim, NamCluster) {
