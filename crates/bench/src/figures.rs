@@ -635,12 +635,18 @@ pub const FIGURES: &[Figure] = &[
         grids::throughput_row,
         None,
     ),
-    custom(
-        "a04_caching",
-        "Appendix A.4: point lookups with and without the engine's client cache (FG, Hybrid)",
-        "design,clients,uncached_tput,cached_tput,cache_hit_ratio",
-        caching::a04_caching,
-    ),
+    Figure {
+        also: &[(
+            "a04_cache_size",
+            "design,dist,capacity,throughput,cache_hit_ratio",
+        )],
+        ..custom(
+            "a04_caching",
+            "Appendix A.4: point lookups with and without the engine's client cache, and by cache size (FG, Hybrid)",
+            "design,clients,uncached_tput,cached_tput,cache_hit_ratio",
+            caching::a04_caching,
+        )
+    },
     grid(
         "ablation_heads",
         "Ablation: head-node prefetch stride (fine-grained range scans, 120 clients)",

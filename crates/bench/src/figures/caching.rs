@@ -8,26 +8,39 @@
 //! `cache_capacity` so the engine's `Cached` node source serves hits
 //! (FG: inner pages; Hybrid: leaf routes). The hit ratio comes from
 //! `Design::cache_stats()` and lands as a column of `a04_caching.csv`.
+//!
+//! A second table, `a04_cache_size.csv`, sweeps the per-client capacity
+//! at 120 clients from far below the cacheable level to unbounded, under
+//! uniform and Zipfian requests: what a client has to hold for the cache
+//! to pay.
 
 use std::rc::Rc;
 
 use nam::NamCluster;
 use rdma_sim::{ClusterSpec, Endpoint};
-use simnet::rng::DetRng;
+use simnet::rng::{DetRng, Zipf};
 use simnet::stats::Counter;
 use simnet::{Sim, SimDur, SimTime};
 
 use super::{Ctx, Rows};
 use crate::driver::{build_design, DesignKind, ExperimentConfig};
 
-/// Throughput and cache hit ratio of one configuration.
-fn run(design: DesignKind, cached: bool, clients: usize, keys: u64) -> (f64, f64) {
+/// Throughput and cache hit ratio of one configuration: `cache` entries
+/// per client (`Some(0)` = unbounded, `None` = no cache), request keys
+/// uniform or, given a table, scrambled-Zipfian.
+fn run(
+    design: DesignKind,
+    cache: Option<usize>,
+    zipf: Option<&Zipf>,
+    clients: usize,
+    keys: u64,
+) -> (f64, f64) {
     let sim = Sim::new();
     let nam = NamCluster::new(&sim, ClusterSpec::default());
     let cfg = ExperimentConfig {
         design,
         num_keys: keys,
-        cache_capacity: cached.then_some(0),
+        cache_capacity: cache,
         ..ExperimentConfig::default()
     };
     let idx = build_design(&cfg, &nam);
@@ -39,10 +52,15 @@ fn run(design: DesignKind, cached: bool, clients: usize, keys: u64) -> (f64, f64
         let ep = Endpoint::new(&nam.rdma);
         let sim_c = sim.clone();
         let ops = ops.clone();
+        let zipf = zipf.cloned();
         let mut rng = DetRng::seed_from_u64(42 ^ c as u64);
         sim.spawn(async move {
             loop {
-                let key = rng.next_u64_below(keys) * 8;
+                let record = match &zipf {
+                    Some(z) => z.sample_scrambled(&mut rng),
+                    None => rng.next_u64_below(keys),
+                };
+                let key = record * 8;
                 let t0 = sim_c.now();
                 idx.lookup(&ep, key).await.expect("fault-free run");
                 if t0 >= warmup && sim_c.now() <= end {
@@ -66,8 +84,8 @@ pub fn a04_caching(ctx: &Ctx) -> Vec<Rows> {
             "clients", "uncached", "cached", "speedup", "hit ratio"
         );
         for clients in [20usize, 80, 160, 240] {
-            let (base, _) = run(design, false, clients, ctx.num_keys());
-            let (fast, hit_ratio) = run(design, true, clients, ctx.num_keys());
+            let (base, _) = run(design, None, None, clients, ctx.num_keys());
+            let (fast, hit_ratio) = run(design, Some(0), None, clients, ctx.num_keys());
             println!(
                 "{clients:>8} {base:>16.0} {fast:>16.0} {:>7.1}x {hit_ratio:>10.4}",
                 fast / base.max(1.0)
@@ -82,5 +100,38 @@ pub fn a04_caching(ctx: &Ctx) -> Vec<Rows> {
         }
         println!();
     }
-    vec![rows]
+    vec![rows, cache_size(ctx)]
+}
+
+/// Rows of `a04_cache_size.csv`. At 1M keys the fine-grained design has
+/// ~570 inner pages to cache and the hybrid ~24k leaf routes.
+fn cache_size(ctx: &Ctx) -> Rows {
+    const CLIENTS: usize = 120;
+    let keys = ctx.num_keys();
+    let zipf = Zipf::new(keys, Zipf::YCSB_THETA);
+    println!(
+        "Cache size, {CLIENTS} clients\n{:>8} {:>8} {:>10} {:>16} {:>10}",
+        "design", "dist", "capacity", "throughput", "hit ratio"
+    );
+    let mut rows = Vec::new();
+    for (name, design) in [("fg", DesignKind::Fg), ("hybrid", DesignKind::Hybrid)] {
+        for (dist, zipf) in [("uniform", None), ("zipfian", Some(&zipf))] {
+            for capacity in [16usize, 64, 256, 1024, 4096, 0] {
+                let (tput, hit_ratio) = run(design, Some(capacity), zipf, CLIENTS, keys);
+                let capacity = match capacity {
+                    0 => "unbounded".to_string(),
+                    n => n.to_string(),
+                };
+                println!("{name:>8} {dist:>8} {capacity:>10} {tput:>16.0} {hit_ratio:>10.4}");
+                rows.push(strs![
+                    name,
+                    dist,
+                    capacity,
+                    format!("{tput:.1}"),
+                    format!("{hit_ratio:.4}"),
+                ]);
+            }
+        }
+    }
+    rows
 }

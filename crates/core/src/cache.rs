@@ -9,104 +9,121 @@
 //!
 //! Caching is wired into the real operation path as a decorator over the
 //! engine's page resolution ([`crate::resolve::Cached`]); this module
-//! holds the state it decorates with:
+//! holds the state it decorates with, a [`CacheLayer`] per index: one
+//! bounded slot table per client (inner pages by remote pointer for the
+//! fine-grained design, leaf routes by covering high key for the hybrid),
+//! aggregate counters, and the server-restart epoch that flushes
+//! everything when any memory server restarts.
 //!
-//! * [`ClientCache`] — one compute server's page cache (inner nodes, for
-//!   the fine-grained design);
-//! * [`CacheLayer`] — the per-index layer owning one [`ClientCache`] (or
-//!   route map, for the hybrid) per client, aggregate hit/miss/
-//!   invalidation counters, and the server-restart epoch that flushes
-//!   everything when any memory server restarts.
+//! A table holds at most `capacity` entries (`0` = unbounded: it never
+//! evicts) and replaces by CLOCK: a hit sets the entry's reference bit,
+//! an install into a full table sweeps a hand over the slots, clearing
+//! set bits and taking the first clear one. Installing is the only place
+//! the bound is enforced. A miss copies the READ's bytes into the victim's
+//! frame and a hit copies the frame into an arena buffer, so a
+//! steady-state lookup allocates nothing; readers hold copies, never
+//! borrows, so eviction cannot pull a page out from under an `await`.
+//!
+//! A hit is an access served without touching the wire, a miss one that
+//! went to the inner source. The fine-grained design's leaf loads come
+//! through the same door and are never cached, so each counts as a miss:
+//! over a tree of `L` levels its hit ratio is at most `(L - 1) / L`.
 //!
 //! A stale entry is harmless: descents correct themselves through B-link
 //! sibling chases, and each detected stale step invalidates the entry
 //! that caused it (the validation rule in [`crate::resolve`]).
 
-use std::cell::{Cell, RefCell};
-use std::collections::BTreeMap;
+use std::cell::{Cell, RefCell, RefMut};
 
 use blink::node::LeafNodeRef;
 use blink::Key;
-use rdma_sim::{Cluster, RemotePtr};
-use simnet::stats::Counter;
+use rdma_sim::{Cluster, PageBuf, RemotePtr};
 
-/// A per-compute-server cache of inner index nodes.
 #[derive(Default)]
-pub struct ClientCache {
-    pages: RefCell<BTreeMap<u64, Vec<u8>>>,
-    capacity: usize,
-    hits: Counter,
-    misses: Counter,
+struct Slot<V> {
+    key: u64,
+    referenced: bool,
+    value: V,
 }
 
-impl ClientCache {
-    /// Cache holding at most `capacity` pages (0 = unbounded).
-    pub fn new(capacity: usize) -> Self {
-        ClientCache {
-            pages: RefCell::new(BTreeMap::new()),
-            capacity,
-            hits: Counter::new(),
-            misses: Counter::new(),
-        }
+/// Slots, a `key → slot` index over them, and the CLOCK hand.
+#[derive(Default)]
+struct SlotTable<V> {
+    /// `(key, slot)` in key order. A sorted vector, not a tree: ordered
+    /// lookups are a binary search, and replacing an entry moves bytes
+    /// instead of allocating and freeing tree nodes (at the price of an
+    /// install that is linear in the entries of an unbounded table).
+    index: Vec<(u64, u32)>,
+    slots: Vec<Slot<V>>,
+    hand: usize,
+}
+
+impl<V: Default> SlotTable<V> {
+    /// Position in `index` of the first entry whose key is `>= key`.
+    fn lower_bound(&self, key: u64) -> usize {
+        self.index.partition_point(|&(k, _)| k < key)
     }
 
-    /// Cached copy of `ptr`, if present.
-    fn get(&self, ptr: RemotePtr) -> Option<Vec<u8>> {
-        let hit = self.pages.borrow().get(&ptr.raw()).cloned();
-        if hit.is_some() {
-            self.hits.inc();
-        } else {
-            self.misses.inc();
-        }
-        hit
+    /// The first entry whose key is `>= key`.
+    fn ceil(&mut self, key: u64) -> Option<&mut Slot<V>> {
+        let &(_, slot) = self.index.get(self.lower_bound(key))?;
+        Some(&mut self.slots[slot as usize])
     }
 
-    /// Cached copy of `ptr` without touching the hit/miss counters.
-    fn peek(&self, ptr: RemotePtr) -> Option<Vec<u8>> {
-        self.pages.borrow().get(&ptr.raw()).cloned()
+    fn get(&mut self, key: u64) -> Option<&mut Slot<V>> {
+        self.ceil(key).filter(|s| s.key == key)
     }
 
-    /// Install a page copy.
-    fn put(&self, ptr: RemotePtr, page: Vec<u8>) {
-        let mut map = self.pages.borrow_mut();
-        if self.capacity > 0 && map.len() >= self.capacity && !map.contains_key(&ptr.raw()) {
-            // Simple random-ish eviction: drop an arbitrary entry. The
-            // paper leaves replacement policy to future work.
-            if let Some(&k) = map.keys().next() {
-                map.remove(&k);
+    /// The value to overwrite for `key`, and whether the entry is new. A
+    /// new entry takes a fresh slot while the table holds fewer than
+    /// `capacity` entries (always, if that is 0) and otherwise the CLOCK
+    /// victim's, whose old value it then finds there.
+    fn install(&mut self, key: u64, capacity: usize) -> (&mut V, bool) {
+        if let Some(&(k, slot)) = self.index.get(self.lower_bound(key)) {
+            if k == key {
+                return (&mut self.slots[slot as usize].value, false);
             }
         }
-        map.insert(ptr.raw(), page);
+        let slot = if capacity == 0 || self.slots.len() < capacity {
+            self.slots.push(Slot {
+                key,
+                ..Slot::default()
+            });
+            self.slots.len() - 1
+        } else {
+            let victim = loop {
+                let at = self.hand;
+                self.hand = (at + 1) % self.slots.len();
+                if !std::mem::take(&mut self.slots[at].referenced) {
+                    break at;
+                }
+            };
+            let evicted = std::mem::replace(&mut self.slots[victim].key, key);
+            self.index.remove(self.lower_bound(evicted));
+            victim
+        };
+        let at = self.lower_bound(key);
+        self.index.insert(at, (key, slot as u32));
+        (&mut self.slots[slot].value, true)
     }
 
-    /// Drop the entry for `ptr`; reports whether one was present.
-    fn remove(&self, ptr: RemotePtr) -> bool {
-        self.pages.borrow_mut().remove(&ptr.raw()).is_some()
-    }
-
-    /// Drop everything (epoch invalidation).
-    pub fn invalidate_all(&self) {
-        self.pages.borrow_mut().clear();
-    }
-
-    /// Cache hits observed.
-    pub fn hits(&self) -> u64 {
-        self.hits.get()
-    }
-
-    /// Cache misses observed.
-    pub fn misses(&self) -> u64 {
-        self.misses.get()
-    }
-
-    /// Pages currently cached.
-    pub fn len(&self) -> usize {
-        self.pages.borrow().len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.pages.borrow().is_empty()
+    /// Drop the entry for `key`; reports whether one was present.
+    fn remove(&mut self, key: u64) -> bool {
+        let at = self.lower_bound(key);
+        let slot = match self.index.get(at) {
+            Some(&(k, slot)) if k == key => slot as usize,
+            _ => return false,
+        };
+        self.index.remove(at);
+        self.slots.swap_remove(slot);
+        if let Some(moved) = self.slots.get(slot) {
+            let at = self.lower_bound(moved.key);
+            self.index[at].1 = slot as u32;
+        }
+        if self.hand >= self.slots.len() {
+            self.hand = 0;
+        }
+        true
     }
 }
 
@@ -126,12 +143,7 @@ pub struct CacheStats {
 impl CacheStats {
     /// Fraction of cache accesses that hit (0 when never accessed).
     pub fn hit_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
+        self.hits as f64 / (self.hits + self.misses).max(1) as f64
     }
 }
 
@@ -142,21 +154,29 @@ impl CacheStats {
 /// chasing right).
 type Route = (u64, Key);
 
-/// Per-index cache layer: one page cache (or route map) per client,
-/// shared counters, and restart-epoch invalidation.
+/// What one client caches; an index fills one of the two, by its
+/// [`crate::resolve::CachePolicy`].
+#[derive(Default)]
+struct ClientCache {
+    /// Inner pages by remote pointer. A slot keeps its frame when the
+    /// entry in it is replaced.
+    pages: SlotTable<Vec<u8>>,
+    /// Leaf routes by the leaf's high key.
+    routes: SlotTable<Route>,
+}
+
+/// Per-index cache layer: one cache per client, shared counters, and
+/// restart-epoch invalidation.
 ///
 /// Per *client*, not per index: real compute servers do not share memory,
 /// so each simulated client keeps its own cache and pays its own warm-up
-/// misses. All determinism-sensitive state is `BTreeMap`-backed.
+/// misses.
 pub struct CacheLayer {
     cluster: Cluster,
     capacity: usize,
-    pages: RefCell<BTreeMap<u64, ClientCache>>,
-    routes: RefCell<BTreeMap<u64, BTreeMap<Key, Route>>>,
-    hits: Counter,
-    misses: Counter,
-    invalidations: Counter,
-    restart_flushes: Counter,
+    /// By client id, which a cluster hands out densely from 0.
+    clients: RefCell<Vec<ClientCache>>,
+    stats: Cell<CacheStats>,
     epoch: Cell<u64>,
 }
 
@@ -164,151 +184,127 @@ impl CacheLayer {
     /// A layer over `cluster` holding at most `capacity` entries per
     /// client (0 = unbounded).
     pub fn new(cluster: &Cluster, capacity: usize) -> Self {
-        let layer = CacheLayer {
+        CacheLayer {
             cluster: cluster.clone(),
             capacity,
-            pages: RefCell::new(BTreeMap::new()),
-            routes: RefCell::new(BTreeMap::new()),
-            hits: Counter::new(),
-            misses: Counter::new(),
-            invalidations: Counter::new(),
-            restart_flushes: Counter::new(),
-            epoch: Cell::new(0),
-        };
-        layer.epoch.set(layer.current_epoch());
-        layer
+            clients: RefCell::default(),
+            stats: Cell::default(),
+            epoch: Cell::new(cluster.restart_epoch()),
+        }
     }
 
-    fn current_epoch(&self) -> u64 {
-        (0..self.cluster.num_servers())
-            .map(|s| self.cluster.server_restarts(s))
-            .sum()
+    /// `client`'s cache, empty at its first use.
+    fn client(&self, client: u64) -> RefMut<'_, ClientCache> {
+        RefMut::map(self.clients.borrow_mut(), |all| {
+            if client as usize >= all.len() {
+                all.resize_with(client as usize + 1, ClientCache::default);
+            }
+            &mut all[client as usize]
+        })
     }
 
     /// Flush everything if any memory server restarted since the last
     /// access: a restarted server's pool content was rebuilt, so cached
     /// bytes and routes into it can no longer be trusted.
     pub fn flush_if_restarted(&self) {
-        let now = self.current_epoch();
+        let now = self.cluster.restart_epoch();
         if now != self.epoch.get() {
             self.epoch.set(now);
-            self.pages.borrow_mut().clear();
-            self.routes.borrow_mut().clear();
-            self.restart_flushes.inc();
+            self.clients.borrow_mut().clear();
+            self.bump(|s| s.restart_flushes += 1);
         }
     }
 
-    /// Cached page for `client`, counting a hit or miss.
-    pub fn page_hit(&self, client: u64, ptr: RemotePtr) -> Option<Vec<u8>> {
-        let hit = self.pages.borrow().get(&client).and_then(|c| c.get(ptr));
-        if hit.is_some() {
-            self.hits.inc();
-        } else {
-            self.misses.inc();
-        }
+    fn bump(&self, change: impl FnOnce(&mut CacheStats)) {
+        let mut stats = self.stats.get();
+        change(&mut stats);
+        self.stats.set(stats);
+    }
+
+    fn count<T>(&self, hit: Option<T>) -> Option<T> {
+        self.bump(|s| match hit {
+            Some(_) => s.hits += 1,
+            None => s.misses += 1,
+        });
         hit
     }
 
-    /// Cached page for `client` without counting (introspection).
-    pub fn peek_page(&self, client: u64, ptr: RemotePtr) -> Option<Vec<u8>> {
-        self.pages.borrow().get(&client).and_then(|c| c.peek(ptr))
+    /// A copy of `client`'s cached page, counting a hit or miss.
+    pub fn page_hit(&self, client: u64, ptr: RemotePtr) -> Option<PageBuf> {
+        let mut cache = self.client(client);
+        self.count(cache.pages.get(ptr.raw()).map(|slot| {
+            slot.referenced = true;
+            self.cluster.arena().checkout_copy(&slot.value)
+        }))
     }
 
-    /// Install a page copy for `client`.
-    pub fn put_page(&self, client: u64, ptr: RemotePtr, page: Vec<u8>) {
-        self.pages
-            .borrow_mut()
-            .entry(client)
-            .or_insert_with(|| ClientCache::new(self.capacity))
-            .put(ptr, page);
+    /// Install a copy of `page` for `client`.
+    pub fn put_page(&self, client: u64, ptr: RemotePtr, page: impl AsRef<[u8]>) {
+        let mut cache = self.client(client);
+        let (frame, _) = cache.pages.install(ptr.raw(), self.capacity);
+        frame.clear();
+        frame.extend_from_slice(page.as_ref());
     }
 
     /// Drop `client`'s copy of `ptr` (stale-step detection).
     pub fn drop_page(&self, client: u64, ptr: RemotePtr) {
-        if let Some(c) = self.pages.borrow().get(&client) {
-            if c.remove(ptr) {
-                self.invalidations.inc();
-            }
+        if self.client(client).pages.remove(ptr.raw()) {
+            self.bump(|s| s.invalidations += 1);
         }
     }
 
     /// Cached leaf route covering `key` for `client`, counting a hit or
     /// miss. Only entries whose `low_hint <= key` qualify (see `Route`).
     pub fn route_hit(&self, client: u64, key: Key) -> Option<RemotePtr> {
-        let hit = self.routes.borrow().get(&client).and_then(|m| {
-            m.range(key..)
-                .next()
-                .filter(|(_, &(_, low))| low <= key)
-                .map(|(_, &(raw, _))| RemotePtr::from_raw(raw))
-        });
-        if hit.is_some() {
-            self.hits.inc();
-        } else {
-            self.misses.inc();
-        }
-        hit
+        let mut cache = self.client(client);
+        let covering = cache.routes.ceil(key).filter(|slot| slot.value.1 <= key);
+        self.count(covering.map(|slot| {
+            slot.referenced = true;
+            RemotePtr::from_raw(slot.value.0)
+        }))
     }
 
     /// Record that the descent for `key` ended at the covering leaf
     /// `ptr` with bytes `page`.
     pub fn note_route(&self, client: u64, key: Key, ptr: RemotePtr, page: &[u8]) {
         let high = LeafNodeRef::new(page).high_key();
-        let mut routes = self.routes.borrow_mut();
-        let map = routes.entry(client).or_default();
-        let low = match map.get(&high) {
-            Some(&(_, l)) => l.min(key),
-            None => {
-                if self.capacity > 0 && map.len() >= self.capacity {
-                    if let Some(&k) = map.keys().next() {
-                        map.remove(&k);
-                    }
-                }
-                key
-            }
-        };
-        map.insert(high, (ptr.raw(), low));
+        let mut cache = self.client(client);
+        let (route, new) = cache.routes.install(high, self.capacity);
+        let low = if new { key } else { route.1.min(key) };
+        *route = (ptr.raw(), low);
     }
 
     /// Drop `client`'s route covering `key` (stale-step detection).
     pub fn drop_route(&self, client: u64, key: Key) {
-        let mut routes = self.routes.borrow_mut();
-        if let Some(map) = routes.get_mut(&client) {
-            if let Some(high) = map.range(key..).next().map(|(&h, _)| h) {
-                map.remove(&high);
-                self.invalidations.inc();
-            }
+        let routes = &mut self.client(client).routes;
+        if let Some(high) = routes.ceil(key).map(|slot| slot.key) {
+            routes.remove(high);
+            self.bump(|s| s.invalidations += 1);
         }
     }
 
-    /// Fix up `client`'s own routes after it split a leaf: the left half
-    /// keeps its pointer under the new separator, the right half takes
-    /// over the old high key. (Other clients correct lazily through the
-    /// validation rule.)
+    /// Fix up `client`'s own routes after it split a leaf: the right half
+    /// takes over the old high key's entry, the left half keeps its
+    /// pointer under the new separator. (Other clients correct lazily
+    /// through the validation rule.)
     pub fn note_split(&self, client: u64, sep: Key, old_high: Key, left: u64, right: u64) {
-        let mut routes = self.routes.borrow_mut();
-        if let Some(map) = routes.get_mut(&client) {
-            if let Some((_, low)) = map.remove(&old_high) {
-                map.insert(sep, (left, low));
-                map.insert(old_high, (right, sep.saturating_add(1)));
-            }
+        let routes = &mut self.client(client).routes;
+        if let Some(old) = routes.get(old_high) {
+            let low = std::mem::replace(&mut old.value, (right, sep.saturating_add(1))).1;
+            *routes.install(sep, self.capacity).0 = (left, low);
         }
     }
 
     /// Aggregate statistics.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.get(),
-            misses: self.misses.get(),
-            invalidations: self.invalidations.get(),
-            restart_flushes: self.restart_flushes.get(),
-        }
+        self.stats.get()
     }
 
     /// Total entries cached across clients (pages plus routes).
     pub fn entries(&self) -> usize {
-        let pages: usize = self.pages.borrow().values().map(|c| c.len()).sum();
-        let routes: usize = self.routes.borrow().values().map(|m| m.len()).sum();
-        pages + routes
+        let clients = self.clients.borrow();
+        let held = |c: &ClientCache| c.pages.slots.len() + c.routes.slots.len();
+        clients.iter().map(held).sum()
     }
 }
 
@@ -317,8 +313,10 @@ mod tests {
     use super::*;
     use crate::fg::{FgConfig, FineGrained};
     use blink::PageLayout;
+    use proptest::prelude::*;
     use rdma_sim::{Cluster, ClusterSpec, Endpoint};
     use simnet::Sim;
+    use std::collections::BTreeMap;
 
     fn cached_cfg() -> FgConfig {
         FgConfig {
@@ -366,22 +364,135 @@ mod tests {
         );
     }
 
+    /// A split adds a route (the left half's); it has to go through the
+    /// bounded install like any other, or a client that splits leaves
+    /// grows its route cache by one entry per split.
     #[test]
-    fn capacity_bound_respected() {
-        let cache = ClientCache::new(2);
-        cache.put(RemotePtr::new(0, 8), vec![0]);
-        cache.put(RemotePtr::new(0, 16), vec![1]);
-        cache.put(RemotePtr::new(0, 24), vec![2]);
-        assert!(cache.len() <= 2);
+    fn own_splits_keep_a_bounded_route_cache_bounded() {
+        let sim = Sim::new();
+        let cluster = Cluster::new(&sim, ClusterSpec::default());
+        let layer = CacheLayer::new(&cluster, 4);
+        let layout = PageLayout::new(200);
+        let mut page = vec![0u8; layout.page_size()];
+        blink::node::LeafNodeMut::init(&mut page, 10_000, blink::Ptr::NULL, blink::Ptr::NULL);
+        layer.note_route(0, 50, RemotePtr::new(0, 8), &page);
+        for i in 0..200u64 {
+            // An insert descends through the route of the right half,
+            // then splits it: the hit keeps that entry through the sweep.
+            let hit = layer.route_hit(0, 9_000).expect("right half's route");
+            assert_eq!(hit.raw(), 8 + i * 8);
+            layer.note_split(0, 100 + i, 10_000, 8 + i * 8, 16 + i * 8);
+            assert!(layer.entries() <= 4, "split {i}: {}", layer.entries());
+        }
+        assert_eq!(layer.entries(), 4);
     }
 
-    #[test]
-    fn invalidate_all_clears() {
-        let cache = ClientCache::new(0);
-        cache.put(RemotePtr::new(0, 8), vec![0]);
-        assert!(!cache.is_empty());
-        cache.invalidate_all();
-        assert!(cache.is_empty());
+    #[derive(Clone, Debug)]
+    enum TableOp {
+        Hit(u64),
+        Install(u64, u64),
+        Remove(u64),
+        Flush,
+    }
+
+    fn table_op() -> impl Strategy<Value = TableOp> {
+        const KEYS: u64 = 24;
+        prop_oneof![
+            (0..KEYS).prop_map(TableOp::Hit),
+            (0..KEYS).prop_map(TableOp::Hit),
+            (0..KEYS, 0..1_000u64).prop_map(|(k, v)| TableOp::Install(k, v)),
+            (0..KEYS, 0..1_000u64).prop_map(|(k, v)| TableOp::Install(k, v)),
+            (0..KEYS, 0..1_000u64).prop_map(|(k, v)| TableOp::Install(k, v)),
+            (0..KEYS).prop_map(TableOp::Remove),
+            // A flush now and then, not every seventh operation.
+            (0..100u64).prop_map(|n| match n {
+                0 => TableOp::Flush,
+                _ => TableOp::Hit(n % KEYS),
+            }),
+        ]
+    }
+
+    /// Index and slots describe the same entries, within the bound.
+    fn check_shape(t: &SlotTable<u64>, capacity: usize) {
+        assert_eq!(t.index.len(), t.slots.len());
+        assert!(capacity == 0 || t.slots.len() <= capacity);
+        assert!(t.hand < t.slots.len().max(1));
+        assert!(
+            t.index.windows(2).all(|w| w[0].0 < w[1].0),
+            "sorted, unique"
+        );
+        for &(key, slot) in &t.index {
+            assert_eq!(t.slots[slot as usize].key, key);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// The table against a map of everything installed and not
+        /// removed: the table holds a subset of it (all of it when
+        /// unbounded) with the same values, answers ordered lookups as
+        /// its own key set dictates, and an eviction never takes an entry
+        /// whose reference bit was set when the sweep began — unless
+        /// every bit was.
+        #[test]
+        fn slot_table_matches_the_reference_model(
+            capacity in 0usize..7,
+            ops in prop::collection::vec(table_op(), 1..200),
+        ) {
+            let mut table = SlotTable::<u64>::default();
+            let mut model = BTreeMap::<u64, u64>::new();
+            for op in ops {
+                match op {
+                    TableOp::Hit(key) => {
+                        let held: Vec<u64> = table.index.iter().map(|e| e.0).collect();
+                        let want = held.iter().copied().find(|&k| k >= key);
+                        prop_assert_eq!(table.ceil(key).map(|s| s.key), want);
+                        let exact = table.get(key).map(|s| {
+                            s.referenced = true;
+                            s.value
+                        });
+                        prop_assert_eq!(exact.is_some(), held.contains(&key));
+                        if let Some(v) = exact {
+                            prop_assert_eq!(Some(&v), model.get(&key));
+                        }
+                    }
+                    TableOp::Install(key, value) => {
+                        let before: BTreeMap<u64, bool> =
+                            table.slots.iter().map(|s| (s.key, s.referenced)).collect();
+                        let (slot, new) = table.install(key, capacity);
+                        *slot = value;
+                        prop_assert_eq!(new, !before.contains_key(&key));
+                        model.insert(key, value);
+                        let evicted: Vec<u64> = before
+                            .keys()
+                            .copied()
+                            .filter(|&k| table.get(k).is_none())
+                            .collect();
+                        let full = capacity > 0 && before.len() == capacity;
+                        prop_assert_eq!(evicted.len(), usize::from(new && full));
+                        for k in evicted {
+                            prop_assert!(!before[&k] || before.values().all(|&r| r));
+                        }
+                    }
+                    TableOp::Remove(key) => {
+                        let held = table.get(key).is_some();
+                        prop_assert_eq!(table.remove(key), held);
+                        model.remove(&key);
+                    }
+                    TableOp::Flush => {
+                        table = SlotTable::default();
+                        model.clear();
+                    }
+                }
+                check_shape(&table, capacity);
+                for s in &table.slots {
+                    prop_assert_eq!(Some(&s.value), model.get(&s.key));
+                }
+                // Unbounded never evicts.
+                prop_assert!(capacity > 0 || table.slots.len() == model.len());
+            }
+        }
     }
 
     #[test]

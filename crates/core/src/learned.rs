@@ -130,7 +130,7 @@ impl Learned {
             epoch_flushes: Cell::new(0),
             fallbacks: Cell::new(0),
         };
-        idx.epoch.set(idx.current_epoch());
+        idx.epoch.set(idx.cluster().restart_epoch());
         idx.retrain();
         Rc::new(idx)
     }
@@ -177,21 +177,12 @@ impl Learned {
         Cached::new(self, None)
     }
 
-    /// Restart epoch: total restarts across memory servers (the same
-    /// signal the client cache layer watches).
-    fn current_epoch(&self) -> u64 {
-        let cluster = self.cluster();
-        (0..cluster.num_servers())
-            .map(|s| cluster.server_restarts(s))
-            .sum()
-    }
-
     /// Keep the model coherent with cluster state: flush it wholesale on
     /// a restart-epoch change (shipped pointers may dangle into rebuilt
     /// pools), retrain when it is missing or the drift threshold is
     /// reached. Synchronous and verb-free; runs at every descent start.
     fn sync_model(&self) {
-        let now = self.current_epoch();
+        let now = self.cluster().restart_epoch();
         if now != self.epoch.get() {
             self.epoch.set(now);
             *self.model.borrow_mut() = None;

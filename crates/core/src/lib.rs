@@ -39,7 +39,7 @@ pub mod learned;
 pub(crate) mod onesided;
 pub mod resolve;
 
-pub use cache::{CacheLayer, CacheStats, ClientCache};
+pub use cache::{CacheLayer, CacheStats};
 pub use cg::CoarseGrained;
 pub use engine::RangeProgress;
 pub use fg::{FgConfig, FineGrained};

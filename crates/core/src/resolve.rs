@@ -190,11 +190,11 @@ impl<S: NodeSource> NodeSource for Cached<'_, S> {
         }
         if let Some(page) = cache.page_hit(ep.client_id(), ptr) {
             crate::note_fence(ep, FenceKind::CachedUse, ptr);
-            return Ok(PageBuf::detached(page));
+            return Ok(page);
         }
         let page = self.inner.load(ep, ptr).await?;
         if kind_of(&page) == NodeKind::Inner {
-            cache.put_page(ep.client_id(), ptr, page.to_vec());
+            cache.put_page(ep.client_id(), ptr, &page);
         }
         Ok(page)
     }

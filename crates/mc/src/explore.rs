@@ -258,6 +258,54 @@ fn designs(cfg: &ExploreConfig) -> Vec<DesignKind> {
     }
 }
 
+/// Client-cache bound of the `crash+cache` cells: one entry per client.
+/// The harness tree has a single inner page and a few hot leaves, so a
+/// larger bound never fills; at one entry the hybrid's route table evicts
+/// on every change of leaf, against splits, lease breaks and the restart
+/// flush.
+const BOUNDED_CACHE: usize = 1;
+
+/// One walk or PCT cell of the matrix; `idx` seeds its workload and its
+/// schedules.
+fn matrix_cell(
+    cfg: &ExploreConfig,
+    design: DesignKind,
+    fault: FaultMode,
+    cache: Option<usize>,
+    pct: bool,
+    idx: u64,
+) -> CellStats {
+    let label = format!(
+        "{}/{}{}/{}",
+        design.name(),
+        fault.name(),
+        if cache.is_some() { "+cache" } else { "" },
+        if pct { "pct" } else { "walk" }
+    );
+    let base = cfg.seed_base;
+    let n = if pct {
+        cfg.pct_schedules
+    } else {
+        cfg.walk_schedules
+    };
+    let depth = cfg.pct_depth;
+    let schedules = (0..n).map(move |i| {
+        let sc = Scenario::point_ops(design, fault, mix3(base, idx, 0)).with_cache(cache);
+        let seed = mix3(base, idx, i + 1);
+        let policy = if pct {
+            PolicyKind::Pct { seed, depth }
+        } else {
+            PolicyKind::RandomWalk { seed }
+        };
+        (sc, policy)
+    });
+    let mut run = run_cell(label.clone(), schedules, false);
+    if let Some((sc, vr)) = &run.first_violation {
+        run.stats.counterexample = Some(save_counterexample(sc, vr, &cfg.out_dir, &label));
+    }
+    run.stats
+}
+
 /// Run the full exploration matrix. Every violation's first occurrence
 /// per cell is minimized, written to `cfg.out_dir` and replay-verified.
 pub fn explore(cfg: &ExploreConfig) -> ExploreReport {
@@ -265,33 +313,10 @@ pub fn explore(cfg: &ExploreConfig) -> ExploreReport {
     let mut cell_idx: u64 = 0;
     for design in designs(cfg) {
         for fault in [FaultMode::None, FaultMode::Chaos, FaultMode::CrashRecover] {
-            for (pname, pct) in [("walk", false), ("pct", true)] {
-                let label = format!("{}/{}/{}", design.name(), fault.name(), pname);
-                let idx = cell_idx;
+            for pct in [false, true] {
+                let stats = matrix_cell(cfg, design, fault, None, pct, cell_idx);
+                report.cells.push(stats);
                 cell_idx += 1;
-                let base = cfg.seed_base;
-                let n = if pct {
-                    cfg.pct_schedules
-                } else {
-                    cfg.walk_schedules
-                };
-                let depth = cfg.pct_depth;
-                let schedules = (0..n).map(move |i| {
-                    let sc = Scenario::point_ops(design, fault, mix3(base, idx, 0));
-                    let seed = mix3(base, idx, i + 1);
-                    let policy = if pct {
-                        PolicyKind::Pct { seed, depth }
-                    } else {
-                        PolicyKind::RandomWalk { seed }
-                    };
-                    (sc, policy)
-                });
-                let mut run = run_cell(label.clone(), schedules, false);
-                if let Some((sc, vr)) = &run.first_violation {
-                    run.stats.counterexample =
-                        Some(save_counterexample(sc, vr, &cfg.out_dir, &label));
-                }
-                report.cells.push(run.stats);
             }
         }
         // Bounded-exhaustive DFS on a tiny scan workload (whole-history
@@ -309,6 +334,19 @@ pub fn explore(cfg: &ExploreConfig) -> ExploreReport {
                 run.stats.counterexample = Some(save_counterexample(sc, vr, &cfg.out_dir, &label));
             }
             report.cells.push(run.stats);
+        }
+    }
+    // Eviction against restart flush, split and lease break, for the two
+    // designs that cache. Numbered after every other cell, so those keep
+    // the seeds they had before these rows existed.
+    for design in designs(cfg) {
+        if matches!(design, DesignKind::Fg | DesignKind::Hybrid) {
+            for pct in [false, true] {
+                let cache = Some(BOUNDED_CACHE);
+                let stats = matrix_cell(cfg, design, FaultMode::CrashRecover, cache, pct, cell_idx);
+                report.cells.push(stats);
+                cell_idx += 1;
+            }
         }
     }
     report

@@ -439,14 +439,6 @@ impl Racecheck {
         rc
     }
 
-    /// Cluster restart epoch: total restarts across servers — the same
-    /// signal `CacheLayer`/`Learned` reconcile against.
-    fn current_epoch(&self) -> u64 {
-        (0..self.cluster.num_servers())
-            .map(|s| self.cluster.server_restarts(s))
-            .sum()
-    }
-
     /// All recorded violations (capped at an internal maximum;
     /// [`Counts::violations`] keeps the true total).
     pub fn violations(&self) -> Vec<Violation> {
@@ -748,11 +740,11 @@ impl VerbObserver for Racecheck {
                 }
             }
             FenceKind::EpochCheck => {
-                let epoch = self.current_epoch();
+                let epoch = self.cluster.restart_epoch();
                 st.epoch_seen.insert(client, epoch);
             }
             FenceKind::CachedUse => {
-                let now_epoch = self.current_epoch();
+                let now_epoch = self.cluster.restart_epoch();
                 let seen = st.epoch_seen.get(&client).copied().unwrap_or(0);
                 if seen != now_epoch {
                     let detail = format!(

@@ -138,6 +138,9 @@ struct FaultState {
     crashed_at: Vec<Option<SimTime>>,
     /// Restart counter per server (catalog re-resolution keys off this).
     server_restarts: Vec<u64>,
+    /// Restarts of any server: the sum of `server_restarts`, kept beside
+    /// it because client caches compare it on every page load.
+    restart_epoch: u64,
     /// Killed compute clients; their verbs fail with `Cancelled`.
     dead_clients: BTreeSet<u64>,
     /// Clients to kill immediately after their next successful
@@ -163,6 +166,7 @@ impl FaultState {
             server_up: vec![true; n],
             crashed_at: vec![None; n],
             server_restarts: vec![0; n],
+            restart_epoch: 0,
             dead_clients: BTreeSet::new(),
             kill_on_lock_acquire: BTreeSet::new(),
             acquire_shape: None,
@@ -170,6 +174,11 @@ impl FaultState {
             rng: DetRng::seed_from_u64(0),
             stats: FaultStats::default(),
         }
+    }
+
+    fn note_restart(&mut self, s: usize) {
+        self.server_restarts[s] += 1;
+        self.restart_epoch += 1;
     }
 }
 
@@ -387,7 +396,7 @@ impl Cluster {
                 } else {
                     f.server_up[s] = true;
                     f.crashed_at[s] = None;
-                    f.server_restarts[s] += 1;
+                    f.note_restart(s);
                     true
                 }
             };
@@ -469,7 +478,7 @@ impl Cluster {
         let crashed_at = {
             let mut f = self.inner.faults.borrow_mut();
             f.server_up[s] = true;
-            f.server_restarts[s] += 1;
+            f.note_restart(s);
             f.crashed_at[s].take().unwrap_or(restarted_at)
         };
         self.inner.recovering.borrow_mut()[s] = false;
@@ -521,6 +530,13 @@ impl Cluster {
     /// How many times server `s` has been restarted.
     pub fn server_restarts(&self, s: usize) -> u64 {
         self.inner.faults.borrow().server_restarts[s]
+    }
+
+    /// Restarts of any server so far. Client-resident state derived from
+    /// remote memory (cached pages and routes, the learned model) is
+    /// valid for one value of this and flushed when it moves.
+    pub fn restart_epoch(&self) -> u64 {
+        self.inner.faults.borrow().restart_epoch
     }
 
     /// Kill compute client `client`: every verb it issues from now on

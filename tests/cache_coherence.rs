@@ -19,13 +19,23 @@ use std::rc::Rc;
 const KEYS: u64 = 4_000;
 
 fn cached_cfg() -> FgConfig {
+    bounded_cfg(0) // unbounded
+}
+
+/// `capacity` entries per client. 4 000 keys on 256-byte pages make ~440
+/// leaves under ~45 inner pages, so a capacity of [`SMALL`] evicts on
+/// nearly every miss and eviction interleaves with whatever else the
+/// scenario does.
+fn bounded_cfg(capacity: usize) -> FgConfig {
     FgConfig {
         layout: PageLayout::new(256), // small pages: deep tree, easy splits
         fill: 0.7,
         head_stride: 4,
-        cache_capacity: Some(0), // unbounded
+        cache_capacity: Some(capacity),
     }
 }
+
+const SMALL: usize = 8;
 
 fn cluster() -> (Sim, NamCluster) {
     let sim = Sim::new();
@@ -119,6 +129,46 @@ fn hybrid_stale_route_is_detected_and_invalidated() {
         stats.invalidations > 0,
         "stale leaf routes must be invalidated when detected: {stats:?}"
     );
+}
+
+/// The same scenario with a cache that cannot hold the reader's working
+/// set: entries are evicted and reinstalled while the writer splits the
+/// pages they describe. Answers stay correct and the bound holds for
+/// both clients. (How many stale entries survive to be caught depends on
+/// what the sweep kept, so invalidations are not asserted here.)
+fn stale_split_under_eviction(
+    design: Design,
+    entries: impl Fn() -> usize,
+    nam: &NamCluster,
+    sim: &Sim,
+) {
+    assert_eq!(stale_split_scenario(design.clone(), nam, sim), 0);
+    let stats = design.cache_stats().expect("cache is attached");
+    assert!(stats.hits > 0, "{stats:?}");
+    assert!(
+        stats.misses > KEYS / 8,
+        "the warm-up alone must overflow the cache: {stats:?}"
+    );
+    assert!(entries() <= 2 * SMALL, "reader + writer hold {}", entries());
+}
+
+#[test]
+fn fg_stale_split_under_eviction() {
+    let (sim, nam) = cluster();
+    let items = (0..KEYS).map(|i| (i * 8, i));
+    let idx = FineGrained::build(&nam.rdma, bounded_cfg(SMALL), items);
+    let entries = || idx.cache().expect("cache is attached").entries();
+    stale_split_under_eviction(Design::Fg(idx.clone()), entries, &nam, &sim);
+}
+
+#[test]
+fn hybrid_stale_split_under_eviction() {
+    let (sim, nam) = cluster();
+    let partition = PartitionMap::range_uniform(nam.num_servers(), KEYS * 8);
+    let items = (0..KEYS).map(|i| (i * 8, i));
+    let idx = Hybrid::build(&nam, bounded_cfg(SMALL), partition, items);
+    let entries = || idx.cache().expect("cache is attached").entries();
+    stale_split_under_eviction(Design::Hybrid(idx.clone()), entries, &nam, &sim);
 }
 
 /// Server restart invalidation: a crash/restart bumps the server's
@@ -251,17 +301,62 @@ fn learned_model_flushes_on_server_restart() {
     );
 }
 
+/// Unbounded, and with a table whose hand is mid-sweep when the flush
+/// empties it.
 #[test]
 fn fg_cache_flushes_on_server_restart() {
-    let (sim, nam) = cluster();
-    let idx = FineGrained::build(&nam.rdma, cached_cfg(), (0..KEYS).map(|i| (i * 8, i)));
-    restart_flush_scenario(Design::Fg(idx), &nam, &sim);
+    for capacity in [0, SMALL] {
+        let (sim, nam) = cluster();
+        let items = (0..KEYS).map(|i| (i * 8, i));
+        let idx = FineGrained::build(&nam.rdma, bounded_cfg(capacity), items);
+        restart_flush_scenario(Design::Fg(idx), &nam, &sim);
+    }
 }
 
 #[test]
 fn hybrid_cache_flushes_on_server_restart() {
+    for capacity in [0, SMALL] {
+        let (sim, nam) = cluster();
+        let partition = PartitionMap::range_uniform(nam.num_servers(), KEYS * 8);
+        let items = (0..KEYS).map(|i| (i * 8, i));
+        let idx = Hybrid::build(&nam, bounded_cfg(capacity), partition, items);
+        restart_flush_scenario(Design::Hybrid(idx), &nam, &sim);
+    }
+}
+
+/// Which pages a full cache gives up must not depend on where they live.
+/// The fine-grained design scatters its nodes round-robin over the memory
+/// servers, so with a cache far smaller than the inner level the misses —
+/// and with them the one-sided READs — spread evenly. (A rule ordered by
+/// remote address, whose top bits are the server id, gives up one
+/// server's pages first and sends that server most of the READs.)
+#[test]
+fn bounded_cache_spreads_reads_over_all_servers() {
+    use namdex::sim::rng::{DetRng, Zipf};
+    const N: u64 = 20_000; // ~280 inner pages of 256 bytes
     let (sim, nam) = cluster();
-    let partition = PartitionMap::range_uniform(nam.num_servers(), KEYS * 8);
-    let idx = Hybrid::build(&nam, cached_cfg(), partition, (0..KEYS).map(|i| (i * 8, i)));
-    restart_flush_scenario(Design::Hybrid(idx), &nam, &sim);
+    let idx = FineGrained::build(&nam.rdma, bounded_cfg(32), (0..N).map(|i| (i * 8, i)));
+    let zipf = Zipf::new(N, Zipf::YCSB_THETA);
+    for client in 0..8u64 {
+        let (idx, zipf) = (idx.clone(), zipf.clone());
+        let ep = Endpoint::new(&nam.rdma);
+        let mut rng = DetRng::seed_from_u64(client);
+        sim.spawn(async move {
+            for _ in 0..2_000 {
+                let i = zipf.sample_scrambled(&mut rng);
+                assert_eq!(idx.lookup(&ep, i * 8).await.unwrap(), Some(i));
+            }
+        });
+    }
+    sim.run();
+    let reads: Vec<u64> = (0..nam.num_servers())
+        .map(|s| nam.rdma.server_stats(s).onesided_ops)
+        .collect();
+    let total: u64 = reads.iter().sum();
+    for (server, &n) in reads.iter().enumerate() {
+        assert!(
+            n * 100 <= total * 40,
+            "server {server} serves {n} of {total} READs: {reads:?}"
+        );
+    }
 }

@@ -21,24 +21,31 @@ use namdex::tree::layout::lock_word;
 // ---------------------------------------------------------------------
 // Clean matrix: the real designs, race-free under the detector.
 
+/// Each cell runs with an unbounded client cache and with one of a single
+/// entry per client. The harness tree has one inner page and a handful
+/// of hot leaves, so any larger bound never fills; at one entry every
+/// second hybrid lookup evicts, and eviction runs against splits, lease
+/// breaks and the restart flush.
 #[test]
 fn clean_matrix_every_design_and_fault_mode() {
     for design in DesignKind::ALL {
         for fault in [FaultMode::None, FaultMode::Chaos, FaultMode::CrashRecover] {
-            let sc = Scenario::point_ops(design, fault, 0xACE).with_cache(Some(0));
-            let report = run_scenario(&sc, &PolicyKind::Uncontrolled);
-            assert!(
-                report.race_violations.is_empty(),
-                "{}/{}: unexpected race violations:\n{}",
-                design.name(),
-                fault.name(),
-                report
-                    .race_violations
-                    .iter()
-                    .map(|v| v.render())
-                    .collect::<Vec<_>>()
-                    .join("\n")
-            );
+            for cache in [0, 1] {
+                let sc = Scenario::point_ops(design, fault, 0xACE).with_cache(Some(cache));
+                let report = run_scenario(&sc, &PolicyKind::Uncontrolled);
+                assert!(
+                    report.race_violations.is_empty(),
+                    "{}/{}/cache {cache}: unexpected race violations:\n{}",
+                    design.name(),
+                    fault.name(),
+                    report
+                        .race_violations
+                        .iter()
+                        .map(|v| v.render())
+                        .collect::<Vec<_>>()
+                        .join("\n")
+                );
+            }
         }
     }
 }
