@@ -299,16 +299,20 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> ExperimentResult {
         tel
     });
 
-    // Happens-before race detector (opt-in; installed before the build
-    // like telemetry so every timed verb of the run is clocked). The
-    // run *fails* on a violation — a race under a bench workload is a
-    // protocol bug, not a statistic.
+    // Dynamic checker (opt-in; installed before the build like telemetry
+    // so every timed verb of the run is clocked, and told of the loaded
+    // pages after it so their writes are judged from the first verb on).
+    // The run *fails* on a violation — a race under a bench workload is
+    // a protocol bug, not a statistic.
     let race = cfg
         .racecheck
         .then(|| racecheck::Racecheck::install(&nam.rdma, cfg.page_size));
 
     let data = Dataset::new(cfg.num_keys);
     let design = build_design(cfg, &nam);
+    if let Some(race) = &race {
+        racecheck::walk::register_design(race, &design);
+    }
 
     let warmup_end = sim.now() + cfg.warmup;
     let end = warmup_end + cfg.measure;
@@ -487,8 +491,8 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> ExperimentResult {
     if let Some(race) = &race {
         let c = race.counts();
         eprintln!(
-            "[racecheck] {} page reads checked, {} racy, {} dirty, {} validated, {} violations",
-            c.reads_checked, c.racy_reads, c.dirty_reads, c.validated, c.violations
+            "[racecheck] {} verbs, {} page reads checked, {} racy, {} dirty, {} validated, {} violations",
+            c.verbs_seen, c.reads_checked, c.racy_reads, c.dirty_reads, c.validated, c.violations
         );
         race.assert_clean();
     }

@@ -312,7 +312,7 @@ impl ChaosController {
     }
 
     /// Register a hook called after every applied event (restart hooks
-    /// typically trigger a sanitizer re-walk of the tree structure).
+    /// typically trigger a checker re-walk of the tree structure).
     pub fn on_event(&self, hook: impl Fn(&FaultEvent) + 'static) {
         self.state.hooks.borrow_mut().push(Box::new(hook));
     }

@@ -39,9 +39,7 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use blink::layout::{lock_word, KEY_MAX};
-use blink::node::{
-    kind_of, HeadNodeMut, HeadNodeRef, InnerNodeMut, LeafNodeMut, LeafNodeRef, NodeKind,
-};
+use blink::node::{kind_of, HeadNodeMut, InnerNodeMut, LeafNodeMut, NodeKind};
 use blink::{Key, PageLayout, Ptr, Value};
 use rdma_sim::{Cluster, Endpoint, RemotePtr, VerbError};
 
@@ -100,10 +98,6 @@ pub(crate) struct LeafLevel {
     pub leaves: Vec<(Key, RemotePtr)>,
     /// Chain start (first head node or leftmost leaf).
     pub first: RemotePtr,
-}
-
-fn rp(p: Ptr) -> RemotePtr {
-    RemotePtr::from_page_ptr(p)
 }
 
 /// Round-robin allocation of one page (setup path, untimed).
@@ -320,7 +314,7 @@ impl FineGrained {
         Cached::new(self, self.cache.as_ref())
     }
 
-    /// Untimed page-resolution view for control-path walks (sanitizer,
+    /// Untimed page-resolution view for control-path walks (checker,
     /// head maintenance).
     pub fn setup_source(&self) -> SetupSource {
         SetupSource::new(&self.cluster, self.layout)
@@ -371,18 +365,10 @@ impl FineGrained {
         let src = self.setup_source();
         let mut leaves = Vec::new();
         let mut old_heads = Vec::new();
-        let mut cur = self.first.get();
-        while !cur.is_null() {
-            let page = src.load(cur);
+        for (ptr, page) in src.chain(self.first.get()) {
             match kind_of(&page) {
-                NodeKind::Head => {
-                    old_heads.push(cur);
-                    cur = rp(HeadNodeRef::new(&page).right_sibling());
-                }
-                NodeKind::Leaf => {
-                    leaves.push(cur);
-                    cur = rp(LeafNodeRef::new(&page).right_sibling());
-                }
+                NodeKind::Head => old_heads.push(ptr),
+                NodeKind::Leaf => leaves.push(ptr),
                 NodeKind::Inner => unreachable!("inner node in the leaf chain"),
             }
         }
@@ -416,7 +402,7 @@ impl FineGrained {
             self.first.set(h);
         }
         // The replaced heads are unreachable from the new chain: retire
-        // them so the sanitizer can flag any straggler access.
+        // them so the checker can flag any straggler access.
         for h in old_heads {
             crate::gc::note_freed(&self.cluster, h, self.ps());
         }

@@ -157,7 +157,7 @@ impl Hybrid {
         Cached::new(self, self.cache.as_ref())
     }
 
-    /// Untimed page-resolution view for control-path walks (sanitizer).
+    /// Untimed page-resolution view for control-path walks (checker).
     pub fn setup_source(&self) -> SetupSource {
         SetupSource::new(&self.cluster, self.layout)
     }

@@ -35,7 +35,7 @@
 //! stale-prediction rate since the last training reaches
 //! [`rdma_sim::ClusterSpec::learned_retrain_threshold`], the client
 //! walks the leaf chain over the untimed setup path (the same
-//! control-path view the sanitizer uses), rebuilds the table, and trains
+//! control-path view the checker's walk uses), rebuilds the table, and trains
 //! a fresh model — the old one stays in service until the swap, and
 //! in-flight operations hold their own `Rc` snapshot. A memory-server
 //! restart invalidates every shipped pointer wholesale: the restart
@@ -47,8 +47,8 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use blink::node::{kind_of, HeadNodeRef, LeafNodeRef, NodeKind};
-use blink::{Key, PageLayout, Ptr, Value};
+use blink::node::{kind_of, LeafNodeRef, NodeKind};
+use blink::{Key, PageLayout, Value};
 use learned_index::PgmModel;
 use nam::{NamCluster, PartitionMap};
 use rdma_sim::{Cluster, Endpoint, RemotePtr, VerbError};
@@ -58,10 +58,6 @@ use crate::fg::FgConfig;
 use crate::hybrid::Hybrid;
 use crate::onesided::read_unlocked;
 use crate::resolve::{CachePolicy, Cached, NodeSource, OpAccess};
-
-fn rp(p: Ptr) -> RemotePtr {
-    RemotePtr::from_page_ptr(p)
-}
 
 /// Counters of the learned routing layer (all client-side; the model
 /// itself never issues verbs).
@@ -218,19 +214,12 @@ impl Learned {
         }
         let src = self.tree.setup_source();
         let mut table: Vec<(Key, u64)> = Vec::new();
-        let mut cur = self.tree.first();
-        while !cur.is_null() {
-            // protolint: allow(validated-before-use) -- untimed
-            // control-path snapshot, not a wire READ: a torn chain
-            // aborts the rebuild below (non-chain page kind).
-            let page = src.load(cur);
+        // An untimed control-path snapshot, not a wire READ: a torn
+        // chain aborts the rebuild below (non-chain page kind).
+        for (ptr, page) in src.chain(self.tree.first()) {
             match kind_of(&page) {
-                NodeKind::Head => cur = rp(HeadNodeRef::new(&page).right_sibling()),
-                NodeKind::Leaf => {
-                    let leaf = LeafNodeRef::new(&page);
-                    table.push((leaf.high_key(), cur.raw()));
-                    cur = rp(leaf.right_sibling());
-                }
+                NodeKind::Head => {}
+                NodeKind::Leaf => table.push((LeafNodeRef::new(&page).high_key(), ptr.raw())),
                 // A non-chain page in the chain: torn snapshot, abort.
                 NodeKind::Inner => return,
             }

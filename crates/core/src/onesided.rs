@@ -89,7 +89,7 @@ impl LeaseWatch {
                     let mut broken = lock_word::break_lease(w);
                     // Mutation B (`mutations` builds only): forget the
                     // lease-epoch bump — the historical recovery bug the
-                    // sanitizer's CAS-shape check must flag.
+                    // checker's `version-protocol` rule must flag.
                     if cfg!(feature = "mutations") {
                         broken = (broken & !lock_word::EPOCH_MASK) | (w & lock_word::EPOCH_MASK);
                     }

@@ -37,7 +37,7 @@
 //! version replaces it on the next miss), and a server restart flushes
 //! the whole cache via a restart-epoch check before any hit is served.
 
-use blink::node::{kind_of, NodeKind};
+use blink::node::{kind_of, HeadNodeRef, LeafNodeRef, NodeKind};
 use blink::{Key, PageLayout};
 use rdma_sim::{Cluster, Endpoint, FenceKind, PageBuf, RemotePtr, VerbError};
 
@@ -220,7 +220,7 @@ impl<S: NodeSource> NodeSource for Cached<'_, S> {
 }
 
 /// Synchronous, untimed view of the same page-resolution surface, for
-/// control-path consumers — the sanitizer's structural walks and head
+/// control-path consumers — the checker's structural walks and head
 /// maintenance — that read pages through `Cluster::setup_read` with no
 /// simulated cost. Keyed off the same layout as the timed source so walk
 /// code and engine code agree on page geometry by construction.
@@ -251,5 +251,99 @@ impl SetupSource {
     /// Current bytes of the page at `ptr`, untimed.
     pub fn load(&self, ptr: RemotePtr) -> Vec<u8> {
         self.cluster.setup_read(ptr, self.layout.page_size())
+    }
+
+    /// The leaf chain from `first` in sibling order, untimed: every head
+    /// and leaf with its current bytes. Ends at a null sibling, after
+    /// yielding a non-chain (inner) page — what a torn chain means is the
+    /// caller's call — or when the walk comes back to a page it has
+    /// passed. The cycle check is Brent's: constant state, so a cycle may
+    /// be walked twice before it is cut, never forever.
+    pub fn chain(&self, first: RemotePtr) -> impl Iterator<Item = (RemotePtr, Vec<u8>)> + '_ {
+        let mut cur = first;
+        // `mark` trails at the page passed `span` steps after the last mark.
+        let (mut mark, mut since_mark, mut span) = (RemotePtr::NULL, 0u64, 1u64);
+        std::iter::from_fn(move || {
+            if cur.is_null() || cur == mark {
+                return None;
+            }
+            let at = cur;
+            since_mark += 1;
+            if since_mark == span {
+                (mark, since_mark, span) = (at, 0, span * 2);
+            }
+            let page = self.load(at);
+            cur = RemotePtr::from_page_ptr(match kind_of(&page) {
+                NodeKind::Head => HeadNodeRef::new(&page).right_sibling(),
+                NodeKind::Leaf => LeafNodeRef::new(&page).right_sibling(),
+                NodeKind::Inner => blink::Ptr::NULL,
+            });
+            Some((at, page))
+        })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use blink::node::{InnerNodeMut, LeafNodeMut};
+    use blink::Ptr;
+    use rdma_sim::ClusterSpec;
+    use simnet::Sim;
+
+    /// `n` chained pages on server 0, page `i` pointing at page `next(i)`
+    /// (`None` ends the chain); page `inner`, if any, is an inner node.
+    fn chain_of(
+        n: usize,
+        next: impl Fn(usize) -> Option<usize>,
+        inner: Option<usize>,
+    ) -> (SetupSource, Vec<RemotePtr>) {
+        let cluster = Cluster::new(&Sim::new(), ClusterSpec::default());
+        let layout = PageLayout::new(256);
+        let ptrs: Vec<RemotePtr> = (0..n).map(|_| cluster.setup_alloc(0, 256)).collect();
+        for (i, &ptr) in ptrs.iter().enumerate() {
+            let right = next(i).map_or(Ptr::NULL, |j| ptrs[j].as_page_ptr());
+            let mut page = layout.alloc_page();
+            if inner == Some(i) {
+                InnerNodeMut::init(&mut page, 1, i as Key, right);
+            } else {
+                LeafNodeMut::init(&mut page, i as Key, Ptr::NULL, right);
+            }
+            cluster.setup_write(ptr, &page);
+        }
+        (SetupSource::new(&cluster, layout), ptrs)
+    }
+
+    #[test]
+    fn chain_walks_to_the_null_sibling_and_stops_after_an_inner_page() {
+        let (src, ptrs) = chain_of(5, |i| (i < 4).then_some(i + 1), None);
+        let walked: Vec<RemotePtr> = src.chain(ptrs[0]).map(|(p, _)| p).collect();
+        assert_eq!(walked, ptrs);
+        assert_eq!(src.chain(RemotePtr::NULL).count(), 0);
+
+        let (src, ptrs) = chain_of(5, |i| (i < 4).then_some(i + 1), Some(2));
+        let walked: Vec<RemotePtr> = src.chain(ptrs[0]).map(|(p, _)| p).collect();
+        assert_eq!(
+            walked,
+            ptrs[..3],
+            "the inner page is yielded, then the walk ends"
+        );
+    }
+
+    #[test]
+    fn chain_cuts_every_cycle() {
+        // A tail of `tail` pages leading into a loop of `n - tail`.
+        for n in 1..12 {
+            for tail in 0..n {
+                let (src, ptrs) = chain_of(n, |i| Some(if i + 1 < n { i + 1 } else { tail }), None);
+                let walked: Vec<RemotePtr> = src.chain(ptrs[0]).map(|(p, _)| p).collect();
+                assert_eq!(walked[..n], ptrs[..], "every page once, in order, first");
+                assert!(
+                    walked.len() <= 3 * n,
+                    "tail {tail} of {n}: walked {}",
+                    walked.len()
+                );
+            }
+        }
     }
 }

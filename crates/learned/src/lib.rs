@@ -221,7 +221,7 @@ impl PgmModel {
     }
 
     /// Table position [`PgmModel::predict`] resolves to (exposed for
-    /// tests and the sanitizer's model audit).
+    /// tests and the checker's model audit).
     pub fn predict_pos(&self, key: Key) -> usize {
         let eps = self.epsilon as usize;
         // Top level is at most `fanout` segments: search it exactly.

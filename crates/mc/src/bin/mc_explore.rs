@@ -109,9 +109,10 @@ fn cmd_mutation(args: &[String]) -> ExitCode {
     let results = run_mutation_hunts(budget, &flags.out);
     for r in &results {
         println!(
-            "mutation {} detected as {} after {} schedule(s); minimized trace: {} decision(s) at {}",
+            "mutation {} detected as {} ({}) after {} schedule(s); minimized trace: {} decision(s) at {}",
             r.label,
             r.class.name(),
+            r.detail,
             r.schedules_to_detect,
             r.minimized_len,
             r.counterexample.display()

@@ -18,11 +18,11 @@ use std::path::Path;
 pub enum ViolationClass {
     /// History rejected by the linearizability checker.
     Linearizability,
-    /// Happens-before race detector finding (unvalidated optimistic
-    /// read, write-write race, stale-epoch cached use).
+    /// Dynamic-checker finding: a protocol rule (unlocked write, version
+    /// tamper, ...) or a happens-before rule (unvalidated optimistic
+    /// read, write-write race, stale-epoch cached use). The rule id is in
+    /// the counterexample's detail line.
     Racecheck,
-    /// Sanitizer protocol finding (race, version tamper, ...).
-    Sanitizer,
     /// Lock held by a live owner at quiescence.
     LockLeak,
     /// Tasks still live after the sim drained.
@@ -30,12 +30,18 @@ pub enum ViolationClass {
 }
 
 impl ViolationClass {
+    const ALL: [ViolationClass; 4] = [
+        ViolationClass::Linearizability,
+        ViolationClass::Racecheck,
+        ViolationClass::LockLeak,
+        ViolationClass::TaskLeak,
+    ];
+
     /// Stable name (file format).
     pub fn name(self) -> &'static str {
         match self {
             ViolationClass::Linearizability => "linearizability",
             ViolationClass::Racecheck => "racecheck",
-            ViolationClass::Sanitizer => "sanitizer",
             ViolationClass::LockLeak => "lock-leak",
             ViolationClass::TaskLeak => "task-leak",
         }
@@ -43,30 +49,19 @@ impl ViolationClass {
 
     /// Parse [`Self::name`] output.
     pub fn parse(s: &str) -> Option<ViolationClass> {
-        [
-            ViolationClass::Linearizability,
-            ViolationClass::Racecheck,
-            ViolationClass::Sanitizer,
-            ViolationClass::LockLeak,
-            ViolationClass::TaskLeak,
-        ]
-        .into_iter()
-        .find(|c| c.name() == s)
+        Self::ALL.into_iter().find(|c| c.name() == s)
     }
 }
 
 /// The most severe violation in `report`, if any. Severity order:
-/// linearizability (user-visible wrong answers) > racecheck (a racy
-/// snapshot escaped validation — the precursor of a wrong answer) >
-/// sanitizer (protocol broken even if answers happened to be right) >
-/// leaks.
+/// linearizability (user-visible wrong answers) > racecheck (the protocol
+/// was broken or a racy snapshot escaped validation — the precursor of a
+/// wrong answer, even if answers happened to be right) > leaks.
 pub fn classify(report: &RunReport) -> Option<ViolationClass> {
     if report.lin.is_err() {
         Some(ViolationClass::Linearizability)
-    } else if !report.race_violations.is_empty() {
+    } else if !report.violations.is_empty() {
         Some(ViolationClass::Racecheck)
-    } else if !report.san_violations.is_empty() {
-        Some(ViolationClass::Sanitizer)
     } else if !report.held_leaks.is_empty() {
         Some(ViolationClass::LockLeak)
     } else if report.task_leak > 0 {
@@ -194,28 +189,24 @@ impl Counterexample {
     }
 }
 
-fn reproduces(sc: &Scenario, decisions: &[u32], class: ViolationClass) -> bool {
-    let report = run_scenario(
-        sc,
-        &PolicyKind::Replay {
-            decisions: decisions.to_vec(),
-        },
-    );
-    classify(&report) == Some(class)
-}
-
 /// Greedy trace minimization by truncation: drop the FIFO tail (zeros
-/// replay implicitly), then halve the prefix while the violation still
-/// reproduces, then shave single decisions off the end. Each kept
+/// replay implicitly), then halve the prefix while `keep` still holds of
+/// the replayed run, then shave single decisions off the end. Each kept
 /// candidate is verified by a full replay, so the result is always a
-/// reproducing schedule.
-pub fn minimize(sc: &Scenario, decisions: &[u32], class: ViolationClass) -> Vec<u32> {
+/// schedule `keep` holds of.
+pub fn minimize(sc: &Scenario, decisions: &[u32], keep: &dyn Fn(&RunReport) -> bool) -> Vec<u32> {
+    let reproduces = |decisions: &[u32]| {
+        let policy = PolicyKind::Replay {
+            decisions: decisions.to_vec(),
+        };
+        keep(&run_scenario(sc, &policy))
+    };
     let mut best: Vec<u32> = decisions.to_vec();
     // Trailing zeros are the FIFO default — always droppable.
     while best.last() == Some(&0) {
         best.pop();
     }
-    if !best.is_empty() && !reproduces(sc, &best, class) {
+    if !best.is_empty() && !reproduces(&best) {
         // The zero-stripped trace must reproduce (replay pads FIFO);
         // if the sim disagrees something is nondeterministic — keep the
         // original rather than return a broken artifact.
@@ -223,21 +214,15 @@ pub fn minimize(sc: &Scenario, decisions: &[u32], class: ViolationClass) -> Vec<
     }
     // Exponential: halve while it still reproduces.
     while best.len() >= 2 {
-        let half: Vec<u32> = best[..best.len() / 2].to_vec();
-        if reproduces(sc, &half, class) {
-            best = half;
-        } else {
+        let half = &best[..best.len() / 2];
+        if !reproduces(half) {
             break;
         }
+        best = half.to_vec();
     }
     // Linear: shave the tail one decision at a time.
-    while !best.is_empty() {
-        let shorter: Vec<u32> = best[..best.len() - 1].to_vec();
-        if reproduces(sc, &shorter, class) {
-            best = shorter;
-        } else {
-            break;
-        }
+    while !best.is_empty() && reproduces(&best[..best.len() - 1]) {
+        best.pop();
     }
     while best.last() == Some(&0) {
         best.pop();
@@ -267,7 +252,7 @@ mod tests {
         assert_eq!(Counterexample::from_text("# wrong header\n"), None);
         let cx = Counterexample {
             scenario: Scenario::point_ops(DesignKind::Fg, FaultMode::None, 1),
-            class: ViolationClass::Sanitizer,
+            class: ViolationClass::Racecheck,
             detail: "x".into(),
             decisions: vec![],
         };

@@ -106,53 +106,67 @@ impl ExploreReport {
     }
 }
 
-fn violation_detail(report: &RunReport) -> String {
-    match classify(report) {
-        Some(ViolationClass::Linearizability) => report
+/// Whether `report`'s verdict is `class` and — for checker findings, when
+/// `rules` names any — one of its violations carries one of those ids.
+fn caught(report: &RunReport, class: ViolationClass, rules: &[&str]) -> bool {
+    classify(report) == Some(class)
+        && (rules.is_empty() || report.violations.iter().any(|v| rules.contains(&v.rule)))
+}
+
+/// One line on the finding that makes `report` a `class` violation; for
+/// checker findings the first one whose rule is in `rules` (any, when
+/// `rules` is empty).
+fn violation_detail(report: &RunReport, class: ViolationClass, rules: &[&str]) -> String {
+    match class {
+        ViolationClass::Linearizability => report
             .lin
             .as_ref()
             .err()
             .map(|v| v.to_string())
             .unwrap_or_default(),
-        Some(ViolationClass::Racecheck) => format!(
-            "{} by client {} at server {} offset {}",
-            report.race_violations[0].rule,
-            report.race_violations[0].client,
-            report.race_violations[0].server,
-            report.race_violations[0].offset
-        ),
-        Some(ViolationClass::Sanitizer) => format!(
-            "{:?} at server {} offset {}",
-            report.san_violations[0].kind,
-            report.san_violations[0].server,
-            report.san_violations[0].offset
-        ),
-        Some(ViolationClass::LockLeak) => format!(
+        ViolationClass::Racecheck => report
+            .violations
+            .iter()
+            .find(|v| rules.is_empty() || rules.contains(&v.rule))
+            .map(|v| {
+                let by = v
+                    .client
+                    .map_or(String::new(), |c| format!(" by client {c}"));
+                format!("{}{by} at server {} offset {}", v.rule, v.server, v.offset)
+            })
+            .unwrap_or_default(),
+        ViolationClass::LockLeak => format!(
             "lock held at quiescence by live client {} (server {}, offset {})",
             report.held_leaks[0].owner, report.held_leaks[0].server, report.held_leaks[0].offset
         ),
-        Some(ViolationClass::TaskLeak) => {
+        ViolationClass::TaskLeak => {
             format!("{} tasks still live at quiescence", report.task_leak)
         }
-        None => String::new(),
     }
 }
 
-/// Minimize, save and replay-verify the first violation of a cell.
-/// Returns the artifact path; panics if the minimized trace fails to
-/// reproduce (that would mean the sim is nondeterministic — a bug far
-/// worse than the one being reported).
-fn save_counterexample(sc: &Scenario, report: &RunReport, out_dir: &Path, label: &str) -> PathBuf {
+/// Minimize, save and replay-verify the first violation of a cell: the
+/// minimized schedule still shows the same class and, when `rules` names
+/// any, one of those rules. Returns the artifact path; panics if the
+/// minimized trace fails to reproduce (that would mean the sim is
+/// nondeterministic — a bug far worse than the one being reported).
+fn save_counterexample(
+    sc: &Scenario,
+    report: &RunReport,
+    rules: &[&str],
+    out_dir: &Path,
+    label: &str,
+) -> PathBuf {
     let class = classify(report).expect("caller found a violation");
-    let minimized = minimize(sc, &report.decisions, class);
+    let minimized = minimize(sc, &report.decisions, &|r| caught(r, class, rules));
     let cx = Counterexample {
         scenario: sc.clone(),
         class,
-        detail: violation_detail(report),
+        detail: violation_detail(report, class, rules),
         decisions: minimized,
     };
     assert!(
-        cx.replay().is_some(),
+        cx.replay().is_some_and(|r| caught(&r, class, rules)),
         "minimized counterexample failed to reproduce ({label}) — sim nondeterminism?"
     );
     let path = out_dir.join(format!("{}.trace", label.replace('/', "-")));
@@ -301,7 +315,7 @@ fn matrix_cell(
     });
     let mut run = run_cell(label.clone(), schedules, false);
     if let Some((sc, vr)) = &run.first_violation {
-        run.stats.counterexample = Some(save_counterexample(sc, vr, &cfg.out_dir, &label));
+        run.stats.counterexample = Some(save_counterexample(sc, vr, &[], &cfg.out_dir, &label));
     }
     run.stats
 }
@@ -331,7 +345,8 @@ pub fn explore(cfg: &ExploreConfig) -> ExploreReport {
             };
             let mut run = run_dfs_cell(label.clone(), sc, cfg);
             if let Some((sc, vr)) = &run.first_violation {
-                run.stats.counterexample = Some(save_counterexample(sc, vr, &cfg.out_dir, &label));
+                run.stats.counterexample =
+                    Some(save_counterexample(sc, vr, &[], &cfg.out_dir, &label));
             }
             report.cells.push(run.stats);
         }
@@ -361,6 +376,9 @@ pub struct MutationResult {
     pub schedules_to_detect: u64,
     /// The violation class that caught it.
     pub class: ViolationClass,
+    /// What caught it: the linearizability verdict, or the checker rule
+    /// id and where it fired.
+    pub detail: String,
     /// Minimized, replay-verified artifact path.
     pub counterexample: PathBuf,
     /// Length of the minimized decision trace.
@@ -368,35 +386,40 @@ pub struct MutationResult {
 }
 
 /// Hunt one re-introduced bug: run schedules from `make` until a
-/// violation of `want` appears, then minimize + save + replay-verify.
+/// violation of class `want` appears — found, if `rules` names any, by
+/// one of those checker rules — then minimize + save + replay-verify.
 /// Panics if `budget` schedules pass without a detection — the whole
-/// point of the harness is that it *must* find these.
+/// point of the harness is that it *must* find these, and by the rule
+/// that exists for them.
 fn hunt(
     label: &str,
     budget: u64,
     want: ViolationClass,
+    rules: &[&str],
     out_dir: &Path,
     make: impl Fn(u64) -> (Scenario, PolicyKind),
 ) -> MutationResult {
     for i in 0..budget {
         let (sc, policy) = make(i);
         let report = run_scenario(&sc, &policy);
-        if classify(&report) == Some(want) {
-            let path = save_counterexample(&sc, &report, out_dir, label);
-            let minimized_len = Counterexample::load(&path)
-                .expect("just saved")
-                .decisions
-                .len();
+        if caught(&report, want, rules) {
+            let path = save_counterexample(&sc, &report, rules, out_dir, label);
+            let cx = Counterexample::load(&path).expect("just saved");
             return MutationResult {
                 label: label.to_string(),
                 schedules_to_detect: i + 1,
                 class: want,
+                detail: cx.detail,
                 counterexample: path,
-                minimized_len,
+                minimized_len: cx.decisions.len(),
             };
         }
     }
-    panic!("mutation `{label}` not detected within {budget} schedules — checker is blind to it");
+    panic!(
+        "mutation `{label}` not detected as {} {rules:?} within {budget} schedules — checker \
+         is blind to it",
+        want.name()
+    );
 }
 
 /// Mutation-testing mode: with the `mutations` feature on, the index
@@ -410,28 +433,31 @@ fn hunt(
 ///   so it is hunted under [`FaultMode::Chaos`] on CG.
 /// * **B — lease break without epoch bump**: reclaiming an expired
 ///   lease preserves the epoch byte, so a reader that raced the break
-///   can validate against a stale epoch. Caught by the sanitizer's
-///   CAS-shape check (`VersionProtocol`). Needs an orphaned lock, so it
-///   is hunted under [`FaultMode::Chaos`] on FG (kill-on-lock-acquire
-///   plus the verifier scan's lease reclaim).
+///   can validate against a stale epoch. Caught by the checker's
+///   protocol rule on the CAS shape (`version-protocol`). Needs an
+///   orphaned lock, so it is hunted under [`FaultMode::Chaos`] on FG
+///   (kill-on-lock-acquire plus the verifier scan's lease reclaim).
 ///
 /// Four further *race* mutations (env-gated via `NAMDEX_RACE_MUT` so
 /// each is hunted in isolation from one `mutations` binary) re-open
-/// classic optimistic-lock-coupling holes; all four must be caught by
-/// the happens-before detector ([`ViolationClass::Racecheck`]):
+/// classic optimistic-lock-coupling holes; each must be caught by the
+/// happens-before rule named beside it:
 ///
 /// * **descend-no-covers** — the descent trusts the leaf it READ
 ///   without the `covers()` fence, so a racy snapshot escapes into
-///   lookup results unvalidated.
+///   lookup results unvalidated (`unvalidated-race`).
 /// * **cached-no-fence** — the cache layer skips the restart-epoch
 ///   flush, serving cached artifacts against a rebuilt pool (hunted
-///   under [`FaultMode::CrashRecover`] with the cache enabled).
+///   under [`FaultMode::CrashRecover`] with the cache enabled;
+///   `stale-epoch-cached-use`).
 /// * **learned-no-reread** — the learned design reads predicted leaves
 ///   raw instead of through the self-validating spin-read, so a
-///   mid-critical-section (torn) snapshot can escape.
+///   mid-critical-section (torn) snapshot can escape
+///   (`locked-snapshot-read`).
 /// * **unlock-before-write** — the commit path publishes the unlock
 ///   FAA before the in-place WRITE, so the deferred WRITE races with
-///   the next acquirer's critical section.
+///   the next acquirer's critical section (`unlocked-write`, the
+///   lockset rule).
 pub fn run_mutation_hunts(budget: u64, out_dir: &Path) -> Vec<MutationResult> {
     assert!(
         namdex_core::mutations_enabled(),
@@ -441,6 +467,7 @@ pub fn run_mutation_hunts(budget: u64, out_dir: &Path) -> Vec<MutationResult> {
         "cg-duplicate-insert",
         budget,
         ViolationClass::Linearizability,
+        &[],
         out_dir,
         |i| {
             (
@@ -454,7 +481,8 @@ pub fn run_mutation_hunts(budget: u64, out_dir: &Path) -> Vec<MutationResult> {
     let b = hunt(
         "lease-epoch-elision",
         budget,
-        ViolationClass::Sanitizer,
+        ViolationClass::Racecheck,
+        &["version-protocol"],
         out_dir,
         |i| {
             (
@@ -485,22 +513,41 @@ impl Drop for RaceMutGuard {
 fn hunt_race_mutation(m: namdex_core::RaceMut, budget: u64, out_dir: &Path) -> MutationResult {
     std::env::set_var("NAMDEX_RACE_MUT", m.key());
     let _guard = RaceMutGuard;
-    let (design, fault, cache, base) = match m {
+    // Each with the happens-before rule that must catch it.
+    let (design, fault, cache, base, rule) = match m {
         // Races need contention, not faults: clean runs, hot keys.
-        namdex_core::RaceMut::DescendNoCovers => (DesignKind::Fg, FaultMode::None, None, 0xC_B06),
+        namdex_core::RaceMut::DescendNoCovers => (
+            DesignKind::Fg,
+            FaultMode::None,
+            None,
+            0xC_B06,
+            "unvalidated-race",
+        ),
         // Stale cached artifacts need a restart and a cache to be stale.
         namdex_core::RaceMut::CachedNoFence => (
             DesignKind::Fg,
             FaultMode::CrashRecover,
             Some(0usize),
             0xD_B06,
+            "stale-epoch-cached-use",
         ),
-        namdex_core::RaceMut::LearnedNoReread => {
-            (DesignKind::Learned, FaultMode::None, None, 0xE_B06)
-        }
-        namdex_core::RaceMut::UnlockBeforeWrite => (DesignKind::Fg, FaultMode::None, None, 0xF_B06),
+        namdex_core::RaceMut::LearnedNoReread => (
+            DesignKind::Learned,
+            FaultMode::None,
+            None,
+            0xE_B06,
+            "locked-snapshot-read",
+        ),
+        namdex_core::RaceMut::UnlockBeforeWrite => (
+            DesignKind::Fg,
+            FaultMode::None,
+            None,
+            0xF_B06,
+            "unlocked-write",
+        ),
     };
-    hunt(m.key(), budget, ViolationClass::Racecheck, out_dir, |i| {
+    let want = ViolationClass::Racecheck;
+    hunt(m.key(), budget, want, &[rule], out_dir, |i| {
         (
             Scenario::point_ops(design, fault, mix3(base, i, 0)).with_cache(cache),
             PolicyKind::RandomWalk {

@@ -13,9 +13,9 @@
 //! * [`lin`] — a Wing & Gong linearizability checker (with Lowe's
 //!   per-key partitioning) validating each explored schedule against a
 //!   sequential map spec;
-//! * [`scenario`] — tiny deterministic workloads over the three
-//!   designs, with sanitizer, leak and quiescence checks folded into a
-//!   single [`scenario::RunReport`];
+//! * [`scenario`] — tiny deterministic workloads over the four
+//!   designs, with dynamic-checker, leak and quiescence checks folded
+//!   into a single [`scenario::RunReport`];
 //! * [`counterexample`] — violating schedules serialized as replayable,
 //!   greedily minimized artifacts;
 //! * [`explore`](mod@explore) — the budgeted exploration matrix and the mutation

@@ -30,9 +30,8 @@ use blink::PageLayout;
 use chaos::{ChaosController, FaultPlan};
 use nam::{NamCluster, PartitionMap};
 use namdex_core::{CoarseGrained, Design, FgConfig, FineGrained, Hybrid, Learned};
-use racecheck::Racecheck;
+use racecheck::{HeldLock, Racecheck, Violation};
 use rdma_sim::{ClusterSpec, Durability, Endpoint, LinkDegrade};
-use sanitizer::{HeldLock, Sanitizer, Violation};
 use simnet::rng::DetRng;
 use simnet::{FifoPolicy, Sim, SimDur, SimTime};
 use std::collections::BTreeSet;
@@ -42,7 +41,7 @@ use std::collections::BTreeSet;
 pub const LOAD_UNITS: u64 = 64;
 /// Units the workload contends on.
 pub const HOT_UNITS: std::ops::Range<u64> = 20..24;
-/// Page size shared by the tree builds and the sanitizer.
+/// Page size shared by the tree builds and the checker.
 const PAGE_SIZE: usize = 256;
 
 /// Which index design a scenario runs.
@@ -211,11 +210,11 @@ pub enum PolicyKind {
 pub struct RunReport {
     /// Linearizability verdict over the recorded history.
     pub lin: Result<CheckStats, LinViolation>,
-    /// Sanitizer findings (protocol races, version tampering, ...).
-    pub san_violations: Vec<Violation>,
-    /// Happens-before race detector findings (unvalidated optimistic
-    /// reads, write-write races, stale-epoch cached uses).
-    pub race_violations: Vec<racecheck::Violation>,
+    /// Dynamic-checker findings: protocol rules (unlocked writes,
+    /// version tampering, ...) and happens-before rules (unvalidated
+    /// optimistic reads, write-write races, stale-epoch cached uses),
+    /// told apart by [`Violation::rule`].
+    pub violations: Vec<Violation>,
     /// Locks still held at quiescence by *live* clients (dead owners
     /// are excused under [`FaultMode::Chaos`] — lease recovery frees
     /// them lazily on next touch).
@@ -245,8 +244,7 @@ impl RunReport {
     /// No violation of any checked property.
     pub fn clean(&self) -> bool {
         self.lin.is_ok()
-            && self.san_violations.is_empty()
-            && self.race_violations.is_empty()
+            && self.violations.is_empty()
             && self.held_leaks.is_empty()
             && self.task_leak == 0
     }
@@ -493,9 +491,8 @@ pub fn run_scenario_with_history(
     let nam = NamCluster::new(&sim, spec);
     let idx = build(sc, &nam);
     let recorder = HistoryRecorder::install(&nam.rdma);
-    let san = Sanitizer::install(&nam.rdma, PAGE_SIZE);
-    sanitizer::walk::register_design(&san, &idx);
     let race = Racecheck::install(&nam.rdma, PAGE_SIZE);
+    racecheck::walk::register_design(&race, &idx);
 
     let eps: Vec<Endpoint> = (0..sc.clients).map(|_| Endpoint::new(&nam.rdma)).collect();
     match sc.fault {
@@ -520,7 +517,7 @@ pub fn run_scenario_with_history(
     // Quiescent verification scan on a fresh endpoint: its full-range
     // rows become per-key count observations for the checker, and its
     // traversal reclaims any lease-expired lock left by a killed client
-    // (which is what lets the sanitizer judge the reclaim CAS).
+    // (which is what lets the checker judge the reclaim CAS).
     let ep = Endpoint::new(&nam.rdma);
     let idx2 = idx.clone();
     sim.spawn(async move {
@@ -533,7 +530,7 @@ pub fn run_scenario_with_history(
     // chaos — lease recovery frees it on next touch — but with no
     // faults every client is live, so any residue is a leak.)
     let task_leak = sim.live_tasks();
-    let held_leaks: Vec<HeldLock> = san
+    let held_leaks: Vec<HeldLock> = race
         .held_locks()
         .into_iter()
         .filter(|l| !nam.rdma.client_dead(l.owner))
@@ -550,8 +547,7 @@ pub fn run_scenario_with_history(
     let decisions: Vec<u32> = trace_counts.iter().map(|&(_, c)| c).collect();
     let report = RunReport {
         lin,
-        san_violations: san.violations(),
-        race_violations: race.violations(),
+        violations: race.violations(),
         held_leaks,
         task_leak,
         end_nanos: end.as_nanos(),

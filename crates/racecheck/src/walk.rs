@@ -1,6 +1,7 @@
-//! End-of-run structural walk over B-link pages.
+//! End-of-run structural walk over B-link pages, and up-front
+//! registration of the pages a bulk load built.
 //!
-//! Complements the online verb checker: after a workload quiesces, the
+//! Complements the online rules: after a workload quiesces, the
 //! index must be a well-formed B-link structure — high keys ordered along
 //! the sibling chain, every tree-referenced leaf reachable from the
 //! chain, key counts within page capacity, no lock left held. The walk
@@ -26,19 +27,19 @@ use namdex_core::{CoarseGrained, Design, FineGrained, Hybrid, SetupSource};
 use rdma_sim::RemotePtr;
 use simnet::SimTime;
 
-use crate::{Sanitizer, Violation, ViolationKind};
+use crate::{Racecheck, Violation};
 
-/// Safety cap on chain/tree traversal (a cycle shows up long before).
+/// Safety cap on the inner-level traversal (a cycle shows up long before).
 const MAX_PAGES: usize = 1_000_000;
 
 fn sv(ptr: RemotePtr, len: usize, time: SimTime, detail: String) -> Violation {
     Violation {
-        kind: ViolationKind::Structural,
+        rule: "structural",
+        client: None,
         server: ptr.server(),
         offset: ptr.offset(),
         len,
         time,
-        client: None,
         detail,
     }
 }
@@ -55,21 +56,11 @@ fn walk_chain(src: &SetupSource, first: RemotePtr, out: &mut Vec<Violation>) -> 
     let now = src.cluster().sim().now();
     let mut leaves = BTreeSet::new();
     let mut head_targets: Vec<(RemotePtr, u64)> = Vec::new();
-    let mut visited = BTreeSet::new();
     let mut prev_high: Option<Key> = None;
-    let mut cur = first;
-    let mut steps = 0usize;
-    while !cur.is_null() {
-        if !visited.insert(cur.raw()) {
-            out.push(sv(cur, ps, now, "cycle in the leaf chain".into()));
-            break;
-        }
-        steps += 1;
-        if steps > MAX_PAGES {
-            out.push(sv(cur, ps, now, "leaf chain exceeds page cap".into()));
-            break;
-        }
-        let page = src.load(cur);
+    // Where the last page walked points: non-null after the loop means
+    // the iterator cut a cycle.
+    let mut next = first;
+    for (cur, page) in src.chain(first) {
         if lock_word::is_locked(version_lock_of(&page)) {
             out.push(sv(cur, ps, now, "page left locked after quiescence".into()));
         }
@@ -91,7 +82,7 @@ fn walk_chain(src: &SetupSource, first: RemotePtr, out: &mut Vec<Violation>) -> 
                 for p in head.ptrs() {
                     head_targets.push((cur, rp(p).raw()));
                 }
-                cur = rp(head.right_sibling());
+                next = rp(head.right_sibling());
             }
             NodeKind::Leaf => {
                 let leaf = LeafNodeRef::new(&page);
@@ -154,13 +145,16 @@ fn walk_chain(src: &SetupSource, first: RemotePtr, out: &mut Vec<Violation>) -> 
                 }
                 prev_high = Some(leaf.high_key());
                 leaves.insert(cur.raw());
-                cur = rp(leaf.right_sibling());
+                next = rp(leaf.right_sibling());
             }
             NodeKind::Inner => {
                 out.push(sv(cur, ps, now, "inner node in the leaf chain".into()));
-                break;
+                next = RemotePtr::NULL;
             }
         }
+    }
+    if !next.is_null() {
+        out.push(sv(next, ps, now, "cycle in the leaf chain".into()));
     }
     if prev_high != Some(blink::layout::KEY_MAX) {
         out.push(sv(
@@ -325,12 +319,12 @@ fn check_local_tree(
             .or_else(|| e.downcast_ref::<&str>().copied())
             .unwrap_or("local tree invariant panic");
         out.push(Violation {
-            kind: ViolationKind::Structural,
+            rule: "structural",
+            client: None,
             server,
             offset: 0,
             len: 0,
             time: now,
-            client: None,
             detail: format!("local tree on server {server}: {msg}"),
         });
     }
@@ -418,63 +412,52 @@ pub fn check_design(design: &Design) -> Vec<Violation> {
     }
 }
 
-/// Eagerly register every page reachable in `idx` (chain and inner
-/// levels) with the checker — pages built on the untimed setup path emit
-/// no Alloc events, so the checker would otherwise only adopt them
-/// lazily at their first lock CAS.
-pub fn register_fg(san: &Sanitizer, idx: &FineGrained) {
+/// Register every page reachable in `idx` (chain and inner levels) with
+/// the checker — pages built on the untimed setup path emit no `ALLOC`
+/// events, so the checker would otherwise learn them only as traffic
+/// touches them, and judge plain writes to them only after their first
+/// lock-word atomic.
+pub fn register_fg(rc: &Racecheck, idx: &FineGrained) {
     let src = idx.setup_source();
-    let mut stack = vec![idx.root(), idx.first()];
+    for (ptr, _) in src.chain(idx.first()) {
+        rc.register_page(ptr);
+    }
+    let mut stack = vec![idx.root()];
     let mut visited = BTreeSet::new();
     while let Some(cur) = stack.pop() {
         if cur.is_null() || !visited.insert(cur.raw()) || visited.len() > MAX_PAGES {
             continue;
         }
-        san.register_page(cur);
+        rc.register_page(cur);
         let page = src.load(cur);
-        match kind_of(&page) {
-            NodeKind::Leaf => stack.push(rp(LeafNodeRef::new(&page).right_sibling())),
-            NodeKind::Head => {
-                let head = HeadNodeRef::new(&page);
-                stack.push(rp(head.right_sibling()));
+        if kind_of(&page) == NodeKind::Inner {
+            let node = InnerNodeRef::new(&page);
+            // Children of level 1 are leaves: the chain walk has them.
+            if level_of(&page) > 1 {
+                stack.extend((0..node.count()).map(|i| rp(node.entry(i).1)));
             }
-            NodeKind::Inner => {
-                let node = InnerNodeRef::new(&page);
-                for i in 0..node.count() {
-                    stack.push(rp(node.entry(i).1));
-                }
-                stack.push(rp(node.right_sibling()));
-            }
+            stack.push(rp(node.right_sibling()));
         }
     }
 }
 
-/// Eagerly register the hybrid design's one-sided leaf chain.
-pub fn register_hybrid(san: &Sanitizer, idx: &Hybrid) {
-    let src = idx.setup_source();
-    let mut cur = idx.first();
-    let mut visited = BTreeSet::new();
-    while !cur.is_null() && visited.insert(cur.raw()) && visited.len() <= MAX_PAGES {
-        san.register_page(cur);
-        let page = src.load(cur);
-        cur = match kind_of(&page) {
-            NodeKind::Head => rp(HeadNodeRef::new(&page).right_sibling()),
-            NodeKind::Leaf => rp(LeafNodeRef::new(&page).right_sibling()),
-            NodeKind::Inner => RemotePtr::NULL,
-        };
+/// Register the hybrid design's one-sided leaf chain.
+pub fn register_hybrid(rc: &Racecheck, idx: &Hybrid) {
+    for (ptr, _) in idx.setup_source().chain(idx.first()) {
+        rc.register_page(ptr);
     }
 }
 
-/// Eagerly register whatever `design` keeps in one-sided memory (nothing
-/// for the coarse-grained design: its pages live behind RPC handlers and
-/// are covered by [`check_cg`]).
-pub fn register_design(san: &Sanitizer, design: &Design) {
+/// Register whatever `design` keeps in one-sided memory (nothing for the
+/// coarse-grained design: its pages live behind RPC handlers and are
+/// covered by [`check_cg`]).
+pub fn register_design(rc: &Racecheck, design: &Design) {
     match design {
         Design::Cg(_) => {}
-        Design::Fg(d) => register_fg(san, d),
-        Design::Hybrid(d) => register_hybrid(san, d),
+        Design::Fg(d) => register_fg(rc, d),
+        Design::Hybrid(d) => register_hybrid(rc, d),
         // The learned design's one-sided memory is the hybrid leaf
         // chain; the model itself is client-resident.
-        Design::Learned(d) => register_hybrid(san, d.tree()),
+        Design::Learned(d) => register_hybrid(rc, d.tree()),
     }
 }

@@ -104,7 +104,7 @@ struct Inner {
     next_client: std::cell::Cell<u64>,
     /// Injected-fault state (all servers up, no faults, by default).
     faults: RefCell<FaultState>,
-    /// Installed verb observers (sanitizer, telemetry, ...), fired in
+    /// Installed verb observers (checker, telemetry, ...), fired in
     /// registration order.
     observers: RefCell<Vec<Rc<dyn crate::observer::VerbObserver>>>,
     /// Mirror of `!observers.is_empty()`; a plain `Cell` read so the verb

@@ -455,7 +455,7 @@ impl Endpoint {
             return Err(self.fail_unreachable(s, AttemptKind::Write).await);
         }
         server.pool.borrow_mut().copy_in(ptr.offset(), data);
-        // Observers (sanitizer, telemetry) see the effect when it
+        // Observers (checker, telemetry) see the effect when it
         // applies — before the durability wait, during which concurrent
         // verbs can already read the new bytes.
         self.emit(s, ptr.offset(), data.len(), VerbKind::Write, issued, queue);

@@ -87,7 +87,7 @@ impl fmt::Display for VerbError {
 impl std::error::Error for VerbError {}
 
 /// The verb class of a failed attempt (no operands/result — the verb
-/// never executed). Reported to the sanitizer's `on_unreachable` hook.
+/// never executed). Reported to the checker's `on_unreachable` hook.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AttemptKind {
     /// An `RDMA_READ` attempt.

@@ -5,8 +5,8 @@
 //! virtual time, issuing client)` to each installed [`VerbObserver`] at
 //! the instant its memory effect applies. Two-sided RPCs, failed verbs,
 //! index-operation boundaries, protocol regions (lock wait, backoff) and
-//! free-text instants flow through the same hook. The protocol sanitizer
-//! implements the observer to enforce optimistic-lock-coupling
+//! free-text instants flow through the same hook. The dynamic checker
+//! (`racecheck`) implements the observer to enforce optimistic-lock-coupling
 //! invariants; the telemetry crate implements it to build causal spans
 //! and Perfetto traces. This module only defines the reporting surface
 //! so the verb layer stays free of checking/accounting policy.
@@ -220,7 +220,7 @@ pub use crate::fault::AttemptKind;
 ///
 /// Only [`on_verb`](Self::on_verb) and [`on_free`](Self::on_free) are
 /// required; every other hook defaults to a no-op so existing observers
-/// (the sanitizer) keep compiling as the reporting surface grows.
+/// (the checker) keep compiling as the reporting surface grows.
 pub trait VerbObserver {
     /// A verb completed and its memory effect has been applied.
     fn on_verb(&self, ev: &VerbEvent);
@@ -300,7 +300,7 @@ pub trait VerbObserver {
     /// `server` finished crash recovery: its memory now holds the
     /// replayed durable prefix — mutations that applied before the
     /// crash but never reached the log have been *undone*. Observers
-    /// holding shadow copies of server state (the sanitizer's lock
+    /// holding shadow copies of server state (the checker's lock
     /// words) must resync from memory. Fires only under
     /// `Durability::Wal`; Off-mode restarts preserve RAM and change
     /// nothing. Default: ignore.

@@ -87,7 +87,7 @@ impl Telemetry {
     }
 
     /// Register this observer on `cluster` (alongside any others, e.g.
-    /// the protocol sanitizer).
+    /// the dynamic checker).
     pub fn install(self: &Rc<Self>, cluster: &Cluster) {
         cluster.add_observer(self.clone());
     }

@@ -33,10 +33,11 @@
 //! exploration matrix, and the mutation hunts that prove the checkers
 //! catch the re-introduced historical bugs and the seeded races.
 //!
-//! `cargo xtask racecheck` is the dynamic race-detector gate (unit
-//! tests, clean matrix, observer-order regression), and `cargo xtask
-//! check-all` umbrellas every static and dynamic gate: lint, protolint,
-//! verb-model, trace-check, engine-parity, racecheck.
+//! `cargo xtask racecheck` is the dynamic-checker gate (unit tests,
+//! clean matrix, seeded violations of every rule, observer-order
+//! regression), and `cargo xtask check-all` umbrellas every static and
+//! dynamic gate: lint, protolint, verb-model, trace-check,
+//! engine-parity, racecheck.
 
 use std::fmt;
 use std::fs;
@@ -687,18 +688,25 @@ fn verb_model() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `cargo xtask racecheck` — the dynamic race-detector gate: the
-/// detector's own unit tests, the clean-matrix integration suite
-/// (every design × fault mode runs race-free with the detector
-/// installed, and seeded protocol races are caught), and the
-/// observer-ordering regression the detector's clock model depends on.
+/// `cargo xtask racecheck` — the dynamic-checker gate: the checker's own
+/// unit tests, the two integration suites (every design × fault mode runs
+/// violation-free with the checker installed, and a seeded violation of
+/// every protocol and happens-before rule is caught under its rule id),
+/// and the observer-ordering regression the clock model depends on.
 fn racecheck_gate() -> ExitCode {
     if let Err(code) = cargo_step("racecheck unit tests", &["test", "-p", "racecheck"]) {
         return code;
     }
     if let Err(code) = cargo_step(
-        "racecheck clean matrix + seeded races",
-        &["test", "--release", "--test", "racecheck"],
+        "racecheck clean matrix + seeded violations",
+        &[
+            "test",
+            "--release",
+            "--test",
+            "racecheck",
+            "--test",
+            "racecheck_protocol",
+        ],
     ) {
         return code;
     }
@@ -708,14 +716,14 @@ fn racecheck_gate() -> ExitCode {
     ) {
         return code;
     }
-    println!("racecheck: unit + clean matrix + observer order — ok");
+    println!("racecheck: unit + clean matrix + seeded violations + observer order — ok");
     ExitCode::SUCCESS
 }
 
 /// `cargo xtask check-all` — umbrella over every static and dynamic
 /// correctness gate that does not need a full CI matrix: determinism
 /// lint, protolint, verb-cost model, trace determinism, engine parity,
-/// and the race-detector gate. One command for "is this tree sound".
+/// and the dynamic-checker gate. One command for "is this tree sound".
 fn check_all() -> ExitCode {
     type Gate = fn() -> ExitCode;
     let steps: [(&str, Gate); 6] = [

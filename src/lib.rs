@@ -23,7 +23,7 @@
 //! | [`model`] | `analysis` | the §2.3 analytical scalability model |
 //! | [`chaos`] | `chaos` | deterministic fault injection: fault plans, client kills, server crashes, link degradation |
 //! | [`telemetry`] | `telemetry` | metrics registry, causal op spans, Chrome-trace/Perfetto export |
-//! | [`racecheck`] | `racecheck` | happens-before race detector: vector-clock checking of optimistic reads over the verb-observer bus |
+//! | [`racecheck`] | `racecheck` | the dynamic checker: protocol, happens-before and structural rules over one shadow page table fed by the verb-observer bus |
 //!
 //! ## Quickstart
 //!

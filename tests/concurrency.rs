@@ -14,23 +14,23 @@ fn cluster() -> (Sim, NamCluster) {
     (sim, nam)
 }
 
-/// Arm the protocol checker over the torture run; [`finish_sanitized`]
+/// Arm the protocol checker over the torture run; [`finish_checked`]
 /// then requires a clean verdict.
-fn arm_sanitized(nam: &NamCluster, design: &Design) -> Rc<sanitizer::Sanitizer> {
+fn arm_checker(nam: &NamCluster, design: &Design) -> Rc<Racecheck> {
     let page_size = match design {
         Design::Cg(_) => PageLayout::default().page_size(),
         Design::Fg(d) => d.layout().page_size(),
         Design::Hybrid(d) => d.layout().page_size(),
         Design::Learned(d) => d.layout().page_size(),
     };
-    let san = sanitizer::Sanitizer::install(&nam.rdma, page_size);
-    sanitizer::walk::register_design(&san, design);
-    san
+    let race = Racecheck::install(&nam.rdma, page_size);
+    namdex::racecheck::walk::register_design(&race, design);
+    race
 }
 
-fn finish_sanitized(san: &sanitizer::Sanitizer, design: &Design) {
-    assert_eq!(san.check_structure(design), 0, "structural walk");
-    san.assert_clean();
+fn finish_checked(race: &Racecheck, design: &Design) {
+    assert_eq!(race.check_structure(design), 0, "structural walk");
+    race.assert_clean();
 }
 
 fn small_fg_cfg() -> FgConfig {
@@ -47,7 +47,7 @@ fn fg_concurrent_writers_and_readers() {
     let (sim, nam) = cluster();
     let idx = FineGrained::build(&nam.rdma, small_fg_cfg(), (0..2_000u64).map(|i| (i * 8, i)));
     let design = Design::Fg(idx.clone());
-    let san = arm_sanitized(&nam, &design);
+    let race = arm_checker(&nam, &design);
     const WRITERS: u64 = 10;
     const PER: u64 = 80;
 
@@ -114,7 +114,7 @@ fn fg_concurrent_writers_and_readers() {
     }
     sim.run();
     assert_eq!(ok.get(), WRITERS * PER);
-    finish_sanitized(&san, &design);
+    finish_checked(&race, &design);
 }
 
 #[test]
@@ -128,7 +128,7 @@ fn hybrid_concurrent_writers_and_readers() {
         (0..2_000u64).map(|i| (i * 8, i)),
     );
     let design = Design::Hybrid(idx.clone());
-    let san = arm_sanitized(&nam, &design);
+    let race = arm_checker(&nam, &design);
     const WRITERS: u64 = 8;
     const PER: u64 = 60;
     for w in 0..WRITERS {
@@ -160,7 +160,7 @@ fn hybrid_concurrent_writers_and_readers() {
         assert_eq!(rows.len() as u64, 2_000 + WRITERS * PER);
     });
     sim.run();
-    finish_sanitized(&san, &design);
+    finish_checked(&race, &design);
 }
 
 /// The learned design under the same torture: concurrent writers split
@@ -178,7 +178,7 @@ fn learned_concurrent_writers_and_readers() {
         (0..2_000u64).map(|i| (i * 8, i)),
     );
     let design = Design::Learned(idx.clone());
-    let san = arm_sanitized(&nam, &design);
+    let race = arm_checker(&nam, &design);
     const WRITERS: u64 = 8;
     const PER: u64 = 60;
     for w in 0..WRITERS {
@@ -211,7 +211,7 @@ fn learned_concurrent_writers_and_readers() {
     });
     sim.run();
     assert!(idx.stats().predictions > 0, "lookups route via the model");
-    finish_sanitized(&san, &design);
+    finish_checked(&race, &design);
 }
 
 #[test]
@@ -219,7 +219,7 @@ fn gc_concurrent_with_readers() {
     let (sim, nam) = cluster();
     let idx = FineGrained::build(&nam.rdma, small_fg_cfg(), (0..3_000u64).map(|i| (i * 8, i)));
     let design = Design::Fg(idx.clone());
-    let san = arm_sanitized(&nam, &design);
+    let race = arm_checker(&nam, &design);
 
     // Delete a third of the keys.
     {
@@ -260,7 +260,7 @@ fn gc_concurrent_with_readers() {
     }
     sim.run();
     assert_eq!(freed.get(), 1_000);
-    finish_sanitized(&san, &design);
+    finish_checked(&race, &design);
 }
 
 #[test]
@@ -278,7 +278,7 @@ fn cg_insert_contention_burns_handler_cores() {
         0.7,
     );
     let design = Design::Cg(idx.clone());
-    let san = arm_sanitized(&nam, &design);
+    let race = arm_checker(&nam, &design);
     // 30 clients append into one tiny key neighbourhood -> one hot leaf.
     for c in 0..30u64 {
         let idx = idx.clone();
@@ -300,5 +300,5 @@ fn cg_insert_contention_burns_handler_cores() {
         busy > 600 * 40_000,
         "spin waits must occupy handler cores: busy={busy}ns"
     );
-    finish_sanitized(&san, &design);
+    finish_checked(&race, &design);
 }

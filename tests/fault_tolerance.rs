@@ -6,8 +6,8 @@
 //! *between its lock-acquire CAS and its unlock FAA* — and requires
 //! that every design completes the workload anyway: a contender breaks
 //! the orphaned lease after its virtual-time expiry, no key is lost or
-//! duplicated, and the run is violation-free under the protocol
-//! sanitizer and passes its structural walk.
+//! duplicated, and the run is violation-free under the dynamic
+//! checker and passes its structural walk.
 
 use namdex::index::OpError;
 use namdex::prelude::*;
@@ -20,21 +20,21 @@ fn cluster() -> (Sim, NamCluster) {
     (sim, nam)
 }
 
-fn arm_sanitized(nam: &NamCluster, design: &Design) -> Rc<sanitizer::Sanitizer> {
+fn arm_checker(nam: &NamCluster, design: &Design) -> Rc<Racecheck> {
     let page_size = match design {
         Design::Cg(_) => PageLayout::default().page_size(),
         Design::Fg(d) => d.layout().page_size(),
         Design::Hybrid(d) => d.layout().page_size(),
         Design::Learned(d) => d.layout().page_size(),
     };
-    let san = sanitizer::Sanitizer::install(&nam.rdma, page_size);
-    sanitizer::walk::register_design(&san, design);
-    san
+    let race = Racecheck::install(&nam.rdma, page_size);
+    namdex::racecheck::walk::register_design(&race, design);
+    race
 }
 
-fn finish_sanitized(san: &sanitizer::Sanitizer, design: &Design) {
-    assert_eq!(san.check_structure(design), 0, "structural walk");
-    san.assert_clean();
+fn finish_checked(race: &Racecheck, design: &Design) {
+    assert_eq!(race.check_structure(design), 0, "structural walk");
+    race.assert_clean();
 }
 
 const KEYS: u64 = 500;
@@ -62,7 +62,7 @@ fn build(kind: u8, nam: &NamCluster) -> Design {
 fn lock_orphan_scenario(kind: u8) {
     let (sim, nam) = cluster();
     let design = build(kind, &nam);
-    let san = arm_sanitized(&nam, &design);
+    let race = arm_checker(&nam, &design);
     let lease = nam.rdma.spec().lease_duration;
 
     let victim = Endpoint::new(&nam.rdma);
@@ -136,7 +136,7 @@ fn lock_orphan_scenario(kind: u8) {
         );
     });
     sim.run();
-    finish_sanitized(&san, &design);
+    finish_checked(&race, &design);
 }
 
 #[test]
@@ -163,7 +163,7 @@ fn learned_completes_after_client_dies_holding_a_lock() {
 fn cg_completes_after_timed_kill_between_rpcs() {
     let (sim, nam) = cluster();
     let design = build(0, &nam);
-    let san = arm_sanitized(&nam, &design);
+    let race = arm_checker(&nam, &design);
 
     let victim = Endpoint::new(&nam.rdma);
     let plan = FaultPlan::new()
@@ -215,7 +215,7 @@ fn cg_completes_after_timed_kill_between_rpcs() {
         }
     });
     sim.run();
-    finish_sanitized(&san, &design);
+    finish_checked(&race, &design);
 }
 
 /// Lossy links drop verbs at arbitrary points inside an insert —
@@ -229,7 +229,7 @@ fn lossy_links_never_lose_or_duplicate_inserts() {
     for kind in 1..4u8 {
         let (sim, nam) = cluster();
         let design = build(kind, &nam);
-        let san = arm_sanitized(&nam, &design);
+        let race = arm_checker(&nam, &design);
         // A bounded lossy window: every link drops a quarter of its
         // messages for the first 3ms of virtual time, then heals. (The
         // window must end: a client whose own unlock FAA was dropped can
@@ -295,7 +295,7 @@ fn lossy_links_never_lose_or_duplicate_inserts() {
             assert_eq!(rows, expect, "kind {kind}: contents after lossy inserts");
         });
         sim.run();
-        finish_sanitized(&san, &design);
+        finish_checked(&race, &design);
     }
 }
 
@@ -307,7 +307,7 @@ fn all_designs_ride_out_a_server_restart() {
     for kind in 0..4u8 {
         let (sim, nam) = cluster();
         let design = build(kind, &nam);
-        let san = arm_sanitized(&nam, &design);
+        let race = arm_checker(&nam, &design);
         let plan = FaultPlan::new()
             .crash_server(SimTime::from_micros(40), 1)
             .restart_server(SimTime::from_micros(140), 1);
@@ -351,6 +351,6 @@ fn all_designs_ride_out_a_server_restart() {
             1,
             "kind {kind}: restart bumps the catalog generation"
         );
-        finish_sanitized(&san, &design);
+        finish_checked(&race, &design);
     }
 }

@@ -157,7 +157,7 @@ fn no_fault_runs_reach_clean_quiescence() {
                 let report = run_scenario(&sc, &policy);
                 assert_eq!(report.task_leak, 0, "live tasks after drain");
                 assert!(report.held_leaks.is_empty(), "locks held at quiescence");
-                assert!(report.san_violations.is_empty(), "sanitizer findings");
+                assert!(report.violations.is_empty(), "checker findings");
                 assert!(
                     report.lin.is_ok(),
                     "non-linearizable no-fault history: {:?}",
@@ -212,10 +212,10 @@ fn crash_recovery_interleavings_stay_linearizable() {
                 report.held_leaks
             );
             assert!(
-                report.san_violations.is_empty(),
-                "{}: sanitizer findings across recovery: {:?}",
+                report.violations.is_empty(),
+                "{}: checker findings across recovery: {:?}",
                 design.name(),
-                report.san_violations
+                report.violations
             );
             assert!(
                 report.lin.is_ok(),

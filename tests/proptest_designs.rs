@@ -57,8 +57,8 @@ fn run_script(design_kind: u8, page_size: usize, loaded: u64, script: Vec<Script
 
     // Every scripted run executes with the protocol checker active and
     // must stay violation-free.
-    let san = sanitizer::Sanitizer::install(&nam.rdma, page_size);
-    sanitizer::walk::register_design(&san, &design);
+    let race = Racecheck::install(&nam.rdma, page_size);
+    namdex::racecheck::walk::register_design(&race, &design);
     let design_for_walk = design.clone();
 
     let ep = Endpoint::new(&nam.rdma);
@@ -96,8 +96,8 @@ fn run_script(design_kind: u8, page_size: usize, loaded: u64, script: Vec<Script
         }
     });
     sim.run();
-    assert_eq!(san.check_structure(&design_for_walk), 0, "structural walk");
-    san.assert_clean();
+    assert_eq!(race.check_structure(&design_for_walk), 0, "structural walk");
+    race.assert_clean();
 }
 
 proptest! {

@@ -1,7 +1,8 @@
-//! Happens-before race detector (see `crates/racecheck`):
+//! Happens-before rules of the dynamic checker (see `crates/racecheck`;
+//! the protocol rules are exercised in `tests/racecheck_protocol.rs`):
 //!
-//! * **clean matrix** — every design × fault mode runs race-free with
-//!   the detector installed (through the model-checker harness, which
+//! * **clean matrix** — every design × fault mode runs violation-free
+//!   with the checker installed (through the model-checker harness, which
 //!   installs [`Racecheck`] on every run): the optimistic protocols
 //!   validate every racy snapshot before its bytes escape;
 //! * **seeded protocol races** — hand-driven verb sequences that break
@@ -17,6 +18,8 @@ use mc::{run_scenario, DesignKind, FaultMode, PolicyKind, Scenario};
 use namdex::prelude::*;
 use namdex::rdma::observer::{FenceKind, OpKind};
 use namdex::tree::layout::lock_word;
+use std::cell::Cell;
+use std::rc::Rc;
 
 // ---------------------------------------------------------------------
 // Clean matrix: the real designs, race-free under the detector.
@@ -34,14 +37,14 @@ fn clean_matrix_every_design_and_fault_mode() {
                 let sc = Scenario::point_ops(design, fault, 0xACE).with_cache(Some(cache));
                 let report = run_scenario(&sc, &PolicyKind::Uncontrolled);
                 assert!(
-                    report.race_violations.is_empty(),
+                    report.violations.is_empty(),
                     "{}/{}/cache {cache}: unexpected race violations:\n{}",
                     design.name(),
                     fault.name(),
                     report
-                        .race_violations
+                        .violations
                         .iter()
-                        .map(|v| v.render())
+                        .map(|v| v.to_string())
                         .collect::<Vec<_>>()
                         .join("\n")
                 );
@@ -63,12 +66,12 @@ fn clean_under_adversarial_schedules() {
             let sc = Scenario::point_ops(design, FaultMode::Chaos, 0xACE2);
             let report = run_scenario(&sc, &policy);
             assert!(
-                report.race_violations.is_empty(),
+                report.violations.is_empty(),
                 "{} under {:?}: {:?}",
                 design.name(),
                 policy,
                 report
-                    .race_violations
+                    .violations
                     .iter()
                     .map(|v| &v.rule)
                     .collect::<Vec<_>>()
@@ -246,6 +249,35 @@ fn locked_snapshot_read_survives_version_recheck() {
 }
 
 #[test]
+fn locked_snapshot_read_is_judged_by_full_client_id() {
+    // The lock word keeps only the low byte of its holder's id, so
+    // clients 256 apart look alike in it: the reader must be told from
+    // the holder by the id the checker saw acquire the lock.
+    let (sim, cluster, ptr) = cluster_with_page();
+    let race = Racecheck::install(&cluster, PAGE);
+    {
+        let cluster = cluster.clone();
+        let mut eps: Vec<Endpoint> = (0..257).map(|_| Endpoint::new(&cluster)).collect();
+        let (reader, holder) = (eps.pop().unwrap(), eps.swap_remove(0));
+        assert_eq!(reader.client_id(), holder.client_id() + 256);
+        sim.spawn(async move {
+            let locked = lock_word::locked_by(0, holder.client_id());
+            holder.cas(ptr, 0, locked).await.unwrap();
+
+            cluster.note_op_start(reader.client_id(), OpKind::Lookup);
+            reader.read(ptr, PAGE).await.unwrap();
+            cluster.note_fence(reader.client_id(), FenceKind::Revalidate, 0, ptr.offset());
+            cluster.note_op_end(reader.client_id(), OpKind::Lookup, true);
+        });
+    }
+    sim.run();
+    assert_eq!(race.counts().dirty_reads, 1);
+    let violations = race.violations();
+    assert_eq!(violations.len(), 1, "{}", race.report());
+    assert_eq!(violations[0].rule, "locked-snapshot-read");
+}
+
+#[test]
 fn unlock_before_write_reorder_is_reported() {
     let (sim, cluster, ptr) = cluster_with_page();
     let race = Racecheck::install(&cluster, PAGE);
@@ -329,6 +361,93 @@ fn stale_epoch_cached_use_is_reported() {
     let violations = race.violations();
     assert_eq!(violations.len(), 1, "{}", race.report());
     assert_eq!(violations[0].rule, "stale-epoch-cached-use");
+}
+
+// ---------------------------------------------------------------------
+// WAL recovery: one hook rewinds the shadow state with the memory.
+
+#[test]
+fn recovery_resyncs_lock_words_and_clears_clocks_on_that_server_only() {
+    let sim = Sim::new();
+    let spec = ClusterSpec {
+        durability: Durability::Wal,
+        wal_restart_boot_latency: SimDur::from_micros(30),
+        ..ClusterSpec::default()
+    };
+    let cluster = Cluster::new(&sim, spec);
+    let page_on = |server| {
+        let ptr = cluster.setup_alloc(server, PAGE as u64);
+        cluster.setup_write(ptr, &[0u8; PAGE]);
+        ptr
+    };
+    let (a, b) = (page_on(0), page_on(1));
+    cluster.seal_setup();
+    let race = Racecheck::install(&cluster, PAGE);
+    race.register_page(a);
+    race.register_page(b);
+    {
+        let cluster = cluster.clone();
+        let sim2 = sim.clone();
+        let race = race.clone();
+        let ep = || Endpoint::new(&cluster);
+        let (writer, reader, late_reader, holder, next_holder) = (ep(), ep(), ep(), ep(), ep());
+        sim.spawn(async move {
+            // Acknowledged, hence durable, updates of both pages ...
+            locked_update(&writer, a, 1).await;
+            locked_update(&writer, b, 1).await;
+            // ... which a reader with no edge from the writer races with.
+            cluster.note_op_start(reader.client_id(), OpKind::Range);
+            reader.read(a, PAGE).await.unwrap();
+            reader.read(b, PAGE).await.unwrap();
+            assert_eq!(race.counts().racy_reads, 2);
+
+            // A lock CAS on `a` lands — the checker sees it — but server 0
+            // crashes before the log flush that would have made it
+            // durable: recovery undoes it.
+            let word = u64::from_le_bytes(cluster.setup_read(a, 8).try_into().unwrap());
+            let seen = race.counts().verbs_seen;
+            let refused = Rc::new(Cell::new(false));
+            {
+                let refused = refused.clone();
+                let locked = lock_word::locked_by(word, holder.client_id());
+                sim2.spawn(async move { refused.set(holder.cas(a, word, locked).await.is_err()) });
+            }
+            sim2.sleep(SimDur::from_micros(6)).await;
+            assert_eq!(race.counts().verbs_seen, seen + 1, "the CAS applied");
+            cluster.fail_server(0);
+            cluster.restart_server(0);
+            sim2.sleep(SimDur::from_micros(200)).await;
+            assert!(refused.get(), "and was never acknowledged");
+            assert_eq!(cluster.recovery_records().len(), 1);
+            assert_eq!(cluster.setup_read(a, 8), word.to_le_bytes(), "undone");
+
+            // The window on the rewound server is gone, the other escapes.
+            cluster.note_op_end(reader.client_id(), OpKind::Range, true);
+            // Pre-crash writes no longer order reads of `a`; those of `b` do.
+            cluster.note_op_start(late_reader.client_id(), OpKind::Range);
+            late_reader.read(a, PAGE).await.unwrap();
+            late_reader.read(b, PAGE).await.unwrap();
+            cluster.note_fence(
+                late_reader.client_id(),
+                FenceKind::Revalidate,
+                1,
+                b.offset(),
+            );
+            cluster.note_op_end(late_reader.client_id(), OpKind::Range, true);
+            assert_eq!(race.counts().racy_reads, 3);
+            // And the shadow word of `a` is the recovered one: a fresh
+            // acquire of it is no unobserved mutation.
+            locked_update(&next_holder, a, 2).await;
+        });
+    }
+    sim.run();
+    let violations = race.violations();
+    assert_eq!(violations.len(), 1, "{}", race.report());
+    assert_eq!(violations[0].rule, "unvalidated-race");
+    assert_eq!(
+        (violations[0].server, violations[0].offset),
+        (1, b.offset())
+    );
 }
 
 // ---------------------------------------------------------------------

@@ -1,16 +1,17 @@
-//! Protocol sanitizer tests.
+//! Protocol rules of the dynamic checker (see `crates/racecheck`; the
+//! happens-before rules are exercised in `tests/racecheck.rs`).
 //!
 //! Positive half: the three designs' torture workloads must run *clean*
-//! under the verb-level checker and pass the end-of-run structural walk.
+//! under the checker and pass the end-of-run structural walk.
 //! Negative half: deliberately injected protocol violations — an
 //! unlocked WRITE, a version rollback, an unlock without a lock, a read
-//! of an epoch-retired region — must each be detected and reported with
-//! server / byte-range / virtual-time / client context.
+//! of an epoch-retired region — must each be reported under its rule id
+//! with server / byte-range / virtual-time / client context.
 
 use namdex::index::gc;
 use namdex::prelude::*;
+use namdex::racecheck::walk;
 use namdex::tree::layout::lock_word;
-use sanitizer::{walk, Sanitizer, ViolationKind};
 use std::rc::Rc;
 
 fn cluster() -> (Sim, NamCluster) {
@@ -31,11 +32,11 @@ fn small_fg_cfg() -> FgConfig {
 // ---- positive: real workloads are clean -------------------------------
 
 #[test]
-fn fg_torture_is_clean_under_sanitizer() {
+fn fg_torture_is_clean_under_the_checker() {
     let (sim, nam) = cluster();
     let idx = FineGrained::build(&nam.rdma, small_fg_cfg(), (0..2_000u64).map(|i| (i * 8, i)));
-    let san = Sanitizer::install(&nam.rdma, 256);
-    walk::register_fg(&san, &idx);
+    let race = Racecheck::install(&nam.rdma, 256);
+    walk::register_fg(&race, &idx);
 
     const WRITERS: u64 = 10;
     const PER: u64 = 60;
@@ -66,15 +67,15 @@ fn fg_torture_is_clean_under_sanitizer() {
     sim.run();
 
     assert!(
-        san.verbs_seen() > 1_000,
+        race.counts().verbs_seen > 1_000,
         "the checker must actually observe the workload"
     );
-    assert_eq!(san.check_structure(&Design::Fg(idx.clone())), 0);
-    san.assert_clean();
+    assert_eq!(race.check_structure(&Design::Fg(idx.clone())), 0);
+    race.assert_clean();
 }
 
 #[test]
-fn hybrid_torture_is_clean_under_sanitizer() {
+fn hybrid_torture_is_clean_under_the_checker() {
     let (sim, nam) = cluster();
     let partition = PartitionMap::range_uniform(nam.num_servers(), 2_000 * 8);
     let idx = Hybrid::build(
@@ -83,8 +84,8 @@ fn hybrid_torture_is_clean_under_sanitizer() {
         partition,
         (0..2_000u64).map(|i| (i * 8, i)),
     );
-    let san = Sanitizer::install(&nam.rdma, 256);
-    walk::register_hybrid(&san, &idx);
+    let race = Racecheck::install(&nam.rdma, 256);
+    walk::register_hybrid(&race, &idx);
 
     const WRITERS: u64 = 8;
     const PER: u64 = 50;
@@ -111,9 +112,9 @@ fn hybrid_torture_is_clean_under_sanitizer() {
     }
     sim.run();
 
-    assert!(san.verbs_seen() > 500);
-    assert_eq!(san.check_structure(&Design::Hybrid(idx.clone())), 0);
-    san.assert_clean();
+    assert!(race.counts().verbs_seen > 500);
+    assert_eq!(race.check_structure(&Design::Hybrid(idx.clone())), 0);
+    race.assert_clean();
 }
 
 #[test]
@@ -127,7 +128,7 @@ fn cg_workload_passes_structural_walk() {
         (0..1_000u64).map(|i| (i * 8, i)),
         0.7,
     );
-    let san = Sanitizer::install(&nam.rdma, PageLayout::DEFAULT_PAGE_SIZE);
+    let race = Racecheck::install(&nam.rdma, PageLayout::DEFAULT_PAGE_SIZE);
     for c in 0..8u64 {
         let idx = idx.clone();
         let ep = Endpoint::new(&nam.rdma);
@@ -144,16 +145,16 @@ fn cg_workload_passes_structural_walk() {
         });
     }
     sim.run();
-    assert_eq!(san.check_structure(&Design::Cg(idx.clone())), 0);
-    san.assert_clean();
+    assert_eq!(race.check_structure(&Design::Cg(idx.clone())), 0);
+    race.assert_clean();
 }
 
 #[test]
-fn gc_with_readers_is_clean_under_sanitizer() {
+fn gc_with_readers_is_clean_under_the_checker() {
     let (sim, nam) = cluster();
     let idx = FineGrained::build(&nam.rdma, small_fg_cfg(), (0..3_000u64).map(|i| (i * 8, i)));
-    let san = Sanitizer::install(&nam.rdma, 256);
-    walk::register_fg(&san, &idx);
+    let race = Racecheck::install(&nam.rdma, 256);
+    walk::register_fg(&race, &idx);
 
     {
         let idx = idx.clone();
@@ -183,26 +184,26 @@ fn gc_with_readers_is_clean_under_sanitizer() {
         });
     }
     sim.run();
-    assert_eq!(san.check_structure(&Design::Fg(idx.clone())), 0);
-    san.assert_clean();
+    assert_eq!(race.check_structure(&Design::Fg(idx.clone())), 0);
+    race.assert_clean();
 }
 
 // ---- negative: injected violations must be caught ---------------------
 
 /// Build a small fine-grained index with the checker installed and every
 /// page registered; returns the pieces the injection needs.
-fn armed_fg(sim: &Sim, nam: &NamCluster) -> (Rc<FineGrained>, Rc<Sanitizer>) {
+fn armed_fg(sim: &Sim, nam: &NamCluster) -> (Rc<FineGrained>, Rc<Racecheck>) {
     let _ = sim;
     let idx = FineGrained::build(&nam.rdma, small_fg_cfg(), (0..500u64).map(|i| (i * 8, i)));
-    let san = Sanitizer::install(&nam.rdma, 256);
-    walk::register_fg(&san, &idx);
-    (idx, san)
+    let race = Racecheck::install(&nam.rdma, 256);
+    walk::register_fg(&race, &idx);
+    (idx, race)
 }
 
 #[test]
 fn detects_unlocked_write() {
     let (sim, nam) = cluster();
-    let (idx, san) = armed_fg(&sim, &nam);
+    let (idx, race) = armed_fg(&sim, &nam);
     let root = idx.root();
     let ep = Endpoint::new(&nam.rdma);
     let client = ep.client_id();
@@ -213,11 +214,12 @@ fn detects_unlocked_write() {
     });
     sim.run();
 
-    let vs = san.violations();
-    let hit = vs
-        .iter()
-        .find(|v| v.kind == ViolationKind::UnlockedWrite)
-        .expect("unlocked WRITE must be flagged");
+    // One rogue WRITE, one finding: the lock-discipline rule has a single
+    // copy, and nothing else about the write is wrong.
+    let vs = race.violations();
+    assert_eq!(vs.len(), 1, "{}", race.report());
+    let hit = &vs[0];
+    assert_eq!(hit.rule, "unlocked-write");
     assert_eq!(hit.server, root.server());
     assert_eq!(hit.offset, root.offset() + 40);
     assert_eq!(hit.len, 16);
@@ -229,7 +231,7 @@ fn detects_unlocked_write() {
 #[test]
 fn detects_version_rollback() {
     let (sim, nam) = cluster();
-    let (idx, san) = armed_fg(&sim, &nam);
+    let (idx, race) = armed_fg(&sim, &nam);
     let root = idx.root();
     let nam2 = nam.rdma.clone();
     let ep = Endpoint::new(&nam.rdma);
@@ -245,11 +247,8 @@ fn detects_version_rollback() {
     });
     sim.run();
 
-    let vs = san.violations();
-    let protocol: Vec<_> = vs
-        .iter()
-        .filter(|v| v.kind == ViolationKind::VersionProtocol)
-        .collect();
+    let vs = race.violations();
+    let protocol: Vec<_> = vs.iter().filter(|v| v.rule == "version-protocol").collect();
     assert!(
         protocol.len() >= 2,
         "both illegal CAS transitions flagged, got: {vs:?}"
@@ -266,7 +265,7 @@ fn detects_version_rollback() {
 #[test]
 fn detects_unlock_without_lock() {
     let (sim, nam) = cluster();
-    let (idx, san) = armed_fg(&sim, &nam);
+    let (idx, race) = armed_fg(&sim, &nam);
     let root = idx.root();
     let ep = Endpoint::new(&nam.rdma);
     sim.spawn(async move {
@@ -275,10 +274,10 @@ fn detects_unlock_without_lock() {
     });
     sim.run();
 
-    let hit = san
+    let hit = race
         .violations()
         .into_iter()
-        .find(|v| v.kind == ViolationKind::VersionProtocol)
+        .find(|v| v.rule == "version-protocol")
         .expect("unlock-without-lock must be flagged");
     assert_eq!(hit.offset, root.offset());
     assert!(hit.detail.contains("no lock held"), "{}", hit.detail);
@@ -287,7 +286,7 @@ fn detects_unlock_without_lock() {
 #[test]
 fn detects_read_of_gc_freed_region() {
     let (sim, nam) = cluster();
-    let (idx, san) = armed_fg(&sim, &nam);
+    let (idx, race) = armed_fg(&sim, &nam);
     // The first chain page is a head node (head_stride > 0); epoch head
     // maintenance rebuilds the heads and retires the old ones.
     let old_head = idx.first();
@@ -302,10 +301,10 @@ fn detects_read_of_gc_freed_region() {
     });
     sim.run();
 
-    let vs = san.violations();
+    let vs = race.violations();
     let hit = vs
         .iter()
-        .find(|v| v.kind == ViolationKind::UseAfterFree)
+        .find(|v| v.rule == "use-after-free")
         .expect("read of retired region must be flagged");
     assert_eq!(hit.server, old_head.server());
     assert_eq!(hit.offset, old_head.offset());
@@ -317,7 +316,7 @@ fn detects_read_of_gc_freed_region() {
 #[test]
 fn assert_clean_panics_with_context() {
     let (sim, nam) = cluster();
-    let (idx, san) = armed_fg(&sim, &nam);
+    let (idx, race) = armed_fg(&sim, &nam);
     let root = idx.root();
     let ep = Endpoint::new(&nam.rdma);
     sim.spawn(async move {
@@ -326,7 +325,7 @@ fn assert_clean_panics_with_context() {
             .unwrap();
     });
     sim.run();
-    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| san.assert_clean()))
+    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| race.assert_clean()))
         .expect_err("assert_clean must panic on a dirty run");
     let msg = err.downcast_ref::<String>().expect("string panic payload");
     assert!(
@@ -340,7 +339,7 @@ fn assert_clean_panics_with_context() {
 #[test]
 fn lease_break_after_expiry_is_clean() {
     let (sim, nam) = cluster();
-    let (idx, san) = armed_fg(&sim, &nam);
+    let (idx, race) = armed_fg(&sim, &nam);
     let root = idx.root();
     let lease = nam.rdma.spec().lease_duration;
     let nam2 = nam.rdma.clone();
@@ -360,18 +359,16 @@ fn lease_break_after_expiry_is_clean() {
     });
     sim.run();
     assert!(
-        !san.violations()
-            .iter()
-            .any(|v| v.kind == ViolationKind::LeaseBreak),
+        !race.violations().iter().any(|v| v.rule == "lease-break"),
         "a break after lease expiry is the legal recovery transition: {:?}",
-        san.violations()
+        race.violations()
     );
 }
 
 #[test]
 fn detects_early_lease_break() {
     let (sim, nam) = cluster();
-    let (idx, san) = armed_fg(&sim, &nam);
+    let (idx, race) = armed_fg(&sim, &nam);
     let root = idx.root();
     let nam2 = nam.rdma.clone();
     let victim = Endpoint::new(&nam.rdma);
@@ -387,10 +384,10 @@ fn detects_early_lease_break() {
     });
     sim.run();
 
-    let vs = san.violations();
+    let vs = race.violations();
     let hit = vs
         .iter()
-        .find(|v| v.kind == ViolationKind::LeaseBreak)
+        .find(|v| v.rule == "lease-break")
         .expect("premature lease break must be flagged");
     assert_eq!(hit.server, root.server());
     assert_eq!(hit.offset, root.offset());
@@ -402,7 +399,7 @@ fn detects_early_lease_break() {
 #[test]
 fn detects_write_after_unreachable_without_revalidation() {
     let (sim, nam) = cluster();
-    let (idx, san) = armed_fg(&sim, &nam);
+    let (idx, race) = armed_fg(&sim, &nam);
     let root = idx.root();
     let cluster = nam.rdma.clone();
     let ep = Endpoint::new(&nam.rdma);
@@ -421,10 +418,10 @@ fn detects_write_after_unreachable_without_revalidation() {
     });
     sim.run();
 
-    let vs = san.violations();
+    let vs = race.violations();
     let hit = vs
         .iter()
-        .find(|v| v.kind == ViolationKind::UnreachableWrite)
+        .find(|v| v.rule == "unreachable-write")
         .expect("blind write after an unreachable episode must be flagged");
     assert_eq!(hit.server, root.server());
     assert!(hit.detail.contains("unreachable"), "{}", hit.detail);
@@ -433,7 +430,7 @@ fn detects_write_after_unreachable_without_revalidation() {
 #[test]
 fn read_revalidation_clears_the_unreachable_flag() {
     let (sim, nam) = cluster();
-    let (idx, san) = armed_fg(&sim, &nam);
+    let (idx, race) = armed_fg(&sim, &nam);
     let root = idx.root();
     let cluster = nam.rdma.clone();
     let nam2 = nam.rdma.clone();
@@ -454,10 +451,11 @@ fn read_revalidation_clears_the_unreachable_flag() {
     });
     sim.run();
     assert!(
-        !san.violations()
+        !race
+            .violations()
             .iter()
-            .any(|v| v.kind == ViolationKind::UnreachableWrite),
+            .any(|v| v.rule == "unreachable-write"),
         "a re-validating READ legalises later writes: {:?}",
-        san.violations()
+        race.violations()
     );
 }
