@@ -89,14 +89,26 @@ impl CoarseGrained {
     pub fn partition(&self) -> &PartitionMap {
         &self.partition
     }
+}
+
+/// The operation path: errors are typed, nothing here may panic.
+#[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)]
+#[deny(clippy::unreachable, clippy::unimplemented, clippy::indexing_slicing)]
+impl CoarseGrained {
+    /// Server `s`'s local tree.
+    #[allow(
+        clippy::indexing_slicing,
+        reason = "the partition map only yields server ids below the cluster size it was built with"
+    )]
+    fn node(&self, s: usize) -> Rc<ServerNode> {
+        self.nodes[s].clone()
+    }
 
     /// Point lookup via one RPC to the owning server; co-located compute
     /// servers traverse the local tree directly (Appendix A.3).
     pub async fn lookup(&self, ep: &Endpoint, key: Key) -> Result<Option<Value>, VerbError> {
         let s = self.partition.server_of(key);
-        // protolint: allow(hot-panic) -- the partition map only yields
-        // server ids below the cluster size it was built with.
-        let node = self.nodes[s].clone();
+        let node = self.node(s);
         let spec = self.cluster.spec().clone();
         if ep.is_local(s) {
             let (value, work) = node.with_tree(|t| t.get(key));
@@ -147,15 +159,11 @@ impl CoarseGrained {
         if !broadcast {
             progress.reset();
         }
-        // protolint: loop(partition) -- one RPC per covering partition;
-        // trip count scales with the range width, not the tree height.
         for s in servers {
             if progress.is_done(s) {
                 continue;
             }
-            // protolint: allow(hot-panic) -- servers_for_range only
-            // yields ids below the cluster size the map was built with.
-            let node = self.nodes[s].clone();
+            let node = self.node(s);
             let spec = self.cluster.spec().clone();
             if ep.is_local(s) {
                 let mut rows = Vec::new();
@@ -213,9 +221,7 @@ impl CoarseGrained {
         retrying: bool,
     ) -> Result<(), VerbError> {
         let s = self.partition.server_of(key);
-        // protolint: allow(hot-panic) -- the partition map only yields
-        // server ids below the cluster size it was built with.
-        let node = self.nodes[s].clone();
+        let node = self.node(s);
         let spec = self.cluster.spec().clone();
         let sim = self.sim.clone();
         if ep.is_local(s) {
@@ -262,9 +268,7 @@ impl CoarseGrained {
     /// is reclaimed by the per-server epoch GC.
     pub async fn delete(&self, ep: &Endpoint, key: Key) -> Result<bool, VerbError> {
         let s = self.partition.server_of(key);
-        // protolint: allow(hot-panic) -- the partition map only yields
-        // server ids below the cluster size it was built with.
-        let node = self.nodes[s].clone();
+        let node = self.node(s);
         let spec = self.cluster.spec().clone();
         let sim = self.sim.clone();
         if ep.is_local(s) {

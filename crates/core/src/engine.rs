@@ -39,6 +39,9 @@
 //! operations ship as RPCs), so it plugs into the retry layer and
 //! [`RangeProgress`] only.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)]
+#![deny(clippy::unreachable, clippy::unimplemented, clippy::indexing_slicing)]
+
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 
@@ -49,7 +52,7 @@ use blink::{Key, PageLayout, Ptr, Value};
 use rdma_sim::{Endpoint, FenceKind, OpKind, PageBuf, RegionKind, RemotePtr, VerbError};
 use simnet::SimDur;
 
-use crate::onesided::{lock_node, read_unlocked, release_on_error, unlock_only, write_unlock};
+use crate::onesided::{lock_node, read_unlocked, Locked};
 use crate::resolve::{Cached, NodeSource, OpAccess};
 use crate::{Design, OpError};
 
@@ -108,17 +111,17 @@ pub(crate) async fn backoff_before_retry(ep: &Endpoint, attempt: u32) {
 /// client dies, a fatal error occurs, or `retry_limit` retries of
 /// transient faults are spent.
 ///
-/// The three-argument form additionally binds `$retrying` (a `bool`,
-/// false on the first attempt) in scope of `$op`, so a non-idempotent
-/// operation can tell a fresh run from a re-run whose previous attempt
-/// may already have committed (see [`insert`]).
+/// Every call site declares how a re-run is safe: the literal
+/// `idempotent` (re-running the attempt cannot duplicate a remote
+/// effect), or an identifier that is bound in scope of `$op` as a `bool`
+/// (false on the first attempt) and that `$op` must consume — an unused
+/// one is an `unused_variables` error under `-D warnings` — so a
+/// non-idempotent operation can tell a fresh run from a re-run whose
+/// previous attempt may already have committed (see [`insert`]).
 macro_rules! with_retry {
-    ($ep:expr, $op:expr) => {{
-        #[allow(unused_variables)]
-        {
-            with_retry!($ep, retrying, $op)
-        }
-    }};
+    ($ep:expr, idempotent, $op:expr) => {
+        with_retry!($ep, _idempotent, $op)
+    };
     ($ep:expr, $retrying:ident, $op:expr) => {{
         let limit = $ep.cluster().spec().retry_limit;
         let mut attempt: u32 = 0;
@@ -147,26 +150,26 @@ macro_rules! with_retry {
 // Per-design operation dispatch under the retry layer.
 // ---------------------------------------------------------------------------
 
-/// Point lookup for any design, under the retry layer.
-// protolint: idempotent -- a lookup has no remote effect to duplicate.
+/// Point lookup for any design, under the retry layer. Idempotent: a
+/// lookup has no remote effect to duplicate.
 pub(crate) async fn lookup_op(
     design: &Design,
     ep: &Endpoint,
     key: Key,
 ) -> Result<Option<Value>, OpError> {
     match design {
-        Design::Cg(d) => with_retry!(ep, d.lookup(ep, key)),
-        Design::Fg(d) => with_retry!(ep, lookup(&d.source(), ep, key)),
-        Design::Hybrid(d) => with_retry!(ep, lookup(&d.source(), ep, key)),
-        Design::Learned(d) => with_retry!(ep, lookup(&d.source(), ep, key)),
+        Design::Cg(d) => with_retry!(ep, idempotent, d.lookup(ep, key)),
+        Design::Fg(d) => with_retry!(ep, idempotent, lookup(&d.source(), ep, key)),
+        Design::Hybrid(d) => with_retry!(ep, idempotent, lookup(&d.source(), ep, key)),
+        Design::Learned(d) => with_retry!(ep, idempotent, lookup(&d.source(), ep, key)),
     }
 }
 
 /// Range query for any design, under the retry layer. For the
 /// coarse-grained design a [`RangeProgress`] shared across attempts
 /// dedupes per-server work, so a retried broadcast never re-ships (or
-/// re-counts in telemetry) partitions that already answered.
-// protolint: idempotent -- reads only; CG retry dedup via RangeProgress.
+/// re-counts in telemetry) partitions that already answered. Idempotent:
+/// reads only.
 pub(crate) async fn range_op(
     design: &Design,
     ep: &Endpoint,
@@ -176,11 +179,11 @@ pub(crate) async fn range_op(
     match design {
         Design::Cg(d) => {
             let progress = RangeProgress::default();
-            with_retry!(ep, d.range_with(ep, lo, hi, &progress))
+            with_retry!(ep, idempotent, d.range_with(ep, lo, hi, &progress))
         }
-        Design::Fg(d) => with_retry!(ep, range(&d.source(), ep, lo, hi)),
-        Design::Hybrid(d) => with_retry!(ep, range(&d.source(), ep, lo, hi)),
-        Design::Learned(d) => with_retry!(ep, range(&d.source(), ep, lo, hi)),
+        Design::Fg(d) => with_retry!(ep, idempotent, range(&d.source(), ep, lo, hi)),
+        Design::Hybrid(d) => with_retry!(ep, idempotent, range(&d.source(), ep, lo, hi)),
+        Design::Learned(d) => with_retry!(ep, idempotent, range(&d.source(), ep, lo, hi)),
     }
 }
 
@@ -209,14 +212,14 @@ pub(crate) async fn insert_op(
     }
 }
 
-/// Tombstone delete for any design, under the retry layer.
-// protolint: idempotent -- tombstoning an already-deleted key is a no-op.
+/// Tombstone delete for any design, under the retry layer. Idempotent:
+/// tombstoning an already-deleted key is a no-op.
 pub(crate) async fn delete_op(design: &Design, ep: &Endpoint, key: Key) -> Result<bool, OpError> {
     match design {
-        Design::Cg(d) => with_retry!(ep, d.delete(ep, key)),
-        Design::Fg(d) => with_retry!(ep, delete(&d.source(), ep, key)),
-        Design::Hybrid(d) => with_retry!(ep, delete(&d.source(), ep, key)),
-        Design::Learned(d) => with_retry!(ep, delete(&d.source(), ep, key)),
+        Design::Cg(d) => with_retry!(ep, idempotent, d.delete(ep, key)),
+        Design::Fg(d) => with_retry!(ep, idempotent, delete(&d.source(), ep, key)),
+        Design::Hybrid(d) => with_retry!(ep, idempotent, delete(&d.source(), ep, key)),
+        Design::Learned(d) => with_retry!(ep, idempotent, delete(&d.source(), ep, key)),
     }
 }
 
@@ -240,8 +243,6 @@ async fn descend<S: NodeSource>(
 ) -> Result<(RemotePtr, PageBuf), VerbError> {
     let mut parent = RemotePtr::NULL;
     let mut cur = src.start(ep, key, access).await?;
-    // protolint: loop(levels) -- one load per tree level; sibling chases
-    // only on concurrent splits.
     loop {
         let page = src.load(ep, cur).await?;
         match kind_of(&page) {
@@ -338,19 +339,17 @@ pub(crate) async fn range<S: NodeSource>(
 /// its already-fetched page, if any): lock, re-validate coverage under
 /// the lock, move right and retry on failure — the
 /// `remote_upgradeToWriteLockOrRestart` + move-right loop of Listing 4.
-// protolint: role(acquire) -- returns with the covering leaf locked.
 async fn lock_covering_leaf<S: NodeSource>(
     src: &S,
     ep: &Endpoint,
     key: Key,
     mut cur: RemotePtr,
     mut pending: Option<PageBuf>,
-) -> Result<(RemotePtr, PageBuf), VerbError> {
-    // protolint: loop(spin) -- move-right retries only under contention.
+) -> Result<Locked, VerbError> {
     loop {
-        // protolint: arm-by(first-page) -- client-descent callers hand
-        // over the descent's leaf copy; leaf-resolving callers load.
-        let mut page = match pending.take() {
+        // Client-descent callers hand over the descent's leaf copy;
+        // leaf-resolving callers load.
+        let page = match pending.take() {
             Some(p) => p,
             None => src.load(ep, cur).await?,
         };
@@ -359,17 +358,17 @@ async fn lock_covering_leaf<S: NodeSource>(
             cur = rp(HeadNodeRef::new(&page).right_sibling());
             continue;
         }
-        lock_node(ep, cur, &mut page).await?;
-        let leaf = LeafNodeRef::new(&page);
+        let locked = lock_node(ep, cur, page).await?;
+        let leaf = LeafNodeRef::new(&locked.page);
         // Coverage re-check *under the lock* (the acquire CAS already
         // synchronized the copy; this is the semantic fence).
         crate::note_fence(ep, FenceKind::Revalidate, cur);
         if leaf.covers(key) {
-            src.note_leaf(ep, key, cur, &page);
-            return Ok((cur, page));
+            src.note_leaf(ep, key, cur, &locked.page);
+            return Ok(locked);
         }
         let next = rp(leaf.right_sibling());
-        unlock_only(ep, cur).await?;
+        locked.release(ep).await?;
         src.invalidate(ep, key, RemotePtr::NULL);
         cur = next;
     }
@@ -464,46 +463,44 @@ pub(crate) async fn insert<S: TreeWriter>(
     } else {
         (src.start(ep, key, OpAccess::Insert).await?, None)
     };
-    let (cur, mut page) = lock_covering_leaf(src, ep, key, start, first_page).await?;
+    let mut locked = lock_covering_leaf(src, ep, key, start, first_page).await?;
+    let cur = locked.ptr();
 
-    if retrying && LeafNodeRef::new(&page).contains(key, value) {
+    if retrying && LeafNodeRef::new(&locked.page).contains(key, value) {
         // The previous attempt committed before its post-commit verb
         // failed. (If it had also split, the new leaf stays reachable
         // via the B-link sibling chain even when its parent entry is
         // missing; a later split re-propagates.)
-        return unlock_only(ep, cur).await;
+        return locked.release(ep).await;
     }
 
-    let full = LeafNodeMut::new(&mut page).insert(key, value).is_err();
+    let full = LeafNodeMut::new(&mut locked.page)
+        .insert(key, value)
+        .is_err();
     if !full {
-        let res = write_unlock(ep, cur, &page, None).await;
-        return release_on_error(ep, cur, res).await;
+        return locked.commit(ep, None).await;
     }
 
     // Split: allocate remotely, split the local copy, write both halves
     // (right first, Listing 4), unlock, register upward.
-    let res = src.alloc(ep).await;
-    let right_ptr = release_on_error(ep, cur, res).await?;
+    let (mut locked, right_ptr) = locked.under(ep, src.alloc(ep)).await?;
     let mut right_page = src.layout().alloc_page();
-    let sep = LeafNodeMut::new(&mut page).split_into(
+    let sep = LeafNodeMut::new(&mut locked.page).split_into(
         &mut right_page,
         cur.as_page_ptr(),
         right_ptr.as_page_ptr(),
     );
     let old_high = LeafNodeRef::new(&right_page).high_key();
-    {
-        let target = if key <= sep {
-            &mut page
-        } else {
-            &mut *right_page
-        };
-        if LeafNodeMut::new(target).insert(key, value).is_err() {
-            let err = Err(VerbError::Invariant("split leaf half refused the insert"));
-            return release_on_error(ep, cur, err).await;
-        }
+    let target = if key <= sep {
+        &mut locked.page
+    } else {
+        &mut *right_page
+    };
+    if LeafNodeMut::new(target).insert(key, value).is_err() {
+        let _ = locked.release(ep).await;
+        return Err(VerbError::Invariant("split leaf half refused the insert"));
     }
-    let res = write_unlock(ep, cur, &page, Some((right_ptr, &right_page))).await;
-    release_on_error(ep, cur, res).await?;
+    locked.commit(ep, Some((right_ptr, &right_page))).await?;
     src.complete_split(ep, path, sep, cur, right_ptr, old_high)
         .await
 }
@@ -555,13 +552,12 @@ pub(crate) async fn delete<S: NodeSource>(
     } else {
         (src.start(ep, key, OpAccess::Delete).await?, None)
     };
-    let (cur, mut page) = lock_covering_leaf(src, ep, key, start, first_page).await?;
-    let deleted = LeafNodeMut::new(&mut page).mark_deleted(key);
+    let mut locked = lock_covering_leaf(src, ep, key, start, first_page).await?;
+    let deleted = LeafNodeMut::new(&mut locked.page).mark_deleted(key);
     if deleted {
-        let res = write_unlock(ep, cur, &page, None).await;
-        release_on_error(ep, cur, res).await?;
+        locked.commit(ep, None).await?;
     } else {
-        unlock_only(ep, cur).await?;
+        locked.release(ep).await?;
     }
     Ok(deleted)
 }
@@ -600,7 +596,6 @@ pub(crate) async fn propagate_split<U: RemoteUpper>(
     mut level: u8,
 ) -> Result<(), VerbError> {
     let ps = up.layout().page_size();
-    // protolint: loop(ascend) -- climbs as far as parents keep splitting.
     loop {
         let mut cur = match path.pop() {
             Some(p) => p,
@@ -623,62 +618,56 @@ pub(crate) async fn propagate_split<U: RemoteUpper>(
         };
 
         // Lock the covering inner node (move right as needed).
-        let mut page;
-        // protolint: loop(spin) -- move-right retries only under contention.
-        loop {
-            page = read_unlocked(ep, cur, ps).await?;
+        let mut locked = loop {
+            let page = read_unlocked(ep, cur, ps).await?;
             let node = InnerNodeRef::new(&page);
             crate::note_fence(ep, FenceKind::Revalidate, cur);
             if !node.covers(sep) {
                 cur = rp(node.right_sibling());
                 continue;
             }
-            lock_node(ep, cur, &mut page).await?;
-            let node = InnerNodeRef::new(&page);
+            let locked = lock_node(ep, cur, page).await?;
+            let node = InnerNodeRef::new(&locked.page);
             crate::note_fence(ep, FenceKind::Revalidate, cur);
             if node.covers(sep) {
-                break;
+                break locked;
             }
             let next = rp(node.right_sibling());
-            unlock_only(ep, cur).await?;
+            locked.release(ep).await?;
             cur = next;
-        }
+        };
 
-        let full = InnerNodeMut::new(&mut page)
+        let full = InnerNodeMut::new(&mut locked.page)
             .install_split(sep, right.as_page_ptr())
             .is_err();
         if !full {
-            let res = write_unlock(ep, cur, &page, None).await;
-            release_on_error(ep, cur, res).await?;
-            return Ok(());
+            return locked.commit(ep, None).await;
         }
 
         // Parent full: split it (holding its lock), install into the
         // covering half, and carry the parent split upward.
-        let res = up.alloc_node(ep).await;
-        let parent_right = release_on_error(ep, cur, res).await?;
+        let (mut locked, parent_right) = locked.under(ep, up.alloc_node(ep)).await?;
         let mut pright_page = up.layout().alloc_page();
-        let psep = InnerNodeMut::new(&mut page).split_into(
+        let psep = InnerNodeMut::new(&mut locked.page).split_into(
             &mut pright_page,
             cur.as_page_ptr(),
             parent_right.as_page_ptr(),
         );
+        let target = if sep <= psep {
+            &mut locked.page
+        } else {
+            &mut *pright_page
+        };
+        if InnerNodeMut::new(target)
+            .install_split(sep, right.as_page_ptr())
+            .is_err()
         {
-            let target = if sep <= psep {
-                &mut page
-            } else {
-                &mut *pright_page
-            };
-            if InnerNodeMut::new(target)
-                .install_split(sep, right.as_page_ptr())
-                .is_err()
-            {
-                let err = Err(VerbError::Invariant("split parent half refused the entry"));
-                return release_on_error(ep, cur, err).await;
-            }
+            let _ = locked.release(ep).await;
+            return Err(VerbError::Invariant("split parent half refused the entry"));
         }
-        let res = write_unlock(ep, cur, &page, Some((parent_right, &pright_page))).await;
-        release_on_error(ep, cur, res).await?;
+        locked
+            .commit(ep, Some((parent_right, &pright_page)))
+            .await?;
         sep = psep;
         left = cur;
         right = parent_right;
@@ -724,7 +713,6 @@ async fn path_to_level<U: RemoteUpper>(
     let ps = up.layout().page_size();
     let mut path = Vec::new();
     let mut cur = up.root_ptr();
-    // protolint: loop(levels) -- one read per level down to `level`.
     loop {
         let page = read_unlocked(ep, cur, ps).await?;
         debug_assert_eq!(kind_of(&page), NodeKind::Inner, "levels > 0 are inner");
@@ -788,8 +776,6 @@ pub(crate) async fn scan_chain(
             crate::note_fence(ep, FenceKind::Discard, RemotePtr::from_raw(raw));
         }
     };
-    // protolint: loop(chain) -- one read per chained leaf/head; trip
-    // count scales with the range width, not the tree height.
     loop {
         if cur.is_null() {
             discard_rest(ep, &prefetched);
@@ -839,10 +825,9 @@ pub(crate) async fn scan_chain(
                 }
                 cur = rp(leaf.right_sibling());
             }
-            // protolint: allow(hot-panic) -- leaf chains never link to an
-            // inner node; reaching one means corrupted pages, not a state
-            // an operation can recover from.
-            NodeKind::Inner => unreachable!("inner node in the leaf chain"),
+            // Leaf chains never link to an inner node; reaching one means
+            // corrupted pages, not a state an operation can recover from.
+            NodeKind::Inner => return Err(VerbError::Invariant("inner node in the leaf chain")),
         }
     }
 }
@@ -911,6 +896,12 @@ pub(crate) async fn with_op_span<T>(
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing
+)]
 mod tests {
     use super::*;
     use crate::fg::{FgConfig, FineGrained};

@@ -409,6 +409,8 @@ impl FineGrained {
     }
 }
 
+#[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)]
+#[deny(clippy::unreachable, clippy::unimplemented, clippy::indexing_slicing)]
 impl NodeSource for FineGrained {
     /// The client descends the remotely stored inner levels itself.
     const CLIENT_DESCENT: bool = true;
@@ -435,6 +437,8 @@ impl NodeSource for FineGrained {
     }
 }
 
+#[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)]
+#[deny(clippy::unreachable, clippy::unimplemented, clippy::indexing_slicing)]
 impl TreeWriter for FineGrained {
     async fn alloc(&self, ep: &Endpoint) -> Result<RemotePtr, VerbError> {
         engine::rr_alloc(ep, &self.alloc_rr, self.ps()).await
@@ -453,6 +457,8 @@ impl TreeWriter for FineGrained {
     }
 }
 
+#[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)]
+#[deny(clippy::unreachable, clippy::unimplemented, clippy::indexing_slicing)]
 impl RemoteUpper for FineGrained {
     fn layout(&self) -> PageLayout {
         self.layout

@@ -24,7 +24,7 @@ use rdma_sim::{Endpoint, OpKind, RemotePtr, RpcReply, VerbError};
 use crate::cg::CoarseGrained;
 use crate::fg::FineGrained;
 use crate::hybrid::Hybrid;
-use crate::onesided::{lock_node, read_unlocked, write_unlock};
+use crate::onesided::{lock_node, read_unlocked};
 
 /// Report to the installed verb observers that an epoch pass retired
 /// `[ptr, ptr + len)` — any later verb touching the region is a
@@ -71,6 +71,8 @@ async fn cg_gc_pass_inner(idx: &CoarseGrained, ep: &Endpoint) -> Result<usize, V
 
 /// Walk a fine-grained leaf chain from `first`, compacting tombstoned
 /// leaves with the one-sided protocol. Returns entries reclaimed.
+#[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)]
+#[deny(clippy::unreachable, clippy::unimplemented, clippy::indexing_slicing)]
 async fn onesided_chain_gc(
     ep: &Endpoint,
     first: RemotePtr,
@@ -97,14 +99,13 @@ async fn onesided_chain_gc(
                 let has_tombstones = leaf.live_count() < leaf.count();
                 if has_tombstones {
                     // Lock, compact a fresh copy, write back.
-                    let mut locked_page = page;
-                    lock_node(ep, cur, &mut locked_page).await?;
-                    reclaimed += LeafNodeMut::new(&mut locked_page).compact();
-                    write_unlock(ep, cur, &locked_page, None).await?;
+                    let mut locked = lock_node(ep, cur, page).await?;
+                    reclaimed += LeafNodeMut::new(&mut locked.page).compact();
+                    locked.commit(ep, None).await?;
                 }
                 cur = next;
             }
-            NodeKind::Inner => unreachable!("inner node in the leaf chain"),
+            NodeKind::Inner => return Err(VerbError::Invariant("inner node in the leaf chain")),
         }
     }
     Ok(reclaimed)
@@ -160,6 +161,8 @@ async fn hybrid_gc_pass_inner(idx: &Hybrid, ep: &Endpoint) -> Result<usize, Verb
 mod tests {
     use super::*;
     use crate::fg::FgConfig;
+    use blink::layout::lock_word;
+    use blink::node::version_lock_of;
     use blink::PageLayout;
     use nam::{NamCluster, PartitionMap};
     use rdma_sim::{Cluster, ClusterSpec};
@@ -258,5 +261,47 @@ mod tests {
         }
         sim.run();
         assert_eq!(freed.get(), 50);
+    }
+
+    /// A refused write-back must not leak the collector's leaf lock for
+    /// a lease: `fg_gc_pass` fails, but the word is already unlocked and
+    /// the next writer of that leaf gets straight in.
+    #[test]
+    fn refused_gc_write_back_releases_the_leaf_lock() {
+        use crate::onesided::{abandoned_guards, tests::LockProbe};
+        let sim = Sim::new();
+        let cluster = Cluster::new(&sim, ClusterSpec::default());
+        let cfg = FgConfig {
+            layout: PageLayout::new(200),
+            fill: 0.7,
+            head_stride: 4,
+            cache_capacity: None,
+        };
+        let idx = FineGrained::build(&cluster, cfg, (0..500u64).map(|i| (i * 8, i)));
+        let probe = LockProbe::install(&cluster);
+        let collector = Endpoint::new(&cluster);
+        let writer = Endpoint::new(&cluster);
+        let lease = cluster.spec().lease_duration;
+        let s = sim.clone();
+        let done = Rc::new(Cell::new(false));
+        let done2 = done.clone();
+        sim.spawn(async move {
+            assert!(idx.delete(&writer, 80).await.unwrap());
+            // Position 0 under the collector's lock is the write-back.
+            probe.refuse_nth(0);
+            let res = fg_gc_pass(&idx, &collector).await;
+            assert!(matches!(res, Err(VerbError::Timeout { .. })), "{res:?}");
+            let (leaf, _) = *probe.sections.borrow().last().unwrap();
+            let word = version_lock_of(&idx.cluster().setup_read(leaf, 8));
+            assert!(!lock_word::is_locked(word), "GC leaked the leaf lock");
+            let before = s.now();
+            idx.insert(&writer, 81, 1).await.unwrap();
+            assert!(s.now() - before < lease / 10, "insert waited out a lease");
+            assert_eq!(probe.sections.borrow().last().unwrap().0, leaf);
+            done2.set(true);
+        });
+        sim.run();
+        assert!(done.get());
+        assert_eq!(abandoned_guards(), 0);
     }
 }

@@ -161,6 +161,20 @@ impl Hybrid {
     pub fn setup_source(&self) -> SetupSource {
         SetupSource::new(&self.cluster, self.layout)
     }
+}
+
+/// The operation path: errors are typed, nothing here may panic.
+#[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)]
+#[deny(clippy::unreachable, clippy::unimplemented, clippy::indexing_slicing)]
+impl Hybrid {
+    /// Server `s`'s upper-level tree.
+    #[allow(
+        clippy::indexing_slicing,
+        reason = "the partition map only yields server ids below the cluster size it was built with"
+    )]
+    fn node(&self, s: usize) -> Rc<ServerNode> {
+        self.nodes[s].clone()
+    }
 
     /// RPC the upper levels for the leaf covering `key` (§5.2: the RPC
     /// returns only the remote pointer). Falls back to successive
@@ -173,14 +187,12 @@ impl Hybrid {
         req_bytes: usize,
     ) -> Result<RemotePtr, VerbError> {
         let mut s = self.partition.server_of(key);
-        // protolint: loop(probe) -- falls through to the next partition
-        // only when the covering leaf's high key lives there; the
-        // rightmost leaf (high key = +inf) bounds the probe.
+        // Falls through to the next partition only when the covering
+        // leaf's high key lives there; the rightmost leaf (high key =
+        // +inf) bounds the probe, and the trailing assert! bounds `s`
+        // before the next index.
         loop {
-            // protolint: allow(hot-panic) -- the partition map only
-            // yields ids below the cluster size, and the trailing
-            // assert! bounds the fall-through before the next index.
-            let node = self.nodes[s].clone();
+            let node = self.node(s);
             let spec = self.cluster.spec().clone();
             let found: Option<u64> = if ep.is_local(s) {
                 // Co-located fast path (Appendix A.3).
@@ -243,6 +255,8 @@ impl Hybrid {
     }
 }
 
+#[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)]
+#[deny(clippy::unreachable, clippy::unimplemented, clippy::indexing_slicing)]
 impl NodeSource for Hybrid {
     /// The upper levels are server-local: `start` already resolves to
     /// the leaf chain, the client never descends inner levels.
@@ -276,6 +290,8 @@ impl NodeSource for Hybrid {
     }
 }
 
+#[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)]
+#[deny(clippy::unreachable, clippy::unimplemented, clippy::indexing_slicing)]
 impl TreeWriter for Hybrid {
     async fn alloc(&self, ep: &Endpoint) -> Result<RemotePtr, VerbError> {
         engine::rr_alloc(ep, &self.alloc_rr, self.ps()).await
@@ -299,9 +315,7 @@ impl TreeWriter for Hybrid {
         let s_new = self.partition.server_of(sep);
         let s_old = self.partition.server_of(old_high);
         if s_new == s_old {
-            // protolint: allow(hot-panic) -- the partition map only
-            // yields ids below the cluster size it was built with.
-            let node = self.nodes[s_new].clone();
+            let node = self.node(s_new);
             let spec = self.cluster.spec().clone();
             let sim = self.sim.clone();
             let cluster = self.cluster.clone();
@@ -346,9 +360,7 @@ impl TreeWriter for Hybrid {
             .await?;
         } else {
             // Cross-partition: two RPCs, new entry first.
-            // protolint: allow(hot-panic) -- the partition map only
-            // yields ids below the cluster size it was built with.
-            let node = self.nodes[s_new].clone();
+            let node = self.node(s_new);
             let spec = self.cluster.spec().clone();
             let sim = self.sim.clone();
             let cluster = self.cluster.clone();
@@ -372,9 +384,7 @@ impl TreeWriter for Hybrid {
                 }
             })
             .await?;
-            // protolint: allow(hot-panic) -- the partition map only
-            // yields ids below the cluster size it was built with.
-            let node = self.nodes[s_old].clone();
+            let node = self.node(s_old);
             let spec = self.cluster.spec().clone();
             let cluster = self.cluster.clone();
             let right_raw = right.raw();

@@ -99,6 +99,8 @@ pub struct Learned {
     fallbacks: Cell<u64>,
 }
 
+#[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)]
+#[deny(clippy::unreachable, clippy::unimplemented, clippy::indexing_slicing)]
 impl Learned {
     /// Build the hybrid layout over `items`, then train the initial
     /// model from its leaf chain. Model knobs come from the cluster
@@ -224,10 +226,8 @@ impl Learned {
                 NodeKind::Inner => return,
             }
         }
-        // protolint: allow(hot-panic) -- windows(2) yields exactly
-        // two-element slices, so the pairwise indexing cannot miss.
         let intact = !table.is_empty()
-            && table.windows(2).all(|w| w[0].0 < w[1].0)
+            && table.is_sorted_by(|a, b| a.0 < b.0)
             && table.last().map(|e| e.0) == Some(blink::KEY_MAX);
         if !intact {
             return;
@@ -269,6 +269,8 @@ impl Learned {
     }
 }
 
+#[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)]
+#[deny(clippy::unreachable, clippy::unimplemented, clippy::indexing_slicing)]
 impl NodeSource for Learned {
     /// Predictions resolve straight to the leaf chain; the client never
     /// descends inner levels (there are none visible to it).
@@ -314,9 +316,6 @@ impl NodeSource for Learned {
         // raw, skipping `read_unlocked`'s locked-spin re-read, so a
         // mid-write snapshot can escape into the descent.
         if crate::race_mut(crate::RaceMut::LearnedNoReread) {
-            // protolint: allow(validated-before-use) -- seeded race
-            // mutation; the clean path below reads through the
-            // self-validating `read_unlocked` primitive.
             return ep.read(ptr, self.ps()).await;
         }
         read_unlocked(ep, ptr, self.ps()).await
@@ -331,6 +330,8 @@ impl NodeSource for Learned {
     }
 }
 
+#[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)]
+#[deny(clippy::unreachable, clippy::unimplemented, clippy::indexing_slicing)]
 impl TreeWriter for Learned {
     async fn alloc(&self, ep: &Endpoint) -> Result<RemotePtr, VerbError> {
         engine::rr_alloc(ep, self.tree.alloc_cursor(), self.ps()).await

@@ -45,6 +45,7 @@ pub use engine::RangeProgress;
 pub use fg::{FgConfig, FineGrained};
 pub use hybrid::Hybrid;
 pub use learned::{Learned, LearnedStats};
+pub use onesided::abandoned_guards;
 pub use resolve::{CachePolicy, NodeSource, OpAccess, SetupSource};
 
 use blink::{Key, Value};
@@ -121,11 +122,10 @@ pub fn mutations_enabled() -> bool {
 
 /// The seeded *race* mutations of `mutations` builds: each one elides a
 /// single read-validation fence so the happens-before race detector
-/// (`crates/racecheck`) and the `validated-before-use` protolint rule
-/// can be mutation-tested. Unlike the always-on historical mutations A/B
-/// these are selected one at a time through the `NAMDEX_RACE_MUT`
-/// environment variable, so one `mutations` binary can hunt each race in
-/// isolation.
+/// (`crates/racecheck`) can be mutation-tested. Unlike the always-on
+/// historical mutations A/B these are selected one at a time through the
+/// `NAMDEX_RACE_MUT` environment variable, so one `mutations` binary can
+/// hunt each race in isolation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RaceMut {
     /// Drop the `covers()` version re-check in the engine descent: the
@@ -139,8 +139,9 @@ pub enum RaceMut {
     /// is read raw instead of through `read_unlocked`, so a mid-write
     /// snapshot can escape without the spin re-read.
     LearnedNoReread,
-    /// Reorder the commit: unlock FAA before the final in-place WRITE,
-    /// publishing the version bump while the page bytes still race.
+    /// Reorder the commit (`Locked::commit`, the only place the order is
+    /// written): unlock FAA before the final in-place WRITE, publishing
+    /// the version bump while the page bytes still race.
     UnlockBeforeWrite,
 }
 

@@ -6,8 +6,10 @@
 //!   retry costs a round trip on the wire, not server CPU).
 //! * `remote_upgradeToWriteLockOrRestart` → [`lock_node`]: CAS the
 //!   `(version, lock-bit)` word from the observed unlocked value to its
-//!   locked form; on CAS failure, re-read and retry.
-//! * `remote_writeUnlock` → [`write_unlock`]: install the (optional)
+//!   locked form; on CAS failure, re-read and retry. Success yields a
+//!   [`Locked`] guard — the only handle through which a verb can be
+//!   issued under the remote lock.
+//! * `remote_writeUnlock` → [`Locked::commit`]: install the (optional)
 //!   split sibling with a WRITE, write the modified node back, then
 //!   FETCH_AND_ADD(+1) the lock word — clearing the lock bit and bumping
 //!   the version in one atomic step.
@@ -31,29 +33,26 @@
 //! (run by `Cluster::new`) enforces as
 //! `lease_duration > MAX_LOCK_HOLD_VERBS * verb_timeout`.
 //!
-//! ## Critical-section inventory (generated)
+//! ## Critical sections
 //!
-//! [protolint:cs-inventory:begin]
-//! Critical sections discovered by `cargo xtask protolint` (verbs issued
-//! between a lock acquire and its happy-path release; the best-effort
-//! rescue FAA on error paths reuses the unlock slot and is not counted):
+//! Verbs a [`Locked`] guard issues between the acquire CAS and its
+//! unlock FAA (the best-effort rescue FAA on an error path reuses the
+//! unlock slot and is not counted); the guard counts them on every run:
 //!
-//! - `delete`: in-place WRITE + unlock FAA (2 verbs)
-//! - `delete`: unlock FAA (1 verb)
-//! - `insert`: alloc + sibling WRITE + in-place WRITE + unlock FAA (4 verbs)
-//! - `insert`: in-place WRITE + unlock FAA (2 verbs)
-//! - `insert`: unlock FAA (1 verb)
-//! - `lock_covering_leaf`: unlock FAA (1 verb)
-//! - `propagate_split`: alloc + sibling WRITE + in-place WRITE + unlock FAA (4 verbs)
-//! - `propagate_split`: in-place WRITE + unlock FAA (2 verbs)
-//! - `propagate_split`: unlock FAA (1 verb)
-//!
-//! Widest section: 4 verbs = MAX_LOCK_HOLD_VERBS (4), enforced statically by the `cs-verb-bound` rule.
-//! [protolint:cs-inventory:end]
+//! - `release`: unlock FAA (1 verb)
+//! - `commit`: in-place WRITE + unlock FAA (2 verbs)
+//! - `under(alloc)` + split `commit`: alloc + sibling WRITE + in-place
+//!   WRITE + unlock FAA (4 verbs = `MAX_LOCK_HOLD_VERBS`)
+
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)]
+#![deny(clippy::unreachable, clippy::unimplemented, clippy::indexing_slicing)]
+
+use std::cell::Cell;
+use std::future::Future;
 
 use blink::layout::lock_word;
-use blink::node::version_lock_of;
-use rdma_sim::{Endpoint, PageBuf, RegionKind, RemotePtr, VerbError};
+use blink::node::{set_version_lock, version_lock_of};
+use rdma_sim::{Endpoint, PageBuf, RegionKind, RemotePtr, VerbError, MAX_LOCK_HOLD_VERBS};
 use simnet::SimTime;
 
 use crate::engine::spin_backoff as backoff;
@@ -106,7 +105,6 @@ impl LeaseWatch {
 /// READ `ptr` until the copy observed is unlocked (remote spin with
 /// exponential backoff; each retry is a fresh READ). Returns the page
 /// bytes. Breaks an orphaned lock after the lease expires.
-// protolint: role(spin-read), primitive -- one READ per attempt.
 pub(crate) async fn read_unlocked(
     ep: &Endpoint,
     ptr: RemotePtr,
@@ -145,18 +143,168 @@ pub(crate) async fn read_unlocked(
     res
 }
 
+thread_local! {
+    static ABANDONED: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Remote-lock guards dropped on this thread without being discharged: a
+/// remote lock leaked until its lease expires. Zero after any run that
+/// drained (a destructor cannot await the unlock FAA, so `Drop` only
+/// counts); tearing a simulation down with operations still in flight
+/// legitimately abandons theirs, so read this before the teardown.
+pub fn abandoned_guards() -> u64 {
+    ABANDONED.with(Cell::get)
+}
+
+/// A held remote node lock: the only handle through which a verb can be
+/// issued under it. Move-only; each of [`under`](Self::under),
+/// [`commit`](Self::commit) and [`release`](Self::release) consumes the
+/// guard, so a second release is a use-after-move, and the guard counts
+/// its own verbs against [`MAX_LOCK_HOLD_VERBS`] — the bound the lease
+/// argument above rests on.
+#[must_use = "a remote lock stays held until `commit` or `release`"]
+pub(crate) struct Locked {
+    /// Null once discharged (unlock issued, or the holder is dead).
+    ptr: RemotePtr,
+    /// The node image, carrying the *locked* lock word so the in-place
+    /// WRITE of `commit` does not transiently unlock the node.
+    pub(crate) page: PageBuf,
+    verbs: u32,
+}
+
+impl Drop for Locked {
+    fn drop(&mut self) {
+        if !self.ptr.is_null() {
+            ABANDONED.with(|n| n.set(n.get() + 1));
+        }
+    }
+}
+
+impl Locked {
+    /// The locked node.
+    pub(crate) fn ptr(&self) -> RemotePtr {
+        self.ptr
+    }
+
+    /// Charge `n` verbs to the lock-hold budget.
+    fn spend(&mut self, n: u32) -> Result<(), VerbError> {
+        self.verbs += n;
+        if self.verbs > MAX_LOCK_HOLD_VERBS {
+            return Err(VerbError::Invariant(
+                "more than MAX_LOCK_HOLD_VERBS verbs under one remote lock",
+            ));
+        }
+        Ok(())
+    }
+
+    /// Discharge after a failed section: best-effort FAA-release the
+    /// lock, which is *known to be still held* — every verb inside the
+    /// critical section either applied its effect (then there is no
+    /// error) or was refused with no effect (then the unlock FAA never
+    /// landed). Releasing keeps a retrying client from stalling a full
+    /// lease on its own abandoned lock. A `Cancelled` client skips the
+    /// attempt (its verbs are refused anyway); the FAA failing is always
+    /// tolerable, since lease expiry remains the backstop.
+    async fn rescue(mut self, ep: &Endpoint, e: VerbError) -> VerbError {
+        let ptr = std::mem::replace(&mut self.ptr, RemotePtr::NULL);
+        if e != VerbError::Cancelled {
+            let _ = ep.fetch_add(ptr, 1).await;
+        }
+        e
+    }
+
+    /// Run one fallible verb (the split's `alloc`) under the lock; on
+    /// `Err` the lock is rescued and the guard is gone.
+    pub(crate) async fn under<T>(
+        mut self,
+        ep: &Endpoint,
+        verb: impl Future<Output = Result<T, VerbError>>,
+    ) -> Result<(Locked, T), VerbError> {
+        let res = match self.spend(1) {
+            Ok(()) => verb.await,
+            Err(e) => Err(e),
+        };
+        match res {
+            Ok(v) => Ok((self, v)),
+            Err(e) => Err(self.rescue(ep, e).await),
+        }
+    }
+
+    /// `remote_writeUnlock` (Listing 4): if the node was split, WRITE the
+    /// new right sibling first; WRITE the modified node in place;
+    /// FETCH_AND_ADD the lock word to unlock-and-version-bump. The lock
+    /// is rescued if any of them is refused.
+    pub(crate) async fn commit(
+        mut self,
+        ep: &Endpoint,
+        split: Option<(RemotePtr, &[u8])>,
+    ) -> Result<(), VerbError> {
+        match self.write_unlock(ep, split).await {
+            Ok(()) => {
+                self.ptr = RemotePtr::NULL;
+                Ok(())
+            }
+            Err(e) => Err(self.rescue(ep, e).await),
+        }
+    }
+
+    /// The one place the WRITE → FAA order of a commit is written.
+    async fn write_unlock(
+        &mut self,
+        ep: &Endpoint,
+        split: Option<(RemotePtr, &[u8])>,
+    ) -> Result<(), VerbError> {
+        debug_assert!(
+            lock_word::is_locked(version_lock_of(&self.page)),
+            "commit requires the locked lock word in the page image"
+        );
+        self.spend(2 + u32::from(split.is_some()))?;
+        if let Some((right_ptr, right_page)) = split {
+            ep.write(right_ptr, right_page).await?;
+        }
+        // Mutation (race, `mutations` builds under
+        // NAMDEX_RACE_MUT=unlock-before-write): publish the unlock/version
+        // bump *before* the in-place write-back, opening a window where a
+        // contender can acquire the lock while the page bytes still race
+        // with this client's deferred WRITE.
+        if crate::race_mut(crate::RaceMut::UnlockBeforeWrite) {
+            let prev = ep.fetch_add(self.ptr, 1).await?;
+            // Ship the page with the post-unlock word (a plain reorder, not
+            // a stuck lock): readers can now observe a bumped version whose
+            // page bytes have not landed yet.
+            set_version_lock(&mut self.page, prev.wrapping_add(1));
+            ep.write(self.ptr, &self.page).await?;
+            return Ok(());
+        }
+        ep.write(self.ptr, &self.page).await?;
+        ep.fetch_add(self.ptr, 1).await?;
+        Ok(())
+    }
+
+    /// Release the lock *without* writing the page back (an operation
+    /// locked a node and then discovered it must move right, or has
+    /// nothing to change). The one FAA is the whole section: there is no
+    /// write-back to protect, so a refused FAA is not chased with a second
+    /// one and the lock falls to the lease break.
+    pub(crate) async fn release(mut self, ep: &Endpoint) -> Result<(), VerbError> {
+        let ptr = std::mem::replace(&mut self.ptr, RemotePtr::NULL);
+        let within_budget = self.spend(1);
+        ep.fetch_add(ptr, 1).await?;
+        within_budget
+    }
+}
+
 /// Acquire the node lock: CAS the lock word from the version observed in
 /// `page` to its locked form (carrying this client's owner id); on
-/// failure re-read and retry. On success, `page` holds a fresh unlocked
-/// copy whose lock word has been updated to the locked value (mirroring
-/// the remote state we just installed). Breaks an orphaned lock after
-/// the lease expires.
-// protolint: role(acquire), primitive -- the lock CAS of Listing 4.
+/// failure re-read and retry. On success, the guard's `page` holds a
+/// fresh unlocked copy whose lock word has been updated to the locked
+/// value (mirroring the remote state we just installed). Breaks an
+/// orphaned lock after the lease expires.
 pub(crate) async fn lock_node(
     ep: &Endpoint,
     ptr: RemotePtr,
-    page: &mut PageBuf,
-) -> Result<u64, VerbError> {
+    mut page: PageBuf,
+) -> Result<Locked, VerbError> {
     let mut attempt = 0u32;
     let mut watch = LeaseWatch::new();
     // Telemetry region state. Opened on the first locked/contended
@@ -165,14 +313,18 @@ pub(crate) async fn lock_node(
     // region.
     let mut waiting = false;
     let res = loop {
-        let v = version_lock_of(page);
+        let v = version_lock_of(&page);
         let observed_locked = lock_word::is_locked(v);
         if !observed_locked {
             let locked = lock_word::locked_by(v, ep.client_id());
             match ep.cas(ptr, v, locked).await {
                 Ok(old) if old == v => {
-                    blink::node::set_version_lock(page, locked);
-                    break Ok(locked);
+                    set_version_lock(&mut page, locked);
+                    break Ok(Locked {
+                        ptr,
+                        page,
+                        verbs: 0,
+                    });
                 }
                 Ok(_) => {}
                 Err(e) => break Err(e),
@@ -192,7 +344,7 @@ pub(crate) async fn lock_node(
         }
         ep.cluster().sim().clone().sleep(backoff(attempt)).await;
         attempt += 1;
-        *page = match ep.read(ptr, page.len()).await {
+        page = match ep.read(ptr, page.len()).await {
             Ok(p) => p,
             Err(e) => break Err(e),
         };
@@ -204,97 +356,98 @@ pub(crate) async fn lock_node(
     res
 }
 
-/// Release the node lock *without* writing the page back (used when an
-/// operation locked a node and then discovered it must move right).
-// protolint: role(release), primitive -- the bare unlock FAA.
-pub(crate) async fn unlock_only(ep: &Endpoint, ptr: RemotePtr) -> Result<(), VerbError> {
-    ep.fetch_add(ptr, 1).await?;
-    Ok(())
-}
-
-/// Pass through `res`, but on failure best-effort FAA-release the lock at
-/// `ptr`, which the caller *knows is still held*: every verb inside the
-/// critical section either applied its effect (then there is no error) or
-/// was refused with no effect (then the unlock FAA never landed), so an
-/// error from the section leaves the lock bit set. Releasing here keeps a
-/// retrying client from stalling a full lease on its own abandoned lock
-/// (and keeps the node available to everyone else).
-///
-/// Only sound *inside* the critical section — after a successful unlock,
-/// a stray FAA(+1) would set the lock bit on the unlocked word and create
-/// an ownerless ghost lock.
-///
-/// A `Cancelled` client skips the attempt (its verbs are refused anyway;
-/// lease-based recovery is what cleans up after the dead): the release
-/// failing is always tolerable, since lease expiry remains the backstop.
-// protolint: role(rescue), primitive -- discharges the lock on Err.
-pub(crate) async fn release_on_error<T>(
-    ep: &Endpoint,
-    ptr: RemotePtr,
-    res: Result<T, VerbError>,
-) -> Result<T, VerbError> {
-    if let Err(e) = &res {
-        if *e != VerbError::Cancelled {
-            let _ = unlock_only(ep, ptr).await;
-        }
-    }
-    res
-}
-
-/// `remote_writeUnlock` (Listing 4): if the node was split, WRITE the new
-/// right sibling first; WRITE the modified node in place; FETCH_AND_ADD
-/// the lock word to unlock-and-version-bump.
-///
-/// `page` must carry the *locked* lock word (as left by [`lock_node`]) so
-/// that the in-place WRITE does not transiently unlock the node; the
-/// final FAA performs the unlock.
-// protolint: role(commit-release), primitive -- WRITE(s) then unlock FAA.
-pub(crate) async fn write_unlock(
-    ep: &Endpoint,
-    ptr: RemotePtr,
-    page: &[u8],
-    split: Option<(RemotePtr, &[u8])>,
-) -> Result<(), VerbError> {
-    debug_assert!(
-        lock_word::is_locked(version_lock_of(page)),
-        "write_unlock requires the locked lock word in the page image"
-    );
-    if let Some((right_ptr, right_page)) = split {
-        ep.write(right_ptr, right_page).await?;
-    }
-    // Mutation (race, `mutations` builds under
-    // NAMDEX_RACE_MUT=unlock-before-write): publish the unlock/version
-    // bump *before* the in-place write-back, opening a window where a
-    // contender can acquire the lock while the page bytes still race
-    // with this client's deferred WRITE.
-    if crate::race_mut(crate::RaceMut::UnlockBeforeWrite) {
-        let prev = ep.fetch_add(ptr, 1).await?;
-        // Ship the page with the post-unlock word (a plain reorder, not
-        // a stuck lock): readers can now observe a bumped version whose
-        // page bytes have not landed yet.
-        let mut stale = page.to_vec();
-        // protolint: allow(hot-panic) -- fixed [..8] prefix of a page
-        // image that is at least a lock word long by construction.
-        stale[..8].copy_from_slice(&prev.wrapping_add(1).to_le_bytes());
-        // protolint: allow(validated-before-use) -- seeded race
-        // mutation; the clean path below writes before the unlock FAA.
-        ep.write(ptr, &stale).await?;
-        return Ok(());
-    }
-    ep.write(ptr, page).await?;
-    ep.fetch_add(ptr, 1).await?;
-    Ok(())
-}
-
 #[cfg(test)]
-mod tests {
+#[allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing
+)]
+pub(crate) mod tests {
     use super::*;
     use blink::layout::{PageLayout, Ptr, KEY_MAX};
     use blink::node::LeafNodeMut;
     use rdma_sim::{Cluster, ClusterSpec};
+    use rdma_sim::{LinkDegrade, VerbEvent, VerbKind, VerbObserver};
     use simnet::{Sim, SimDur};
-    use std::cell::Cell;
+    use std::cell::{Cell, RefCell};
     use std::rc::Rc;
+
+    /// Test observer over remote critical sections: records how many
+    /// verbs each one issued (acquire CAS exclusive, unlock FAA
+    /// inclusive), and can refuse exactly one verb — the `n`-th issued
+    /// under the next lock — by cutting every link until that verb's
+    /// timeout fires, so the verb after it goes through again.
+    pub(crate) struct LockProbe {
+        cluster: Cluster,
+        /// Verbs completed under the currently held lock.
+        open: Cell<Option<u32>>,
+        refuse: Cell<Option<u32>>,
+        /// `(locked node, verbs)` per closed section.
+        pub(crate) sections: RefCell<Vec<(RemotePtr, u32)>>,
+    }
+
+    impl LockProbe {
+        pub(crate) fn install(cluster: &Cluster) -> Rc<LockProbe> {
+            let probe = Rc::new(LockProbe {
+                cluster: cluster.clone(),
+                open: Cell::new(None),
+                refuse: Cell::new(None),
+                sections: RefCell::default(),
+            });
+            cluster.add_observer(probe.clone());
+            probe
+        }
+
+        /// Refuse the verb at position `nth` (0 = first after the CAS)
+        /// of the next critical section.
+        pub(crate) fn refuse_nth(&self, nth: u32) {
+            self.refuse.set(Some(nth));
+        }
+    }
+
+    impl VerbObserver for LockProbe {
+        fn on_verb(&self, ev: &VerbEvent) {
+            let done = match (ev.kind, self.open.get()) {
+                (
+                    VerbKind::Cas {
+                        expected,
+                        new,
+                        prev,
+                    },
+                    None,
+                ) if prev == expected && lock_word::is_acquire(expected, new) => 0,
+                (_, Some(done)) => done + 1,
+                _ => return,
+            };
+            if matches!(ev.kind, VerbKind::Faa { .. }) {
+                self.open.set(None);
+                self.sections
+                    .borrow_mut()
+                    .push((RemotePtr::new(ev.server, ev.offset), done));
+                return;
+            }
+            self.open.set(Some(done));
+            if self.refuse.get() == Some(done) {
+                self.refuse.set(None);
+                for s in 0..self.cluster.num_servers() {
+                    let cut = LinkDegrade {
+                        drop_chance: 1.0,
+                        ..LinkDegrade::default()
+                    };
+                    self.cluster.degrade_link(s, cut);
+                }
+            }
+        }
+
+        fn on_free(&self, _: usize, _: u64, _: usize, _: SimTime) {}
+
+        fn on_verb_failed(&self, _: u64, _: usize, _: SimTime) {
+            for s in 0..self.cluster.num_servers() {
+                self.cluster.restore_link(s);
+            }
+        }
+    }
 
     fn setup_leaf(cluster: &Cluster) -> RemotePtr {
         let layout = PageLayout::default();
@@ -360,13 +513,13 @@ mod tests {
             let max_in_cs = max_in_cs.clone();
             let s = sim.clone();
             sim.spawn(async move {
-                let mut page = ep.read(ptr, 1024).await.unwrap();
-                lock_node(&ep, ptr, &mut page).await.unwrap();
+                let page = ep.read(ptr, 1024).await.unwrap();
+                let locked = lock_node(&ep, ptr, page).await.unwrap();
                 in_cs.set(in_cs.get() + 1);
                 max_in_cs.set(max_in_cs.get().max(in_cs.get()));
                 s.sleep(SimDur::from_micros(3)).await; // critical section
                 in_cs.set(in_cs.get() - 1);
-                write_unlock(&ep, ptr, &page, None).await.unwrap();
+                locked.commit(&ep, None).await.unwrap();
             });
         }
         sim.run();
@@ -384,21 +537,19 @@ mod tests {
     }
 
     #[test]
-    fn write_unlock_installs_split_sibling_first() {
+    fn commit_installs_split_sibling_first() {
         let sim = Sim::new();
         let cluster = Cluster::new(&sim, ClusterSpec::default());
         let ptr = setup_leaf(&cluster);
         let right_ptr = cluster.setup_alloc(1, 1024);
         let ep = Endpoint::new(&cluster);
         sim.spawn(async move {
-            let mut page = ep.read(ptr, 1024).await.unwrap();
-            lock_node(&ep, ptr, &mut page).await.unwrap();
+            let page = ep.read(ptr, 1024).await.unwrap();
+            let locked = lock_node(&ep, ptr, page).await.unwrap();
             let layout = PageLayout::default();
             let mut right = layout.alloc_page();
             LeafNodeMut::init(&mut right, KEY_MAX, Ptr::NULL, Ptr::NULL);
-            write_unlock(&ep, ptr, &page, Some((right_ptr, &right)))
-                .await
-                .unwrap();
+            locked.commit(&ep, Some((right_ptr, &right))).await.unwrap();
         });
         sim.run();
         // Right page exists remotely and left is unlocked.
@@ -409,19 +560,19 @@ mod tests {
     }
 
     #[test]
-    fn unlock_only_releases() {
+    fn release_unlocks_without_write_back() {
         let sim = Sim::new();
         let cluster = Cluster::new(&sim, ClusterSpec::default());
         let ptr = setup_leaf(&cluster);
         let ep = Endpoint::new(&cluster);
         sim.spawn(async move {
-            let mut page = ep.read(ptr, 1024).await.unwrap();
-            lock_node(&ep, ptr, &mut page).await.unwrap();
-            unlock_only(&ep, ptr).await.unwrap();
+            let page = ep.read(ptr, 1024).await.unwrap();
+            let locked = lock_node(&ep, ptr, page).await.unwrap();
+            locked.release(&ep).await.unwrap();
             // Lock again to prove it is free.
-            let mut page = ep.read(ptr, 1024).await.unwrap();
-            lock_node(&ep, ptr, &mut page).await.unwrap();
-            write_unlock(&ep, ptr, &page, None).await.unwrap();
+            let page = ep.read(ptr, 1024).await.unwrap();
+            let locked = lock_node(&ep, ptr, page).await.unwrap();
+            locked.commit(&ep, None).await.unwrap();
         });
         sim.run();
         let word = cluster.with_pool(0, |p| p.read_u64(ptr.offset()));
@@ -446,16 +597,16 @@ mod tests {
             let s = sim.clone();
             sim.spawn(async move {
                 // The victim wins the lock and dies holding it.
-                let mut page = victim.read(ptr, 1024).await.unwrap();
-                lock_node(&victim, ptr, &mut page).await.unwrap();
+                let page = victim.read(ptr, 1024).await.unwrap();
+                let locked = lock_node(&victim, ptr, page).await.unwrap();
                 assert!(matches!(
-                    write_unlock(&victim, ptr, &page, None).await,
+                    locked.commit(&victim, None).await,
                     Err(VerbError::Cancelled)
                 ));
                 // The contender must still get through.
-                let mut page = contender.read(ptr, 1024).await.unwrap();
-                lock_node(&contender, ptr, &mut page).await.unwrap();
-                write_unlock(&contender, ptr, &page, None).await.unwrap();
+                let page = contender.read(ptr, 1024).await.unwrap();
+                let locked = lock_node(&contender, ptr, page).await.unwrap();
+                locked.commit(&contender, None).await.unwrap();
                 d.set(s.now().as_nanos());
             });
         }
@@ -471,5 +622,122 @@ mod tests {
         assert_eq!(lock_word::epoch_of(word), 1, "one lease break happened");
         // Break bumped the version once, the contender's cycle once more.
         assert_eq!(lock_word::version_of(word), 2);
+    }
+
+    /// One refused verb at each position of a split commit — alloc,
+    /// sibling WRITE, in-place WRITE, unlock FAA — is rescued: the op
+    /// fails, but the word is unlocked on return and no guard was
+    /// dropped undischarged.
+    #[test]
+    fn a_refused_verb_at_any_position_of_a_split_commit_is_rescued() {
+        for pos in 0..MAX_LOCK_HOLD_VERBS {
+            let sim = Sim::new();
+            let cluster = Cluster::new(&sim, ClusterSpec::default());
+            let ptr = setup_leaf(&cluster);
+            let probe = LockProbe::install(&cluster);
+            probe.refuse_nth(pos);
+            let ep = Endpoint::new(&cluster);
+            let outcome = Rc::new(Cell::new(None));
+            let out = outcome.clone();
+            sim.spawn(async move {
+                let page = ep.read(ptr, 1024).await.unwrap();
+                let locked = lock_node(&ep, ptr, page).await.unwrap();
+                let res = match locked.under(&ep, ep.alloc(1, 1024)).await {
+                    Ok((locked, right_ptr)) => {
+                        let right = PageLayout::default().alloc_page();
+                        locked.commit(&ep, Some((right_ptr, &right))).await
+                    }
+                    Err(e) => Err(e),
+                };
+                out.set(Some(res));
+            });
+            sim.run();
+            assert!(
+                matches!(outcome.get(), Some(Err(VerbError::Timeout { .. }))),
+                "position {pos}: {:?}",
+                outcome.get()
+            );
+            assert_eq!(cluster.fault_stats().verbs_dropped, 1, "position {pos}");
+            let word = cluster.with_pool(0, |p| p.read_u64(ptr.offset()));
+            assert!(!lock_word::is_locked(word), "position {pos}: lock leaked");
+            assert_eq!(lock_word::version_of(word), 1, "position {pos}");
+            assert_eq!(abandoned_guards(), 0, "position {pos}");
+        }
+    }
+
+    /// The widest critical sections — a leaf split and an inner split —
+    /// issue exactly `MAX_LOCK_HOLD_VERBS` verbs, so the constant the
+    /// lease argument rests on can drift neither up (this equality) nor
+    /// down (the guard would refuse the splits).
+    #[test]
+    fn leaf_and_inner_splits_spend_exactly_the_verb_budget() {
+        use crate::fg::{FgConfig, FineGrained};
+        use blink::node::{kind_of, NodeKind};
+        let sim = Sim::new();
+        let cluster = Cluster::new(&sim, ClusterSpec::default());
+        let cfg = FgConfig {
+            layout: PageLayout::new(200),
+            fill: 0.7,
+            head_stride: 4,
+            cache_capacity: None,
+        };
+        let idx = FineGrained::build(&cluster, cfg, (0..100u64).map(|i| (i * 8, i)));
+        let probe = LockProbe::install(&cluster);
+        let ep = Endpoint::new(&cluster);
+        sim.spawn(async move {
+            for k in 0..600u64 {
+                idx.insert(&ep, 1_000 + k, k).await.unwrap();
+            }
+        });
+        sim.run();
+        let widest = |kind: NodeKind| {
+            let sections = probe.sections.borrow();
+            let of_kind = sections
+                .iter()
+                .filter(|(ptr, _)| kind_of(&cluster.setup_read(*ptr, 200)) == kind);
+            of_kind.map(|&(_, verbs)| verbs).max()
+        };
+        assert_eq!(widest(NodeKind::Leaf), Some(MAX_LOCK_HOLD_VERBS));
+        assert_eq!(widest(NodeKind::Inner), Some(MAX_LOCK_HOLD_VERBS));
+        assert_eq!(abandoned_guards(), 0);
+    }
+
+    #[test]
+    fn a_fifth_verb_under_the_lock_trips_the_budget() {
+        let sim = Sim::new();
+        let cluster = Cluster::new(&sim, ClusterSpec::default());
+        let ptr = setup_leaf(&cluster);
+        let ep = Endpoint::new(&cluster);
+        sim.spawn(async move {
+            let page = ep.read(ptr, 1024).await.unwrap();
+            let locked = lock_node(&ep, ptr, page).await.unwrap();
+            let (locked, _) = locked.under(&ep, ep.alloc(1, 1024)).await.unwrap();
+            let (locked, right_ptr) = locked.under(&ep, ep.alloc(1, 1024)).await.unwrap();
+            let right = PageLayout::default().alloc_page();
+            // alloc + alloc + sibling WRITE + in-place WRITE + FAA = 5.
+            let res = locked.commit(&ep, Some((right_ptr, &right))).await;
+            assert!(matches!(res, Err(VerbError::Invariant(_))), "{res:?}");
+        });
+        sim.run();
+        let word = cluster.with_pool(0, |p| p.read_u64(ptr.offset()));
+        assert!(
+            !lock_word::is_locked(word),
+            "the refused section is rescued"
+        );
+        assert_eq!(abandoned_guards(), 0);
+    }
+
+    #[test]
+    fn dropping_a_live_guard_is_counted() {
+        let sim = Sim::new();
+        let cluster = Cluster::new(&sim, ClusterSpec::default());
+        let ptr = setup_leaf(&cluster);
+        let ep = Endpoint::new(&cluster);
+        sim.spawn(async move {
+            let page = ep.read(ptr, 1024).await.unwrap();
+            drop(lock_node(&ep, ptr, page).await.unwrap());
+        });
+        sim.run();
+        assert_eq!(abandoned_guards(), 1);
     }
 }

@@ -37,6 +37,9 @@
 //! version replaces it on the next miss), and a server restart flushes
 //! the whole cache via a restart-epoch check before any hit is served.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)]
+#![deny(clippy::unreachable, clippy::unimplemented, clippy::indexing_slicing)]
+
 use blink::node::{kind_of, HeadNodeRef, LeafNodeRef, NodeKind};
 use blink::{Key, PageLayout};
 use rdma_sim::{Cluster, Endpoint, FenceKind, PageBuf, RemotePtr, VerbError};
@@ -284,6 +287,12 @@ impl SetupSource {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing
+)]
 mod tests {
     use super::*;
     use blink::node::{InnerNodeMut, LeafNodeMut};

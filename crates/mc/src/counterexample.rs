@@ -23,7 +23,8 @@ pub enum ViolationClass {
     /// read, write-write race, stale-epoch cached use). The rule id is in
     /// the counterexample's detail line.
     Racecheck,
-    /// Lock held by a live owner at quiescence.
+    /// Lock held by a live owner at quiescence, or a lock guard dropped
+    /// undischarged.
     LockLeak,
     /// Tasks still live after the sim drained.
     TaskLeak,
@@ -62,7 +63,7 @@ pub fn classify(report: &RunReport) -> Option<ViolationClass> {
         Some(ViolationClass::Linearizability)
     } else if !report.violations.is_empty() {
         Some(ViolationClass::Racecheck)
-    } else if !report.held_leaks.is_empty() {
+    } else if !report.held_leaks.is_empty() || report.abandoned_guards > 0 {
         Some(ViolationClass::LockLeak)
     } else if report.task_leak > 0 {
         Some(ViolationClass::TaskLeak)

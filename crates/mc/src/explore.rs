@@ -135,10 +135,16 @@ fn violation_detail(report: &RunReport, class: ViolationClass, rules: &[&str]) -
                 format!("{}{by} at server {} offset {}", v.rule, v.server, v.offset)
             })
             .unwrap_or_default(),
-        ViolationClass::LockLeak => format!(
-            "lock held at quiescence by live client {} (server {}, offset {})",
-            report.held_leaks[0].owner, report.held_leaks[0].server, report.held_leaks[0].offset
-        ),
+        ViolationClass::LockLeak => match report.held_leaks.first() {
+            Some(l) => format!(
+                "lock held at quiescence by live client {} (server {}, offset {})",
+                l.owner, l.server, l.offset
+            ),
+            None => format!(
+                "{} lock guard(s) dropped undischarged",
+                report.abandoned_guards
+            ),
+        },
         ViolationClass::TaskLeak => {
             format!("{} tasks still live at quiescence", report.task_leak)
         }

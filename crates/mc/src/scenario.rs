@@ -219,6 +219,10 @@ pub struct RunReport {
     /// are excused under [`FaultMode::Chaos`] — lease recovery frees
     /// them lazily on next touch).
     pub held_leaks: Vec<HeldLock>,
+    /// Lock guards dropped undischarged during the run
+    /// ([`namdex_core::abandoned_guards`], read before the sim is torn
+    /// down) — must be 0.
+    pub abandoned_guards: u64,
     /// Tasks still live after the sim drained — must be 0.
     pub task_leak: usize,
     /// Virtual end time of the run, nanoseconds.
@@ -246,6 +250,7 @@ impl RunReport {
         self.lin.is_ok()
             && self.violations.is_empty()
             && self.held_leaks.is_empty()
+            && self.abandoned_guards == 0
             && self.task_leak == 0
     }
 }
@@ -458,6 +463,7 @@ pub fn run_scenario_with_history(
         (1..=3).contains(&sc.clients),
         "insert-offset partitioning supports 1..=3 clients"
     );
+    let abandoned_before = namdex_core::abandoned_guards();
     let sim = Sim::new();
     let trace: SharedTrace = new_trace();
     match policy {
@@ -549,6 +555,7 @@ pub fn run_scenario_with_history(
         lin,
         violations: race.violations(),
         held_leaks,
+        abandoned_guards: namdex_core::abandoned_guards() - abandoned_before,
         task_leak,
         end_nanos: end.as_nanos(),
         history_digest: digest_history(&events),

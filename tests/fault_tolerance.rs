@@ -35,6 +35,9 @@ fn arm_checker(nam: &NamCluster, design: &Design) -> Rc<Racecheck> {
 fn finish_checked(race: &Racecheck, design: &Design) {
     assert_eq!(race.check_structure(design), 0, "structural walk");
     race.assert_clean();
+    // Every sim on this thread drained, so nothing died in flight: each
+    // remote lock taken was discharged through its guard.
+    assert_eq!(namdex::index::abandoned_guards(), 0, "lock guard dropped");
 }
 
 const KEYS: u64 = 500;

@@ -157,6 +157,7 @@ fn no_fault_runs_reach_clean_quiescence() {
                 let report = run_scenario(&sc, &policy);
                 assert_eq!(report.task_leak, 0, "live tasks after drain");
                 assert!(report.held_leaks.is_empty(), "locks held at quiescence");
+                assert_eq!(report.abandoned_guards, 0, "lock guard dropped live");
                 assert!(report.violations.is_empty(), "checker findings");
                 assert!(
                     report.lin.is_ok(),
@@ -177,6 +178,7 @@ fn chaos_runs_drain_without_task_leaks() {
         let sc = Scenario::point_ops(design, FaultMode::Chaos, 11);
         let report = run_scenario(&sc, &PolicyKind::RandomWalk { seed: 4 });
         assert_eq!(report.task_leak, 0, "live tasks after chaos drain");
+        assert_eq!(report.abandoned_guards, 0, "lock guard dropped live");
         assert!(
             report.held_leaks.is_empty(),
             "live-owner lock leak under chaos: {:?}",
@@ -205,6 +207,7 @@ fn crash_recovery_interleavings_stay_linearizable() {
                 design.name()
             );
             assert_eq!(report.task_leak, 0, "{}: live tasks", design.name());
+            assert_eq!(report.abandoned_guards, 0, "lock guard dropped live");
             assert!(
                 report.held_leaks.is_empty(),
                 "{}: live-owner lock leak across recovery: {:?}",

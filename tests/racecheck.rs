@@ -36,6 +36,7 @@ fn clean_matrix_every_design_and_fault_mode() {
             for cache in [0, 1] {
                 let sc = Scenario::point_ops(design, fault, 0xACE).with_cache(Some(cache));
                 let report = run_scenario(&sc, &PolicyKind::Uncontrolled);
+                assert_eq!(report.abandoned_guards, 0, "lock guard dropped live");
                 assert!(
                     report.violations.is_empty(),
                     "{}/{}/cache {cache}: unexpected race violations:\n{}",
@@ -65,6 +66,7 @@ fn clean_under_adversarial_schedules() {
         ] {
             let sc = Scenario::point_ops(design, FaultMode::Chaos, 0xACE2);
             let report = run_scenario(&sc, &policy);
+            assert_eq!(report.abandoned_guards, 0, "lock guard dropped live");
             assert!(
                 report.violations.is_empty(),
                 "{} under {:?}: {:?}",
@@ -96,7 +98,7 @@ fn cluster_with_page() -> (Sim, Cluster, RemotePtr) {
 }
 
 /// Writer critical section: CAS-acquire, WRITE the page (locked word in
-/// the image, like `write_unlock`), FAA-unlock. Returns the acquire CAS
+/// the image, like `Locked::commit`), FAA-unlock. Returns the acquire CAS
 /// expected/new words it used.
 async fn locked_update(ep: &Endpoint, ptr: RemotePtr, fill: u8) {
     let cluster = ep.cluster();
