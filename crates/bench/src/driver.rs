@@ -15,39 +15,14 @@ use std::rc::Rc;
 
 use blink::PageLayout;
 use chaos::{ChaosController, FaultPlan};
-use nam::{NamCluster, PartitionMap};
-use namdex_core::{CoarseGrained, Design, FgConfig, FineGrained, Hybrid, Learned, LearnedStats};
+use nam::{IndexKind, NamCluster, PartitionMap};
+use namdex_core::{Design, FgConfig, LearnedStats};
 use rdma_sim::{ClusterSpec, Endpoint, FaultStats, RecoveryRecord, ServerStats};
 use simnet::rng::Zipf;
 use simnet::stats::{Counter, Histogram};
 use simnet::{Sim, SimDur};
 use telemetry::{MetricRow, Registry, Telemetry};
 use ycsb::{Dataset, Op, OpGen, RequestDist, Workload};
-
-/// Which index design to benchmark.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum DesignKind {
-    /// Design 1: coarse-grained / two-sided.
-    Cg,
-    /// Design 2: fine-grained / one-sided.
-    Fg,
-    /// Design 3: hybrid.
-    Hybrid,
-    /// Design 4: learned-index routing over the hybrid tree.
-    Learned,
-}
-
-impl DesignKind {
-    /// Display name matching the paper's legends.
-    pub fn label(self) -> &'static str {
-        match self {
-            DesignKind::Cg => "Coarse-Grained",
-            DesignKind::Fg => "Fine-Grained",
-            DesignKind::Hybrid => "Hybrid",
-            DesignKind::Learned => "Learned",
-        }
-    }
-}
 
 /// Coarse-grained partitioning flavour.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -86,7 +61,7 @@ pub fn skew_fractions(n: usize) -> Vec<f64> {
 #[derive(Clone, Debug)]
 pub struct ExperimentConfig {
     /// Index design under test.
-    pub design: DesignKind,
+    pub design: IndexKind,
     /// CG partitioning flavour (ignored by FG).
     pub cg_partition: CgPartition,
     /// Operation mix.
@@ -141,7 +116,7 @@ pub struct ExperimentConfig {
 impl Default for ExperimentConfig {
     fn default() -> Self {
         ExperimentConfig {
-            design: DesignKind::Cg,
+            design: IndexKind::CoarseGrained,
             cg_partition: CgPartition::Range,
             workload: Workload::a(),
             num_keys: 1_000_000,
@@ -210,7 +185,7 @@ pub struct ExperimentResult {
     /// [`ExperimentConfig::trace_path`] is set).
     pub metrics: Vec<MetricRow>,
     /// Model routing counters for the whole run (`None` unless the
-    /// design is [`DesignKind::Learned`]).
+    /// design is [`IndexKind::Learned`]).
     pub learned: Option<LearnedStats>,
     /// Scheduling events the simulator processed over the whole run
     /// (deterministic).
@@ -250,26 +225,13 @@ pub fn build_design(cfg: &ExperimentConfig, nam: &NamCluster) -> Design {
         head_stride: cfg.head_stride,
         cache_capacity: cfg.cache_capacity,
     };
-    match cfg.design {
-        DesignKind::Cg => {
-            let partition = match cfg.cg_partition {
-                CgPartition::Range => range_partition,
-                CgPartition::Hash => PartitionMap::hash(n),
-            };
-            Design::Cg(CoarseGrained::build(
-                nam,
-                layout,
-                partition,
-                data.iter(),
-                0.7,
-            ))
-        }
-        DesignKind::Fg => Design::Fg(FineGrained::build(&nam.rdma, fg, data.iter())),
-        DesignKind::Hybrid => Design::Hybrid(Hybrid::build(nam, fg, range_partition, data.iter())),
-        DesignKind::Learned => {
-            Design::Learned(Learned::build(nam, fg, range_partition, data.iter()))
-        }
-    }
+    // Only whole-operation trees can be hash-partitioned: upper levels
+    // over a chain need routable high keys.
+    let partition = match (cfg.design, cfg.cg_partition) {
+        (IndexKind::CoarseGrained, CgPartition::Hash) => PartitionMap::hash(n),
+        _ => range_partition,
+    };
+    Design::build(cfg.design, nam, fg, partition, data.iter())
 }
 
 /// Run one experiment to completion and return its measurements.
@@ -525,7 +487,7 @@ pub fn metrics_csv_path(trace_path: &std::path::Path) -> PathBuf {
 mod tests {
     use super::*;
 
-    fn quick(design: DesignKind) -> ExperimentConfig {
+    fn quick(design: IndexKind) -> ExperimentConfig {
         ExperimentConfig {
             design,
             num_keys: 20_000,
@@ -538,25 +500,20 @@ mod tests {
 
     #[test]
     fn all_designs_produce_throughput() {
-        for design in [
-            DesignKind::Cg,
-            DesignKind::Fg,
-            DesignKind::Hybrid,
-            DesignKind::Learned,
-        ] {
+        for design in IndexKind::ALL {
             let r = run_experiment(&quick(design));
             assert!(r.ops > 100, "{design:?} completed only {} ops", r.ops);
             assert!(r.throughput > 0.0);
             assert!(r.latency.count() == r.ops);
             assert!(r.wire_bytes > 0);
-            assert_eq!(r.learned.is_some(), design == DesignKind::Learned);
+            assert_eq!(r.learned.is_some(), design == IndexKind::Learned);
         }
     }
 
     #[test]
     fn runs_are_deterministic() {
-        let a = run_experiment(&quick(DesignKind::Fg));
-        let b = run_experiment(&quick(DesignKind::Fg));
+        let a = run_experiment(&quick(IndexKind::FineGrained));
+        let b = run_experiment(&quick(IndexKind::FineGrained));
         assert_eq!(a.ops, b.ops);
         assert_eq!(a.wire_bytes, b.wire_bytes);
         assert_eq!(a.latency.percentile(0.5), b.latency.percentile(0.5));
@@ -568,7 +525,7 @@ mod tests {
         for clients in [2usize, 8, 32] {
             let cfg = ExperimentConfig {
                 clients,
-                ..quick(DesignKind::Fg)
+                ..quick(IndexKind::FineGrained)
             };
             let r = run_experiment(&cfg);
             assert!(
@@ -590,10 +547,10 @@ mod tests {
             };
             run_experiment(&cfg).throughput
         };
-        let cg_u = mk(DesignKind::Cg, DataDist::Uniform);
-        let cg_s = mk(DesignKind::Cg, DataDist::Skewed);
-        let fg_u = mk(DesignKind::Fg, DataDist::Uniform);
-        let fg_s = mk(DesignKind::Fg, DataDist::Skewed);
+        let cg_u = mk(IndexKind::CoarseGrained, DataDist::Uniform);
+        let cg_s = mk(IndexKind::CoarseGrained, DataDist::Skewed);
+        let fg_u = mk(IndexKind::FineGrained, DataDist::Uniform);
+        let fg_s = mk(IndexKind::FineGrained, DataDist::Skewed);
         assert!(
             cg_s < cg_u * 0.9,
             "CG must lose under skew: {cg_s} vs {cg_u}"
@@ -606,12 +563,7 @@ mod tests {
 
     #[test]
     fn insert_workload_runs_on_all_designs() {
-        for design in [
-            DesignKind::Cg,
-            DesignKind::Fg,
-            DesignKind::Hybrid,
-            DesignKind::Learned,
-        ] {
+        for design in IndexKind::ALL {
             let cfg = ExperimentConfig {
                 workload: Workload::d(),
                 ..quick(design)
@@ -626,7 +578,7 @@ mod tests {
         // Read-only uniform workload (A = 100% point queries): every
         // lookup routes through the model, so the run carries zero RPCs
         // and records predictions without a single fallback.
-        let r = run_experiment(&quick(DesignKind::Learned));
+        let r = run_experiment(&quick(IndexKind::Learned));
         let rpcs: u64 = r.per_server.iter().map(|s| s.rpcs).sum();
         assert_eq!(rpcs, 0, "model-routed lookups must not RPC");
         let l = r.learned.expect("learned stats present");
@@ -636,7 +588,7 @@ mod tests {
 
     #[test]
     fn colocation_raises_throughput() {
-        let base = quick(DesignKind::Cg);
+        let base = quick(IndexKind::CoarseGrained);
         let distributed = run_experiment(&base).throughput;
         let colocated = run_experiment(&ExperimentConfig {
             colocated: true,
@@ -654,7 +606,7 @@ mod tests {
         let cfg = ExperimentConfig {
             cg_partition: CgPartition::Hash,
             workload: Workload::b(0.01),
-            ..quick(DesignKind::Cg)
+            ..quick(IndexKind::CoarseGrained)
         };
         let r = run_experiment(&cfg);
         assert!(
@@ -669,13 +621,13 @@ mod tests {
         let small = run_experiment(&ExperimentConfig {
             memory_servers: 2,
             clients: 32,
-            ..quick(DesignKind::Fg)
+            ..quick(IndexKind::FineGrained)
         })
         .throughput;
         let big = run_experiment(&ExperimentConfig {
             memory_servers: 8,
             clients: 32,
-            ..quick(DesignKind::Fg)
+            ..quick(IndexKind::FineGrained)
         })
         .throughput;
         assert!(
@@ -695,7 +647,7 @@ mod tests {
                 warmup: SimDur::from_millis(1),
                 measure: SimDur::from_millis(2),
                 trace_path: Some(dir.join(name)),
-                ..quick(DesignKind::Hybrid)
+                ..quick(IndexKind::Hybrid)
             };
             let r = run_experiment(&cfg);
             assert!(!r.metrics.is_empty(), "telemetry must produce metrics");

@@ -26,8 +26,10 @@ use std::cell::RefCell;
 use std::path::PathBuf;
 use std::rc::Rc;
 
+use nam::IndexKind;
+
 use crate::cli::BenchArgs;
-use crate::driver::{run_experiment, DataDist, DesignKind, ExperimentConfig, ExperimentResult};
+use crate::driver::{run_experiment, DataDist, ExperimentConfig, ExperimentResult};
 use crate::plot::{ascii_chart, ascii_table, write_csv, Series};
 
 /// `vec![a.to_string(), b.to_string(), …]` — CSV cells from mixed types.
@@ -50,15 +52,6 @@ pub type Metric = fn(&ExperimentResult) -> f64;
 
 /// The metric columns of a measured cell's CSV row.
 pub type RowFn = fn(&ExperimentResult) -> Vec<String>;
-
-/// All four designs, in legend order: the paper's three plus the
-/// learned-index routing design.
-pub const DESIGNS: [DesignKind; 4] = [
-    DesignKind::Cg,
-    DesignKind::Fg,
-    DesignKind::Hybrid,
-    DesignKind::Learned,
-];
 
 /// One registry entry.
 pub struct Figure {
@@ -165,7 +158,7 @@ pub struct Ctx {
     /// comma list in `NAMDEX_DESIGNS` (`cg,fg,hybrid,learned`). The
     /// engine-parity harness pins the original three so its golden
     /// digest stays independent of the learned design.
-    pub designs: Vec<DesignKind>,
+    pub designs: Vec<IndexKind>,
     traces: std::cell::Cell<u32>,
     sweeps: RefCell<Vec<(DataDist, Measured)>>,
 }
@@ -178,7 +171,7 @@ impl Ctx {
             args,
             quick,
             results_dir,
-            designs: DESIGNS.to_vec(),
+            designs: IndexKind::ALL.to_vec(),
             traces: std::cell::Cell::new(0),
             sweeps: RefCell::new(Vec::new()),
         }
@@ -192,14 +185,13 @@ impl Ctx {
         if let Ok(list) = std::env::var("NAMDEX_DESIGNS") {
             ctx.designs = list
                 .split(',')
-                .map(|s| match s.trim() {
-                    "cg" => Ok(DesignKind::Cg),
-                    "fg" => Ok(DesignKind::Fg),
-                    "hybrid" => Ok(DesignKind::Hybrid),
-                    "learned" => Ok(DesignKind::Learned),
-                    other => Err(format!(
-                        "NAMDEX_DESIGNS names unknown design {other:?}; known: cg, fg, hybrid, learned"
-                    )),
+                .map(|s| {
+                    IndexKind::parse(s.trim()).ok_or_else(|| {
+                        format!(
+                            "NAMDEX_DESIGNS names unknown design {:?}; known: cg, fg, hybrid, learned",
+                            s.trim()
+                        )
+                    })
                 })
                 .collect::<Result<_, _>>()?;
         }

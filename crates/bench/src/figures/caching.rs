@@ -5,7 +5,7 @@
 //!
 //! Caching runs through the *integrated* operation path: the same
 //! `Design::lookup` every other figure uses, with the index built under
-//! `cache_capacity` so the engine's `Cached` node source serves hits
+//! `cache_capacity` so the index's client cache serves hits
 //! (FG: inner pages; Hybrid: leaf routes). The hit ratio comes from
 //! `Design::cache_stats()` and lands as a column of `a04_caching.csv`.
 //!
@@ -16,20 +16,20 @@
 
 use std::rc::Rc;
 
-use nam::NamCluster;
+use nam::{IndexKind, NamCluster};
 use rdma_sim::{ClusterSpec, Endpoint};
 use simnet::rng::{DetRng, Zipf};
 use simnet::stats::Counter;
 use simnet::{Sim, SimDur, SimTime};
 
 use super::{Ctx, Rows};
-use crate::driver::{build_design, DesignKind, ExperimentConfig};
+use crate::driver::{build_design, ExperimentConfig};
 
 /// Throughput and cache hit ratio of one configuration: `cache` entries
 /// per client (`Some(0)` = unbounded, `None` = no cache), request keys
 /// uniform or, given a table, scrambled-Zipfian.
 fn run(
-    design: DesignKind,
+    design: IndexKind,
     cache: Option<usize>,
     zipf: Option<&Zipf>,
     clients: usize,
@@ -78,7 +78,10 @@ fn run(
 pub fn a04_caching(ctx: &Ctx) -> Vec<Rows> {
     println!("Appendix A.4: Client-side caching through the engine (point queries)\n");
     let mut rows = Vec::new();
-    for (name, design) in [("fg", DesignKind::Fg), ("hybrid", DesignKind::Hybrid)] {
+    for (name, design) in [
+        ("fg", IndexKind::FineGrained),
+        ("hybrid", IndexKind::Hybrid),
+    ] {
         println!(
             "{name}\n{:>8} {:>16} {:>16} {:>8} {:>10}",
             "clients", "uncached", "cached", "speedup", "hit ratio"
@@ -114,7 +117,10 @@ fn cache_size(ctx: &Ctx) -> Rows {
         "design", "dist", "capacity", "throughput", "hit ratio"
     );
     let mut rows = Vec::new();
-    for (name, design) in [("fg", DesignKind::Fg), ("hybrid", DesignKind::Hybrid)] {
+    for (name, design) in [
+        ("fg", IndexKind::FineGrained),
+        ("hybrid", IndexKind::Hybrid),
+    ] {
         for (dist, zipf) in [("uniform", None), ("zipfian", Some(&zipf))] {
             for capacity in [16usize, 64, 256, 1024, 4096, 0] {
                 let (tput, hit_ratio) = run(design, Some(capacity), zipf, CLIENTS, keys);

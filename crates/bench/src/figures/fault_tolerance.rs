@@ -20,12 +20,13 @@
 //! whole run is virtual-time deterministic.
 
 use chaos::{FaultPlan, LinkDegrade, RandomProfile};
+use nam::IndexKind;
 use rdma_sim::{ClusterSpec, Durability};
 use simnet::{SimDur, SimTime};
 use ycsb::Workload;
 
-use super::{Ctx, Rows, DESIGNS};
-use crate::driver::{metrics_csv_path, DesignKind, ExperimentConfig, ExperimentResult};
+use super::{Ctx, Rows};
+use crate::driver::{metrics_csv_path, ExperimentConfig, ExperimentResult};
 use crate::plot::{ascii_chart, Series};
 
 const CLIENTS: u64 = 24;
@@ -60,7 +61,7 @@ fn scripted_plan() -> FaultPlan {
         .restore_link(ms(26), 0)
 }
 
-fn config(ctx: &Ctx, design: DesignKind, plan: Option<FaultPlan>) -> ExperimentConfig {
+fn config(ctx: &Ctx, design: IndexKind, plan: Option<FaultPlan>) -> ExperimentConfig {
     ExperimentConfig {
         design,
         workload: Workload::a(),
@@ -79,7 +80,7 @@ fn config(ctx: &Ctx, design: DesignKind, plan: Option<FaultPlan>) -> ExperimentC
 /// the server crash genuinely wipes RAM and the restart pays boot +
 /// checkpoint/log replay — the measured RTO. Workload D (50% inserts)
 /// replaces the read-only A so the log actually accumulates records.
-fn config_wal(ctx: &Ctx, design: DesignKind, plan: FaultPlan) -> ExperimentConfig {
+fn config_wal(ctx: &Ctx, design: IndexKind, plan: FaultPlan) -> ExperimentConfig {
     ExperimentConfig {
         workload: Workload::d(),
         spec: Some(ClusterSpec {
@@ -129,7 +130,7 @@ pub fn ext_fault_tolerance(ctx: &Ctx) -> Vec<Rows> {
     let mut recovery_rows = Vec::new();
     let mut tput_series: Vec<Series> = Vec::new();
     let mut abort_series: Vec<Series> = Vec::new();
-    for design in DESIGNS {
+    for design in IndexKind::ALL {
         let clean = ctx.run(config(ctx, design, None));
         let faulted = ctx.run(config(ctx, design, Some(plan.clone())));
         // The durable run: same crash schedule, Wal mode, write-bearing
@@ -226,7 +227,7 @@ pub fn trace_demo(ctx: &Ctx) -> Vec<Rows> {
         .kill_client(SimTime::from_millis(4), 2)
         .revive_client(SimTime::from_micros(4_500), 2);
     let r = ctx.run(ExperimentConfig {
-        design: DesignKind::Hybrid,
+        design: IndexKind::Hybrid,
         workload: Workload::d(), // 50% inserts: locks, splits, CAS races
         num_keys: 20_000,
         clients: 8,

@@ -9,20 +9,20 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use nam::NamCluster;
-use namdex_core::{gc, Design};
+use nam::{IndexKind, NamCluster};
+use namdex_core::gc;
 use rdma_sim::{ClusterSpec, Endpoint};
 use simnet::rng::DetRng;
 use simnet::stats::Counter;
 use simnet::{Sim, SimDur, SimTime};
 
 use super::{Ctx, Rows};
-use crate::driver::{build_design, DesignKind, ExperimentConfig};
+use crate::driver::{build_design, ExperimentConfig};
 
 /// One window of 40 readers over an index with every tenth key
 /// tombstoned, optionally beside one GC pass: `(pages reclaimed, GC
 /// pass duration in µs, reads/s)`.
-fn measure(kind: DesignKind, keys: u64, seed: u64, with_gc: bool) -> (usize, u64, f64) {
+fn measure(kind: IndexKind, keys: u64, seed: u64, with_gc: bool) -> (usize, u64, f64) {
     let sim = Sim::new();
     let nam = NamCluster::new(&sim, ClusterSpec::default());
     let cfg = ExperimentConfig {
@@ -73,12 +73,7 @@ fn measure(kind: DesignKind, keys: u64, seed: u64, with_gc: bool) -> (usize, u64
         let gc_end = gc_end.clone();
         let sim_c = sim.clone();
         sim.spawn(async move {
-            let freed = match &design {
-                Design::Cg(d) => gc::cg_gc_pass(d, &ep).await,
-                Design::Fg(d) => gc::fg_gc_pass(d, &ep).await,
-                Design::Hybrid(d) => gc::hybrid_gc_pass(d, &ep).await,
-                Design::Learned(d) => gc::hybrid_gc_pass(d.tree(), &ep).await,
-            };
+            let freed = gc::gc_pass(&design, &ep).await;
             reclaimed.set(freed.expect("fault-free run"));
             gc_end.set(sim_c.now());
         });
@@ -107,11 +102,12 @@ pub fn ext_gc(ctx: &Ctx) -> Vec<Rows> {
         "design", "reclaimed", "GC pass", "reads (no GC)", "reads (GC)", "impact"
     );
     let mut rows = Vec::new();
-    for (name, kind) in [
-        ("coarse-grained", DesignKind::Cg),
-        ("fine-grained", DesignKind::Fg),
-        ("hybrid", DesignKind::Hybrid),
+    for kind in [
+        IndexKind::CoarseGrained,
+        IndexKind::FineGrained,
+        IndexKind::Hybrid,
     ] {
+        let name = kind.name();
         let (_, _, baseline) = measure(kind, keys, ctx.seed, false);
         let (reclaimed, gc_micros, during) = measure(kind, keys, ctx.seed, true);
         println!(

@@ -2,11 +2,12 @@
 //!
 //! Cell order is CSV row order.
 
+use nam::IndexKind;
 use simnet::SimDur;
 use ycsb::{InsertPattern, RequestDist, Workload};
 
-use super::{Cell, Ctx, DESIGNS};
-use crate::driver::{CgPartition, DataDist, DesignKind, ExperimentConfig, ExperimentResult};
+use super::{Cell, Ctx};
+use crate::driver::{CgPartition, DataDist, ExperimentConfig, ExperimentResult};
 
 /// The settings every grid figure shares: the figure-scale key count, a
 /// 3 ms warmup, a 25 ms window and the command line's seed.
@@ -120,7 +121,7 @@ pub fn fig10(ctx: &Ctx) -> Vec<Cell> {
     };
     let mut cells = Vec::new();
     for (panel, workload) in [("point", Workload::a()), ("range_sel0.1", Workload::b(0.1))] {
-        for design in DESIGNS {
+        for design in IndexKind::ALL {
             for &num_keys in sizes {
                 // sel=0.1 scans grow linearly with data size, so the
                 // window must outlast individual operations.
@@ -156,7 +157,7 @@ pub fn fig11(ctx: &Ctx) -> Vec<Cell> {
             ("point", Workload::a()),
             ("range_sel0.01", Workload::b(0.01)),
         ] {
-            for design in [DesignKind::Cg, DesignKind::Fg] {
+            for design in [IndexKind::CoarseGrained, IndexKind::FineGrained] {
                 for &n in servers {
                     let cfg = ExperimentConfig {
                         design,
@@ -183,7 +184,7 @@ pub fn fig11(ctx: &Ctx) -> Vec<Cell> {
 pub fn fig12(ctx: &Ctx) -> Vec<Cell> {
     let mut cells = Vec::new();
     for (mix, workload) in [("5", Workload::c()), ("50", Workload::d())] {
-        for design in DESIGNS {
+        for design in IndexKind::ALL {
             let series = format!("{} {mix}", design.label());
             for &clients in ctx.clients_sweep() {
                 let cfg = ExperimentConfig {
@@ -204,7 +205,7 @@ pub fn fig12(ctx: &Ctx) -> Vec<Cell> {
 pub fn fig15(ctx: &Ctx) -> Vec<Cell> {
     let mut cells = Vec::new();
     for (panel, workload) in panels() {
-        for design in [DesignKind::Fg, DesignKind::Cg] {
+        for design in [IndexKind::FineGrained, IndexKind::CoarseGrained] {
             for (colocated, deployment) in [(false, "distributed"), (true, "colocated")] {
                 let cfg = ExperimentConfig {
                     design,
@@ -229,7 +230,7 @@ pub fn ablation_heads(ctx: &Ctx) -> Vec<Cell> {
     for sel in [0.001, 0.01] {
         for stride in [0usize, 4, 8, 16] {
             let cfg = ExperimentConfig {
-                design: DesignKind::Fg,
+                design: IndexKind::FineGrained,
                 workload: Workload::b(sel),
                 clients: 120,
                 head_stride: stride,
@@ -273,7 +274,7 @@ pub fn ablation_mispredict(ctx: &Ctx) -> Vec<Cell> {
     for &clients in client_counts {
         for frac in [0.0, 0.02, 0.05, 0.2, 0.5] {
             let cfg = ExperimentConfig {
-                design: DesignKind::Learned,
+                design: IndexKind::Learned,
                 workload: Workload {
                     point_frac: 1.0 - frac,
                     range_frac: 0.0,
@@ -329,7 +330,7 @@ pub fn ablation_pagesize(ctx: &Ctx) -> Vec<Cell> {
         ("point", Workload::a(), 25),
         ("range_sel0.01", Workload::b(0.01), 60),
     ] {
-        for design in [DesignKind::Cg, DesignKind::Fg] {
+        for design in [IndexKind::CoarseGrained, IndexKind::FineGrained] {
             for page_size in [512usize, 1024, 2048, 4096] {
                 let cfg = ExperimentConfig {
                     design,
@@ -360,7 +361,7 @@ pub fn ablation_partitioning(ctx: &Ctx) -> Vec<Cell> {
     ] {
         for scheme in [CgPartition::Range, CgPartition::Hash] {
             let cfg = ExperimentConfig {
-                design: DesignKind::Cg,
+                design: IndexKind::CoarseGrained,
                 cg_partition: scheme,
                 workload,
                 clients: 120,
@@ -383,7 +384,11 @@ pub fn ablation_partitioning(ctx: &Ctx) -> Vec<Cell> {
 /// *traversal* traffic spread (only the hot leaf itself is pinned).
 pub fn ext_request_skew(ctx: &Ctx) -> Vec<Cell> {
     let mut cells = Vec::new();
-    for design in [DesignKind::Cg, DesignKind::Fg, DesignKind::Hybrid] {
+    for design in [
+        IndexKind::CoarseGrained,
+        IndexKind::FineGrained,
+        IndexKind::Hybrid,
+    ] {
         for dist in [RequestDist::Uniform, RequestDist::Zipfian(0.99)] {
             let cfg = ExperimentConfig {
                 design,
@@ -401,7 +406,7 @@ pub fn ext_request_skew(ctx: &Ctx) -> Vec<Cell> {
 /// designs.
 pub fn scaled_sweep(ctx: &Ctx) -> Vec<Cell> {
     let mut cells = Vec::new();
-    for design in DESIGNS {
+    for design in IndexKind::ALL {
         for clients in [250usize, 500, 1_000] {
             let cfg = ExperimentConfig {
                 design,
@@ -451,7 +456,7 @@ mod tests {
             ..BenchArgs::default()
         };
         let mut ctx = Ctx::new(args, true, "unused".into());
-        ctx.designs = vec![DesignKind::Cg, DesignKind::Fg];
+        ctx.designs = vec![IndexKind::CoarseGrained, IndexKind::FineGrained];
         let cells = sweep_cells(&ctx, DataDist::Skewed);
         assert_eq!(cells.len(), 4 * 2 * 3);
         assert_eq!(cells[0].key, ["Coarse-Grained", "point", "20"]);

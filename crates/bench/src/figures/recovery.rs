@@ -20,13 +20,13 @@
 
 use std::fmt::Write as _;
 
-use nam::NamCluster;
+use nam::{IndexKind, NamCluster};
 use namdex_core::Design;
 use rdma_sim::{ClusterSpec, Durability, Endpoint};
 use simnet::{Sim, SimDur};
 
-use super::{Ctx, Rows, DESIGNS};
-use crate::driver::{build_design, DesignKind, ExperimentConfig};
+use super::{Ctx, Rows};
+use crate::driver::{build_design, ExperimentConfig};
 use crate::plot::{ascii_chart, Series};
 
 /// Restart boot latency: deliberately small so the curve shows the
@@ -50,7 +50,7 @@ fn spec() -> ClusterSpec {
 
 /// `load_keys` records at multiples of 8 (inserted keys are odd, so
 /// fresh).
-fn build(kind: DesignKind, load_keys: u64, nam: &NamCluster) -> Design {
+fn build(kind: IndexKind, load_keys: u64, nam: &NamCluster) -> Design {
     let cfg = ExperimentConfig {
         design: kind,
         num_keys: load_keys,
@@ -71,7 +71,7 @@ struct Point {
 /// Drive `writes` acknowledged inserts (8 concurrent writers, fresh
 /// odd keys spread over the whole domain), then crash + restart the
 /// hot server and return the measured recovery.
-fn measure(kind: DesignKind, load_keys: u64, writes: u64, seed: u64) -> Point {
+fn measure(kind: IndexKind, load_keys: u64, writes: u64, seed: u64) -> Point {
     let sim = Sim::new();
     let nam = NamCluster::new(&sim, spec());
     let design = build(kind, load_keys, &nam);
@@ -129,7 +129,7 @@ fn group_commit_ops(load_keys: u64, seed: u64, group_commit: bool) -> (u64, u64)
             ..spec()
         },
     );
-    let design = build(DesignKind::Cg, load_keys, &nam);
+    let design = build(IndexKind::CoarseGrained, load_keys, &nam);
     let domain = load_keys * 8;
     for w in 0..12u64 {
         let design = design.clone();
@@ -175,7 +175,7 @@ pub fn ext_recovery(ctx: &Ctx) -> Vec<Rows> {
     let mut rows = Vec::new();
     let mut series: Vec<Series> = Vec::new();
     let mut json_designs = String::new();
-    for (di, design) in DESIGNS.into_iter().enumerate() {
+    for (di, design) in IndexKind::ALL.into_iter().enumerate() {
         let points: Vec<Point> = sweep
             .iter()
             .map(|&writes| measure(design, load_keys, writes, seed))
@@ -229,7 +229,11 @@ pub fn ext_recovery(ctx: &Ctx) -> Vec<Rows> {
             "    {{\"design\": \"{}\", \"points\": [{}]}}{}",
             design.label(),
             pts,
-            if di + 1 == DESIGNS.len() { "" } else { "," }
+            if di + 1 == IndexKind::ALL.len() {
+                ""
+            } else {
+                ","
+            }
         );
     }
 

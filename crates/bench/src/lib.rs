@@ -26,6 +26,6 @@ pub mod plot;
 
 pub use cli::BenchArgs;
 pub use driver::{
-    metrics_csv_path, run_experiment, CgPartition, DataDist, DesignKind, ExperimentConfig,
-    ExperimentResult, TimelinePoint,
+    metrics_csv_path, run_experiment, CgPartition, DataDist, ExperimentConfig, ExperimentResult,
+    TimelinePoint,
 };

@@ -10,8 +10,9 @@
 //! digest pins the same property against the *committed* pre-wheel
 //! history; this test keeps working even when the golden is re-blessed.)
 
-use bench::{run_experiment, DesignKind, ExperimentConfig, ExperimentResult};
+use bench::{run_experiment, ExperimentConfig, ExperimentResult};
 use chaos::{FaultPlan, LinkDegrade};
+use nam::IndexKind;
 use rdma_sim::{ClusterSpec, Durability};
 use simnet::{SchedulerKind, SimDur, SimTime};
 use ycsb::Workload;
@@ -60,7 +61,7 @@ fn assert_equiv(label: &str, cfg: &ExperimentConfig) {
     );
 }
 
-fn small(design: DesignKind, workload: Workload) -> ExperimentConfig {
+fn small(design: IndexKind, workload: Workload) -> ExperimentConfig {
     ExperimentConfig {
         design,
         workload,
@@ -75,20 +76,18 @@ fn small(design: DesignKind, workload: Workload) -> ExperimentConfig {
 
 #[test]
 fn wheel_matches_heap_on_point_lookups_all_designs() {
-    for design in [
-        DesignKind::Cg,
-        DesignKind::Fg,
-        DesignKind::Hybrid,
-        DesignKind::Learned,
-    ] {
+    for design in IndexKind::ALL {
         assert_equiv(&format!("{design:?}/point"), &small(design, Workload::a()));
     }
 }
 
 #[test]
 fn wheel_matches_heap_on_ranges_and_inserts() {
-    assert_equiv("Fg/range", &small(DesignKind::Fg, Workload::b(0.001)));
-    assert_equiv("Hybrid/insert", &small(DesignKind::Hybrid, Workload::d()));
+    assert_equiv(
+        "Fg/range",
+        &small(IndexKind::FineGrained, Workload::b(0.001)),
+    );
+    assert_equiv("Hybrid/insert", &small(IndexKind::Hybrid, Workload::d()));
 }
 
 #[test]
@@ -110,7 +109,7 @@ fn wheel_matches_heap_under_chaos() {
     let cfg = ExperimentConfig {
         fault_plan: Some(plan),
         measure: SimDur::from_millis(6),
-        ..small(DesignKind::Hybrid, Workload::a())
+        ..small(IndexKind::Hybrid, Workload::a())
     };
     assert_equiv("Hybrid/chaos", &cfg);
 }
@@ -131,7 +130,7 @@ fn wheel_matches_heap_through_wal_crash_recovery() {
         spec: Some(spec),
         fault_plan: Some(plan),
         measure: SimDur::from_millis(8),
-        ..small(DesignKind::Cg, Workload::d())
+        ..small(IndexKind::CoarseGrained, Workload::d())
     };
     let wheel = run_with(SchedulerKind::Wheel, &cfg);
     let heap = run_with(SchedulerKind::Heap, &cfg);

@@ -7,9 +7,9 @@
 //! invalidation becomes the hard problem the appendix defers to future
 //! work.
 //!
-//! Caching is wired into the real operation path as a decorator over the
-//! engine's page resolution ([`crate::resolve::Cached`]); this module
-//! holds the state it decorates with, a [`CacheLayer`] per index: one
+//! Caching is wired into the real operation path as an optional part of
+//! the engine's page resolution ([`crate::resolve`]); this module
+//! holds the state it consults, a [`CacheLayer`] per index: one
 //! bounded slot table per client (inner pages by remote pointer for the
 //! fine-grained design, leaf routes by covering high key for the hybrid),
 //! aggregate counters, and the server-restart epoch that flushes
@@ -25,7 +25,7 @@
 //! borrows, so eviction cannot pull a page out from under an `await`.
 //!
 //! A hit is an access served without touching the wire, a miss one that
-//! went to the inner source. The fine-grained design's leaf loads come
+//! went to the wire. The fine-grained design's leaf loads come
 //! through the same door and are never cached, so each counts as a miss:
 //! over a tree of `L` levels its hit ratio is at most `(L - 1) / L`.
 //!
@@ -155,7 +155,7 @@ impl CacheStats {
 type Route = (u64, Key);
 
 /// What one client caches; an index fills one of the two, by its
-/// [`crate::resolve::CachePolicy`].
+/// upper level (remote: pages, local: routes — see [`crate::resolve`]).
 #[derive(Default)]
 struct ClientCache {
     /// Inner pages by remote pointer. A slot keeps its frame when the
@@ -311,7 +311,7 @@ impl CacheLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fg::{FgConfig, FineGrained};
+    use crate::{FgConfig, FineGrained};
     use blink::PageLayout;
     use proptest::prelude::*;
     use rdma_sim::{Cluster, ClusterSpec, Endpoint};
@@ -511,7 +511,7 @@ mod tests {
                 // Mutate the tree: many inserts cause splits the cached
                 // inner copies do not see.
                 for i in 0..200u64 {
-                    idx.insert(&ep, i * 8 + 1, 7_000 + i).await.unwrap();
+                    idx.insert(&ep, i * 8 + 1, 7_000 + i, false).await.unwrap();
                 }
                 // Stale cached inners still route correctly via chases.
                 for i in 0..200u64 {

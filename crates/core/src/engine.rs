@@ -1,18 +1,19 @@
 //! The shared traversal/SMO engine: one OLC descent loop, one
 //! lock-coupled write path, one split-propagation routine, and one
-//! retry/backoff layer for all three designs.
+//! retry/backoff layer for every design.
 //!
-//! The paper's three index distributions (§3–§5) share a single
-//! concurrency substrate — optimistic lock coupling over an 8-byte
+//! The paper's index distributions (§3–§5) share a single concurrency
+//! substrate — optimistic lock coupling over an 8-byte
 //! `(version, lock, owner, lease)` word per node, with B-link sibling
 //! chases instead of descent restarts — yet they differ in how a node
-//! reference becomes bytes. That difference lives behind
-//! [`crate::resolve::NodeSource`]; everything protocol-shaped lives
-//! here, exactly once:
+//! reference becomes bytes. That difference is data: the parts an
+//! [`Index`] has, consulted by its six resolution methods
+//! ([`crate::resolve`]); everything protocol-shaped lives here, exactly
+//! once:
 //!
 //! * `descend` — the optimistic read-validate-move-right loop
-//!   (Listing 2's `remote_lookup` shape, shared with the hybrid's
-//!   chain walk);
+//!   (Listing 2's `remote_lookup` shape, shared with the chain walk
+//!   below a local upper level);
 //! * `lock_covering_leaf` + `insert`/`delete` — the lock-coupled
 //!   write path (Listing 4), including the **exactly-once retry
 //!   absorption**: a re-attempt (`retrying = true`) first checks the
@@ -21,10 +22,10 @@
 //!   here and nowhere else — the PR-2 fix had to be applied twice
 //!   because FG and Hybrid each had a copy of this path;
 //! * `propagate_split` — upward split propagation over remotely
-//!   stored inner levels (used by sources whose upper levels the client
-//!   descends itself; the hybrid instead reports splits over RPC in its
-//!   `TreeWriter::complete_split`). Runs uncached on purpose: SMOs
-//!   must observe fresh versions to CAS against;
+//!   stored inner levels (a local upper level instead takes split
+//!   registrations over RPC, see `Index::complete_split`). Runs
+//!   uncached on purpose: SMOs must observe fresh versions to CAS
+//!   against;
 //! * `scan_chain` — the §4.3 range scan with head-node group
 //!   prefetch;
 //! * `with_retry!` + `backoff_before_retry` — the operation retry
@@ -35,25 +36,31 @@
 //!   partitioned range (the coarse-grained design's broadcast) never
 //!   re-ships work a previous attempt already finished.
 //!
-//! The coarse-grained design has no client-side page resolution (whole
-//! operations ship as RPCs), so it plugs into the retry layer and
-//! [`RangeProgress`] only.
+//! An index with no chain (the coarse-grained design) has no
+//! client-side page resolution — whole operations ship to its local
+//! trees — so its four operations branch to [`crate::local`] up front
+//! and share only the retry layer and [`RangeProgress`].
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)]
 #![deny(clippy::unreachable, clippy::unimplemented, clippy::indexing_slicing)]
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
+use std::future::Future;
 
 use blink::node::{
     kind_of, HeadNodeRef, InnerNodeMut, InnerNodeRef, LeafNodeMut, LeafNodeRef, NodeKind,
 };
 use blink::{Key, PageLayout, Ptr, Value};
-use rdma_sim::{Endpoint, FenceKind, OpKind, PageBuf, RegionKind, RemotePtr, VerbError};
+use nam::msg;
+use rdma_sim::{
+    Endpoint, FenceKind, OpArgs, OpKind, OpOutcome, PageBuf, RegionKind, RemotePtr, VerbError,
+};
 use simnet::SimDur;
 
+use crate::local::Local;
 use crate::onesided::{lock_node, read_unlocked, Locked};
-use crate::resolve::{Cached, NodeSource, OpAccess};
+use crate::resolve::Index;
 use crate::{Design, OpError};
 
 fn rp(p: Ptr) -> RemotePtr {
@@ -147,366 +154,377 @@ macro_rules! with_retry {
 }
 
 // ---------------------------------------------------------------------------
-// Per-design operation dispatch under the retry layer.
+// Operations under the retry layer.
 // ---------------------------------------------------------------------------
 
-/// Point lookup for any design, under the retry layer. Idempotent: a
-/// lookup has no remote effect to duplicate.
-pub(crate) async fn lookup_op(
-    design: &Design,
-    ep: &Endpoint,
-    key: Key,
-) -> Result<Option<Value>, OpError> {
-    match design {
-        Design::Cg(d) => with_retry!(ep, idempotent, d.lookup(ep, key)),
-        Design::Fg(d) => with_retry!(ep, idempotent, lookup(&d.source(), ep, key)),
-        Design::Hybrid(d) => with_retry!(ep, idempotent, lookup(&d.source(), ep, key)),
-        Design::Learned(d) => with_retry!(ep, idempotent, lookup(&d.source(), ep, key)),
+impl Design {
+    /// Point lookup: first live value under `key`. Idempotent under
+    /// retry: a lookup has no remote effect to duplicate.
+    pub async fn lookup(&self, ep: &Endpoint, key: Key) -> Result<Option<Value>, OpError> {
+        let idx = self.index();
+        let op = async { with_retry!(ep, idempotent, idx.lookup(ep, key)) };
+        let args = OpArgs::Lookup { key };
+        observed(ep, args, OpKind::Lookup, |v| OpOutcome::Lookup(*v), op).await
+    }
+
+    /// Range query over `[lo, hi]` (inclusive); returns live entries in
+    /// key order. A [`RangeProgress`] shared across attempts dedupes
+    /// per-server work of shipped ranges, so a retried broadcast never
+    /// re-ships (or re-counts in telemetry) partitions that already
+    /// answered. Idempotent under retry: reads only.
+    pub async fn range(
+        &self,
+        ep: &Endpoint,
+        lo: Key,
+        hi: Key,
+    ) -> Result<Vec<(Key, Value)>, OpError> {
+        let idx = self.index();
+        let progress = RangeProgress::default();
+        let op = async { with_retry!(ep, idempotent, idx.range_with(ep, lo, hi, &progress)) };
+        let args = OpArgs::Range { lo, hi };
+        observed(ep, args, OpKind::Range, |r| OpOutcome::Range(r.clone()), op).await
+    }
+
+    /// Insert `(key, value)`; duplicates are allowed (non-unique index).
+    ///
+    /// Exactly-once under retries for every design: a *re*-attempt
+    /// (`retrying = true`) first checks the covering leaf for a live
+    /// `(key, value)` pair and absorbs the retry if its predecessor
+    /// already committed. Over a leaf chain the check runs client-side
+    /// in [`Index::insert`], the engine's single copy of the lock-coupled
+    /// install; for shipped inserts (CG) the flag travels with the RPC
+    /// and the server handler absorbs the duplicate through
+    /// `apply_insert_local`. The absorption logic lives in this module
+    /// and nowhere else.
+    pub async fn insert(&self, ep: &Endpoint, key: Key, value: Value) -> Result<(), OpError> {
+        let idx = self.index();
+        let op = async { with_retry!(ep, retrying, idx.insert(ep, key, value, retrying)) };
+        let args = OpArgs::Insert { key, value };
+        observed(ep, args, OpKind::Insert, |()| OpOutcome::Insert, op).await
+    }
+
+    /// Tombstone-delete the first live entry under `key`; returns whether
+    /// an entry was deleted. Space is reclaimed by epoch GC
+    /// ([`crate::gc`]). Idempotent under retry: tombstoning an
+    /// already-deleted key is a no-op.
+    pub async fn delete(&self, ep: &Endpoint, key: Key) -> Result<bool, OpError> {
+        let idx = self.index();
+        let op = async { with_retry!(ep, idempotent, idx.delete(ep, key)) };
+        let args = OpArgs::Delete { key };
+        observed(ep, args, OpKind::Delete, |&f| OpOutcome::Delete(f), op).await
     }
 }
 
-/// Range query for any design, under the retry layer. For the
-/// coarse-grained design a [`RangeProgress`] shared across attempts
-/// dedupes per-server work, so a retried broadcast never re-ships (or
-/// re-counts in telemetry) partitions that already answered. Idempotent:
-/// reads only.
-pub(crate) async fn range_op(
-    design: &Design,
+/// Bracket a design-level operation for the observer bus: its
+/// invocation and outcome for history recorders (model checker), its
+/// span for telemetry. With no observers installed the invocation and
+/// the outcome are a flag check each — `outcome` is built lazily so the
+/// hot path never clones range rows.
+async fn observed<T>(
     ep: &Endpoint,
-    lo: Key,
-    hi: Key,
-) -> Result<Vec<(Key, Value)>, OpError> {
-    match design {
-        Design::Cg(d) => {
-            let progress = RangeProgress::default();
-            with_retry!(ep, idempotent, d.range_with(ep, lo, hi, &progress))
-        }
-        Design::Fg(d) => with_retry!(ep, idempotent, range(&d.source(), ep, lo, hi)),
-        Design::Hybrid(d) => with_retry!(ep, idempotent, range(&d.source(), ep, lo, hi)),
-        Design::Learned(d) => with_retry!(ep, idempotent, range(&d.source(), ep, lo, hi)),
+    args: OpArgs,
+    kind: OpKind,
+    outcome: impl FnOnce(&T) -> OpOutcome,
+    op: impl Future<Output = Result<T, OpError>>,
+) -> Result<T, OpError> {
+    let (cluster, client) = (ep.cluster(), ep.client_id());
+    if cluster.has_observers() {
+        cluster.note_op_invoke(client, args);
     }
-}
-
-/// Insert for any design, under the retry layer. The `retrying` hint —
-/// handled in [`insert`], the engine's single copy of the lock-coupled
-/// install — gives the one-sided designs exactly-once semantics under
-/// retries; the CG design keeps its documented at-least-once RPC
-/// semantics.
-pub(crate) async fn insert_op(
-    design: &Design,
-    ep: &Endpoint,
-    key: Key,
-    value: Value,
-) -> Result<(), OpError> {
-    match design {
-        Design::Cg(d) => with_retry!(ep, retrying, d.insert(ep, key, value, retrying)),
-        Design::Fg(d) => {
-            with_retry!(ep, retrying, insert(&d.source(), ep, key, value, retrying))
-        }
-        Design::Hybrid(d) => {
-            with_retry!(ep, retrying, insert(&d.source(), ep, key, value, retrying))
-        }
-        Design::Learned(d) => {
-            with_retry!(ep, retrying, insert(&d.source(), ep, key, value, retrying))
-        }
+    cluster.note_op_start(client, kind);
+    let res = op.await;
+    cluster.note_op_end(client, kind, res.is_ok());
+    if cluster.has_observers() {
+        let outcome = res.as_ref().map_or(OpOutcome::Failed, outcome);
+        cluster.note_op_response(client, &outcome);
     }
-}
-
-/// Tombstone delete for any design, under the retry layer. Idempotent:
-/// tombstoning an already-deleted key is a no-op.
-pub(crate) async fn delete_op(design: &Design, ep: &Endpoint, key: Key) -> Result<bool, OpError> {
-    match design {
-        Design::Cg(d) => with_retry!(ep, idempotent, d.delete(ep, key)),
-        Design::Fg(d) => with_retry!(ep, idempotent, delete(&d.source(), ep, key)),
-        Design::Hybrid(d) => with_retry!(ep, idempotent, delete(&d.source(), ep, key)),
-        Design::Learned(d) => with_retry!(ep, idempotent, delete(&d.source(), ep, key)),
-    }
+    res
 }
 
 // ---------------------------------------------------------------------------
 // The OLC descent loop.
 // ---------------------------------------------------------------------------
 
-/// Descend from the source's start to the leaf covering `key`: the
-/// optimistic read / fence-validate / move-right loop shared by every
-/// pointer-resolving traversal. When `path` is given, inner nodes
-/// crossed on a *descending* edge are recorded (sibling chases are not
-/// part of the path — Listing 2). Cache feedback: stale routing steps
-/// call [`NodeSource::invalidate`]; the covering leaf is reported via
-/// [`NodeSource::note_leaf`].
-async fn descend<S: NodeSource>(
-    src: &S,
-    ep: &Endpoint,
-    key: Key,
-    access: OpAccess,
-    mut path: Option<&mut Vec<RemotePtr>>,
-) -> Result<(RemotePtr, PageBuf), VerbError> {
-    let mut parent = RemotePtr::NULL;
-    let mut cur = src.start(ep, key, access).await?;
-    loop {
-        let page = src.load(ep, cur).await?;
-        match kind_of(&page) {
-            NodeKind::Inner => {
-                let node = InnerNodeRef::new(&page);
-                // `find_child` is this level's fence: it proves the
-                // (optimistically read) inner copy still routes the key.
-                crate::note_fence(ep, FenceKind::Revalidate, cur);
-                match node.find_child(key) {
-                    Some(c) => {
-                        if let Some(p) = path.as_deref_mut() {
-                            p.push(cur);
+impl Index {
+    /// The local trees whole operations ship to: an index with no chain
+    /// to resolve pages over keeps its entries there (the coarse-grained
+    /// design).
+    fn shipped(&self) -> Option<&Local> {
+        self.local().filter(|_| self.chain().is_none())
+    }
+
+    /// Reach the chain position covering `key`. Over remote inner levels
+    /// the client descends them itself and arrives with the covering
+    /// leaf's page in hand (recording the inner trail into `path`, if
+    /// given); a local upper level, a cached route or a prediction
+    /// resolves straight to a chain page the caller has yet to load.
+    async fn reach(
+        &self,
+        ep: &Endpoint,
+        key: Key,
+        req_bytes: usize,
+        path: Option<&mut Vec<RemotePtr>>,
+    ) -> Result<(RemotePtr, Option<PageBuf>), VerbError> {
+        if self.root().is_some() {
+            let (leaf, page) = self.descend(ep, key, req_bytes, path).await?;
+            return Ok((leaf, Some(page)));
+        }
+        Ok((self.start(ep, key, req_bytes).await?, None))
+    }
+
+    /// Descend from the index's start to the leaf covering `key`: the
+    /// optimistic read / fence-validate / move-right loop shared by every
+    /// pointer-resolving traversal. When `path` is given, inner nodes
+    /// crossed on a *descending* edge are recorded (sibling chases are not
+    /// part of the path — Listing 2). Cache feedback: stale routing steps
+    /// call [`Index::invalidate`]; the covering leaf is reported via
+    /// [`Index::note_leaf`].
+    async fn descend(
+        &self,
+        ep: &Endpoint,
+        key: Key,
+        req_bytes: usize,
+        mut path: Option<&mut Vec<RemotePtr>>,
+    ) -> Result<(RemotePtr, PageBuf), VerbError> {
+        let mut parent = RemotePtr::NULL;
+        let mut cur = self.start(ep, key, req_bytes).await?;
+        loop {
+            let page = self.load(ep, cur).await?;
+            match kind_of(&page) {
+                NodeKind::Inner => {
+                    let node = InnerNodeRef::new(&page);
+                    // `find_child` is this level's fence: it proves the
+                    // (optimistically read) inner copy still routes the key.
+                    crate::note_fence(ep, FenceKind::Revalidate, cur);
+                    match node.find_child(key) {
+                        Some(c) => {
+                            if let Some(p) = path.as_deref_mut() {
+                                p.push(cur);
+                            }
+                            parent = cur;
+                            cur = rp(c);
                         }
-                        parent = cur;
-                        cur = rp(c);
-                    }
-                    None => {
-                        // The inner copy no longer covers the key (a
-                        // concurrent split moved it right): chase.
-                        src.invalidate(ep, key, cur);
-                        cur = rp(node.right_sibling());
+                        None => {
+                            // The inner copy no longer covers the key (a
+                            // concurrent split moved it right): chase.
+                            self.invalidate(ep, key, cur);
+                            cur = rp(node.right_sibling());
+                        }
                     }
                 }
+                NodeKind::Head => {
+                    // Head bytes never escape: only the (append-only)
+                    // sibling pointer is consumed — a routing re-check.
+                    crate::note_fence(ep, FenceKind::Revalidate, cur);
+                    cur = rp(HeadNodeRef::new(&page).right_sibling());
+                }
+                NodeKind::Leaf => {
+                    let leaf = LeafNodeRef::new(&page);
+                    // Mutation (race, `mutations` builds under
+                    // NAMDEX_RACE_MUT=descend-no-covers): return the leaf
+                    // without evaluating the `covers()` fence, letting the
+                    // optimistic read escape unvalidated.
+                    let valid = if crate::race_mut(crate::RaceMut::DescendNoCovers) {
+                        true
+                    } else {
+                        crate::note_fence(ep, FenceKind::Revalidate, cur);
+                        leaf.covers(key)
+                    };
+                    if valid {
+                        self.note_leaf(ep, key, cur, &page);
+                        return Ok((cur, page));
+                    }
+                    // Routed too far left (stale parent copy, stale cached
+                    // route or prediction): invalidate the step that sent
+                    // us here, chase.
+                    self.invalidate(ep, key, parent);
+                    cur = rp(leaf.right_sibling());
+                }
             }
-            NodeKind::Head => {
-                // Head bytes never escape: only the (append-only)
-                // sibling pointer is consumed — a routing re-check.
+            assert!(!cur.is_null(), "fell off the B-link chain");
+        }
+    }
+
+    /// One point-lookup attempt: descend, read the covering leaf.
+    pub async fn lookup(&self, ep: &Endpoint, key: Key) -> Result<Option<Value>, VerbError> {
+        if let Some(local) = self.shipped() {
+            return local.lookup(ep, key).await;
+        }
+        let (_leaf, page) = self.descend(ep, key, msg::lookup_req(), None).await?;
+        Ok(LeafNodeRef::new(&page).get(key))
+    }
+
+    /// One range-query attempt over `[lo, hi]` (inclusive); live entries
+    /// in key order.
+    pub async fn range(
+        &self,
+        ep: &Endpoint,
+        lo: Key,
+        hi: Key,
+    ) -> Result<Vec<(Key, Value)>, VerbError> {
+        self.range_with(ep, lo, hi, &RangeProgress::default()).await
+    }
+
+    /// [`Index::range`] as one attempt of a retried operation, with head-node
+    /// prefetch over a chain. A client descent reaches the covering leaf
+    /// first (chases before the scan issue no prefetch, matching
+    /// Listing 2); otherwise the whole chain walk is [`scan_chain`]'s,
+    /// which prefetches through any head it meets.
+    /// `progress` only matters to shipped ranges (see [`Local::range`]).
+    pub(crate) async fn range_with(
+        &self,
+        ep: &Endpoint,
+        lo: Key,
+        hi: Key,
+        progress: &RangeProgress,
+    ) -> Result<Vec<(Key, Value)>, VerbError> {
+        if let Some(local) = self.shipped() {
+            return local.range(ep, lo, hi, progress).await;
+        }
+        let mut out = Vec::new();
+        let (start, page) = self.reach(ep, lo, msg::range_req(), None).await?;
+        scan_chain(ep, self.layout(), start, page, lo, hi, &mut out).await?;
+        Ok(out)
+    }
+
+    // -----------------------------------------------------------------------
+    // The lock-coupled write path.
+    // -----------------------------------------------------------------------
+
+    /// Lock the leaf covering `key`, starting from `cur` (with `pending` as
+    /// its already-fetched page, if any): lock, re-validate coverage under
+    /// the lock, move right and retry on failure — the
+    /// `remote_upgradeToWriteLockOrRestart` + move-right loop of Listing 4.
+    async fn lock_covering_leaf(
+        &self,
+        ep: &Endpoint,
+        key: Key,
+        mut cur: RemotePtr,
+        mut pending: Option<PageBuf>,
+    ) -> Result<Locked, VerbError> {
+        loop {
+            // A client descent hands over its leaf copy; a resolved chain
+            // position is loaded here.
+            let page = match pending.take() {
+                Some(p) => p,
+                None => self.load(ep, cur).await?,
+            };
+            if kind_of(&page) == NodeKind::Head {
                 crate::note_fence(ep, FenceKind::Revalidate, cur);
                 cur = rp(HeadNodeRef::new(&page).right_sibling());
+                continue;
             }
-            NodeKind::Leaf => {
-                let leaf = LeafNodeRef::new(&page);
-                // Mutation (race, `mutations` builds under
-                // NAMDEX_RACE_MUT=descend-no-covers): return the leaf
-                // without evaluating the `covers()` fence, letting the
-                // optimistic read escape unvalidated.
-                let valid = if crate::race_mut(crate::RaceMut::DescendNoCovers) {
-                    true
-                } else {
-                    crate::note_fence(ep, FenceKind::Revalidate, cur);
-                    leaf.covers(key)
-                };
-                if valid {
-                    src.note_leaf(ep, key, cur, &page);
-                    return Ok((cur, page));
-                }
-                // Routed too far left (stale parent copy or stale cached
-                // route): invalidate the step that sent us here, chase.
-                src.invalidate(ep, key, parent);
-                cur = rp(leaf.right_sibling());
-            }
-        }
-        assert!(!cur.is_null(), "fell off the B-link chain");
-    }
-}
-
-/// Point lookup: descend, read the covering leaf.
-pub(crate) async fn lookup<S: NodeSource>(
-    src: &S,
-    ep: &Endpoint,
-    key: Key,
-) -> Result<Option<Value>, VerbError> {
-    let (_leaf, page) = descend(src, ep, key, OpAccess::Lookup, None).await?;
-    Ok(LeafNodeRef::new(&page).get(key))
-}
-
-/// Range query over `[lo, hi]` with head-node prefetch. Client-descent
-/// sources reach the covering leaf first (chases before the scan issue
-/// no prefetch, matching Listing 2); leaf-resolving sources hand the
-/// whole chain walk to [`scan_chain`], which prefetches through any head
-/// it meets.
-pub(crate) async fn range<S: NodeSource>(
-    src: &S,
-    ep: &Endpoint,
-    lo: Key,
-    hi: Key,
-) -> Result<Vec<(Key, Value)>, VerbError> {
-    let mut out = Vec::new();
-    if S::CLIENT_DESCENT {
-        let (start, page) = descend(src, ep, lo, OpAccess::Range, None).await?;
-        scan_chain(ep, src.layout(), start, Some(page), lo, hi, &mut out).await?;
-    } else {
-        let start = src.start(ep, lo, OpAccess::Range).await?;
-        scan_chain(ep, src.layout(), start, None, lo, hi, &mut out).await?;
-    }
-    Ok(out)
-}
-
-// ---------------------------------------------------------------------------
-// The lock-coupled write path.
-// ---------------------------------------------------------------------------
-
-/// Lock the leaf covering `key`, starting from `cur` (with `pending` as
-/// its already-fetched page, if any): lock, re-validate coverage under
-/// the lock, move right and retry on failure — the
-/// `remote_upgradeToWriteLockOrRestart` + move-right loop of Listing 4.
-async fn lock_covering_leaf<S: NodeSource>(
-    src: &S,
-    ep: &Endpoint,
-    key: Key,
-    mut cur: RemotePtr,
-    mut pending: Option<PageBuf>,
-) -> Result<Locked, VerbError> {
-    loop {
-        // Client-descent callers hand over the descent's leaf copy;
-        // leaf-resolving callers load.
-        let page = match pending.take() {
-            Some(p) => p,
-            None => src.load(ep, cur).await?,
-        };
-        if kind_of(&page) == NodeKind::Head {
+            let locked = lock_node(ep, cur, page).await?;
+            let leaf = LeafNodeRef::new(&locked.page);
+            // Coverage re-check *under the lock* (the acquire CAS already
+            // synchronized the copy; this is the semantic fence).
             crate::note_fence(ep, FenceKind::Revalidate, cur);
-            cur = rp(HeadNodeRef::new(&page).right_sibling());
-            continue;
-        }
-        let locked = lock_node(ep, cur, page).await?;
-        let leaf = LeafNodeRef::new(&locked.page);
-        // Coverage re-check *under the lock* (the acquire CAS already
-        // synchronized the copy; this is the semantic fence).
-        crate::note_fence(ep, FenceKind::Revalidate, cur);
-        if leaf.covers(key) {
-            src.note_leaf(ep, key, cur, &locked.page);
-            return Ok(locked);
-        }
-        let next = rp(leaf.right_sibling());
-        locked.release(ep).await?;
-        src.invalidate(ep, key, RemotePtr::NULL);
-        cur = next;
-    }
-}
-
-/// A source the engine can also *write* through: page allocation for
-/// splits and upper-level split registration.
-#[allow(async_fn_in_trait)]
-pub(crate) trait TreeWriter: NodeSource {
-    /// Allocate a fresh remote page for a split (`RDMA_ALLOC`,
-    /// Listing 4).
-    async fn alloc(&self, ep: &Endpoint) -> Result<RemotePtr, VerbError>;
-
-    /// Register a committed leaf split with the upper levels: `left`
-    /// (high key now `sep`) kept its pointer, `right` (high key
-    /// `old_high`) is new. `path` is the descent's inner-node trail for
-    /// client-descent sources (empty otherwise).
-    async fn complete_split(
-        &self,
-        ep: &Endpoint,
-        path: Vec<RemotePtr>,
-        sep: Key,
-        left: RemotePtr,
-        right: RemotePtr,
-        old_high: Key,
-    ) -> Result<(), VerbError>;
-}
-
-impl<S: TreeWriter> TreeWriter for Cached<'_, S> {
-    async fn alloc(&self, ep: &Endpoint) -> Result<RemotePtr, VerbError> {
-        self.inner().alloc(ep).await
-    }
-
-    async fn complete_split(
-        &self,
-        ep: &Endpoint,
-        path: Vec<RemotePtr>,
-        sep: Key,
-        left: RemotePtr,
-        right: RemotePtr,
-        old_high: Key,
-    ) -> Result<(), VerbError> {
-        // The splitting client knows its own cached state is stale: fix
-        // routes eagerly, drop the parent page copy (its remote original
-        // is about to change). Other clients correct lazily through the
-        // validation rule.
-        if let Some(cache) = self.cache_layer() {
-            match self.cache_policy() {
-                crate::resolve::CachePolicy::Routes => {
-                    cache.note_split(ep.client_id(), sep, old_high, left.raw(), right.raw());
-                }
-                crate::resolve::CachePolicy::InnerPages => {
-                    if let Some(&parent) = path.last() {
-                        cache.drop_page(ep.client_id(), parent);
-                    }
-                }
+            if leaf.covers(key) {
+                self.note_leaf(ep, key, cur, &locked.page);
+                return Ok(locked);
             }
+            let next = rp(leaf.right_sibling());
+            locked.release(ep).await?;
+            self.invalidate(ep, key, RemotePtr::NULL);
+            cur = next;
         }
-        self.inner()
-            .complete_split(ep, path, sep, left, right, old_high)
+    }
+
+    /// One insert attempt (`remote_insert`, Listing 2/4): descend (recording
+    /// the inner path over remote inner levels), lock the covering leaf,
+    /// install the pair, write back and FAA-unlock; splits allocate a remote
+    /// page, write right-sibling-first, and register upward through
+    /// `Index::complete_split`. Duplicates are allowed (non-unique
+    /// index).
+    ///
+    /// **Exactly-once under retries** — the one place the `retrying` hint is
+    /// interpreted: the attempt commits at the leaf's unlock FAA, so a later
+    /// failure (split registration, a refused unlock) leaves the install in
+    /// place; on `retrying = true` the covering leaf is first checked for a
+    /// live `(key, value)` pair and the retry is absorbed if its predecessor
+    /// already committed. (Non-unique-index caveat: a pair some concurrent
+    /// operation installed independently is indistinguishable from our own
+    /// committed install and is absorbed too.) Any lock the attempt holds
+    /// when it fails is best-effort released so the retry does not stall on
+    /// it until the lease break.
+    pub async fn insert(
+        &self,
+        ep: &Endpoint,
+        key: Key,
+        value: Value,
+        retrying: bool,
+    ) -> Result<(), VerbError> {
+        if let Some(local) = self.shipped() {
+            return local.insert(ep, key, value, retrying).await;
+        }
+        let mut path = Vec::new();
+        let (start, page) = self
+            .reach(ep, key, msg::insert_req(), Some(&mut path))
+            .await?;
+        let mut locked = self.lock_covering_leaf(ep, key, start, page).await?;
+        let cur = locked.ptr();
+
+        if retrying && LeafNodeRef::new(&locked.page).contains(key, value) {
+            // The previous attempt committed before its post-commit verb
+            // failed. (If it had also split, the new leaf stays reachable
+            // via the B-link sibling chain even when its parent entry is
+            // missing; a later split re-propagates.)
+            return locked.release(ep).await;
+        }
+
+        let full = LeafNodeMut::new(&mut locked.page)
+            .insert(key, value)
+            .is_err();
+        if !full {
+            return locked.commit(ep, None).await;
+        }
+
+        // Split: allocate remotely, split the local copy, write both halves
+        // (right first, Listing 4), unlock, register upward.
+        let (mut locked, right_ptr) = locked.under(ep, self.alloc(ep)).await?;
+        let mut right_page = self.layout().alloc_page();
+        let sep = LeafNodeMut::new(&mut locked.page).split_into(
+            &mut right_page,
+            cur.as_page_ptr(),
+            right_ptr.as_page_ptr(),
+        );
+        let old_high = LeafNodeRef::new(&right_page).high_key();
+        let target = if key <= sep {
+            &mut locked.page
+        } else {
+            &mut *right_page
+        };
+        if LeafNodeMut::new(target).insert(key, value).is_err() {
+            let _ = locked.release(ep).await;
+            return Err(VerbError::Invariant("split leaf half refused the insert"));
+        }
+        locked.commit(ep, Some((right_ptr, &right_page))).await?;
+        self.complete_split(ep, path, sep, cur, right_ptr, old_high)
             .await
     }
+
+    /// One delete attempt: lock the covering leaf, tombstone the first live
+    /// entry under `key`; returns whether an entry was deleted. Idempotent,
+    /// so no retry hint is needed. Space is reclaimed by epoch GC
+    /// ([`crate::gc`]).
+    pub async fn delete(&self, ep: &Endpoint, key: Key) -> Result<bool, VerbError> {
+        if let Some(local) = self.shipped() {
+            return local.delete(ep, key).await;
+        }
+        let (start, page) = self.reach(ep, key, msg::delete_req(), None).await?;
+        let mut locked = self.lock_covering_leaf(ep, key, start, page).await?;
+        let deleted = LeafNodeMut::new(&mut locked.page).mark_deleted(key);
+        if deleted {
+            locked.commit(ep, None).await?;
+        } else {
+            locked.release(ep).await?;
+        }
+        Ok(deleted)
+    }
 }
 
-/// One insert attempt (`remote_insert`, Listing 2/4): descend (recording
-/// the inner path for client-descent sources), lock the covering leaf,
-/// install the pair, write back and FAA-unlock; splits allocate a remote
-/// page, write right-sibling-first, and register upward through
-/// [`TreeWriter::complete_split`].
-///
-/// **Exactly-once under retries** — the one place the `retrying` hint is
-/// interpreted: the attempt commits at the leaf's unlock FAA, so a later
-/// failure (split registration, a refused unlock) leaves the install in
-/// place; on `retrying = true` the covering leaf is first checked for a
-/// live `(key, value)` pair and the retry is absorbed if its predecessor
-/// already committed. (Non-unique-index caveat: a pair some concurrent
-/// operation installed independently is indistinguishable from our own
-/// committed install and is absorbed too.) Any lock the attempt holds
-/// when it fails is best-effort released so the retry does not stall on
-/// it until the lease break.
-pub(crate) async fn insert<S: TreeWriter>(
-    src: &S,
-    ep: &Endpoint,
-    key: Key,
-    value: Value,
-    retrying: bool,
-) -> Result<(), VerbError> {
-    let mut path = Vec::new();
-    let (start, first_page) = if S::CLIENT_DESCENT {
-        let (c, p) = descend(src, ep, key, OpAccess::Insert, Some(&mut path)).await?;
-        (c, Some(p))
-    } else {
-        (src.start(ep, key, OpAccess::Insert).await?, None)
-    };
-    let mut locked = lock_covering_leaf(src, ep, key, start, first_page).await?;
-    let cur = locked.ptr();
-
-    if retrying && LeafNodeRef::new(&locked.page).contains(key, value) {
-        // The previous attempt committed before its post-commit verb
-        // failed. (If it had also split, the new leaf stays reachable
-        // via the B-link sibling chain even when its parent entry is
-        // missing; a later split re-propagates.)
-        return locked.release(ep).await;
-    }
-
-    let full = LeafNodeMut::new(&mut locked.page)
-        .insert(key, value)
-        .is_err();
-    if !full {
-        return locked.commit(ep, None).await;
-    }
-
-    // Split: allocate remotely, split the local copy, write both halves
-    // (right first, Listing 4), unlock, register upward.
-    let (mut locked, right_ptr) = locked.under(ep, src.alloc(ep)).await?;
-    let mut right_page = src.layout().alloc_page();
-    let sep = LeafNodeMut::new(&mut locked.page).split_into(
-        &mut right_page,
-        cur.as_page_ptr(),
-        right_ptr.as_page_ptr(),
-    );
-    let old_high = LeafNodeRef::new(&right_page).high_key();
-    let target = if key <= sep {
-        &mut locked.page
-    } else {
-        &mut *right_page
-    };
-    if LeafNodeMut::new(target).insert(key, value).is_err() {
-        let _ = locked.release(ep).await;
-        return Err(VerbError::Invariant("split leaf half refused the insert"));
-    }
-    locked.commit(ep, Some((right_ptr, &right_page))).await?;
-    src.complete_split(ep, path, sep, cur, right_ptr, old_high)
-        .await
-}
-
-/// The same exactly-once absorption rule, for designs that ship whole
-/// inserts to the owning server as RPCs (the coarse-grained design): a
+/// The same exactly-once absorption rule, for inserts that ship whole to
+/// the owning server (the coarse-grained design): a
 /// retried attempt first probes the local tree for a live `(key, value)`
 /// pair and absorbs the duplicate — the previous attempt's RPC may have
 /// applied before its response was lost (server crash, dropped ack), and
@@ -538,215 +556,166 @@ pub(crate) fn apply_insert_local(
     (Some(leaf), work)
 }
 
-/// One delete attempt: lock the covering leaf, tombstone the first live
-/// entry under `key`; returns whether an entry was deleted. Idempotent,
-/// so no retry hint is needed.
-pub(crate) async fn delete<S: NodeSource>(
-    src: &S,
-    ep: &Endpoint,
-    key: Key,
-) -> Result<bool, VerbError> {
-    let (start, first_page) = if S::CLIENT_DESCENT {
-        let (c, p) = descend(src, ep, key, OpAccess::Delete, None).await?;
-        (c, Some(p))
-    } else {
-        (src.start(ep, key, OpAccess::Delete).await?, None)
-    };
-    let mut locked = lock_covering_leaf(src, ep, key, start, first_page).await?;
-    let deleted = LeafNodeMut::new(&mut locked.page).mark_deleted(key);
-    if deleted {
-        locked.commit(ep, None).await?;
-    } else {
-        locked.release(ep).await?;
-    }
-    Ok(deleted)
-}
-
 // ---------------------------------------------------------------------------
 // Split propagation over remotely stored inner levels.
 // ---------------------------------------------------------------------------
 
-/// Remotely stored upper levels the engine can propagate splits through:
-/// the published root plus split-page allocation. Implemented by the
-/// fine-grained design; the hybrid's upper levels are server-local and
-/// take split registrations over RPC instead.
-#[allow(async_fn_in_trait)]
-pub(crate) trait RemoteUpper {
-    /// Page geometry of the inner levels.
-    fn layout(&self) -> PageLayout;
-    /// Current root pointer (the catalog entry).
-    fn root_ptr(&self) -> RemotePtr;
-    /// Catalog check-and-set: publish `new` as root iff the root is
-    /// still `old`; must not await between check and set.
-    fn install_root(&self, old: RemotePtr, new: RemotePtr) -> bool;
-    /// Allocate a fresh remote page for an inner split or a new root.
-    async fn alloc_node(&self, ep: &Endpoint) -> Result<RemotePtr, VerbError>;
-}
-
-/// Install `(sep, right)` into the parent level, splitting parents as
-/// needed; grows a new root when the split reaches the top. Reads pages
-/// directly (uncached): SMOs must CAS against fresh versions.
-pub(crate) async fn propagate_split<U: RemoteUpper>(
-    up: &U,
-    ep: &Endpoint,
-    mut path: Vec<RemotePtr>,
-    mut sep: Key,
-    mut left: RemotePtr,
-    mut right: RemotePtr,
-    mut level: u8,
-) -> Result<(), VerbError> {
-    let ps = up.layout().page_size();
-    loop {
-        let mut cur = match path.pop() {
-            Some(p) => p,
-            None => {
-                if try_grow_root(up, ep, sep, left, right, level).await? {
+impl Index {
+    /// Install `(sep, right)` into the parent level under `root`,
+    /// splitting parents as needed; grows a new root when the split
+    /// reaches the top. Reads pages directly (uncached): SMOs must CAS
+    /// against fresh versions.
+    pub(crate) async fn propagate_split(
+        &self,
+        root: &Cell<RemotePtr>,
+        ep: &Endpoint,
+        mut path: Vec<RemotePtr>,
+        mut sep: Key,
+        mut left: RemotePtr,
+        mut right: RemotePtr,
+    ) -> Result<(), VerbError> {
+        let ps = self.layout().page_size();
+        // Level of the node `(sep, right)` goes into: 1 above the leaves.
+        let mut level: u8 = 1;
+        loop {
+            let Some(mut cur) = path.pop() else {
+                let grown = self.try_grow_root(root, ep, sep, left, right, level);
+                if grown.await? {
                     return Ok(());
                 }
                 // The tree grew concurrently: locate the parent level
-                // under the new root and continue there.
-                path = path_to_level(up, ep, sep, level).await?;
-                match path.pop() {
-                    Some(p) => p,
-                    None => {
-                        return Err(VerbError::Invariant(
-                            "fresh descent to an existing level returned no path",
-                        ))
-                    }
-                }
-            }
-        };
+                // under the new root and continue there (the fresh path
+                // ends at that level, so the next turn pops it).
+                path = self.path_to_level(root.get(), ep, sep, level).await?;
+                continue;
+            };
 
-        // Lock the covering inner node (move right as needed).
-        let mut locked = loop {
+            // Lock the covering inner node (move right as needed).
+            let mut locked = loop {
+                let page = read_unlocked(ep, cur, ps).await?;
+                let node = InnerNodeRef::new(&page);
+                crate::note_fence(ep, FenceKind::Revalidate, cur);
+                if !node.covers(sep) {
+                    cur = rp(node.right_sibling());
+                    continue;
+                }
+                let locked = lock_node(ep, cur, page).await?;
+                let node = InnerNodeRef::new(&locked.page);
+                crate::note_fence(ep, FenceKind::Revalidate, cur);
+                if node.covers(sep) {
+                    break locked;
+                }
+                let next = rp(node.right_sibling());
+                locked.release(ep).await?;
+                cur = next;
+            };
+
+            let full = InnerNodeMut::new(&mut locked.page)
+                .install_split(sep, right.as_page_ptr())
+                .is_err();
+            if !full {
+                return locked.commit(ep, None).await;
+            }
+
+            // Parent full: split it (holding its lock), install into the
+            // covering half, and carry the parent split upward.
+            let (mut locked, parent_right) = locked.under(ep, self.alloc(ep)).await?;
+            let mut pright_page = self.layout().alloc_page();
+            let psep = InnerNodeMut::new(&mut locked.page).split_into(
+                &mut pright_page,
+                cur.as_page_ptr(),
+                parent_right.as_page_ptr(),
+            );
+            let target = if sep <= psep {
+                &mut locked.page
+            } else {
+                &mut *pright_page
+            };
+            if InnerNodeMut::new(target)
+                .install_split(sep, right.as_page_ptr())
+                .is_err()
+            {
+                let _ = locked.release(ep).await;
+                return Err(VerbError::Invariant("split parent half refused the entry"));
+            }
+            locked
+                .commit(ep, Some((parent_right, &pright_page)))
+                .await?;
+            sep = psep;
+            left = cur;
+            right = parent_right;
+            level += 1;
+        }
+    }
+
+    /// Attempt to install a new root above a split of the current root.
+    /// Returns false if the root changed concurrently (the freshly written
+    /// root page is leaked; harmless — pools are bump allocators).
+    async fn try_grow_root(
+        &self,
+        root: &Cell<RemotePtr>,
+        ep: &Endpoint,
+        sep: Key,
+        left: RemotePtr,
+        right: RemotePtr,
+        level: u8,
+    ) -> Result<bool, VerbError> {
+        if root.get() != left {
+            return Ok(false);
+        }
+        let new_root = self.alloc(ep).await?;
+        let mut page = self.layout().alloc_page();
+        InnerNodeMut::init_root(
+            &mut page,
+            level,
+            sep,
+            left.as_page_ptr(),
+            right.as_page_ptr(),
+        );
+        ep.write(new_root, &page).await?;
+        // Catalog check-and-set: no await between check and set, so the
+        // update is atomic with respect to other clients.
+        let unchanged = root.get() == left;
+        if unchanged {
+            root.set(new_root);
+        }
+        Ok(unchanged)
+    }
+
+    /// Fresh descent from `root` down to (and including) an inner node at
+    /// `level` covering `key`.
+    async fn path_to_level(
+        &self,
+        root: RemotePtr,
+        ep: &Endpoint,
+        key: Key,
+        level: u8,
+    ) -> Result<Vec<RemotePtr>, VerbError> {
+        let ps = self.layout().page_size();
+        let mut path = Vec::new();
+        let mut cur = root;
+        loop {
             let page = read_unlocked(ep, cur, ps).await?;
+            debug_assert_eq!(kind_of(&page), NodeKind::Inner, "levels > 0 are inner");
             let node = InnerNodeRef::new(&page);
             crate::note_fence(ep, FenceKind::Revalidate, cur);
-            if !node.covers(sep) {
+            if !node.covers(key) {
                 cur = rp(node.right_sibling());
                 continue;
             }
-            let locked = lock_node(ep, cur, page).await?;
-            let node = InnerNodeRef::new(&locked.page);
-            crate::note_fence(ep, FenceKind::Revalidate, cur);
-            if node.covers(sep) {
-                break locked;
-            }
-            let next = rp(node.right_sibling());
-            locked.release(ep).await?;
-            cur = next;
-        };
-
-        let full = InnerNodeMut::new(&mut locked.page)
-            .install_split(sep, right.as_page_ptr())
-            .is_err();
-        if !full {
-            return locked.commit(ep, None).await;
-        }
-
-        // Parent full: split it (holding its lock), install into the
-        // covering half, and carry the parent split upward.
-        let (mut locked, parent_right) = locked.under(ep, up.alloc_node(ep)).await?;
-        let mut pright_page = up.layout().alloc_page();
-        let psep = InnerNodeMut::new(&mut locked.page).split_into(
-            &mut pright_page,
-            cur.as_page_ptr(),
-            parent_right.as_page_ptr(),
-        );
-        let target = if sep <= psep {
-            &mut locked.page
-        } else {
-            &mut *pright_page
-        };
-        if InnerNodeMut::new(target)
-            .install_split(sep, right.as_page_ptr())
-            .is_err()
-        {
-            let _ = locked.release(ep).await;
-            return Err(VerbError::Invariant("split parent half refused the entry"));
-        }
-        locked
-            .commit(ep, Some((parent_right, &pright_page)))
-            .await?;
-        sep = psep;
-        left = cur;
-        right = parent_right;
-        level += 1;
-    }
-}
-
-/// Attempt to install a new root above a split of the current root.
-/// Returns false if the root changed concurrently (the freshly written
-/// root page is leaked; harmless — pools are bump allocators).
-async fn try_grow_root<U: RemoteUpper>(
-    up: &U,
-    ep: &Endpoint,
-    sep: Key,
-    left: RemotePtr,
-    right: RemotePtr,
-    level: u8,
-) -> Result<bool, VerbError> {
-    if up.root_ptr() != left {
-        return Ok(false);
-    }
-    let new_root = up.alloc_node(ep).await?;
-    let mut page = up.layout().alloc_page();
-    InnerNodeMut::init_root(
-        &mut page,
-        level,
-        sep,
-        left.as_page_ptr(),
-        right.as_page_ptr(),
-    );
-    ep.write(new_root, &page).await?;
-    Ok(up.install_root(left, new_root))
-}
-
-/// Fresh descent from the current root down to (and including) an inner
-/// node at `level` covering `key`.
-async fn path_to_level<U: RemoteUpper>(
-    up: &U,
-    ep: &Endpoint,
-    key: Key,
-    level: u8,
-) -> Result<Vec<RemotePtr>, VerbError> {
-    let ps = up.layout().page_size();
-    let mut path = Vec::new();
-    let mut cur = up.root_ptr();
-    loop {
-        let page = read_unlocked(ep, cur, ps).await?;
-        debug_assert_eq!(kind_of(&page), NodeKind::Inner, "levels > 0 are inner");
-        let node = InnerNodeRef::new(&page);
-        crate::note_fence(ep, FenceKind::Revalidate, cur);
-        if !node.covers(key) {
-            cur = rp(node.right_sibling());
-            continue;
-        }
-        if node.level() == level {
-            path.push(cur);
-            return Ok(path);
-        }
-        match node.find_child(key) {
-            Some(c) => {
+            if node.level() == level {
                 path.push(cur);
-                cur = rp(c);
+                return Ok(path);
             }
-            None => cur = rp(node.right_sibling()),
+            match node.find_child(key) {
+                Some(c) => {
+                    path.push(cur);
+                    cur = rp(c);
+                }
+                None => cur = rp(node.right_sibling()),
+            }
         }
     }
-}
-
-/// Timed round-robin page allocation over all memory servers
-/// (`RDMA_ALLOC`, Listing 4) — the placement policy both one-sided
-/// designs share for split pages.
-pub(crate) async fn rr_alloc(
-    ep: &Endpoint,
-    rr: &Cell<usize>,
-    page_size: usize,
-) -> Result<RemotePtr, VerbError> {
-    let s = rr.get();
-    rr.set((s + 1) % ep.cluster().num_servers());
-    ep.alloc(s, page_size as u64).await
 }
 
 // ---------------------------------------------------------------------------
@@ -879,22 +848,6 @@ impl RangeProgress {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Telemetry bracketing for Design-level operations.
-// ---------------------------------------------------------------------------
-
-/// Bracket a design-level operation with op-span telemetry notes.
-pub(crate) async fn with_op_span<T>(
-    ep: &Endpoint,
-    kind: OpKind,
-    fut: impl std::future::Future<Output = Result<T, OpError>>,
-) -> Result<T, OpError> {
-    ep.cluster().note_op_start(ep.client_id(), kind);
-    let res = fut.await;
-    ep.cluster().note_op_end(ep.client_id(), kind, res.is_ok());
-    res
-}
-
 #[cfg(test)]
 #[allow(
     clippy::unwrap_used,
@@ -904,24 +857,14 @@ pub(crate) async fn with_op_span<T>(
 )]
 mod tests {
     use super::*;
-    use crate::fg::{FgConfig, FineGrained};
-    use crate::hybrid::Hybrid;
-    use crate::CoarseGrained;
+    use crate::chain::small_cfg;
+    use crate::{CoarseGrained, Design, FineGrained, Hybrid};
     use blink::PageLayout;
     use nam::{NamCluster, PartitionMap};
     use rdma_sim::{Cluster, ClusterSpec};
     use simnet::Sim;
     use std::cell::Cell;
     use std::rc::Rc;
-
-    fn small_cfg() -> FgConfig {
-        FgConfig {
-            layout: PageLayout::new(200),
-            fill: 0.7,
-            head_stride: 4,
-            cache_capacity: None,
-        }
-    }
 
     fn fnv1a(bytes: &[u8]) -> u64 {
         let mut h: u64 = 0xcbf29ce484222325;
@@ -987,15 +930,15 @@ mod tests {
         let ep = rdma_sim::Endpoint::new(&cluster);
         sim.spawn(async move {
             // First attempt commits at the leaf unlock...
-            idx.insert(&ep, 41, 999).await.unwrap();
+            idx.insert(&ep, 41, 999, false).await.unwrap();
             // ...then a post-commit verb "fails"; the retry layer re-runs
             // with `retrying = true`, which must absorb the install.
-            insert(&idx.source(), &ep, 41, 999, true).await.unwrap();
+            idx.insert(&ep, 41, 999, true).await.unwrap();
             assert_eq!(idx.range(&ep, 41, 41).await.unwrap(), vec![(41, 999)]);
             // A genuinely fresh duplicate still installs (non-unique
             // index), and retrying with a different value installs too.
-            idx.insert(&ep, 41, 999).await.unwrap();
-            insert(&idx.source(), &ep, 41, 777, true).await.unwrap();
+            idx.insert(&ep, 41, 999, false).await.unwrap();
+            idx.insert(&ep, 41, 777, true).await.unwrap();
             let rows = idx.range(&ep, 41, 41).await.unwrap();
             assert_eq!(rows.len(), 3, "absorption is exact-pair only: {rows:?}");
         });
@@ -1015,11 +958,11 @@ mod tests {
         );
         let ep = rdma_sim::Endpoint::new(&nam.rdma);
         sim.spawn(async move {
-            idx.insert(&ep, 41, 999).await.unwrap();
-            insert(&idx.source(), &ep, 41, 999, true).await.unwrap();
+            idx.insert(&ep, 41, 999, false).await.unwrap();
+            idx.insert(&ep, 41, 999, true).await.unwrap();
             assert_eq!(idx.range(&ep, 41, 41).await.unwrap(), vec![(41, 999)]);
-            idx.insert(&ep, 41, 999).await.unwrap();
-            insert(&idx.source(), &ep, 41, 777, true).await.unwrap();
+            idx.insert(&ep, 41, 999, false).await.unwrap();
+            idx.insert(&ep, 41, 777, true).await.unwrap();
             let rows = idx.range(&ep, 41, 41).await.unwrap();
             assert_eq!(rows.len(), 3, "absorption is exact-pair only: {rows:?}");
         });

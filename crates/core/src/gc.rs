@@ -3,81 +3,58 @@
 //! Deletes only set a per-entry delete bit (§3.2); reclaiming the space
 //! is deferred to epoch GC passes:
 //!
-//! * **Coarse-grained** (§3.2): each memory server runs its own GC over
+//! * **Local trees** (§3.2): each memory server runs its own GC over
 //!   its local tree "in regular intervals" — modelled as one RPC per
 //!   server whose handler compacts every leaf, charged for the pages it
-//!   touches.
-//! * **Fine-grained** (§4.2): GC runs *globally from a compute server*,
+//!   touches ([`crate::local`]).
+//! * **The leaf chain** (§4.2): GC runs *globally from a compute server*,
 //!   because local and remote atomics must not mix on the same words
 //!   (reference 10 in the paper): the collector walks the leaf chain with the
 //!   one-sided protocol, locking and rewriting only leaves that carry
 //!   tombstones.
-//! * **Hybrid** (§5.2): the leaf chain is collected by the global
-//!   one-sided collector; upper levels by per-server local GC. No
-//!   synchronisation between the two is needed since delete bits are
+//! * **Both** (§5.2, the hybrid layout): the leaf chain is collected by
+//!   the global one-sided collector; upper levels by per-server local GC.
+//!   No synchronisation between the two is needed since delete bits are
 //!   set consistently.
 
 use blink::node::{kind_of, HeadNodeRef, LeafNodeMut, LeafNodeRef, NodeKind};
-use nam::{handler_cpu_time, msg};
-use rdma_sim::{Endpoint, OpKind, RemotePtr, RpcReply, VerbError};
+use rdma_sim::{Endpoint, OpKind, RemotePtr, VerbError};
 
-use crate::cg::CoarseGrained;
-use crate::fg::FineGrained;
-use crate::hybrid::Hybrid;
 use crate::onesided::{lock_node, read_unlocked};
+use crate::Design;
 
-/// Report to the installed verb observers that an epoch pass retired
-/// `[ptr, ptr + len)` — any later verb touching the region is a
-/// use-after-free. A flag check when nothing is listening (the
-/// simulator itself never reuses retired regions: the pools are bump
-/// allocators, so reclamation is purely a protocol-level event).
-pub fn note_freed(cluster: &rdma_sim::Cluster, ptr: RemotePtr, len: usize) {
-    cluster.note_freed(ptr.server(), ptr.offset(), len);
-}
-
-/// One CG epoch: compact every server's local tree. Returns entries
-/// reclaimed.
-pub async fn cg_gc_pass(idx: &CoarseGrained, ep: &Endpoint) -> Result<usize, VerbError> {
+/// One GC epoch over whatever parts `design` has: the global one-sided
+/// collector over the leaf chain, then local compaction of every
+/// server's tree. Returns the entries reclaimed where the entries live —
+/// on the chain if there is one (compacting upper levels then reclaims
+/// only routing entries: stale leaf pointers are repointed, not
+/// tombstoned, so it is usually a no-op, still charged as a pass), in
+/// the local trees otherwise.
+pub async fn gc_pass(design: &Design, ep: &Endpoint) -> Result<usize, VerbError> {
+    let idx = design.index();
     ep.cluster().note_op_start(ep.client_id(), OpKind::Gc);
-    let res = cg_gc_pass_inner(idx, ep).await;
+    let res = async {
+        let on_chain = match idx.chain() {
+            Some(chain) => Some(chain_gc(ep, chain.first(), idx.layout().page_size()).await?),
+            None => None,
+        };
+        let in_trees = match idx.local() {
+            Some(local) => local.compact(ep).await?,
+            None => 0,
+        };
+        Ok(on_chain.unwrap_or(in_trees))
+    }
+    .await;
     ep.cluster()
         .note_op_end(ep.client_id(), OpKind::Gc, res.is_ok());
     res
 }
 
-async fn cg_gc_pass_inner(idx: &CoarseGrained, ep: &Endpoint) -> Result<usize, VerbError> {
-    let mut reclaimed = 0;
-    for (s, node) in idx.nodes().iter().enumerate() {
-        let node = node.clone();
-        let spec = idx.cluster().spec().clone();
-        reclaimed += ep
-            .rpc(s, msg::ack(), move || {
-                let (freed, pages) = node.with_tree(|t| (t.gc_compact(), t.num_pages()));
-                let work = blink::WorkStats {
-                    nodes_visited: pages as u32,
-                    entries_scanned: freed as u32,
-                    ..blink::WorkStats::default()
-                };
-                RpcReply {
-                    value: freed,
-                    cpu: handler_cpu_time(&spec, work),
-                    resp_bytes: msg::ack(),
-                }
-            })
-            .await?;
-    }
-    Ok(reclaimed)
-}
-
-/// Walk a fine-grained leaf chain from `first`, compacting tombstoned
-/// leaves with the one-sided protocol. Returns entries reclaimed.
+/// Walk the leaf chain from `first`, compacting tombstoned leaves with
+/// the one-sided protocol. Returns entries reclaimed.
 #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)]
 #[deny(clippy::unreachable, clippy::unimplemented, clippy::indexing_slicing)]
-async fn onesided_chain_gc(
-    ep: &Endpoint,
-    first: RemotePtr,
-    page_size: usize,
-) -> Result<usize, VerbError> {
+async fn chain_gc(ep: &Endpoint, first: RemotePtr, page_size: usize) -> Result<usize, VerbError> {
     let mut reclaimed = 0;
     let mut cur = first;
     while !cur.is_null() {
@@ -111,56 +88,11 @@ async fn onesided_chain_gc(
     Ok(reclaimed)
 }
 
-/// One FG epoch: the global compute-server collector walks the leaf
-/// chain. Returns entries reclaimed.
-pub async fn fg_gc_pass(idx: &FineGrained, ep: &Endpoint) -> Result<usize, VerbError> {
-    ep.cluster().note_op_start(ep.client_id(), OpKind::Gc);
-    let res = onesided_chain_gc(ep, idx.first(), idx.layout().page_size()).await;
-    ep.cluster()
-        .note_op_end(ep.client_id(), OpKind::Gc, res.is_ok());
-    res
-}
-
-/// One hybrid epoch: one-sided leaf-chain collection plus per-server
-/// upper-level compaction. Returns leaf entries reclaimed.
-pub async fn hybrid_gc_pass(idx: &Hybrid, ep: &Endpoint) -> Result<usize, VerbError> {
-    ep.cluster().note_op_start(ep.client_id(), OpKind::Gc);
-    let res = hybrid_gc_pass_inner(idx, ep).await;
-    ep.cluster()
-        .note_op_end(ep.client_id(), OpKind::Gc, res.is_ok());
-    res
-}
-
-async fn hybrid_gc_pass_inner(idx: &Hybrid, ep: &Endpoint) -> Result<usize, VerbError> {
-    let reclaimed = onesided_chain_gc(ep, idx.first(), idx.layout().page_size()).await?;
-    // Upper levels: local GC per memory server (stale leaf-pointer
-    // entries are repointed, not tombstoned, so this is usually a no-op;
-    // still charged as a pass).
-    for (s, node) in idx.nodes().iter().enumerate() {
-        let node = node.clone();
-        let spec = idx.cluster().spec().clone();
-        ep.rpc(s, msg::ack(), move || {
-            let (freed, pages) = node.with_tree(|t| (t.gc_compact(), t.num_pages()));
-            let work = blink::WorkStats {
-                nodes_visited: pages as u32,
-                entries_scanned: freed as u32,
-                ..blink::WorkStats::default()
-            };
-            RpcReply {
-                value: (),
-                cpu: handler_cpu_time(&spec, work),
-                resp_bytes: msg::ack(),
-            }
-        })
-        .await?;
-    }
-    Ok(reclaimed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fg::FgConfig;
+    use crate::chain::small_cfg;
+    use crate::{CoarseGrained, FineGrained, Hybrid};
     use blink::layout::lock_word;
     use blink::node::version_lock_of;
     use blink::PageLayout;
@@ -191,7 +123,7 @@ mod tests {
                 for i in (0..1000u64).step_by(2) {
                     idx.delete(&ep, i * 8).await.unwrap();
                 }
-                freed.set(cg_gc_pass(&idx, &ep).await.unwrap());
+                freed.set(gc_pass(&Design::Cg(idx.clone()), &ep).await.unwrap());
                 // Survivors intact after compaction.
                 assert_eq!(idx.lookup(&ep, 8).await.unwrap(), Some(1));
                 assert_eq!(idx.lookup(&ep, 0).await.unwrap(), None);
@@ -205,13 +137,7 @@ mod tests {
     fn fg_gc_reclaims() {
         let sim = Sim::new();
         let cluster = Cluster::new(&sim, ClusterSpec::default());
-        let cfg = FgConfig {
-            layout: PageLayout::new(200),
-            fill: 0.7,
-            head_stride: 4,
-            cache_capacity: None,
-        };
-        let idx = FineGrained::build(&cluster, cfg, (0..500u64).map(|i| (i * 8, i)));
+        let idx = FineGrained::build(&cluster, small_cfg(), (0..500u64).map(|i| (i * 8, i)));
         let ep = Endpoint::new(&cluster);
         let freed = Rc::new(Cell::new(0usize));
         {
@@ -221,7 +147,7 @@ mod tests {
                 for i in (0..500u64).step_by(5) {
                     assert!(idx.delete(&ep, i * 8).await.unwrap());
                 }
-                freed.set(fg_gc_pass(&idx, &ep).await.unwrap());
+                freed.set(gc_pass(&Design::Fg(idx.clone()), &ep).await.unwrap());
                 assert_eq!(idx.lookup(&ep, 0).await.unwrap(), None);
                 assert_eq!(idx.lookup(&ep, 8).await.unwrap(), Some(1));
                 // Full scan sees exactly the survivors.
@@ -237,14 +163,13 @@ mod tests {
     fn hybrid_gc_reclaims() {
         let sim = Sim::new();
         let nam = NamCluster::new(&sim, ClusterSpec::default());
-        let cfg = FgConfig {
-            layout: PageLayout::new(200),
-            fill: 0.7,
-            head_stride: 4,
-            cache_capacity: None,
-        };
         let partition = PartitionMap::range_uniform(4, 400 * 8);
-        let idx = Hybrid::build(&nam, cfg, partition, (0..400u64).map(|i| (i * 8, i)));
+        let idx = Hybrid::build(
+            &nam,
+            small_cfg(),
+            partition,
+            (0..400u64).map(|i| (i * 8, i)),
+        );
         let ep = Endpoint::new(&nam.rdma);
         let freed = Rc::new(Cell::new(0usize));
         {
@@ -254,7 +179,7 @@ mod tests {
                 for i in 0..50u64 {
                     idx.delete(&ep, i * 8).await.unwrap();
                 }
-                freed.set(hybrid_gc_pass(&idx, &ep).await.unwrap());
+                freed.set(gc_pass(&Design::Hybrid(idx.clone()), &ep).await.unwrap());
                 let rows = idx.range(&ep, 0, u64::MAX - 1).await.unwrap();
                 assert_eq!(rows.len(), 350);
             });
@@ -264,20 +189,14 @@ mod tests {
     }
 
     /// A refused write-back must not leak the collector's leaf lock for
-    /// a lease: `fg_gc_pass` fails, but the word is already unlocked and
+    /// a lease: `gc_pass` fails, but the word is already unlocked and
     /// the next writer of that leaf gets straight in.
     #[test]
     fn refused_gc_write_back_releases_the_leaf_lock() {
         use crate::onesided::{abandoned_guards, tests::LockProbe};
         let sim = Sim::new();
         let cluster = Cluster::new(&sim, ClusterSpec::default());
-        let cfg = FgConfig {
-            layout: PageLayout::new(200),
-            fill: 0.7,
-            head_stride: 4,
-            cache_capacity: None,
-        };
-        let idx = FineGrained::build(&cluster, cfg, (0..500u64).map(|i| (i * 8, i)));
+        let idx = FineGrained::build(&cluster, small_cfg(), (0..500u64).map(|i| (i * 8, i)));
         let probe = LockProbe::install(&cluster);
         let collector = Endpoint::new(&cluster);
         let writer = Endpoint::new(&cluster);
@@ -289,13 +208,13 @@ mod tests {
             assert!(idx.delete(&writer, 80).await.unwrap());
             // Position 0 under the collector's lock is the write-back.
             probe.refuse_nth(0);
-            let res = fg_gc_pass(&idx, &collector).await;
+            let res = gc_pass(&Design::Fg(idx.clone()), &collector).await;
             assert!(matches!(res, Err(VerbError::Timeout { .. })), "{res:?}");
             let (leaf, _) = *probe.sections.borrow().last().unwrap();
-            let word = version_lock_of(&idx.cluster().setup_read(leaf, 8));
+            let word = version_lock_of(&idx.setup_source().cluster().setup_read(leaf, 8));
             assert!(!lock_word::is_locked(word), "GC leaked the leaf lock");
             let before = s.now();
-            idx.insert(&writer, 81, 1).await.unwrap();
+            idx.insert(&writer, 81, 1, false).await.unwrap();
             assert!(s.now() - before < lease / 10, "insert waited out a lease");
             assert_eq!(probe.sections.borrow().last().unwrap().0, leaf);
             done2.set(true);

@@ -2,55 +2,57 @@
 
 //! # namdex-core — distributed tree-based index structures for RDMA
 //!
-//! The paper's primary contribution: three distributed B-link tree
-//! designs for the NAM architecture, differing in *how the index is
-//! distributed* across memory servers and *which RDMA primitives* access
-//! it.
+//! The paper's primary contribution: distributed B-link tree designs for
+//! the NAM architecture, differing in *how the index is distributed*
+//! across memory servers and *which RDMA primitives* access it — three
+//! in the paper, plus our learned-routing extension.
 //!
-//! | Design | Module | Distribution | Access |
-//! |--------|--------|--------------|--------|
-//! | 1 (§3) | [`cg`]  | coarse-grained: classic partitioning, one local tree per memory server | two-sided SEND/RECV RPC |
-//! | 2 (§4) | [`fg`]  | fine-grained: one global tree, nodes scattered round-robin, remote pointers | one-sided READ/WRITE/CAS/FAA |
-//! | 3 (§5) | [`hybrid`] | coarse-grained upper levels + fine-grained leaf level | RPC traversal + one-sided leaf access |
+//! | Design | Distribution | Access |
+//! |--------|--------------|--------|
+//! | 1 (§3) [`CoarseGrained`] | classic partitioning, one local tree per memory server | two-sided SEND/RECV RPC |
+//! | 2 (§4) [`FineGrained`] | one global tree, nodes scattered round-robin, remote pointers | one-sided READ/WRITE/CAS/FAA |
+//! | 3 (§5) [`Hybrid`] | coarse-grained upper levels + fine-grained leaf level | RPC traversal + one-sided leaf access |
+//! | 4 [`Learned`] | the hybrid layout | client-resident model + one-sided leaf access, RPC fallback |
 //!
-//! All three use the same concurrency protocol — optimistic lock coupling
-//! over an 8-byte `(version, lock-bit)` word per node — implemented once
-//! in the shared traversal/SMO [`engine`], parameterized by each design's
-//! [`resolve::NodeSource`] ("how does a node reference become page
-//! bytes"); all three share the same tombstone-delete / epoch-GC scheme
-//! ([`gc`]). Both pointer-resolving designs support an optional
-//! client-side cache ([`cache`], Appendix A.4) as a decorator over their
-//! node source, and the fine-grained leaf chain supports head-node
-//! prefetch for range scans (§4.3).
+//! That table is data, not types: every design is one [`Index`] value
+//! described by the parts it has — a scattered leaf [`chain`], an upper
+//! level that is either remote inner pages or [`local`] per-server trees
+//! behind RPC, an optional model [`router`], an optional client
+//! [`cache`] (Appendix A.4) — and the four names above are constructors
+//! ([`resolve`] has the parts table). All designs use the same
+//! concurrency protocol — optimistic lock coupling over an 8-byte
+//! `(version, lock-bit)` word per node — implemented once in the shared
+//! traversal/SMO [`engine`] over the index's six page-resolution
+//! methods, and share the same tombstone-delete / epoch-GC scheme
+//! ([`gc`]); the leaf chain supports head-node prefetch for range scans
+//! (§4.3).
 //!
-//! [`Design`] wraps the three behind one dispatchable interface for
-//! benchmarks and examples, and adds the *recovery* layer: transient verb
-//! failures (timeouts, unreachable servers) are retried from the root
-//! with bounded exponential backoff and deterministic jitter; permanent
-//! conditions surface as [`OpError`].
+//! [`Design`] pairs an index with its name for benchmarks and examples,
+//! and adds the *recovery* layer: transient verb failures (timeouts,
+//! unreachable servers) are retried from the root with bounded
+//! exponential backoff and deterministic jitter; permanent conditions
+//! surface as [`OpError`].
 
 pub mod cache;
-pub mod cg;
+pub mod chain;
 pub mod engine;
-pub mod fg;
 pub mod gc;
-pub mod hybrid;
-pub mod learned;
+pub mod local;
 pub(crate) mod onesided;
 pub mod resolve;
+pub mod router;
 
 pub use cache::{CacheLayer, CacheStats};
-pub use cg::CoarseGrained;
+pub use chain::{Chain, FgConfig};
 pub use engine::RangeProgress;
-pub use fg::{FgConfig, FineGrained};
-pub use hybrid::Hybrid;
-pub use learned::{Learned, LearnedStats};
+pub use local::Local;
 pub use onesided::abandoned_guards;
-pub use resolve::{CachePolicy, NodeSource, OpAccess, SetupSource};
+pub use resolve::{CoarseGrained, FineGrained, Hybrid, Index, Learned, SetupSource};
+pub use router::{LearnedStats, Router};
 
 use blink::{Key, Value};
-use nam::{IndexDescriptor, IndexKind};
-use rdma_sim::{Endpoint, OpArgs, OpKind, OpOutcome, RemotePtr, VerbError};
+use nam::{IndexDescriptor, IndexKind, NamCluster, PartitionMap};
+use rdma_sim::{Endpoint, RemotePtr, VerbError};
 use std::fmt;
 use std::rc::Rc;
 
@@ -93,7 +95,9 @@ impl fmt::Display for OpError {
 
 impl std::error::Error for OpError {}
 
-/// Any of the three index designs, dispatchable at runtime.
+/// An index under one of the four design names, behind the retry
+/// layer. The variant is the name; the [`Index`] it holds is the
+/// behaviour, and [`Design::build`] is where the two are paired.
 ///
 /// All operations go through the retry layer: a [`VerbError::Timeout`]
 /// or [`VerbError::ServerUnreachable`] aborts the attempt, backs off,
@@ -103,13 +107,13 @@ impl std::error::Error for OpError {}
 #[derive(Clone)]
 pub enum Design {
     /// Design 1: coarse-grained / two-sided.
-    Cg(Rc<CoarseGrained>),
+    Cg(Rc<Index>),
     /// Design 2: fine-grained / one-sided.
-    Fg(Rc<FineGrained>),
+    Fg(Rc<Index>),
     /// Design 3: hybrid.
-    Hybrid(Rc<Hybrid>),
+    Hybrid(Rc<Index>),
     /// Design 4: learned-index routing over the hybrid layout.
-    Learned(Rc<Learned>),
+    Learned(Rc<Index>),
 }
 
 /// Whether this build re-introduces the known-fixed historical bugs used
@@ -132,7 +136,7 @@ pub enum RaceMut {
     /// optimistically read leaf escapes into the op result unvalidated.
     DescendNoCovers,
     /// Skip the restart-epoch fence (`CacheLayer::flush_if_restarted`)
-    /// in `resolve::Cached`: cached pages/routes survive a server
+    /// in page resolution: cached pages/routes survive a server
     /// restart and are served against the rebuilt pool.
     CachedNoFence,
     /// Skip the learned design's locked-page re-read: a predicted leaf
@@ -191,145 +195,70 @@ pub(crate) fn note_epoch_check(ep: &Endpoint) {
     }
 }
 
-/// Report an index-level invocation to the observer bus (history
-/// recorders, model checker). A flag check with no observers installed.
-fn note_invoke(ep: &Endpoint, args: OpArgs) {
-    if ep.cluster().has_observers() {
-        ep.cluster().note_op_invoke(ep.client_id(), args);
-    }
-}
-
-/// Report the outcome of the invocation reported last by this client.
-/// `outcome` is built lazily so the hot no-observer path never clones
-/// range rows.
-fn note_response(ep: &Endpoint, outcome: impl FnOnce() -> OpOutcome) {
-    if ep.cluster().has_observers() {
-        ep.cluster().note_op_response(ep.client_id(), &outcome());
-    }
-}
-
 impl Design {
-    /// Point lookup: first live value under `key`.
-    pub async fn lookup(&self, ep: &Endpoint, key: Key) -> Result<Option<Value>, OpError> {
-        note_invoke(ep, OpArgs::Lookup { key });
-        let r = engine::with_op_span(ep, OpKind::Lookup, engine::lookup_op(self, ep, key)).await;
-        note_response(ep, || match &r {
-            Ok(v) => OpOutcome::Lookup(*v),
-            Err(_) => OpOutcome::Failed,
-        });
-        r
+    /// Build the `kind` design over `items` (sorted by key). `partition`
+    /// places the local trees of the designs that have them; the
+    /// fine-grained design ignores it.
+    pub fn build(
+        kind: IndexKind,
+        nam: &NamCluster,
+        cfg: FgConfig,
+        partition: PartitionMap,
+        items: impl Iterator<Item = (Key, Value)>,
+    ) -> Design {
+        match kind {
+            IndexKind::CoarseGrained => Design::Cg(CoarseGrained::build(
+                nam, cfg.layout, partition, items, cfg.fill,
+            )),
+            IndexKind::FineGrained => Design::Fg(FineGrained::build(&nam.rdma, cfg, items)),
+            IndexKind::Hybrid => Design::Hybrid(Hybrid::build(nam, cfg, partition, items)),
+            IndexKind::Learned => Design::Learned(Learned::build(nam, cfg, partition, items)),
+        }
     }
 
-    /// Range query over `[lo, hi]` (inclusive); returns live entries in
-    /// key order.
-    pub async fn range(
-        &self,
-        ep: &Endpoint,
-        lo: Key,
-        hi: Key,
-    ) -> Result<Vec<(Key, Value)>, OpError> {
-        note_invoke(ep, OpArgs::Range { lo, hi });
-        let r = engine::with_op_span(ep, OpKind::Range, engine::range_op(self, ep, lo, hi)).await;
-        note_response(ep, || match &r {
-            Ok(rows) => OpOutcome::Range(rows.clone()),
-            Err(_) => OpOutcome::Failed,
-        });
-        r
+    /// Which of the four designs this is.
+    pub fn kind(&self) -> IndexKind {
+        match self {
+            Design::Cg(_) => IndexKind::CoarseGrained,
+            Design::Fg(_) => IndexKind::FineGrained,
+            Design::Hybrid(_) => IndexKind::Hybrid,
+            Design::Learned(_) => IndexKind::Learned,
+        }
     }
 
-    /// Insert `(key, value)`; duplicates are allowed (non-unique index).
-    ///
-    /// Exactly-once under retries for every design: a *re*-attempt
-    /// (`retrying = true` under the engine's retry layer) first checks
-    /// the covering leaf for a live `(key, value)` pair and absorbs the
-    /// retry if its predecessor already committed. For the one-sided
-    /// designs the check runs client-side in the lock-coupled install;
-    /// for CG the flag travels with the RPC and the server handler
-    /// absorbs the duplicate. Both paths share the engine's absorption
-    /// logic — it lives in `crate::engine` and nowhere else.
-    pub async fn insert(&self, ep: &Endpoint, key: Key, value: Value) -> Result<(), OpError> {
-        note_invoke(ep, OpArgs::Insert { key, value });
-        let r =
-            engine::with_op_span(ep, OpKind::Insert, engine::insert_op(self, ep, key, value)).await;
-        note_response(ep, || match &r {
-            Ok(()) => OpOutcome::Insert,
-            Err(_) => OpOutcome::Failed,
-        });
-        r
+    /// The index itself: its parts, and single-attempt operations.
+    pub fn index(&self) -> &Rc<Index> {
+        let (Design::Cg(idx) | Design::Fg(idx) | Design::Hybrid(idx) | Design::Learned(idx)) = self;
+        idx
     }
 
-    /// Tombstone-delete the first live entry under `key`; returns whether
-    /// an entry was deleted. Space is reclaimed by epoch GC ([`gc`]).
-    pub async fn delete(&self, ep: &Endpoint, key: Key) -> Result<bool, OpError> {
-        note_invoke(ep, OpArgs::Delete { key });
-        let r = engine::with_op_span(ep, OpKind::Delete, engine::delete_op(self, ep, key)).await;
-        note_response(ep, || match &r {
-            Ok(found) => OpOutcome::Delete(*found),
-            Err(_) => OpOutcome::Failed,
-        });
-        r
-    }
-
-    /// Aggregate client-cache statistics, if this design was built with
-    /// `cache_capacity` enabled (`None` for CG and uncached builds).
+    /// Aggregate client-cache statistics, if the index has a cache
+    /// (`None` for CG, Learned — whose client-resident state is the
+    /// model, see [`Design::learned_stats`] — and uncached builds).
     pub fn cache_stats(&self) -> Option<CacheStats> {
-        match self {
-            Design::Cg(_) => None,
-            Design::Fg(d) => d.cache().map(|c| c.stats()),
-            Design::Hybrid(d) => d.cache().map(|c| c.stats()),
-            // The learned design's client-resident state is the model,
-            // not a page/route cache — see `learned_stats`.
-            Design::Learned(_) => None,
-        }
+        self.index().cache().map(CacheLayer::stats)
     }
 
-    /// Counters of the learned routing layer (`None` for the other
-    /// designs).
+    /// Counters of the model router, if the index has one.
     pub fn learned_stats(&self) -> Option<LearnedStats> {
-        match self {
-            Design::Learned(d) => Some(d.stats()),
-            _ => None,
-        }
+        self.index().router().map(Router::stats)
     }
 
-    /// Short design name for reports.
+    /// Design name for reports.
     pub fn name(&self) -> &'static str {
-        match self {
-            Design::Cg(_) => "coarse-grained",
-            Design::Fg(_) => "fine-grained",
-            Design::Hybrid(_) => "hybrid",
-            Design::Learned(_) => "learned",
-        }
+        self.kind().name()
     }
 
     /// The catalog entry describing this index (§4.2: compute servers
-    /// resolve roots and partition maps through the catalog service).
+    /// resolve roots, partition maps and models through the catalog
+    /// service).
     pub fn descriptor(&self) -> IndexDescriptor {
-        match self {
-            Design::Cg(d) => IndexDescriptor {
-                kind: IndexKind::CoarseGrained,
-                root: RemotePtr::NULL,
-                partition: Some(d.partition().clone()),
-                model: None,
-            },
-            Design::Fg(d) => IndexDescriptor {
-                kind: IndexKind::FineGrained,
-                root: d.root(),
-                partition: None,
-                model: None,
-            },
-            Design::Hybrid(d) => IndexDescriptor {
-                kind: IndexKind::Hybrid,
-                root: RemotePtr::NULL,
-                partition: Some(d.partition().clone()),
-                model: None,
-            },
-            Design::Learned(d) => IndexDescriptor {
-                kind: IndexKind::Learned,
-                root: RemotePtr::NULL,
-                partition: Some(d.tree().partition().clone()),
-                model: d.model(),
-            },
+        let idx = self.index();
+        IndexDescriptor {
+            kind: self.kind(),
+            root: idx.root().unwrap_or(RemotePtr::NULL),
+            partition: idx.local().map(|local| local.partition().clone()),
+            model: idx.router().and_then(Router::model),
         }
     }
 }

@@ -671,7 +671,7 @@ pub(crate) mod tests {
     /// down (the guard would refuse the splits).
     #[test]
     fn leaf_and_inner_splits_spend_exactly_the_verb_budget() {
-        use crate::fg::{FgConfig, FineGrained};
+        use crate::{FgConfig, FineGrained};
         use blink::node::{kind_of, NodeKind};
         let sim = Sim::new();
         let cluster = Cluster::new(&sim, ClusterSpec::default());
@@ -686,7 +686,7 @@ pub(crate) mod tests {
         let ep = Endpoint::new(&cluster);
         sim.spawn(async move {
             for k in 0..600u64 {
-                idx.insert(&ep, 1_000 + k, k).await.unwrap();
+                idx.insert(&ep, 1_000 + k, k, false).await.unwrap();
             }
         });
         sim.run();

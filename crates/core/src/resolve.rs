@@ -1,29 +1,43 @@
-//! Page resolution: how a traversal turns a node reference into bytes.
+//! An index as the parts it has, and page resolution over them: how a
+//! traversal turns a node reference into bytes.
 //!
-//! The three designs share one B-link traversal core ([`crate::engine`])
-//! and differ only in *where the descent starts* and *how a node
-//! reference becomes page bytes*. That difference is the [`NodeSource`]
-//! trait:
+//! The paper's designs (§3–§5, plus our learned extension) are one
+//! two-axis table — how the index is distributed × which primitive
+//! reaches it — so a design here is a *value*, not a type: an [`Index`]
+//! is
 //!
-//! * fine-grained — [`start`](NodeSource::start) is the published root
-//!   pointer and [`load`](NodeSource::load) is a one-sided READ, so the
-//!   client descends through remotely stored inner nodes itself;
-//! * hybrid — [`start`](NodeSource::start) is an upper-level RPC that
-//!   hands back the covering leaf's remote pointer, and
-//!   [`load`](NodeSource::load) READs only chain pages (leaves and
-//!   heads);
-//! * coarse-grained — there is no client-side page resolution at all
-//!   (whole operations ship to the owning server as RPCs), so CG plugs
-//!   into the engine's retry layer only, not into [`NodeSource`].
+//! | part | what it is | who has it |
+//! |------|------------|------------|
+//! | leaf [`Chain`] | leaves scattered round-robin, one-sided access | FG, Hybrid, Learned |
+//! | upper level | *remote* inner pages under a published root, descended and split by the client with one-sided verbs — or *local* per-server trees behind RPC ([`Local`]) | remote: FG · local: CG, Hybrid, Learned |
+//! | model [`Router`] | client-resident learned routing | Learned |
+//! | client [`CacheLayer`] | Appendix A.4 | FG, Hybrid when `cache_capacity` is set |
 //!
-//! Client-side caching (Appendix A.4) is a *decorator* over any
-//! [`NodeSource`] — [`Cached`] — so it applies to the real
-//! `lookup/range/insert/delete` path of both pointer-resolving designs
-//! instead of living in a bench-only side path. What gets cached follows
-//! the source's [`CachePolicy`]: FG caches inner pages by remote
-//! pointer; Hybrid caches resolved leaf routes by covering high key
-//! (its upper levels are server-local, so the RPC's answer *is* the
-//! cacheable artifact).
+//! The coarse-grained design is the case with *no* chain: its local
+//! trees hold the entries themselves and whole operations ship to them.
+//!
+//! The shared traversal core ([`crate::engine`]) asks an index six
+//! questions, each answered once here by consulting the parts in a
+//! fixed order — restart-epoch fence, cache, model, upper level:
+//!
+//! * `start` — where the descent for a key begins: a cached route, the
+//!   model's prediction, else the upper level (the root pointer, or the
+//!   resolution RPC that hands back the covering leaf);
+//! * `load` — bytes of a page: a cached inner page, else a one-sided
+//!   READ;
+//! * `note_leaf` / `invalidate` — cache and model feedback from the
+//!   descent;
+//! * `alloc` — a split page from the chain's round-robin cursor;
+//! * `complete_split` — registering a committed leaf split with the
+//!   upper level: client-side propagation over remote inner pages, or
+//!   the registration RPC.
+//!
+//! What the cache holds is *derived* from the upper level, not declared
+//! beside it: remote inner pages are READ by the client, so a cached
+//! inner level saves one round trip per descent; local upper levels are
+//! never READ by the client, so the cacheable artifact is the resolution
+//! RPC's answer — a `high_key → leaf pointer` route. An index with no
+//! cache and no model is an exact pass-through to the wire.
 //!
 //! ## Validation rule
 //!
@@ -40,185 +54,367 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)]
 #![deny(clippy::unreachable, clippy::unimplemented, clippy::indexing_slicing)]
 
+use std::cell::Cell;
+use std::rc::Rc;
+
+use blink::layout::lock_word;
 use blink::node::{kind_of, HeadNodeRef, LeafNodeRef, NodeKind};
-use blink::{Key, PageLayout};
+use blink::{Key, PageLayout, Value};
+use nam::{NamCluster, PartitionMap};
 use rdma_sim::{Cluster, Endpoint, FenceKind, PageBuf, RemotePtr, VerbError};
 
 use crate::cache::CacheLayer;
+use crate::chain::{Chain, FgConfig};
+use crate::local::Local;
+use crate::onesided::read_unlocked;
+use crate::router::Router;
 
-/// Which index operation a descent serves. Sources that resolve the
-/// start of a descent over the wire (the hybrid's upper-level RPC) need
-/// it to size the request message; pure pointer sources ignore it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum OpAccess {
-    /// Point lookup.
-    Lookup,
-    /// Range scan (descends to the low end of the interval).
-    Range,
-    /// Insert (descends to the covering leaf for a locked install).
-    Insert,
-    /// Tombstone delete.
-    Delete,
+/// The levels above the leaves.
+enum Upper {
+    /// Inner pages scattered over the memory pools under a global root
+    /// pointer — conceptually the catalog entry compute servers resolve
+    /// (§4.2); updated on root splits.
+    Remote {
+        /// Current root.
+        root: Cell<RemotePtr>,
+    },
+    /// One local tree per memory server behind RPC.
+    Local(Local),
 }
 
-/// What a [`Cached`] decorator over a source may cache.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CachePolicy {
-    /// Cache inner pages by remote pointer: the client descends through
-    /// remotely stored inner nodes, so a cached inner level saves one
-    /// round trip per descent (fine-grained).
-    InnerPages,
-    /// Cache resolved `high_key → leaf pointer` routes: the upper levels
-    /// are server-local and never READ by the client, so the cacheable
-    /// artifact is the resolution RPC's answer (hybrid).
-    Routes,
+/// Any index design, described by the parts it has (see the module
+/// docs). Operations on it are single attempts that surface verb
+/// failures (`VerbError`); retry policy lives one level up, in
+/// [`crate::Design`].
+pub struct Index {
+    /// The cluster and page geometry, as the untimed control-path view
+    /// the checker's walks, head maintenance and model training read
+    /// through.
+    setup: SetupSource,
+    chain: Option<Chain>,
+    upper: Upper,
+    router: Option<Router>,
+    cache: Option<CacheLayer>,
 }
 
-/// How a traversal turns a node reference into page bytes.
-///
-/// Implemented by the fine-grained and hybrid designs; consumed
-/// generically by [`crate::engine`]'s descent/SMO core and wrappable by
-/// [`Cached`]. The two hook methods are cache feedback — default no-ops
-/// so plain sources pay nothing.
-#[allow(async_fn_in_trait)] // single-threaded DES: no Send bounds wanted
-pub trait NodeSource {
-    /// Whether the client itself descends from `start` through inner
-    /// levels (fine-grained) or `start` already resolves to the leaf
-    /// chain (hybrid). Write operations use this to decide between a
-    /// path-recording descent and a direct leaf lock.
-    const CLIENT_DESCENT: bool;
+/// Design 1 (§3): coarse-grained distribution, two-sided access.
+pub struct CoarseGrained;
 
-    /// Page geometry of every node this source resolves.
-    fn layout(&self) -> PageLayout;
+/// Design 2 (§4): fine-grained distribution, one-sided access.
+pub struct FineGrained;
 
-    /// What a [`Cached`] wrapper over this source caches.
-    fn cache_policy(&self) -> CachePolicy;
+/// Design 3 (§5): coarse-grained upper levels, fine-grained leaf level.
+pub struct Hybrid;
 
-    /// Where the descent for `key` begins.
-    async fn start(
-        &self,
-        ep: &Endpoint,
-        key: Key,
-        access: OpAccess,
-    ) -> Result<RemotePtr, VerbError>;
+/// Design 4: model-predicted access over the hybrid layout.
+pub struct Learned;
 
-    /// Current bytes of the page at `ptr` (spins past locked copies).
-    async fn load(&self, ep: &Endpoint, ptr: RemotePtr) -> Result<PageBuf, VerbError>;
-
-    /// Feedback: the descent for `key` ended at the covering leaf
-    /// `ptr` whose bytes are `page`.
-    fn note_leaf(&self, _ep: &Endpoint, _key: Key, _ptr: RemotePtr, _page: &[u8]) {}
-
-    /// Feedback: routing for `key` out of `origin` proved stale (the
-    /// reached node no longer covers the key and the descent had to
-    /// chase a sibling). `origin` may be NULL when the stale step has no
-    /// page of its own (a cached route, the descent's start).
-    fn invalidate(&self, _ep: &Endpoint, _key: Key, _origin: RemotePtr) {}
-}
-
-/// Caching decorator over any [`NodeSource`] (Appendix A.4 made a
-/// first-class engine layer).
-///
-/// With no cache attached this is an exact pass-through — same verbs,
-/// same awaits — so uncached configurations stay digest-identical to the
-/// undecorated source. With a [`CacheLayer`], hits skip the wire
-/// according to the inner source's [`CachePolicy`] and the module-level
-/// validation rule applies.
-pub struct Cached<'a, S> {
-    inner: &'a S,
-    cache: Option<&'a CacheLayer>,
-}
-
-impl<'a, S: NodeSource> Cached<'a, S> {
-    /// Wrap `inner`; `cache = None` disables caching (pass-through).
-    pub fn new(inner: &'a S, cache: Option<&'a CacheLayer>) -> Self {
-        Cached { inner, cache }
-    }
-
-    /// The wrapped source.
-    pub fn inner(&self) -> &S {
-        self.inner
-    }
-
-    /// The attached cache layer, if any.
-    pub(crate) fn cache_layer(&self) -> Option<&'a CacheLayer> {
-        self.cache
-    }
-}
-
-impl<S: NodeSource> NodeSource for Cached<'_, S> {
-    const CLIENT_DESCENT: bool = S::CLIENT_DESCENT;
-
-    fn layout(&self) -> PageLayout {
-        self.inner.layout()
-    }
-
-    fn cache_policy(&self) -> CachePolicy {
-        self.inner.cache_policy()
-    }
-
-    async fn start(
-        &self,
-        ep: &Endpoint,
-        key: Key,
-        access: OpAccess,
-    ) -> Result<RemotePtr, VerbError> {
-        if let Some(cache) = self.cache {
-            // Mutation (race, `mutations` builds under
-            // NAMDEX_RACE_MUT=cached-no-fence): skip the restart-epoch
-            // fence, serving cached routes against a rebuilt pool.
-            if !crate::race_mut(crate::RaceMut::CachedNoFence) {
-                cache.flush_if_restarted();
-                crate::note_epoch_check(ep);
-            }
-            if self.inner.cache_policy() == CachePolicy::Routes {
-                if let Some(ptr) = cache.route_hit(ep.client_id(), key) {
-                    crate::note_fence(ep, FenceKind::CachedUse, ptr);
-                    return Ok(ptr);
-                }
-            }
+impl Index {
+    /// Seal the bulk-loaded image and hand out the index. The image is
+    /// the fiat recovery baseline: loading it is setup, not logged work,
+    /// so setup writes are never replayed (pool pages recover from
+    /// PoolWrite/PoolAllocTo records, local trees from their own).
+    fn seal(
+        cluster: &Cluster,
+        layout: PageLayout,
+        chain: Option<Chain>,
+        upper: Upper,
+        cache_capacity: Option<usize>,
+    ) -> Index {
+        // The index layer owns the lock-word encoding; teach the
+        // transport's fault injector what an acquire CAS looks like.
+        // (A chain-less index issues no lock CAS, but fault plans are
+        // shared across designs: a KillOnNextLockAcquire event must arm
+        // cleanly there too — it simply never fires.)
+        cluster.set_lock_acquire_shape(lock_word::is_acquire);
+        cluster.seal_setup();
+        Index {
+            setup: SetupSource::new(cluster, layout),
+            chain,
+            upper,
+            router: None,
+            cache: cache_capacity.map(|cap| CacheLayer::new(cluster, cap)),
         }
-        self.inner.start(ep, key, access).await
     }
 
-    async fn load(&self, ep: &Endpoint, ptr: RemotePtr) -> Result<PageBuf, VerbError> {
-        let cache = match self.cache {
-            Some(c) if self.inner.cache_policy() == CachePolicy::InnerPages => c,
-            _ => return self.inner.load(ep, ptr).await,
-        };
-        // Mutation (race): same elision as in `start` — see above.
+    /// The hybrid layout: a scattered leaf chain over all servers, plus
+    /// per-server upper-level trees mapping leaf high keys (within the
+    /// server's partition) to leaf remote pointers.
+    fn hybrid_layout(
+        nam: &NamCluster,
+        cfg: &FgConfig,
+        partition: PartitionMap,
+        items: impl Iterator<Item = (Key, Value)>,
+        cache_capacity: Option<usize>,
+    ) -> Index {
+        assert!(
+            matches!(partition, PartitionMap::Range { .. }),
+            "hybrid upper levels require range partitioning (high keys \
+             must be routable)"
+        );
+        let (chain, leaves) = Chain::load(&nam.rdma, cfg, items);
+        let routes = leaves.iter().map(|&(high, ptr)| (high, ptr.raw()));
+        let local = Local::load(&nam.rdma, cfg.layout, cfg.fill, partition, routes);
+        let upper = Upper::Local(local);
+        Index::seal(&nam.rdma, cfg.layout, Some(chain), upper, cache_capacity)
+    }
+}
+
+impl CoarseGrained {
+    /// No chain; local trees over `items` (sorted by key) themselves.
+    /// `fill` is the node fill factor.
+    pub fn build(
+        nam: &NamCluster,
+        layout: PageLayout,
+        partition: PartitionMap,
+        items: impl Iterator<Item = (Key, Value)>,
+        fill: f64,
+    ) -> Rc<Index> {
+        let upper = Upper::Local(Local::load(&nam.rdma, layout, fill, partition, items));
+        Rc::new(Index::seal(&nam.rdma, layout, None, upper, None))
+    }
+}
+
+impl FineGrained {
+    /// A chain over `items` (sorted by key) under remote inner levels —
+    /// one global tree, every node scattered round-robin — and the
+    /// client cache if `cfg` sizes one.
+    pub fn build(
+        cluster: &Cluster,
+        cfg: FgConfig,
+        items: impl Iterator<Item = (Key, Value)>,
+    ) -> Rc<Index> {
+        let (chain, leaves) = Chain::load(cluster, &cfg, items);
+        let root = Cell::new(chain.load_inner_levels(cluster, &cfg, leaves));
+        let upper = Upper::Remote { root };
+        let cache = cfg.cache_capacity;
+        Rc::new(Index::seal(cluster, cfg.layout, Some(chain), upper, cache))
+    }
+}
+
+impl Hybrid {
+    /// A chain over `items` (sorted by key) under local upper levels,
+    /// and the client cache if `cfg` sizes one.
+    pub fn build(
+        nam: &NamCluster,
+        cfg: FgConfig,
+        partition: PartitionMap,
+        items: impl Iterator<Item = (Key, Value)>,
+    ) -> Rc<Index> {
+        let cache = cfg.cache_capacity;
+        Rc::new(Index::hybrid_layout(nam, &cfg, partition, items, cache))
+    }
+}
+
+impl Learned {
+    /// The hybrid layout plus a model router trained from its leaf
+    /// chain. Never a cache, whatever `cfg.cache_capacity` says: the
+    /// model *is* the client-resident routing state, with its own
+    /// coherence story.
+    pub fn build(
+        nam: &NamCluster,
+        cfg: FgConfig,
+        partition: PartitionMap,
+        items: impl Iterator<Item = (Key, Value)>,
+    ) -> Rc<Index> {
+        let mut index = Index::hybrid_layout(nam, &cfg, partition, items, None);
+        index.router = index
+            .chain
+            .as_ref()
+            .map(|chain| Router::new(&index.setup, chain.first()));
+        Rc::new(index)
+    }
+}
+
+impl Index {
+    /// Page geometry of every node.
+    pub fn layout(&self) -> PageLayout {
+        self.setup.layout()
+    }
+
+    /// The scattered leaf chain, if the index has one.
+    pub fn chain(&self) -> Option<&Chain> {
+        self.chain.as_ref()
+    }
+
+    /// Current root remote pointer (the catalog entry), if the upper
+    /// level is remote.
+    pub fn root(&self) -> Option<RemotePtr> {
+        match &self.upper {
+            Upper::Remote { root } => Some(root.get()),
+            Upper::Local(_) => None,
+        }
+    }
+
+    /// The per-server trees, if the upper level is local.
+    pub fn local(&self) -> Option<&Local> {
+        match &self.upper {
+            Upper::Remote { .. } => None,
+            Upper::Local(local) => Some(local),
+        }
+    }
+
+    /// The model router, if the index has one.
+    pub fn router(&self) -> Option<&Router> {
+        self.router.as_ref()
+    }
+
+    /// The client-side cache layer, if `cache_capacity` enabled one.
+    pub fn cache(&self) -> Option<&CacheLayer> {
+        self.cache.as_ref()
+    }
+
+    /// Untimed page-resolution view for control-path walks; also names
+    /// the cluster this index lives on.
+    pub fn setup_source(&self) -> &SetupSource {
+        &self.setup
+    }
+
+    /// The restart-epoch fence every cache consultation starts with: a
+    /// server restart flushes the whole cache before any hit is served.
+    fn fenced_cache(&self, ep: &Endpoint) -> Option<&CacheLayer> {
+        let cache = self.cache.as_ref()?;
+        // Mutation (race, `mutations` builds under
+        // NAMDEX_RACE_MUT=cached-no-fence): skip the restart-epoch
+        // fence, serving cached pages/routes against a rebuilt pool.
         if !crate::race_mut(crate::RaceMut::CachedNoFence) {
             cache.flush_if_restarted();
             crate::note_epoch_check(ep);
         }
-        if let Some(page) = cache.page_hit(ep.client_id(), ptr) {
+        Some(cache)
+    }
+
+    /// Where the descent for `key` begins. `req_bytes` sizes the request
+    /// of an upper level that resolves it over the wire (the operation's
+    /// own request message: the resolution RPC stands in for it).
+    pub(crate) async fn start(
+        &self,
+        ep: &Endpoint,
+        key: Key,
+        req_bytes: usize,
+    ) -> Result<RemotePtr, VerbError> {
+        if let (Some(cache), Some(_)) = (self.fenced_cache(ep), self.local()) {
+            if let Some(ptr) = cache.route_hit(ep.client_id(), key) {
+                crate::note_fence(ep, FenceKind::CachedUse, ptr);
+                return Ok(ptr);
+            }
+        }
+        if let (Some(router), Some(chain)) = (&self.router, &self.chain) {
+            // `sync` reconciles the model against the cluster restart
+            // epoch — the same fence the cache layer evaluates.
+            router.sync(&self.setup, chain.first());
+            crate::note_epoch_check(ep);
+            if let Some(ptr) = router.predict(key) {
+                // A prediction is a served client-resident artifact: its
+                // pointer derives from reads of a past leaf-chain snapshot.
+                crate::note_fence(ep, FenceKind::CachedUse, ptr);
+                return Ok(ptr);
+            }
+        }
+        match &self.upper {
+            Upper::Remote { root } => Ok(root.get()),
+            Upper::Local(local) => local.leaf_ptr_for(ep, key, req_bytes).await,
+        }
+    }
+
+    /// Current bytes of the page at `ptr` (spins past locked copies).
+    pub(crate) async fn load(&self, ep: &Endpoint, ptr: RemotePtr) -> Result<PageBuf, VerbError> {
+        // Only remote inner levels are READ by the client, so only they
+        // are worth caching as pages.
+        let cache = self.root().and_then(|_| self.fenced_cache(ep));
+        if let Some(page) = cache.and_then(|c| c.page_hit(ep.client_id(), ptr)) {
             crate::note_fence(ep, FenceKind::CachedUse, ptr);
             return Ok(page);
         }
-        let page = self.inner.load(ep, ptr).await?;
-        if kind_of(&page) == NodeKind::Inner {
-            cache.put_page(ep.client_id(), ptr, &page);
+        let ps = self.layout().page_size();
+        // Mutation (race, `mutations` builds under
+        // NAMDEX_RACE_MUT=learned-no-reread): read a predicted page raw,
+        // skipping `read_unlocked`'s locked-spin re-read, so a mid-write
+        // snapshot can escape into the descent.
+        let page = if self.router.is_some() && crate::race_mut(crate::RaceMut::LearnedNoReread) {
+            ep.read(ptr, ps).await?
+        } else {
+            read_unlocked(ep, ptr, ps).await?
+        };
+        if let Some(cache) = cache {
+            if kind_of(&page) == NodeKind::Inner {
+                cache.put_page(ep.client_id(), ptr, &page);
+            }
         }
         Ok(page)
     }
 
-    fn note_leaf(&self, ep: &Endpoint, key: Key, ptr: RemotePtr, page: &[u8]) {
-        if let Some(cache) = self.cache {
-            if self.inner.cache_policy() == CachePolicy::Routes {
-                cache.note_route(ep.client_id(), key, ptr, page);
-            }
+    /// Feedback: the descent for `key` ended at the covering leaf `ptr`
+    /// whose bytes are `page`.
+    pub(crate) fn note_leaf(&self, ep: &Endpoint, key: Key, ptr: RemotePtr, page: &[u8]) {
+        if let (Some(cache), Upper::Local(_)) = (&self.cache, &self.upper) {
+            cache.note_route(ep.client_id(), key, ptr, page);
         }
-        self.inner.note_leaf(ep, key, ptr, page);
     }
 
-    fn invalidate(&self, ep: &Endpoint, key: Key, origin: RemotePtr) {
-        if let Some(cache) = self.cache {
-            match self.inner.cache_policy() {
-                CachePolicy::InnerPages => cache.drop_page(ep.client_id(), origin),
-                CachePolicy::Routes => cache.drop_route(ep.client_id(), key),
+    /// Feedback: routing for `key` out of `origin` proved stale (the
+    /// reached node no longer covers the key and the descent had to
+    /// chase a sibling). `origin` may be NULL when the stale step has no
+    /// page of its own (a cached route, a prediction, the descent's
+    /// start).
+    pub(crate) fn invalidate(&self, ep: &Endpoint, key: Key, origin: RemotePtr) {
+        if let Some(cache) = &self.cache {
+            match self.upper {
+                Upper::Remote { .. } => cache.drop_page(ep.client_id(), origin),
+                Upper::Local(_) => cache.drop_route(ep.client_id(), key),
             }
         }
-        self.inner.invalidate(ep, key, origin);
+        if let Some(router) = &self.router {
+            router.note_mispredict();
+        }
+    }
+
+    /// Allocate a fresh remote page for a split (`RDMA_ALLOC`,
+    /// Listing 4): timed round-robin placement over all memory servers,
+    /// continuing the chain's cursor.
+    pub(crate) async fn alloc(&self, ep: &Endpoint) -> Result<RemotePtr, VerbError> {
+        let Some(chain) = &self.chain else {
+            return Err(VerbError::Invariant("split in an index with no chain"));
+        };
+        let rr = &chain.alloc_rr;
+        let s = rr.get();
+        rr.set((s + 1) % ep.cluster().num_servers());
+        ep.alloc(s, self.layout().page_size() as u64).await
+    }
+
+    /// Register a committed leaf split with the upper level: `left`
+    /// (high key now `sep`) kept its pointer, `right` (high key
+    /// `old_high`) is new. `path` is the descent's inner-node trail over
+    /// a remote upper level (empty otherwise). The model, if any, is not
+    /// patched in place — the affected entry simply goes stale, counts
+    /// mispredicts, and drift-triggered retraining replaces it.
+    pub(crate) async fn complete_split(
+        &self,
+        ep: &Endpoint,
+        path: Vec<RemotePtr>,
+        sep: Key,
+        left: RemotePtr,
+        right: RemotePtr,
+        old_high: Key,
+    ) -> Result<(), VerbError> {
+        // The splitting client knows its own cached state is stale: fix
+        // routes eagerly, drop the parent page copy (its remote original
+        // is about to change). Other clients correct lazily through the
+        // validation rule.
+        match &self.upper {
+            Upper::Remote { root } => {
+                if let (Some(cache), Some(&parent)) = (&self.cache, path.last()) {
+                    cache.drop_page(ep.client_id(), parent);
+                }
+                self.propagate_split(root, ep, path, sep, left, right).await
+            }
+            Upper::Local(local) => {
+                if let Some(cache) = &self.cache {
+                    cache.note_split(ep.client_id(), sep, old_high, left.raw(), right.raw());
+                }
+                local.register_split(ep, sep, left, right, old_high).await
+            }
+        }
     }
 }
 
@@ -295,10 +491,12 @@ impl SetupSource {
 )]
 mod tests {
     use super::*;
+    use crate::chain::small_cfg;
     use blink::node::{InnerNodeMut, LeafNodeMut};
     use blink::Ptr;
     use rdma_sim::ClusterSpec;
     use simnet::Sim;
+    use std::cell::RefCell;
 
     /// `n` chained pages on server 0, page `i` pointing at page `next(i)`
     /// (`None` ends the chain); page `inner`, if any, is an inner node.
@@ -354,5 +552,252 @@ mod tests {
                 );
             }
         }
+    }
+
+    fn build_hybrid(sim: &Sim, n: u64) -> (NamCluster, Rc<Index>) {
+        let nam = NamCluster::new(sim, ClusterSpec::default());
+        let partition = PartitionMap::range_uniform(nam.num_servers(), n * 8);
+        let idx = Hybrid::build(&nam, small_cfg(), partition, (0..n).map(|i| (i * 8, i)));
+        (nam, idx)
+    }
+
+    #[test]
+    fn lookup_via_rpc_plus_one_read() {
+        let sim = Sim::new();
+        let (nam, idx) = build_hybrid(&sim, 5000);
+        let ep = Endpoint::new(&nam.rdma);
+        let got = Rc::new(RefCell::new(Vec::new()));
+        {
+            let got = got.clone();
+            sim.spawn(async move {
+                for i in [0u64, 1234, 4999] {
+                    let v = idx.lookup(&ep, i * 8).await.unwrap();
+                    got.borrow_mut().push(v);
+                }
+                let v = idx.lookup(&ep, 9).await.unwrap();
+                got.borrow_mut().push(v);
+            });
+        }
+        sim.run();
+        assert_eq!(*got.borrow(), vec![Some(0), Some(1234), Some(4999), None]);
+        // One RPC + one one-sided READ per lookup (modulo chain steps).
+        let rpcs: u64 = (0..4).map(|s| nam.rdma.server_stats(s).rpcs).sum();
+        let reads: u64 = (0..4).map(|s| nam.rdma.server_stats(s).onesided_ops).sum();
+        assert_eq!(rpcs, 4);
+        assert!((4..=8).contains(&reads), "got {reads} READs");
+    }
+
+    #[test]
+    fn leaves_scatter_under_skewed_partition() {
+        let sim = Sim::new();
+        let nam = NamCluster::new(&sim, ClusterSpec::default());
+        let n = 5000u64;
+        let partition = PartitionMap::range_fractions(&[0.80, 0.12, 0.05, 0.03], n * 8);
+        let idx = Hybrid::build(&nam, small_cfg(), partition, (0..n).map(|i| (i * 8, i)));
+        // Leaf pages are spread round-robin despite the skewed partition.
+        for s in 0..4 {
+            let bytes = nam.rdma.with_pool(s, |p| p.allocated());
+            assert!(bytes > 50 * 200, "server {s} must hold leaves: {bytes}");
+        }
+        drop(idx);
+    }
+
+    #[test]
+    fn range_spans_partitions() {
+        let sim = Sim::new();
+        let (nam, idx) = build_hybrid(&sim, 5000);
+        let ep = Endpoint::new(&nam.rdma);
+        let out = Rc::new(RefCell::new(Vec::new()));
+        {
+            let out = out.clone();
+            sim.spawn(async move {
+                let rows = idx.range(&ep, 1200 * 8, 1399 * 8).await.unwrap();
+                out.borrow_mut().extend(rows);
+            });
+        }
+        sim.run();
+        let rows = out.borrow();
+        assert_eq!(rows.len(), 200);
+        assert!(rows.windows(2).all(|w| w[0].0 < w[1].0));
+    }
+
+    #[test]
+    fn insert_with_splits_and_upper_registration() {
+        let sim = Sim::new();
+        let (nam, idx) = build_hybrid(&sim, 500);
+        let ep = Endpoint::new(&nam.rdma);
+        let idx2 = idx.clone();
+        sim.spawn(async move {
+            for i in 0..500u64 {
+                idx2.insert(&ep, i * 8 + 1, 90_000 + i, false)
+                    .await
+                    .unwrap();
+            }
+            for i in 0..500u64 {
+                assert_eq!(idx2.lookup(&ep, i * 8 + 1).await.unwrap(), Some(90_000 + i));
+                assert_eq!(idx2.lookup(&ep, i * 8).await.unwrap(), Some(i));
+            }
+        });
+        sim.run();
+    }
+
+    #[test]
+    fn concurrent_inserts_all_survive() {
+        let sim = Sim::new();
+        let (nam, idx) = build_hybrid(&sim, 1000);
+        for c in 0..6u64 {
+            let idx = idx.clone();
+            let ep = Endpoint::new(&nam.rdma);
+            sim.spawn(async move {
+                for i in 0..40u64 {
+                    idx.insert(&ep, (i * 6 + c) * 8 + 3, c * 1000 + i, false)
+                        .await
+                        .unwrap();
+                }
+            });
+        }
+        sim.run();
+        let ep = Endpoint::new(&nam.rdma);
+        let ok = Rc::new(Cell::new(0u32));
+        {
+            let idx = idx.clone();
+            let ok = ok.clone();
+            sim.spawn(async move {
+                for c in 0..6u64 {
+                    for i in 0..40u64 {
+                        if idx.lookup(&ep, (i * 6 + c) * 8 + 3).await.unwrap() == Some(c * 1000 + i)
+                        {
+                            ok.set(ok.get() + 1);
+                        }
+                    }
+                }
+            });
+        }
+        sim.run();
+        assert_eq!(ok.get(), 240);
+    }
+
+    #[test]
+    fn delete_round_trip() {
+        let sim = Sim::new();
+        let (nam, idx) = build_hybrid(&sim, 300);
+        let ep = Endpoint::new(&nam.rdma);
+        sim.spawn(async move {
+            assert!(idx.delete(&ep, 100 * 8).await.unwrap());
+            assert_eq!(idx.lookup(&ep, 100 * 8).await.unwrap(), None);
+            assert!(!idx.delete(&ep, 100 * 8).await.unwrap());
+            let rows = idx.range(&ep, 99 * 8, 101 * 8).await.unwrap();
+            assert_eq!(rows.len(), 2, "tombstoned entry must not scan");
+        });
+        sim.run();
+    }
+
+    /// The parts table: which parts each design name builds.
+    #[test]
+    fn each_kind_builds_its_parts() {
+        use crate::Design;
+        use nam::IndexKind;
+        for capacity in [None, Some(64)] {
+            for kind in IndexKind::ALL {
+                let sim = Sim::new();
+                let nam = NamCluster::new(&sim, ClusterSpec::default());
+                let partition = PartitionMap::range_uniform(nam.num_servers(), 1000 * 8);
+                let cfg = FgConfig {
+                    cache_capacity: capacity,
+                    ..small_cfg()
+                };
+                let items = (0..1000u64).map(|i| (i * 8, i));
+                let design = Design::build(kind, &nam, cfg, partition, items);
+                assert_eq!(design.kind(), kind);
+                let idx = design.index();
+                let parts = (
+                    idx.chain().is_some(),
+                    idx.root().is_some(),
+                    idx.local().is_some(),
+                    idx.router().is_some(),
+                    idx.cache().is_some(),
+                );
+                // (chain, remote upper, local upper, router, cache)
+                let cached = capacity.is_some();
+                let want = match kind {
+                    IndexKind::CoarseGrained => (false, false, true, false, false),
+                    IndexKind::FineGrained => (true, true, false, false, cached),
+                    IndexKind::Hybrid => (true, false, true, false, cached),
+                    // Hybrid's chain and local upper level plus a model —
+                    // and never a cache, whatever `cache_capacity` says.
+                    IndexKind::Learned => (true, false, true, true, false),
+                };
+                assert_eq!(parts, want, "{kind:?} with cache_capacity {capacity:?}");
+            }
+        }
+    }
+
+    /// Composition is real: a Learned index whose model is withheld
+    /// (restart-epoch flush with a server still down) is a Hybrid index —
+    /// the same op sequence costs exactly the same verbs on every server.
+    #[test]
+    fn learned_without_a_model_issues_hybrids_verbs() {
+        use crate::Design;
+        use nam::IndexKind;
+        const N: u64 = 2000;
+        const DOWN: usize = 3;
+        let run = |kind: IndexKind| {
+            let sim = Sim::new();
+            let nam = NamCluster::new(&sim, ClusterSpec::default());
+            let partition = PartitionMap::range_uniform(nam.num_servers(), N * 8);
+            let items = (0..N).map(|i| (i * 8, i));
+            let design = Design::build(kind, &nam, small_cfg(), partition.clone(), items);
+            let idx = design.index().clone();
+            // Bump the restart epoch (Durability::Off: memory survives),
+            // then keep the server down so retraining stays blocked.
+            nam.rdma.fail_server(DOWN);
+            nam.rdma.restart_server(DOWN);
+            nam.rdma.fail_server(DOWN);
+            // Loaded keys that resolve, with their two successors, to a
+            // leaf stored off the down server through a live partition.
+            let local = idx.local().expect("local upper level");
+            let keys: Vec<Key> = (0..N)
+                .map(|i| i * 8)
+                .filter(|&k| {
+                    let s = partition.server_of(k);
+                    let leaf = local.nodes()[s].with_tree(|t| t.ceiling(k).0);
+                    s != DOWN
+                        && leaf.is_some_and(|(high, raw)| {
+                            high > k + 2 && RemotePtr::from_raw(raw).server() != DOWN
+                        })
+                })
+                .step_by(40)
+                .collect();
+            assert!(keys.len() >= 20, "too few usable keys: {}", keys.len());
+            let before = nam.rdma.all_stats();
+            let ep = Endpoint::new(&nam.rdma);
+            sim.spawn(async move {
+                for &k in &keys {
+                    assert_eq!(idx.lookup(&ep, k).await, Ok(Some(k / 8)));
+                    assert_eq!(idx.range(&ep, k, k).await, Ok(vec![(k, k / 8)]));
+                    assert_eq!(idx.insert(&ep, k + 1, 7, false).await, Ok(()));
+                    assert_eq!(idx.delete(&ep, k + 2).await, Ok(false));
+                    assert_eq!(idx.delete(&ep, k).await, Ok(true));
+                }
+            });
+            sim.run();
+            assert_eq!(sim.live_tasks(), 0, "an assertion task died");
+            let verbs: Vec<(u64, u64)> = nam
+                .rdma
+                .all_stats()
+                .iter()
+                .zip(&before)
+                .map(|(a, b)| (a.rpcs - b.rpcs, a.onesided_ops - b.onesided_ops))
+                .collect();
+            (verbs, design.learned_stats())
+        };
+        let (hybrid, _) = run(IndexKind::Hybrid);
+        let (learned, stats) = run(IndexKind::Learned);
+        assert_eq!(learned, hybrid, "(rpcs, onesided_ops) per server");
+        assert!(hybrid.iter().any(|&(rpcs, _)| rpcs > 0));
+        let stats = stats.expect("router stats");
+        assert_eq!(stats.epoch_flushes, 1);
+        assert_eq!(stats.predictions, 0, "a withheld model predicts nothing");
+        assert!(stats.fallbacks > 0);
     }
 }

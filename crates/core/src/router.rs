@@ -1,15 +1,16 @@
-//! Design 4: learned-index routing for one-RTT point lookups.
+//! The model router: learned-index routing for one-RTT point lookups.
 //!
-//! The paper's three designs all pay a root-to-leaf descent or a full
+//! The paper's three designs each pay a root-to-leaf descent or a full
 //! RPC per point lookup. Follow-up systems (Outback, DEX — see
 //! PAPERS.md) observe that a compact client-resident *learned model*
 //! mapping key → remote leaf address collapses the lookup to a single
-//! one-sided READ of the predicted leaf. This module is that fourth
-//! family: the storage layout is the hybrid's (server-local upper
-//! trees plus fine-grained leaf chain), but clients route with a PGM-style
-//! piecewise-linear model ([`learned_index::PgmModel`]) trained over the
-//! leaf-level `high_key → leaf pointer` table and shipped through the
-//! catalog, touching zero servers on the hot path.
+//! one-sided READ of the predicted leaf. This module is the part that
+//! makes an index a member of that fourth family: attached to the
+//! hybrid layout (server-local upper trees plus a scattered leaf
+//! chain), it routes descents with a PGM-style piecewise-linear model
+//! ([`learned_index::PgmModel`]) trained over the leaf-level
+//! `high_key → leaf pointer` table and shipped through the catalog,
+//! touching zero servers on the hot path.
 //!
 //! ## Mispredict / fallback state machine
 //!
@@ -21,12 +22,12 @@
 //!
 //! * **hit** — the READ leaf covers the key: done, one READ total;
 //! * **mispredict** — the leaf no longer covers the key (post-split
-//!   drift): the descent chases right siblings, each chase reporting
-//!   [`NodeSource::invalidate`], which this source counts as a
+//!   drift): the descent chases right siblings, each chase reported
+//!   through `Index::invalidate`, which the router counts as a
 //!   mispredict toward the drift rate;
 //! * **no model** — after a restart-epoch flush, or when retraining is
-//!   blocked by a down server: `start` falls back to the hybrid's
-//!   upper-level RPC resolution, so operations proceed (and remain
+//!   blocked by a down server: the descent start falls through to the
+//!   upper level's RPC resolution, so operations proceed (and remain
 //!   correct) with the paper's §5 protocol while the model is cold.
 //!
 //! ## Retrain policy
@@ -48,16 +49,11 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use blink::node::{kind_of, LeafNodeRef, NodeKind};
-use blink::{Key, PageLayout, Value};
+use blink::Key;
 use learned_index::PgmModel;
-use nam::{NamCluster, PartitionMap};
-use rdma_sim::{Cluster, Endpoint, RemotePtr, VerbError};
+use rdma_sim::RemotePtr;
 
-use crate::engine::{self, TreeWriter};
-use crate::fg::FgConfig;
-use crate::hybrid::Hybrid;
-use crate::onesided::read_unlocked;
-use crate::resolve::{CachePolicy, Cached, NodeSource, OpAccess};
+use crate::resolve::SetupSource;
 
 /// Counters of the learned routing layer (all client-side; the model
 /// itself never issues verbs).
@@ -66,90 +62,46 @@ pub struct LearnedStats {
     /// Descent starts answered by the model.
     pub predictions: u64,
     /// Stale routing steps detected downstream of a prediction (sibling
-    /// chases reported through [`NodeSource::invalidate`]).
+    /// chases reported through `Index::invalidate`).
     pub mispredicts: u64,
     /// Model rebuilds (drift-triggered and post-flush).
     pub retrains: u64,
     /// Wholesale model flushes caused by a restart-epoch change.
     pub epoch_flushes: u64,
-    /// Descent starts that fell back to the hybrid's upper-level RPC
+    /// Descent starts that fell back to the upper level's RPC resolution
     /// because no model was available.
     pub fallbacks: u64,
 }
 
-/// The learned-routing index: hybrid storage, model-predicted access.
-pub struct Learned {
-    tree: Rc<Hybrid>,
+/// Client-resident model routing over a leaf chain.
+pub struct Router {
     /// Current model; `None` after an epoch flush until retraining is
     /// possible again. Never borrowed across an await.
     model: RefCell<Option<Rc<PgmModel>>>,
     /// Restart epoch the model was trained under.
     epoch: Cell<u64>,
-    epsilon: u32,
-    retrain_threshold: f64,
-    model_fanout: usize,
-    // Drift window since the last (re)training.
-    predictions_since: Cell<u64>,
-    mispredicts_since: Cell<u64>,
+    /// Drift window: `(predictions, mispredicts)` since the last
+    /// (re)training.
+    window: Cell<(u64, u64)>,
     // Lifetime totals.
-    predictions: Cell<u64>,
-    mispredicts: Cell<u64>,
-    retrains: Cell<u64>,
-    epoch_flushes: Cell<u64>,
-    fallbacks: Cell<u64>,
+    stats: Cell<LearnedStats>,
 }
 
 #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)]
 #[deny(clippy::unreachable, clippy::unimplemented, clippy::indexing_slicing)]
-impl Learned {
-    /// Build the hybrid layout over `items`, then train the initial
-    /// model from its leaf chain. Model knobs come from the cluster
-    /// spec (`learned_epsilon`, `learned_retrain_threshold`,
-    /// `learned_model_fanout`).
-    pub fn build(
-        nam: &NamCluster,
-        cfg: FgConfig,
-        partition: PartitionMap,
-        items: impl Iterator<Item = (Key, Value)>,
-    ) -> Rc<Self> {
-        let spec = nam.rdma.spec().clone();
-        let idx = Learned {
-            tree: Hybrid::build(nam, cfg, partition, items),
+impl Router {
+    /// Train the initial model from the leaf chain at `first`. Model
+    /// knobs are the cluster spec's (`learned_epsilon`,
+    /// `learned_retrain_threshold`, `learned_model_fanout`).
+    pub(crate) fn new(src: &SetupSource, first: RemotePtr) -> Router {
+        let router = Router {
             model: RefCell::new(None),
-            epoch: Cell::new(0),
-            epsilon: spec.learned_epsilon,
-            retrain_threshold: spec.learned_retrain_threshold,
-            model_fanout: spec.learned_model_fanout,
-            predictions_since: Cell::new(0),
-            mispredicts_since: Cell::new(0),
-            predictions: Cell::new(0),
-            mispredicts: Cell::new(0),
-            retrains: Cell::new(0),
-            epoch_flushes: Cell::new(0),
-            fallbacks: Cell::new(0),
+            epoch: Cell::new(src.cluster().restart_epoch()),
+            window: Cell::default(),
+            stats: Cell::default(),
         };
-        idx.epoch.set(idx.cluster().restart_epoch());
-        idx.retrain();
-        Rc::new(idx)
-    }
-
-    fn ps(&self) -> usize {
-        self.tree.layout().page_size()
-    }
-
-    fn cluster(&self) -> &Cluster {
-        self.tree.cluster()
-    }
-
-    /// The hybrid index the model routes over (its partition map, leaf
-    /// chain, and upper-level servers are the source of truth).
-    pub fn tree(&self) -> &Rc<Hybrid> {
-        &self.tree
-    }
-
-    /// Page geometry.
-    pub fn layout(&self) -> PageLayout {
-        self.tree.layout()
+        router.retrain(src, first);
+        router
     }
 
     /// The current model, if one is live (`None` right after a
@@ -160,46 +112,38 @@ impl Learned {
 
     /// Routing-layer counters.
     pub fn stats(&self) -> LearnedStats {
-        LearnedStats {
-            predictions: self.predictions.get(),
-            mispredicts: self.mispredicts.get(),
-            retrains: self.retrains.get(),
-            epoch_flushes: self.epoch_flushes.get(),
-            fallbacks: self.fallbacks.get(),
-        }
+        self.stats.get()
     }
 
-    /// The engine's view of this index. No cache layer: the model *is*
-    /// the client-resident routing state, with its own coherence story.
-    pub(crate) fn source(&self) -> Cached<'_, Learned> {
-        Cached::new(self, None)
+    fn bump(&self, change: impl FnOnce(&mut LearnedStats)) {
+        let mut stats = self.stats.get();
+        change(&mut stats);
+        self.stats.set(stats);
     }
 
     /// Keep the model coherent with cluster state: flush it wholesale on
     /// a restart-epoch change (shipped pointers may dangle into rebuilt
     /// pools), retrain when it is missing or the drift threshold is
     /// reached. Synchronous and verb-free; runs at every descent start.
-    fn sync_model(&self) {
-        let now = self.cluster().restart_epoch();
+    pub(crate) fn sync(&self, src: &SetupSource, first: RemotePtr) {
+        let now = src.cluster().restart_epoch();
         if now != self.epoch.get() {
             self.epoch.set(now);
             *self.model.borrow_mut() = None;
-            self.epoch_flushes.set(self.epoch_flushes.get() + 1);
-            self.predictions_since.set(0);
-            self.mispredicts_since.set(0);
+            self.bump(|s| s.epoch_flushes += 1);
+            self.window.set((0, 0));
         }
         let missing = self.model.borrow().is_none();
-        if missing || self.drift_rate() >= self.retrain_threshold {
-            self.retrain();
+        if missing || self.drift_rate() >= src.cluster().spec().learned_retrain_threshold {
+            self.retrain(src, first);
         }
     }
 
     fn drift_rate(&self) -> f64 {
-        let n = self.predictions_since.get();
-        if n == 0 {
-            return 0.0;
+        match self.window.get() {
+            (0, _) => 0.0,
+            (predictions, mispredicts) => mispredicts as f64 / predictions as f64,
         }
-        self.mispredicts_since.get() as f64 / n as f64
     }
 
     /// Rebuild the model from the live leaf chain over the untimed setup
@@ -209,16 +153,15 @@ impl Learned {
     /// defensive: a chain snapshot torn by a concurrent SMO aborts the
     /// rebuild and keeps the previous model (staleness is safe, see the
     /// module docs).
-    fn retrain(&self) {
-        let cluster = self.cluster();
+    fn retrain(&self, src: &SetupSource, first: RemotePtr) {
+        let cluster = src.cluster();
         if !(0..cluster.num_servers()).all(|s| cluster.server_up(s)) {
             return;
         }
-        let src = self.tree.setup_source();
         let mut table: Vec<(Key, u64)> = Vec::new();
         // An untimed control-path snapshot, not a wire READ: a torn
         // chain aborts the rebuild below (non-chain page kind).
-        for (ptr, page) in src.chain(self.tree.first()) {
+        for (ptr, page) in src.chain(first) {
             match kind_of(&page) {
                 NodeKind::Head => {}
                 NodeKind::Leaf => table.push((LeafNodeRef::new(&page).high_key(), ptr.raw())),
@@ -232,157 +175,63 @@ impl Learned {
         if !intact {
             return;
         }
-        let model = PgmModel::train(table, self.epsilon, self.model_fanout);
+        let spec = cluster.spec();
+        let model = PgmModel::train(table, spec.learned_epsilon, spec.learned_model_fanout);
         *self.model.borrow_mut() = Some(Rc::new(model));
-        self.retrains.set(self.retrains.get() + 1);
-        self.predictions_since.set(0);
-        self.mispredicts_since.set(0);
+        self.bump(|s| s.retrains += 1);
+        self.window.set((0, 0));
     }
 
-    /// Point lookup: one one-sided READ of the predicted leaf on a model
-    /// hit (plus sibling chases on drift).
-    pub async fn lookup(&self, ep: &Endpoint, key: Key) -> Result<Option<Value>, VerbError> {
-        engine::lookup(&self.source(), ep, key).await
-    }
-
-    /// Range query: predict the leaf covering `lo`, then the §4.3 chain
-    /// scan (a too-far-left prediction only adds leading chain steps).
-    pub async fn range(
-        &self,
-        ep: &Endpoint,
-        lo: Key,
-        hi: Key,
-    ) -> Result<Vec<(Key, Value)>, VerbError> {
-        engine::range(&self.source(), ep, lo, hi).await
-    }
-
-    /// Insert through the predicted leaf with the §4 one-sided install;
-    /// splits register with the hybrid's upper levels over RPC, and the
-    /// model picks the change up through drift-triggered retraining.
-    pub async fn insert(&self, ep: &Endpoint, key: Key, value: Value) -> Result<(), VerbError> {
-        engine::insert(&self.source(), ep, key, value, false).await
-    }
-
-    /// Tombstone-delete through the predicted leaf.
-    pub async fn delete(&self, ep: &Endpoint, key: Key) -> Result<bool, VerbError> {
-        engine::delete(&self.source(), ep, key).await
-    }
-}
-
-#[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)]
-#[deny(clippy::unreachable, clippy::unimplemented, clippy::indexing_slicing)]
-impl NodeSource for Learned {
-    /// Predictions resolve straight to the leaf chain; the client never
-    /// descends inner levels (there are none visible to it).
-    const CLIENT_DESCENT: bool = false;
-
-    fn layout(&self) -> PageLayout {
-        self.tree.layout()
-    }
-
-    fn cache_policy(&self) -> CachePolicy {
-        CachePolicy::Routes
-    }
-
-    async fn start(
-        &self,
-        ep: &Endpoint,
-        key: Key,
-        access: OpAccess,
-    ) -> Result<RemotePtr, VerbError> {
-        self.sync_model();
-        // `sync_model` just reconciled the model against the cluster
-        // restart epoch — the same fence the cache layer evaluates.
-        crate::note_epoch_check(ep);
+    /// The model's answer for `key`, counted as a prediction; `None`
+    /// (counted as a fallback) when no model is live — epoch flush with a
+    /// server still down, or a torn rebuild.
+    pub(crate) fn predict(&self, key: Key) -> Option<RemotePtr> {
         let predicted = self.model.borrow().as_ref().map(|m| m.predict(key));
-        if let Some(ptr) = predicted {
-            self.predictions.set(self.predictions.get() + 1);
-            self.predictions_since.set(self.predictions_since.get() + 1);
-            // A prediction is a served client-resident artifact: its
-            // pointer derives from reads of a past leaf-chain snapshot.
-            crate::note_fence(ep, rdma_sim::FenceKind::CachedUse, ptr);
-            return Ok(ptr);
+        match predicted {
+            Some(_) => {
+                self.bump(|s| s.predictions += 1);
+                let (predictions, mispredicts) = self.window.get();
+                self.window.set((predictions + 1, mispredicts));
+            }
+            None => self.bump(|s| s.fallbacks += 1),
         }
-        // No model (epoch flush with a server still down, or a torn
-        // rebuild): the hybrid's upper-level RPC resolution carries the
-        // operation.
-        self.fallbacks.set(self.fallbacks.get() + 1);
-        self.tree.start(ep, key, access).await
+        predicted
     }
 
-    async fn load(&self, ep: &Endpoint, ptr: RemotePtr) -> Result<rdma_sim::PageBuf, VerbError> {
-        // Mutation (race, `mutations` builds under
-        // NAMDEX_RACE_MUT=learned-no-reread): read the predicted page
-        // raw, skipping `read_unlocked`'s locked-spin re-read, so a
-        // mid-write snapshot can escape into the descent.
-        if crate::race_mut(crate::RaceMut::LearnedNoReread) {
-            return ep.read(ptr, self.ps()).await;
-        }
-        read_unlocked(ep, ptr, self.ps()).await
-    }
-
-    fn invalidate(&self, ep: &Endpoint, key: Key, origin: RemotePtr) {
-        // Every stale routing step downstream of a prediction is a
-        // mispredict; the rate since the last training drives retrain.
-        self.mispredicts.set(self.mispredicts.get() + 1);
-        self.mispredicts_since.set(self.mispredicts_since.get() + 1);
-        self.tree.invalidate(ep, key, origin);
-    }
-}
-
-#[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)]
-#[deny(clippy::unreachable, clippy::unimplemented, clippy::indexing_slicing)]
-impl TreeWriter for Learned {
-    async fn alloc(&self, ep: &Endpoint) -> Result<RemotePtr, VerbError> {
-        engine::rr_alloc(ep, self.tree.alloc_cursor(), self.ps()).await
-    }
-
-    /// Splits register with the hybrid's upper levels exactly as in
-    /// design 3 (the fallback path must stay correct); the model itself
-    /// is not patched in place — the affected entry simply goes stale,
-    /// counts mispredicts, and drift-triggered retraining replaces it.
-    async fn complete_split(
-        &self,
-        ep: &Endpoint,
-        path: Vec<RemotePtr>,
-        sep: Key,
-        left: RemotePtr,
-        right: RemotePtr,
-        old_high: Key,
-    ) -> Result<(), VerbError> {
-        self.tree
-            .complete_split(ep, path, sep, left, right, old_high)
-            .await
+    /// Every stale routing step downstream of a prediction is a
+    /// mispredict; the rate since the last training drives retrain.
+    pub(crate) fn note_mispredict(&self) {
+        self.bump(|s| s.mispredicts += 1);
+        let (predictions, mispredicts) = self.window.get();
+        self.window.set((predictions, mispredicts + 1));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rdma_sim::ClusterSpec;
+    use crate::chain::small_cfg;
+    use crate::{Index, Learned};
+    use nam::{NamCluster, PartitionMap};
+    use rdma_sim::{ClusterSpec, Endpoint};
     use simnet::Sim;
 
-    fn small_cfg() -> FgConfig {
-        FgConfig {
-            layout: PageLayout::new(200),
-            fill: 0.7,
-            head_stride: 4,
-            cache_capacity: None,
-        }
-    }
-
-    fn build(sim: &Sim, n: u64) -> (NamCluster, Rc<Learned>) {
+    fn build(sim: &Sim, n: u64) -> (NamCluster, Rc<Index>) {
         let nam = NamCluster::new(sim, ClusterSpec::default());
         let partition = PartitionMap::range_uniform(nam.num_servers(), n * 8);
         let idx = Learned::build(&nam, small_cfg(), partition, (0..n).map(|i| (i * 8, i)));
         (nam, idx)
     }
 
+    fn stats(idx: &Index) -> LearnedStats {
+        idx.router().expect("built with a router").stats()
+    }
+
     #[test]
     fn static_lookup_is_one_read() {
         let sim = Sim::new();
         let (nam, idx) = build(&sim, 5000);
-        assert_eq!(idx.stats().retrains, 1, "built with a trained model");
+        assert_eq!(stats(&idx).retrains, 1, "built with a trained model");
         let ep = Endpoint::new(&nam.rdma);
         let got = Rc::new(RefCell::new(Vec::new()));
         {
@@ -405,7 +254,7 @@ mod tests {
         let reads: u64 = (0..4).map(|s| nam.rdma.server_stats(s).onesided_ops).sum();
         assert_eq!(rpcs, 0);
         assert_eq!(reads, 4, "one READ per lookup, no chases on a static tree");
-        let st = idx.stats();
+        let st = stats(&idx);
         assert_eq!(st.predictions, 4);
         assert_eq!(st.mispredicts, 0);
         assert_eq!(st.fallbacks, 0);
@@ -420,7 +269,7 @@ mod tests {
             let idx = idx.clone();
             sim.spawn(async move {
                 for i in 0..500u64 {
-                    idx.insert(&ep, i * 8 + 1, 90_000 + i).await.unwrap();
+                    idx.insert(&ep, i * 8 + 1, 90_000 + i, false).await.unwrap();
                 }
                 for i in 0..500u64 {
                     assert_eq!(idx.lookup(&ep, i * 8 + 1).await.unwrap(), Some(90_000 + i));
@@ -429,7 +278,7 @@ mod tests {
             });
         }
         sim.run();
-        let st = idx.stats();
+        let st = stats(&idx);
         assert!(st.mispredicts > 0, "doubling the keys must split leaves");
         assert!(st.retrains > 1, "drift must have triggered retraining");
         assert_eq!(st.fallbacks, 0, "no restarts: the model never flushes");
@@ -495,7 +344,7 @@ mod tests {
             let _ = idx2.lookup(&ep, 80).await;
         });
         sim.run();
-        let st = idx.stats();
+        let st = stats(&idx);
         assert_eq!(st.epoch_flushes, 1, "restart must flush the model");
         assert!(st.retrains >= 2, "retrain after the flush");
     }

@@ -38,7 +38,7 @@ fn main() -> ExitCode {
 
 struct Flags {
     quick: bool,
-    design: Option<mc::DesignKind>,
+    design: Option<nam::IndexKind>,
     out: PathBuf,
     seed: Option<u64>,
 }
@@ -54,7 +54,7 @@ fn parse_flags(args: &[String]) -> Option<Flags> {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--quick" => flags.quick = true,
-            "--design" => flags.design = Some(mc::DesignKind::parse(it.next()?)?),
+            "--design" => flags.design = Some(nam::IndexKind::parse(it.next()?)?),
             "--out" => flags.out = PathBuf::from(it.next()?),
             "--seed" => flags.seed = it.next()?.parse().ok(),
             _ => return None,
@@ -134,7 +134,7 @@ fn cmd_replay(args: &[String]) -> ExitCode {
     };
     println!(
         "replaying {} / {} / seed {} — expecting {} ({})",
-        cx.scenario.design.name(),
+        cx.scenario.design.key(),
         cx.scenario.fault.name(),
         cx.scenario.seed,
         cx.class.name(),

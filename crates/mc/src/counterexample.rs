@@ -9,7 +9,8 @@
 //! *truncation* a sound minimization move: a shorter prefix is still a
 //! legal schedule, just one that deviates from FIFO in fewer places.
 
-use crate::scenario::{run_scenario, DesignKind, FaultMode, PolicyKind, RunReport, Scenario};
+use crate::scenario::{run_scenario, FaultMode, PolicyKind, RunReport, Scenario};
+use nam::IndexKind;
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -92,7 +93,7 @@ impl Counterexample {
     pub fn to_text(&self) -> String {
         let mut s = String::new();
         let _ = writeln!(s, "# namdex-mc counterexample v2");
-        let _ = writeln!(s, "design: {}", self.scenario.design.name());
+        let _ = writeln!(s, "design: {}", self.scenario.design.key());
         let _ = writeln!(s, "fault: {}", self.scenario.fault.name());
         let _ = writeln!(s, "seed: {}", self.scenario.seed);
         let _ = writeln!(s, "clients: {}", self.scenario.clients);
@@ -122,7 +123,7 @@ impl Counterexample {
             let rest = line.strip_prefix(name)?.strip_prefix(':')?;
             Some(rest.trim().to_string())
         };
-        let design = DesignKind::parse(&field("design")?)?;
+        let design = IndexKind::parse(&field("design")?)?;
         let fault = FaultMode::parse(&field("fault")?)?;
         let seed = field("seed")?.parse().ok()?;
         let clients = field("clients")?.parse().ok()?;
@@ -238,7 +239,7 @@ mod tests {
     #[test]
     fn text_format_roundtrips() {
         let cx = Counterexample {
-            scenario: Scenario::point_ops(DesignKind::Cg, FaultMode::Chaos, 42),
+            scenario: Scenario::point_ops(IndexKind::CoarseGrained, FaultMode::Chaos, 42),
             class: ViolationClass::Linearizability,
             detail: "duplicate insert observed".into(),
             decisions: vec![0, 2, 1, 0, 3],
@@ -252,7 +253,7 @@ mod tests {
         assert_eq!(Counterexample::from_text(""), None);
         assert_eq!(Counterexample::from_text("# wrong header\n"), None);
         let cx = Counterexample {
-            scenario: Scenario::point_ops(DesignKind::Fg, FaultMode::None, 1),
+            scenario: Scenario::point_ops(IndexKind::FineGrained, FaultMode::None, 1),
             class: ViolationClass::Racecheck,
             detail: "x".into(),
             decisions: vec![],

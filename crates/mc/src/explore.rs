@@ -4,7 +4,8 @@
 
 use crate::counterexample::{classify, minimize, Counterexample, ViolationClass};
 use crate::policy::next_dfs_prefix;
-use crate::scenario::{run_scenario, DesignKind, FaultMode, PolicyKind, RunReport, Scenario};
+use crate::scenario::{run_scenario, FaultMode, PolicyKind, RunReport, Scenario};
+use nam::IndexKind;
 use simnet::rng::mix3;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -25,7 +26,7 @@ pub struct ExploreConfig {
     /// DFS preemption bound.
     pub dfs_preemption_bound: u32,
     /// Restrict the matrix to one design (CLI `--design`).
-    pub only_design: Option<DesignKind>,
+    pub only_design: Option<IndexKind>,
     /// Where counterexample artifacts are written.
     pub out_dir: PathBuf,
 }
@@ -271,10 +272,10 @@ fn run_dfs_cell(label: String, sc: Scenario, cfg: &ExploreConfig) -> CellRun {
     }
 }
 
-fn designs(cfg: &ExploreConfig) -> Vec<DesignKind> {
+fn designs(cfg: &ExploreConfig) -> Vec<IndexKind> {
     match cfg.only_design {
         Some(d) => vec![d],
-        None => DesignKind::ALL.to_vec(),
+        None => IndexKind::ALL.to_vec(),
     }
 }
 
@@ -289,7 +290,7 @@ const BOUNDED_CACHE: usize = 1;
 /// schedules.
 fn matrix_cell(
     cfg: &ExploreConfig,
-    design: DesignKind,
+    design: IndexKind,
     fault: FaultMode,
     cache: Option<usize>,
     pct: bool,
@@ -297,7 +298,7 @@ fn matrix_cell(
 ) -> CellStats {
     let label = format!(
         "{}/{}{}/{}",
-        design.name(),
+        design.key(),
         fault.name(),
         if cache.is_some() { "+cache" } else { "" },
         if pct { "pct" } else { "walk" }
@@ -343,7 +344,7 @@ pub fn explore(cfg: &ExploreConfig) -> ExploreReport {
         // linearizability) — exhaustiveness only makes sense when the
         // schedule space is small, so the scenario is minimal.
         if cfg.dfs_schedules > 0 {
-            let label = format!("{}/nofault/dfs", design.name());
+            let label = format!("{}/nofault/dfs", design.key());
             let sc = Scenario {
                 clients: 2,
                 ops_per_client: 2,
@@ -361,7 +362,7 @@ pub fn explore(cfg: &ExploreConfig) -> ExploreReport {
     // designs that cache. Numbered after every other cell, so those keep
     // the seeds they had before these rows existed.
     for design in designs(cfg) {
-        if matches!(design, DesignKind::Fg | DesignKind::Hybrid) {
+        if matches!(design, IndexKind::FineGrained | IndexKind::Hybrid) {
             for pct in [false, true] {
                 let cache = Some(BOUNDED_CACHE);
                 let stats = matrix_cell(cfg, design, FaultMode::CrashRecover, cache, pct, cell_idx);
@@ -477,7 +478,11 @@ pub fn run_mutation_hunts(budget: u64, out_dir: &Path) -> Vec<MutationResult> {
         out_dir,
         |i| {
             (
-                Scenario::point_ops(DesignKind::Cg, FaultMode::Chaos, mix3(0xA_B06, i, 0)),
+                Scenario::point_ops(
+                    IndexKind::CoarseGrained,
+                    FaultMode::Chaos,
+                    mix3(0xA_B06, i, 0),
+                ),
                 PolicyKind::RandomWalk {
                     seed: mix3(0xA_B06, i, 1),
                 },
@@ -492,7 +497,11 @@ pub fn run_mutation_hunts(budget: u64, out_dir: &Path) -> Vec<MutationResult> {
         out_dir,
         |i| {
             (
-                Scenario::point_ops(DesignKind::Fg, FaultMode::Chaos, mix3(0xB_B06, i, 0)),
+                Scenario::point_ops(
+                    IndexKind::FineGrained,
+                    FaultMode::Chaos,
+                    mix3(0xB_B06, i, 0),
+                ),
                 PolicyKind::RandomWalk {
                     seed: mix3(0xB_B06, i, 1),
                 },
@@ -523,7 +532,7 @@ fn hunt_race_mutation(m: namdex_core::RaceMut, budget: u64, out_dir: &Path) -> M
     let (design, fault, cache, base, rule) = match m {
         // Races need contention, not faults: clean runs, hot keys.
         namdex_core::RaceMut::DescendNoCovers => (
-            DesignKind::Fg,
+            IndexKind::FineGrained,
             FaultMode::None,
             None,
             0xC_B06,
@@ -531,21 +540,21 @@ fn hunt_race_mutation(m: namdex_core::RaceMut, budget: u64, out_dir: &Path) -> M
         ),
         // Stale cached artifacts need a restart and a cache to be stale.
         namdex_core::RaceMut::CachedNoFence => (
-            DesignKind::Fg,
+            IndexKind::FineGrained,
             FaultMode::CrashRecover,
             Some(0usize),
             0xD_B06,
             "stale-epoch-cached-use",
         ),
         namdex_core::RaceMut::LearnedNoReread => (
-            DesignKind::Learned,
+            IndexKind::Learned,
             FaultMode::None,
             None,
             0xE_B06,
             "locked-snapshot-read",
         ),
         namdex_core::RaceMut::UnlockBeforeWrite => (
-            DesignKind::Fg,
+            IndexKind::FineGrained,
             FaultMode::None,
             None,
             0xF_B06,

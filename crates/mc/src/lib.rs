@@ -36,4 +36,4 @@ pub use explore::{explore, run_mutation_hunts, CellStats, ExploreConfig, Explore
 pub use history::{Event, HistoryRecorder};
 pub use lin::{CheckStats, LinViolation, Spec};
 pub use policy::{new_trace, next_dfs_prefix, Pct, RandomWalk, Replay, SharedTrace};
-pub use scenario::{run_scenario, DesignKind, FaultMode, PolicyKind, RunReport, Scenario};
+pub use scenario::{run_scenario, FaultMode, PolicyKind, RunReport, Scenario};

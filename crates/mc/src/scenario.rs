@@ -28,8 +28,8 @@ use crate::lin::{self, CheckStats, LinViolation, Spec};
 use crate::policy::{new_trace, Pct, RandomWalk, Replay, SharedTrace};
 use blink::PageLayout;
 use chaos::{ChaosController, FaultPlan};
-use nam::{NamCluster, PartitionMap};
-use namdex_core::{CoarseGrained, Design, FgConfig, FineGrained, Hybrid, Learned};
+use nam::{IndexKind, NamCluster, PartitionMap};
+use namdex_core::{Design, FgConfig};
 use racecheck::{HeldLock, Racecheck, Violation};
 use rdma_sim::{ClusterSpec, Durability, Endpoint, LinkDegrade};
 use simnet::rng::DetRng;
@@ -43,45 +43,6 @@ pub const LOAD_UNITS: u64 = 64;
 pub const HOT_UNITS: std::ops::Range<u64> = 20..24;
 /// Page size shared by the tree builds and the checker.
 const PAGE_SIZE: usize = 256;
-
-/// Which index design a scenario runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DesignKind {
-    /// Coarse-grained (RPC to the home server, design 1).
-    Cg,
-    /// Fine-grained (one-sided verbs + per-node locks, design 2).
-    Fg,
-    /// Hybrid (one-sided reads, RPC writes, design 3).
-    Hybrid,
-    /// Learned (client-side model routing over the hybrid tree,
-    /// design 4).
-    Learned,
-}
-
-impl DesignKind {
-    /// All four designs, in matrix order.
-    pub const ALL: [DesignKind; 4] = [
-        DesignKind::Cg,
-        DesignKind::Fg,
-        DesignKind::Hybrid,
-        DesignKind::Learned,
-    ];
-
-    /// Stable lowercase name (CLI flags, file format, reports).
-    pub fn name(self) -> &'static str {
-        match self {
-            DesignKind::Cg => "cg",
-            DesignKind::Fg => "fg",
-            DesignKind::Hybrid => "hybrid",
-            DesignKind::Learned => "learned",
-        }
-    }
-
-    /// Parse [`Self::name`] output.
-    pub fn parse(s: &str) -> Option<DesignKind> {
-        Self::ALL.into_iter().find(|d| d.name() == s)
-    }
-}
 
 /// Fault regime a scenario runs under.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -124,7 +85,7 @@ impl FaultMode {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Scenario {
     /// Index design under test.
-    pub design: DesignKind,
+    pub design: IndexKind,
     /// Fault regime.
     pub fault: FaultMode,
     /// Workload seed (op mix and key choices).
@@ -145,7 +106,7 @@ pub struct Scenario {
 
 impl Scenario {
     /// Standard point-op scenario (per-key checkable).
-    pub fn point_ops(design: DesignKind, fault: FaultMode, seed: u64) -> Scenario {
+    pub fn point_ops(design: IndexKind, fault: FaultMode, seed: u64) -> Scenario {
         Scenario {
             design,
             fault,
@@ -158,7 +119,7 @@ impl Scenario {
     }
 
     /// Tiny scenario with concurrent scans (whole-history checking).
-    pub fn with_scans(design: DesignKind, fault: FaultMode, seed: u64) -> Scenario {
+    pub fn with_scans(design: IndexKind, fault: FaultMode, seed: u64) -> Scenario {
         Scenario {
             design,
             fault,
@@ -348,7 +309,6 @@ pub fn value_of(key: u64) -> u64 {
 }
 
 fn build(sc: &Scenario, nam: &NamCluster) -> Design {
-    let kind = sc.design;
     let items = (0..LOAD_UNITS).map(|i| (i * 8, i));
     let partition = PartitionMap::range_uniform(nam.num_servers(), LOAD_UNITS * 8);
     let cfg = FgConfig {
@@ -357,18 +317,7 @@ fn build(sc: &Scenario, nam: &NamCluster) -> Design {
         head_stride: 4,
         cache_capacity: sc.cache_capacity,
     };
-    match kind {
-        DesignKind::Cg => Design::Cg(CoarseGrained::build(
-            nam,
-            PageLayout::new(PAGE_SIZE),
-            partition,
-            items,
-            0.7,
-        )),
-        DesignKind::Fg => Design::Fg(FineGrained::build(&nam.rdma, cfg, items)),
-        DesignKind::Hybrid => Design::Hybrid(Hybrid::build(nam, cfg, partition, items)),
-        DesignKind::Learned => Design::Learned(Learned::build(nam, cfg, partition, items)),
-    }
+    Design::build(sc.design, nam, cfg, partition, items)
 }
 
 /// One client's sequential op stream. Insert keys come from the

@@ -31,6 +31,47 @@ pub enum IndexKind {
     Learned,
 }
 
+impl IndexKind {
+    /// All four designs, in the order every sweep and matrix visits them.
+    pub const ALL: [IndexKind; 4] = [
+        IndexKind::CoarseGrained,
+        IndexKind::FineGrained,
+        IndexKind::Hybrid,
+        IndexKind::Learned,
+    ];
+
+    /// `[key, name, label]` — the one table the three spellings read.
+    const fn names(self) -> [&'static str; 3] {
+        match self {
+            IndexKind::CoarseGrained => ["cg", "coarse-grained", "Coarse-Grained"],
+            IndexKind::FineGrained => ["fg", "fine-grained", "Fine-Grained"],
+            IndexKind::Hybrid => ["hybrid", "hybrid", "Hybrid"],
+            IndexKind::Learned => ["learned", "learned", "Learned"],
+        }
+    }
+
+    /// Stable short name: CLI flags and env lists (`NAMDEX_DESIGNS=cg,fg`),
+    /// counterexample files, artifact names.
+    pub const fn key(self) -> &'static str {
+        self.names()[0]
+    }
+
+    /// Report name (catalog entries, CSV `design` columns).
+    pub const fn name(self) -> &'static str {
+        self.names()[1]
+    }
+
+    /// Display name matching the paper's legends.
+    pub const fn label(self) -> &'static str {
+        self.names()[2]
+    }
+
+    /// Parse [`Self::key`] output.
+    pub fn parse(key: &str) -> Option<IndexKind> {
+        Self::ALL.into_iter().find(|k| k.key() == key)
+    }
+}
+
 /// Everything a compute server must know to access an index.
 #[derive(Clone, Debug)]
 pub struct IndexDescriptor {

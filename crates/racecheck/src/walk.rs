@@ -5,15 +5,16 @@
 //! index must be a well-formed B-link structure — high keys ordered along
 //! the sibling chain, every tree-referenced leaf reachable from the
 //! chain, key counts within page capacity, no lock left held. The walk
-//! reads pages through the designs' [`SetupSource`] (the untimed control
+//! reads pages through the index's [`SetupSource`] (the untimed control
 //! path — no simulated cost, and page geometry agreed with the engine by
-//! construction) and covers all three designs:
+//! construction) and checks every part the index has:
 //!
-//! * **fine-grained** — leaf-chain walk plus a top-down walk from the
-//!   root over the distributed inner levels;
-//! * **hybrid** — leaf-chain walk plus each server's local upper tree
-//!   (via [`blink`]'s own `check_invariants`);
-//! * **coarse-grained** — each server's complete local tree.
+//! * **leaf chain** — the sibling-order walk;
+//! * **remote upper level** — a top-down walk from the root over the
+//!   distributed inner levels, including tree→chain reachability;
+//! * **local upper level** — each server's local tree (via [`blink`]'s
+//!   own `check_invariants`);
+//! * **model router** — an audit of the shipped routing table.
 
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -23,7 +24,7 @@ use blink::node::{
     kind_of, level_of, version_lock_of, HeadNodeRef, InnerNodeRef, LeafNodeRef, NodeKind,
 };
 use blink::Key;
-use namdex_core::{CoarseGrained, Design, FineGrained, Hybrid, SetupSource};
+use namdex_core::{Design, SetupSource};
 use rdma_sim::RemotePtr;
 use simnet::SimTime;
 
@@ -193,17 +194,14 @@ fn high_key_of(page: &[u8]) -> Key {
     }
 }
 
-/// Check the fine-grained design: leaf chain plus the distributed inner
-/// levels from the root, including tree→chain reachability.
-pub fn check_fg(idx: &FineGrained) -> Vec<Violation> {
-    let src = idx.setup_source();
+/// Walk the distributed inner levels top-down from `root`, including
+/// tree→chain reachability against the `chain` leaves [`walk_chain`] saw.
+fn walk_inner(src: &SetupSource, root: RemotePtr, chain: &BTreeSet<u64>, out: &mut Vec<Violation>) {
     let layout = src.layout();
     let ps = layout.page_size();
     let now = src.cluster().sim().now();
-    let mut out = Vec::new();
-    let chain = walk_chain(&src, idx.first(), &mut out);
 
-    let mut stack = vec![idx.root()];
+    let mut stack = vec![root];
     let mut visited = BTreeSet::new();
     while let Some(cur) = stack.pop() {
         if cur.is_null() || !visited.insert(cur.raw()) {
@@ -295,7 +293,6 @@ pub fn check_fg(idx: &FineGrained) -> Vec<Violation> {
             }
         }
     }
-    out
 }
 
 /// Check one server's local tree via blink's own invariant checker,
@@ -330,45 +327,17 @@ fn check_local_tree(
     }
 }
 
-/// Check the hybrid design: one-sided leaf chain plus each server's
-/// local upper tree.
-pub fn check_hybrid(idx: &Hybrid) -> Vec<Violation> {
-    let mut out = Vec::new();
-    walk_chain(&idx.setup_source(), idx.first(), &mut out);
-    let now = idx.cluster().sim().now();
-    for (s, node) in idx.nodes().iter().enumerate() {
-        check_local_tree(node, s, now, &mut out);
-    }
-    out
-}
-
-/// Check the coarse-grained design: each server's complete local tree.
-pub fn check_cg(idx: &CoarseGrained) -> Vec<Violation> {
-    let mut out = Vec::new();
-    let now = idx.cluster().sim().now();
-    for (s, node) in idx.nodes().iter().enumerate() {
-        check_local_tree(node, s, now, &mut out);
-    }
-    out
-}
-
-/// Check the learned design: the hybrid layout underneath it, plus the
-/// model's routing table. A table entry may be *stale* (after a split
-/// the leaf it points at covers less than the recorded high key) but
-/// must never route *right* of the covering leaf: each entry must point
-/// at a live chain page whose current high key is at most the recorded
-/// one, and recorded highs must be strictly ascending — the conditions
-/// under which the engine's sibling chase is guaranteed to correct any
-/// prediction.
-pub fn check_learned(idx: &namdex_core::Learned) -> Vec<Violation> {
-    let mut out = check_hybrid(idx.tree());
-    let Some(model) = idx.model() else {
-        return out; // flushed model: nothing shipped, nothing to audit
-    };
-    let src = idx.tree().setup_source();
-    let now = idx.tree().cluster().sim().now();
+/// Audit a model router's routing `table`. An entry may be *stale*
+/// (after a split the leaf it points at covers less than the recorded
+/// high key) but must never route *right* of the covering leaf: each
+/// entry must point at a live chain page whose current high key is at
+/// most the recorded one, and recorded highs must be strictly ascending
+/// — the conditions under which the engine's sibling chase is
+/// guaranteed to correct any prediction.
+fn audit_model(src: &SetupSource, table: &[(Key, u64)], out: &mut Vec<Violation>) {
+    let now = src.cluster().sim().now();
     let mut prev: Option<Key> = None;
-    for &(high, raw) in model.table() {
+    for &(high, raw) in table {
         let ptr = RemotePtr::from_raw(raw);
         if prev.is_some_and(|p| p >= high) {
             out.push(sv(
@@ -399,30 +368,46 @@ pub fn check_learned(idx: &namdex_core::Learned) -> Vec<Violation> {
             ));
         }
     }
+}
+
+/// Structural check for any design: every part it has, in turn.
+pub fn check_design(design: &Design) -> Vec<Violation> {
+    let idx = design.index();
+    let src = idx.setup_source();
+    let mut out = Vec::new();
+    let chain = idx.chain().map(|c| walk_chain(src, c.first(), &mut out));
+    if let (Some(root), Some(chain)) = (idx.root(), &chain) {
+        walk_inner(src, root, chain, &mut out);
+    }
+    if let Some(local) = idx.local() {
+        let now = src.cluster().sim().now();
+        for (s, node) in local.nodes().iter().enumerate() {
+            check_local_tree(node, s, now, &mut out);
+        }
+    }
+    // A flushed model ships nothing, so there is nothing to audit.
+    if let Some(model) = idx.router().and_then(|r| r.model()) {
+        audit_model(src, model.table(), &mut out);
+    }
     out
 }
 
-/// Structural check for any design.
-pub fn check_design(design: &Design) -> Vec<Violation> {
-    match design {
-        Design::Cg(d) => check_cg(d),
-        Design::Fg(d) => check_fg(d),
-        Design::Hybrid(d) => check_hybrid(d),
-        Design::Learned(d) => check_learned(d),
-    }
-}
-
-/// Register every page reachable in `idx` (chain and inner levels) with
-/// the checker — pages built on the untimed setup path emit no `ALLOC`
-/// events, so the checker would otherwise learn them only as traffic
-/// touches them, and judge plain writes to them only after their first
-/// lock-word atomic.
-pub fn register_fg(rc: &Racecheck, idx: &FineGrained) {
+/// Register whatever `design` keeps in one-sided memory — the leaf chain
+/// and remote inner levels, if it has them — with the checker: pages
+/// built on the untimed setup path emit no `ALLOC` events, so the checker
+/// would otherwise learn them only as traffic touches them, and judge
+/// plain writes to them only after their first lock-word atomic. (Local
+/// trees live behind RPC handlers and a model is client-resident:
+/// nothing to register, [`check_design`] covers them.)
+pub fn register_design(rc: &Racecheck, design: &Design) {
+    let idx = design.index();
     let src = idx.setup_source();
-    for (ptr, _) in src.chain(idx.first()) {
-        rc.register_page(ptr);
+    if let Some(chain) = idx.chain() {
+        for (ptr, _) in src.chain(chain.first()) {
+            rc.register_page(ptr);
+        }
     }
-    let mut stack = vec![idx.root()];
+    let mut stack = Vec::from_iter(idx.root());
     let mut visited = BTreeSet::new();
     while let Some(cur) = stack.pop() {
         if cur.is_null() || !visited.insert(cur.raw()) || visited.len() > MAX_PAGES {
@@ -438,26 +423,5 @@ pub fn register_fg(rc: &Racecheck, idx: &FineGrained) {
             }
             stack.push(rp(node.right_sibling()));
         }
-    }
-}
-
-/// Register the hybrid design's one-sided leaf chain.
-pub fn register_hybrid(rc: &Racecheck, idx: &Hybrid) {
-    for (ptr, _) in idx.setup_source().chain(idx.first()) {
-        rc.register_page(ptr);
-    }
-}
-
-/// Register whatever `design` keeps in one-sided memory (nothing for the
-/// coarse-grained design: its pages live behind RPC handlers and are
-/// covered by [`check_cg`]).
-pub fn register_design(rc: &Racecheck, design: &Design) {
-    match design {
-        Design::Cg(_) => {}
-        Design::Fg(d) => register_fg(rc, d),
-        Design::Hybrid(d) => register_hybrid(rc, d),
-        // The learned design's one-sided memory is the hybrid leaf
-        // chain; the model itself is client-resident.
-        Design::Learned(d) => register_hybrid(rc, d.tree()),
     }
 }

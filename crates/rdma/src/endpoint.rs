@@ -635,22 +635,33 @@ impl Endpoint {
         Ok(ptr)
     }
 
-    /// Co-located fast path (Appendix A.3): the compute thread executes
-    /// work against a local memory server directly — `busy` of its own
-    /// CPU plus the local-path transfer of `bytes`; no NIC, no handler
-    /// core. Panics if the server is not local to this endpoint.
-    pub async fn local_work(&self, s: usize, busy: SimDur, bytes: usize) -> Result<(), VerbError> {
-        assert!(self.is_local(s), "local_work on a remote server");
+    /// Co-located fast path (Appendix A.3), the in-place twin of
+    /// [`Endpoint::rpc`]: the compute thread runs `handler` against a
+    /// local memory server directly and pays the handler-reported CPU
+    /// time on its own core plus the local-path transfer of the response
+    /// — no NIC, no handler core. Like an RPC, the handler runs only
+    /// after the client and the server are known to be alive, so a
+    /// refused call has no server-side effect. Handlers that log must be
+    /// followed by [`Endpoint::durability_barrier`]. Panics if the server
+    /// is not local to this endpoint.
+    pub async fn local_call<R>(
+        &self,
+        s: usize,
+        handler: impl FnOnce() -> RpcReply<R>,
+    ) -> Result<R, VerbError> {
+        assert!(self.is_local(s), "local_call on a remote server");
         self.check_alive()?;
         if !self.cluster.server_up(s) {
             return Err(self.fail_unreachable(s, AttemptKind::Read).await);
         }
-        let sim = self.sim();
-        let server = self.cluster.server(s);
-        server.local_bytes.add(bytes as u64);
-        sim.sleep(busy + self.cluster.spec().local_time(bytes))
-            .await;
-        Ok(())
+        let reply = handler();
+        self.cluster
+            .server(s)
+            .local_bytes
+            .add(reply.resp_bytes as u64);
+        let transfer = self.cluster.spec().local_time(reply.resp_bytes);
+        self.sim().sleep(reply.cpu + transfer).await;
+        Ok(reply.value)
     }
 
     // ------------------------------------------------- two-sided RPC ----
@@ -1017,13 +1028,18 @@ mod tests {
     }
 
     #[test]
-    fn local_work_counts_bytes_and_time() {
+    fn local_call_counts_bytes_and_time() {
         let sim = Sim::new();
         let cluster = Cluster::new(&sim, ClusterSpec::default());
         let ep = Endpoint::colocated(&cluster, 0);
         let s = sim.clone();
         sim.spawn(async move {
-            ep.local_work(0, SimDur::from_micros(7), 64).await.unwrap();
+            let reply = || RpcReply {
+                value: 9u8,
+                cpu: SimDur::from_micros(7),
+                resp_bytes: 64,
+            };
+            assert_eq!(ep.local_call(0, reply).await, Ok(9));
             assert!(s.now().as_nanos() >= 7_000);
         });
         sim.run();
@@ -1034,13 +1050,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "local_work on a remote server")]
-    fn local_work_rejects_remote() {
+    #[should_panic(expected = "local_call on a remote server")]
+    fn local_call_rejects_remote() {
         let sim = Sim::new();
         let cluster = Cluster::new(&sim, ClusterSpec::default());
         let ep = Endpoint::new(&cluster);
         sim.spawn(async move {
-            ep.local_work(0, SimDur::ZERO, 0).await.unwrap();
+            let reply = || RpcReply {
+                value: (),
+                cpu: SimDur::ZERO,
+                resp_bytes: 0,
+            };
+            ep.local_call(0, reply).await.unwrap();
         });
         sim.run();
     }

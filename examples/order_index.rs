@@ -52,7 +52,12 @@ fn main() {
 
     let domain = composite(CUSTOMERS, 0);
     let partition = PartitionMap::range_uniform(nam.num_servers(), domain);
-    let index = Hybrid::build(&nam, FgConfig::default(), partition, base.into_iter());
+    let index = Design::Hybrid(Hybrid::build(
+        &nam,
+        FgConfig::default(),
+        partition,
+        base.into_iter(),
+    ));
 
     // Register it with the catalog, as a compute server would resolve it.
     let mut catalog = Catalog::new();
@@ -141,9 +146,7 @@ fn main() {
                     cancelled += 1;
                 }
             }
-            let freed = gc::hybrid_gc_pass(&index2, &ep)
-                .await
-                .expect("fault-free run");
+            let freed = gc::gc_pass(&index2, &ep).await.expect("fault-free run");
             assert!(
                 freed >= cancelled,
                 "GC must reclaim at least what we cancelled"

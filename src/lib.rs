@@ -36,12 +36,12 @@
 //!
 //! // Build the hybrid index (Design 3) over 10k records.
 //! let partition = PartitionMap::range_uniform(nam.num_servers(), 10_000 * 8);
-//! let index = Hybrid::build(
+//! let index = Design::Hybrid(Hybrid::build(
 //!     &nam,
 //!     FgConfig::default(),
 //!     partition,
 //!     (0..10_000u64).map(|i| (i * 8, i)),
-//! );
+//! ));
 //!
 //! // A compute-server client issues index operations over (simulated)
 //! // RDMA verbs. Every operation is fallible: under fault injection
@@ -76,7 +76,7 @@ pub mod prelude {
     pub use chaos::{ChaosController, FaultEvent, FaultPlan, RandomProfile};
     pub use nam::{Catalog, IndexDescriptor, IndexKind, NamCluster, PartitionMap};
     pub use namdex_core::{
-        CoarseGrained, Design, FgConfig, FineGrained, Hybrid, Learned, LearnedStats, OpError,
+        CoarseGrained, Design, FgConfig, FineGrained, Hybrid, Index, Learned, LearnedStats, OpError,
     };
     pub use racecheck::Racecheck;
     pub use rdma_sim::{

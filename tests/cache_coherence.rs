@@ -1,5 +1,5 @@
 //! Cache-coherence tests for the engine's client-side cache layer
-//! (`Cached` over a `NodeSource`): a cached entry made stale by a
+//! (the optional `CacheLayer` part of an `Index`): a cached entry made stale by a
 //! concurrent split must be *detected* (the fresh page's fence check
 //! fails) and *invalidated*, never produce a wrong lookup — and a server
 //! restart must flush the whole cache before any hit is served.

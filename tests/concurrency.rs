@@ -17,13 +17,7 @@ fn cluster() -> (Sim, NamCluster) {
 /// Arm the protocol checker over the torture run; [`finish_checked`]
 /// then requires a clean verdict.
 fn arm_checker(nam: &NamCluster, design: &Design) -> Rc<Racecheck> {
-    let page_size = match design {
-        Design::Cg(_) => PageLayout::default().page_size(),
-        Design::Fg(d) => d.layout().page_size(),
-        Design::Hybrid(d) => d.layout().page_size(),
-        Design::Learned(d) => d.layout().page_size(),
-    };
-    let race = Racecheck::install(&nam.rdma, page_size);
+    let race = Racecheck::install(&nam.rdma, design.index().layout().page_size());
     namdex::racecheck::walk::register_design(&race, design);
     race
 }
@@ -57,7 +51,7 @@ fn fg_concurrent_writers_and_readers() {
         let ep = Endpoint::new(&nam.rdma);
         sim.spawn(async move {
             for i in 0..PER {
-                idx.insert(&ep, (i * WRITERS + w) * 16 + 1, w * 1_000 + i)
+                idx.insert(&ep, (i * WRITERS + w) * 16 + 1, w * 1_000 + i, false)
                     .await
                     .unwrap();
             }
@@ -136,7 +130,7 @@ fn hybrid_concurrent_writers_and_readers() {
         let ep = Endpoint::new(&nam.rdma);
         sim.spawn(async move {
             for i in 0..PER {
-                idx.insert(&ep, (i * WRITERS + w) * 16 + 3, w * 1_000 + i)
+                idx.insert(&ep, (i * WRITERS + w) * 16 + 3, w * 1_000 + i, false)
                     .await
                     .unwrap();
             }
@@ -186,7 +180,7 @@ fn learned_concurrent_writers_and_readers() {
         let ep = Endpoint::new(&nam.rdma);
         sim.spawn(async move {
             for i in 0..PER {
-                idx.insert(&ep, (i * WRITERS + w) * 16 + 3, w * 1_000 + i)
+                idx.insert(&ep, (i * WRITERS + w) * 16 + 3, w * 1_000 + i, false)
                     .await
                     .unwrap();
             }
@@ -210,7 +204,10 @@ fn learned_concurrent_writers_and_readers() {
         assert_eq!(rows.len() as u64, 2_000 + WRITERS * PER);
     });
     sim.run();
-    assert!(idx.stats().predictions > 0, "lookups route via the model");
+    assert!(
+        design.learned_stats().is_some_and(|s| s.predictions > 0),
+        "lookups route via the model"
+    );
     finish_checked(&race, &design);
 }
 
@@ -236,11 +233,11 @@ fn gc_concurrent_with_readers() {
     // GC runs while readers scan.
     let freed = Rc::new(Cell::new(0usize));
     {
-        let idx = idx.clone();
+        let design = design.clone();
         let ep = Endpoint::new(&nam.rdma);
         let freed = freed.clone();
         sim.spawn(async move {
-            freed.set(gc::fg_gc_pass(&idx, &ep).await.unwrap());
+            freed.set(gc::gc_pass(&design, &ep).await.unwrap());
         });
     }
     for r in 0..5u64 {

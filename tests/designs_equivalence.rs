@@ -15,32 +15,18 @@ fn deploy(n_keys: u64) -> (Sim, NamCluster, Vec<Design>) {
     let nam = NamCluster::new(&sim, ClusterSpec::default());
     let data = Dataset::new(n_keys);
     let partition = PartitionMap::range_uniform(nam.num_servers(), data.domain());
-    let designs = vec![
-        Design::Cg(CoarseGrained::build(
-            &nam,
-            PageLayout::default(),
-            partition.clone(),
-            data.iter(),
-            0.7,
-        )),
-        Design::Fg(FineGrained::build(
-            &nam.rdma,
-            FgConfig::default(),
-            data.iter(),
-        )),
-        Design::Hybrid(Hybrid::build(
-            &nam,
-            FgConfig::default(),
-            partition.clone(),
-            data.iter(),
-        )),
-        Design::Learned(Learned::build(
-            &nam,
-            FgConfig::default(),
-            partition,
-            data.iter(),
-        )),
-    ];
+    let designs = IndexKind::ALL
+        .into_iter()
+        .map(|kind| {
+            Design::build(
+                kind,
+                &nam,
+                FgConfig::default(),
+                partition.clone(),
+                data.iter(),
+            )
+        })
+        .collect();
     (sim, nam, designs)
 }
 
@@ -175,10 +161,5 @@ fn mixed_mutations_agree_with_oracle() {
 
 /// Designs carry their own cluster handle; fetch it for endpoints.
 fn design_cluster(design: &Design) -> &Cluster {
-    match design {
-        Design::Cg(d) => d.cluster(),
-        Design::Fg(d) => d.cluster(),
-        Design::Hybrid(d) => d.cluster(),
-        Design::Learned(d) => d.tree().cluster(),
-    }
+    design.index().setup_source().cluster()
 }

@@ -32,25 +32,15 @@ impl Digest {
     }
 }
 
-fn build(kind: u8, nam: &NamCluster) -> Design {
+fn build(kind: IndexKind, nam: &NamCluster) -> Design {
     let items = (0..KEYS).map(|i| (i * 8, i));
     let partition = PartitionMap::range_uniform(nam.num_servers(), KEYS * 8);
-    match kind {
-        0 => Design::Cg(CoarseGrained::build(
-            nam,
-            PageLayout::default(),
-            partition,
-            items,
-            0.7,
-        )),
-        1 => Design::Fg(FineGrained::build(&nam.rdma, FgConfig::default(), items)),
-        _ => Design::Hybrid(Hybrid::build(nam, FgConfig::default(), partition, items)),
-    }
+    Design::build(kind, nam, FgConfig::default(), partition, items)
 }
 
 /// Run a Fig.7-style mixed workload (zipfian YCSB-A over a loaded
 /// dataset) and fold everything observable into one digest.
-fn run_digest(kind: u8, seed: u64) -> u64 {
+fn run_digest(kind: IndexKind, seed: u64) -> u64 {
     let sim = Sim::new();
     let nam = NamCluster::new(&sim, ClusterSpec::default());
     let design = build(kind, &nam);
@@ -139,7 +129,7 @@ fn push_outcome<T>(d: &mut Digest, r: Result<T, OpError>, payload: impl FnOnce(T
 /// outage, a kill-on-lock-acquire trigger, a client-kill window, and a
 /// randomized tail drawn from `fault_seed`. Two runs with the same
 /// `(seed, fault_seed)` must still be byte-identical.
-fn run_fault_digest(kind: u8, seed: u64, fault_seed: u64) -> u64 {
+fn run_fault_digest(kind: IndexKind, seed: u64, fault_seed: u64) -> u64 {
     let us = SimTime::from_micros;
     let plan_base = FaultPlan::new()
         .kill_on_lock_acquire(us(150), 0)
@@ -252,11 +242,11 @@ fn run_fault_digest(kind: u8, seed: u64, fault_seed: u64) -> u64 {
 
 #[test]
 fn faulted_runs_same_seed_same_plan_are_byte_identical() {
-    for kind in 0..3u8 {
+    for kind in IndexKind::ALL {
         assert_eq!(
             run_fault_digest(kind, 42, 7),
             run_fault_digest(kind, 42, 7),
-            "design kind {kind} diverged under an identical fault plan"
+            "{kind:?} diverged under an identical fault plan"
         );
     }
 }
@@ -265,27 +255,42 @@ fn faulted_runs_same_seed_same_plan_are_byte_identical() {
 fn different_fault_seeds_differ() {
     // The randomized tail of the plan (and the drop-roll RNG) must
     // actually depend on the fault seed.
-    assert_ne!(run_fault_digest(1, 42, 7), run_fault_digest(1, 42, 8));
+    assert_ne!(
+        run_fault_digest(IndexKind::FineGrained, 42, 7),
+        run_fault_digest(IndexKind::FineGrained, 42, 8)
+    );
 }
 
 #[test]
 fn cg_same_seed_is_byte_identical() {
-    assert_eq!(run_digest(0, 42), run_digest(0, 42));
+    assert_eq!(
+        run_digest(IndexKind::CoarseGrained, 42),
+        run_digest(IndexKind::CoarseGrained, 42)
+    );
 }
 
 #[test]
 fn fg_same_seed_is_byte_identical() {
-    assert_eq!(run_digest(1, 42), run_digest(1, 42));
+    assert_eq!(
+        run_digest(IndexKind::FineGrained, 42),
+        run_digest(IndexKind::FineGrained, 42)
+    );
 }
 
 #[test]
 fn hybrid_same_seed_is_byte_identical() {
-    assert_eq!(run_digest(2, 42), run_digest(2, 42));
+    assert_eq!(
+        run_digest(IndexKind::Hybrid, 42),
+        run_digest(IndexKind::Hybrid, 42)
+    );
 }
 
 #[test]
 fn different_seeds_differ() {
     // Sanity check that the digest actually covers the run: two seeds
     // must not collide (they drive different op streams).
-    assert_ne!(run_digest(1, 1), run_digest(1, 2));
+    assert_ne!(
+        run_digest(IndexKind::FineGrained, 1),
+        run_digest(IndexKind::FineGrained, 2)
+    );
 }

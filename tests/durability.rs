@@ -29,21 +29,10 @@ fn wal_spec() -> ClusterSpec {
     }
 }
 
-fn build(kind: u8, nam: &NamCluster) -> Design {
+fn build(kind: IndexKind, nam: &NamCluster) -> Design {
     let items = (0..KEYS).map(|i| (i * 8, i));
     let partition = PartitionMap::range_uniform(nam.num_servers(), KEYS * 8);
-    match kind {
-        0 => Design::Cg(CoarseGrained::build(
-            nam,
-            PageLayout::default(),
-            partition,
-            items,
-            0.7,
-        )),
-        1 => Design::Fg(FineGrained::build(&nam.rdma, FgConfig::default(), items)),
-        2 => Design::Hybrid(Hybrid::build(nam, FgConfig::default(), partition, items)),
-        _ => Design::Learned(Learned::build(nam, FgConfig::default(), partition, items)),
-    }
+    Design::build(kind, nam, FgConfig::default(), partition, items)
 }
 
 /// Outcome of one crash-under-load run: what the clients got acked, and
@@ -58,7 +47,7 @@ struct RunOutcome {
 /// Drive `writers` concurrent insert streams plus one delete stream into
 /// a Wal-mode cluster while server 1 crashes and restarts mid-stream,
 /// then scan the recovered index.
-fn crash_under_load(kind: u8, seed: u64) -> RunOutcome {
+fn crash_under_load(kind: IndexKind, seed: u64) -> RunOutcome {
     let sim = Sim::new();
     let nam = NamCluster::new(&sim, wal_spec());
     let design = build(kind, &nam);
@@ -99,7 +88,7 @@ fn crash_under_load(kind: u8, seed: u64) -> RunOutcome {
         });
     }
     sim.run();
-    assert_eq!(sim.live_tasks(), 0, "kind {kind}: no parked tasks");
+    assert_eq!(sim.live_tasks(), 0, "{kind:?}: no parked tasks");
 
     let rows = Rc::new(RefCell::new(Vec::new()));
     {
@@ -131,33 +120,33 @@ fn crash_under_load(kind: u8, seed: u64) -> RunOutcome {
 /// server RAM mid-workload loses not one acknowledged write.
 #[test]
 fn zero_acked_write_loss_across_all_designs() {
-    for kind in 0..4u8 {
+    for kind in IndexKind::ALL {
         let out = crash_under_load(kind, 7);
         assert_eq!(
             out.recoveries.len(),
             1,
-            "kind {kind}: exactly one crash/recovery cycle"
+            "{kind:?}: exactly one crash/recovery cycle"
         );
         let (server, rto_ns, _) = out.recoveries[0];
         assert_eq!(server, 1);
         assert!(
             rto_ns >= 200_000,
-            "kind {kind}: RTO must include the 200us boot, got {rto_ns}ns"
+            "{kind:?}: RTO must include the 200us boot, got {rto_ns}ns"
         );
         assert!(
             !out.acked_inserts.is_empty(),
-            "kind {kind}: the workload must ack inserts"
+            "{kind:?}: the workload must ack inserts"
         );
         for &(k, v) in &out.acked_inserts {
             assert!(
                 out.rows.contains(&(k, v)),
-                "kind {kind}: acked insert ({k},{v}) lost by the crash"
+                "{kind:?}: acked insert ({k},{v}) lost by the crash"
             );
         }
         for &k in &out.acked_deletes {
             assert!(
                 !out.rows.iter().any(|&(rk, _)| rk == k),
-                "kind {kind}: acked delete of {k} resurrected by replay"
+                "{kind:?}: acked delete of {k} resurrected by replay"
             );
         }
     }
@@ -168,13 +157,13 @@ fn zero_acked_write_loss_across_all_designs() {
 /// the same measured RTO, byte for byte.
 #[test]
 fn crash_recovery_is_seed_deterministic() {
-    for kind in [0u8, 2] {
+    for kind in [IndexKind::CoarseGrained, IndexKind::Hybrid] {
         let a = crash_under_load(kind, 11);
         let b = crash_under_load(kind, 11);
-        assert_eq!(a.rows, b.rows, "kind {kind}: final contents diverged");
-        assert_eq!(a.acked_inserts, b.acked_inserts, "kind {kind}: acks");
-        assert_eq!(a.acked_deletes, b.acked_deletes, "kind {kind}: deletes");
-        assert_eq!(a.recoveries, b.recoveries, "kind {kind}: RTO diverged");
+        assert_eq!(a.rows, b.rows, "{kind:?}: final contents diverged");
+        assert_eq!(a.acked_inserts, b.acked_inserts, "{kind:?}: acks");
+        assert_eq!(a.acked_deletes, b.acked_deletes, "{kind:?}: deletes");
+        assert_eq!(a.recoveries, b.recoveries, "{kind:?}: RTO diverged");
     }
 }
 
@@ -194,7 +183,7 @@ fn group_commit_reduces_device_flushes() {
             ..wal_spec()
         };
         let nam = NamCluster::new(&sim, spec);
-        let design = build(0, &nam);
+        let design = build(IndexKind::CoarseGrained, &nam);
         for w in 0..12u64 {
             let design = design.clone();
             let ep = Endpoint::new(&nam.rdma);
@@ -244,7 +233,7 @@ fn rto_grows_with_replayed_log() {
             ..wal_spec()
         };
         let nam = NamCluster::new(&sim, spec);
-        let design = build(2, &nam);
+        let design = build(IndexKind::Hybrid, &nam);
         let sim_c = sim.clone();
         let cluster = nam.rdma.clone();
         {
@@ -283,7 +272,7 @@ fn rto_grows_with_replayed_log() {
 fn off_mode_changes_nothing_and_has_no_wal() {
     let sim = Sim::new();
     let nam = NamCluster::new(&sim, ClusterSpec::default());
-    let design = build(0, &nam);
+    let design = build(IndexKind::CoarseGrained, &nam);
     assert!(!nam.rdma.wal_enabled());
     assert!(nam.rdma.wal_stats(0).is_none());
     let survived = Rc::new(Cell::new(false));

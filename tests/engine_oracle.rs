@@ -38,21 +38,10 @@ fn small_cfg() -> FgConfig {
     }
 }
 
-fn build(kind: u8, nam: &NamCluster) -> Design {
+fn build(kind: IndexKind, nam: &NamCluster) -> Design {
     let items = (0..LOAD_UNITS).map(|i| (i * 8, i));
     let partition = PartitionMap::range_uniform(nam.num_servers(), LOAD_UNITS * 8);
-    match kind {
-        0 => Design::Cg(CoarseGrained::build(
-            nam,
-            PageLayout::new(256),
-            partition,
-            items,
-            0.7,
-        )),
-        1 => Design::Fg(FineGrained::build(&nam.rdma, small_cfg(), items)),
-        2 => Design::Hybrid(Hybrid::build(nam, small_cfg(), partition, items)),
-        _ => Design::Learned(Learned::build(nam, small_cfg(), partition, items)),
-    }
+    Design::build(kind, nam, small_cfg(), partition, items)
 }
 
 /// One client's sequential op stream over its own key span.
@@ -160,7 +149,7 @@ async fn client_loop(
     }
 }
 
-fn oracle_scenario(kind: u8, seed: u64) {
+fn oracle_scenario(kind: IndexKind, seed: u64) {
     let sim = Sim::new();
     let nam = NamCluster::new(&sim, ClusterSpec::default());
     let idx = build(kind, &nam);
@@ -238,24 +227,24 @@ fn oracle_scenario(kind: u8, seed: u64) {
 
 #[test]
 fn cg_agrees_with_oracle_under_chaos() {
-    oracle_scenario(0, 7);
-    oracle_scenario(0, 1_001);
+    oracle_scenario(IndexKind::CoarseGrained, 7);
+    oracle_scenario(IndexKind::CoarseGrained, 1_001);
 }
 
 #[test]
 fn fg_agrees_with_oracle_under_chaos() {
-    oracle_scenario(1, 7);
-    oracle_scenario(1, 1_001);
+    oracle_scenario(IndexKind::FineGrained, 7);
+    oracle_scenario(IndexKind::FineGrained, 1_001);
 }
 
 #[test]
 fn hybrid_agrees_with_oracle_under_chaos() {
-    oracle_scenario(2, 7);
-    oracle_scenario(2, 1_001);
+    oracle_scenario(IndexKind::Hybrid, 7);
+    oracle_scenario(IndexKind::Hybrid, 1_001);
 }
 
 #[test]
 fn learned_agrees_with_oracle_under_chaos() {
-    oracle_scenario(3, 7);
-    oracle_scenario(3, 1_001);
+    oracle_scenario(IndexKind::Learned, 7);
+    oracle_scenario(IndexKind::Learned, 1_001);
 }

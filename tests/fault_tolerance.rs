@@ -21,13 +21,7 @@ fn cluster() -> (Sim, NamCluster) {
 }
 
 fn arm_checker(nam: &NamCluster, design: &Design) -> Rc<Racecheck> {
-    let page_size = match design {
-        Design::Cg(_) => PageLayout::default().page_size(),
-        Design::Fg(d) => d.layout().page_size(),
-        Design::Hybrid(d) => d.layout().page_size(),
-        Design::Learned(d) => d.layout().page_size(),
-    };
-    let race = Racecheck::install(&nam.rdma, page_size);
+    let race = Racecheck::install(&nam.rdma, design.index().layout().page_size());
     namdex::racecheck::walk::register_design(&race, design);
     race
 }
@@ -42,27 +36,16 @@ fn finish_checked(race: &Racecheck, design: &Design) {
 
 const KEYS: u64 = 500;
 
-fn build(kind: u8, nam: &NamCluster) -> Design {
+fn build(kind: IndexKind, nam: &NamCluster) -> Design {
     let items = (0..KEYS).map(|i| (i * 8, i));
     let partition = PartitionMap::range_uniform(nam.num_servers(), KEYS * 8);
-    match kind {
-        0 => Design::Cg(CoarseGrained::build(
-            nam,
-            PageLayout::default(),
-            partition,
-            items,
-            0.7,
-        )),
-        1 => Design::Fg(FineGrained::build(&nam.rdma, FgConfig::default(), items)),
-        2 => Design::Hybrid(Hybrid::build(nam, FgConfig::default(), partition, items)),
-        _ => Design::Learned(Learned::build(nam, FgConfig::default(), partition, items)),
-    }
+    Design::build(kind, nam, FgConfig::default(), partition, items)
 }
 
 /// The one-sided designs die between CAS and FAA: the armed trigger
 /// kills the victim the instant its lock-acquire CAS succeeds, so the
 /// leaf lock is orphaned and the contender must break the lease.
-fn lock_orphan_scenario(kind: u8) {
+fn lock_orphan_scenario(kind: IndexKind) {
     let (sim, nam) = cluster();
     let design = build(kind, &nam);
     let race = arm_checker(&nam, &design);
@@ -144,17 +127,17 @@ fn lock_orphan_scenario(kind: u8) {
 
 #[test]
 fn fg_completes_after_client_dies_holding_a_lock() {
-    lock_orphan_scenario(1);
+    lock_orphan_scenario(IndexKind::FineGrained);
 }
 
 #[test]
 fn hybrid_completes_after_client_dies_holding_a_lock() {
-    lock_orphan_scenario(2);
+    lock_orphan_scenario(IndexKind::Hybrid);
 }
 
 #[test]
 fn learned_completes_after_client_dies_holding_a_lock() {
-    lock_orphan_scenario(3);
+    lock_orphan_scenario(IndexKind::Learned);
 }
 
 /// The coarse-grained design has no client-held one-sided locks (its
@@ -165,7 +148,7 @@ fn learned_completes_after_client_dies_holding_a_lock() {
 #[test]
 fn cg_completes_after_timed_kill_between_rpcs() {
     let (sim, nam) = cluster();
-    let design = build(0, &nam);
+    let design = build(IndexKind::CoarseGrained, &nam);
     let race = arm_checker(&nam, &design);
 
     let victim = Endpoint::new(&nam.rdma);
@@ -229,7 +212,11 @@ fn cg_completes_after_timed_kill_between_rpcs() {
 /// for the one-sided designs, under deterministic packet loss.
 #[test]
 fn lossy_links_never_lose_or_duplicate_inserts() {
-    for kind in 1..4u8 {
+    for kind in [
+        IndexKind::FineGrained,
+        IndexKind::Hybrid,
+        IndexKind::Learned,
+    ] {
         let (sim, nam) = cluster();
         let design = build(kind, &nam);
         let race = arm_checker(&nam, &design);
@@ -280,7 +267,7 @@ fn lossy_links_never_lose_or_duplicate_inserts() {
         sim.run();
         assert!(
             nam.rdma.fault_stats().verbs_dropped > 0,
-            "kind {kind}: the lossy window must actually drop verbs"
+            "{kind:?}: the lossy window must actually drop verbs"
         );
 
         let ep = Endpoint::new(&nam.rdma);
@@ -293,9 +280,9 @@ fn lossy_links_never_lose_or_duplicate_inserts() {
             assert_eq!(
                 rows.len(),
                 expect.len(),
-                "kind {kind}: a key was lost or duplicated"
+                "{kind:?}: a key was lost or duplicated"
             );
-            assert_eq!(rows, expect, "kind {kind}: contents after lossy inserts");
+            assert_eq!(rows, expect, "{kind:?}: contents after lossy inserts");
         });
         sim.run();
         finish_checked(&race, &design);
@@ -307,7 +294,7 @@ fn lossy_links_never_lose_or_duplicate_inserts() {
 /// and no operation returns a wrong answer.
 #[test]
 fn all_designs_ride_out_a_server_restart() {
-    for kind in 0..4u8 {
+    for kind in IndexKind::ALL {
         let (sim, nam) = cluster();
         let design = build(kind, &nam);
         let race = arm_checker(&nam, &design);
@@ -339,20 +326,20 @@ fn all_designs_ride_out_a_server_restart() {
             });
         }
         sim.run();
-        assert_eq!(wrong.get(), 0, "kind {kind}: a lookup returned bad data");
+        assert_eq!(wrong.get(), 0, "{kind:?}: a lookup returned bad data");
         assert_eq!(
             failed.get(),
             0,
-            "kind {kind}: retries must outlast a 100us outage"
+            "{kind:?}: retries must outlast a 100us outage"
         );
         assert!(
             nam.rdma.fault_stats().verbs_unreachable > 0,
-            "kind {kind}: the outage must actually be hit"
+            "{kind:?}: the outage must actually be hit"
         );
         assert_eq!(
             nam.catalog.generation(),
             1,
-            "kind {kind}: restart bumps the catalog generation"
+            "{kind:?}: restart bumps the catalog generation"
         );
         finish_checked(&race, &design);
     }

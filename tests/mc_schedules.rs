@@ -11,12 +11,13 @@
 //! * every no-fault harness run reaches **quiescence clean**: zero live
 //!   tasks, zero held locks, linearizable history.
 
-use mc::{run_scenario, DesignKind, FaultMode, PolicyKind, Scenario};
+use mc::{run_scenario, FaultMode, PolicyKind, Scenario};
+use nam::IndexKind;
 use proptest::prelude::*;
 
 fn scenarios_for(seed: u64) -> Vec<Scenario> {
     let mut v = Vec::new();
-    for design in DesignKind::ALL {
+    for design in IndexKind::ALL {
         for fault in [FaultMode::None, FaultMode::Chaos] {
             v.push(Scenario::point_ops(design, fault, seed));
         }
@@ -30,7 +31,7 @@ fn assert_same_run(sc: &Scenario, a: &mc::RunReport, b: &mc::RunReport, what: &s
         a.history_digest,
         b.history_digest,
         "{what}: history diverged for {}/{} seed {}",
-        sc.design.name(),
+        sc.design.key(),
         sc.fault.name(),
         sc.seed
     );
@@ -38,7 +39,7 @@ fn assert_same_run(sc: &Scenario, a: &mc::RunReport, b: &mc::RunReport, what: &s
         a.end_nanos,
         b.end_nanos,
         "{what}: virtual end time diverged for {}/{} seed {}",
-        sc.design.name(),
+        sc.design.key(),
         sc.fault.name(),
         sc.seed
     );
@@ -75,7 +76,7 @@ proptest! {
         chaos in any::<bool>(),
     ) {
         let fault = if chaos { FaultMode::Chaos } else { FaultMode::None };
-        let sc = Scenario::point_ops(DesignKind::ALL[design_ix], fault, seed);
+        let sc = Scenario::point_ops(IndexKind::ALL[design_ix], fault, seed);
         let base = run_scenario(&sc, &PolicyKind::Uncontrolled);
         let fifo = run_scenario(&sc, &PolicyKind::Fifo);
         assert_same_run(&sc, &base, &fifo, "fifo-parity(prop)");
@@ -109,7 +110,7 @@ fn random_walk_trace_replays_to_identical_run() {
 /// the PR and regenerate via the values in the assertion message.)
 #[test]
 fn pct_pinned_seed_coverage_is_stable() {
-    let sc = Scenario::point_ops(DesignKind::Fg, FaultMode::None, 0x9C7);
+    let sc = Scenario::point_ops(IndexKind::FineGrained, FaultMode::None, 0x9C7);
     let mut digests = Vec::new();
     for pct_seed in 0..8u64 {
         let report = run_scenario(
@@ -144,7 +145,7 @@ fn pct_pinned_seed_coverage_is_stable() {
 /// sim has zero live tasks, no held locks, and a linearizable history.
 #[test]
 fn no_fault_runs_reach_clean_quiescence() {
-    for design in DesignKind::ALL {
+    for design in IndexKind::ALL {
         for sc in [
             Scenario::point_ops(design, FaultMode::None, 7),
             Scenario::with_scans(design, FaultMode::None, 7),
@@ -174,7 +175,7 @@ fn no_fault_runs_reach_clean_quiescence() {
 /// belongs to the killed (dead) client only.
 #[test]
 fn chaos_runs_drain_without_task_leaks() {
-    for design in DesignKind::ALL {
+    for design in IndexKind::ALL {
         let sc = Scenario::point_ops(design, FaultMode::Chaos, 11);
         let report = run_scenario(&sc, &PolicyKind::RandomWalk { seed: 4 });
         assert_eq!(report.task_leak, 0, "live tasks after chaos drain");
@@ -196,7 +197,7 @@ fn chaos_runs_drain_without_task_leaks() {
 /// must survive.
 #[test]
 fn crash_recovery_interleavings_stay_linearizable() {
-    for design in DesignKind::ALL {
+    for design in IndexKind::ALL {
         for walk_seed in [5u64, 23] {
             let sc = Scenario::point_ops(design, FaultMode::CrashRecover, 13);
             let report = run_scenario(&sc, &PolicyKind::RandomWalk { seed: walk_seed });
@@ -204,27 +205,27 @@ fn crash_recovery_interleavings_stay_linearizable() {
                 report.recoveries,
                 1,
                 "{}: the crash/recovery cycle must complete",
-                design.name()
+                design.key()
             );
-            assert_eq!(report.task_leak, 0, "{}: live tasks", design.name());
+            assert_eq!(report.task_leak, 0, "{}: live tasks", design.key());
             assert_eq!(report.abandoned_guards, 0, "lock guard dropped live");
             assert!(
                 report.held_leaks.is_empty(),
                 "{}: live-owner lock leak across recovery: {:?}",
-                design.name(),
+                design.key(),
                 report.held_leaks
             );
             assert!(
                 report.violations.is_empty(),
                 "{}: checker findings across recovery: {:?}",
-                design.name(),
+                design.key(),
                 report.violations
             );
             assert!(
                 report.lin.is_ok(),
                 "{}: non-linearizable history across recovery (walk seed \
                  {walk_seed}): {:?}",
-                design.name(),
+                design.key(),
                 report.lin
             );
         }

@@ -183,7 +183,7 @@ fn recorded_run() -> (Rc<Recorder>, Rc<Recorder>) {
                 let k = 1 + 2 * (w * 12 + i);
                 // Crash-window ops may fail; the sequence of attempts is
                 // still deterministic and that is all the digest pins.
-                let _ = index.insert(&ep, k, k * 10 + w).await;
+                let _ = index.insert(&ep, k, k * 10 + w, false).await;
                 let _ = index.lookup(&ep, (i % KEYS) * 8).await;
             }
         });

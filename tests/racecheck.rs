@@ -14,7 +14,7 @@
 //! * **zero perturbation** — installing the detector changes neither
 //!   history digest nor virtual end time of a run.
 
-use mc::{run_scenario, DesignKind, FaultMode, PolicyKind, Scenario};
+use mc::{run_scenario, FaultMode, PolicyKind, Scenario};
 use namdex::prelude::*;
 use namdex::rdma::observer::{FenceKind, OpKind};
 use namdex::tree::layout::lock_word;
@@ -31,7 +31,7 @@ use std::rc::Rc;
 /// breaks and the restart flush.
 #[test]
 fn clean_matrix_every_design_and_fault_mode() {
-    for design in DesignKind::ALL {
+    for design in IndexKind::ALL {
         for fault in [FaultMode::None, FaultMode::Chaos, FaultMode::CrashRecover] {
             for cache in [0, 1] {
                 let sc = Scenario::point_ops(design, fault, 0xACE).with_cache(Some(cache));
@@ -40,7 +40,7 @@ fn clean_matrix_every_design_and_fault_mode() {
                 assert!(
                     report.violations.is_empty(),
                     "{}/{}/cache {cache}: unexpected race violations:\n{}",
-                    design.name(),
+                    design.key(),
                     fault.name(),
                     report
                         .violations
@@ -56,7 +56,7 @@ fn clean_matrix_every_design_and_fault_mode() {
 
 #[test]
 fn clean_under_adversarial_schedules() {
-    for design in DesignKind::ALL {
+    for design in IndexKind::ALL {
         for policy in [
             PolicyKind::RandomWalk { seed: 0xBEEF },
             PolicyKind::Pct {
@@ -70,7 +70,7 @@ fn clean_under_adversarial_schedules() {
             assert!(
                 report.violations.is_empty(),
                 "{} under {:?}: {:?}",
-                design.name(),
+                design.key(),
                 policy,
                 report
                     .violations

@@ -36,7 +36,7 @@ fn fg_torture_is_clean_under_the_checker() {
     let (sim, nam) = cluster();
     let idx = FineGrained::build(&nam.rdma, small_fg_cfg(), (0..2_000u64).map(|i| (i * 8, i)));
     let race = Racecheck::install(&nam.rdma, 256);
-    walk::register_fg(&race, &idx);
+    walk::register_design(&race, &Design::Fg(idx.clone()));
 
     const WRITERS: u64 = 10;
     const PER: u64 = 60;
@@ -45,7 +45,7 @@ fn fg_torture_is_clean_under_the_checker() {
         let ep = Endpoint::new(&nam.rdma);
         sim.spawn(async move {
             for i in 0..PER {
-                idx.insert(&ep, (i * WRITERS + w) * 16 + 1, w * 1_000 + i)
+                idx.insert(&ep, (i * WRITERS + w) * 16 + 1, w * 1_000 + i, false)
                     .await
                     .unwrap();
             }
@@ -85,7 +85,7 @@ fn hybrid_torture_is_clean_under_the_checker() {
         (0..2_000u64).map(|i| (i * 8, i)),
     );
     let race = Racecheck::install(&nam.rdma, 256);
-    walk::register_hybrid(&race, &idx);
+    walk::register_design(&race, &Design::Hybrid(idx.clone()));
 
     const WRITERS: u64 = 8;
     const PER: u64 = 50;
@@ -94,7 +94,7 @@ fn hybrid_torture_is_clean_under_the_checker() {
         let ep = Endpoint::new(&nam.rdma);
         sim.spawn(async move {
             for i in 0..PER {
-                idx.insert(&ep, (i * WRITERS + w) * 16 + 3, w * 1_000 + i)
+                idx.insert(&ep, (i * WRITERS + w) * 16 + 3, w * 1_000 + i, false)
                     .await
                     .unwrap();
             }
@@ -154,7 +154,7 @@ fn gc_with_readers_is_clean_under_the_checker() {
     let (sim, nam) = cluster();
     let idx = FineGrained::build(&nam.rdma, small_fg_cfg(), (0..3_000u64).map(|i| (i * 8, i)));
     let race = Racecheck::install(&nam.rdma, 256);
-    walk::register_fg(&race, &idx);
+    walk::register_design(&race, &Design::Fg(idx.clone()));
 
     {
         let idx = idx.clone();
@@ -170,7 +170,7 @@ fn gc_with_readers_is_clean_under_the_checker() {
         let idx = idx.clone();
         let ep = Endpoint::new(&nam.rdma);
         sim.spawn(async move {
-            gc::fg_gc_pass(&idx, &ep).await.unwrap();
+            gc::gc_pass(&Design::Fg(idx.clone()), &ep).await.unwrap();
         });
     }
     for r in 0..4u64 {
@@ -192,11 +192,11 @@ fn gc_with_readers_is_clean_under_the_checker() {
 
 /// Build a small fine-grained index with the checker installed and every
 /// page registered; returns the pieces the injection needs.
-fn armed_fg(sim: &Sim, nam: &NamCluster) -> (Rc<FineGrained>, Rc<Racecheck>) {
+fn armed_fg(sim: &Sim, nam: &NamCluster) -> (Rc<Index>, Rc<Racecheck>) {
     let _ = sim;
     let idx = FineGrained::build(&nam.rdma, small_fg_cfg(), (0..500u64).map(|i| (i * 8, i)));
     let race = Racecheck::install(&nam.rdma, 256);
-    walk::register_fg(&race, &idx);
+    walk::register_design(&race, &Design::Fg(idx.clone()));
     (idx, race)
 }
 
@@ -204,7 +204,7 @@ fn armed_fg(sim: &Sim, nam: &NamCluster) -> (Rc<FineGrained>, Rc<Racecheck>) {
 fn detects_unlocked_write() {
     let (sim, nam) = cluster();
     let (idx, race) = armed_fg(&sim, &nam);
-    let root = idx.root();
+    let root = idx.root().expect("remote upper level");
     let ep = Endpoint::new(&nam.rdma);
     let client = ep.client_id();
     sim.spawn(async move {
@@ -232,7 +232,7 @@ fn detects_unlocked_write() {
 fn detects_version_rollback() {
     let (sim, nam) = cluster();
     let (idx, race) = armed_fg(&sim, &nam);
-    let root = idx.root();
+    let root = idx.root().expect("remote upper level");
     let nam2 = nam.rdma.clone();
     let ep = Endpoint::new(&nam.rdma);
     sim.spawn(async move {
@@ -266,7 +266,7 @@ fn detects_version_rollback() {
 fn detects_unlock_without_lock() {
     let (sim, nam) = cluster();
     let (idx, race) = armed_fg(&sim, &nam);
-    let root = idx.root();
+    let root = idx.root().expect("remote upper level");
     let ep = Endpoint::new(&nam.rdma);
     sim.spawn(async move {
         // The unlock FAA with no preceding lock CAS.
@@ -289,9 +289,10 @@ fn detects_read_of_gc_freed_region() {
     let (idx, race) = armed_fg(&sim, &nam);
     // The first chain page is a head node (head_stride > 0); epoch head
     // maintenance rebuilds the heads and retires the old ones.
-    let old_head = idx.first();
+    let first = || idx.chain().expect("leaf chain").first();
+    let old_head = first();
     idx.maintain_heads();
-    assert_ne!(idx.first(), old_head, "maintenance must replace the head");
+    assert_ne!(first(), old_head, "maintenance must replace the head");
 
     let ep = Endpoint::new(&nam.rdma);
     let client = ep.client_id();
@@ -317,7 +318,7 @@ fn detects_read_of_gc_freed_region() {
 fn assert_clean_panics_with_context() {
     let (sim, nam) = cluster();
     let (idx, race) = armed_fg(&sim, &nam);
-    let root = idx.root();
+    let root = idx.root().expect("remote upper level");
     let ep = Endpoint::new(&nam.rdma);
     sim.spawn(async move {
         ep.write(RemotePtr::new(root.server(), root.offset() + 48), &[1])
@@ -340,7 +341,7 @@ fn assert_clean_panics_with_context() {
 fn lease_break_after_expiry_is_clean() {
     let (sim, nam) = cluster();
     let (idx, race) = armed_fg(&sim, &nam);
-    let root = idx.root();
+    let root = idx.root().expect("remote upper level");
     let lease = nam.rdma.spec().lease_duration;
     let nam2 = nam.rdma.clone();
     let victim = Endpoint::new(&nam.rdma);
@@ -369,7 +370,7 @@ fn lease_break_after_expiry_is_clean() {
 fn detects_early_lease_break() {
     let (sim, nam) = cluster();
     let (idx, race) = armed_fg(&sim, &nam);
-    let root = idx.root();
+    let root = idx.root().expect("remote upper level");
     let nam2 = nam.rdma.clone();
     let victim = Endpoint::new(&nam.rdma);
     let contender = Endpoint::new(&nam.rdma);
@@ -400,7 +401,7 @@ fn detects_early_lease_break() {
 fn detects_write_after_unreachable_without_revalidation() {
     let (sim, nam) = cluster();
     let (idx, race) = armed_fg(&sim, &nam);
-    let root = idx.root();
+    let root = idx.root().expect("remote upper level");
     let cluster = nam.rdma.clone();
     let ep = Endpoint::new(&nam.rdma);
     let sim2 = sim.clone();
@@ -431,7 +432,7 @@ fn detects_write_after_unreachable_without_revalidation() {
 fn read_revalidation_clears_the_unreachable_flag() {
     let (sim, nam) = cluster();
     let (idx, race) = armed_fg(&sim, &nam);
-    let root = idx.root();
+    let root = idx.root().expect("remote upper level");
     let cluster = nam.rdma.clone();
     let nam2 = nam.rdma.clone();
     let ep = Endpoint::new(&nam.rdma);

@@ -31,7 +31,7 @@ const PHASES: [&str; 4] = [
 
 /// One design's column of the model.
 struct Row {
-    design: &'static str,
+    design: IndexKind,
     /// Coefficient of `L` in the one-sided cost (1 for client descent).
     levels: u64,
     /// Per phase: `(RPCs, one-sided verbs on top of levels × L)`.
@@ -42,28 +42,28 @@ struct Row {
 /// 1 RPC + 1/4/3/4; learned 1/4/3/4.
 const MODEL: [Row; 4] = [
     Row {
-        design: "cg",
+        design: IndexKind::CoarseGrained,
         levels: 0,
         cells: [(1, 0), (1, 0), (1, 0), (1, 0)],
     },
     Row {
-        design: "fg",
+        design: IndexKind::FineGrained,
         levels: 1,
         cells: [(0, 0), (0, 3), (0, 2), (0, 3)],
     },
     Row {
-        design: "hybrid",
+        design: IndexKind::Hybrid,
         levels: 0,
         cells: [(1, 1), (1, 4), (1, 3), (1, 4)],
     },
     Row {
-        design: "learned",
+        design: IndexKind::Learned,
         levels: 0,
         cells: [(0, 1), (0, 4), (0, 3), (0, 4)],
     },
 ];
 
-fn build(kind: &str, nam: &NamCluster) -> Design {
+fn build(kind: IndexKind, nam: &NamCluster) -> Design {
     let items = (0..KEYS).map(|i| (i * 8, i));
     let partition = PartitionMap::range_uniform(nam.num_servers(), KEYS * 8);
     let cfg = FgConfig {
@@ -72,18 +72,7 @@ fn build(kind: &str, nam: &NamCluster) -> Design {
         head_stride: 4,
         cache_capacity: None,
     };
-    match kind {
-        "cg" => Design::Cg(CoarseGrained::build(
-            nam,
-            PageLayout::new(PAGE_SIZE),
-            partition,
-            items,
-            0.7,
-        )),
-        "fg" => Design::Fg(FineGrained::build(&nam.rdma, cfg, items)),
-        "learned" => Design::Learned(Learned::build(nam, cfg, partition, items)),
-        _ => Design::Hybrid(Hybrid::build(nam, cfg, partition, items)),
-    }
+    Design::build(kind, nam, cfg, partition, items)
 }
 
 /// Partition-boundary-safe op index. A key that lives in the leaf
@@ -171,7 +160,7 @@ fn measured_verbs_per_op_equal_the_documented_model() {
     // Derive L from the fine-grained lookup phase: with caching off, a
     // lookup is exactly one READ per level and nothing else.
     let (fg_rpc, fg_os) = measured[1][0];
-    assert_eq!(MODEL[1].design, "fg");
+    assert_eq!(MODEL[1].design, IndexKind::FineGrained);
     assert!(
         fg_rpc == 0 && fg_os > 0 && fg_os % K == 0,
         "fg lookup phase is not L reads/op (rpc delta {fg_rpc}, onesided delta {fg_os})"
@@ -183,9 +172,11 @@ fn measured_verbs_per_op_equal_the_documented_model() {
         for (phase, (&(rpc, os), &got)) in row.cells.iter().zip(per).enumerate() {
             let want = (rpc * K, (row.levels * l + os) * K);
             assert_eq!(
-                got, want,
+                got,
+                want,
                 "{} {}: measured (rpc, os) != model at L = {l}",
-                row.design, PHASES[phase]
+                row.design.key(),
+                PHASES[phase]
             );
         }
     }
