@@ -7,7 +7,7 @@
 //! *"Designing Distributed Tree-based Index Structures for Fast
 //! RDMA-capable Networks"* (SIGMOD '19).
 //!
-//! Three layers:
+//! Four layers:
 //!
 //! * [`layout`] — the fixed binary page format: every node starts with an
 //!   8-byte `(version, lock-bit)` word, carries a high key and sibling
@@ -17,6 +17,9 @@
 //! * [`node`] — node-level operations on page bytes: binary search,
 //!   sorted insert, Lehman-Yao splits, tombstone deletes, head-node
 //!   (prefetch) pages.
+//! * [`load`] — the one bottom-up bulk loader: sorted entries streamed
+//!   into pages that are built where a [`load::PageSink`] keeps them — a
+//!   local tree's buffer, or remote memory pools.
 //! * [`local`] — a complete single-machine B-link tree over an owned page
 //!   pool. Memory servers in the coarse-grained and hybrid designs run
 //!   this tree locally when serving two-sided RPCs; it also reports
@@ -28,6 +31,7 @@
 //! tombstone deletes reclaimed by epoch-based garbage collection.
 
 pub mod layout;
+pub mod load;
 pub mod local;
 pub mod node;
 

@@ -13,6 +13,7 @@
 //! space is reclaimed later by [`LocalTree::gc_compact`] (epoch-based GC).
 
 use crate::layout::{Key, PageLayout, Ptr, Value, KEY_MAX};
+use crate::load::{Loader, PageSink};
 use crate::node::{kind_of, InnerNodeMut, InnerNodeRef, LeafNodeMut, LeafNodeRef, NodeKind};
 
 /// Work performed by one index operation; the basis for CPU cost models.
@@ -41,30 +42,58 @@ impl WorkStats {
     }
 }
 
-/// A local B-link tree. Pointers are page ids into an owned pool.
+/// A local B-link tree. Pointers are page ids (from 1; 0 is null) into
+/// one flat owned buffer: page `i` is bytes `[(i-1)·ps, i·ps)`, so a tree
+/// is a single allocation that grows without a `malloc` per page and
+/// goes back to the OS as a whole when dropped.
 pub struct LocalTree {
     layout: PageLayout,
-    pages: Vec<Box<[u8]>>,
+    pages: Vec<u8>,
     root: Ptr,
     leftmost_leaf: Ptr,
     height: u8,
 }
 
+impl PageSink for LocalTree {
+    fn alloc(&mut self) -> Ptr {
+        let len = self.pages.len() + self.layout.page_size();
+        self.pages.resize(len, 0);
+        Ptr(self.num_pages() as u64)
+    }
+
+    fn with_page(&mut self, ptr: Ptr, f: impl FnOnce(&mut [u8])) {
+        f(self.page_mut(ptr))
+    }
+}
+
+impl Loader<LocalTree> {
+    /// Finish the load: inner levels over the leaves, up to the root.
+    pub fn into_tree(self) -> LocalTree {
+        let (mut tree, leaves) = self.finish();
+        tree.leftmost_leaf = leaves.first;
+        (tree.root, tree.height) = leaves.inner_levels(&mut tree);
+        tree
+    }
+}
+
 impl LocalTree {
     /// Create an empty tree (a single empty leaf root).
     pub fn new(layout: PageLayout) -> Self {
-        let mut tree = LocalTree {
+        Self::loader(layout, 1.0).into_tree()
+    }
+
+    /// A bulk load of a new tree, to be fed keys sorted ascending
+    /// (duplicates allowed). `fill` is the target node fill factor in
+    /// `(0, 1]`.
+    pub fn loader(layout: PageLayout, fill: f64) -> Loader<LocalTree> {
+        let blank = LocalTree {
             layout,
             pages: Vec::new(),
             root: Ptr::NULL,
             leftmost_leaf: Ptr::NULL,
             height: 1,
         };
-        let root = tree.alloc();
-        LeafNodeMut::init(tree.page_mut(root), KEY_MAX, Ptr::NULL, Ptr::NULL);
-        tree.root = root;
-        tree.leftmost_leaf = root;
-        tree
+        Loader::new(blank, layout, fill, 0)
     }
 
     /// Bulk-load from keys sorted ascending (duplicates allowed).
@@ -74,111 +103,11 @@ impl LocalTree {
         items: impl IntoIterator<Item = (Key, Value)>,
         fill: f64,
     ) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&fill) && fill > 0.0,
-            "fill factor in (0,1]"
-        );
-        let mut tree = LocalTree {
-            layout,
-            pages: Vec::new(),
-            root: Ptr::NULL,
-            leftmost_leaf: Ptr::NULL,
-            height: 1,
-        };
-        let per_leaf = ((layout.entry_capacity() as f64 * fill) as usize).max(2);
-
-        // Build the leaf level.
-        let mut leaves: Vec<(Key, Ptr)> = Vec::new(); // (high_key, ptr)
-        let mut cur: Option<Ptr> = None;
-        let mut cur_n = 0usize;
-        let mut prev_key: Option<Key> = None;
-        let mut prev_leaf = Ptr::NULL;
-        for (k, v) in items {
-            debug_assert!(prev_key.is_none_or(|p| p <= k), "bulk_load input unsorted");
-            // Never split identical keys across leaves.
-            let start_new = match (cur, prev_key) {
-                (None, _) => true,
-                (Some(_), Some(p)) => cur_n >= per_leaf && p != k,
-                (Some(_), None) => false,
-            };
-            if start_new {
-                let ptr = tree.alloc();
-                LeafNodeMut::init(tree.page_mut(ptr), KEY_MAX, prev_leaf, Ptr::NULL);
-                if let Some(prev) = cur {
-                    // Seal the previous leaf: high key = its last key.
-                    let last = prev_key.expect("previous leaf is non-empty");
-                    let mut node = LeafNodeMut::new(tree.page_mut(prev));
-                    node.split_seal_for_bulk(last, ptr);
-                    leaves.push((last, prev));
-                } else {
-                    tree.leftmost_leaf = ptr;
-                }
-                cur = Some(ptr);
-                cur_n = 0;
-                prev_leaf = ptr;
-            }
-            let ptr = cur.expect("leaf exists");
-            LeafNodeMut::new(tree.page_mut(ptr))
-                .push(k, v)
-                .expect("fill factor keeps leaves under capacity");
-            cur_n += 1;
-            prev_key = Some(k);
+        let mut loader = Self::loader(layout, fill);
+        for (key, value) in items {
+            loader.push(key, value);
         }
-        match cur {
-            None => {
-                // Empty input: single empty leaf root.
-                let root = tree.alloc();
-                LeafNodeMut::init(tree.page_mut(root), KEY_MAX, Ptr::NULL, Ptr::NULL);
-                tree.root = root;
-                tree.leftmost_leaf = root;
-                return tree;
-            }
-            Some(last_leaf) => {
-                leaves.push((KEY_MAX, last_leaf));
-            }
-        }
-
-        // Build inner levels bottom-up.
-        let per_inner = ((layout.entry_capacity() as f64 * fill) as usize).max(2);
-        let mut level: Vec<(Key, Ptr)> = leaves;
-        let mut height = 1u8;
-        while level.len() > 1 {
-            height += 1;
-            let mut next: Vec<(Key, Ptr)> = Vec::new();
-            let mut i = 0usize;
-            let mut prev_ptr = Ptr::NULL;
-            while i < level.len() {
-                let n = per_inner.min(level.len() - i);
-                // Avoid a trailing 1-entry node: rebalance the tail.
-                let n = if level.len() - i - n == 1 { n - 1 } else { n };
-                let ptr = tree.alloc();
-                {
-                    let mut node =
-                        InnerNodeMut::init(tree.page_mut(ptr), height - 1, KEY_MAX, Ptr::NULL);
-                    for (sep, child) in &level[i..i + n] {
-                        node.push(*sep, *child).expect("inner under capacity");
-                    }
-                }
-                let high = level[i + n - 1].0;
-                if !prev_ptr.is_null() {
-                    let prev_page = tree.page_mut(prev_ptr);
-                    let mut prev_node = InnerNodeMut::new(prev_page);
-                    prev_node.seal_for_bulk(ptr);
-                }
-                // Seal this node's high key unless it is the last.
-                if i + n < level.len() {
-                    let page = tree.page_mut(ptr);
-                    crate::layout::write_u64(page, crate::layout::off::HIGH_KEY, high);
-                }
-                next.push((high, ptr));
-                prev_ptr = ptr;
-                i += n;
-            }
-            level = next;
-        }
-        tree.root = level[0].1;
-        tree.height = height;
-        tree
+        loader.into_tree()
     }
 
     /// Page geometry.
@@ -193,7 +122,7 @@ impl LocalTree {
 
     /// Total pages allocated.
     pub fn num_pages(&self) -> usize {
-        self.pages.len()
+        self.pages.len() / self.layout.page_size()
     }
 
     /// Root pointer.
@@ -206,17 +135,20 @@ impl LocalTree {
         self.leftmost_leaf
     }
 
-    fn alloc(&mut self) -> Ptr {
-        self.pages.push(self.layout.alloc_page());
-        Ptr(self.pages.len() as u64) // ids start at 1; 0 is null
+    /// Byte range of page `p` in the flat buffer.
+    fn span(&self, p: Ptr) -> std::ops::Range<usize> {
+        let ps = self.layout.page_size();
+        let start = (p.raw() - 1) as usize * ps;
+        start..start + ps
     }
 
     fn page(&self, p: Ptr) -> &[u8] {
-        &self.pages[(p.raw() - 1) as usize]
+        &self.pages[self.span(p)]
     }
 
     fn page_mut(&mut self, p: Ptr) -> &mut [u8] {
-        &mut self.pages[(p.raw() - 1) as usize]
+        let span = self.span(p);
+        &mut self.pages[span]
     }
 
     /// Descend to the leaf that covers `key`, recording the inner path.
@@ -470,15 +402,15 @@ impl LocalTree {
 
     /// Split-borrow two distinct pages mutably.
     fn two_pages_mut(&mut self, a: Ptr, b: Ptr) -> (&mut [u8], &mut [u8]) {
-        let ia = (a.raw() - 1) as usize;
-        let ib = (b.raw() - 1) as usize;
-        assert_ne!(ia, ib);
-        if ia < ib {
-            let (lo, hi) = self.pages.split_at_mut(ib);
-            (&mut lo[ia], &mut hi[0])
+        let (sa, sb) = (self.span(a), self.span(b));
+        assert_ne!(sa, sb);
+        let ps = sa.len();
+        if sa.start < sb.start {
+            let (lo, hi) = self.pages.split_at_mut(sb.start);
+            (&mut lo[sa], &mut hi[..ps])
         } else {
-            let (lo, hi) = self.pages.split_at_mut(ia);
-            (&mut hi[0], &mut lo[ib])
+            let (lo, hi) = self.pages.split_at_mut(sa.start);
+            (&mut hi[..ps], &mut lo[sb])
         }
     }
 
@@ -535,24 +467,6 @@ impl LocalTree {
             node.high_key(),
             "last separator != high key"
         );
-    }
-}
-
-// Bulk-load helpers that reach into page internals.
-impl LeafNodeMut<'_> {
-    /// Seal a bulk-built leaf: set its high key and right sibling.
-    fn split_seal_for_bulk(&mut self, high: Key, right: Ptr) {
-        let page = self.raw_page_mut();
-        crate::layout::write_u64(page, crate::layout::off::HIGH_KEY, high);
-        crate::layout::write_u64(page, crate::layout::off::RIGHT_SIBLING, right.raw());
-    }
-}
-
-impl InnerNodeMut<'_> {
-    /// Seal a bulk-built inner node: set its right sibling.
-    fn seal_for_bulk(&mut self, right: Ptr) {
-        let page = self.raw_page_mut();
-        crate::layout::write_u64(page, crate::layout::off::RIGHT_SIBLING, right.raw());
     }
 }
 
@@ -733,6 +647,27 @@ mod tests {
         for k in 0..2000u64 {
             assert!(tree.get(k).0.is_some(), "key {k}");
         }
+    }
+
+    /// The flat buffer holds whole pages and nothing else, however the
+    /// tree grew: bulk load, leaf splits, inner splits, new roots.
+    #[test]
+    fn storage_is_exactly_the_pages() {
+        let items = (0..300u64).map(|k| (k * 4, k));
+        let mut tree = LocalTree::bulk_load(layout(), items, 0.7);
+        assert_eq!(tree.pages.len(), tree.num_pages() * 200);
+        let (loaded_pages, loaded_height) = (tree.num_pages(), tree.height());
+        let mut splits = 0;
+        for k in 0..3000u64 {
+            splits += tree.insert(k * 4 + 1 + k % 3, k).splits as usize;
+            assert_eq!(tree.pages.len(), tree.num_pages() * 200);
+        }
+        let roots = (tree.height() - loaded_height) as usize;
+        assert!(roots >= 1, "the root must have split");
+        assert!(splits > 300 / 7 + roots, "inner nodes must have split too");
+        assert_eq!(tree.num_pages(), loaded_pages + splits + roots);
+        tree.check_invariants();
+        assert_eq!(tree.len_live(), 3300);
     }
 
     #[test]

@@ -454,11 +454,6 @@ impl<'a> LeafNodeMut<'a> {
         write_u64(self.page, off::RIGHT_SIBLING, p.raw());
     }
 
-    /// Raw page bytes (crate-internal: bulk-load fence patching).
-    pub(crate) fn raw_page_mut(&mut self) -> &mut [u8] {
-        self.page
-    }
-
     /// Overwrite the `(version, lock-bit)` word.
     pub fn set_version_lock(&mut self, word: u64) {
         set_version_lock(self.page, word);
@@ -601,11 +596,6 @@ impl<'a> InnerNodeMut<'a> {
     /// Overwrite the `(version, lock-bit)` word.
     pub fn set_version_lock(&mut self, word: u64) {
         set_version_lock(self.page, word);
-    }
-
-    /// Raw page bytes (crate-internal: bulk-load fence patching).
-    pub(crate) fn raw_page_mut(&mut self) -> &mut [u8] {
-        self.page
     }
 }
 

@@ -6,10 +6,10 @@
 //! one-sided READs and update them with CAS / WRITE / FETCH_AND_ADD —
 //! memory-server CPUs are never involved (Listing 2 + Listing 4). The
 //! traversal/SMO protocol itself lives in [`crate::engine`]; this module
-//! is the part an [`Index`] *has*: the bulk loaders (leaf
-//! level; inner levels bottom-up for a remote upper level), the
-//! round-robin placement cursor split pages are drawn from, and epoch
-//! head-node maintenance.
+//! is the part an [`Index`] *has*: the memory pools as the sink
+//! [`blink::load`] builds the leaf level (and, for a remote upper level,
+//! the inner levels) into, the round-robin placement cursor load and
+//! split pages are drawn from, and epoch head-node maintenance.
 //!
 //! Range scans use the §4.3 optimisation: *head nodes* interposed in the
 //! leaf chain every `head_stride` leaves redundantly store the remote
@@ -27,8 +27,8 @@
 
 use std::cell::Cell;
 
-use blink::layout::KEY_MAX;
-use blink::node::{kind_of, HeadNodeMut, InnerNodeMut, LeafNodeMut, NodeKind};
+use blink::load::{link_heads, LeafLevel, Loader, PageSink};
+use blink::node::{kind_of, NodeKind};
 use blink::{Key, PageLayout, Ptr, Value};
 use rdma_sim::{Cluster, RemotePtr};
 
@@ -70,15 +70,29 @@ pub struct Chain {
     first: Cell<RemotePtr>,
     /// Round-robin cursor for new-page placement: setup-path loads and
     /// timed split-page allocation both draw from it.
-    pub(crate) alloc_rr: Cell<usize>,
+    alloc_rr: Cell<usize>,
     head_stride: usize,
 }
 
-/// Round-robin allocation of one page (setup path, untimed).
-fn alloc_rr(cluster: &Cluster, layout: PageLayout, rr: &Cell<usize>) -> RemotePtr {
-    let s = rr.get();
-    rr.set((s + 1) % cluster.num_servers());
-    cluster.setup_alloc(s, layout.page_size() as u64)
+/// The memory pools as a bulk-load sink: pages placed round-robin from
+/// a chain's cursor and built in pool memory, untimed (setup path).
+struct PoolPages<'a> {
+    chain: &'a Chain,
+    cluster: &'a Cluster,
+    layout: PageLayout,
+}
+
+impl PageSink for PoolPages<'_> {
+    fn alloc(&mut self) -> Ptr {
+        let s = self.chain.next_server(self.cluster);
+        let size = self.layout.page_size() as u64;
+        self.cluster.setup_alloc(s, size).as_page_ptr()
+    }
+
+    fn with_page(&mut self, ptr: Ptr, f: impl FnOnce(&mut [u8])) {
+        let ptr = RemotePtr::from_page_ptr(ptr);
+        self.cluster.setup_page(ptr, self.layout.page_size(), f)
+    }
 }
 
 impl Chain {
@@ -87,162 +101,57 @@ impl Chain {
         self.first.get()
     }
 
-    /// Build the remote leaf chain: leaves filled to `fill`, scattered
-    /// round-robin, linked by remote pointers, with optional head nodes
-    /// interposed every `head_stride` leaves. Setup path (untimed).
-    /// Also returns `(high_key, ptr)` of every real leaf, in key order —
-    /// what the upper level is built over.
+    /// The server the next new page goes to (and advance the cursor).
+    pub(crate) fn next_server(&self, cluster: &Cluster) -> usize {
+        let s = self.alloc_rr.get();
+        self.alloc_rr.set((s + 1) % cluster.num_servers());
+        s
+    }
+
+    fn pages<'a>(&'a self, cluster: &'a Cluster, layout: PageLayout) -> PoolPages<'a> {
+        PoolPages {
+            chain: self,
+            cluster,
+            layout,
+        }
+    }
+
+    /// Build the remote leaf chain as `items` (sorted by key) stream
+    /// past: leaves filled to `fill`, scattered round-robin, linked by
+    /// remote pointers, with optional head nodes interposed every
+    /// `head_stride` leaves. Setup path (untimed). Also returns the leaf
+    /// level — what the upper level is built over.
     pub(crate) fn load(
         cluster: &Cluster,
         cfg: &FgConfig,
         items: impl Iterator<Item = (Key, Value)>,
-    ) -> (Chain, Vec<(Key, RemotePtr)>) {
-        let rr = Cell::new(0);
-        let per_leaf = ((cfg.layout.entry_capacity() as f64 * cfg.fill) as usize).max(2);
-
-        // Chunk items into leaves, never splitting one key across leaves.
-        // One flat buffer plus boundary ranges — bulk load touches millions
-        // of entries, so per-chunk `Vec`s are measurable setup cost.
-        let all: Vec<(Key, Value)> = items.collect();
-        debug_assert!(
-            all.windows(2).all(|w| w[0].0 <= w[1].0),
-            "leaf-level input unsorted"
-        );
-        let mut chunks: Vec<(usize, usize)> = Vec::with_capacity(all.len() / per_leaf + 1);
-        let mut start = 0;
-        while start < all.len() {
-            let mut end = (start + per_leaf).min(all.len());
-            while end < all.len() && all[end].0 == all[end - 1].0 {
-                end += 1;
-            }
-            chunks.push((start, end));
-            start = end;
-        }
-        if chunks.is_empty() {
-            chunks.push((0, 0)); // empty index: one empty leaf
-        }
-
-        // Allocate pages: leaves round-robin, plus one head per group.
-        let n = chunks.len();
-        let leaf_ptrs: Vec<RemotePtr> =
-            (0..n).map(|_| alloc_rr(cluster, cfg.layout, &rr)).collect();
-        let groups: usize = if cfg.head_stride > 0 {
-            n.div_ceil(cfg.head_stride)
-        } else {
-            0
-        };
-        let head_ptrs: Vec<RemotePtr> = (0..groups)
-            .map(|_| alloc_rr(cluster, cfg.layout, &rr))
-            .collect();
-
-        // Write leaves with chain links. A leaf's right sibling is the next
-        // leaf, except the last leaf of a group, which points at the next
-        // group's head.
-        let mut leaves = Vec::with_capacity(n);
-        // One page buffer reused for every node: `init` zero-fills before
-        // writing, so the bytes shipped to the servers are identical to a
-        // freshly allocated page without the per-leaf 1 KiB allocation.
-        let mut page = cfg.layout.alloc_page();
-        for (i, &(lo, hi)) in chunks.iter().enumerate() {
-            let chunk = &all[lo..hi];
-            let high = if i + 1 == n {
-                KEY_MAX
-            } else {
-                chunk.last().expect("non-last leaves are non-empty").0
-            };
-            let right = if i + 1 == n {
-                RemotePtr::NULL
-            } else if cfg.head_stride > 0 && (i + 1) % cfg.head_stride == 0 {
-                head_ptrs[(i + 1) / cfg.head_stride]
-            } else {
-                leaf_ptrs[i + 1]
-            };
-            let left = if i == 0 {
-                RemotePtr::NULL
-            } else {
-                leaf_ptrs[i - 1]
-            };
-            let mut leaf =
-                LeafNodeMut::init(&mut page, high, left.as_page_ptr(), right.as_page_ptr());
-            for &(k, v) in chunk {
-                leaf.push(k, v)
-                    .expect("fill factor keeps leaves under capacity");
-            }
-            cluster.setup_write(leaf_ptrs[i], &page);
-            leaves.push((high, leaf_ptrs[i]));
-        }
-
-        // Write head nodes: each lists its group's leaves and chains to the
-        // group's first leaf.
-        for (g, &head_ptr) in head_ptrs.iter().enumerate() {
-            let lo = g * cfg.head_stride;
-            let hi = (lo + cfg.head_stride).min(n);
-            let ptrs: Vec<Ptr> = leaf_ptrs[lo..hi].iter().map(|p| p.as_page_ptr()).collect();
-            HeadNodeMut::init(&mut page, &ptrs, leaf_ptrs[lo].as_page_ptr());
-            cluster.setup_write(head_ptr, &page);
-        }
-
-        let first = if groups > 0 {
-            head_ptrs[0]
-        } else {
-            leaf_ptrs[0]
-        };
+    ) -> (Chain, LeafLevel) {
         let chain = Chain {
-            first: Cell::new(first),
-            alloc_rr: rr,
+            first: Cell::new(RemotePtr::NULL),
+            alloc_rr: Cell::new(0),
             head_stride: cfg.head_stride,
         };
-        (chain, leaves)
+        let pages = chain.pages(cluster, cfg.layout);
+        let mut loader = Loader::new(pages, cfg.layout, cfg.fill, cfg.head_stride);
+        for (key, value) in items {
+            loader.push(key, value);
+        }
+        let (_, level) = loader.finish();
+        chain.first.set(RemotePtr::from_page_ptr(level.first));
+        (chain, level)
     }
 
-    /// Build remotely stored inner levels bottom-up over the leaves'
-    /// `(high_key, ptr)` pairs, continuing the chain's round-robin
-    /// placement; returns the root pointer. Setup path (untimed).
-    pub(crate) fn load_inner_levels(
+    /// Build remotely stored inner levels bottom-up over the leaf level,
+    /// continuing the chain's round-robin placement; returns the root
+    /// pointer. Setup path (untimed).
+    pub(crate) fn load_upper(
         &self,
         cluster: &Cluster,
-        cfg: &FgConfig,
-        mut level: Vec<(Key, RemotePtr)>,
+        layout: PageLayout,
+        level: LeafLevel,
     ) -> RemotePtr {
-        let rr = &self.alloc_rr;
-        let per_inner = ((cfg.layout.entry_capacity() as f64 * cfg.fill) as usize).max(2);
-        let mut level_no: u8 = 0;
-        let mut page = cfg.layout.alloc_page(); // reused; `init` zero-fills
-        while level.len() > 1 {
-            level_no += 1;
-            let mut next = Vec::new();
-            // Pre-compute node extents (rebalancing a trailing 1-entry node).
-            let mut starts = Vec::new();
-            let mut i = 0;
-            while i < level.len() {
-                let mut take = per_inner.min(level.len() - i);
-                if level.len() - i - take == 1 {
-                    take -= 1;
-                }
-                starts.push((i, take));
-                i += take;
-            }
-            let ptrs: Vec<RemotePtr> = starts
-                .iter()
-                .map(|_| alloc_rr(cluster, cfg.layout, rr))
-                .collect();
-            for (j, &(start, take)) in starts.iter().enumerate() {
-                let right = if j + 1 == ptrs.len() {
-                    RemotePtr::NULL
-                } else {
-                    ptrs[j + 1]
-                };
-                let high = level[start + take - 1].0;
-                let mut node = InnerNodeMut::init(&mut page, level_no, high, right.as_page_ptr());
-                for &(sep, child) in &level[start..start + take] {
-                    node.push(sep, child.as_page_ptr()).expect("under capacity");
-                }
-                cluster.setup_write(ptrs[j], &page);
-                next.push((high, ptrs[j]));
-            }
-            level = next;
-        }
-        level[0].1
+        let (root, _height) = level.inner_levels(&mut self.pages(cluster, layout));
+        RemotePtr::from_page_ptr(root)
     }
 }
 
@@ -265,38 +174,16 @@ impl Index {
         for (ptr, page) in src.chain(chain.first.get()) {
             match kind_of(&page) {
                 NodeKind::Head => old_heads.push(ptr),
-                NodeKind::Leaf => leaves.push(ptr),
+                NodeKind::Leaf => leaves.push(ptr.as_page_ptr()),
                 NodeKind::Inner => unreachable!("inner node in the leaf chain"),
             }
         }
-        // Rebuild groups of head_stride leaves with fresh head nodes.
-        let groups: Vec<&[RemotePtr]> = leaves.chunks(chain.head_stride).collect();
-        let head_ptrs: Vec<RemotePtr> = groups
-            .iter()
-            .map(|_| alloc_rr(cluster, layout, &chain.alloc_rr))
-            .collect();
-        for (g, group) in groups.iter().enumerate() {
-            let ptrs: Vec<Ptr> = group.iter().map(|p| p.as_page_ptr()).collect();
-            let mut page = layout.alloc_page();
-            HeadNodeMut::init(&mut page, &ptrs, group[0].as_page_ptr());
-            cluster.setup_write(head_ptrs[g], &page);
-            // Link the previous group's last leaf to this head.
-            let prev_last = if g == 0 {
-                None
-            } else {
-                groups[g - 1].last().copied()
-            };
-            if let Some(last) = prev_last {
-                let mut lp = src.load(last);
-                // Last leaf of a group points at the next group's head,
-                // whose sibling routes on to the group's first leaf.
-                LeafNodeMut::new(&mut lp).set_right_sibling(head_ptrs[g].as_page_ptr());
-                cluster.setup_write(last, &lp);
-            }
-        }
-        if let Some(&h) = head_ptrs.first() {
-            chain.first.set(h);
-        }
+        // Regroup them under fresh head nodes; the last leaf of a group
+        // points at the next group's head, whose sibling routes on to
+        // that group's first leaf.
+        let mut pages = chain.pages(cluster, layout);
+        let first = link_heads(&mut pages, &leaves, chain.head_stride);
+        chain.first.set(RemotePtr::from_page_ptr(first));
         // The replaced heads are unreachable from the new chain: report
         // them retired, so the checker can flag any straggler access as a
         // use-after-free. (The simulator itself never reuses retired
@@ -324,6 +211,7 @@ pub(crate) fn small_cfg() -> FgConfig {
 mod tests {
     use super::*;
     use crate::{FineGrained, Index};
+    use blink::KEY_MAX;
     use rdma_sim::{ClusterSpec, Endpoint};
     use simnet::Sim;
     use std::cell::RefCell;
@@ -333,6 +221,32 @@ mod tests {
         let cluster = Cluster::new(sim, ClusterSpec::default());
         let idx = FineGrained::build(&cluster, cfg, (0..n).map(|i| (i * 8, i)));
         (cluster, idx)
+    }
+
+    /// Bulk load streams: leaves are allocated (and written) as the
+    /// input goes by, never after it has been collected.
+    #[test]
+    fn load_streams_its_input() {
+        let sim = Sim::new();
+        let cluster = Cluster::new(&sim, ClusterSpec::default());
+        let cfg = small_cfg();
+        let per_leaf = 7; // 10 entries per page at fill 0.7
+        let pulled = Cell::new(0u64);
+        let items = (0..2000u64).map(|i| {
+            let bytes: u64 = (0..cluster.num_servers())
+                .map(|s| cluster.with_pool(s, |p| p.allocated() - 8))
+                .sum();
+            let pages = bytes / cfg.layout.page_size() as u64;
+            assert!(
+                pages + 1 >= i / per_leaf,
+                "item {i} pulled with only {pages} pages allocated"
+            );
+            pulled.set(i + 1);
+            (i * 8, i)
+        });
+        let (_chain, level) = Chain::load(&cluster, &cfg, items);
+        assert_eq!(pulled.get(), 2000);
+        assert_eq!(level.leaves.len(), 2000usize.div_ceil(per_leaf as usize));
     }
 
     #[test]

@@ -39,8 +39,9 @@ pub struct Local {
 }
 
 impl Local {
-    /// Partition `pairs` (sorted by key) per the map and bulk-load one
-    /// local tree per memory server at fill factor `fill`.
+    /// Partition `pairs` (sorted by key) per the map as they stream past
+    /// and bulk-load one local tree per memory server at fill factor
+    /// `fill`.
     pub(crate) fn load(
         cluster: &Cluster,
         layout: PageLayout,
@@ -54,16 +55,17 @@ impl Local {
             n,
             "partition map does not match the cluster"
         );
-        // Partition, preserving key order within each server.
-        let mut per_server: Vec<Vec<(Key, Value)>> = vec![Vec::new(); n];
+        // One loader per server, fed as the input streams past: key order
+        // is preserved within each server.
+        let mut loaders: Vec<_> = (0..n).map(|_| LocalTree::loader(layout, fill)).collect();
         for (k, v) in pairs {
-            per_server[partition.server_of(k)].push((k, v));
+            loaders[partition.server_of(k)].push(k, v);
         }
         // Each index owns its per-server state (a memory server hosts
         // one ServerNode per index it serves).
         let nodes: Vec<Rc<ServerNode>> = (0..n).map(|_| Rc::new(ServerNode::new())).collect();
-        for (s, data) in per_server.into_iter().enumerate() {
-            nodes[s].install_tree(LocalTree::bulk_load(layout, data, fill));
+        for (s, loader) in loaders.into_iter().enumerate() {
+            nodes[s].install_tree(loader.into_tree());
             // Local trees live outside the pool and hold the only copy of
             // their entries: expose them to the transport's crash-recovery
             // machinery (wipe on crash, fuzzy-checkpoint snapshots, log
@@ -486,6 +488,38 @@ mod tests {
         for s in 0..4 {
             assert_eq!(nam.rdma.server_stats(s).rpcs, 1);
         }
+    }
+
+    /// Streaming the input past one loader per server builds, for any
+    /// interleaving of servers, the tree each server would have built
+    /// from its collected share.
+    #[test]
+    fn interleaved_load_equals_per_server_bulk_load() {
+        let sim = Sim::new();
+        let nam = NamCluster::new(&sim, ClusterSpec::default());
+        let layout = PageLayout::new(200);
+        let partition = PartitionMap::hash(nam.num_servers());
+        // Duplicates included: they must stay within one leaf.
+        let items = || (0..5000u64).map(|i| ((i / 3) * 8, i));
+        let local = Local::load(&nam.rdma, layout, 0.7, partition.clone(), items());
+        let mut total = 0;
+        for (s, node) in local.nodes().iter().enumerate() {
+            let share: Vec<_> = items()
+                .filter(|&(k, _)| partition.server_of(k) == s)
+                .collect();
+            assert!(share.len() > 500, "server {s} must own a real share");
+            total += share.len();
+            let want = LocalTree::bulk_load(layout, share.iter().copied(), 0.7);
+            node.with_tree(|t| {
+                t.check_invariants();
+                let mut rows = Vec::new();
+                t.range(0, u64::MAX, &mut rows);
+                assert_eq!(rows, share, "server {s}");
+                assert_eq!(t.height(), want.height());
+                assert_eq!(t.num_pages(), want.num_pages());
+            });
+        }
+        assert_eq!(total, 5000);
     }
 
     #[test]

@@ -152,8 +152,8 @@ impl Index {
             "hybrid upper levels require range partitioning (high keys \
              must be routable)"
         );
-        let (chain, leaves) = Chain::load(&nam.rdma, cfg, items);
-        let routes = leaves.iter().map(|&(high, ptr)| (high, ptr.raw()));
+        let (chain, level) = Chain::load(&nam.rdma, cfg, items);
+        let routes = level.leaves.iter().map(|&(high, ptr)| (high, ptr.raw()));
         let local = Local::load(&nam.rdma, cfg.layout, cfg.fill, partition, routes);
         let upper = Upper::Local(local);
         Index::seal(&nam.rdma, cfg.layout, Some(chain), upper, cache_capacity)
@@ -184,8 +184,8 @@ impl FineGrained {
         cfg: FgConfig,
         items: impl Iterator<Item = (Key, Value)>,
     ) -> Rc<Index> {
-        let (chain, leaves) = Chain::load(cluster, &cfg, items);
-        let root = Cell::new(chain.load_inner_levels(cluster, &cfg, leaves));
+        let (chain, level) = Chain::load(cluster, &cfg, items);
+        let root = Cell::new(chain.load_upper(cluster, cfg.layout, level));
         let upper = Upper::Remote { root };
         let cache = cfg.cache_capacity;
         Rc::new(Index::seal(cluster, cfg.layout, Some(chain), upper, cache))
@@ -376,9 +376,7 @@ impl Index {
         let Some(chain) = &self.chain else {
             return Err(VerbError::Invariant("split in an index with no chain"));
         };
-        let rr = &chain.alloc_rr;
-        let s = rr.get();
-        rr.set((s + 1) % ep.cluster().num_servers());
+        let s = chain.next_server(ep.cluster());
         ep.alloc(s, self.layout().page_size() as u64).await
     }
 
@@ -690,6 +688,81 @@ mod tests {
             assert_eq!(rows.len(), 2, "tombstoned entry must not scan");
         });
         sim.run();
+    }
+
+    /// The byte-identity contract of bulk load: placement is the order of
+    /// `alloc` calls (leaves, then heads, then each inner level left to
+    /// right), so every pool image is pinned — per-server watermark plus
+    /// one FNV-1a-64 digest chained over the four images.
+    #[test]
+    fn bulk_loaded_pool_images_are_pinned() {
+        use crate::Design;
+        use nam::IndexKind;
+        // (page, stride, n, dup) -> (per-server `allocated()`, digest) of
+        // FG and of Hybrid = Learned: duplicates straddling leaf
+        // boundaries, no heads, default geometry, empty input, one
+        // duplicated key per leaf.
+        let cases = [
+            (
+                (200usize, 4usize, 5000u64, 3u64),
+                ([39608u64, 39608, 39408, 39408], 0x5ac27a254e219aceu64),
+                ([34808, 34808, 34808, 34608], 0xdaa2c88668d47646),
+            ),
+            (
+                (200, 0, 777, 1),
+                ([6608, 6608, 6608, 6408], 0x7b697fc2c58a6dad),
+                ([5608, 5608, 5608, 5408], 0xff70072c3b48705c),
+            ),
+            (
+                (1024, 8, 100_000, 1),
+                ([701448, 701448, 701448, 700424], 0xeb07bc94f22733fd),
+                ([686088, 686088, 686088, 685064], 0x885b91aab6755c31),
+            ),
+            (
+                (1024, 8, 0, 1),
+                ([1032, 1032, 8, 8], 0xbf636247f6f37897),
+                ([1032, 1032, 8, 8], 0xbf636247f6f37897),
+            ),
+            (
+                (200, 4, 28, 7),
+                ([408, 408, 208, 208], 0x4c05dd2e6561c171),
+                ([408, 208, 208, 208], 0x8ca544694361bf36),
+            ),
+        ];
+        for ((page, head_stride, n, dup), fg, hybrid) in cases {
+            // Every design with a chain (CG keeps nothing in the pools).
+            for kind in &IndexKind::ALL[1..] {
+                let sim = Sim::new();
+                let nam = NamCluster::new(&sim, ClusterSpec::default());
+                let cfg = FgConfig {
+                    layout: PageLayout::new(page),
+                    fill: 0.7,
+                    head_stride,
+                    cache_capacity: None,
+                };
+                let partition = PartitionMap::range_uniform(4, (n / dup + 1) * 8);
+                let items = (0..n).map(|i| ((i / dup) * 8, i));
+                let _design = Design::build(*kind, &nam, cfg, partition, items);
+                let mut digest = 0xcbf29ce484222325u64;
+                let mut allocated = [0u64; 4];
+                for (s, mark) in allocated.iter_mut().enumerate() {
+                    *mark = nam.rdma.with_pool(s, |p| p.allocated());
+                    for b in nam.rdma.with_pool(s, |p| p.image()) {
+                        digest = (digest ^ b as u64).wrapping_mul(0x100000001b3);
+                    }
+                }
+                let want = if *kind == IndexKind::FineGrained {
+                    fg
+                } else {
+                    hybrid
+                };
+                assert_eq!(
+                    (allocated, digest),
+                    want,
+                    "{kind:?} ({page}, {head_stride}, {n}, {dup}): digest {digest:016x}"
+                );
+            }
+        }
     }
 
     /// The parts table: which parts each design name builds.

@@ -58,11 +58,9 @@ impl DurableState for DurableTree {
     }
 
     fn restore(&self, entries: &[(u64, u64)]) {
-        self.node.install_tree(LocalTree::bulk_load(
-            self.layout,
-            entries.to_vec(),
-            self.fill,
-        ));
+        let entries = entries.iter().copied();
+        self.node
+            .install_tree(LocalTree::bulk_load(self.layout, entries, self.fill));
     }
 
     fn upsert(&self, key: u64, value: u64) {

@@ -860,6 +860,13 @@ impl Cluster {
             .copy_in(ptr.offset(), data);
     }
 
+    /// Run `f` over the `len` bytes at `ptr` where they live, without
+    /// charging simulated time: loaders build pages in place instead of
+    /// encoding them elsewhere and copying them in. Loading-phase only.
+    pub fn setup_page<R>(&self, ptr: RemotePtr, len: usize, f: impl FnOnce(&mut [u8]) -> R) -> R {
+        self.with_pool(ptr.server(), |pool| f(pool.slice_mut(ptr.offset(), len)))
+    }
+
     /// Read bytes without charging simulated time. Loading-phase only.
     pub fn setup_read(&self, ptr: RemotePtr, len: usize) -> Vec<u8> {
         let mut buf = vec![0u8; len];

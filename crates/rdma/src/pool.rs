@@ -3,9 +3,17 @@
 //! Backed by one flat byte vector with a bump allocator (`RDMA_ALLOC` in
 //! the paper's Listing 4). Offsets start at 8 so that offset 0 never
 //! names a live object and the all-zero [`crate::RemotePtr`] stays NULL.
+//!
+//! The vector is exactly as long as the allocator's watermark: a pool
+//! pays, in zero-filled and therefore resident memory, for the bytes it
+//! hands out and for nothing around them. Amortising growth is `Vec`'s
+//! business — its spare *capacity* is address space nobody has touched,
+//! and growing a large allocation is an `mremap`, not a copy.
 
 /// Registered memory of one memory server.
 pub struct MemPool {
+    /// `mem.len() == next`, except that a pool nothing has been allocated
+    /// in, restored to or replayed into holds no bytes at all.
     mem: Vec<u8>,
     next: u64,
 }
@@ -14,7 +22,7 @@ impl MemPool {
     /// Alignment of every allocation (atomics operate on 8-byte words).
     pub const ALIGN: u64 = 8;
 
-    /// Create a pool; memory grows on demand.
+    /// Create an empty pool; it grows by exactly what is allocated.
     pub fn new() -> Self {
         MemPool {
             mem: Vec::new(),
@@ -25,14 +33,17 @@ impl MemPool {
     /// Bump-allocate `size` bytes; returns the offset.
     pub fn alloc(&mut self, size: u64) -> u64 {
         let off = self.next;
-        self.next = (off + size).div_ceil(Self::ALIGN) * Self::ALIGN;
-        let need = self.next as usize;
-        if self.mem.len() < need {
-            // Grow geometrically to amortise.
-            let new_len = need.next_power_of_two().max(64 * 1024);
-            self.mem.resize(new_len, 0);
-        }
+        self.grow_to((off + size).div_ceil(Self::ALIGN) * Self::ALIGN);
         off
+    }
+
+    /// Advance the watermark to `next` (never backwards), zero-filling
+    /// the region up to it.
+    fn grow_to(&mut self, next: u64) {
+        self.next = self.next.max(next);
+        if self.mem.len() < self.next as usize {
+            self.mem.resize(self.next as usize, 0);
+        }
     }
 
     /// Bytes currently allocated (high-water mark).
@@ -56,8 +67,13 @@ impl MemPool {
 
     /// Copy `src` into the region at `off`.
     pub fn copy_in(&mut self, off: u64, src: &[u8]) {
-        self.check(off, src.len());
-        self.mem[off as usize..off as usize + src.len()].copy_from_slice(src);
+        self.slice_mut(off, src.len()).copy_from_slice(src);
+    }
+
+    /// The `len` allocated bytes at `off`, to be written where they live.
+    pub fn slice_mut(&mut self, off: u64, len: usize) -> &mut [u8] {
+        self.check(off, len);
+        &mut self.mem[off as usize..off as usize + len]
     }
 
     /// Read one aligned 8-byte word.
@@ -97,11 +113,10 @@ impl MemPool {
 
     // ---- durability hooks (checkpoint images + crash recovery) ----
 
-    /// Snapshot the allocated region for a checkpoint image. The backing
-    /// vector may lag the watermark (a fresh pool holds no bytes yet);
-    /// the missing suffix is implicitly zero and stays implicit.
+    /// Snapshot the allocated region for a checkpoint image: every byte
+    /// up to the watermark (none for a pool nothing was allocated in).
     pub fn image(&self) -> Vec<u8> {
-        self.mem[..(self.next as usize).min(self.mem.len())].to_vec()
+        self.mem.clone()
     }
 
     /// Lose all contents, as a crash with volatile DRAM does: the region
@@ -115,11 +130,9 @@ impl MemPool {
     /// and the allocator watermark becomes `allocated`.
     pub fn restore(&mut self, image: &[u8], allocated: u64) {
         debug_assert!(image.len() as u64 <= allocated.max(Self::ALIGN));
-        self.next = allocated.max(Self::ALIGN);
-        let need = (self.next as usize).max(image.len());
-        self.mem.clear();
-        self.mem.resize(need.next_power_of_two().max(64 * 1024), 0);
-        self.mem[..image.len()].copy_from_slice(image);
+        self.wipe();
+        self.mem.extend_from_slice(image);
+        self.grow_to(allocated);
     }
 
     /// Replay-apply a logged write. Unlike [`MemPool::copy_in`] this may
@@ -127,26 +140,20 @@ impl MemPool {
     /// allocator advances, and a fuzzy checkpoint image can predate the
     /// alloc record covering a write that follows it.
     pub fn replay_write(&mut self, off: u64, src: &[u8]) {
-        let end = off as usize + src.len();
-        if self.mem.len() < end {
-            self.mem.resize(end.next_power_of_two().max(64 * 1024), 0);
-        }
-        self.mem[off as usize..end].copy_from_slice(src);
-        self.next = self
-            .next
-            .max((end as u64).div_ceil(Self::ALIGN) * Self::ALIGN);
+        self.grow_to((off + src.len() as u64).div_ceil(Self::ALIGN) * Self::ALIGN);
+        self.copy_in(off, src);
     }
 
     /// Replay-apply a logged allocator advance: the watermark becomes at
     /// least `next` (max-merge makes re-application idempotent).
     pub fn replay_alloc_to(&mut self, next: u64) {
-        if next > self.next {
-            self.next = next;
-            let need = next as usize;
-            if self.mem.len() < need {
-                self.mem.resize(need.next_power_of_two().max(64 * 1024), 0);
-            }
-        }
+        self.grow_to(next);
+    }
+
+    /// Length of the backing vector.
+    #[cfg(test)]
+    fn backing_len(&self) -> usize {
+        self.mem.len()
     }
 }
 
@@ -236,6 +243,80 @@ mod tests {
         // Re-application is idempotent (max-merge).
         p.replay_alloc_to(1 << 16);
         assert_eq!(p.allocated(), 1 << 18);
+    }
+
+    #[test]
+    fn pages_are_written_in_place() {
+        let mut p = MemPool::new();
+        let a = p.alloc(16);
+        let b = p.alloc(16);
+        p.slice_mut(b, 16).fill(7);
+        p.slice_mut(a, 16)[8..].copy_from_slice(&3u64.to_le_bytes());
+        assert_eq!(p.read_u64(a), 0);
+        assert_eq!(p.read_u64(a + 8), 3);
+        assert_eq!(p.read_u64(b), u64::from_le_bytes([7; 8]));
+    }
+
+    proptest::proptest! {
+        /// Under any interleaving of allocation, replay, crash and
+        /// restore the pool holds exactly the bytes below its watermark
+        /// — no slack — and growth never disturbs earlier contents.
+        #[test]
+        fn backing_is_exactly_the_watermark(
+            ops in proptest::collection::vec((0u8..5, 8u64..20_000, 0u64..700), 1..80),
+        ) {
+            let align = |n: u64| n.div_ceil(MemPool::ALIGN) * MemPool::ALIGN;
+            let mut p = MemPool::new();
+            // Reference: the bytes below the watermark, empty while the
+            // pool is untouched.
+            let mut model: Vec<u8> = Vec::new();
+            let mut mark = MemPool::ALIGN;
+            for (i, &(kind, a, b)) in ops.iter().enumerate() {
+                let fill = i as u8 + 1;
+                match kind {
+                    0 => {
+                        let off = p.alloc(b);
+                        proptest::prop_assert_eq!(off, mark);
+                        mark = align(off + b);
+                        model.resize(mark as usize, 0);
+                        p.slice_mut(off, b as usize).fill(fill);
+                        model[off as usize..(off + b) as usize].fill(fill);
+                    }
+                    1 => {
+                        // An end that need not be 8-aligned: the word it
+                        // falls in must be whole and readable.
+                        let data = vec![fill; b as usize % 40 + 1];
+                        p.replay_write(a, &data);
+                        let end = a + data.len() as u64;
+                        mark = mark.max(align(end));
+                        model.resize(mark as usize, 0);
+                        model[a as usize..end as usize].fill(fill);
+                        let last = (end - 1) / 8 * 8;
+                        let want = model[last as usize..last as usize + 8].try_into().unwrap();
+                        proptest::prop_assert_eq!(p.read_u64(last), u64::from_le_bytes(want));
+                    }
+                    2 => {
+                        p.replay_alloc_to(align(a));
+                        mark = mark.max(align(a));
+                        model.resize(mark as usize, 0);
+                    }
+                    3 => {
+                        p.wipe();
+                        model.clear();
+                        mark = MemPool::ALIGN;
+                    }
+                    _ => {
+                        let (image, allocated) = (p.image(), p.allocated());
+                        p.wipe();
+                        p.restore(&image, allocated);
+                        model.resize(mark as usize, 0);
+                    }
+                }
+                proptest::prop_assert_eq!(p.allocated(), mark);
+                proptest::prop_assert_eq!(p.backing_len(), model.len());
+                proptest::prop_assert!(p.image() == model, "contents diverged at op {}", i);
+            }
+        }
     }
 
     #[test]
