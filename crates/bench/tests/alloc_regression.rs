@@ -7,18 +7,23 @@
 //! must perform **zero** heap allocations — the property the PageBuf
 //! arena exists to provide (DESIGN.md §17). A regression that
 //! reintroduces a per-verb `Vec` shows up here as an exact count, not a
-//! profile hunch. The same holds with the client cache on: a hit copies
-//! the cached frame into an arena buffer, a miss copies the READ's bytes
-//! into the evicted entry's frame, and neither allocates.
+//! profile hunch. With the client cache on, allocation is per distinct
+//! page content, never per client or per lookup: a hit takes a reference
+//! to the cached frame, a miss whose READ matches the interned frame takes
+//! one too, and only the first install of a page's bytes allocates — so
+//! once every inner page has been READ the window is zero again, and the
+//! whole run allocates no more frames than the tree has inner pages.
 //!
 //! This lives in its own integration-test binary because a global
 //! allocator is process-wide; it counts per thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::rc::Rc;
 
-use namdex_core::{CacheStats, FgConfig, FineGrained};
-use rdma_sim::{ClusterSpec, Endpoint};
+use blink::node::InnerNodeRef;
+use namdex_core::{FgConfig, FineGrained, Index};
+use rdma_sim::{ClusterSpec, Endpoint, RemotePtr};
 use simnet::rng::{DetRng, Zipf};
 use simnet::Sim;
 
@@ -30,27 +35,36 @@ struct CountingAlloc;
 thread_local! {
     static COUNTING: Cell<bool> = const { Cell::new(false) };
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Size of the last allocation, and how many had the size in
+    /// `FRAME_BYTES` (none while that is 0).
+    static LAST_BYTES: Cell<usize> = const { Cell::new(0) };
+    static FRAME_BYTES: Cell<usize> = const { Cell::new(0) };
+    static FRAME_ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count() {
+fn count(bytes: usize) {
     if COUNTING.get() {
         ALLOCS.set(ALLOCS.get() + 1);
+    }
+    LAST_BYTES.set(bytes);
+    if bytes == FRAME_BYTES.get() {
+        FRAME_ALLOCS.set(FRAME_ALLOCS.get() + 1);
     }
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -62,25 +76,32 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Heap allocations made by the last 500 of 1 500 one-client point
-/// lookups of keys from `next_key` on a fine-grained index over `data`.
-/// The first 1 000 fill the arena free lists and the client cache, and
-/// grow every executor container (wheel slots, ready queue) to steady
-/// capacity. Also returns the cache's counters over the whole run.
+/// Heap allocations made by the last 500 one-client point lookups of
+/// keys from `next_key` on a fine-grained index over `data`, after
+/// `warmup` others. The warm-up fills the arena free lists and the
+/// client cache, and grows every executor container (wheel slots, ready
+/// queue) to steady capacity. Also returns how many allocations of the
+/// whole run had the size of a cached page's frame, and the index.
 fn allocations_in_window(
     data: ycsb::Dataset,
     cfg: FgConfig,
+    warmup: u64,
     mut next_key: impl FnMut() -> u64 + 'static,
-) -> (u64, Option<CacheStats>) {
+) -> (u64, u64, Rc<Index>) {
     let sim = Sim::new();
     let nam = nam::NamCluster::new(&sim, ClusterSpec::with_memory_servers(4));
     nam.rdma.set_active_clients(1);
     let fg = FineGrained::build(&nam.rdma, cfg, data.iter());
+    // What a frame asks of the allocator, observed rather than assumed.
+    let probe: Rc<[u8]> = Rc::from(&*cfg.layout.alloc_page());
+    FRAME_BYTES.set(LAST_BYTES.get());
+    drop(probe);
+    FRAME_ALLOCS.set(0);
     let cluster = nam.rdma.clone();
     let index = fg.clone();
     sim.spawn(async move {
         let ep = Endpoint::new(&cluster);
-        for _ in 0..1_000 {
+        for _ in 0..warmup {
             index.lookup(&ep, next_key()).await.expect("warmup lookup");
         }
         ALLOCS.set(0);
@@ -94,7 +115,28 @@ fn allocations_in_window(
         COUNTING.set(false);
     });
     sim.run();
-    (ALLOCS.get(), fg.cache().map(|c| c.stats()))
+    FRAME_BYTES.set(0);
+    (ALLOCS.get(), FRAME_ALLOCS.get(), fg)
+}
+
+/// Pages above the leaves: every level walked along its sibling chain.
+fn inner_pages(index: &Index) -> u64 {
+    let src = index.setup_source();
+    let mut leftmost = index.root().expect("remote inner levels");
+    let mut pages = 0;
+    loop {
+        let mut cur = leftmost;
+        while !cur.is_null() {
+            pages += 1;
+            cur = RemotePtr::from_page_ptr(InnerNodeRef::new(&src.load(cur)).right_sibling());
+        }
+        let page = src.load(leftmost);
+        let node = InnerNodeRef::new(&page);
+        if node.level() == 1 {
+            return pages;
+        }
+        leftmost = RemotePtr::from_page_ptr(node.entry(0).1);
+    }
 }
 
 #[test]
@@ -114,7 +156,7 @@ fn steady_state_fg_lookups_allocate_nothing() {
             .wrapping_add(1442695040888963407);
         key % domain
     };
-    let (allocs, _) = allocations_in_window(data, cfg, next);
+    let (allocs, _, _) = allocations_in_window(data, cfg, 1_000, next);
     assert_eq!(
         allocs, 0,
         "steady-state fine-grained lookups must perform zero heap allocations"
@@ -123,9 +165,10 @@ fn steady_state_fg_lookups_allocate_nothing() {
 
 /// 20 000 keys on 256-byte pages sit under ~280 inner pages; the client
 /// caches 32 of them and the keys are Zipfian, so the window holds hits,
-/// misses and evictions.
+/// misses and evictions. The warm-up first passes over the key domain, so
+/// every inner page has been READ — and its frame interned — once.
 #[test]
-fn steady_state_cached_fg_lookups_allocate_nothing() {
+fn steady_state_cached_fg_lookups_allocate_per_page_content_only() {
     let data = ycsb::Dataset::new(20_000);
     let cfg = FgConfig {
         layout: blink::PageLayout::new(256),
@@ -135,14 +178,27 @@ fn steady_state_cached_fg_lookups_allocate_nothing() {
     };
     let zipf = Zipf::new(data.num_keys, Zipf::YCSB_THETA);
     let mut rng = DetRng::seed_from_u64(42);
-    let next = move || data.key(zipf.sample_scrambled(&mut rng));
-    let (allocs, stats) = allocations_in_window(data, cfg, next);
-    let stats = stats.expect("cache is attached");
+    let mut pass = 0..data.num_keys;
+    let next = move || {
+        data.key(
+            pass.next()
+                .unwrap_or_else(|| zipf.sample_scrambled(&mut rng)),
+        )
+    };
+    let lookups = data.num_keys + 1_500;
+    let (allocs, frames, fg) = allocations_in_window(data, cfg, lookups - 500, next);
+    let stats = fg.cache().expect("cache is attached").stats();
     // Every lookup counts its leaf load as a miss, so more misses than
     // lookups means inner pages were evicted and read again.
-    assert!(stats.hits > 0 && stats.misses > 1_500, "{stats:?}");
+    assert!(stats.hits > 0 && stats.misses > lookups, "{stats:?}");
     assert_eq!(
         allocs, 0,
         "steady-state cached lookups — hit, miss and evict — must perform zero heap allocations"
+    );
+    let inner = inner_pages(&fg);
+    assert!(
+        (1..=inner).contains(&frames),
+        "{frames} frames allocated for {inner} inner pages over {} misses",
+        stats.misses
     );
 }

@@ -19,10 +19,20 @@
 //! evicts) and replaces by CLOCK: a hit sets the entry's reference bit,
 //! an install into a full table sweeps a hand over the slots, clearing
 //! set bits and taking the first clear one. Installing is the only place
-//! the bound is enforced. A miss copies the READ's bytes into the victim's
-//! frame and a hit copies the frame into an arena buffer, so a
-//! steady-state lookup allocates nothing; readers hold copies, never
-//! borrows, so eviction cannot pull a page out from under an `await`.
+//! the bound is enforced.
+//!
+//! Private per client is the *logical* cache: which entries it holds,
+//! their reference bits, its hand. The *bytes* of a cached page are an
+//! immutable [`Frame`] shared by every client that READ the same content.
+//! The layer interns, per remote pointer, the bytes last installed by
+//! anyone; a miss whose READ matches them takes another reference, one
+//! that differs installs a new frame, and clients holding the old frame
+//! keep exactly the stale bytes they READ — the staleness the model
+//! simulates — until they evict or invalidate. A hit hands out a
+//! reference, not a copy, and the count is the pin: eviction cannot pull
+//! a page out from under an `await`, and allocation is per distinct page
+//! content, never per client or per lookup. The intern table is never
+//! pruned: one frame per page ever cached is at most the inner level.
 //!
 //! A hit is an access served without touching the wire, a miss one that
 //! went to the wire. The fine-grained design's leaf loads come
@@ -34,10 +44,16 @@
 //! that caused it (the validation rule in [`crate::resolve`]).
 
 use std::cell::{Cell, RefCell, RefMut};
+use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use blink::node::LeafNodeRef;
 use blink::Key;
-use rdma_sim::{Cluster, PageBuf, RemotePtr};
+use rdma_sim::{Cluster, RemotePtr};
+
+/// The immutable bytes of one cached page, shared by every client whose
+/// cache holds that content; holding one pins it.
+pub type Frame = Rc<[u8]>;
 
 #[derive(Default)]
 struct Slot<V> {
@@ -158,9 +174,9 @@ type Route = (u64, Key);
 /// upper level (remote: pages, local: routes — see [`crate::resolve`]).
 #[derive(Default)]
 struct ClientCache {
-    /// Inner pages by remote pointer. A slot keeps its frame when the
-    /// entry in it is replaced.
-    pages: SlotTable<Vec<u8>>,
+    /// Inner pages by remote pointer (`None` only while a fresh slot
+    /// awaits its first frame).
+    pages: SlotTable<Option<Frame>>,
     /// Leaf routes by the leaf's high key.
     routes: SlotTable<Route>,
 }
@@ -176,6 +192,9 @@ pub struct CacheLayer {
     capacity: usize,
     /// By client id, which a cluster hands out densely from 0.
     clients: RefCell<Vec<ClientCache>>,
+    /// The intern table: by remote pointer, the page bytes last installed
+    /// by any client.
+    frames: RefCell<BTreeMap<u64, Frame>>,
     stats: Cell<CacheStats>,
     epoch: Cell<u64>,
 }
@@ -188,6 +207,7 @@ impl CacheLayer {
             cluster: cluster.clone(),
             capacity,
             clients: RefCell::default(),
+            frames: RefCell::default(),
             stats: Cell::default(),
             epoch: Cell::new(cluster.restart_epoch()),
         }
@@ -211,6 +231,7 @@ impl CacheLayer {
         if now != self.epoch.get() {
             self.epoch.set(now);
             self.clients.borrow_mut().clear();
+            self.frames.borrow_mut().clear();
             self.bump(|s| s.restart_flushes += 1);
         }
     }
@@ -229,21 +250,27 @@ impl CacheLayer {
         hit
     }
 
-    /// A copy of `client`'s cached page, counting a hit or miss.
-    pub fn page_hit(&self, client: u64, ptr: RemotePtr) -> Option<PageBuf> {
+    /// `client`'s cached page — the bytes that client last installed —
+    /// counting a hit or miss.
+    pub fn page_hit(&self, client: u64, ptr: RemotePtr) -> Option<Frame> {
         let mut cache = self.client(client);
-        self.count(cache.pages.get(ptr.raw()).map(|slot| {
+        self.count(cache.pages.get(ptr.raw()).and_then(|slot| {
             slot.referenced = true;
-            self.cluster.arena().checkout_copy(&slot.value)
+            slot.value.clone()
         }))
     }
 
-    /// Install a copy of `page` for `client`.
+    /// Install `page` for `client`: the interned frame if it holds these
+    /// bytes, else a new one that replaces it in the intern table.
     pub fn put_page(&self, client: u64, ptr: RemotePtr, page: impl AsRef<[u8]>) {
+        let page = page.as_ref();
+        let mut frames = self.frames.borrow_mut();
+        let latest = frames.entry(ptr.raw()).or_insert_with(|| page.into());
+        if **latest != *page {
+            *latest = page.into();
+        }
         let mut cache = self.client(client);
-        let (frame, _) = cache.pages.install(ptr.raw(), self.capacity);
-        frame.clear();
-        frame.extend_from_slice(page.as_ref());
+        *cache.pages.install(ptr.raw(), self.capacity).0 = Some(Rc::clone(latest));
     }
 
     /// Drop `client`'s copy of `ptr` (stale-step detection).
@@ -327,6 +354,16 @@ mod tests {
         }
     }
 
+    fn layer(capacity: usize) -> (Cluster, CacheLayer) {
+        let cluster = Cluster::new(&Sim::new(), ClusterSpec::default());
+        let layer = CacheLayer::new(&cluster, capacity);
+        (cluster, layer)
+    }
+
+    fn page_at(i: u64) -> RemotePtr {
+        RemotePtr::new(0, 8 + i * 256)
+    }
+
     #[test]
     fn cached_lookups_skip_network() {
         let sim = Sim::new();
@@ -369,9 +406,7 @@ mod tests {
     /// grows its route cache by one entry per split.
     #[test]
     fn own_splits_keep_a_bounded_route_cache_bounded() {
-        let sim = Sim::new();
-        let cluster = Cluster::new(&sim, ClusterSpec::default());
-        let layer = CacheLayer::new(&cluster, 4);
+        let (_cluster, layer) = layer(4);
         let layout = PageLayout::new(200);
         let mut page = vec![0u8; layout.page_size()];
         blink::node::LeafNodeMut::init(&mut page, 10_000, blink::Ptr::NULL, blink::Ptr::NULL);
@@ -385,6 +420,64 @@ mod tests {
             assert!(layer.entries() <= 4, "split {i}: {}", layer.entries());
         }
         assert_eq!(layer.entries(), 4);
+    }
+
+    /// Sharing is by content: equal bytes are one frame however many
+    /// clients READ them, and a client whose copy went stale keeps hitting
+    /// exactly the bytes it READ after others installed newer ones.
+    #[test]
+    fn equal_bytes_share_a_frame_and_stale_holders_keep_theirs() {
+        let (_cluster, layer) = layer(0);
+        let hit = |client| layer.page_hit(client, page_at(0)).expect("installed");
+        layer.put_page(0, page_at(0), [1u8; 256]);
+        layer.put_page(1, page_at(0), vec![1u8; 256]);
+        assert!(Rc::ptr_eq(&hit(0), &hit(1)), "one frame for equal bytes");
+        // The page changed remotely and client 2 READ the new version.
+        layer.put_page(2, page_at(0), [2u8; 256]);
+        assert_eq!((&*hit(0), &*hit(1)), (&[1u8; 256][..], &[1u8; 256][..]));
+        assert_eq!(*hit(2), [2u8; 256]);
+        // Client 1 re-READs: it joins client 2's frame, client 0 stays stale.
+        layer.put_page(1, page_at(0), [2u8; 256]);
+        assert!(Rc::ptr_eq(&hit(1), &hit(2)));
+        assert_eq!(*hit(0), [1u8; 256]);
+        assert_eq!(layer.frames.borrow().len(), 1);
+    }
+
+    /// A frame lives as long as someone holds it: the intern table holds
+    /// the latest bytes of a page, a client whatever it READ. Eviction,
+    /// invalidation and the restart flush each let go.
+    #[test]
+    fn eviction_drop_and_flush_release_frames() {
+        let (cluster, layer) = layer(1);
+        // Clients 0 and 1 each hold a superseded frame of page 0.
+        layer.put_page(0, page_at(0), [1u8; 256]);
+        let first = Rc::downgrade(&layer.page_hit(0, page_at(0)).expect("installed"));
+        layer.put_page(1, page_at(0), [2u8; 256]);
+        let second = Rc::downgrade(&layer.page_hit(1, page_at(0)).expect("installed"));
+        layer.put_page(2, page_at(0), [3u8; 256]);
+        let latest = Rc::downgrade(&layer.page_hit(2, page_at(0)).expect("installed"));
+        assert!(first.strong_count() == 1 && second.strong_count() == 1);
+        assert_eq!(latest.strong_count(), 2, "client 2 and the intern table");
+        // A one-entry cache evicts page 0 to take page 1.
+        layer.put_page(0, page_at(1), [9u8; 256]);
+        assert!(
+            first.upgrade().is_none(),
+            "eviction frees a superseded frame"
+        );
+        layer.drop_page(1, page_at(0));
+        assert!(second.upgrade().is_none(), "so does invalidation");
+        layer.drop_page(2, page_at(0));
+        assert_eq!(
+            latest.strong_count(),
+            1,
+            "the intern table keeps the latest"
+        );
+        cluster.fail_server(1);
+        cluster.restart_server(1);
+        layer.flush_if_restarted();
+        assert!(latest.upgrade().is_none(), "the flush frees everything");
+        assert!(layer.frames.borrow().is_empty());
+        assert_eq!(layer.entries(), 0);
     }
 
     #[derive(Clone, Debug)]
@@ -413,7 +506,7 @@ mod tests {
     }
 
     /// Index and slots describe the same entries, within the bound.
-    fn check_shape(t: &SlotTable<u64>, capacity: usize) {
+    fn check_shape<V>(t: &SlotTable<V>, capacity: usize) {
         assert_eq!(t.index.len(), t.slots.len());
         assert!(capacity == 0 || t.slots.len() <= capacity);
         assert!(t.hand < t.slots.len().max(1));
@@ -491,6 +584,60 @@ mod tests {
                 }
                 // Unbounded never evicts.
                 prop_assert!(capacity > 0 || table.slots.len() == model.len());
+            }
+        }
+
+        /// The same model one level up, per client over shared frames:
+        /// three clients install pages drawn from three contents, so they
+        /// share frames and supersede each other's all the time, and
+        /// still every client holds — and a hit returns — exactly the
+        /// bytes *that* client last installed for the pointer.
+        #[test]
+        fn a_hit_returns_what_that_client_last_installed(
+            capacity in 0usize..7,
+            ops in prop::collection::vec((0u64..3, table_op()), 1..200),
+        ) {
+            let (cluster, layer) = layer(capacity);
+            let bytes = |value: u64| vec![(value % 3) as u8; 32];
+            // Per client: pointer (raw) -> value last installed.
+            let mut model = vec![BTreeMap::<u64, u64>::new(); 3];
+            for (client, op) in ops {
+                let mine = &mut model[client as usize];
+                match op {
+                    TableOp::Hit(key) => {
+                        let want = mine.get(&page_at(key).raw()).map(|&v| bytes(v));
+                        let hit = layer.page_hit(client, page_at(key)).map(|f| f.to_vec());
+                        prop_assert!(capacity > 0 || hit.is_some() == want.is_some());
+                        prop_assert!(hit.is_none() || hit == want);
+                    }
+                    TableOp::Install(key, value) => {
+                        let ptr = page_at(key);
+                        layer.put_page(client, ptr, bytes(value));
+                        mine.insert(ptr.raw(), value);
+                        let latest = Rc::clone(&layer.frames.borrow()[&ptr.raw()]);
+                        let held = layer.client(client).pages.get(ptr.raw()).and_then(|s| s.value.clone());
+                        prop_assert!(held.is_some_and(|frame| Rc::ptr_eq(&frame, &latest)));
+                    }
+                    TableOp::Remove(key) => {
+                        layer.drop_page(client, page_at(key));
+                        mine.remove(&page_at(key).raw());
+                    }
+                    TableOp::Flush => {
+                        cluster.fail_server(0);
+                        cluster.restart_server(0);
+                        layer.flush_if_restarted();
+                        prop_assert!(layer.frames.borrow().is_empty());
+                        model.iter_mut().for_each(BTreeMap::clear);
+                    }
+                }
+                for (cache, mine) in layer.clients.borrow().iter().zip(&model) {
+                    check_shape(&cache.pages, capacity);
+                    prop_assert!(capacity > 0 || cache.pages.slots.len() == mine.len());
+                    for slot in &cache.pages.slots {
+                        let want = mine.get(&slot.key).map(|&v| bytes(v));
+                        prop_assert_eq!(slot.value.as_deref().map(<[u8]>::to_vec), want);
+                    }
+                }
             }
         }
     }

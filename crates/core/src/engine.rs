@@ -94,7 +94,7 @@ pub(crate) fn spin_backoff(attempt: u32) -> SimDur {
 /// virtual time — so concurrent retriers decorrelate without any
 /// wall-clock randomness.
 pub(crate) async fn backoff_before_retry(ep: &Endpoint, attempt: u32) {
-    let spec = ep.cluster().spec().clone();
+    let spec = ep.cluster().spec();
     let delay = expo_delay_nanos(
         spec.retry_backoff_base.as_nanos(),
         attempt - 1,
@@ -332,7 +332,7 @@ impl Index {
                     };
                     if valid {
                         self.note_leaf(ep, key, cur, &page);
-                        return Ok((cur, page));
+                        return Ok((cur, page.into_owned()));
                     }
                     // Routed too far left (stale parent copy, stale cached
                     // route or prediction): invalidate the step that sent
@@ -407,7 +407,7 @@ impl Index {
             // position is loaded here.
             let page = match pending.take() {
                 Some(p) => p,
-                None => self.load(ep, cur).await?,
+                None => self.load(ep, cur).await?.into_owned(),
             };
             if kind_of(&page) == NodeKind::Head {
                 crate::note_fence(ep, FenceKind::Revalidate, cur);
@@ -840,7 +840,15 @@ impl RangeProgress {
     /// per-server results interleave in key space.
     pub fn merge(&self, sort: bool) -> Vec<(Key, Value)> {
         let map = std::mem::take(&mut *self.done.borrow_mut());
-        let mut out: Vec<(Key, Value)> = map.into_values().flatten().collect();
+        let total: usize = map.values().map(Vec::len).sum();
+        let mut parts = map.into_values();
+        // The first server's rows become the result; the rest move in
+        // behind them after one reservation.
+        let mut out = parts.next().unwrap_or_default();
+        out.reserve(total - out.len());
+        for mut part in parts {
+            out.append(&mut part);
+        }
         if sort {
             out.sort_unstable();
         }
@@ -967,6 +975,37 @@ mod tests {
             assert_eq!(rows.len(), 3, "absorption is exact-pair only: {rows:?}");
         });
         sim.run();
+    }
+
+    /// `merge` hands back every recorded row once, in server order or
+    /// sorted, and leaves nothing recorded.
+    #[test]
+    fn merge_concatenates_in_server_order_or_sorts() {
+        let rows =
+            |keys: &[Key]| -> Vec<(Key, Value)> { keys.iter().map(|&k| (k, k + 1)).collect() };
+        // Recorded out of server order; server 2 answered with no rows.
+        let parts = [(3, rows(&[5, 40])), (0, rows(&[30, 31])), (2, rows(&[]))];
+        for recorded in [0, 1, 3] {
+            for sort in [false, true] {
+                let progress = RangeProgress::default();
+                for (s, part) in &parts[..recorded] {
+                    progress.record(*s, part.clone());
+                }
+                let want = match (recorded, sort) {
+                    (0, _) => rows(&[]),
+                    (1, _) => rows(&[5, 40]),
+                    (_, false) => rows(&[30, 31, 5, 40]),
+                    (_, true) => rows(&[5, 30, 31, 40]),
+                };
+                assert_eq!(
+                    progress.merge(sort),
+                    want,
+                    "{recorded} servers, sort {sort}"
+                );
+                assert!(!progress.is_done(3), "merge drains");
+                assert_eq!(progress.merge(sort), rows(&[]));
+            }
+        }
     }
 
     /// Satellite fix: a retried broadcast range must not re-RPC servers

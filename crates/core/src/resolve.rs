@@ -63,11 +63,40 @@ use blink::{Key, PageLayout, Value};
 use nam::{NamCluster, PartitionMap};
 use rdma_sim::{Cluster, Endpoint, FenceKind, PageBuf, RemotePtr, VerbError};
 
-use crate::cache::CacheLayer;
+use crate::cache::{CacheLayer, Frame};
 use crate::chain::{Chain, FgConfig};
 use crate::local::Local;
 use crate::onesided::read_unlocked;
 use crate::router::Router;
+
+/// Read-only bytes of a page, where they already are: the wire's buffer
+/// or a cached frame (which the holder pins for as long as it reads).
+pub(crate) enum Page {
+    Wire(PageBuf),
+    Cached(Frame),
+}
+
+impl std::ops::Deref for Page {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        match self {
+            Page::Wire(page) => page,
+            Page::Cached(frame) => frame,
+        }
+    }
+}
+
+impl Page {
+    /// The page as a buffer its holder may change or keep: the wire's
+    /// buffer itself, or a copy of a cached frame. Only inner pages are
+    /// cached and only leaves are taken over, so no caller copies.
+    pub(crate) fn into_owned(self) -> PageBuf {
+        match self {
+            Page::Wire(page) => page,
+            Page::Cached(frame) => PageBuf::from(frame.to_vec()),
+        }
+    }
+}
 
 /// The levels above the leaves.
 enum Upper {
@@ -318,13 +347,13 @@ impl Index {
     }
 
     /// Current bytes of the page at `ptr` (spins past locked copies).
-    pub(crate) async fn load(&self, ep: &Endpoint, ptr: RemotePtr) -> Result<PageBuf, VerbError> {
+    pub(crate) async fn load(&self, ep: &Endpoint, ptr: RemotePtr) -> Result<Page, VerbError> {
         // Only remote inner levels are READ by the client, so only they
         // are worth caching as pages.
         let cache = self.root().and_then(|_| self.fenced_cache(ep));
-        if let Some(page) = cache.and_then(|c| c.page_hit(ep.client_id(), ptr)) {
+        if let Some(frame) = cache.and_then(|c| c.page_hit(ep.client_id(), ptr)) {
             crate::note_fence(ep, FenceKind::CachedUse, ptr);
-            return Ok(page);
+            return Ok(Page::Cached(frame));
         }
         let ps = self.layout().page_size();
         // Mutation (race, `mutations` builds under
@@ -341,7 +370,7 @@ impl Index {
                 cache.put_page(ep.client_id(), ptr, &page);
             }
         }
-        Ok(page)
+        Ok(Page::Wire(page))
     }
 
     /// Feedback: the descent for `key` ended at the covering leaf `ptr`

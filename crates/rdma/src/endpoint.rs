@@ -689,7 +689,7 @@ impl Endpoint {
             return Err(self.fail_unreachable(s, AttemptKind::Rpc).await);
         }
         let deadline = self.deadline();
-        let spec = self.cluster.spec().clone();
+        let spec = self.cluster.spec();
         let server = self.cluster.server(s);
         server.rpcs.inc();
         let local = self.is_local(s);

@@ -405,7 +405,7 @@ impl TimerQueue {
 
 /// Wakes a task by pushing its id onto the shared ready queue.
 ///
-/// The queue is behind a `std::sync::Mutex` only because `std::task::Wake`
+/// The queue is behind an [`UncontendedLock`] only because `std::task::Wake`
 /// requires `Send + Sync`; the executor itself is strictly single-threaded,
 /// so the lock is never contended.
 struct TaskWaker {

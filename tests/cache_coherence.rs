@@ -360,3 +360,119 @@ fn bounded_cache_spreads_reads_over_all_servers() {
         );
     }
 }
+
+/// Cached behaviour as a golden, written and pinned at the commit before
+/// cached frames became shared: who hits, who misses, what is invalidated
+/// and flushed, and every verb and simulator event that follows from it
+/// are a function of each client's *logical* cache alone, so they must not
+/// move when the bytes behind the entries change owner. Twelve clients
+/// run Zipfian lookups with 6 % inserts into one key band — leaves and
+/// their inner parents split, so `drop_page`, `note_split`, stale hits
+/// and re-installs of a changed inner page all occur — over a cache that
+/// holds most of the inner level, one that evicts on nearly every miss
+/// and an unbounded one, with a server restart (the flush) half way.
+#[test]
+fn cached_cells_are_pinned() {
+    use namdex::sim::rng::{DetRng, Zipf};
+    const N: u64 = 60_000; // ~840 inner pages of 256 bytes
+    const CLIENTS: u64 = 12;
+    const OPS: u64 = 3_000; // per client and phase
+    const BAND: u64 = 8_000; // first loaded key of the insert band
+    const WIDTH: u64 = 300;
+    let cell = |kind: IndexKind, capacity: usize| {
+        let (sim, nam) = cluster();
+        let partition = PartitionMap::range_uniform(nam.num_servers(), N * 8);
+        let items = (0..N).map(|i| (i * 8, i));
+        let design = Design::build(kind, &nam, bounded_cfg(capacity), partition, items);
+        let zipf = Zipf::new(N, Zipf::YCSB_THETA);
+        let ok = Rc::new(Cell::new(0u64));
+        let eps: Vec<Endpoint> = (0..CLIENTS).map(|_| Endpoint::new(&nam.rdma)).collect();
+        for phase in 0..2u64 {
+            for (client, ep) in (0..CLIENTS).zip(&eps) {
+                let (design, zipf, ok, ep) = (design.clone(), zipf.clone(), ok.clone(), ep.clone());
+                let mut rng = DetRng::seed_from_u64(phase * CLIENTS + client);
+                sim.spawn(async move {
+                    let mut fresh = (phase * CLIENTS + client) * OPS;
+                    for _ in 0..OPS {
+                        let done = match rng.next_u64_below(100) {
+                            0..6 => {
+                                fresh += 1;
+                                let key = (BAND + fresh % WIDTH) * 8 + 1 + fresh / WIDTH % 7;
+                                design.insert(&ep, key, fresh).await.is_ok()
+                            }
+                            6..30 => {
+                                let i = BAND + rng.next_u64_below(WIDTH);
+                                design.lookup(&ep, i * 8).await == Ok(Some(i))
+                            }
+                            _ => {
+                                let i = zipf.sample_scrambled(&mut rng);
+                                design.lookup(&ep, i * 8).await == Ok(Some(i))
+                            }
+                        };
+                        ok.set(ok.get() + u64::from(done));
+                    }
+                });
+            }
+            sim.run();
+            if phase == 0 {
+                nam.rdma.fail_server(1);
+                nam.rdma.restart_server(1);
+            }
+        }
+        let stats = design.cache_stats().expect("cache is attached");
+        assert_eq!(ok.get(), 2 * CLIENTS * OPS, "every operation succeeds");
+        assert!(stats.invalidations > 0, "stale entries were met: {stats:?}");
+        assert_eq!(stats.restart_flushes, 1, "{stats:?}");
+        let mut words = vec![
+            stats.hits,
+            stats.misses,
+            stats.invalidations,
+            stats.restart_flushes,
+            ok.get(),
+            sim.events_processed(),
+        ];
+        for s in nam.rdma.all_stats() {
+            words.extend([s.onesided_ops, s.rpcs]);
+        }
+        let digest = words.iter().fold(0xcbf29ce484222325u64, |h, w| {
+            (h ^ w).wrapping_mul(0x100000001b3)
+        });
+        (stats.hits, stats.misses, digest)
+    };
+    // (design, capacity, hits, misses, digest)
+    let want = [
+        (
+            IndexKind::FineGrained,
+            256,
+            325_781,
+            134_733,
+            0x9c34d240df072795u64,
+        ),
+        (
+            IndexKind::FineGrained,
+            SMALL,
+            163_719,
+            268_457,
+            0xc4cb6762a42ea472,
+        ),
+        (
+            IndexKind::FineGrained,
+            0,
+            341_595,
+            120_597,
+            0xcc8f93d3257d9670,
+        ),
+        (IndexKind::Hybrid, 256, 29_381, 42_619, 0x223a45184b7671bb),
+        (IndexKind::Hybrid, SMALL, 3_907, 68_093, 0xb949e3e468c37209),
+        (IndexKind::Hybrid, 0, 38_615, 33_385, 0xb77c50147afcaec0),
+    ];
+    for (kind, capacity, hits, misses, digest) in want {
+        let got = cell(kind, capacity);
+        assert_eq!(
+            got,
+            (hits, misses, digest),
+            "{kind:?} capacity {capacity}: digest {:#018x}",
+            got.2
+        );
+    }
+}
