@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # analysis — the paper's theoretical scalability model (§2.3)
 //!

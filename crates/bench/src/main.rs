@@ -1,3 +1,5 @@
+#![forbid(unsafe_code)]
+
 //! `bench <figure>… | all | list [flags]` — regenerate the paper's
 //! tables and figures from the registry in [`bench::figures`].
 

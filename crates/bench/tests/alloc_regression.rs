@@ -13,6 +13,9 @@
 //! one too, and only the first install of a page's bytes allocates — so
 //! once every inner page has been READ the window is zero again, and the
 //! whole run allocates no more frames than the tree has inner pages.
+//! A range scan cannot be allocation-free — its result is a `Vec` — but it
+//! sizes that `Vec` once, from the first leaf's key density (DESIGN.md
+//! §17.2): one large allocation per scan, no growth steps.
 //!
 //! This lives in its own integration-test binary because a global
 //! allocator is process-wide; it counts per thread.
@@ -40,11 +43,20 @@ thread_local! {
     static LAST_BYTES: Cell<usize> = const { Cell::new(0) };
     static FRAME_BYTES: Cell<usize> = const { Cell::new(0) };
     static FRAME_ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Counted allocations of at least `LARGE` bytes.
+    static LARGE_ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
+
+/// Half the bytes of a 1 000-row result: a vector that doubles its way
+/// there asks for this much, and then for all of it.
+const LARGE: usize = 8 << 10;
 
 fn count(bytes: usize) {
     if COUNTING.get() {
         ALLOCS.set(ALLOCS.get() + 1);
+        if bytes >= LARGE {
+            LARGE_ALLOCS.set(LARGE_ALLOCS.get() + 1);
+        }
     }
     LAST_BYTES.set(bytes);
     if bytes == FRAME_BYTES.get() {
@@ -200,5 +212,62 @@ fn steady_state_cached_fg_lookups_allocate_per_page_content_only() {
         (1..=inner).contains(&frames),
         "{frames} frames allocated for {inner} inner pages over {} misses",
         stats.misses
+    );
+}
+
+/// 1 000-row scans from 64 places in 60 000 evenly spaced keys: ~24
+/// leaves and three or four head groups each. Once the arena holds a
+/// group's buffers, a scan allocates its result exactly once — the one
+/// large allocation it makes — and what is left is small: the `read_many`
+/// bookkeeping and the prefetch map of each group.
+#[test]
+fn steady_state_fg_scans_allocate_their_result_once() {
+    /// Measured: 22.7 a scan. A result that doubled its way from 4 rows
+    /// to 1 024 made 8 more per scan (1 963), two of them large.
+    const WINDOW_ALLOCS: u64 = 1_451;
+    const ROWS: u64 = 1_000;
+    const SCANS: u64 = 64;
+    let data = ycsb::Dataset::new(60_000);
+    let cfg = FgConfig {
+        layout: blink::PageLayout::default(),
+        fill: 0.7,
+        head_stride: 8,
+        cache_capacity: None,
+    };
+    let sim = Sim::new();
+    let nam = nam::NamCluster::new(&sim, ClusterSpec::with_memory_servers(4));
+    nam.rdma.set_active_clients(1);
+    let index = FineGrained::build(&nam.rdma, cfg, data.iter());
+    let cluster = nam.rdma.clone();
+    sim.spawn(async move {
+        let ep = Endpoint::new(&cluster);
+        let scan = |i: u64| {
+            let first = (i * 7_919) % (data.num_keys - ROWS);
+            (data.key(first), data.key(first + ROWS - 1))
+        };
+        for i in 0..SCANS {
+            let (lo, hi) = scan(i);
+            index.range(&ep, lo, hi).await.expect("warm-up scan");
+        }
+        ALLOCS.set(0);
+        LARGE_ALLOCS.set(0);
+        COUNTING.set(true);
+        for i in SCANS..2 * SCANS {
+            let (lo, hi) = scan(i);
+            let rows = index.range(&ep, lo, hi).await.expect("measured scan");
+            assert_eq!(rows.len() as u64, ROWS);
+        }
+        COUNTING.set(false);
+    });
+    sim.run();
+    assert_eq!(
+        LARGE_ALLOCS.get(),
+        SCANS,
+        "a scan's result must be allocated once, at its final size"
+    );
+    assert!(
+        ALLOCS.get() <= WINDOW_ALLOCS,
+        "{} allocations in {SCANS} scans, were {WINDOW_ALLOCS}",
+        ALLOCS.get()
     );
 }

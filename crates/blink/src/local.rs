@@ -228,6 +228,7 @@ impl LocalTree {
     pub fn range(&self, lo: Key, hi: Key, out: &mut Vec<(Key, Value)>) -> WorkStats {
         let mut stats = WorkStats::default();
         let mut cur = self.descend(lo, &mut stats, None);
+        out.reserve(LeafNodeRef::new(self.page(cur)).expected_rows(lo, hi));
         loop {
             let node = LeafNodeRef::new(self.page(cur));
             stats.leaves_scanned += 1;
@@ -557,6 +558,34 @@ mod tests {
         assert!(out.is_empty());
         tree.range(0, KEY_MAX - 1, &mut out);
         assert_eq!(out.len(), 100);
+    }
+
+    /// A scan sizes its result once, from the first leaf: on evenly spaced
+    /// keys a 1 000-row result never grows, wherever in a leaf (or between
+    /// two keys) the scan starts.
+    #[test]
+    fn range_scan_reserves_its_rows_once() {
+        let items = (0..5000u64).map(|k| (k * 8, k));
+        let tree = LocalTree::bulk_load(PageLayout::default(), items, 0.7);
+        for lo in [0, 8 * 42, 8 * 1234, 8 * 1234 + 3, 8 * 3999 + 7] {
+            let mut out = Vec::new();
+            tree.range(lo, lo + 999 * 8, &mut out);
+            assert_eq!(out.len(), if lo % 8 == 0 { 1000 } else { 999 });
+            assert_eq!(out.capacity(), 1000, "grew after the reservation");
+        }
+    }
+
+    /// The reservation cannot fail: a scan of the whole key space — a
+    /// checkpoint's — over a dense, a one-entry and an empty tree does
+    /// not overflow (the cap itself is `node::tests`' to pin).
+    #[test]
+    fn whole_key_space_scans_do_not_overflow() {
+        for n in [0u64, 1, 20_000] {
+            let tree = LocalTree::bulk_load(layout(), (0..n).map(|k| (k, k)), 0.7);
+            let mut out = Vec::new();
+            tree.range(0, u64::MAX, &mut out);
+            assert_eq!(out.len() as u64, n);
+        }
     }
 
     #[test]

@@ -22,6 +22,13 @@ use crate::layout::{
     HEAD_ENTRY_SIZE, KEY_MAX, MAX_VALUE,
 };
 
+/// Most rows a range scan reserves ahead of finding them
+/// ([`LeafNodeRef::expected_rows`]): 8 192 rows are 128 KiB, glibc's mmap
+/// threshold, past which a growing `Vec` is an `mremap` that copies
+/// nothing — a larger reservation saves no copy, and an unbounded one
+/// overflows on a whole-tree scan (DESIGN.md §17.2).
+pub const MAX_RESERVED_ROWS: usize = 8192;
+
 /// Discriminates page types.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum NodeKind {
@@ -320,20 +327,47 @@ impl<'a> LeafNodeRef<'a> {
 
     /// Append live entries with keys in `[lo, hi]` to `out`. Returns the
     /// number of entries examined (for CPU-cost accounting).
+    ///
+    /// One pass over the qualifying slice of the page: both ends are
+    /// bisected, so the rows go out in one exact-size `extend` instead of
+    /// a capacity check per row. Only a leaf that holds a tombstone in
+    /// the slice pays for the filter.
     pub fn collect_range(&self, lo: Key, hi: Key, out: &mut Vec<(Key, Value)>) -> usize {
-        let mut i = self.lower_bound(lo);
-        let start = i;
-        while i < self.count() {
-            let (k, v, deleted) = self.entry(i);
-            if k > hi {
-                break;
-            }
-            if !deleted {
-                out.push((k, v));
-            }
-            i += 1;
+        let start = self.lower_bound(lo);
+        let end = upper_bound(self.page, hi).max(start);
+        let slice = &self.page[off::ENTRIES + start * ENTRY_SIZE..off::ENTRIES + end * ENTRY_SIZE];
+        // `(key, value word)`; with no delete bit the word is the value.
+        let entries = slice
+            .chunks_exact(ENTRY_SIZE)
+            .map(|e| (read_u64(e, 0), read_u64(e, 8)));
+        if entries.clone().any(|(_, word)| word & DELETE_BIT != 0) {
+            let live = entries.filter(|(_, word)| word & DELETE_BIT == 0);
+            out.extend(live.map(|(k, word)| (k, word & MAX_VALUE)));
+        } else {
+            out.extend(entries);
         }
-        i - start
+        end - start
+    }
+
+    /// Rows a scan of `[lo, hi]` that meets this leaf first should
+    /// reserve for: this leaf's own key density carried over the rest of
+    /// the range, at most [`MAX_RESERVED_ROWS`]. An estimate — a leaf
+    /// with fewer than two distinct keys has no density and says 0, and
+    /// the vector grows as it always did where the keys thin out or
+    /// thicken.
+    pub fn expected_rows(&self, lo: Key, hi: Key) -> usize {
+        let n = self.count();
+        if n < 2 {
+            return 0;
+        }
+        let (first, last) = (entry_key(self.page, 0), entry_key(self.page, n - 1));
+        let from = lo.max(first);
+        if hi < from || first == last {
+            return 0;
+        }
+        // Inclusive bounds: +1. In 128 bits the product cannot overflow.
+        let rows = u128::from(hi - from) * (n as u128 - 1) / u128::from(last - first) + 1;
+        rows.min(MAX_RESERVED_ROWS as u128) as usize
     }
 
     /// Number of live (non-deleted) entries.
@@ -744,6 +778,104 @@ mod tests {
         assert_eq!(leaf.compact(), 1);
         assert_eq!(leaf.count(), 9);
         assert_eq!(leaf.as_ref().get(5), Some(5));
+    }
+
+    /// `collect_range` as it was before it became a bulk pass, verbatim:
+    /// the reference the bulk pass is held to.
+    fn collect_range_per_entry(
+        leaf: &LeafNodeRef<'_>,
+        lo: Key,
+        hi: Key,
+        out: &mut Vec<(Key, Value)>,
+    ) -> usize {
+        let mut i = leaf.lower_bound(lo);
+        let start = i;
+        while i < leaf.count() {
+            let (k, v, deleted) = leaf.entry(i);
+            if k > hi {
+                break;
+            }
+            if !deleted {
+                out.push((k, v));
+            }
+            i += 1;
+        }
+        i - start
+    }
+
+    proptest::proptest! {
+        /// The bulk pass appends the rows the per-entry loop appends and
+        /// reports the entries it reports — which is virtual CPU time —
+        /// on leaves with duplicates and tombstones, for bounds on keys,
+        /// between keys, inverted and at `KEY_MAX`, behind rows already
+        /// in `out`.
+        #[test]
+        fn bulk_collect_range_matches_the_per_entry_loop(
+            keys in proptest::collection::vec(0u64..40, 0..=61),
+            deletes in proptest::collection::vec(0u64..40, 0..30),
+            (lo, hi) in (0u64..125, 0u64..125),
+            hi_is_max in proptest::prelude::any::<bool>(),
+            prefilled in 0usize..3,
+        ) {
+            // Keys 3 apart, so bounds fall between them; the largest is
+            // the largest key there is.
+            let key = |j: u64| if j == 39 { KEY_MAX - 1 } else { j * 3 };
+            let mut page = leaf_page();
+            let mut leaf = LeafNodeMut::new(&mut page);
+            for (i, &j) in keys.iter().enumerate() {
+                leaf.insert(key(j), i as u64).unwrap();
+            }
+            for &j in &deletes {
+                leaf.mark_deleted(key(j));
+            }
+            let leaf = leaf.as_ref();
+            let hi = if hi_is_max { KEY_MAX } else { hi };
+            let mut want = vec![(7, 7); prefilled];
+            let mut got = want.clone();
+            let want_scanned = collect_range_per_entry(&leaf, lo, hi, &mut want);
+            let got_scanned = leaf.collect_range(lo, hi, &mut got);
+            proptest::prop_assert_eq!(got, want);
+            proptest::prop_assert_eq!(got_scanned, want_scanned);
+        }
+    }
+
+    /// The reservation is an estimate that cannot fail: exact on evenly
+    /// spaced keys, capped on a range as wide as the key space, and 0
+    /// where a leaf has no density to offer.
+    #[test]
+    fn expected_rows_is_capped_and_total() {
+        let leaf_of = |keys: &[Key]| {
+            let mut page = leaf_page();
+            let mut leaf = LeafNodeMut::new(&mut page);
+            for &k in keys {
+                leaf.insert(k, k).unwrap();
+            }
+            page
+        };
+        let dense: Vec<Key> = (0..61).collect();
+        let spaced: Vec<Key> = (100..140).map(|k| k * 8).collect();
+        for (keys, whole_space) in [
+            (&dense[..], MAX_RESERVED_ROWS),
+            (&spaced[..], MAX_RESERVED_ROWS),
+            (&[5, 5, 5][..], 0),
+            (&[5][..], 0),
+            (&[][..], 0),
+        ] {
+            let page = leaf_of(keys);
+            let leaf = LeafNodeRef::new(&page);
+            assert_eq!(leaf.expected_rows(0, u64::MAX), whole_space, "{keys:?}");
+            assert_eq!(leaf.expected_rows(0, KEY_MAX - 1), whole_space, "{keys:?}");
+            assert_eq!(leaf.expected_rows(9, 8), 0, "inverted bounds, {keys:?}");
+        }
+        let page = leaf_of(&spaced);
+        let leaf = LeafNodeRef::new(&page);
+        // 1 000 keys from one that is in the leaf, from between two, and
+        // from before the leaf's first (800).
+        assert_eq!(leaf.expected_rows(900, 900 + 999 * 8), 1000);
+        assert_eq!(leaf.expected_rows(903, 903 + 999 * 8), 1000);
+        assert_eq!(leaf.expected_rows(700, 800 + 999 * 8), 1000);
+        assert_eq!(leaf.expected_rows(900, 900), 1);
+        assert_eq!(leaf.expected_rows(0, 799), 0, "ends before the leaf");
     }
 
     #[test]

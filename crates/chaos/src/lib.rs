@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # chaos — deterministic fault injection for the simulated NAM cluster
 //!

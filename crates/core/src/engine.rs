@@ -738,6 +738,8 @@ pub(crate) async fn scan_chain(
     let mut prefetched: BTreeMap<u64, PageBuf> = BTreeMap::new();
     let mut cur = start;
     let mut pending = start_page;
+    // The result is sized once, from the first leaf's key density.
+    let mut first_leaf = true;
     // Unconsumed prefetched pages never escape into the result; tell the
     // observer bus so pending racy reads on them are closed as discards.
     let discard_rest = |ep: &Endpoint, rest: &BTreeMap<u64, PageBuf>| {
@@ -776,17 +778,18 @@ pub(crate) async fn scan_chain(
                     .iter()
                     .map(|p| (RemotePtr::from_page_ptr(*p), ps))
                     .collect();
-                if !reqs.is_empty() {
-                    let pages = ep.read_many(&reqs).await?;
-                    for ((p, _), bytes) in reqs.iter().zip(pages) {
-                        prefetched.insert(p.raw(), bytes);
-                    }
+                let pages = ep.read_many(&reqs).await?;
+                for ((p, _), bytes) in reqs.iter().zip(pages) {
+                    prefetched.insert(p.raw(), bytes);
                 }
                 cur = rp(head.right_sibling());
             }
             NodeKind::Leaf => {
                 let leaf = LeafNodeRef::new(&page);
                 crate::note_fence(ep, FenceKind::Revalidate, cur);
+                if std::mem::take(&mut first_leaf) {
+                    out.reserve(leaf.expected_rows(lo, hi));
+                }
                 leaf.collect_range(lo, hi, out);
                 if leaf.high_key() >= hi {
                     discard_rest(ep, &prefetched);

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # namdex-core — distributed tree-based index structures for RDMA
 //!

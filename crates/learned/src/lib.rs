@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # learned-index — a PGM-style piecewise-linear index over remote leaves
 //!

@@ -1,3 +1,5 @@
+#![forbid(unsafe_code)]
+
 //! Command-line front end for the schedule-space model checker.
 //!
 //! ```text

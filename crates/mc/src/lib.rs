@@ -1,3 +1,5 @@
+#![forbid(unsafe_code)]
+
 //! Schedule-space model checker for the simulated NAM index designs.
 //!
 //! The simulator is deterministic but, until now, explored exactly one

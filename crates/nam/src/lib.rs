@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # nam — the Network-Attached-Memory architecture assembly
 //!

@@ -263,6 +263,8 @@ impl Endpoint {
         let deadline = self.deadline();
         let server = self.cluster.server(s);
         server.onesided_ops.inc();
+        // Host-side only: the copy below runs many events from now.
+        server.pool.borrow().hint(ptr.offset(), len);
         let queue;
         if self.is_local(s) {
             server.local_bytes.add(len as u64);
@@ -286,11 +288,15 @@ impl Endpoint {
 
     /// Fan out one-sided READs (selectively signalled, §4.3): all wires
     /// are reserved immediately and the caller waits for the last
-    /// completion, so transfers to different servers overlap.
+    /// completion, so transfers to different servers overlap. An empty
+    /// batch is no verb at all: nothing is counted, rolled or awaited.
     pub async fn read_many(
         &self,
         reqs: &[(RemotePtr, usize)],
     ) -> Result<Vec<crate::buf::PageBuf>, VerbError> {
+        if reqs.is_empty() {
+            return Ok(Vec::new());
+        }
         let sim = self.sim();
         let issued = sim.now();
         self.check_alive()?;
@@ -821,7 +827,7 @@ impl Endpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::LinkDegrade;
+    use crate::fault::{FaultStats, LinkDegrade};
     use crate::spec::ClusterSpec;
     use std::cell::Cell;
     use std::rc::Rc;
@@ -1287,6 +1293,75 @@ mod tests {
             assert_eq!(stats.nic_busy_nanos, 0, "server {s} wire stayed idle");
             assert_eq!(stats.bytes_out, 0, "server {s} shipped no bytes");
         }
+    }
+
+    #[test]
+    fn empty_read_many_is_no_verb() {
+        struct CountVerbs(Cell<u32>);
+        impl crate::observer::VerbObserver for CountVerbs {
+            fn on_verb(&self, _: &VerbEvent) {
+                self.0.set(self.0.get() + 1);
+            }
+            fn on_free(&self, _: usize, _: u64, _: usize, _: SimTime) {}
+        }
+        let (sim, cluster) = harness();
+        // Every die would come up "dropped" — if one were rolled.
+        cluster.set_fault_seed(7);
+        for s in 0..cluster.num_servers() {
+            cluster.degrade_link(
+                s,
+                LinkDegrade {
+                    drop_chance: 1.0,
+                    ..LinkDegrade::default()
+                },
+            );
+        }
+        let verbs = Rc::new(CountVerbs(Cell::new(0)));
+        cluster.add_observer(verbs.clone());
+        let ep = Endpoint::new(&cluster);
+        let s = sim.clone();
+        sim.spawn(async move {
+            let events = s.events_processed();
+            assert_eq!(ep.read_many(&[]).await, Ok(Vec::new()));
+            assert_eq!(s.events_processed(), events, "nothing was scheduled");
+            assert_eq!(s.now(), SimTime::ZERO);
+        });
+        sim.run();
+        assert_eq!(verbs.0.get(), 0, "no completion reported");
+        assert_eq!(cluster.fault_stats(), FaultStats::default());
+        for s in 0..cluster.num_servers() {
+            let stats = cluster.server_stats(s);
+            assert_eq!(stats.onesided_ops, 0, "server {s} counted a verb");
+            assert_eq!(stats.nic_busy_nanos, 0, "server {s} reserved wire time");
+        }
+    }
+
+    /// A READ's target is checked where its effect applies, at completion:
+    /// memory that is allocated while the verb is in flight is readable,
+    /// and the bytes are those of the completion instant. (An issue-time
+    /// cache hint must therefore never check bounds.)
+    #[test]
+    fn read_checks_its_target_at_completion_not_at_issue() {
+        let (sim, cluster) = harness();
+        // Where server 0's next allocation will land.
+        let ptr = RemotePtr::new(0, cluster.server(0).pool.borrow().allocated());
+        {
+            let cluster = cluster.clone();
+            let s = sim.clone();
+            sim.spawn(async move {
+                s.sleep(SimDur::from_micros(1)).await;
+                assert_eq!(cluster.setup_alloc(0, 64), ptr);
+                cluster.setup_write(ptr, &[9; 64]);
+            });
+        }
+        let ep = Endpoint::new(&cluster);
+        let s = sim.clone();
+        sim.spawn(async move {
+            let data = ep.read(ptr, 64).await.unwrap();
+            assert!(s.now() > SimTime::ZERO + SimDur::from_micros(1));
+            assert_eq!(data, vec![9; 64]);
+        });
+        sim.run();
     }
 
     #[test]

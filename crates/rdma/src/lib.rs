@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 //! # rdma-sim — simulated RDMA verbs over a modelled cluster
 //!

@@ -65,6 +65,28 @@ impl MemPool {
         dst.copy_from_slice(&self.mem[off as usize..off as usize + dst.len()]);
     }
 
+    /// Tell the host CPU that the `len` bytes at `off` are about to be
+    /// copied out, so their cache lines load while the simulator runs
+    /// other clients' events (DESIGN.md §17.2). Total: a range that is
+    /// not inside the pool is ignored — the bounds check of a READ is
+    /// [`MemPool::copy_out`]'s, at completion, where the range may have
+    /// become valid — and a prefetch reads no value and cannot fault, so
+    /// nothing the simulation computes can depend on it. Does nothing off
+    /// x86_64 and under Miri.
+    #[inline]
+    pub fn hint(&self, off: u64, len: usize) {
+        const LINE: usize = 64;
+        let range = usize::try_from(off)
+            .ok()
+            .and_then(|start| self.mem.get(start..start.checked_add(len)?));
+        let Some(bytes) = range else { return };
+        // One touch per line stride, plus the line the last byte sits on:
+        // the range starts anywhere in its first line.
+        for byte in bytes.iter().step_by(LINE).chain(bytes.last()) {
+            prefetch(byte);
+        }
+    }
+
     /// Copy `src` into the region at `off`.
     pub fn copy_in(&mut self, off: u64, src: &[u8]) {
         self.slice_mut(off, src.len()).copy_from_slice(src);
@@ -163,6 +185,20 @@ impl Default for MemPool {
     }
 }
 
+/// Start loading the cache line `byte` sits on into every cache level.
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+#[inline(always)]
+fn prefetch(byte: &u8) {
+    use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+    // SAFETY: `_mm_prefetch` is a safe function that is only `unsafe` to
+    // call where its target feature, `sse`, may be missing; SSE is part
+    // of the x86_64 baseline, so every CPU this cfg compiles for has it.
+    unsafe { _mm_prefetch::<_MM_HINT_T0>(std::ptr::from_ref(byte).cast()) }
+}
+
+#[cfg(not(all(target_arch = "x86_64", not(miri))))]
+fn prefetch(_: &u8) {}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,6 +291,38 @@ mod tests {
         assert_eq!(p.read_u64(a), 0);
         assert_eq!(p.read_u64(a + 8), 3);
         assert_eq!(p.read_u64(b), u64::from_le_bytes([7; 8]));
+    }
+
+    /// `hint` is total and reads nothing: no range, however wrong, makes
+    /// it panic or changes what the pool holds.
+    #[test]
+    fn hint_accepts_any_range_and_changes_nothing() {
+        let untouched = MemPool::new();
+        untouched.hint(0, 1024);
+        untouched.hint(MemPool::ALIGN, 8);
+        assert_eq!(untouched.image(), Vec::<u8>::new());
+        assert_eq!(untouched.allocated(), MemPool::ALIGN);
+
+        let mut p = MemPool::new();
+        let off = p.alloc(200);
+        p.slice_mut(off, 200).fill(7);
+        let (image, mark) = (p.image(), p.allocated());
+        for (off, len) in [
+            (off, 200),          // in the pool, several lines
+            (off + 3, 1),        // in the pool, unaligned
+            (off, 0),            // nothing to load
+            (mark, 0),           // empty, at the watermark
+            (off, 201),          // runs past the watermark
+            (mark, 64),          // starts at the watermark
+            (mark + 4096, 1024), // past the watermark
+            (u64::MAX - 8, 64),  // `off + len` overflows
+            (off, usize::MAX),   // `off + len` overflows
+            (u64::MAX, usize::MAX),
+        ] {
+            p.hint(off, len);
+            assert_eq!(p.allocated(), mark, "hint({off}, {len})");
+            assert!(p.image() == image, "hint({off}, {len}) changed the pool");
+        }
     }
 
     proptest::proptest! {

@@ -46,6 +46,8 @@ struct UncontendedLock<T> {
 // `with`, so `UncontendedLock<T>` provides the same exclusive-access
 // guarantee as a mutex for any `Send` payload.
 unsafe impl<T: Send> Send for UncontendedLock<T> {}
+// SAFETY: as above — `with` is the only way to `value`, and it hands out
+// one `&mut T` at a time, so sharing the lock shares no unguarded `T`.
 unsafe impl<T: Send> Sync for UncontendedLock<T> {}
 
 impl<T: Default> Default for UncontendedLock<T> {

@@ -1,3 +1,5 @@
+#![forbid(unsafe_code)]
+
 //! `cargo xtask` — repo automation, chiefly the **determinism lint**.
 //!
 //! The whole value of the simulator rests on runs being a pure function
@@ -38,6 +40,11 @@
 //! regression), and `cargo xtask check-all` umbrellas the gates that are
 //! not plain `cargo test`/`cargo clippy`: lint, trace-check,
 //! engine-parity, racecheck.
+//!
+//! `cargo xtask pairs --parent <exe> --change <exe> --workload W` is the
+//! host-clock measuring loop of a performance change: alternating runs
+//! of two builds of the repository benchmark, seed by seed. It reads
+//! host clocks, so it gates nothing and CI does not run it.
 
 use std::fmt;
 use std::fs;
@@ -356,11 +363,12 @@ fn json_str_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     Some(&line[start..start + end])
 }
 
-/// Pull a JSON number field (`"key":123.456`) out of one event line.
+/// Pull a JSON number field (`"key":123.456`, `"key": 1`) out of one
+/// event line.
 fn json_num_field(line: &str, key: &str) -> Option<f64> {
     let pat = format!("\"{key}\":");
     let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
+    let rest = line[start..].trim_start();
     let end = rest
         .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
         .unwrap_or(rest.len());
@@ -746,6 +754,130 @@ fn check_all() -> ExitCode {
     ExitCode::SUCCESS
 }
 
+// ---------------------------------------------------------------------
+// pairs: alternating parent/change runs of the repository benchmark.
+
+/// The benchmark's end-to-end metrics, and whether each is virtual: a
+/// pure function of the seed, on which the two sides must agree bit for
+/// bit. The others are host costs — lower is better.
+const END_TO_END: [(&str, bool); 7] = [
+    ("setup_s", false),
+    ("host_ns_per_op", false),
+    ("peak_rss_mib", false),
+    ("sim_ops_per_s", true),
+    ("sim_p99_us", true),
+    ("sim_wire_bytes_per_op", true),
+    ("ok_ops_ratio", true),
+];
+
+/// `"name": {"value": 1.5, …` in the benchmark's one-line JSON report.
+fn report_value(report: &str, name: &str) -> Option<f64> {
+    let metric = &report[report.find(&format!("\"{name}\""))?..];
+    json_num_field(metric, "value")
+}
+
+/// One run of a benchmark executable: the seven metrics of its report,
+/// which is the last line it prints.
+fn bench_run(exe: &str, workload: &str, seed: u64, reps: u64) -> Result<Vec<f64>, String> {
+    let (seed, reps) = (seed.to_string(), reps.to_string());
+    let out = std::process::Command::new(exe)
+        .args(["--workload", workload, "--seed", &seed, "--reps", &reps])
+        .output()
+        .map_err(|e| format!("cannot run {exe}: {e}"))?;
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let report = stdout.lines().last().unwrap_or("");
+    if !out.status.success() || !report.contains("\"correct\": true") {
+        return Err(format!("{exe} --seed {seed}: {}: {report}", out.status));
+    }
+    let metric = |(name, _): &(&str, bool)| {
+        report_value(report, name).ok_or_else(|| format!("{exe}: no {name} in: {report}"))
+    };
+    END_TO_END.iter().map(metric).collect()
+}
+
+/// Linearly interpolated quantile of an ascending sample.
+fn quantile(sorted: &[f64], p: f64) -> f64 {
+    let at = (sorted.len() - 1) as f64 * p;
+    let (below, above) = (sorted[at as usize], sorted[at.ceil() as usize]);
+    below + (above - below) * at.fract()
+}
+
+const PAIRS_USAGE: &str = "usage: cargo xtask pairs --parent <exe> --change <exe> --workload W \
+                           [--pairs 10] [--reps 3] [--seed0 1]";
+
+/// `cargo xtask pairs`: pair `i` runs both executables on seed
+/// `seed0 + i`, the parent first when `i` is even and the change first
+/// when it is odd, so a drift of the machine favours neither side.
+fn pairs(args: &[String]) -> Result<(), String> {
+    let usage = || PAIRS_USAGE.to_string();
+    let mut exes = [None, None];
+    let (mut workload, mut n, mut reps, mut seed0) = (None, 10, 3, 1);
+    for flag in args.chunks(2) {
+        let [name, value] = flag else {
+            return Err(usage());
+        };
+        let num = || value.parse::<u64>().map_err(|_| usage());
+        match name.as_str() {
+            "--parent" => exes[0] = Some(value.as_str()),
+            "--change" => exes[1] = Some(value.as_str()),
+            "--workload" => workload = Some(value.as_str()),
+            "--pairs" => n = num()?,
+            "--reps" => reps = num()?,
+            "--seed0" => seed0 = num()?,
+            _ => return Err(usage()),
+        }
+    }
+    let ([Some(parent), Some(change)], Some(workload), 1..) = (exes, workload, n) else {
+        return Err(usage());
+    };
+    // runs[side][pair][metric]; side 0 is the parent.
+    let mut runs = [Vec::new(), Vec::new()];
+    for pair in 0..n {
+        let first = (pair % 2) as usize;
+        for side in [first, 1 - first] {
+            let exe = [parent, change][side];
+            runs[side].push(bench_run(exe, workload, seed0 + pair, reps)?);
+        }
+        eprintln!("pair {}/{n} done (seed {})", pair + 1, seed0 + pair);
+    }
+    let last = seed0 + n - 1;
+    println!("{workload}: {n} pairs, seeds {seed0}..={last}, --reps {reps}");
+    let mut moved = 0;
+    for (m, &(name, is_virtual)) in END_TO_END.iter().enumerate() {
+        let [parent, change] =
+            [0, 1].map(|side| runs[side].iter().map(|run| run[m]).collect::<Vec<f64>>());
+        println!("\n{name}: seed, parent, change");
+        for (seed, (p, c)) in (seed0..).zip(parent.iter().zip(&change)) {
+            println!("  {seed:>6} {p:>16.3} {c:>16.3}");
+        }
+        if is_virtual {
+            let differ = |(p, c): &(&f64, &f64)| p.to_bits() != c.to_bits();
+            let differing = parent.iter().zip(&change).filter(differ).count();
+            println!("  virtual: the sides differ within a seed in {differing}/{n} pairs");
+            moved += differing;
+            continue;
+        }
+        for (side, sample) in [("parent", &parent), ("change", &change)] {
+            let mut sorted = sample.clone();
+            sorted.sort_by(f64::total_cmp);
+            let [q1, q2, q3] = [0.25, 0.5, 0.75].map(|p| quantile(&sorted, p));
+            println!("  {side}: median {q2:.3}, quartiles {q1:.3} / {q3:.3}");
+        }
+        let wins = parent.iter().zip(&change).filter(|(p, c)| c < p).count();
+        let clear = change.iter().all(|c| parent.iter().all(|p| c < p));
+        let clear = if clear { "yes" } else { "no" };
+        println!(
+            "  change lower in {wins}/{n} pairs; every change run below every parent run: {clear}"
+        );
+    }
+    if moved > 0 {
+        return Err(format!(
+            "{moved} virtual value(s) moved — the sides must agree bit for bit"
+        ));
+    }
+    Ok(())
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
@@ -758,9 +890,16 @@ fn main() -> ExitCode {
         Some("mc") if args[1] == "--quick" => mc(true),
         Some("racecheck") if args.len() == 1 => racecheck_gate(),
         Some("check-all") if args.len() == 1 => check_all(),
+        Some("pairs") => match pairs(&args[1..]) {
+            Ok(()) => ExitCode::SUCCESS,
+            Err(e) => {
+                eprintln!("pairs: {e}");
+                ExitCode::FAILURE
+            }
+        },
         _ => {
             eprintln!(
-                "usage: cargo xtask <lint [--self-test] | trace-check | engine-parity [--bless] | mc [--quick] | racecheck | check-all>"
+                "usage: cargo xtask <lint [--self-test] | trace-check | engine-parity [--bless] | mc [--quick] | racecheck | check-all | pairs ...>"
             );
             ExitCode::FAILURE
         }
@@ -882,6 +1021,30 @@ mod tests {
         assert_eq!(json_num_field(line, "ts"), Some(12.345));
         assert_eq!(json_num_field(line, "tid"), Some(7.0));
         assert_eq!(json_num_field(line, "dur"), None);
+    }
+
+    #[test]
+    fn pairs_reads_reports_and_refuses_bad_flags() {
+        let report = "{\"correct\": true, \"attempted\": 7, \"metrics\": {\
+            \"setup_s\": {\"value\": 0.084333104, \"unit\": \"s\"}, \
+            \"ok_ops_ratio\": {\"value\": 1, \"unit\": \"ratio\"}}}";
+        assert_eq!(report_value(report, "setup_s"), Some(0.084333104));
+        assert_eq!(report_value(report, "ok_ops_ratio"), Some(1.0));
+        assert_eq!(report_value(report, "host_ns_per_op"), None);
+        assert_eq!(quantile(&[1.0, 2.0, 3.0, 4.0], 0.5), 2.5);
+        assert_eq!(quantile(&[1.0, 2.0, 3.0, 4.0, 5.0], 0.25), 2.0);
+        assert_eq!(quantile(&[7.0], 0.75), 7.0);
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let both = ["--parent", "a", "--change", "b", "--workload", "w"];
+        for bad in [
+            &both[..4],                          // no workload
+            &[&both[..], &["--pairs"]].concat(), // flag without a value
+            &[&both[..], &["--pairs", "0"]].concat(),
+            &[&both[..], &["--pairs", "x"]].concat(),
+            &[&both[..], &["--pair", "3"]].concat(), // unknown flag
+        ] {
+            assert_eq!(pairs(&args(bad)), Err(PAIRS_USAGE.to_string()), "{bad:?}");
+        }
     }
 
     #[test]

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # ycsb — the paper's modified Yahoo! Cloud Serving Benchmark
 //!

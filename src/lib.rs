@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # namdex — distributed tree-based index structures for fast
 //! RDMA-capable networks
