@@ -459,7 +459,7 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> ExperimentResult {
         race.assert_clean();
     }
 
-    ExperimentResult {
+    let result = ExperimentResult {
         ops: count,
         throughput: count as f64 / secs,
         latency: hist,
@@ -474,7 +474,12 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> ExperimentResult {
         learned: design.learned_stats(),
         sim_events: sim.events_processed(),
         recoveries: nam.rdma.recovery_records(),
-    }
+    };
+    // The clients loop forever holding `Sim` clones; only this frees the
+    // cell. (A drain — a stop flag and `sim.run()` — would hang on killed
+    // clients parked until a revival and on chaos and WAL tasks.)
+    sim.shutdown();
+    result
 }
 
 /// The metrics-snapshot path written next to a trace: `out.json` →
@@ -662,6 +667,45 @@ mod tests {
         assert!(trace_a.contains("\"ph\":\"X\""), "verb events present");
         assert!(trace_a.contains("\"ph\":\"B\""), "op spans present");
         assert!(metrics_a.contains("op.lookup.count"));
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    /// A finished experiment frees its cell — with clients killed and
+    /// never revived, a crashed server's WAL recovery and telemetry in
+    /// the run — so its pools come back as this thread's spare memory.
+    #[test]
+    fn a_finished_run_frees_its_cell() {
+        let dir = std::env::temp_dir().join("namdex_driver_frees_its_cell");
+        let keys = 150_000;
+        let cfg = ExperimentConfig {
+            num_keys: keys,
+            memory_servers: 2,
+            workload: Workload::d(),
+            spec: Some(ClusterSpec {
+                durability: rdma_sim::Durability::Wal,
+                ..ClusterSpec::with_memory_servers(2)
+            }),
+            fault_plan: Some(
+                FaultPlan::new()
+                    .kill_client(simnet::SimTime::from_micros(1500), 1)
+                    .crash_server(simnet::SimTime::from_micros(1200), 1)
+                    .restart_server(simnet::SimTime::from_micros(1400), 1),
+            ),
+            trace_path: Some(dir.join("cell.json")),
+            ..quick(IndexKind::FineGrained)
+        };
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                assert_eq!(blink::mem::spare_bytes(), 0);
+                let r = run_experiment(&cfg);
+                assert!(r.ops > 0 && r.recoveries.len() == 1);
+                let spare = blink::mem::spare_bytes() as u64;
+                assert!(
+                    spare >= keys * 16,
+                    "only {spare} bytes of the cell's pools came back"
+                );
+            });
+        });
         std::fs::remove_dir_all(dir).ok();
     }
 

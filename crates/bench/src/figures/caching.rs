@@ -71,6 +71,7 @@ fn run(
     }
     sim.run_until(end);
     let hit_ratio = idx.cache_stats().unwrap_or_default().hit_ratio();
+    sim.shutdown();
     (ops.get() as f64 / 0.025, hit_ratio)
 }
 

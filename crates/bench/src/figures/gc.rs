@@ -90,6 +90,7 @@ fn measure(kind: IndexKind, keys: u64, seed: u64, with_gc: bool) -> (usize, u64,
     } else {
         0
     };
+    sim.shutdown();
     (reclaimed.get(), gc_micros, reads.get() as f64 / 0.030)
 }
 

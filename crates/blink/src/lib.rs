@@ -27,6 +27,10 @@
 //!   [`local::WorkStats`] so the simulator can charge CPU time
 //!   proportional to real work.
 //!
+//! A local tree's pages, and a memory server's registered region, live in
+//! [`mem::PageMemory`]: a flat zero-filled buffer that grows to the byte
+//! and, once large, is recycled on its thread when dropped.
+//!
 //! Keys are `u64`. Values are 63-bit (`value <= MAX_VALUE`): the top bit
 //! of the value word is the per-entry *delete bit* the paper uses for
 //! tombstone deletes reclaimed by epoch-based garbage collection.
@@ -34,6 +38,7 @@
 pub mod layout;
 pub mod load;
 pub mod local;
+pub mod mem;
 pub mod node;
 
 pub use layout::{Key, PageLayout, Ptr, Value, KEY_MAX, MAX_VALUE};

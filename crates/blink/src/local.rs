@@ -14,6 +14,7 @@
 
 use crate::layout::{Key, PageLayout, Ptr, Value, KEY_MAX};
 use crate::load::{Loader, PageSink};
+use crate::mem::PageMemory;
 use crate::node::{kind_of, InnerNodeMut, InnerNodeRef, LeafNodeMut, LeafNodeRef, NodeKind};
 
 /// Work performed by one index operation; the basis for CPU cost models.
@@ -44,11 +45,12 @@ impl WorkStats {
 
 /// A local B-link tree. Pointers are page ids (from 1; 0 is null) into
 /// one flat owned buffer: page `i` is bytes `[(i-1)·ps, i·ps)`, so a tree
-/// is a single allocation that grows without a `malloc` per page and
-/// goes back to the OS as a whole when dropped.
+/// is a single allocation that grows without a `malloc` per page, and
+/// whose memory the next tree or pool on the thread reuses once it is
+/// dropped ([`PageMemory`]).
 pub struct LocalTree {
     layout: PageLayout,
-    pages: Vec<u8>,
+    pages: PageMemory,
     root: Ptr,
     leftmost_leaf: Ptr,
     height: u8,
@@ -56,8 +58,8 @@ pub struct LocalTree {
 
 impl PageSink for LocalTree {
     fn alloc(&mut self) -> Ptr {
-        let len = self.pages.len() + self.layout.page_size();
-        self.pages.resize(len, 0);
+        self.pages
+            .grow_to(self.pages.len() + self.layout.page_size());
         Ptr(self.num_pages() as u64)
     }
 
@@ -88,7 +90,7 @@ impl LocalTree {
     pub fn loader(layout: PageLayout, fill: f64) -> Loader<LocalTree> {
         let blank = LocalTree {
             layout,
-            pages: Vec::new(),
+            pages: PageMemory::new(),
             root: Ptr::NULL,
             leftmost_leaf: Ptr::NULL,
             height: 1,
@@ -697,6 +699,39 @@ mod tests {
         assert_eq!(tree.num_pages(), loaded_pages + splits + roots);
         tree.check_invariants();
         assert_eq!(tree.len_live(), 3300);
+    }
+
+    /// A tree grown in the dirty buffer of a dropped region is byte for
+    /// byte the tree grown in fresh memory, and a page it allocates reads
+    /// zero.
+    #[test]
+    fn recycled_memory_reads_zero() {
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let build = || {
+                    let items = (0..2000u64).map(|k| (k * 4, k));
+                    let mut tree = LocalTree::bulk_load(layout(), items, 0.7);
+                    for k in 0..500u64 {
+                        tree.insert(k * 4 + 1, k);
+                    }
+                    tree
+                };
+                let fresh = build();
+                let mut dirty = PageMemory::new();
+                dirty.grow_to(2 << 20);
+                dirty.fill(0xAB);
+                drop(dirty);
+                let mut tree = build();
+                assert_eq!(
+                    crate::mem::spare_bytes(),
+                    0,
+                    "the tree did not reuse the buffer"
+                );
+                assert!(tree.pages[..] == fresh.pages[..]);
+                let p = tree.alloc();
+                assert!(tree.page(p).iter().all(|&b| b == 0));
+            });
+        });
     }
 
     #[test]

@@ -1,20 +1,22 @@
 //! A memory server's RDMA-registered memory region.
 //!
-//! Backed by one flat byte vector with a bump allocator (`RDMA_ALLOC` in
-//! the paper's Listing 4). Offsets start at 8 so that offset 0 never
+//! Backed by one flat [`PageMemory`] with a bump allocator (`RDMA_ALLOC`
+//! in the paper's Listing 4). Offsets start at 8 so that offset 0 never
 //! names a live object and the all-zero [`crate::RemotePtr`] stays NULL.
 //!
-//! The vector is exactly as long as the allocator's watermark: a pool
+//! The region is exactly as long as the allocator's watermark: a pool
 //! pays, in zero-filled and therefore resident memory, for the bytes it
-//! hands out and for nothing around them. Amortising growth is `Vec`'s
-//! business — its spare *capacity* is address space nobody has touched,
-//! and growing a large allocation is an `mremap`, not a copy.
+//! hands out and for nothing around them. Amortising growth, and reusing
+//! the memory of pools dropped earlier on the thread, is
+//! [`PageMemory`]'s business.
+
+use blink::mem::PageMemory;
 
 /// Registered memory of one memory server.
 pub struct MemPool {
     /// `mem.len() == next`, except that a pool nothing has been allocated
     /// in, restored to or replayed into holds no bytes at all.
-    mem: Vec<u8>,
+    mem: PageMemory,
     next: u64,
 }
 
@@ -25,7 +27,7 @@ impl MemPool {
     /// Create an empty pool; it grows by exactly what is allocated.
     pub fn new() -> Self {
         MemPool {
-            mem: Vec::new(),
+            mem: PageMemory::new(),
             next: Self::ALIGN, // offset 0 reserved for NULL
         }
     }
@@ -41,9 +43,7 @@ impl MemPool {
     /// the region up to it.
     fn grow_to(&mut self, next: u64) {
         self.next = self.next.max(next);
-        if self.mem.len() < self.next as usize {
-            self.mem.resize(self.next as usize, 0);
-        }
+        self.mem.grow_to(self.next as usize);
     }
 
     /// Bytes currently allocated (high-water mark).
@@ -53,7 +53,8 @@ impl MemPool {
 
     fn check(&self, off: u64, len: usize) {
         assert!(
-            off + len as u64 <= self.next,
+            off.checked_add(len as u64)
+                .is_some_and(|end| end <= self.next),
             "access [{off}, {off}+{len}) beyond allocated {}",
             self.next
         );
@@ -138,7 +139,7 @@ impl MemPool {
     /// Snapshot the allocated region for a checkpoint image: every byte
     /// up to the watermark (none for a pool nothing was allocated in).
     pub fn image(&self) -> Vec<u8> {
-        self.mem.clone()
+        self.mem.to_vec()
     }
 
     /// Lose all contents, as a crash with volatile DRAM does: the region
@@ -153,8 +154,8 @@ impl MemPool {
     pub fn restore(&mut self, image: &[u8], allocated: u64) {
         debug_assert!(image.len() as u64 <= allocated.max(Self::ALIGN));
         self.wipe();
-        self.mem.extend_from_slice(image);
         self.grow_to(allocated);
+        self.mem[..image.len()].copy_from_slice(image);
     }
 
     /// Replay-apply a logged write. Unlike [`MemPool::copy_in`] this may
@@ -162,7 +163,14 @@ impl MemPool {
     /// allocator advances, and a fuzzy checkpoint image can predate the
     /// alloc record covering a write that follows it.
     pub fn replay_write(&mut self, off: u64, src: &[u8]) {
-        self.grow_to((off + src.len() as u64).div_ceil(Self::ALIGN) * Self::ALIGN);
+        // An end past `u64::MAX` grows nothing: the write is beyond any
+        // watermark, and `copy_in` reports it.
+        let end = off
+            .checked_add(src.len() as u64)
+            .and_then(|end| end.checked_next_multiple_of(Self::ALIGN));
+        if let Some(end) = end {
+            self.grow_to(end);
+        }
         self.copy_in(off, src);
     }
 
@@ -325,15 +333,54 @@ mod tests {
         }
     }
 
+    /// A dirty, dropped region's buffer, parked for the next pool.
+    fn park_dirty(len: usize) {
+        let mut dirty = PageMemory::new();
+        dirty.grow_to(len);
+        dirty.fill(0xAB);
+    }
+
+    /// A pool grown in the buffer of a dropped region reads zero
+    /// everywhere below its watermark, before and after a crash.
+    #[test]
+    fn recycled_memory_reads_zero() {
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                park_dirty(4 << 20);
+                let mut p = MemPool::new();
+                p.alloc(100);
+                assert_eq!(
+                    blink::mem::spare_bytes(),
+                    0,
+                    "the pool did not reuse the buffer"
+                );
+                p.alloc(3 << 20);
+                let one = p.allocated() + 1000;
+                p.replay_write(one, &[1]);
+                p.replay_alloc_to(p.allocated() + (1 << 20));
+                let mut image = p.image();
+                assert_eq!(image.len() as u64, p.allocated());
+                assert_eq!(std::mem::take(&mut image[one as usize]), 1);
+                assert!(image.iter().all(|&b| b == 0));
+                p.wipe();
+                p.alloc(2 << 20);
+                assert!(p.image().iter().all(|&b| b == 0));
+            });
+        });
+    }
+
     proptest::proptest! {
-        /// Under any interleaving of allocation, replay, crash and
-        /// restore the pool holds exactly the bytes below its watermark
-        /// — no slack — and growth never disturbs earlier contents.
+        /// Under any interleaving of allocation, replay, crash, restore
+        /// and starting over in the memory of a dropped pool, the pool
+        /// holds exactly the bytes below its watermark — no slack, none
+        /// of a recycled buffer's old bytes — and growth never disturbs
+        /// earlier contents.
         #[test]
         fn backing_is_exactly_the_watermark(
-            ops in proptest::collection::vec((0u8..5, 8u64..20_000, 0u64..700), 1..80),
+            ops in proptest::collection::vec((0u8..6, 8u64..20_000, 0u64..700), 1..80),
         ) {
             let align = |n: u64| n.div_ceil(MemPool::ALIGN) * MemPool::ALIGN;
+            park_dirty(1 << 20);
             let mut p = MemPool::new();
             // Reference: the bytes below the watermark, empty while the
             // pool is untouched.
@@ -373,6 +420,11 @@ mod tests {
                         model.clear();
                         mark = MemPool::ALIGN;
                     }
+                    4 => {
+                        p = MemPool::new();
+                        model.clear();
+                        mark = MemPool::ALIGN;
+                    }
                     _ => {
                         let (image, allocated) = (p.image(), p.allocated());
                         p.wipe();
@@ -393,5 +445,25 @@ mod tests {
         let p = MemPool::new();
         let mut buf = [0u8; 8];
         p.copy_out(1 << 20, &mut buf);
+    }
+
+    /// `off + len` past `u64::MAX` is out of bounds, not an arithmetic
+    /// overflow (a debug-build panic; in release, a wrapped end that
+    /// passes the check).
+    #[test]
+    #[should_panic(expected = "beyond allocated")]
+    fn access_past_u64_max_is_beyond_allocated() {
+        let mut p = MemPool::new();
+        p.alloc(64);
+        p.copy_out(u64::MAX - 3, &mut [0u8; 8]);
+    }
+
+    /// The same for an offset decoded from a WAL record.
+    #[test]
+    #[should_panic(expected = "beyond allocated")]
+    fn replay_past_u64_max_is_beyond_allocated() {
+        let mut p = MemPool::new();
+        p.alloc(64);
+        p.replay_write(u64::MAX - 3, &[1; 8]);
     }
 }

@@ -391,6 +391,13 @@ impl TimerQueue {
         }
     }
 
+    fn clear(&mut self) {
+        match self {
+            TimerQueue::Wheel(w) => **w = TimingWheel::new(),
+            TimerQueue::Heap(h) => h.clear(),
+        }
+    }
+
     fn pop_at(&mut self, at: SimTime) -> Option<TaskId> {
         match self {
             TimerQueue::Wheel(w) => w.pop_at(at),
@@ -606,6 +613,30 @@ impl Sim {
             self.inner.now.set(horizon);
         }
         self.inner.now.get()
+    }
+
+    /// Drop every task, whether live or spawned and not yet polled, with
+    /// every pending timer and queued wake.
+    ///
+    /// A task that never finishes — a closed-loop client, a chaos or WAL
+    /// background task, a client parked while killed — holds a clone of
+    /// its `Sim`, and the `Sim` owns the task, so without this the two
+    /// keep each other, and everything the task holds, alive after the
+    /// last handle is dropped. Call it once every result of a run has
+    /// been read, and not from inside a task. [`Sim::now`] and
+    /// [`Sim::events_processed`] keep their values; a task spawned
+    /// afterwards runs as usual.
+    pub fn shutdown(&self) {
+        // The tasks leave the slab before they drop: their drop glue may
+        // wake other tasks (`ObtainSlot`, `CpuGrant`).
+        let tasks = std::mem::take(&mut *self.inner.tasks.borrow_mut());
+        let incoming = std::mem::take(&mut *self.inner.incoming.borrow_mut());
+        self.inner.has_incoming.set(false);
+        self.inner.live_tasks.set(0);
+        drop((tasks, incoming));
+        self.inner.timers.borrow_mut().clear();
+        // Last, so that the wakes the drop glue queued go too.
+        self.inner.ready.with(VecDeque::clear);
     }
 
     /// Poll every ready task until the ready queue is empty.
@@ -1021,6 +1052,55 @@ mod tests {
                     "task C offered at t={t:?} while its timer was pending"
                 );
             }
+        }
+    }
+
+    /// A task that never finishes, holding a clone of its `Sim`, keeps
+    /// itself alive until `shutdown` drops it; afterwards the clock and
+    /// the event count stand, and the `Sim` runs new tasks.
+    #[test]
+    fn shutdown_drops_tasks_that_never_finish() {
+        for kind in [SchedulerKind::Wheel, SchedulerKind::Heap] {
+            let sim = Sim::with_scheduler(kind);
+            let witness = Rc::new(());
+            for delay in [3u64, 5_000_000] {
+                let (s, w) = (sim.clone(), witness.clone());
+                sim.spawn(async move {
+                    let _w = w;
+                    loop {
+                        s.sleep(SimDur::from_nanos(delay)).await;
+                    }
+                });
+            }
+            // A task parked on a wake that never comes.
+            let w = witness.clone();
+            sim.spawn(async move {
+                let _w = w;
+                std::future::pending::<()>().await;
+            });
+            sim.run_until(SimTime::from_micros(10));
+            // Spawned, never polled.
+            let w = witness.clone();
+            sim.spawn(async move { drop(w) });
+            let (now, events) = (sim.now(), sim.events_processed());
+            assert_eq!(Rc::strong_count(&witness), 5);
+            sim.shutdown();
+            assert_eq!(Rc::strong_count(&witness), 1, "a task outlived shutdown");
+            assert_eq!(sim.live_tasks(), 0);
+            assert_eq!((sim.now(), sim.events_processed()), (now, events));
+            assert_eq!(
+                sim.run_until(SimTime::from_millis(20)),
+                SimTime::from_millis(20)
+            );
+            let hit = Rc::new(Cell::new(false));
+            let (s, h) = (sim.clone(), hit.clone());
+            sim.spawn(async move {
+                s.sleep(SimDur::from_micros(1)).await;
+                h.set(true);
+            });
+            sim.run();
+            assert!(hit.get());
+            assert_eq!(sim.live_tasks(), 0);
         }
     }
 
