@@ -73,11 +73,9 @@ impl<S: PageSink> Loader<S> {
         let left = self.leaves.last().map_or(Ptr::NULL, |&(_, ptr)| ptr);
         let entries = &self.entries;
         self.sink.with_page(self.open, |page| {
-            let mut leaf = LeafNodeMut::init(page, high, left, right);
-            for &(key, value) in entries {
-                leaf.push(key, value)
-                    .expect("fill factor keeps leaves under capacity");
-            }
+            LeafNodeMut::init(page, high, left, right)
+                .extend(entries)
+                .expect("fill factor keeps leaves under capacity");
         });
         self.entries.clear();
         self.leaves.push((high, self.open));

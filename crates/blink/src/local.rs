@@ -137,6 +137,11 @@ impl LocalTree {
         self.leftmost_leaf
     }
 
+    /// Every page's bytes, in page-id order.
+    pub fn image(&self) -> &[u8] {
+        &self.pages
+    }
+
     /// Byte range of page `p` in the flat buffer.
     fn span(&self, p: Ptr) -> std::ops::Range<usize> {
         let ps = self.layout.page_size();

@@ -56,10 +56,22 @@ impl Local {
             "partition map does not match the cluster"
         );
         // One loader per server, fed as the input streams past: key order
-        // is preserved within each server.
+        // is preserved within each server. Sorted input meets a range
+        // map's servers in runs, so a key is routed only when it passes
+        // the current run's last key; a hash map routes every key.
         let mut loaders: Vec<_> = (0..n).map(|_| LocalTree::loader(layout, fill)).collect();
+        let mut run: Option<(usize, Key)> = None;
         for (k, v) in pairs {
-            loaders[partition.server_of(k)].push(k, v);
+            let s = match run {
+                Some((s, high)) if k <= high => s,
+                _ => {
+                    let s = partition.server_of(k);
+                    run = partition.upper_bound(s).map(|high| (s, high));
+                    s
+                }
+            };
+            debug_assert_eq!(s, partition.server_of(k), "bulk-load input unsorted");
+            loaders[s].push(k, v);
         }
         // Each index owns its per-server state (a memory server hosts
         // one ServerNode per index it serves).

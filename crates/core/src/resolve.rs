@@ -59,7 +59,7 @@ use std::rc::Rc;
 
 use blink::layout::lock_word;
 use blink::node::{kind_of, HeadNodeRef, LeafNodeRef, NodeKind};
-use blink::{Key, PageLayout, Value};
+use blink::{Key, PageLayout, Ptr, Value};
 use nam::{NamCluster, PartitionMap};
 use rdma_sim::{Cluster, Endpoint, FenceKind, PageBuf, RemotePtr, VerbError};
 
@@ -168,14 +168,15 @@ impl Index {
 
     /// The hybrid layout: a scattered leaf chain over all servers, plus
     /// per-server upper-level trees mapping leaf high keys (within the
-    /// server's partition) to leaf remote pointers.
+    /// server's partition) to leaf remote pointers. Also returns that
+    /// `(high key, leaf)` table.
     fn hybrid_layout(
         nam: &NamCluster,
         cfg: &FgConfig,
         partition: PartitionMap,
         items: impl Iterator<Item = (Key, Value)>,
         cache_capacity: Option<usize>,
-    ) -> Index {
+    ) -> (Index, Vec<(Key, Ptr)>) {
         assert!(
             matches!(partition, PartitionMap::Range { .. }),
             "hybrid upper levels require range partitioning (high keys \
@@ -185,7 +186,8 @@ impl Index {
         let routes = level.leaves.iter().map(|&(high, ptr)| (high, ptr.raw()));
         let local = Local::load(&nam.rdma, cfg.layout, cfg.fill, partition, routes);
         let upper = Upper::Local(local);
-        Index::seal(&nam.rdma, cfg.layout, Some(chain), upper, cache_capacity)
+        let index = Index::seal(&nam.rdma, cfg.layout, Some(chain), upper, cache_capacity);
+        (index, level.leaves)
     }
 }
 
@@ -231,26 +233,23 @@ impl Hybrid {
         items: impl Iterator<Item = (Key, Value)>,
     ) -> Rc<Index> {
         let cache = cfg.cache_capacity;
-        Rc::new(Index::hybrid_layout(nam, &cfg, partition, items, cache))
+        Rc::new(Index::hybrid_layout(nam, &cfg, partition, items, cache).0)
     }
 }
 
 impl Learned {
     /// The hybrid layout plus a model router trained from its leaf
-    /// chain. Never a cache, whatever `cfg.cache_capacity` says: the
-    /// model *is* the client-resident routing state, with its own
-    /// coherence story.
+    /// level as loaded. Never a cache, whatever `cfg.cache_capacity`
+    /// says: the model *is* the client-resident routing state, with its
+    /// own coherence story.
     pub fn build(
         nam: &NamCluster,
         cfg: FgConfig,
         partition: PartitionMap,
         items: impl Iterator<Item = (Key, Value)>,
     ) -> Rc<Index> {
-        let mut index = Index::hybrid_layout(nam, &cfg, partition, items, None);
-        index.router = index
-            .chain
-            .as_ref()
-            .map(|chain| Router::new(&index.setup, chain.first()));
+        let (mut index, leaves) = Index::hybrid_layout(nam, &cfg, partition, items, None);
+        index.router = Some(Router::trained(&nam.rdma, leaves));
         Rc::new(index)
     }
 }
@@ -502,7 +501,7 @@ impl SetupSource {
             cur = RemotePtr::from_page_ptr(match kind_of(&page) {
                 NodeKind::Head => HeadNodeRef::new(&page).right_sibling(),
                 NodeKind::Leaf => LeafNodeRef::new(&page).right_sibling(),
-                NodeKind::Inner => blink::Ptr::NULL,
+                NodeKind::Inner => Ptr::NULL,
             });
             Some((at, page))
         })
@@ -520,7 +519,6 @@ mod tests {
     use super::*;
     use crate::chain::small_cfg;
     use blink::node::{InnerNodeMut, LeafNodeMut};
-    use blink::Ptr;
     use rdma_sim::ClusterSpec;
     use simnet::Sim;
     use std::cell::RefCell;
@@ -796,6 +794,110 @@ mod tests {
                         (allocated, digest),
                         want,
                         "{kind:?} ({page}, {head_stride}, {n}, {dup}): digest {digest:016x}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The other half of the bulk-load contract: the per-server local
+    /// trees, where CG keeps every entry and Hybrid and Learned their
+    /// upper levels — none of it in the pools. Pinned per case: each
+    /// server's page count and one FNV-1a-64 digest chained over the four
+    /// trees' heights and images. The pool golden's five geometries under
+    /// a uniform range map, then a skewed map whose bounds are loaded
+    /// keys (dense keys, two entries each, so a duplicated key sits on
+    /// each bound) and a hash map.
+    #[test]
+    fn bulk_loaded_local_trees_are_pinned() {
+        use crate::Design;
+        use nam::IndexKind;
+        // Keys are dense here, so each bound below 5000 is a loaded key.
+        let skewed = PartitionMap::range_fractions(&[0.80, 0.12, 0.05, 0.03], 5000);
+        assert!(
+            matches!(&skewed, PartitionMap::Range { bounds } if bounds[..3].iter().all(|&b| b < 5000)),
+            "{skewed:?}"
+        );
+        // (page, stride, n, dup, partition) -> (pages per server, digest)
+        // of CG, then of Hybrid = Learned (`None`: Hybrid needs a range
+        // map). No partition: uniform, over keys 8 apart.
+        type Pin = ([usize; 4], u64);
+        let cases: [(_, Pin, Option<Pin>); 7] = [
+            (
+                (200usize, 4usize, 5000u64, 3u64, None),
+                ([163; 4], 0xb3dcfbeb9b855169),
+                Some(([24; 4], 0xe5128111ee272d0a)),
+            ),
+            (
+                (200, 0, 777, 1, None),
+                ([33; 4], 0xe6cd6280aee80059),
+                Some(([5; 4], 0xae79f98903fac9df)),
+            ),
+            (
+                (1024, 8, 100_000, 1, None),
+                ([612; 4], 0x696919e731cb47bf),
+                Some(([16; 4], 0x12c40029dd491a9f)),
+            ),
+            (
+                (1024, 8, 0, 1, None),
+                ([1; 4], 0x8127f41ef1bd9c25),
+                Some(([1; 4], 0x60c1a8fd41a09eac)),
+            ),
+            (
+                (200, 4, 28, 7, None),
+                ([3, 1, 1, 1], 0x5edc01b0696b87a2),
+                Some(([1; 4], 0x9d22221a3a1c6425)),
+            ),
+            (
+                (200, 4, 10_000, 2, Some(skewed)),
+                ([1168, 177, 75, 45], 0x67555b3a8ef79d32),
+                Some(([168, 27, 12, 7], 0xe9771f5e9ce72bd8)),
+            ),
+            (
+                (200, 4, 5000, 1, Some(PartitionMap::hash(4))),
+                ([210; 4], 0x6b4ad17ec4f2d251),
+                None,
+            ),
+        ];
+        // Twice, like the pool golden: the second round builds in the
+        // memory the first round's trees left dirty.
+        for round in 0..2 {
+            for ((page, head_stride, n, dup, partition), cg, hybrid) in cases.clone() {
+                let stride = if partition.is_some() { 1 } else { 8 };
+                let partition =
+                    partition.unwrap_or_else(|| PartitionMap::range_uniform(4, (n / dup + 1) * 8));
+                let pins = [
+                    (IndexKind::CoarseGrained, Some(cg)),
+                    (IndexKind::Hybrid, hybrid),
+                    (IndexKind::Learned, hybrid),
+                ];
+                for (kind, want) in pins.into_iter().filter_map(|(k, w)| Some((k, w?))) {
+                    let sim = Sim::new();
+                    let nam = NamCluster::new(&sim, ClusterSpec::default());
+                    let cfg = FgConfig {
+                        layout: PageLayout::new(page),
+                        fill: 0.7,
+                        head_stride,
+                        cache_capacity: None,
+                    };
+                    let items = (0..n).map(|i| ((i / dup) * stride, i));
+                    let design = Design::build(kind, &nam, cfg, partition.clone(), items);
+                    let local = design.index().local().expect("a local level");
+                    let mut digest = 0xcbf29ce484222325u64;
+                    let mut pages = [0usize; 4];
+                    for (node, count) in local.nodes().iter().zip(&mut pages) {
+                        node.with_tree(|t| {
+                            *count = t.num_pages();
+                            for &b in [t.height()].iter().chain(t.image()) {
+                                digest = (digest ^ b as u64).wrapping_mul(0x100000001b3);
+                            }
+                        });
+                    }
+                    assert_eq!(
+                        (pages, digest),
+                        want,
+                        "round {round}, {kind:?} ({page}, {head_stride}, {n}, {dup}, \
+                         {partition:?}): digest {digest:016x}"
                     );
                 }
             }

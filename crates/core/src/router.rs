@@ -32,6 +32,8 @@
 //!
 //! ## Retrain policy
 //!
+//! The first model is trained at build time from the table the bulk
+//! loader keeps of the leaves it wrote, so nothing is read back.
 //! Retraining is *incremental maintenance by replacement*: when the
 //! stale-prediction rate since the last training reaches
 //! [`rdma_sim::ClusterSpec::learned_retrain_threshold`], the client
@@ -49,9 +51,9 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use blink::node::{kind_of, LeafNodeRef, NodeKind};
-use blink::Key;
+use blink::{Key, Ptr};
 use learned_index::PgmModel;
-use rdma_sim::RemotePtr;
+use rdma_sim::{Cluster, RemotePtr};
 
 use crate::resolve::SetupSource;
 
@@ -90,17 +92,22 @@ pub struct Router {
 #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)]
 #[deny(clippy::unreachable, clippy::unimplemented, clippy::indexing_slicing)]
 impl Router {
-    /// Train the initial model from the leaf chain at `first`. Model
-    /// knobs are the cluster spec's (`learned_epsilon`,
-    /// `learned_retrain_threshold`, `learned_model_fanout`).
-    pub(crate) fn new(src: &SetupSource, first: RemotePtr) -> Router {
+    /// Train the initial model from `leaves`, the `(high key, leaf)`
+    /// table of the leaf level just loaded — what a walk of the fresh
+    /// chain would collect, without reading it back; the model keeps the
+    /// table's buffer. Model knobs are the cluster spec's
+    /// (`learned_epsilon`, `learned_retrain_threshold`,
+    /// `learned_model_fanout`).
+    pub(crate) fn trained(cluster: &Cluster, leaves: Vec<(Key, Ptr)>) -> Router {
         let router = Router {
             model: RefCell::new(None),
-            epoch: Cell::new(src.cluster().restart_epoch()),
+            epoch: Cell::new(cluster.restart_epoch()),
             window: Cell::default(),
             stats: Cell::default(),
         };
-        router.retrain(src, first);
+        // Same layout, so this collects in place.
+        let table = leaves.into_iter().map(|(high, ptr)| (high, ptr.raw()));
+        router.train(cluster, table.collect());
         router
     }
 
@@ -169,6 +176,12 @@ impl Router {
                 NodeKind::Inner => return,
             }
         }
+        self.train(cluster, table);
+    }
+
+    /// Swap in a model trained over `table`, the `(high key, ptr raw)`
+    /// of every leaf in chain order, unless it is not a whole chain's.
+    fn train(&self, cluster: &Cluster, table: Vec<(Key, u64)>) {
         let intact = !table.is_empty()
             && table.is_sorted_by(|a, b| a.0 < b.0)
             && table.last().map(|e| e.0) == Some(blink::KEY_MAX);
@@ -258,6 +271,43 @@ mod tests {
         assert_eq!(st.predictions, 4);
         assert_eq!(st.mispredicts, 0);
         assert_eq!(st.fallbacks, 0);
+    }
+
+    /// The build trains from the loader's own leaf table, not from a walk
+    /// of the chain it just wrote; the two are the same model: the same
+    /// table, and the same leaf predicted for every leaf's high key and
+    /// for 10 000 random keys, with head nodes or without and with
+    /// duplicates straddling leaf boundaries.
+    #[test]
+    fn the_loaders_table_trains_the_model_a_chain_walk_trains() {
+        use crate::chain::FgConfig;
+        use simnet::rng::DetRng;
+        let default_pages = FgConfig {
+            head_stride: 0,
+            ..FgConfig::default()
+        };
+        for (cfg, n, dup) in [(small_cfg(), 5000u64, 3u64), (default_pages, 100_000, 1)] {
+            let sim = Sim::new();
+            let nam = NamCluster::new(&sim, ClusterSpec::default());
+            let domain = (n / dup + 1) * 8;
+            let partition = PartitionMap::range_uniform(nam.num_servers(), domain);
+            let items = (0..n).map(|i| ((i / dup) * 8, i));
+            let idx = Learned::build(&nam, cfg, partition, items);
+            let router = idx.router().expect("built with a router");
+            let loaded = router.model().expect("trained at build");
+            router.retrain(idx.setup_source(), idx.chain().expect("a chain").first());
+            let walked = router.model().expect("retrained");
+            assert!(!Rc::ptr_eq(&loaded, &walked), "the walk did not retrain");
+            assert_eq!(router.stats().retrains, 2);
+            assert_eq!(loaded.table(), walked.table());
+            assert!(loaded.table().len() > 100, "{:?}", cfg.layout);
+            let mut rng = DetRng::seed_from_u64(28);
+            let highs = loaded.table().iter().map(|&(high, _)| high);
+            let random = (0..10_000).map(|_| rng.next_u64_below(domain + 64));
+            for key in highs.chain(random) {
+                assert_eq!(loaded.predict(key), walked.predict(key), "key {key}");
+            }
+        }
     }
 
     #[test]

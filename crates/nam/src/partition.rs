@@ -48,9 +48,15 @@ impl PartitionMap {
 
     /// Range partitioning assigning the given fraction of `[0, domain)`
     /// to each server — the paper's skew instrument (e.g.
-    /// `&[0.80, 0.12, 0.05, 0.03]`). Fractions must sum to ≈ 1.
+    /// `&[0.80, 0.12, 0.05, 0.03]`). Fractions must be non-negative and
+    /// sum to ≈ 1. A server whose share ends before key 1 ends at key 0:
+    /// the bounds never fall below it, so they never decrease.
     pub fn range_fractions(fractions: &[f64], domain: Key) -> Self {
         assert!(!fractions.is_empty());
+        assert!(
+            fractions.iter().all(|&f| f >= 0.0),
+            "fractions must be non-negative, got {fractions:?}"
+        );
         let total: f64 = fractions.iter().sum();
         assert!(
             (total - 1.0).abs() < 1e-6,
@@ -66,7 +72,7 @@ impl PartitionMap {
                 if i + 1 == n {
                     u64::MAX
                 } else {
-                    (acc * domain as f64) as u64 - 1
+                    ((acc * domain as f64) as u64).saturating_sub(1)
                 }
             })
             .collect();
@@ -94,6 +100,18 @@ impl PartitionMap {
                 bounds.partition_point(|&b| b < key).min(bounds.len() - 1)
             }
             PartitionMap::Hash { servers } => (fnv1a(key) % *servers as u64) as usize,
+        }
+    }
+
+    /// The largest key server `s` owns under range partitioning: every
+    /// key from one that [`Self::server_of`] places on `s` up to this one
+    /// is `s`'s too. `None` under hash partitioning, where a server owns
+    /// no run of keys.
+    pub fn upper_bound(&self, s: usize) -> Option<Key> {
+        match self {
+            PartitionMap::Range { bounds } if s + 1 == bounds.len() => Some(u64::MAX),
+            PartitionMap::Range { bounds } => Some(bounds[s]),
+            PartitionMap::Hash { .. } => None,
         }
     }
 
@@ -134,6 +152,59 @@ mod tests {
         let hits = (0..1000u64).filter(|&k| p.server_of(k) == 0).count();
         assert_eq!(hits, 800);
         assert_eq!(p.server_of(999), 3);
+    }
+
+    /// A leading share of less than one key used to make its bound
+    /// `0 - 1`: a panic in debug builds and, wrapped to `u64::MAX` in
+    /// release, a server 0 that owned every key.
+    #[test]
+    fn a_share_under_one_key_does_not_wrap() {
+        let p = PartitionMap::range_fractions(&[0.001, 0.999], 100);
+        assert_eq!(
+            p,
+            PartitionMap::Range {
+                bounds: vec![0, u64::MAX]
+            }
+        );
+        assert_eq!(p.server_of(0), 0);
+        assert_eq!(p.server_of(1), 1);
+        assert_eq!(p.server_of(99), 1);
+        let p = PartitionMap::range_fractions(&[0.0, 0.004, 0.5, 0.496], 100);
+        let PartitionMap::Range { bounds } = &p else {
+            panic!("a range map")
+        };
+        assert_eq!(bounds, &[0, 0, 49, u64::MAX]);
+        assert!(bounds.is_sorted());
+        assert_eq!(
+            (0..100).map(|k| p.server_of(k)).max(),
+            Some(3),
+            "the last server owns the tail"
+        );
+    }
+
+    /// Each key is `server_of`'s from that key up to the server's upper
+    /// bound; a hash map has no runs.
+    #[test]
+    fn upper_bound_ends_each_run() {
+        for p in [
+            PartitionMap::range_uniform(4, 1000),
+            PartitionMap::range_fractions(&[0.80, 0.12, 0.05, 0.03], 1000),
+            PartitionMap::range_fractions(&[0.0, 0.004, 0.5, 0.496], 100),
+            PartitionMap::Range {
+                bounds: vec![10, 20],
+            },
+        ] {
+            for k in 0..1100u64 {
+                let s = p.server_of(k);
+                let high = p.upper_bound(s).expect("a range map");
+                assert!(k <= high, "{p:?}: key {k} past its server's bound");
+                assert_eq!(p.server_of(high), s, "{p:?}: bound of {s}");
+                if high < u64::MAX {
+                    assert_ne!(p.server_of(high + 1), s, "{p:?}: {s}'s run goes on");
+                }
+            }
+        }
+        assert_eq!(PartitionMap::hash(4).upper_bound(0), None);
     }
 
     #[test]

@@ -5,6 +5,8 @@
 //! databases") used by the paper's modified YCSB benchmark, plus the
 //! scrambled variant that spreads hot items over the key space.
 
+use std::cell::Cell;
+
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
@@ -43,11 +45,19 @@ impl DetRng {
     }
 }
 
+thread_local! {
+    /// `((n, theta bits), zeta(n))` of the last generator built on this
+    /// thread: every cell of a sweep, and every benchmark run, builds the
+    /// same one again.
+    static LAST_ZETA: Cell<Option<((u64, u64), f64)>> = const { Cell::new(None) };
+}
+
 /// YCSB Zipfian generator over `[0, n)` with skew parameter `theta`.
 ///
-/// Item `0` is the hottest. Construction is `O(n)` (computes `zeta(n)`),
-/// sampling is `O(1)`. Cloning is cheap (five floats), so one table can
-/// serve many clients.
+/// Item `0` is the hottest. Construction is `O(n)` (computes `zeta(n)`)
+/// unless the thread's previous generator had the same `n` and `theta`,
+/// whose `zeta(n)` it reuses; sampling is `O(1)`. Cloning is cheap (five
+/// floats), so one table can serve many clients.
 #[derive(Clone)]
 pub struct Zipf {
     n: u64,
@@ -65,7 +75,7 @@ impl Zipf {
     pub fn new(n: u64, theta: f64) -> Self {
         assert!(n > 0, "Zipf over an empty domain");
         assert!((0.0..1.0).contains(&theta), "theta must be in (0, 1)");
-        let zetan = Self::zeta(n, theta);
+        let zetan = Self::zeta_memo(n, theta);
         let zeta2 = Self::zeta(2, theta);
         let alpha = 1.0 / (1.0 - theta);
         let eta = (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2 / zetan);
@@ -85,6 +95,20 @@ impl Zipf {
 
     fn zeta(n: u64, theta: f64) -> f64 {
         (1..=n).map(|i| 1.0 / (i as f64).powf(theta)).sum()
+    }
+
+    /// [`Self::zeta`], summed only when the thread's last call had other
+    /// arguments: the same sum in the same order, so the same bits.
+    fn zeta_memo(n: u64, theta: f64) -> f64 {
+        let key = (n, theta.to_bits());
+        match LAST_ZETA.get() {
+            Some((last, zetan)) if last == key => zetan,
+            _ => {
+                let zetan = Self::zeta(n, theta);
+                LAST_ZETA.set(Some((key, zetan)));
+                zetan
+            }
+        }
     }
 
     /// Draw the next rank; `0` is most popular.
@@ -196,6 +220,35 @@ mod tests {
         }
         // Same popularity mass as rank 0, relocated.
         assert!(count_hot as f64 / 50_000.0 > 0.04);
+    }
+
+    /// A generator built again on the thread reuses `zeta(n)` and is the
+    /// generator built from scratch, field for field and sample for
+    /// sample; another `n` or `theta` sums afresh.
+    #[test]
+    fn zeta_is_reused_only_for_the_same_arguments() {
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let fields = |z: &Zipf| (z.n, [z.theta, z.alpha, z.zetan, z.eta].map(f64::to_bits));
+                let first = Zipf::new(100_000, Zipf::YCSB_THETA);
+                let fresh = Zipf::zeta(100_000, Zipf::YCSB_THETA);
+                assert_eq!(first.zetan.to_bits(), fresh.to_bits());
+                let again = Zipf::new(100_000, Zipf::YCSB_THETA);
+                assert_eq!(fields(&again), fields(&first));
+                let (mut a, mut b) = (DetRng::seed_from_u64(5), DetRng::seed_from_u64(5));
+                for _ in 0..1_000 {
+                    assert_eq!(first.sample(&mut a), again.sample(&mut b));
+                }
+                for (n, theta) in [(99_999, Zipf::YCSB_THETA), (100_000, 0.5)] {
+                    let other = Zipf::new(n, theta);
+                    assert_eq!(other.zetan.to_bits(), Zipf::zeta(n, theta).to_bits());
+                }
+                // What a repeat reads is the memo, not a new sum.
+                LAST_ZETA.set(Some(((7, 0.5f64.to_bits()), 42.0)));
+                assert_eq!(Zipf::new(7, 0.5).zetan, 42.0);
+                assert_ne!(Zipf::new(7, 0.25).zetan, 42.0);
+            });
+        });
     }
 
     #[test]
