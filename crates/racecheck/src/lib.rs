@@ -94,7 +94,7 @@ use std::rc::Rc;
 
 use blink::layout::lock_word;
 use rdma_sim::observer::{FenceKind, OpKind, RpcEvent, VerbEvent, VerbKind, VerbObserver};
-use rdma_sim::{AttemptKind, Cluster, RemotePtr};
+use rdma_sim::{Cluster, RemotePtr};
 use simnet::SimTime;
 
 /// Plain reads and writes shorter than this that land outside every known
@@ -534,7 +534,7 @@ impl VerbObserver for Racecheck {
         self.state.borrow_mut().threads.on_rpc(ev.client, ev.server);
     }
 
-    fn on_unreachable(&self, client: u64, server: usize, _kind: AttemptKind, time: SimTime) {
+    fn on_unreachable(&self, client: u64, server: usize, time: SimTime) {
         let st = &mut *self.state.borrow_mut();
         st.traffic.note_unreachable(client, server, time);
         st.threads.drop_pending(client);

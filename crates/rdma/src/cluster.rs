@@ -82,9 +82,11 @@ pub(crate) struct MemServer {
     pub pool: RefCell<MemPool>,
     /// The server's durability subsystem (`None` under [`Durability::Off`]).
     pub wal: Option<Rc<ServerWal>>,
-    /// Bytes received over the wire (writes, RPC requests).
+    /// Bytes received over the wire (writes, atomics, RPC requests), by
+    /// admitted messages only.
     pub bytes_in: Counter,
-    /// Bytes sent over the wire (reads, RPC responses).
+    /// Bytes sent over the wire (reads, atomics, RPC responses), by
+    /// admitted messages only.
     pub bytes_out: Counter,
     /// Bytes moved over the local path (co-located accesses).
     pub local_bytes: Counter,
@@ -218,9 +220,10 @@ impl CheckpointSource for ServerSnapshot {
 /// Snapshot of one memory server's counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServerStats {
-    /// Bytes received over the wire.
+    /// Bytes received over the wire. Only admitted messages count: a
+    /// dropped or deadline-refused message never reaches the wire.
     pub bytes_in: u64,
-    /// Bytes sent over the wire.
+    /// Bytes sent over the wire, by admitted messages only.
     pub bytes_out: u64,
     /// Bytes moved over the local (co-located) path.
     pub local_bytes: u64,
@@ -762,14 +765,9 @@ impl Cluster {
     }
 
     /// Report a verb attempt against a crashed server to the observers.
-    pub(crate) fn observe_unreachable(
-        &self,
-        client: u64,
-        server: usize,
-        kind: crate::fault::AttemptKind,
-    ) {
+    pub(crate) fn observe_unreachable(&self, client: u64, server: usize) {
         let now = self.inner.sim.now();
-        self.each_observer(|o| o.on_unreachable(client, server, kind, now));
+        self.each_observer(|o| o.on_unreachable(client, server, now));
     }
 
     /// Report that epoch GC retired `[offset, offset + len)` on `server`;

@@ -29,16 +29,54 @@
 //!   deadline and fails with [`VerbError::Timeout`]. Dropped and
 //!   deadline-refused messages never apply their effect. The deadline is
 //!   computed analytically against the FIFO NIC model, so a refused verb
-//!   does not occupy the wire.
+//!   does not occupy the wire and counts none of its bytes.
+//!
+//! ## One verb body
+//!
+//! READ, WRITE, CAS, FETCH_AND_ADD and ALLOC share one path up to their
+//! effect (`Endpoint::onesided`: the issue-time refusals, the verb count,
+//! one leg of a round trip, the completion-time re-check), and every
+//! single message — a one-sided verb or either leg of an RPC — crosses
+//! a port, or the local path, through one `Endpoint::leg`. What stays
+//! per verb is its effect on the pool, the event it reports, and its log
+//! record.
 
 use simnet::{Sim, SimDur, SimTime};
 
-use wal::{WaitOutcome, WalRecord};
+use wal::{ServerWal, WaitOutcome, WalRecord};
 
 use crate::cluster::Cluster;
-use crate::fault::{AttemptKind, VerbError};
+use crate::fault::VerbError;
 use crate::observer::{RpcEvent, VerbEvent, VerbKind};
 use crate::ptr::RemotePtr;
+
+/// What one message carries across a memory server's port.
+#[derive(Clone, Copy)]
+enum Msg {
+    /// `n` bytes into the server: a WRITE, an RPC request, ALLOC's
+    /// empty request.
+    In(usize),
+    /// `n` bytes out of the server: a READ, an RPC response.
+    Out(usize),
+    /// An atomic: an 8-byte operand in and the old word out, at the
+    /// atomic per-message cost.
+    Atomic,
+}
+
+/// A one-sided verb as its shared path sees it (one small value: an
+/// async fn keeps its arguments for its whole life).
+#[derive(Clone, Copy)]
+enum OneSided {
+    /// READ of `len` bytes at a pointer; its target is prefetched at
+    /// issue (DESIGN.md §17.2).
+    Read(RemotePtr, usize),
+    /// WRITE of `len` bytes at a pointer.
+    Write(RemotePtr, usize),
+    /// CAS or FETCH_AND_ADD on the word at a pointer.
+    Atomic(RemotePtr),
+    /// ALLOC on a server: a control message, not a one-sided op.
+    Alloc(usize),
+}
 
 /// What an RPC handler returns: the caller-visible value plus the costs
 /// the simulator must charge.
@@ -92,8 +130,8 @@ impl Endpoint {
         self.client
     }
 
-    fn sim(&self) -> Sim {
-        self.cluster.sim().clone()
+    fn sim(&self) -> &Sim {
+        self.cluster.sim()
     }
 
     /// Whether accesses to server `s` take the local path.
@@ -146,9 +184,9 @@ impl Endpoint {
 
     /// Fail against a crashed server: detection costs one round trip
     /// (the NIC reports a retry-exhausted / receiver-not-ready error).
-    async fn fail_unreachable(&self, s: usize, kind: AttemptKind) -> VerbError {
+    async fn fail_unreachable(&self, s: usize) -> VerbError {
         self.cluster.note_unreachable();
-        self.cluster.observe_unreachable(self.client, s, kind);
+        self.cluster.observe_unreachable(self.client, s);
         self.sim().sleep(self.cluster.spec().rt_latency).await;
         self.cluster.observe_verb_failed(self.client, s);
         VerbError::ServerUnreachable { server: s }
@@ -162,39 +200,63 @@ impl Endpoint {
         VerbError::Timeout { server: s }
     }
 
-    /// Charge the remote wire path of a one-sided verb: drop roll,
-    /// analytic deadline check against the NIC FIFO, wire occupancy, and
-    /// the round trip (plus any degradation delay). Returns at the
-    /// verb's completion instant with the nanoseconds the verb waited
-    /// behind earlier NIC traffic; applies no memory effect.
-    async fn charge_remote(
+    /// Server `s`'s link as it is now: bandwidth in bytes per second and
+    /// extra one-way delay, both after any degradation.
+    fn link(&self, s: usize) -> (f64, SimDur) {
+        let bw = self.cluster.spec().effective_bandwidth(s);
+        match self.cluster.link_degrade(s) {
+            Some(d) => (bw * d.bandwidth_factor, d.extra_delay),
+            None => (bw, SimDur::ZERO),
+        }
+    }
+
+    /// Carry one message between this endpoint and server `s`; returns at
+    /// its completion with the nanoseconds it waited behind earlier NIC
+    /// traffic, and applies no memory effect. A co-located server takes
+    /// the local path. A remote message rolls the drop die, then is
+    /// projected against the FIFO port and refused if
+    /// `now + queue + wire + latency + extra > deadline`; only an admitted
+    /// message counts its bytes, occupies the wire and flies for
+    /// `latency` plus any degradation delay. One-sided verbs pass the
+    /// round trip, each RPC leg half of it.
+    async fn leg(
         &self,
         s: usize,
-        overhead: SimDur,
-        payload: usize,
+        msg: Msg,
+        latency: SimDur,
         deadline: SimTime,
     ) -> Result<u64, VerbError> {
         let sim = self.sim();
         let spec = self.cluster.spec();
-        let mut bw = spec.effective_bandwidth(s);
-        let mut extra = SimDur::ZERO;
-        if let Some(d) = self.cluster.link_degrade(s) {
-            bw *= d.bandwidth_factor;
-            extra = d.extra_delay;
+        let server = self.cluster.server(s);
+        // (per-message cost, payload, bytes into the server, bytes out)
+        let (overhead, payload, into, out) = match msg {
+            Msg::In(n) => (spec.op_wire_overhead, n, n, 0),
+            Msg::Out(n) => (spec.op_wire_overhead, n, 0, n),
+            Msg::Atomic => (spec.atomic_wire_overhead, 8, 8, 8),
+        };
+        if self.is_local(s) {
+            server.local_bytes.add(payload as u64);
+            sim.sleep(spec.local_time(payload)).await;
+            return Ok(0);
         }
+        let (bw, extra) = self.link(s);
         if self.cluster.roll_drop(s) {
             return Err(self.fail_timeout(s, deadline).await);
         }
         let wire = overhead + SimDur::from_secs_f64(payload as f64 / bw);
-        let server = self.cluster.server(s);
         let queue = server.nic.queue_delay(sim.now());
-        let projected = sim.now() + queue + wire + spec.rt_latency + extra;
-        if projected > deadline {
+        if sim.now() + queue + wire + latency + extra > deadline {
             return Err(self.fail_timeout(s, deadline).await);
         }
-        server.nic.acquire(&sim, wire).await;
-        sim.sleep(spec.rt_latency + extra).await;
-        Ok(queue.as_nanos())
+        server.bytes_in.add(into as u64);
+        server.bytes_out.add(out as u64);
+        // Read no argument after an await: the future would keep a
+        // second copy of it.
+        let (flight, queue) = (latency + extra, queue.as_nanos());
+        server.nic.acquire(sim, wire).await;
+        sim.sleep(flight).await;
+        Ok(queue)
     }
 
     /// This verb's completion deadline.
@@ -202,28 +264,33 @@ impl Endpoint {
         self.cluster.sim().now() + self.cluster.spec().verb_timeout
     }
 
+    /// Park until server `s`'s log `w` is durable through `lsn`. A crash
+    /// while parked fails like any other unreachable-server completion —
+    /// the effect may or may not survive recovery, and the caller must
+    /// not treat it as acknowledged.
+    async fn wait_durable(&self, s: usize, w: &ServerWal, lsn: u64) -> Result<(), VerbError> {
+        match w.wait_durable(lsn).await {
+            WaitOutcome::Durable => Ok(()),
+            WaitOutcome::Crashed => Err(self.fail_unreachable(s).await),
+        }
+    }
+
     /// Make a just-applied mutation durable before it is acknowledged:
     /// append its WAL record on server `s` and park until the group-commit
     /// flush covering it lands. No-op (and no await) under
-    /// `Durability::Off`. A crash while parked fails the verb like any
-    /// other unreachable-server completion — the effect may or may not
-    /// survive recovery, and the caller must not treat it as acknowledged.
-    /// `rec` is a thunk so the default [`crate::spec::Durability::Off`]
-    /// path never constructs (or heap-allocates) the record at all.
+    /// `Durability::Off`. `rec` is a thunk so the default
+    /// [`crate::spec::Durability::Off`] path never constructs (or
+    /// heap-allocates) the record at all.
     async fn make_durable(
         &self,
         s: usize,
         rec: impl FnOnce() -> WalRecord,
-        kind: AttemptKind,
     ) -> Result<(), VerbError> {
         let Some(w) = self.cluster.server_wal(s) else {
             return Ok(());
         };
         let lsn = w.append(rec());
-        match w.wait_durable(lsn).await {
-            WaitOutcome::Durable => Ok(()),
-            WaitOutcome::Crashed => Err(self.fail_unreachable(s, kind).await),
-        }
+        self.wait_durable(s, &w, lsn).await
     }
 
     /// Await durability of everything appended so far on server `s`
@@ -239,13 +306,47 @@ impl Endpoint {
         if lsn == 0 || w.durable_lsn() >= lsn {
             return Ok(());
         }
-        match w.wait_durable(lsn).await {
-            WaitOutcome::Durable => Ok(()),
-            WaitOutcome::Crashed => Err(self.fail_unreachable(s, AttemptKind::Rpc).await),
-        }
+        self.wait_durable(s, &w, lsn).await
     }
 
     // ------------------------------------------------- one-sided verbs ----
+
+    /// Everything a one-sided verb does before its effect: refuse at
+    /// issue (`Cancelled`, then `InvalidPointer`, then
+    /// `ServerUnreachable`), count the verb, carry its message through
+    /// one leg of a round trip, and re-check the server at completion.
+    /// Returns the server, the issue instant and the NIC queue wait; the
+    /// caller applies the effect, reports it and logs it.
+    async fn onesided(&self, verb: OneSided) -> Result<(usize, SimTime, u64), VerbError> {
+        let issued = self.sim().now();
+        self.check_alive()?;
+        let (s, msg) = match verb {
+            OneSided::Read(ptr, len) => (self.decode(ptr)?, Msg::Out(len)),
+            OneSided::Write(ptr, len) => (self.decode(ptr)?, Msg::In(len)),
+            OneSided::Atomic(ptr) => (self.decode(ptr)?, Msg::Atomic),
+            OneSided::Alloc(s) => (s, Msg::In(0)),
+        };
+        if !self.cluster.server_up(s) {
+            return Err(self.fail_unreachable(s).await);
+        }
+        let deadline = self.deadline();
+        let server = self.cluster.server(s);
+        if !matches!(verb, OneSided::Alloc(_)) {
+            server.onesided_ops.inc();
+        }
+        if let OneSided::Read(ptr, len) = verb {
+            // Host-side only: the copy at completion runs many events
+            // from now.
+            server.pool.borrow().hint(ptr.offset(), len);
+        }
+        let queue = self
+            .leg(s, msg, self.cluster.spec().rt_latency, deadline)
+            .await?;
+        if !self.cluster.server_up(s) {
+            return Err(self.fail_unreachable(s).await);
+        }
+        Ok((s, issued, queue))
+    }
 
     /// One-sided `RDMA_READ` of `len` bytes.
     ///
@@ -253,35 +354,11 @@ impl Endpoint {
     /// cluster's arena — steady-state descents re-use the same buffers
     /// instead of allocating per verb.
     pub async fn read(&self, ptr: RemotePtr, len: usize) -> Result<crate::buf::PageBuf, VerbError> {
-        let sim = self.sim();
-        let issued = sim.now();
-        self.check_alive()?;
-        let s = self.decode(ptr)?;
-        if !self.cluster.server_up(s) {
-            return Err(self.fail_unreachable(s, AttemptKind::Read).await);
-        }
-        let deadline = self.deadline();
-        let server = self.cluster.server(s);
-        server.onesided_ops.inc();
-        // Host-side only: the copy below runs many events from now.
-        server.pool.borrow().hint(ptr.offset(), len);
-        let queue;
-        if self.is_local(s) {
-            server.local_bytes.add(len as u64);
-            sim.sleep(self.cluster.spec().local_time(len)).await;
-            queue = 0;
-        } else {
-            server.bytes_out.add(len as u64);
-            queue = self
-                .charge_remote(s, self.cluster.spec().op_wire_overhead, len, deadline)
-                .await?;
-        }
-        if !self.cluster.server_up(s) {
-            return Err(self.fail_unreachable(s, AttemptKind::Read).await);
-        }
+        let (s, issued, queue) = self.onesided(OneSided::Read(ptr, len)).await?;
         // Effect at completion: copy the bytes as they are *now*.
         let mut buf = self.cluster.arena().checkout(len);
-        server.pool.borrow().copy_out(ptr.offset(), &mut buf);
+        let pool = &self.cluster.server(s).pool;
+        pool.borrow().copy_out(ptr.offset(), &mut buf);
         self.emit(s, ptr.offset(), len, VerbKind::Read, issued, queue);
         Ok(buf)
     }
@@ -306,7 +383,7 @@ impl Endpoint {
         }
         for &s in &servers {
             if !self.cluster.server_up(s) {
-                return Err(self.fail_unreachable(s, AttemptKind::Read).await);
+                return Err(self.fail_unreachable(s).await);
             }
         }
         let deadline = self.deadline();
@@ -348,14 +425,9 @@ impl Endpoint {
                 queues.push(0);
             } else {
                 any_remote = true;
-                let spec = self.cluster.spec();
-                let mut bw = spec.effective_bandwidth(s);
-                let mut extra = SimDur::ZERO;
-                if let Some(d) = self.cluster.link_degrade(s) {
-                    bw *= d.bandwidth_factor;
-                    extra = d.extra_delay;
-                }
-                let wire = spec.batched_wire_overhead + SimDur::from_secs_f64(len as f64 / bw);
+                let (bw, extra) = self.link(s);
+                let wire = self.cluster.spec().batched_wire_overhead
+                    + SimDur::from_secs_f64(len as f64 / bw);
                 let i = match projected.iter().position(|&(ps, _)| ps == s) {
                     Some(i) => i,
                     None => {
@@ -401,7 +473,7 @@ impl Endpoint {
         }
         for &s in &servers {
             if !self.cluster.server_up(s) {
-                return Err(self.fail_unreachable(s, AttemptKind::Read).await);
+                return Err(self.fail_unreachable(s).await);
             }
         }
         let bufs: Vec<crate::buf::PageBuf> = reqs
@@ -431,90 +503,26 @@ impl Endpoint {
 
     /// One-sided `RDMA_WRITE` of `data`.
     pub async fn write(&self, ptr: RemotePtr, data: &[u8]) -> Result<(), VerbError> {
-        let sim = self.sim();
-        let issued = sim.now();
-        self.check_alive()?;
-        let s = self.decode(ptr)?;
-        if !self.cluster.server_up(s) {
-            return Err(self.fail_unreachable(s, AttemptKind::Write).await);
-        }
-        let deadline = self.deadline();
-        let server = self.cluster.server(s);
-        server.onesided_ops.inc();
-        let queue;
-        if self.is_local(s) {
-            server.local_bytes.add(data.len() as u64);
-            sim.sleep(self.cluster.spec().local_time(data.len())).await;
-            queue = 0;
-        } else {
-            server.bytes_in.add(data.len() as u64);
-            queue = self
-                .charge_remote(
-                    s,
-                    self.cluster.spec().op_wire_overhead,
-                    data.len(),
-                    deadline,
-                )
-                .await?;
-        }
-        if !self.cluster.server_up(s) {
-            return Err(self.fail_unreachable(s, AttemptKind::Write).await);
-        }
-        server.pool.borrow_mut().copy_in(ptr.offset(), data);
+        let (s, issued, queue) = self.onesided(OneSided::Write(ptr, data.len())).await?;
+        let pool = &self.cluster.server(s).pool;
+        pool.borrow_mut().copy_in(ptr.offset(), data);
         // Observers (checker, telemetry) see the effect when it
         // applies — before the durability wait, during which concurrent
         // verbs can already read the new bytes.
         self.emit(s, ptr.offset(), data.len(), VerbKind::Write, issued, queue);
-        self.make_durable(
-            s,
-            || WalRecord::PoolWrite {
-                offset: ptr.offset(),
-                data: data.to_vec(),
-            },
-            AttemptKind::Write,
-        )
-        .await?;
-        Ok(())
-    }
-
-    /// Charge the cost of a remote atomic (8 bytes each way). Returns
-    /// the NIC queue wait in nanoseconds.
-    async fn atomic_cost(&self, s: usize, deadline: SimTime) -> Result<u64, VerbError> {
-        let sim = self.sim();
-        let server = self.cluster.server(s);
-        server.onesided_ops.inc();
-        if self.is_local(s) {
-            server.local_bytes.add(8);
-            sim.sleep(self.cluster.spec().local_time(8)).await;
-            Ok(0)
-        } else {
-            server.bytes_in.add(8);
-            server.bytes_out.add(8);
-            self.charge_remote(s, self.cluster.spec().atomic_wire_overhead, 8, deadline)
-                .await
-        }
+        self.make_durable(s, || WalRecord::PoolWrite {
+            offset: ptr.offset(),
+            data: data.to_vec(),
+        })
+        .await
     }
 
     /// One-sided `RDMA_CAS` on an 8-byte word. Returns the previous
     /// value; the swap happened iff it equals `expected`.
     pub async fn cas(&self, ptr: RemotePtr, expected: u64, new: u64) -> Result<u64, VerbError> {
-        let issued = self.sim().now();
-        self.check_alive()?;
-        let s = self.decode(ptr)?;
-        if !self.cluster.server_up(s) {
-            return Err(self.fail_unreachable(s, AttemptKind::Cas).await);
-        }
-        let deadline = self.deadline();
-        let queue = self.atomic_cost(s, deadline).await?;
-        if !self.cluster.server_up(s) {
-            return Err(self.fail_unreachable(s, AttemptKind::Cas).await);
-        }
-        let prev = self
-            .cluster
-            .server(s)
-            .pool
-            .borrow_mut()
-            .cas(ptr.offset(), expected, new);
+        let (s, issued, queue) = self.onesided(OneSided::Atomic(ptr)).await?;
+        let pool = &self.cluster.server(s).pool;
+        let prev = pool.borrow_mut().cas(ptr.offset(), expected, new);
         // Observed at apply time (see `write`): a racing CAS can fail
         // against the new word while this one still awaits its flush.
         self.emit(
@@ -532,23 +540,18 @@ impl Endpoint {
         if prev == expected {
             // Only a successful swap mutates state; log its post-word.
             // `PoolWriteWord` keeps the 8-byte payload on the stack.
-            self.make_durable(
-                s,
-                || WalRecord::PoolWriteWord {
-                    offset: ptr.offset(),
-                    word: new,
-                },
-                AttemptKind::Cas,
-            )
+            self.make_durable(s, || WalRecord::PoolWriteWord {
+                offset: ptr.offset(),
+                word: new,
+            })
             .await?;
-        }
-        // Fault-injection hook: a client armed with kill-on-lock-acquire
-        // dies the instant its acquire CAS lands — after the remote
-        // effect, before any later verb — orphaning the lock it just won.
-        // What counts as an acquire is a predicate injected by the index
-        // layer (`Cluster::set_lock_acquire_shape`); the transport knows
-        // nothing about any particular lock-word encoding.
-        if prev == expected {
+            // Fault-injection hook: a client armed with kill-on-lock-acquire
+            // dies the instant its acquire CAS lands — after the remote
+            // effect, before any later verb — orphaning the lock it just
+            // won. What counts as an acquire is a predicate injected by
+            // the index layer (`Cluster::set_lock_acquire_shape`); the
+            // transport knows nothing about any particular lock-word
+            // encoding.
             self.cluster
                 .maybe_fire_lock_kill(self.client, expected, new);
         }
@@ -558,23 +561,9 @@ impl Endpoint {
     /// One-sided `RDMA_FETCH_AND_ADD` on an 8-byte word; returns the
     /// previous value.
     pub async fn fetch_add(&self, ptr: RemotePtr, add: u64) -> Result<u64, VerbError> {
-        let issued = self.sim().now();
-        self.check_alive()?;
-        let s = self.decode(ptr)?;
-        if !self.cluster.server_up(s) {
-            return Err(self.fail_unreachable(s, AttemptKind::Faa).await);
-        }
-        let deadline = self.deadline();
-        let queue = self.atomic_cost(s, deadline).await?;
-        if !self.cluster.server_up(s) {
-            return Err(self.fail_unreachable(s, AttemptKind::Faa).await);
-        }
-        let prev = self
-            .cluster
-            .server(s)
-            .pool
-            .borrow_mut()
-            .fetch_add(ptr.offset(), add);
+        let (s, issued, queue) = self.onesided(OneSided::Atomic(ptr)).await?;
+        let pool = &self.cluster.server(s).pool;
+        let prev = pool.borrow_mut().fetch_add(ptr.offset(), add);
         self.emit(
             s,
             ptr.offset(),
@@ -583,14 +572,10 @@ impl Endpoint {
             issued,
             queue,
         );
-        self.make_durable(
-            s,
-            || WalRecord::PoolWriteWord {
-                offset: ptr.offset(),
-                word: prev.wrapping_add(add),
-            },
-            AttemptKind::Faa,
-        )
+        self.make_durable(s, || WalRecord::PoolWriteWord {
+            offset: ptr.offset(),
+            word: prev.wrapping_add(add),
+        })
         .await?;
         Ok(prev)
     }
@@ -601,25 +586,7 @@ impl Endpoint {
     /// degradation, and a crash that lands mid-flight all void the
     /// reservation — the allocation effect applies only at completion.
     pub async fn alloc(&self, s: usize, size: u64) -> Result<RemotePtr, VerbError> {
-        let sim = self.sim();
-        let issued = sim.now();
-        self.check_alive()?;
-        if !self.cluster.server_up(s) {
-            return Err(self.fail_unreachable(s, AttemptKind::Alloc).await);
-        }
-        let deadline = self.deadline();
-        let queue;
-        if self.is_local(s) {
-            sim.sleep(self.cluster.spec().local_latency).await;
-            queue = 0;
-        } else {
-            queue = self
-                .charge_remote(s, self.cluster.spec().op_wire_overhead, 0, deadline)
-                .await?;
-        }
-        if !self.cluster.server_up(s) {
-            return Err(self.fail_unreachable(s, AttemptKind::Alloc).await);
-        }
+        let (s, issued, queue) = self.onesided(OneSided::Alloc(s)).await?;
         // Effect at completion: the bump reservation happens only once
         // the request has survived the wire and the server is still up.
         let ptr = self.cluster.setup_alloc(s, size);
@@ -632,12 +599,8 @@ impl Endpoint {
             issued,
             queue,
         );
-        self.make_durable(
-            s,
-            || WalRecord::PoolAllocTo { next: watermark },
-            AttemptKind::Alloc,
-        )
-        .await?;
+        self.make_durable(s, || WalRecord::PoolAllocTo { next: watermark })
+            .await?;
         Ok(ptr)
     }
 
@@ -658,7 +621,7 @@ impl Endpoint {
         assert!(self.is_local(s), "local_call on a remote server");
         self.check_alive()?;
         if !self.cluster.server_up(s) {
-            return Err(self.fail_unreachable(s, AttemptKind::Read).await);
+            return Err(self.fail_unreachable(s).await);
         }
         let reply = handler();
         self.cluster
@@ -692,60 +655,34 @@ impl Endpoint {
         let issued = sim.now();
         self.check_alive()?;
         if !self.cluster.server_up(s) {
-            return Err(self.fail_unreachable(s, AttemptKind::Rpc).await);
+            return Err(self.fail_unreachable(s).await);
         }
         let deadline = self.deadline();
         let spec = self.cluster.spec();
         let server = self.cluster.server(s);
         server.rpcs.inc();
-        let local = self.is_local(s);
+        let half = spec.rt_latency / 2;
         // Time spent queued (NIC FIFO on both legs + waiting for a
         // handler core) and executing on the handler core, for the
         // completion event.
-        let mut queue_nanos: u64 = 0;
-
-        // Request leg.
-        if local {
-            server.local_bytes.add(req_bytes as u64);
-            sim.sleep(spec.local_time(req_bytes)).await;
-        } else {
-            let mut bw = spec.effective_bandwidth(s);
-            let mut extra = SimDur::ZERO;
-            if let Some(d) = self.cluster.link_degrade(s) {
-                bw *= d.bandwidth_factor;
-                extra = d.extra_delay;
-            }
-            if self.cluster.roll_drop(s) {
-                return Err(self.fail_timeout(s, deadline).await);
-            }
-            let wire = spec.op_wire_overhead + SimDur::from_secs_f64(req_bytes as f64 / bw);
-            let queue = server.nic.queue_delay(sim.now());
-            let projected = sim.now() + queue + wire + spec.rt_latency / 2;
-            if projected + extra > deadline {
-                return Err(self.fail_timeout(s, deadline).await);
-            }
-            server.bytes_in.add(req_bytes as u64);
-            server.nic.acquire(&sim, wire).await;
-            sim.sleep(spec.rt_latency / 2 + extra).await;
-            queue_nanos += queue.as_nanos();
-        }
+        let mut queue_nanos = self.leg(s, Msg::In(req_bytes), half, deadline).await?;
         if !self.cluster.server_up(s) {
-            return Err(self.fail_unreachable(s, AttemptKind::Rpc).await);
+            return Err(self.fail_unreachable(s).await);
         }
 
         // Handler: queue for a core, run, hold the core for the work done.
         // RC connection state adds per-client pressure (see
         // `ClusterSpec::rpc_client_penalty`).
         let cpu_wait_from = sim.now();
-        let grant = server.cpu.acquire(&sim).await;
+        let grant = server.cpu.acquire(sim).await;
         queue_nanos += (sim.now() - cpu_wait_from).as_nanos();
         if !self.cluster.server_up(s) {
             // The server crashed while the request sat in its queue.
-            grant.complete(&sim, SimDur::ZERO).await;
-            return Err(self.fail_unreachable(s, AttemptKind::Rpc).await);
+            grant.complete(sim, SimDur::ZERO).await;
+            return Err(self.fail_unreachable(s).await);
         }
         if sim.now() > deadline {
-            grant.complete(&sim, SimDur::ZERO).await;
+            grant.complete(sim, SimDur::ZERO).await;
             return Err(self.fail_timeout(s, deadline).await);
         }
         // Snapshot the WAL position so the post-handler barrier covers
@@ -758,10 +695,10 @@ impl Endpoint {
         let state_penalty = spec.rpc_client_penalty * self.cluster.active_clients() as u64;
         let service =
             SimDur::from_secs_f64((reply.cpu + state_penalty).as_secs_f64() * spec.cpu_factor(s));
-        grant.complete(&sim, service).await;
+        grant.complete(sim, service).await;
         let server_nanos = service.as_nanos();
         if !self.cluster.server_up(s) {
-            return Err(self.fail_unreachable(s, AttemptKind::Rpc).await);
+            return Err(self.fail_unreachable(s).await);
         }
         // WAL-before-ack: everything the handler logged must be durable
         // before the response leg releases (group commit coalesces
@@ -772,44 +709,16 @@ impl Endpoint {
                 .server_wal(s)
                 .expect("wal is fixed per cluster");
             if w.epoch() != pre_epoch {
-                return Err(self.fail_unreachable(s, AttemptKind::Rpc).await);
+                return Err(self.fail_unreachable(s).await);
             }
             let post = w.appended_lsn();
             if post > pre_lsn {
-                match w.wait_durable(post).await {
-                    WaitOutcome::Durable => {}
-                    WaitOutcome::Crashed => {
-                        return Err(self.fail_unreachable(s, AttemptKind::Rpc).await)
-                    }
-                }
+                self.wait_durable(s, &w, post).await?;
             }
         }
 
-        // Response leg.
-        if local {
-            server.local_bytes.add(reply.resp_bytes as u64);
-            sim.sleep(spec.local_time(reply.resp_bytes)).await;
-        } else {
-            let mut bw = spec.effective_bandwidth(s);
-            let mut extra = SimDur::ZERO;
-            if let Some(d) = self.cluster.link_degrade(s) {
-                bw *= d.bandwidth_factor;
-                extra = d.extra_delay;
-            }
-            if self.cluster.roll_drop(s) {
-                return Err(self.fail_timeout(s, deadline).await);
-            }
-            let wire = spec.op_wire_overhead + SimDur::from_secs_f64(reply.resp_bytes as f64 / bw);
-            let queue = server.nic.queue_delay(sim.now());
-            let projected = sim.now() + queue + wire + spec.rt_latency / 2;
-            if projected + extra > deadline {
-                return Err(self.fail_timeout(s, deadline).await);
-            }
-            server.bytes_out.add(reply.resp_bytes as u64);
-            server.nic.acquire(&sim, wire).await;
-            sim.sleep(spec.rt_latency / 2 + extra).await;
-            queue_nanos += queue.as_nanos();
-        }
+        let resp = Msg::Out(reply.resp_bytes);
+        queue_nanos += self.leg(s, resp, half, deadline).await?;
         if self.cluster.has_observers() {
             self.cluster.observe_rpc(RpcEvent {
                 client: self.client,
@@ -1394,6 +1303,44 @@ mod tests {
             0,
             "never on the wire"
         );
+    }
+
+    /// A message the link drops, or the deadline projection refuses,
+    /// never reaches the wire, so it counts no bytes either way.
+    #[test]
+    fn refused_one_sided_verbs_count_no_wire_bytes() {
+        let refusals = [
+            LinkDegrade {
+                drop_chance: 1.0,
+                ..LinkDegrade::default()
+            },
+            LinkDegrade {
+                bandwidth_factor: 1e-6,
+                ..LinkDegrade::default()
+            },
+        ];
+        for degrade in refusals {
+            let (sim, cluster) = harness();
+            let ptr = cluster.setup_alloc(0, 1024);
+            cluster.set_fault_seed(7);
+            cluster.degrade_link(0, degrade);
+            let ep = Endpoint::new(&cluster);
+            sim.spawn(async move {
+                let timeout = Err(VerbError::Timeout { server: 0 });
+                assert_eq!(ep.read(ptr, 1024).await.map(|_| ()), timeout);
+                assert_eq!(ep.write(ptr, &[1; 1024]).await, timeout);
+                assert_eq!(ep.cas(ptr, 0, 1).await.map(|_| ()), timeout);
+                assert_eq!(ep.fetch_add(ptr, 1).await.map(|_| ()), timeout);
+            });
+            sim.run();
+            let stats = cluster.server_stats(0);
+            assert_eq!(
+                (stats.bytes_in, stats.bytes_out, stats.nic_busy_nanos),
+                (0, 0, 0),
+                "{degrade:?}"
+            );
+            assert_eq!(stats.onesided_ops, 4, "refused verbs are still issued");
+        }
     }
 
     #[test]

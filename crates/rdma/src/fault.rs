@@ -86,24 +86,6 @@ impl fmt::Display for VerbError {
 
 impl std::error::Error for VerbError {}
 
-/// The verb class of a failed attempt (no operands/result — the verb
-/// never executed). Reported to the checker's `on_unreachable` hook.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AttemptKind {
-    /// An `RDMA_READ` attempt.
-    Read,
-    /// An `RDMA_WRITE` attempt.
-    Write,
-    /// An `RDMA_CAS` attempt.
-    Cas,
-    /// An `RDMA_FETCH_AND_ADD` attempt.
-    Faa,
-    /// An `RDMA_ALLOC` attempt.
-    Alloc,
-    /// A two-sided RPC attempt.
-    Rpc,
-}
-
 /// Degradation applied to one memory server's link.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LinkDegrade {

@@ -44,7 +44,7 @@ pub mod spec;
 pub use buf::{BufArena, PageBuf};
 pub use cluster::{Cluster, DurableState, RecoveryRecord, ServerStats};
 pub use endpoint::{Endpoint, RpcReply};
-pub use fault::{AttemptKind, FaultStats, LinkDegrade, VerbError};
+pub use fault::{FaultStats, LinkDegrade, VerbError};
 pub use observer::{
     FenceKind, OpArgs, OpKind, OpOutcome, RegionKind, RpcEvent, VerbEvent, VerbKind, VerbObserver,
 };

@@ -214,8 +214,6 @@ pub enum FenceKind {
     EpochCheck,
 }
 
-pub use crate::fault::AttemptKind;
-
 /// Receiver for verb events and reclamation notices.
 ///
 /// Only [`on_verb`](Self::on_verb) and [`on_free`](Self::on_free) are
@@ -232,8 +230,8 @@ pub trait VerbObserver {
     /// `client` attempted a verb against a crashed `server` and received
     /// `ServerUnreachable`. The verb had no remote effect. Fires at issue
     /// time, before the failure is charged. Default: ignore.
-    fn on_unreachable(&self, client: u64, server: usize, kind: AttemptKind, time: SimTime) {
-        let _ = (client, server, kind, time);
+    fn on_unreachable(&self, client: u64, server: usize, time: SimTime) {
+        let _ = (client, server, time);
     }
 
     /// A two-sided RPC completed (response received). Default: ignore.

@@ -31,9 +31,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use rdma_sim::observer::{
-    AttemptKind, OpKind, RegionKind, RpcEvent, VerbEvent, VerbKind, VerbObserver,
-};
+use rdma_sim::observer::{OpKind, RegionKind, RpcEvent, VerbEvent, VerbKind, VerbObserver};
 use rdma_sim::Cluster;
 use simnet::stats::Counter;
 use simnet::SimTime;
@@ -162,7 +160,7 @@ impl VerbObserver for Telemetry {
         self.registry.add("gc.freed_bytes", len as u64);
     }
 
-    fn on_unreachable(&self, _client: u64, _server: usize, _kind: AttemptKind, _time: SimTime) {
+    fn on_unreachable(&self, _client: u64, _server: usize, _time: SimTime) {
         self.registry.add("verb.unreachable.count", 1);
     }
 

@@ -20,8 +20,7 @@
 
 use namdex::prelude::*;
 use namdex::rdma::observer::{
-    AttemptKind, FenceKind, OpArgs, OpKind, OpOutcome, RegionKind, RpcEvent, VerbEvent,
-    VerbObserver,
+    FenceKind, OpArgs, OpKind, OpOutcome, RegionKind, RpcEvent, VerbEvent, VerbObserver,
 };
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -29,7 +28,7 @@ use std::rc::Rc;
 /// Golden FNV-1a digest of the recorded event sequence. Regenerate by
 /// running with `NAMDEX_PRINT_DIGEST=1` after a *deliberate* change to
 /// the observer surface or the engine's verb schedule.
-const OBSERVER_ORDER_GOLDEN: u64 = 9462641046518700200;
+const OBSERVER_ORDER_GOLDEN: u64 = 0x03c4_1149_ac42_4e79;
 
 /// Records every observer hook as a rendered line, tagging each with a
 /// ticket from the bus-wide sequence counter shared by all recorders.
@@ -76,11 +75,8 @@ impl VerbObserver for Recorder {
     fn on_free(&self, server: usize, offset: u64, len: usize, time: SimTime) {
         self.record(time, format!("free s{server} {offset:#x}+{len} t={time}"));
     }
-    fn on_unreachable(&self, client: u64, server: usize, kind: AttemptKind, time: SimTime) {
-        self.record(
-            time,
-            format!("unreachable c{client} s{server} {kind:?} t={time}"),
-        );
+    fn on_unreachable(&self, client: u64, server: usize, time: SimTime) {
+        self.record(time, format!("unreachable c{client} s{server} t={time}"));
     }
     fn on_rpc(&self, ev: &RpcEvent) {
         self.record(
