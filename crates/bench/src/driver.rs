@@ -282,7 +282,7 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> ExperimentResult {
     // Fault schedule (installed before any client issues a verb, so the
     // drop-roll RNG is seeded identically for every same-plan run).
     if let Some(plan) = &cfg.fault_plan {
-        ChaosController::install_nam(&sim, &nam, plan.clone());
+        ChaosController::install(&sim, &nam.rdma, plan.clone());
     }
 
     // Shared measurement state.

@@ -13,6 +13,8 @@
 //! one too, and only the first install of a page's bytes allocates — so
 //! once every inner page has been READ the window is zero again, and the
 //! whole run allocates no more frames than the tree has inner pages.
+//! An installed observer adds nothing: the bus walks its list in place,
+//! so the same window with a no-op observer is zero too.
 //! A range scan cannot be allocation-free — its result is a `Vec` — but it
 //! sizes that `Vec` once, from the first leaf's key density (DESIGN.md
 //! §17.2): one large allocation per scan, no growth steps.
@@ -26,9 +28,9 @@ use std::rc::Rc;
 
 use blink::node::InnerNodeRef;
 use namdex_core::{FgConfig, FineGrained, Index, Learned};
-use rdma_sim::{ClusterSpec, Endpoint, RemotePtr};
+use rdma_sim::{ClusterSpec, Endpoint, RemotePtr, VerbEvent, VerbObserver};
 use simnet::rng::{DetRng, Zipf};
-use simnet::Sim;
+use simnet::{Sim, SimTime};
 
 struct CountingAlloc;
 
@@ -88,21 +90,35 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// An observer that ignores every event: what remains is the bus's own
+/// cost.
+struct NoOp;
+
+impl VerbObserver for NoOp {
+    fn on_verb(&self, _ev: &VerbEvent) {}
+    fn on_free(&self, _server: usize, _offset: u64, _len: usize, _time: SimTime) {}
+}
+
 /// Heap allocations made by the last 500 one-client point lookups of
 /// keys from `next_key` on a fine-grained index over `data`, after
-/// `warmup` others. The warm-up fills the arena free lists and the
-/// client cache, and grows every executor container (wheel slots, ready
-/// queue) to steady capacity. Also returns how many allocations of the
-/// whole run had the size of a cached page's frame, and the index.
+/// `warmup` others, with a [`NoOp`] observer on the bus if `observed`.
+/// The warm-up fills the arena free lists and the client cache, and
+/// grows every executor container (wheel slots, ready queue) to steady
+/// capacity. Also returns how many allocations of the whole run had the
+/// size of a cached page's frame, and the index.
 fn allocations_in_window(
     data: ycsb::Dataset,
     cfg: FgConfig,
     warmup: u64,
+    observed: bool,
     mut next_key: impl FnMut() -> u64 + 'static,
 ) -> (u64, u64, Rc<Index>) {
     let sim = Sim::new();
     let nam = nam::NamCluster::new(&sim, ClusterSpec::with_memory_servers(4));
     nam.rdma.set_active_clients(1);
+    if observed {
+        nam.rdma.add_observer(Rc::new(NoOp));
+    }
     let fg = FineGrained::build(&nam.rdma, cfg, data.iter());
     // What a frame asks of the allocator, observed rather than assumed.
     let probe: Rc<[u8]> = Rc::from(&*cfg.layout.alloc_page());
@@ -151,8 +167,8 @@ fn inner_pages(index: &Index) -> u64 {
     }
 }
 
-#[test]
-fn steady_state_fg_lookups_allocate_nothing() {
+/// Allocations in the uncached fine-grained lookup window.
+fn fg_lookup_window(observed: bool) -> u64 {
     let data = ycsb::Dataset::new(20_000);
     let cfg = FgConfig {
         layout: blink::PageLayout::default(),
@@ -168,10 +184,25 @@ fn steady_state_fg_lookups_allocate_nothing() {
             .wrapping_add(1442695040888963407);
         key % domain
     };
-    let (allocs, _, _) = allocations_in_window(data, cfg, 1_000, next);
+    allocations_in_window(data, cfg, 1_000, observed, next).0
+}
+
+#[test]
+fn steady_state_fg_lookups_allocate_nothing() {
     assert_eq!(
-        allocs, 0,
+        fg_lookup_window(false),
+        0,
         "steady-state fine-grained lookups must perform zero heap allocations"
+    );
+}
+
+/// Every verb, fence and region crosses the bus; none may allocate.
+#[test]
+fn observed_steady_state_fg_lookups_allocate_nothing() {
+    assert_eq!(
+        fg_lookup_window(true),
+        0,
+        "an installed observer must not make the bus allocate per event"
     );
 }
 
@@ -198,7 +229,7 @@ fn steady_state_cached_fg_lookups_allocate_per_page_content_only() {
         )
     };
     let lookups = data.num_keys + 1_500;
-    let (allocs, frames, fg) = allocations_in_window(data, cfg, lookups - 500, next);
+    let (allocs, frames, fg) = allocations_in_window(data, cfg, lookups - 500, false, next);
     let stats = fg.cache().expect("cache is attached").stats();
     // Every lookup counts its leaf load as a miss, so more misses than
     // lookups means inner pages were evicted and read again.

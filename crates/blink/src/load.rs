@@ -11,7 +11,7 @@
 //! image from the same input, every time.
 
 use crate::layout::{Key, PageLayout, Ptr, Value, KEY_MAX};
-use crate::node::{HeadNodeMut, InnerNodeMut, LeafNodeMut};
+use crate::node::{init_head, InnerNodeMut, LeafNodeMut};
 
 /// Where a bulk load puts its pages.
 pub trait PageSink {
@@ -162,7 +162,7 @@ pub fn link_heads<S: PageSink>(sink: &mut S, leaves: &[Ptr], stride: usize) -> P
     let mut prev_last = None;
     for (group, &head) in leaves.chunks(stride).zip(&heads) {
         sink.with_page(head, |page| {
-            HeadNodeMut::init(page, group, group[0]);
+            init_head(page, group, group[0]);
         });
         if let Some(last) = prev_last {
             sink.with_page(last, |page| {

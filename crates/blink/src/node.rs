@@ -2,7 +2,7 @@
 //!
 //! Views decode a page in place: [`LeafNodeRef`]/[`InnerNodeRef`] for
 //! reading, [`LeafNodeMut`]/[`InnerNodeMut`] for mutation, plus
-//! [`HeadNodeRef`]/[`HeadNodeMut`] for the fine-grained design's prefetch
+//! [`HeadNodeRef`]/[`init_head`] for the fine-grained design's prefetch
 //! head nodes (§4.3). Working on bytes (not structs) is what lets the same
 //! code serve local trees and pages fetched over one-sided RDMA READs.
 //!
@@ -709,39 +709,21 @@ impl<'a> HeadNodeRef<'a> {
     }
 }
 
-/// Mutable view of a head node.
-pub struct HeadNodeMut<'a> {
-    page: &'a mut [u8],
-}
-
-impl<'a> HeadNodeMut<'a> {
-    /// Format a blank (all-zero) page as a head node holding `ptrs`, with
-    /// its sibling pointer set to `next` (the first leaf of its group), so
-    /// a client that lands on a head during a sibling chase can proceed
-    /// even without decoding the pointer list.
-    pub fn init(page: &'a mut [u8], ptrs: &[Ptr], next: Ptr) -> Self {
-        let cap = (page.len() - off::ENTRIES) / HEAD_ENTRY_SIZE;
-        assert!(ptrs.len() <= cap, "too many pointers for a head node");
-        debug_assert_blank(page);
-        page[off::KIND] = NodeKind::Head as u8;
-        write_u64(page, off::RIGHT_SIBLING, next.raw());
-        for (i, p) in ptrs.iter().enumerate() {
-            write_u64(page, off::ENTRIES + i * HEAD_ENTRY_SIZE, p.raw());
-        }
-        set_count(page, ptrs.len());
-        HeadNodeMut { page }
+/// Format a blank (all-zero) page as a head node holding `ptrs`, with its
+/// sibling pointer set to `next` (the first leaf of its group), so a
+/// client that lands on a head during a sibling chase can proceed even
+/// without decoding the pointer list. Head nodes are written once, at
+/// bulk load.
+pub fn init_head(page: &mut [u8], ptrs: &[Ptr], next: Ptr) {
+    let cap = (page.len() - off::ENTRIES) / HEAD_ENTRY_SIZE;
+    assert!(ptrs.len() <= cap, "too many pointers for a head node");
+    debug_assert_blank(page);
+    page[off::KIND] = NodeKind::Head as u8;
+    write_u64(page, off::RIGHT_SIBLING, next.raw());
+    for (i, p) in ptrs.iter().enumerate() {
+        write_u64(page, off::ENTRIES + i * HEAD_ENTRY_SIZE, p.raw());
     }
-
-    /// Replace the stored pointers in place (head-node maintenance after
-    /// leaf splits, §4.3).
-    pub fn set_ptrs(&mut self, ptrs: &[Ptr]) {
-        let cap = (self.page.len() - off::ENTRIES) / HEAD_ENTRY_SIZE;
-        assert!(ptrs.len() <= cap, "too many pointers for a head node");
-        for (i, p) in ptrs.iter().enumerate() {
-            write_u64(self.page, off::ENTRIES + i * HEAD_ENTRY_SIZE, p.raw());
-        }
-        set_count(self.page, ptrs.len());
-    }
+    set_count(page, ptrs.len());
 }
 
 #[cfg(test)]
@@ -1093,7 +1075,7 @@ mod tests {
     fn head_node_round_trip() {
         let mut page = PageLayout::default().alloc_page();
         let ptrs: Vec<Ptr> = (1..=8).map(Ptr).collect();
-        HeadNodeMut::init(&mut page, &ptrs, Ptr(1));
+        init_head(&mut page, &ptrs, Ptr(1));
         let head = HeadNodeRef::new(&page);
         assert_eq!(head.count(), 8);
         assert_eq!(head.ptr(3), Ptr(4));

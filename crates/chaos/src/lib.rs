@@ -16,22 +16,22 @@
 //! [`ChaosController::install`] arms the plan on a cluster: a driver
 //! task sleeps to each event's instant and applies it through the
 //! cluster's fault API (`kill_client`, `fail_server`, `degrade_link`,
-//! ...). [`ChaosController::install_nam`] additionally bumps the NAM
-//! catalog generation whenever a memory server finishes recovering —
-//! the same instant as the restart under `Durability::Off`, after
-//! checkpoint + log replay under `Durability::Wal` — so compute servers
-//! holding cached descriptors know to re-resolve (§4.2's catalog
-//! service is the natural recovery coordination point).
+//! ...), then puts it on the cluster's observer bus as a labelled
+//! instant (`VerbObserver::on_instant`) — the one channel through which
+//! listeners (telemetry traces, tests, examples) learn of faults.
+//! Clients learn of a memory server's recovery from
+//! `Cluster::restart_epoch`, which moves at recovery completion: the
+//! restart instant under `Durability::Off`, after checkpoint + log
+//! replay under `Durability::Wal`.
 //!
 //! Recovery *policy* lives elsewhere: the verb layer surfaces failures
 //! as `rdma_sim::VerbError`, `namdex-core::Design` retries with bounded
 //! backoff, and the lease encoding in `blink::layout::lock_word` lets a
 //! contender break locks orphaned by killed clients.
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::rc::Rc;
 
-use nam::NamCluster;
 use rdma_sim::Cluster;
 pub use rdma_sim::LinkDegrade;
 use simnet::rng::DetRng;
@@ -57,9 +57,8 @@ pub enum FaultEvent {
     /// wiped RAM, so the restart boots, streams the latest checkpoint
     /// plus log tail from the server's simulated NVMe device, replays,
     /// and only then reports healthy. Either way the restart bumps the
-    /// server's restart counter and, under
-    /// [`ChaosController::install_nam`], the catalog generation — at
-    /// recovery *completion*, not at the restart command.
+    /// server's restart counter and `Cluster::restart_epoch` at recovery
+    /// *completion*, not at the restart command.
     RestartServer(usize),
     /// Begin a degradation window on one server's link: probabilistic
     /// verb drops, added delay, and/or reduced NIC bandwidth.
@@ -229,17 +228,6 @@ impl FaultPlan {
     }
 }
 
-/// Counters of plan execution.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ChaosStats {
-    /// Events applied so far.
-    pub events_applied: u64,
-    /// Recovery events (restarts + revivals) among them.
-    pub recoveries: u64,
-}
-
-type EventHook = Box<dyn Fn(&FaultEvent)>;
-
 /// Stable label for a fault event, used for trace instants.
 fn fault_label(ev: &FaultEvent) -> String {
     match *ev {
@@ -253,48 +241,21 @@ fn fault_label(ev: &FaultEvent) -> String {
     }
 }
 
-struct ControllerState {
-    stats: Cell<ChaosStats>,
-    done: Cell<bool>,
-    hooks: RefCell<Vec<EventHook>>,
-}
-
 /// Drives a [`FaultPlan`] against a cluster from inside the simulation.
 #[derive(Clone)]
 pub struct ChaosController {
     cluster: Cluster,
-    state: Rc<ControllerState>,
+    done: Rc<Cell<bool>>,
 }
 
 impl ChaosController {
     /// Install `plan` on `cluster`: seed the fault RNG and spawn the
     /// driver task that applies each event at its instant.
     pub fn install(sim: &Sim, cluster: &Cluster, plan: FaultPlan) -> Self {
-        Self::install_inner(sim, cluster, plan)
-    }
-
-    /// Install `plan` on a NAM deployment. A memory server finishing
-    /// recovery additionally bumps the catalog generation, signalling
-    /// compute servers to re-resolve cached descriptors. The bump rides
-    /// the cluster's recovered hook, so under `Durability::Wal` it fires
-    /// only once replay completes and the server is actually healthy.
-    pub fn install_nam(sim: &Sim, nam: &NamCluster, plan: FaultPlan) -> Self {
-        let generation = nam.catalog.generation_handle();
-        nam.rdma
-            .add_recovered_hook(move |_server| generation.set(generation.get() + 1));
-        Self::install_inner(sim, &nam.rdma, plan)
-    }
-
-    fn install_inner(sim: &Sim, cluster: &Cluster, plan: FaultPlan) -> Self {
         cluster.set_fault_seed(plan.seed);
-        let state = Rc::new(ControllerState {
-            stats: Cell::new(ChaosStats::default()),
-            done: Cell::new(plan.events.is_empty()),
-            hooks: RefCell::new(Vec::new()),
-        });
         let controller = ChaosController {
             cluster: cluster.clone(),
-            state,
+            done: Rc::new(Cell::new(plan.events.is_empty())),
         };
         let mut events = plan.events;
         events.sort_by_key(|&(t, _)| t);
@@ -306,78 +267,52 @@ impl ChaosController {
                     sim2.sleep_until(t).await;
                     driver.apply(&ev);
                 }
-                driver.state.done.set(true);
+                driver.done.set(true);
             });
         }
         controller
     }
 
-    /// Register a hook called after every applied event (restart hooks
-    /// typically trigger a checker re-walk of the tree structure).
-    pub fn on_event(&self, hook: impl Fn(&FaultEvent) + 'static) {
-        self.state.hooks.borrow_mut().push(Box::new(hook));
-    }
-
-    /// Register a hook called only for recovery events
-    /// ([`FaultEvent::RestartServer`] and [`FaultEvent::ReviveClient`]).
-    pub fn on_recovery(&self, hook: impl Fn(&FaultEvent) + 'static) {
-        self.on_event(move |ev| {
-            if matches!(
-                ev,
-                FaultEvent::RestartServer(_) | FaultEvent::ReviveClient(_)
-            ) {
-                hook(ev);
-            }
-        });
-    }
-
     fn apply(&self, ev: &FaultEvent) {
-        let mut stats = self.state.stats.get();
         match *ev {
             FaultEvent::KillClient(c) => self.cluster.kill_client(c),
-            FaultEvent::ReviveClient(c) => {
-                self.cluster.revive_client(c);
-                stats.recoveries += 1;
-            }
+            FaultEvent::ReviveClient(c) => self.cluster.revive_client(c),
             FaultEvent::CrashServer(s) => self.cluster.fail_server(s),
-            FaultEvent::RestartServer(s) => {
-                self.cluster.restart_server(s);
-                stats.recoveries += 1;
-            }
+            FaultEvent::RestartServer(s) => self.cluster.restart_server(s),
             FaultEvent::DegradeLink(s, d) => self.cluster.degrade_link(s, d),
             FaultEvent::RestoreLink(s) => self.cluster.restore_link(s),
             FaultEvent::KillOnNextLockAcquire(c) => self.cluster.arm_kill_on_lock_acquire(c),
         }
-        stats.events_applied += 1;
-        self.state.stats.set(stats);
         if self.cluster.has_observers() {
             self.cluster.note_instant(&fault_label(ev));
         }
-        for hook in self.state.hooks.borrow().iter() {
-            hook(ev);
-        }
-    }
-
-    /// Execution counters.
-    pub fn stats(&self) -> ChaosStats {
-        self.state.stats.get()
     }
 
     /// Whether every scheduled event has been applied.
     pub fn done(&self) -> bool {
-        self.state.done.get()
-    }
-
-    /// The cluster this controller drives.
-    pub fn cluster(&self) -> &Cluster {
-        &self.cluster
+        self.done.get()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rdma_sim::{ClusterSpec, Endpoint, VerbError};
+    use rdma_sim::{ClusterSpec, Endpoint, VerbError, VerbEvent, VerbObserver};
+    use std::cell::RefCell;
+
+    /// Records every labelled instant the bus carries, with its time.
+    #[derive(Default)]
+    struct Instants(RefCell<Vec<(u64, String)>>);
+
+    impl VerbObserver for Instants {
+        fn on_verb(&self, _ev: &VerbEvent) {}
+        fn on_free(&self, _server: usize, _offset: u64, _len: usize, _time: SimTime) {}
+        fn on_instant(&self, label: &str, time: SimTime) {
+            self.0
+                .borrow_mut()
+                .push((time.as_nanos(), label.to_owned()));
+        }
+    }
 
     #[test]
     fn scripted_plan_applies_in_order() {
@@ -388,24 +323,17 @@ mod tests {
             .restart_server(SimTime::from_micros(30), 1)
             .kill_client(SimTime::from_micros(20), 0);
         let ctrl = ChaosController::install(&sim, &cluster, plan);
-        let seen = Rc::new(RefCell::new(Vec::new()));
-        {
-            let seen = seen.clone();
-            let sim2 = sim.clone();
-            ctrl.on_event(move |ev| seen.borrow_mut().push((sim2.now().as_nanos(), *ev)));
-        }
+        let seen = Rc::new(Instants::default());
+        cluster.add_observer(seen.clone());
         sim.run();
-        assert_eq!(
-            *seen.borrow(),
-            vec![
-                (10_000, FaultEvent::CrashServer(1)),
-                (20_000, FaultEvent::KillClient(0)),
-                (30_000, FaultEvent::RestartServer(1)),
-            ]
-        );
+        let expect = [
+            (10_000, FaultEvent::CrashServer(1)),
+            (20_000, FaultEvent::KillClient(0)),
+            (30_000, FaultEvent::RestartServer(1)),
+        ];
+        let expect: Vec<_> = expect.iter().map(|(t, ev)| (*t, fault_label(ev))).collect();
+        assert_eq!(*seen.0.borrow(), expect);
         assert!(ctrl.done());
-        assert_eq!(ctrl.stats().events_applied, 3);
-        assert_eq!(ctrl.stats().recoveries, 1);
         assert!(cluster.server_up(1));
         assert_eq!(cluster.server_restarts(1), 1);
     }
@@ -453,56 +381,54 @@ mod tests {
         assert_eq!(plan.events().len(), 8);
     }
 
-    #[test]
-    fn nam_restart_bumps_catalog_generation() {
-        let sim = Sim::new();
-        let nam = NamCluster::new(&sim, ClusterSpec::default());
-        let plan = FaultPlan::new()
-            .crash_server(SimTime::from_micros(5), 2)
-            .restart_server(SimTime::from_micros(15), 2);
-        let ctrl = ChaosController::install_nam(&sim, &nam, plan);
-        let recoveries = Rc::new(Cell::new(0u32));
-        {
-            let recoveries = recoveries.clone();
-            ctrl.on_recovery(move |_| recoveries.set(recoveries.get() + 1));
-        }
-        assert_eq!(nam.catalog.generation(), 0);
-        sim.run();
-        assert_eq!(
-            nam.catalog.generation(),
-            1,
-            "restart invalidates descriptors"
-        );
-        assert_eq!(recoveries.get(), 1);
+    /// The restart epoch at the instant `at`, sampled by a task.
+    fn epoch_at(sim: &Sim, cluster: &Cluster, at: SimTime) -> Rc<Cell<u64>> {
+        let seen = Rc::new(Cell::new(u64::MAX));
+        let (seen2, sim2, cluster) = (seen.clone(), sim.clone(), cluster.clone());
+        sim.spawn(async move {
+            sim2.sleep_until(at).await;
+            seen2.set(cluster.restart_epoch());
+        });
+        seen
     }
 
     #[test]
-    fn wal_restart_bumps_generation_only_after_replay() {
+    fn restart_moves_restart_epoch() {
+        let sim = Sim::new();
+        let cluster = Cluster::new(&sim, ClusterSpec::default());
+        let plan = FaultPlan::new()
+            .crash_server(SimTime::from_micros(5), 2)
+            .restart_server(SimTime::from_micros(15), 2);
+        ChaosController::install(&sim, &cluster, plan);
+        let down = epoch_at(&sim, &cluster, SimTime::from_micros(10));
+        assert_eq!(cluster.restart_epoch(), 0);
+        sim.run();
+        assert_eq!(down.get(), 0, "a crash alone does not move the epoch");
+        assert_eq!(
+            cluster.restart_epoch(),
+            1,
+            "restart invalidates client state"
+        );
+    }
+
+    #[test]
+    fn wal_restart_moves_epoch_only_after_replay() {
         let sim = Sim::new();
         let spec = ClusterSpec {
             durability: rdma_sim::Durability::Wal,
             ..ClusterSpec::default()
         };
-        let nam = NamCluster::new(&sim, spec);
+        let cluster = Cluster::new(&sim, spec);
         let plan = FaultPlan::new()
             .crash_server(SimTime::from_micros(5), 1)
             .restart_server(SimTime::from_micros(15), 1);
-        ChaosController::install_nam(&sim, &nam, plan);
-        let mid = Rc::new(Cell::new(u64::MAX));
-        {
-            let mid = mid.clone();
-            let generation = nam.catalog.generation_handle();
-            let sim2 = sim.clone();
-            sim.spawn(async move {
-                // Well inside the boot + replay window (2 ms boot).
-                sim2.sleep(SimDur::from_micros(100)).await;
-                mid.set(generation.get());
-            });
-        }
+        ChaosController::install(&sim, &cluster, plan);
+        // Well inside the boot + replay window (2 ms boot).
+        let mid = epoch_at(&sim, &cluster, SimTime::from_micros(100));
         sim.run();
-        assert_eq!(mid.get(), 0, "no bump before recovery completes");
-        assert_eq!(nam.catalog.generation(), 1, "bump after replay");
-        assert!(nam.rdma.server_up(1));
+        assert_eq!(mid.get(), 0, "no move before recovery completes");
+        assert_eq!(cluster.restart_epoch(), 1, "move after replay");
+        assert!(cluster.server_up(1));
     }
 
     #[test]

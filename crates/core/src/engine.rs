@@ -215,10 +215,10 @@ impl Design {
     }
 }
 
-/// Bracket a design-level operation for the observer bus: its
-/// invocation and outcome for history recorders (model checker), its
-/// span for telemetry. With no observers installed the invocation and
-/// the outcome are a flag check each — `outcome` is built lazily so the
+/// Bracket a design-level operation for the observer bus: one start
+/// carrying its arguments and one end carrying its outcome, for history
+/// recorders (model checker) and telemetry spans alike. With no observers
+/// installed each end is a flag check — `outcome` is built lazily so the
 /// hot path never clones range rows.
 async fn observed<T>(
     ep: &Endpoint,
@@ -228,15 +228,11 @@ async fn observed<T>(
     op: impl Future<Output = Result<T, OpError>>,
 ) -> Result<T, OpError> {
     let (cluster, client) = (ep.cluster(), ep.client_id());
-    if cluster.has_observers() {
-        cluster.note_op_invoke(client, args);
-    }
-    cluster.note_op_start(client, kind);
+    cluster.note_op_start(client, kind, Some(args));
     let res = op.await;
-    cluster.note_op_end(client, kind, res.is_ok());
     if cluster.has_observers() {
         let outcome = res.as_ref().map_or(OpOutcome::Failed, outcome);
-        cluster.note_op_response(client, &outcome);
+        cluster.note_op_end(client, kind, res.is_ok(), Some(&outcome));
     }
     res
 }

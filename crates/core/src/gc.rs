@@ -32,7 +32,7 @@ use crate::Design;
 /// the local trees otherwise.
 pub async fn gc_pass(design: &Design, ep: &Endpoint) -> Result<usize, VerbError> {
     let idx = design.index();
-    ep.cluster().note_op_start(ep.client_id(), OpKind::Gc);
+    ep.cluster().note_op_start(ep.client_id(), OpKind::Gc, None);
     let res = async {
         let on_chain = match idx.chain() {
             Some(chain) => Some(chain_gc(ep, chain.first(), idx.layout().page_size()).await?),
@@ -46,7 +46,7 @@ pub async fn gc_pass(design: &Design, ep: &Endpoint) -> Result<usize, VerbError>
     }
     .await;
     ep.cluster()
-        .note_op_end(ep.client_id(), OpKind::Gc, res.is_ok());
+        .note_op_end(ep.client_id(), OpKind::Gc, res.is_ok(), None);
     res
 }
 

@@ -1,4 +1,4 @@
-//! History recording: invoke/response events off the observer bus.
+//! History recording: op start/end events off the observer bus.
 //!
 //! The recorder implements [`VerbObserver`] and subscribes to the
 //! cluster's always-compiled observation hooks; the index layer reports
@@ -11,7 +11,7 @@
 //! linearizability checker treats as "may or may not have taken
 //! effect".
 
-use rdma_sim::observer::{OpArgs, OpOutcome, VerbEvent, VerbObserver};
+use rdma_sim::observer::{OpArgs, OpKind, OpOutcome, VerbEvent, VerbObserver};
 use rdma_sim::Cluster;
 use simnet::SimTime;
 use std::cell::RefCell;
@@ -40,7 +40,8 @@ struct Inner {
     events: Vec<Event>,
 }
 
-/// Observer that turns op invoke/response notes into a history.
+/// Observer that turns op start/end notes carrying arguments and
+/// outcomes into a history.
 pub struct HistoryRecorder {
     state: RefCell<Inner>,
 }
@@ -89,12 +90,21 @@ impl VerbObserver for HistoryRecorder {
 
     fn on_free(&self, _server: usize, _offset: u64, _len: usize, _time: SimTime) {}
 
-    fn on_op_invoke(&self, client: u64, args: OpArgs, time: SimTime) {
+    fn on_op_start(&self, client: u64, _kind: OpKind, args: Option<OpArgs>, time: SimTime) {
+        let Some(args) = args else { return };
         let prev = self.state.borrow_mut().pending.insert(client, (args, time));
         debug_assert!(prev.is_none(), "client {client} has overlapping ops");
     }
 
-    fn on_op_response(&self, client: u64, outcome: &OpOutcome, time: SimTime) {
+    fn on_op_end(
+        &self,
+        client: u64,
+        _kind: OpKind,
+        _ok: bool,
+        outcome: Option<&OpOutcome>,
+        time: SimTime,
+    ) {
+        let Some(outcome) = outcome else { return };
         let mut st = self.state.borrow_mut();
         if let Some((args, invoke)) = st.pending.remove(&client) {
             st.events.push(Event {

@@ -454,14 +454,14 @@ pub fn run_scenario_with_history(
         FaultMode::None => {}
         FaultMode::Chaos => {
             let victim = eps[sc.clients as usize - 1].client_id();
-            ChaosController::install_nam(
+            ChaosController::install(
                 &sim,
-                &nam,
+                &nam.rdma,
                 chaos_plan(victim, nam.num_servers(), sc.seed),
             );
         }
         FaultMode::CrashRecover => {
-            ChaosController::install_nam(&sim, &nam, crash_plan(sc.seed));
+            ChaosController::install(&sim, &nam.rdma, crash_plan(sc.seed));
         }
     }
     for (c, ep) in eps.into_iter().enumerate() {

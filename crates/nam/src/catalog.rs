@@ -7,7 +7,6 @@
 //! first access: the design kind, the global root (fine-grained), and/or
 //! the partition map (coarse-grained, hybrid).
 
-use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
@@ -89,16 +88,12 @@ pub struct IndexDescriptor {
 
 /// Name → descriptor registry.
 ///
-/// The catalog also carries a *generation* counter: any event that may
-/// invalidate cached descriptors (a memory-server restart, a topology
-/// change) bumps it, and compute servers that cached a descriptor
-/// re-resolve when the generation they saw is stale. The counter is a
-/// shared `Rc<Cell<_>>` so fault-injection code can bump it without a
-/// mutable borrow of the whole catalog.
+/// A memory-server restart does not go through the catalog: clients
+/// learn of it from `rdma_sim::Cluster::restart_epoch` and flush what
+/// they derived from remote memory (DESIGN.md §10).
 #[derive(Default)]
 pub struct Catalog {
     entries: BTreeMap<String, IndexDescriptor>,
-    generation: Rc<Cell<u64>>,
 }
 
 impl Catalog {
@@ -107,12 +102,9 @@ impl Catalog {
         Self::default()
     }
 
-    /// Register (or replace) an index. Replacements bump the generation
-    /// (descriptors cached by compute servers are now stale).
+    /// Register (or replace) an index.
     pub fn register(&mut self, name: impl Into<String>, desc: IndexDescriptor) {
-        if self.entries.insert(name.into(), desc).is_some() {
-            self.bump_generation();
-        }
+        self.entries.insert(name.into(), desc);
     }
 
     /// Look up an index by name.
@@ -123,23 +115,6 @@ impl Catalog {
     /// Registered index names (unordered).
     pub fn names(&self) -> impl Iterator<Item = &str> {
         self.entries.keys().map(String::as_str)
-    }
-
-    /// Current catalog generation.
-    pub fn generation(&self) -> u64 {
-        self.generation.get()
-    }
-
-    /// Invalidate all cached descriptors (e.g. after a memory-server
-    /// restart): clients comparing generations re-resolve on next use.
-    pub fn bump_generation(&self) {
-        self.generation.set(self.generation.get() + 1);
-    }
-
-    /// A shared handle to the generation counter, for code (like the
-    /// fault injector) that must bump it without holding the catalog.
-    pub fn generation_handle(&self) -> Rc<Cell<u64>> {
-        self.generation.clone()
     }
 }
 
@@ -179,17 +154,5 @@ mod tests {
         cat.register("t", mk(4));
         let d = cat.lookup("t").unwrap();
         assert_eq!(d.partition.as_ref().unwrap().num_servers(), 4);
-        assert_eq!(cat.generation(), 1, "replacement bumps the generation");
-    }
-
-    #[test]
-    fn generation_handle_is_shared() {
-        let cat = Catalog::new();
-        assert_eq!(cat.generation(), 0);
-        let handle = cat.generation_handle();
-        handle.set(handle.get() + 1);
-        assert_eq!(cat.generation(), 1, "handle aliases the catalog counter");
-        cat.bump_generation();
-        assert_eq!(handle.get(), 2);
     }
 }

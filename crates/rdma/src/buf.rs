@@ -133,13 +133,6 @@ impl PageBuf {
     pub fn detached(data: Vec<u8>) -> Self {
         PageBuf { data, arena: None }
     }
-
-    /// Consume the buffer, keeping its bytes as a plain `Vec` (the
-    /// storage is *not* returned to the arena).
-    pub fn into_vec(mut self) -> Vec<u8> {
-        self.arena = None;
-        std::mem::take(&mut self.data)
-    }
 }
 
 impl From<Vec<u8>> for PageBuf {
@@ -288,7 +281,6 @@ mod tests {
         assert_eq!(p, v);
         assert_eq!(v, p);
         assert_eq!(p, [1u8, 2, 3]);
-        assert_eq!(p.into_vec(), vec![1, 2, 3]);
     }
 
     #[test]

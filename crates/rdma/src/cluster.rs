@@ -13,6 +13,7 @@ use simnet::{Sim, SimTime};
 use wal::{CheckpointPayload, CheckpointSource, ServerWal, WalConfig, WalRecord, WalStats};
 
 use crate::fault::{FaultStats, LinkDegrade};
+use crate::observer::{OpArgs, OpKind, OpOutcome};
 use crate::pool::MemPool;
 use crate::ptr::RemotePtr;
 use crate::spec::{ClusterSpec, Durability};
@@ -38,10 +39,6 @@ pub trait DurableState {
     /// Replay one logged delete (absent key is a no-op).
     fn delete(&self, key: u64);
 }
-
-/// Callback fired with the server id when that server finishes
-/// recovering (Wal) or restarts (Off).
-type RecoveredHook = Rc<dyn Fn(usize)>;
 
 /// One completed crash-recovery cycle under [`Durability::Wal`], with the
 /// measured recovery time (the RTO numerator: restart command to healthy).
@@ -118,9 +115,6 @@ struct Inner {
     /// Servers currently mid-recovery (restart commanded, replay not yet
     /// complete); guards double restarts.
     recovering: RefCell<Vec<bool>>,
-    /// Callbacks fired when a server finishes recovering (Wal) or
-    /// restarts (Off) — catalog generation bumps live here.
-    recovered_hooks: RefCell<Vec<RecoveredHook>>,
     /// Completed crash-recovery cycles, in completion order.
     recovery_log: RefCell<Vec<RecoveryRecord>>,
     /// Reusable verb-payload buffers shared by every endpoint on this
@@ -138,7 +132,7 @@ struct FaultState {
     server_up: Vec<bool>,
     /// When each currently-down server crashed (None while up).
     crashed_at: Vec<Option<SimTime>>,
-    /// Restart counter per server (catalog re-resolution keys off this).
+    /// Restart counter per server.
     server_restarts: Vec<u64>,
     /// Restarts of any server: the sum of `server_restarts`, kept beside
     /// it because client caches compare it on every page load.
@@ -284,7 +278,6 @@ impl Cluster {
                 observers_active: std::cell::Cell::new(false),
                 durable: RefCell::new(vec![None; spec_servers]),
                 recovering: RefCell::new(vec![false; spec_servers]),
-                recovered_hooks: RefCell::new(Vec::new()),
                 recovery_log: RefCell::new(Vec::new()),
                 arena: crate::buf::BufArena::new(),
             }),
@@ -392,19 +385,11 @@ impl Cluster {
     /// [`Cluster::recovery_records`].
     pub fn restart_server(&self, s: usize) {
         if self.inner.servers[s].wal.is_none() {
-            let fire = {
-                let mut f = self.inner.faults.borrow_mut();
-                if f.server_up[s] {
-                    false
-                } else {
-                    f.server_up[s] = true;
-                    f.crashed_at[s] = None;
-                    f.note_restart(s);
-                    true
-                }
-            };
-            if fire {
-                self.fire_recovered(s);
+            let mut f = self.inner.faults.borrow_mut();
+            if !f.server_up[s] {
+                f.server_up[s] = true;
+                f.crashed_at[s] = None;
+                f.note_restart(s);
             }
             return;
         }
@@ -497,27 +482,12 @@ impl Cluster {
         self.note_instant("server_recovered");
         let now = sim.now();
         self.each_observer(|o| o.on_server_recovered(s, now));
-        self.fire_recovered(s);
     }
 
     /// Whether server `s` is mid-recovery (restart commanded, replay not
     /// yet finished). Always `false` under [`Durability::Off`].
     pub fn server_recovering(&self, s: usize) -> bool {
         self.inner.recovering.borrow()[s]
-    }
-
-    /// Register `hook` to fire whenever a server finishes recovering
-    /// (Wal) or restarts (Off) — e.g. a catalog generation bump that
-    /// forces clients to re-resolve.
-    pub fn add_recovered_hook(&self, hook: impl Fn(usize) + 'static) {
-        self.inner.recovered_hooks.borrow_mut().push(Rc::new(hook));
-    }
-
-    fn fire_recovered(&self, s: usize) {
-        let hooks: Vec<RecoveredHook> = self.inner.recovered_hooks.borrow().clone();
-        for h in &hooks {
-            h(s);
-        }
     }
 
     /// Completed crash-recovery cycles (Wal mode), in completion order.
@@ -670,11 +640,6 @@ impl Cluster {
 
     // ---- durability (per-server WAL; see `crate::spec::Durability`) ----
 
-    /// Whether this cluster runs real durability ([`Durability::Wal`]).
-    pub fn wal_enabled(&self) -> bool {
-        self.inner.spec.durability == Durability::Wal
-    }
-
     /// Server `s`'s WAL handle, if durability is on.
     pub(crate) fn server_wal(&self, s: usize) -> Option<Rc<ServerWal>> {
         self.inner.servers[s].wal.clone()
@@ -732,12 +697,6 @@ impl Cluster {
         self.inner.observers_active.set(true);
     }
 
-    /// Remove all installed observers.
-    pub fn clear_observers(&self) {
-        self.inner.observers.borrow_mut().clear();
-        self.inner.observers_active.set(false);
-    }
-
     /// Whether any observer is installed. The verb layer checks this
     /// before assembling event payloads so an unobserved run pays only
     /// this flag read.
@@ -746,16 +705,21 @@ impl Cluster {
         self.inner.observers_active.get()
     }
 
-    /// Run `f` over each installed observer, in registration order. The
-    /// list is cloned out first so an observer may register/clear
-    /// observers from inside its callback.
+    /// Run `f` over each installed observer, in registration order. No
+    /// borrow of the list is held while `f` runs, so an observer may
+    /// register another from inside its callback; it is reached in the
+    /// same walk.
     fn each_observer(&self, f: impl Fn(&dyn crate::observer::VerbObserver)) {
         if !self.inner.observers_active.get() {
             return;
         }
-        let obs = self.inner.observers.borrow().clone();
-        for o in &obs {
+        let mut i = 0;
+        loop {
+            let Some(o) = self.inner.observers.borrow().get(i).cloned() else {
+                return;
+            };
             f(o.as_ref());
+            i += 1;
         }
     }
 
@@ -789,29 +753,18 @@ impl Cluster {
         self.each_observer(|o| o.on_verb_failed(client, server, now));
     }
 
-    /// Report that `client` began an index-level operation.
-    pub fn note_op_start(&self, client: u64, kind: crate::observer::OpKind) {
+    /// Report that `client` began an index-level operation, with its
+    /// arguments when it has any (a GC pass has none).
+    pub fn note_op_start(&self, client: u64, kind: OpKind, args: Option<OpArgs>) {
         let now = self.inner.sim.now();
-        self.each_observer(|o| o.on_op_start(client, kind, now));
+        self.each_observer(|o| o.on_op_start(client, kind, args, now));
     }
 
-    /// Report that `client` finished its current index-level operation.
-    pub fn note_op_end(&self, client: u64, kind: crate::observer::OpKind, ok: bool) {
+    /// Report that `client` finished its current index-level operation,
+    /// with the outcome it returned when the caller built one.
+    pub fn note_op_end(&self, client: u64, kind: OpKind, ok: bool, outcome: Option<&OpOutcome>) {
         let now = self.inner.sim.now();
-        self.each_observer(|o| o.on_op_end(client, kind, now, ok));
-    }
-
-    /// Report the arguments of the index-level operation `client` just
-    /// invoked (fires inside the op span, before any remote access).
-    pub fn note_op_invoke(&self, client: u64, args: crate::observer::OpArgs) {
-        let now = self.inner.sim.now();
-        self.each_observer(|o| o.on_op_invoke(client, args, now));
-    }
-
-    /// Report the outcome of the operation `client` invoked last.
-    pub fn note_op_response(&self, client: u64, outcome: &crate::observer::OpOutcome) {
-        let now = self.inner.sim.now();
-        self.each_observer(|o| o.on_op_response(client, outcome, now));
+        self.each_observer(|o| o.on_op_end(client, kind, ok, outcome, now));
     }
 
     /// Report that `client` entered (`enter`) or left a protocol region.

@@ -63,6 +63,12 @@ enum Msg {
     Atomic,
 }
 
+/// Port occupancy of one message: its per-message cost plus `bytes` at
+/// `bw` bytes per second.
+fn wire(overhead: SimDur, bytes: usize, bw: f64) -> SimDur {
+    overhead + SimDur::from_secs_f64(bytes as f64 / bw)
+}
+
 /// A one-sided verb as its shared path sees it (one small value: an
 /// async fn keeps its arguments for its whole life).
 #[derive(Clone, Copy)]
@@ -244,7 +250,7 @@ impl Endpoint {
         if self.cluster.roll_drop(s) {
             return Err(self.fail_timeout(s, deadline).await);
         }
-        let wire = overhead + SimDur::from_secs_f64(payload as f64 / bw);
+        let wire = wire(overhead, payload, bw);
         let queue = server.nic.queue_delay(sim.now());
         if sim.now() + queue + wire + latency + extra > deadline {
             return Err(self.fail_timeout(s, deadline).await);
@@ -426,8 +432,7 @@ impl Endpoint {
             } else {
                 any_remote = true;
                 let (bw, extra) = self.link(s);
-                let wire = self.cluster.spec().batched_wire_overhead
-                    + SimDur::from_secs_f64(len as f64 / bw);
+                let wire = wire(self.cluster.spec().batched_wire_overhead, len, bw);
                 let i = match projected.iter().position(|&(ps, _)| ps == s) {
                     Some(i) => i,
                     None => {
@@ -1009,9 +1014,50 @@ mod tests {
     }
 
     #[test]
+    fn read_holds_port_for_overhead_plus_bytes() {
+        let (sim, cluster) = harness();
+        let len = 1 << 20;
+        let ptr = cluster.setup_alloc(0, len as u64);
+        let ep = Endpoint::new(&cluster);
+        sim.spawn(async move {
+            ep.read(ptr, len).await.unwrap();
+        });
+        sim.run();
+        let spec = cluster.spec();
+        let expect = spec.op_wire_overhead + SimDur::from_secs_f64(len as f64 / spec.nic_bandwidth);
+        let busy = cluster.server_stats(0).nic_busy_nanos;
+        assert_eq!(busy, expect.as_nanos());
+        // 1 MiB at 6.8 GB/s ≈ 154 µs.
+        assert!(busy > 100_000 && busy < 300_000);
+    }
+
+    #[test]
     fn batched_reads_cheaper_per_message() {
-        let spec = ClusterSpec::default();
-        assert!(spec.batched_wire_time(0, 1024) < spec.wire_time(0, 1024));
+        const PAGE: usize = 1024;
+        let (sim, cluster) = harness();
+        // Servers 0 and 2 are the first of their machines: no QPI hop.
+        let pages = |s| -> Vec<_> {
+            (0..8)
+                .map(|_| (cluster.setup_alloc(s, PAGE as u64), PAGE))
+                .collect()
+        };
+        let (batch, singles) = (pages(0), pages(2));
+        let ep = Endpoint::new(&cluster);
+        sim.spawn(async move {
+            ep.read_many(&batch).await.unwrap();
+            for &(ptr, len) in &singles {
+                ep.read(ptr, len).await.unwrap();
+            }
+        });
+        sim.run();
+        let spec = cluster.spec();
+        let page_time = SimDur::from_secs_f64(PAGE as f64 / spec.nic_bandwidth);
+        let batched = cluster.server_stats(0).nic_busy_nanos;
+        assert_eq!(
+            batched,
+            8 * (spec.batched_wire_overhead + page_time).as_nanos()
+        );
+        assert!(batched < cluster.server_stats(2).nic_busy_nanos);
     }
 
     #[test]

@@ -120,8 +120,8 @@ impl OpKind {
     }
 }
 
-/// Arguments of an index-level operation, reported at invoke time (see
-/// [`VerbObserver::on_op_invoke`]). Keys and values are the plain `u64`s
+/// Arguments of an index-level operation, reported when it starts (see
+/// [`VerbObserver::on_op_start`]). Keys and values are the plain `u64`s
 /// of the simulated index API.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OpArgs {
@@ -151,8 +151,8 @@ pub enum OpArgs {
     },
 }
 
-/// Result of a completed index-level operation, reported at response
-/// time (see [`VerbObserver::on_op_response`]).
+/// Result of a completed index-level operation, reported when it ends
+/// (see [`VerbObserver::on_op_end`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum OpOutcome {
     /// Lookup returned the value (or `None` if the key was absent).
@@ -245,32 +245,27 @@ pub trait VerbObserver {
         let _ = (client, server, time);
     }
 
-    /// `client` began an index-level operation. Default: ignore.
-    fn on_op_start(&self, client: u64, kind: OpKind, time: SimTime) {
-        let _ = (client, kind, time);
+    /// `client` began an index-level operation, before any remote access
+    /// is issued. `args` is `None` for an operation without index
+    /// arguments (a GC pass). History checkers use the `[start, end]`
+    /// interval as the operation's concurrency window. Default: ignore.
+    fn on_op_start(&self, client: u64, kind: OpKind, args: Option<OpArgs>, time: SimTime) {
+        let _ = (client, kind, args, time);
     }
 
     /// `client` finished the operation started by the matching
     /// [`on_op_start`](Self::on_op_start); `ok` is false when it returned
-    /// an error. Default: ignore.
-    fn on_op_end(&self, client: u64, kind: OpKind, time: SimTime, ok: bool) {
-        let _ = (client, kind, time, ok);
-    }
-
-    /// `client` invoked an index-level operation with these arguments.
-    /// Fires inside the matching [`on_op_start`](Self::on_op_start) span,
-    /// before any remote access is issued. History checkers use the
-    /// `[invoke, response]` interval as the operation's concurrency
-    /// window. Default: ignore.
-    fn on_op_invoke(&self, client: u64, args: OpArgs, time: SimTime) {
-        let _ = (client, args, time);
-    }
-
-    /// The operation invoked by the matching
-    /// [`on_op_invoke`](Self::on_op_invoke) returned to the caller with
-    /// `outcome`. Default: ignore.
-    fn on_op_response(&self, client: u64, outcome: &OpOutcome, time: SimTime) {
-        let _ = (client, outcome, time);
+    /// an error. `outcome` is what it returned to the caller, `None` where
+    /// the operation has no index outcome (a GC pass). Default: ignore.
+    fn on_op_end(
+        &self,
+        client: u64,
+        kind: OpKind,
+        ok: bool,
+        outcome: Option<&OpOutcome>,
+        time: SimTime,
+    ) {
+        let _ = (client, kind, ok, outcome, time);
     }
 
     /// `client` entered (`enter == true`) or left a protocol region.

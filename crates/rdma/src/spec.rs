@@ -71,10 +71,6 @@ pub struct ClusterSpec {
     /// the coarse-grained design saturating at ~20 clients/machine.
     pub qpi_cpu_factor: f64,
 
-    /// Whether compute servers are co-located with memory servers
-    /// (Appendix A.3); when true, accesses to a memory server on the
-    /// client's machine take the local path.
-    pub colocated_compute: bool,
     /// Local-path latency (local memory access instead of the wire).
     pub local_latency: SimDur,
     /// Local-path bandwidth, bytes/second (one socket's memory bus).
@@ -195,7 +191,6 @@ impl Default for ClusterSpec {
             rt_latency: SimDur::from_nanos(2_500),
             qpi_bandwidth_factor: 0.9,
             qpi_cpu_factor: 2.0,
-            colocated_compute: false,
             local_latency: SimDur::from_nanos(300),
             local_bandwidth: 40e9,
             rpc_fixed_cpu: SimDur::from_nanos(6_000),
@@ -270,17 +265,6 @@ impl ClusterSpec {
         } else {
             1.0
         }
-    }
-
-    /// Wire occupancy of a `bytes`-sized message on server `s`'s port.
-    pub fn wire_time(&self, s: usize, bytes: usize) -> SimDur {
-        self.op_wire_overhead + SimDur::from_secs_f64(bytes as f64 / self.effective_bandwidth(s))
-    }
-
-    /// Wire occupancy of one message within a pipelined batch.
-    pub fn batched_wire_time(&self, s: usize, bytes: usize) -> SimDur {
-        self.batched_wire_overhead
-            + SimDur::from_secs_f64(bytes as f64 / self.effective_bandwidth(s))
     }
 
     /// Local-path transfer time for `bytes`.
@@ -398,7 +382,6 @@ mod tests {
         let spec = ClusterSpec::default();
         assert!(spec.effective_bandwidth(1) < spec.effective_bandwidth(0));
         assert!(spec.cpu_factor(1) > spec.cpu_factor(0));
-        assert!(spec.wire_time(1, 1024) > spec.wire_time(0, 1024));
     }
 
     #[test]
@@ -515,15 +498,5 @@ mod tests {
             ..ClusterSpec::default()
         };
         spec.validate();
-    }
-
-    #[test]
-    fn wire_time_scales_with_bytes() {
-        let spec = ClusterSpec::default();
-        let small = spec.wire_time(0, 64);
-        let large = spec.wire_time(0, 1024 * 1024);
-        assert!(large > small * 10);
-        // 1 MiB at 6.8 GB/s ≈ 154 µs.
-        assert!(large.as_micros() > 100 && large.as_micros() < 300);
     }
 }

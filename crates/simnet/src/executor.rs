@@ -533,13 +533,6 @@ impl Sim {
         self.inner.has_policy.set(true);
     }
 
-    /// Remove the installed policy (returning it), restoring the raw FIFO
-    /// fast path.
-    pub fn clear_schedule_policy(&self) -> Option<Box<dyn SchedulePolicy>> {
-        self.inner.has_policy.set(false);
-        self.inner.policy.borrow_mut().take()
-    }
-
     fn next_seq(&self) -> u64 {
         let s = self.inner.seq.get();
         self.inner.seq.set(s + 1);

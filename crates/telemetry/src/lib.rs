@@ -31,7 +31,9 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use rdma_sim::observer::{OpKind, RegionKind, RpcEvent, VerbEvent, VerbKind, VerbObserver};
+use rdma_sim::observer::{
+    OpArgs, OpKind, OpOutcome, RegionKind, RpcEvent, VerbEvent, VerbKind, VerbObserver,
+};
 use rdma_sim::Cluster;
 use simnet::stats::Counter;
 use simnet::SimTime;
@@ -213,7 +215,7 @@ impl VerbObserver for Telemetry {
         });
     }
 
-    fn on_op_start(&self, client: u64, kind: OpKind, time: SimTime) {
+    fn on_op_start(&self, client: u64, kind: OpKind, _args: Option<OpArgs>, time: SimTime) {
         let outermost = self.with_client(client, |st| match &mut st.span {
             Some(span) => {
                 span.depth += 1;
@@ -238,7 +240,14 @@ impl VerbObserver for Telemetry {
         }
     }
 
-    fn on_op_end(&self, client: u64, kind: OpKind, time: SimTime, ok: bool) {
+    fn on_op_end(
+        &self,
+        client: u64,
+        kind: OpKind,
+        ok: bool,
+        _outcome: Option<&OpOutcome>,
+        time: SimTime,
+    ) {
         let closed = self.with_client(client, |st| {
             let Some(span) = &mut st.span else {
                 return None;

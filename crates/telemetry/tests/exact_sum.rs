@@ -42,7 +42,7 @@ fn run_with_faults() -> (Rc<Telemetry>, u64) {
         .restart_server(SimTime::from_millis(2), 1)
         .kill_client(SimTime::from_micros(2_500), 2)
         .revive_client(SimTime::from_millis(3), 2);
-    ChaosController::install_nam(&sim, &nam, plan);
+    ChaosController::install(&sim, &nam.rdma, plan);
 
     let aborts = Rc::new(simnet::stats::Counter::new());
     for c in 0..CLIENTS {

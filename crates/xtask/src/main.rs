@@ -45,6 +45,11 @@
 //! host-clock measuring loop of a performance change: alternating runs
 //! of two builds of the repository benchmark, seed by seed. It reads
 //! host clocks, so it gates nothing and CI does not run it.
+//!
+//! `cargo xtask loc` counts non-test lines: per crate under `crates/` and
+//! for `src/`, the lines of each `.rs` file above its first
+//! `#[cfg(test)]` line, with and without blank and `//` lines. CI prints
+//! it as a report; it gates nothing.
 
 use std::fmt;
 use std::fs;
@@ -878,6 +883,61 @@ fn pairs(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// Lines of one source file above its first `#[cfg(test)]` line (all of
+/// them if it has none), and how many of those are neither blank nor a
+/// `//` comment (doc comments included).
+fn non_test_lines(contents: &str) -> (usize, usize) {
+    let body = contents
+        .lines()
+        .take_while(|l| !l.starts_with("#[cfg(test)]"));
+    body.fold((0, 0), |(all, code), line| {
+        let t = line.trim_start();
+        (
+            all + 1,
+            code + usize::from(!t.is_empty() && !t.starts_with("//")),
+        )
+    })
+}
+
+/// `cargo xtask loc`: non-test lines of every crate's `src/` and of the
+/// root `src/`, then the totals with and without `xtask`.
+fn loc() -> ExitCode {
+    let root = repo_root();
+    let Ok(entries) = fs::read_dir(root.join("crates")) else {
+        eprintln!("loc: no crates/ directory under {}", root.display());
+        return ExitCode::FAILURE;
+    };
+    let mut crates: Vec<PathBuf> = entries.filter_map(|e| e.ok().map(|e| e.path())).collect();
+    crates.sort();
+    crates.push(root.clone());
+    let (mut total, mut without_xtask) = ((0, 0), (0, 0));
+    println!("{:<20} {:>7} {:>7}", "non-test lines", "all", "code");
+    for dir in crates {
+        let mut files = Vec::new();
+        walk(&dir.join("src"), &mut files);
+        let (mut all, mut code) = (0, 0);
+        for f in &files {
+            match fs::read_to_string(f) {
+                Ok(s) => {
+                    let (a, c) = non_test_lines(&s);
+                    (all, code) = (all + a, code + c);
+                }
+                Err(e) => eprintln!("warning: skipping unreadable {}: {e}", f.display()),
+            }
+        }
+        let name = dir.strip_prefix(&root).unwrap_or(&dir).join("src");
+        println!("{:<20} {all:>7} {code:>7}", name.display());
+        total = (total.0 + all, total.1 + code);
+        if dir.starts_with(root.join("crates")) && !dir.ends_with("xtask") {
+            without_xtask = (without_xtask.0 + all, without_xtask.1 + code);
+        }
+    }
+    let row = |label: &str, (all, code): (usize, usize)| println!("{label:<20} {all:>7} {code:>7}");
+    row("crates/ w/o xtask", without_xtask);
+    row("total", total);
+    ExitCode::SUCCESS
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
@@ -890,6 +950,7 @@ fn main() -> ExitCode {
         Some("mc") if args[1] == "--quick" => mc(true),
         Some("racecheck") if args.len() == 1 => racecheck_gate(),
         Some("check-all") if args.len() == 1 => check_all(),
+        Some("loc") if args.len() == 1 => loc(),
         Some("pairs") => match pairs(&args[1..]) {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => {
@@ -899,7 +960,7 @@ fn main() -> ExitCode {
         },
         _ => {
             eprintln!(
-                "usage: cargo xtask <lint [--self-test] | trace-check | engine-parity [--bless] | mc [--quick] | racecheck | check-all | pairs ...>"
+                "usage: cargo xtask <lint [--self-test] | trace-check | engine-parity [--bless] | mc [--quick] | racecheck | check-all | loc | pairs ...>"
             );
             ExitCode::FAILURE
         }
@@ -1058,5 +1119,14 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].line, 2);
         assert_eq!(out[0].rule, "wall-clock-instant");
+    }
+
+    #[test]
+    fn non_test_lines_stop_at_the_test_module() {
+        let with_tests =
+            "//! Doc.\n\nfn a() {}\n// note\n#[cfg(test)]\nmod tests {\n    fn t() {}\n}\n";
+        assert_eq!(non_test_lines(with_tests), (4, 1));
+        let without = "/// Doc.\nfn a() {\n\n    // note\n    let x = 1; // trailing\n}\n";
+        assert_eq!(non_test_lines(without), (6, 3));
     }
 }

@@ -4,15 +4,30 @@
 //! Demonstrates the `chaos` crate end to end: a seed-deterministic
 //! [`FaultPlan`] kills a client the instant its lock-acquire CAS
 //! succeeds (orphaning a leaf lock that a contender must break after
-//! the lease expires), crashes and restarts a memory server (bumping
-//! the catalog generation), and degrades a link — while closed-loop
-//! clients keep issuing operations through the bounded-retry layer.
+//! the lease expires), crashes and restarts a memory server (moving
+//! the cluster's restart epoch, which flushes client-cached state), and
+//! degrades a link — while closed-loop clients keep issuing operations
+//! through the bounded-retry layer. Each fault is printed as it lands,
+//! read off the observer bus like any other listener would.
 //!
 //! Run with `cargo run --example fault_tolerance`.
 
 use namdex::prelude::*;
+use namdex::rdma::{VerbEvent, VerbObserver};
 use std::cell::Cell;
 use std::rc::Rc;
+
+/// Prints every labelled instant on the bus: the chaos controller puts
+/// each fault it applies there.
+struct PrintFaults;
+
+impl VerbObserver for PrintFaults {
+    fn on_verb(&self, _ev: &VerbEvent) {}
+    fn on_free(&self, _server: usize, _offset: u64, _len: usize, _time: SimTime) {}
+    fn on_instant(&self, label: &str, _time: SimTime) {
+        println!("  [chaos] {label}");
+    }
+}
 
 const KEYS: u64 = 10_000;
 const CLIENTS: u64 = 8;
@@ -48,8 +63,8 @@ fn main() {
             },
         )
         .restore_link(ms(15), 0);
-    let controller = ChaosController::install_nam(&sim, &nam, plan);
-    controller.on_event(|ev| println!("  [chaos] {ev:?}"));
+    let controller = ChaosController::install(&sim, &nam.rdma, plan);
+    nam.rdma.add_observer(Rc::new(PrintFaults));
 
     let end = ms(20);
     let completed = Rc::new(Cell::new(0u64));
@@ -110,9 +125,9 @@ fn main() {
         fs.verbs_unreachable, fs.verbs_cancelled, fs.verbs_dropped
     );
     println!(
-        "  {:>8} lock-kill trigger(s) fired; catalog generation now {}",
+        "  {:>8} lock-kill trigger(s) fired; restart epoch now {}",
         fs.lock_kills_fired,
-        nam.catalog.generation()
+        nam.rdma.restart_epoch()
     );
     assert!(controller.done(), "every scheduled fault was applied");
 }

@@ -173,7 +173,7 @@ fn run_fault_digest(kind: IndexKind, seed: u64, fault_seed: u64) -> u64 {
     let nam = NamCluster::new(&sim, ClusterSpec::default());
     let design = build(kind, &nam);
     nam.rdma.set_active_clients(CLIENTS as usize);
-    ChaosController::install_nam(&sim, &nam, plan);
+    ChaosController::install(&sim, &nam.rdma, plan);
 
     let results = Rc::new(RefCell::new(Digest::new()));
     let workload = Workload::a().with_dist(RequestDist::Zipfian(0.99));

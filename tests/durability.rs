@@ -54,7 +54,7 @@ fn crash_under_load(kind: IndexKind, seed: u64) -> RunOutcome {
     let plan = FaultPlan::with_seed(seed)
         .crash_server(SimTime::from_micros(300), 1)
         .restart_server(SimTime::from_micros(400), 1);
-    ChaosController::install_nam(&sim, &nam, plan);
+    ChaosController::install(&sim, &nam.rdma, plan);
 
     let acked_inserts = Rc::new(RefCell::new(Vec::new()));
     let acked_deletes = Rc::new(RefCell::new(Vec::new()));
@@ -273,7 +273,6 @@ fn off_mode_changes_nothing_and_has_no_wal() {
     let sim = Sim::new();
     let nam = NamCluster::new(&sim, ClusterSpec::default());
     let design = build(IndexKind::CoarseGrained, &nam);
-    assert!(!nam.rdma.wal_enabled());
     assert!(nam.rdma.wal_stats(0).is_none());
     let survived = Rc::new(Cell::new(false));
     {

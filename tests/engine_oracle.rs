@@ -163,7 +163,7 @@ fn oracle_scenario(kind: IndexKind, seed: u64) {
         .crash_server(SimTime::from_micros(400), 1)
         .restart_server(SimTime::from_micros(800), 1)
         .kill_client(SimTime::from_micros(1_000), eps[0].client_id());
-    ChaosController::install_nam(&sim, &nam, plan);
+    ChaosController::install(&sim, &nam.rdma, plan);
 
     for (c, ep) in eps.into_iter().enumerate() {
         sim.spawn(client_loop(

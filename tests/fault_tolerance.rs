@@ -54,7 +54,7 @@ fn lock_orphan_scenario(kind: IndexKind) {
     let victim = Endpoint::new(&nam.rdma);
     let contender = Endpoint::new(&nam.rdma);
     let plan = FaultPlan::new().kill_on_lock_acquire(SimTime::ZERO, victim.client_id());
-    ChaosController::install_nam(&sim, &nam, plan);
+    ChaosController::install(&sim, &nam.rdma, plan);
 
     // Odd keys are fresh (the load uses multiples of 8); all land near
     // the same leaf so the contender meets the orphaned lock.
@@ -155,7 +155,7 @@ fn cg_completes_after_timed_kill_between_rpcs() {
     let plan = FaultPlan::new()
         .kill_client(SimTime::from_micros(50), victim.client_id())
         .revive_client(SimTime::from_micros(250), victim.client_id());
-    ChaosController::install_nam(&sim, &nam, plan);
+    ChaosController::install(&sim, &nam.rdma, plan);
 
     let keys: Vec<u64> = (0..20u64).map(|i| 2_001 + 2 * i).collect();
     let acked = Rc::new(RefCell::new(Vec::new()));
@@ -290,7 +290,7 @@ fn lossy_links_never_lose_or_duplicate_inserts() {
 }
 
 /// A memory-server outage in the middle of a read stream: retries ride
-/// it out, the catalog generation bump marks cached descriptors stale,
+/// it out, the restart epoch moves so client-cached state is flushed,
 /// and no operation returns a wrong answer.
 #[test]
 fn all_designs_ride_out_a_server_restart() {
@@ -301,8 +301,8 @@ fn all_designs_ride_out_a_server_restart() {
         let plan = FaultPlan::new()
             .crash_server(SimTime::from_micros(40), 1)
             .restart_server(SimTime::from_micros(140), 1);
-        ChaosController::install_nam(&sim, &nam, plan);
-        assert_eq!(nam.catalog.generation(), 0);
+        ChaosController::install(&sim, &nam.rdma, plan);
+        assert_eq!(nam.rdma.restart_epoch(), 0);
 
         let ep = Endpoint::new(&nam.rdma);
         let design2 = design.clone();
@@ -337,9 +337,9 @@ fn all_designs_ride_out_a_server_restart() {
             "{kind:?}: the outage must actually be hit"
         );
         assert_eq!(
-            nam.catalog.generation(),
+            nam.rdma.restart_epoch(),
             1,
-            "{kind:?}: restart bumps the catalog generation"
+            "{kind:?}: restart moves the restart epoch"
         );
         finish_checked(&race, &design);
     }

@@ -87,23 +87,27 @@ impl VerbObserver for Recorder {
     fn on_verb_failed(&self, client: u64, server: usize, time: SimTime) {
         self.record(time, format!("verb-failed c{client} s{server} t={time}"));
     }
-    fn on_op_start(&self, client: u64, kind: OpKind, time: SimTime) {
+    fn on_op_start(&self, client: u64, kind: OpKind, args: Option<OpArgs>, time: SimTime) {
         self.record(
             time,
-            format!("op-start c{client} {} t={time}", kind.label()),
+            format!("op-start c{client} {} {args:?} t={time}", kind.label()),
         );
     }
-    fn on_op_end(&self, client: u64, kind: OpKind, time: SimTime, ok: bool) {
+    fn on_op_end(
+        &self,
+        client: u64,
+        kind: OpKind,
+        ok: bool,
+        outcome: Option<&OpOutcome>,
+        time: SimTime,
+    ) {
         self.record(
             time,
-            format!("op-end c{client} {} ok={ok} t={time}", kind.label()),
+            format!(
+                "op-end c{client} {} ok={ok} {outcome:?} t={time}",
+                kind.label()
+            ),
         );
-    }
-    fn on_op_invoke(&self, client: u64, args: OpArgs, time: SimTime) {
-        self.record(time, format!("op-invoke c{client} {args:?} t={time}"));
-    }
-    fn on_op_response(&self, client: u64, outcome: &OpOutcome, time: SimTime) {
-        self.record(time, format!("op-response c{client} {outcome:?} t={time}"));
     }
     fn on_region(&self, client: u64, kind: RegionKind, enter: bool, time: SimTime) {
         self.record(
@@ -169,7 +173,7 @@ fn recorded_run() -> (Rc<Recorder>, Rc<Recorder>) {
     let plan = FaultPlan::with_seed(7)
         .crash_server(SimTime::from_micros(300), 1)
         .restart_server(SimTime::from_micros(400), 1);
-    ChaosController::install_nam(&sim, &nam, plan);
+    ChaosController::install(&sim, &nam.rdma, plan);
 
     for w in 0..2u64 {
         let index = index.clone();
