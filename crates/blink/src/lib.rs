@@ -8,7 +8,7 @@
 //! *"Designing Distributed Tree-based Index Structures for Fast
 //! RDMA-capable Networks"* (SIGMOD '19).
 //!
-//! Four layers:
+//! Five layers:
 //!
 //! * [`layout`] — the fixed binary page format: every node starts with an
 //!   8-byte `(version, lock-bit)` word, carries a high key and sibling
@@ -26,6 +26,10 @@
 //!   this tree locally when serving two-sided RPCs; it also reports
 //!   [`local::WorkStats`] so the simulator can charge CPU time
 //!   proportional to real work.
+//! * [`check`] — what a well-formed B-link tree is, written once: the
+//!   sibling-chain walk and the invariant check, over pages read through
+//!   a closure, so a local tree and the pages scattered over remote pools
+//!   are checked by the same rules.
 //!
 //! A local tree's pages, and a memory server's registered region, live in
 //! [`mem::PageMemory`]: a flat zero-filled buffer that grows to the byte
@@ -35,6 +39,7 @@
 //! of the value word is the per-entry *delete bit* the paper uses for
 //! tombstone deletes reclaimed by epoch-based garbage collection.
 
+pub mod check;
 pub mod layout;
 pub mod load;
 pub mod local;

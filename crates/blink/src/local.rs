@@ -12,7 +12,8 @@
 //! Deletes follow the paper: the delete *bit* is set on the entry and the
 //! space is reclaimed later by [`LocalTree::gc_compact`] (epoch-based GC).
 
-use crate::layout::{Key, PageLayout, Ptr, Value, KEY_MAX};
+use crate::check;
+use crate::layout::{Key, PageLayout, Ptr, Value};
 use crate::load::{Loader, PageSink};
 use crate::mem::PageMemory;
 use crate::node::{kind_of, InnerNodeMut, InnerNodeRef, LeafNodeMut, LeafNodeRef, NodeKind};
@@ -422,65 +423,47 @@ impl LocalTree {
         }
     }
 
-    /// Verify structural invariants; panics with a description on
-    /// violation. Test/debug aid.
-    pub fn check_invariants(&self) {
-        // Walk the leaf chain: keys sorted, within fences, chain ordered.
-        let mut cur = self.leftmost_leaf;
-        let mut prev_high: Option<Key> = None;
-        let mut prev_ptr = Ptr::NULL;
-        while !cur.is_null() {
-            let node = LeafNodeRef::new(self.page(cur));
-            let mut last: Option<Key> = None;
-            for i in 0..node.count() {
-                let (k, _, _) = node.entry(i);
-                assert!(last.is_none_or(|l| l <= k), "leaf keys unsorted");
-                assert!(k <= node.high_key(), "leaf key above high fence");
-                if let Some(ph) = prev_high {
-                    assert!(k > ph, "leaf key below low fence");
-                }
-                last = Some(k);
+    /// Every broken structural invariant, as `(page, detail)` findings:
+    /// the shared B-link rules of [`crate::check::check`], plus the one
+    /// local trees keep exactly — each leaf's left sibling is the leaf
+    /// before it. A broken link, fence or lock word is a finding, not a
+    /// panic.
+    pub fn problems(&self) -> Vec<(Ptr, String)> {
+        // A pointer off the buffer reads as a zeroed page: a finding.
+        let load = |p: Ptr| {
+            if (1..=self.num_pages() as u64).contains(&p.raw()) {
+                self.page(p).to_vec()
+            } else {
+                vec![0; self.layout.page_size()]
             }
-            assert_eq!(node.left_sibling(), prev_ptr, "left sibling broken");
-            prev_high = Some(node.high_key());
-            prev_ptr = cur;
-            cur = node.right_sibling();
+        };
+        let mut out = check::check(self.layout, self.leftmost_leaf, Some(self.root), load);
+        let mut prev = Ptr::NULL;
+        for (cur, page) in check::chain(self.leftmost_leaf, load) {
+            if kind_of(&page) == NodeKind::Leaf {
+                let left = LeafNodeRef::new(&page).left_sibling();
+                if left != prev {
+                    out.push((cur, format!("left sibling broken: {left:?} != {prev:?}")));
+                }
+                prev = cur;
+            }
         }
-        assert_eq!(prev_high, Some(KEY_MAX), "rightmost leaf must cover +inf");
-        // Every inner entry's child high key equals its separator.
-        self.check_inner(self.root);
+        out
     }
 
-    fn check_inner(&self, ptr: Ptr) {
-        if kind_of(self.page(ptr)) != NodeKind::Inner {
-            return;
-        }
-        let node = InnerNodeRef::new(self.page(ptr));
-        assert!(node.count() > 0, "empty inner node");
-        let mut prev: Option<Key> = None;
-        for i in 0..node.count() {
-            let (sep, child) = node.entry(i);
-            assert!(prev.is_none_or(|p| p < sep), "inner separators unsorted");
-            prev = Some(sep);
-            let child_high = match kind_of(self.page(child)) {
-                NodeKind::Leaf => LeafNodeRef::new(self.page(child)).high_key(),
-                NodeKind::Inner => InnerNodeRef::new(self.page(child)).high_key(),
-                NodeKind::Head => panic!("head node in local tree"),
-            };
-            assert_eq!(child_high, sep, "child fence != separator");
-            self.check_inner(child);
-        }
-        assert_eq!(
-            node.entry(node.count() - 1).0,
-            node.high_key(),
-            "last separator != high key"
-        );
+    /// Panics, listing them, if [`Self::problems`] finds any. Test and
+    /// debug aid.
+    pub fn check_invariants(&self) {
+        let problems = self.problems();
+        assert!(problems.is_empty(), "broken local tree: {problems:?}");
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layout::{lock_word, write_u64, KEY_MAX};
+    use crate::node::set_version_lock;
 
     fn layout() -> PageLayout {
         // Small pages force deep trees in tests.
@@ -746,6 +729,44 @@ mod tests {
         assert_eq!(tree.ceiling(11).0, Some((20, 2)));
         assert_eq!(tree.ceiling(990).0, Some((990, 99)));
         assert_eq!(tree.ceiling(991).0, None);
+    }
+
+    /// Each seeded corruption comes back as a finding naming it, and
+    /// none makes the check panic.
+    #[test]
+    fn problems_reports_seeded_corruptions() {
+        type Corrupt = fn(&mut LocalTree, &[Ptr]);
+        let cases: [(&str, Corrupt); 5] = [
+            ("page left locked", |t, leaves| {
+                set_version_lock(t.page_mut(leaves[3]), lock_word::locked(0))
+            }),
+            ("cycle in the leaf chain", |t, leaves| {
+                LeafNodeMut::new(t.page_mut(leaves[5])).set_right_sibling(leaves[2])
+            }),
+            ("at or below previous high fence", |t, leaves| {
+                write_u64(t.page_mut(leaves[4]), crate::layout::off::ENTRIES, 0)
+            }),
+            ("left sibling broken", |t, leaves| {
+                LeafNodeMut::new(t.page_mut(leaves[6])).set_left_sibling(leaves[1])
+            }),
+            ("!= separator", |t, _| {
+                let root = t.root();
+                write_u64(t.page_mut(root), crate::layout::off::ENTRIES, 1)
+            }),
+        ];
+        for (want, corrupt) in cases {
+            let mut tree = LocalTree::bulk_load(layout(), (0..100u64).map(|k| (k * 2, k)), 0.8);
+            assert!(tree.problems().is_empty(), "{:?}", tree.problems());
+            let leaves: Vec<Ptr> = check::chain(tree.leftmost_leaf(), |p| tree.page(p).to_vec())
+                .map(|(p, _)| p)
+                .collect();
+            corrupt(&mut tree, &leaves);
+            let found = tree.problems();
+            assert!(
+                found.iter().any(|(_, detail)| detail.contains(want)),
+                "{want}: {found:?}"
+            );
+        }
     }
 
     #[test]

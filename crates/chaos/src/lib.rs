@@ -335,7 +335,7 @@ mod tests {
         assert_eq!(*seen.0.borrow(), expect);
         assert!(ctrl.done());
         assert!(cluster.server_up(1));
-        assert_eq!(cluster.server_restarts(1), 1);
+        assert_eq!(cluster.restart_epoch(), 1);
     }
 
     #[test]

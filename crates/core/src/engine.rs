@@ -669,7 +669,7 @@ impl Index {
             right.as_page_ptr(),
         );
         ep.write(new_root, &page).await?;
-        // Catalog check-and-set: no await between check and set, so the
+        // Root-pointer check-and-set: no await between check and set, so the
         // update is atomic with respect to other clients.
         let unchanged = root.get() == left;
         if unchanged {

@@ -52,7 +52,7 @@ pub use resolve::{CoarseGrained, FineGrained, Hybrid, Index, Learned, SetupSourc
 pub use router::{LearnedStats, Router};
 
 use blink::{Key, Value};
-use nam::{IndexDescriptor, IndexKind, NamCluster, PartitionMap};
+use nam::{IndexKind, NamCluster, PartitionMap};
 use rdma_sim::{Endpoint, RemotePtr, VerbError};
 use std::fmt;
 use std::rc::Rc;
@@ -249,19 +249,6 @@ impl Design {
     pub fn name(&self) -> &'static str {
         self.kind().name()
     }
-
-    /// The catalog entry describing this index (§4.2: compute servers
-    /// resolve roots, partition maps and models through the catalog
-    /// service).
-    pub fn descriptor(&self) -> IndexDescriptor {
-        let idx = self.index();
-        IndexDescriptor {
-            kind: self.kind(),
-            root: idx.root().unwrap_or(RemotePtr::NULL),
-            partition: idx.local().map(|local| local.partition().clone()),
-            model: idx.router().and_then(Router::model),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -272,49 +259,6 @@ mod tests {
     use rdma_sim::ClusterSpec;
     use simnet::{Sim, SimDur};
     use std::cell::Cell;
-
-    #[test]
-    fn descriptors_register_in_catalog() {
-        let sim = Sim::new();
-        let mut nam = NamCluster::new(&sim, ClusterSpec::default());
-        let items = || (0..1000u64).map(|i| (i * 8, i));
-        let partition = PartitionMap::range_uniform(nam.num_servers(), 8000);
-        let designs = [
-            Design::Cg(CoarseGrained::build(
-                &nam,
-                PageLayout::default(),
-                partition.clone(),
-                items(),
-                0.7,
-            )),
-            Design::Fg(FineGrained::build(&nam.rdma, FgConfig::default(), items())),
-            Design::Hybrid(Hybrid::build(
-                &nam,
-                FgConfig::default(),
-                partition.clone(),
-                items(),
-            )),
-            Design::Learned(Learned::build(
-                &nam,
-                FgConfig::default(),
-                partition,
-                items(),
-            )),
-        ];
-        for d in &designs {
-            nam.catalog.register(d.name(), d.descriptor());
-        }
-        let fg = nam.catalog.lookup("fine-grained").expect("registered");
-        assert_eq!(fg.kind, IndexKind::FineGrained);
-        assert!(!fg.root.is_null(), "FG publishes its root pointer");
-        let cg = nam.catalog.lookup("coarse-grained").expect("registered");
-        assert_eq!(cg.partition.as_ref().unwrap().num_servers(), 4);
-        let learned = nam.catalog.lookup("learned").expect("registered");
-        assert_eq!(learned.kind, IndexKind::Learned);
-        let model = learned.model.as_ref().expect("catalog ships the model");
-        assert!(model.info().leaves > 0);
-        assert_eq!(nam.catalog.names().count(), 4);
-    }
 
     #[test]
     fn retries_ride_out_a_server_restart() {

@@ -90,11 +90,6 @@ impl Local {
         Local { nodes, partition }
     }
 
-    /// The partition map in use.
-    pub fn partition(&self) -> &PartitionMap {
-        &self.partition
-    }
-
     /// Per-server state handles (structural checks).
     pub fn nodes(&self) -> &[Rc<ServerNode>] {
         &self.nodes

@@ -58,7 +58,7 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use blink::layout::lock_word;
-use blink::node::{kind_of, HeadNodeRef, LeafNodeRef, NodeKind};
+use blink::node::{kind_of, NodeKind};
 use blink::{Key, PageLayout, Ptr, Value};
 use nam::{NamCluster, PartitionMap};
 use rdma_sim::{Cluster, Endpoint, FenceKind, PageBuf, RemotePtr, VerbError};
@@ -101,8 +101,8 @@ impl Page {
 /// The levels above the leaves.
 enum Upper {
     /// Inner pages scattered over the memory pools under a global root
-    /// pointer — conceptually the catalog entry compute servers resolve
-    /// (§4.2); updated on root splits.
+    /// pointer — what §4.2 would keep in a catalog service; clients read
+    /// it from the index itself. Updated on root splits.
     Remote {
         /// Current root.
         root: Cell<RemotePtr>,
@@ -265,8 +265,7 @@ impl Index {
         self.chain.as_ref()
     }
 
-    /// Current root remote pointer (the catalog entry), if the upper
-    /// level is remote.
+    /// Current root remote pointer, if the upper level is remote.
     pub fn root(&self) -> Option<RemotePtr> {
         match &self.upper {
             Upper::Remote { root } => Some(root.get()),
@@ -479,32 +478,12 @@ impl SetupSource {
     }
 
     /// The leaf chain from `first` in sibling order, untimed: every head
-    /// and leaf with its current bytes. Ends at a null sibling, after
-    /// yielding a non-chain (inner) page — what a torn chain means is the
-    /// caller's call — or when the walk comes back to a page it has
-    /// passed. The cycle check is Brent's: constant state, so a cycle may
-    /// be walked twice before it is cut, never forever.
+    /// and leaf with its current bytes ([`blink::check::chain`]: ends at
+    /// a null sibling, after an inner page, or where a cycle is cut).
     pub fn chain(&self, first: RemotePtr) -> impl Iterator<Item = (RemotePtr, Vec<u8>)> + '_ {
-        let mut cur = first;
-        // `mark` trails at the page passed `span` steps after the last mark.
-        let (mut mark, mut since_mark, mut span) = (RemotePtr::NULL, 0u64, 1u64);
-        std::iter::from_fn(move || {
-            if cur.is_null() || cur == mark {
-                return None;
-            }
-            let at = cur;
-            since_mark += 1;
-            if since_mark == span {
-                (mark, since_mark, span) = (at, 0, span * 2);
-            }
-            let page = self.load(at);
-            cur = RemotePtr::from_page_ptr(match kind_of(&page) {
-                NodeKind::Head => HeadNodeRef::new(&page).right_sibling(),
-                NodeKind::Leaf => LeafNodeRef::new(&page).right_sibling(),
-                NodeKind::Inner => Ptr::NULL,
-            });
-            Some((at, page))
-        })
+        let load = |p| self.load(RemotePtr::from_page_ptr(p));
+        blink::check::chain(first.as_page_ptr(), load)
+            .map(|(p, page)| (RemotePtr::from_page_ptr(p), page))
     }
 }
 

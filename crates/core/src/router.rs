@@ -9,8 +9,8 @@
 //! hybrid layout (server-local upper trees plus a scattered leaf
 //! chain), it routes descents with a PGM-style piecewise-linear model
 //! ([`learned_index::PgmModel`]) trained over the leaf-level
-//! `high_key → leaf pointer` table and shipped through the catalog,
-//! touching zero servers on the hot path.
+//! `high_key → leaf pointer` table and read by clients from the
+//! [`crate::Index`] itself, touching zero servers on the hot path.
 //!
 //! ## Mispredict / fallback state machine
 //!

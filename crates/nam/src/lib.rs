@@ -23,20 +23,18 @@
 //!   the degradation mechanism of Fig. 12.
 //! * [`msg`] — RPC wire-format sizes (requests/responses) so two-sided
 //!   traffic is charged byte-accurately.
-//! * [`catalog`] — the catalog service compute servers consult for index
-//!   roots and partition maps (§4.2: "part of a catalog service that is
-//!   anyway used during query compilation").
+//! * [`kind`] — which of the four designs an index uses.
 //! * [`NamCluster`] — the assembled deployment.
 
-pub mod catalog;
 pub mod durable;
+pub mod kind;
 pub mod lock;
 pub mod msg;
 pub mod node;
 pub mod partition;
 
-pub use catalog::{Catalog, IndexDescriptor, IndexKind};
 pub use durable::DurableTree;
+pub use kind::IndexKind;
 pub use lock::LockTable;
 pub use node::{handler_cpu_time, ServerNode};
 pub use partition::PartitionMap;
@@ -44,15 +42,12 @@ pub use partition::PartitionMap;
 use rdma_sim::{Cluster, ClusterSpec};
 use simnet::Sim;
 
-/// An assembled NAM deployment: the simulated RDMA cluster plus the
-/// catalog service. Per-index server-side state ([`ServerNode`]) is
-/// owned by each index, since a memory server hosts one local tree per
-/// index it serves.
+/// An assembled NAM deployment: the simulated RDMA cluster. Per-index
+/// server-side state ([`ServerNode`]) is owned by each index, since a
+/// memory server hosts one local tree per index it serves.
 pub struct NamCluster {
     /// The underlying simulated RDMA cluster.
     pub rdma: Cluster,
-    /// The catalog service.
-    pub catalog: Catalog,
 }
 
 impl NamCluster {
@@ -60,7 +55,6 @@ impl NamCluster {
     pub fn new(sim: &Sim, spec: ClusterSpec) -> Self {
         NamCluster {
             rdma: Cluster::new(sim, spec),
-            catalog: Catalog::new(),
         }
     }
 

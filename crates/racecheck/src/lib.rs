@@ -355,11 +355,6 @@ impl Racecheck {
         self.state.borrow().out.violations.clone()
     }
 
-    /// Whether no rule fired.
-    pub fn is_clean(&self) -> bool {
-        self.counts().violations == 0
-    }
-
     /// Aggregate counters.
     pub fn counts(&self) -> Counts {
         self.state.borrow().out.counts

@@ -2,36 +2,29 @@
 //! registration of the pages a bulk load built.
 //!
 //! Complements the online rules: after a workload quiesces, the
-//! index must be a well-formed B-link structure — high keys ordered along
-//! the sibling chain, every tree-referenced leaf reachable from the
-//! chain, key counts within page capacity, no lock left held. The walk
-//! reads pages through the index's [`SetupSource`] (the untimed control
-//! path — no simulated cost, and page geometry agreed with the engine by
-//! construction) and checks every part the index has:
+//! index must be a well-formed B-link structure. What that means is
+//! [`blink::check`]'s to say, once for every place pages live; this
+//! module feeds it each part the index has and turns its findings into
+//! `structural` violations:
 //!
-//! * **leaf chain** — the sibling-order walk;
-//! * **remote upper level** — a top-down walk from the root over the
-//!   distributed inner levels, including tree→chain reachability;
-//! * **local upper level** — each server's local tree (via [`blink`]'s
-//!   own `check_invariants`);
+//! * **leaf chain and remote upper level** — the pool pages, read
+//!   through the index's [`SetupSource`] (the untimed control path — no
+//!   simulated cost, and page geometry agreed with the engine by
+//!   construction);
+//! * **local upper level** — each server's local tree
+//!   ([`blink::LocalTree::problems`]);
 //! * **model router** — an audit of the shipped routing table.
 
 use std::collections::BTreeSet;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use blink::layout::lock_word;
-use blink::node::{
-    kind_of, level_of, version_lock_of, HeadNodeRef, InnerNodeRef, LeafNodeRef, NodeKind,
-};
+use blink::check::MAX_PAGES;
+use blink::node::{kind_of, level_of, InnerNodeRef, LeafNodeRef, NodeKind};
 use blink::Key;
 use namdex_core::{Design, SetupSource};
 use rdma_sim::RemotePtr;
 use simnet::SimTime;
 
 use crate::{Racecheck, Violation};
-
-/// Safety cap on the inner-level traversal (a cycle shows up long before).
-const MAX_PAGES: usize = 1_000_000;
 
 fn sv(ptr: RemotePtr, len: usize, time: SimTime, detail: String) -> Violation {
     Violation {
@@ -47,284 +40,6 @@ fn sv(ptr: RemotePtr, len: usize, time: SimTime, detail: String) -> Violation {
 
 fn rp(p: blink::layout::Ptr) -> RemotePtr {
     RemotePtr::from_page_ptr(p)
-}
-
-/// Walk the leaf chain from `first`: returns findings plus the set of
-/// leaf pages seen (raw remote-pointer form) for reachability checks.
-fn walk_chain(src: &SetupSource, first: RemotePtr, out: &mut Vec<Violation>) -> BTreeSet<u64> {
-    let layout = src.layout();
-    let ps = layout.page_size();
-    let now = src.cluster().sim().now();
-    let mut leaves = BTreeSet::new();
-    let mut head_targets: Vec<(RemotePtr, u64)> = Vec::new();
-    let mut prev_high: Option<Key> = None;
-    // Where the last page walked points: non-null after the loop means
-    // the iterator cut a cycle.
-    let mut next = first;
-    for (cur, page) in src.chain(first) {
-        if lock_word::is_locked(version_lock_of(&page)) {
-            out.push(sv(cur, ps, now, "page left locked after quiescence".into()));
-        }
-        match kind_of(&page) {
-            NodeKind::Head => {
-                let head = HeadNodeRef::new(&page);
-                if head.count() > layout.head_capacity() {
-                    out.push(sv(
-                        cur,
-                        ps,
-                        now,
-                        format!(
-                            "head count {} exceeds capacity {}",
-                            head.count(),
-                            layout.head_capacity()
-                        ),
-                    ));
-                }
-                for p in head.ptrs() {
-                    head_targets.push((cur, rp(p).raw()));
-                }
-                next = rp(head.right_sibling());
-            }
-            NodeKind::Leaf => {
-                let leaf = LeafNodeRef::new(&page);
-                if level_of(&page) != 0 {
-                    out.push(sv(cur, ps, now, "leaf with non-zero level".into()));
-                }
-                if leaf.count() > layout.entry_capacity() {
-                    out.push(sv(
-                        cur,
-                        ps,
-                        now,
-                        format!(
-                            "leaf count {} exceeds capacity {}",
-                            leaf.count(),
-                            layout.entry_capacity()
-                        ),
-                    ));
-                }
-                let mut last: Option<Key> = None;
-                for i in 0..leaf.count().min(layout.entry_capacity()) {
-                    let (k, _, _) = leaf.entry(i);
-                    if last.is_some_and(|l| l > k) {
-                        out.push(sv(cur, ps, now, format!("leaf keys unsorted at slot {i}")));
-                        break;
-                    }
-                    if k > leaf.high_key() {
-                        out.push(sv(
-                            cur,
-                            ps,
-                            now,
-                            format!("key {k} above leaf high fence {}", leaf.high_key()),
-                        ));
-                        break;
-                    }
-                    if let Some(ph) = prev_high {
-                        if k <= ph {
-                            out.push(sv(
-                                cur,
-                                ps,
-                                now,
-                                format!("key {k} at or below previous high fence {ph}"),
-                            ));
-                            break;
-                        }
-                    }
-                    last = Some(k);
-                }
-                if let Some(ph) = prev_high {
-                    if leaf.high_key() < ph {
-                        out.push(sv(
-                            cur,
-                            ps,
-                            now,
-                            format!(
-                                "high keys not ascending along the chain: {} after {ph}",
-                                leaf.high_key()
-                            ),
-                        ));
-                    }
-                }
-                prev_high = Some(leaf.high_key());
-                leaves.insert(cur.raw());
-                next = rp(leaf.right_sibling());
-            }
-            NodeKind::Inner => {
-                out.push(sv(cur, ps, now, "inner node in the leaf chain".into()));
-                next = RemotePtr::NULL;
-            }
-        }
-    }
-    if !next.is_null() {
-        out.push(sv(next, ps, now, "cycle in the leaf chain".into()));
-    }
-    if prev_high != Some(blink::layout::KEY_MAX) {
-        out.push(sv(
-            first,
-            ps,
-            now,
-            format!(
-                "rightmost leaf high fence is {:?}, must cover +inf",
-                prev_high
-            ),
-        ));
-    }
-    // Head prefetch lists must only reference leaves on the chain.
-    for (head, target) in head_targets {
-        if !leaves.contains(&target) {
-            out.push(sv(
-                head,
-                ps,
-                now,
-                format!(
-                    "head references page {} which is not a chain leaf",
-                    RemotePtr::from_raw(target).offset()
-                ),
-            ));
-        }
-    }
-    leaves
-}
-
-/// High key of an arbitrary node page.
-fn high_key_of(page: &[u8]) -> Key {
-    match kind_of(page) {
-        NodeKind::Leaf => LeafNodeRef::new(page).high_key(),
-        NodeKind::Inner => InnerNodeRef::new(page).high_key(),
-        NodeKind::Head => blink::layout::KEY_MAX,
-    }
-}
-
-/// Walk the distributed inner levels top-down from `root`, including
-/// tree→chain reachability against the `chain` leaves [`walk_chain`] saw.
-fn walk_inner(src: &SetupSource, root: RemotePtr, chain: &BTreeSet<u64>, out: &mut Vec<Violation>) {
-    let layout = src.layout();
-    let ps = layout.page_size();
-    let now = src.cluster().sim().now();
-
-    let mut stack = vec![root];
-    let mut visited = BTreeSet::new();
-    while let Some(cur) = stack.pop() {
-        if cur.is_null() || !visited.insert(cur.raw()) {
-            continue;
-        }
-        if visited.len() > MAX_PAGES {
-            out.push(sv(cur, ps, now, "inner walk exceeds page cap".into()));
-            break;
-        }
-        let page = src.load(cur);
-        match kind_of(&page) {
-            NodeKind::Leaf => {
-                if !chain.contains(&cur.raw()) {
-                    out.push(sv(
-                        cur,
-                        ps,
-                        now,
-                        "leaf referenced by the tree is unreachable from the chain".into(),
-                    ));
-                }
-            }
-            NodeKind::Head => {
-                out.push(sv(
-                    cur,
-                    ps,
-                    now,
-                    "head node referenced by inner level".into(),
-                ));
-            }
-            NodeKind::Inner => {
-                if lock_word::is_locked(version_lock_of(&page)) {
-                    out.push(sv(cur, ps, now, "page left locked after quiescence".into()));
-                }
-                let node = InnerNodeRef::new(&page);
-                if node.count() == 0 || node.count() > layout.entry_capacity() {
-                    out.push(sv(
-                        cur,
-                        ps,
-                        now,
-                        format!(
-                            "inner count {} outside [1, {}]",
-                            node.count(),
-                            layout.entry_capacity()
-                        ),
-                    ));
-                    continue;
-                }
-                let mut prev: Option<Key> = None;
-                for i in 0..node.count() {
-                    let (sep, child) = node.entry(i);
-                    if prev.is_some_and(|p| p >= sep) {
-                        out.push(sv(
-                            cur,
-                            ps,
-                            now,
-                            format!("inner separators unsorted at slot {i}"),
-                        ));
-                    }
-                    prev = Some(sep);
-                    let cp = rp(child);
-                    let child_page = src.load(cp);
-                    let child_level = level_of(&child_page);
-                    if child_level + 1 != level_of(&page) {
-                        out.push(sv(
-                            cur,
-                            ps,
-                            now,
-                            format!(
-                                "child level {child_level} under inner level {}",
-                                level_of(&page)
-                            ),
-                        ));
-                    }
-                    let ch = high_key_of(&child_page);
-                    if ch != sep {
-                        out.push(sv(
-                            cur,
-                            ps,
-                            now,
-                            format!("child high fence {ch} != separator {sep} at slot {i}"),
-                        ));
-                    }
-                    stack.push(cp);
-                }
-                if node.entry(node.count() - 1).0 != node.high_key() {
-                    out.push(sv(cur, ps, now, "last separator != high key".into()));
-                }
-                stack.push(rp(node.right_sibling()));
-            }
-        }
-    }
-}
-
-/// Check one server's local tree via blink's own invariant checker,
-/// converting a panic into a structural finding.
-fn check_local_tree(
-    node: &std::rc::Rc<nam::ServerNode>,
-    server: usize,
-    now: SimTime,
-    out: &mut Vec<Violation>,
-) {
-    if !node.has_tree() {
-        return;
-    }
-    let res = catch_unwind(AssertUnwindSafe(|| {
-        node.with_tree(|t| t.check_invariants())
-    }));
-    if let Err(e) = res {
-        let msg = e
-            .downcast_ref::<String>()
-            .map(String::as_str)
-            .or_else(|| e.downcast_ref::<&str>().copied())
-            .unwrap_or("local tree invariant panic");
-        out.push(Violation {
-            rule: "structural",
-            client: None,
-            server,
-            offset: 0,
-            len: 0,
-            time: now,
-            detail: format!("local tree on server {server}: {msg}"),
-        });
-    }
 }
 
 /// Audit a model router's routing `table`. An entry may be *stale*
@@ -374,15 +89,34 @@ fn audit_model(src: &SetupSource, table: &[(Key, u64)], out: &mut Vec<Violation>
 pub fn check_design(design: &Design) -> Vec<Violation> {
     let idx = design.index();
     let src = idx.setup_source();
+    let ps = src.layout().page_size();
+    let now = src.cluster().sim().now();
     let mut out = Vec::new();
-    let chain = idx.chain().map(|c| walk_chain(src, c.first(), &mut out));
-    if let (Some(root), Some(chain)) = (idx.root(), &chain) {
-        walk_inner(src, root, chain, &mut out);
+    if let Some(chain) = idx.chain() {
+        let root = idx.root().map(RemotePtr::as_page_ptr);
+        let load = |p| src.load(rp(p));
+        let found = blink::check::check(src.layout(), chain.first().as_page_ptr(), root, load);
+        out.extend(
+            found
+                .into_iter()
+                .map(|(p, detail)| sv(rp(p), ps, now, detail)),
+        );
     }
     if let Some(local) = idx.local() {
-        let now = src.cluster().sim().now();
-        for (s, node) in local.nodes().iter().enumerate() {
-            check_local_tree(node, s, now, &mut out);
+        for (server, node) in local.nodes().iter().enumerate() {
+            if !node.has_tree() {
+                continue;
+            }
+            let found = node.with_tree(|t| t.problems());
+            out.extend(found.into_iter().map(|(p, detail)| Violation {
+                rule: "structural",
+                client: None,
+                server,
+                offset: p.raw(),
+                len: 0,
+                time: now,
+                detail: format!("local tree on server {server}: {detail}"),
+            }));
         }
     }
     // A flushed model ships nothing, so there is nothing to audit.
@@ -422,6 +156,103 @@ pub fn register_design(rc: &Racecheck, design: &Design) {
                 stack.extend((0..node.count()).map(|i| rp(node.entry(i).1)));
             }
             stack.push(rp(node.right_sibling()));
+        }
+    }
+}
+
+#[cfg(test)]
+#[allow(clippy::indexing_slicing)]
+mod tests {
+    use super::*;
+    use blink::layout::{lock_word, HEADER_SIZE};
+    use blink::node::{set_version_lock, LeafNodeMut};
+    use blink::PageLayout;
+    use nam::{NamCluster, PartitionMap};
+    use namdex_core::{FgConfig, FineGrained, Hybrid};
+    use rdma_sim::{Cluster, ClusterSpec};
+    use simnet::Sim;
+
+    /// Byte offset of the high key in blink's page header.
+    const HIGH_KEY: usize = 16;
+    const PAGE: usize = 256;
+
+    fn cfg() -> FgConfig {
+        FgConfig {
+            layout: PageLayout::new(PAGE),
+            fill: 0.7,
+            head_stride: 4,
+            cache_capacity: None,
+        }
+    }
+
+    fn items() -> impl Iterator<Item = (Key, u64)> {
+        (0..2_000u64).map(|i| (i * 8, i))
+    }
+
+    /// Each corruption of a pool page, in the chain designs that keep
+    /// one, comes back as a `structural` violation naming it — no panic.
+    #[test]
+    fn corrupted_pool_pages_are_structural_violations() {
+        type Corrupt = fn(&Cluster, &[RemotePtr], &[RemotePtr]);
+        let cases: [(&str, Corrupt); 4] = [
+            ("left locked", |c, leaves, _| {
+                c.setup_page(leaves[5], PAGE, |p| {
+                    set_version_lock(p, lock_word::locked(0))
+                })
+            }),
+            ("above leaf high fence", |c, leaves, _| {
+                c.setup_page(leaves[5], PAGE, |p| {
+                    let lowered = LeafNodeRef::new(p).entry(0).0 - 1;
+                    p[HIGH_KEY..HIGH_KEY + 8].copy_from_slice(&lowered.to_le_bytes());
+                })
+            }),
+            ("cycle in the leaf chain", |c, leaves, _| {
+                let back = leaves[2].as_page_ptr();
+                c.setup_page(leaves[8], PAGE, |p| {
+                    LeafNodeMut::new(p).set_right_sibling(back)
+                })
+            }),
+            ("not a chain leaf", |c, _, heads| {
+                let off_chain = c.setup_alloc(0, PAGE as u64).raw().to_le_bytes();
+                c.setup_page(heads[1], PAGE, |p| {
+                    p[HEADER_SIZE..HEADER_SIZE + 8].copy_from_slice(&off_chain)
+                })
+            }),
+        ];
+        let builds: [fn(&NamCluster) -> Design; 2] = [
+            |nam| Design::Fg(FineGrained::build(&nam.rdma, cfg(), items())),
+            |nam| {
+                let partition = PartitionMap::range_uniform(nam.num_servers(), 2_000 * 8);
+                Design::Hybrid(Hybrid::build(nam, cfg(), partition, items()))
+            },
+        ];
+        for (want, corrupt) in cases {
+            for build in builds {
+                let nam = NamCluster::new(&Sim::new(), ClusterSpec::default());
+                let design = build(&nam);
+                assert!(
+                    check_design(&design).is_empty(),
+                    "a fresh load is well-formed"
+                );
+                let idx = design.index();
+                let first = idx.chain().map(|c| c.first()).unwrap_or_default();
+                let (mut leaves, mut heads) = (Vec::new(), Vec::new());
+                for (ptr, page) in idx.setup_source().chain(first) {
+                    match kind_of(&page) {
+                        NodeKind::Head => heads.push(ptr),
+                        _ => leaves.push(ptr),
+                    }
+                }
+                corrupt(&nam.rdma, &leaves, &heads);
+                let found = check_design(&design);
+                assert!(
+                    found
+                        .iter()
+                        .any(|v| v.rule == "structural" && v.detail.contains(want)),
+                    "{:?} / {want}: {found:?}",
+                    design.kind()
+                );
+            }
         }
     }
 }

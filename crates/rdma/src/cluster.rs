@@ -132,10 +132,8 @@ struct FaultState {
     server_up: Vec<bool>,
     /// When each currently-down server crashed (None while up).
     crashed_at: Vec<Option<SimTime>>,
-    /// Restart counter per server.
-    server_restarts: Vec<u64>,
-    /// Restarts of any server: the sum of `server_restarts`, kept beside
-    /// it because client caches compare it on every page load.
+    /// Restarts of any server: client caches compare it on every page
+    /// load.
     restart_epoch: u64,
     /// Killed compute clients; their verbs fail with `Cancelled`.
     dead_clients: BTreeSet<u64>,
@@ -161,7 +159,6 @@ impl FaultState {
         FaultState {
             server_up: vec![true; n],
             crashed_at: vec![None; n],
-            server_restarts: vec![0; n],
             restart_epoch: 0,
             dead_clients: BTreeSet::new(),
             kill_on_lock_acquire: BTreeSet::new(),
@@ -170,11 +167,6 @@ impl FaultState {
             rng: DetRng::seed_from_u64(0),
             stats: FaultStats::default(),
         }
-    }
-
-    fn note_restart(&mut self, s: usize) {
-        self.server_restarts[s] += 1;
-        self.restart_epoch += 1;
     }
 }
 
@@ -389,7 +381,7 @@ impl Cluster {
             if !f.server_up[s] {
                 f.server_up[s] = true;
                 f.crashed_at[s] = None;
-                f.note_restart(s);
+                f.restart_epoch += 1;
             }
             return;
         }
@@ -466,7 +458,7 @@ impl Cluster {
         let crashed_at = {
             let mut f = self.inner.faults.borrow_mut();
             f.server_up[s] = true;
-            f.note_restart(s);
+            f.restart_epoch += 1;
             f.crashed_at[s].take().unwrap_or(restarted_at)
         };
         self.inner.recovering.borrow_mut()[s] = false;
@@ -498,11 +490,6 @@ impl Cluster {
     /// Whether memory server `s` is up.
     pub fn server_up(&self, s: usize) -> bool {
         self.inner.faults.borrow().server_up[s]
-    }
-
-    /// How many times server `s` has been restarted.
-    pub fn server_restarts(&self, s: usize) -> u64 {
-        self.inner.faults.borrow().server_restarts[s]
     }
 
     /// Restarts of any server so far. Client-resident state derived from

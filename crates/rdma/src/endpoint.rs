@@ -1100,7 +1100,7 @@ mod tests {
             // Detection charged a round trip.
             assert!((s.now() - begin).as_nanos() >= 2_500);
             c.restart_server(2);
-            assert_eq!(c.server_restarts(2), 1);
+            assert_eq!(c.restart_epoch(), 1);
             // Memory survived the crash.
             let data = ep.read(ptr, 64).await.unwrap();
             assert_eq!(data, vec![3; 64]);
@@ -1462,7 +1462,7 @@ mod tests {
         assert_eq!(recs.len(), 1);
         assert!(recs[0].recovery_time() >= cluster.spec().wal_restart_boot_latency);
         assert!(recs[0].replay_bytes > 0);
-        assert_eq!(cluster.server_restarts(0), 1);
+        assert_eq!(cluster.restart_epoch(), 1);
         assert_eq!(sim.live_tasks(), 0);
     }
 

@@ -5,9 +5,9 @@
 //!
 //! Three pieces, all deterministic in virtual time:
 //!
-//! * [`Registry`] — named counters / gauges / histograms (reusing
+//! * [`Registry`] — named counters and histograms (reusing
 //!   [`simnet::stats`]) that any layer can register into, serializable
-//!   to CSV/JSON alongside bench results;
+//!   to CSV alongside bench results;
 //! * causal **op spans** — a [`Telemetry`] observer installed on a
 //!   [`rdma_sim::Cluster`] turns the verb-level event stream into
 //!   per-operation virtual-time breakdowns (wire, NIC/QP queueing,
@@ -216,28 +216,20 @@ impl VerbObserver for Telemetry {
     }
 
     fn on_op_start(&self, client: u64, kind: OpKind, _args: Option<OpArgs>, time: SimTime) {
-        let outermost = self.with_client(client, |st| match &mut st.span {
-            Some(span) => {
-                span.depth += 1;
-                false
-            }
-            None => {
-                st.span = Some(OpSpan::new(kind, time.as_nanos()));
-                true
-            }
+        self.with_client(client, |st| {
+            debug_assert!(st.span.is_none(), "ops do not nest within a client");
+            st.span = Some(OpSpan::new(kind, time.as_nanos()));
         });
-        if outermost {
-            self.push_trace(TraceEvent {
-                ph: 'B',
-                name: kind.label().into(),
-                cat: "op",
-                ts_nanos: time.as_nanos(),
-                dur_nanos: None,
-                tid: client,
-                scope: None,
-                args: vec![],
-            });
-        }
+        self.push_trace(TraceEvent {
+            ph: 'B',
+            name: kind.label().into(),
+            cat: "op",
+            ts_nanos: time.as_nanos(),
+            dur_nanos: None,
+            tid: client,
+            scope: None,
+            args: vec![],
+        });
     }
 
     fn on_op_end(
@@ -249,17 +241,9 @@ impl VerbObserver for Telemetry {
         time: SimTime,
     ) {
         let closed = self.with_client(client, |st| {
-            let Some(span) = &mut st.span else {
-                return None;
-            };
-            span.depth -= 1;
-            if span.depth > 0 {
-                return None;
-            }
+            let mut span = st.span.take()?;
             let total = span.close(time.as_nanos());
-            let closed = (span.kind, span.breakdown, total);
-            st.span = None;
-            Some(closed)
+            Some((span.kind, span.breakdown, total))
         });
         let Some((span_kind, breakdown, total)) = closed else {
             return;

@@ -1,12 +1,12 @@
 //! Named metrics registry.
 //!
-//! A [`Registry`] is a cheap-to-clone handle to a set of named counters,
-//! gauges, and histograms (reusing [`simnet::stats`]) that any layer can
+//! A [`Registry`] is a cheap-to-clone handle to a set of named counters
+//! and histograms (reusing [`simnet::stats`]) that any layer can
 //! register into. Names are dot-separated (`verb.read.count`,
 //! `op.lookup.latency_ns`); iteration order is the lexicographic name
 //! order (a `BTreeMap`), so serialization is deterministic.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::rc::Rc;
@@ -22,7 +22,6 @@ pub struct Registry {
 #[derive(Default)]
 struct Inner {
     counters: RefCell<BTreeMap<String, Rc<Counter>>>,
-    gauges: RefCell<BTreeMap<String, Rc<Cell<f64>>>>,
     histograms: RefCell<BTreeMap<String, Rc<RefCell<Histogram>>>>,
 }
 
@@ -57,21 +56,6 @@ impl Registry {
         self.counter(name).add(n);
     }
 
-    /// Get or create the gauge `name`.
-    pub fn gauge(&self, name: &str) -> Rc<Cell<f64>> {
-        self.inner
-            .gauges
-            .borrow_mut()
-            .entry(name.to_string())
-            .or_default()
-            .clone()
-    }
-
-    /// Set gauge `name` to `value`.
-    pub fn set_gauge(&self, name: &str, value: f64) {
-        self.gauge(name).set(value);
-    }
-
     /// Get or create the histogram `name`.
     pub fn histogram(&self, name: &str) -> Rc<RefCell<Histogram>> {
         self.inner
@@ -94,12 +78,6 @@ impl Registry {
             rows.push(MetricRow {
                 name: name.clone(),
                 value: c.get() as f64,
-            });
-        }
-        for (name, g) in self.inner.gauges.borrow().iter() {
-            rows.push(MetricRow {
-                name: name.clone(),
-                value: g.get(),
             });
         }
         for (name, h) in self.inner.histograms.borrow().iter() {
@@ -127,19 +105,6 @@ impl Registry {
         for row in self.snapshot() {
             let _ = writeln!(out, "{},{}", row.name, fmt_value(row.value));
         }
-        out
-    }
-
-    /// Serialize the snapshot as a flat JSON object.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        for (i, row) in self.snapshot().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}\":{}", row.name, fmt_value(row.value));
-        }
-        out.push('}');
         out
     }
 }
@@ -171,7 +136,6 @@ mod tests {
     fn snapshot_is_sorted_and_expands_histograms() {
         let r = Registry::new();
         r.add("z.count", 1);
-        r.set_gauge("m.ratio", 0.5);
         for v in [10u64, 20, 30] {
             r.record("a.lat", v);
         }
@@ -185,7 +149,6 @@ mod tests {
                 "a.lat.mean",
                 "a.lat.p50",
                 "a.lat.p99",
-                "m.ratio",
                 "z.count"
             ]
         );
@@ -193,11 +156,12 @@ mod tests {
     }
 
     #[test]
-    fn csv_and_json_render() {
+    fn csv_renders() {
         let r = Registry::new();
         r.add("ops", 42);
-        r.set_gauge("ratio", 0.25);
-        assert_eq!(r.to_csv(), "metric,value\nops,42\nratio,0.250000\n");
-        assert_eq!(r.to_json(), "{\"ops\":42,\"ratio\":0.250000}");
+        for v in [1u64, 2] {
+            r.record("lat", v);
+        }
+        assert_eq!(r.to_csv(), "metric,value\nlat.count,2\nlat.max,2\nlat.mean,1.500000\nlat.p50,1\nlat.p99,2\nops,42\n");
     }
 }

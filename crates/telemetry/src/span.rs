@@ -128,9 +128,6 @@ pub struct OpSpan {
     pub breakdown: Breakdown,
     /// Open protocol region, if any (rule 1 above).
     pub region: Option<RegionKind>,
-    /// Nesting depth of `on_op_start` calls; only the outermost op is
-    /// spanned (inner calls are absorbed into the outer breakdown).
-    pub depth: u32,
 }
 
 impl OpSpan {
@@ -142,7 +139,6 @@ impl OpSpan {
             cursor: start,
             breakdown: Breakdown::default(),
             region: None,
-            depth: 1,
         }
     }
 

@@ -80,19 +80,6 @@ pub struct WalConfig {
     pub replay_cpu_per_record: SimDur,
 }
 
-impl Default for WalConfig {
-    fn default() -> Self {
-        WalConfig {
-            write_bandwidth: 2.0e9,
-            read_bandwidth: 3.5e9,
-            fsync_latency: SimDur::from_micros(10),
-            group_commit: true,
-            checkpoint_every_bytes: 16 << 20,
-            replay_cpu_per_record: SimDur::from_nanos(150),
-        }
-    }
-}
-
 /// A consistent snapshot of one server's recoverable state, captured by
 /// the host layer at checkpoint time.
 #[derive(Clone, Debug, Default)]
@@ -235,8 +222,6 @@ pub struct RecoveryPlan {
     pub replay_bytes: u64,
     /// Torn-tail bytes discarded by this recovery.
     pub torn_bytes: u64,
-    /// Device occupancy of the sequential replay read.
-    pub read_duration: SimDur,
     /// CPU time to decode + apply the records.
     pub cpu_duration: SimDur,
 }
@@ -525,7 +510,6 @@ impl ServerWal {
             pool_image,
             allocated,
             tree_entries,
-            read_duration: self.dev.read_duration(replay_bytes),
             cpu_duration: self.cfg.replay_cpu_per_record * records.len() as u64,
             records,
             replay_bytes,
@@ -771,7 +755,6 @@ mod tests {
         let plan = wal.recover();
         assert_eq!(plan.records, vec![rec(1)]);
         assert_eq!(plan.torn_bytes, 0);
-        assert!(plan.read_duration > SimDur::ZERO);
     }
 
     struct FixedSource(CheckpointPayload);

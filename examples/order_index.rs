@@ -59,19 +59,6 @@ fn main() {
         base.into_iter(),
     ));
 
-    // Register it with the catalog, as a compute server would resolve it.
-    let mut catalog = Catalog::new();
-    catalog.register(
-        "orders_by_customer",
-        IndexDescriptor {
-            kind: IndexKind::Hybrid,
-            root: RemotePtr::NULL,
-            partition: Some(PartitionMap::range_uniform(nam.num_servers(), domain)),
-            model: None,
-        },
-    );
-    assert!(catalog.lookup("orders_by_customer").is_some());
-
     let lookups = Rc::new(Cell::new(0u64));
     let inserts = Rc::new(Cell::new(0u64));
     let found_orders = Rc::new(Cell::new(0u64));

@@ -18,7 +18,7 @@
 //! | [`sim`] | `simnet` | deterministic virtual-time engine (executor, fluid resources, RNG, stats) |
 //! | [`rdma`] | `rdma-sim` | simulated RDMA verbs: memory pools, remote pointers, one-/two-sided ops, NIC/QPI model |
 //! | [`tree`] | `blink` | B-link tree pages and local trees with optimistic lock coupling |
-//! | [`cluster`] | `nam` | the NAM assembly: partitioning, per-server state, catalog, RPC sizing |
+//! | [`cluster`] | `nam` | the NAM assembly: partitioning, per-server state, RPC sizing |
 //! | [`index`] | `namdex-core` | **the paper's contribution**: coarse-grained, fine-grained, and hybrid designs |
 //! | [`workload`] | `ycsb` | the paper's modified YCSB (Table 3) |
 //! | [`model`] | `analysis` | the §2.3 analytical scalability model |
@@ -75,7 +75,7 @@ pub use ycsb as workload;
 pub mod prelude {
     pub use blink::{Key, LocalTree, PageLayout, Value};
     pub use chaos::{ChaosController, FaultEvent, FaultPlan, RandomProfile};
-    pub use nam::{Catalog, IndexDescriptor, IndexKind, NamCluster, PartitionMap};
+    pub use nam::{IndexKind, NamCluster, PartitionMap};
     pub use namdex_core::{
         CoarseGrained, Design, FgConfig, FineGrained, Hybrid, Index, Learned, LearnedStats, OpError,
     };
