@@ -53,6 +53,7 @@ use blink::node::{
 };
 use blink::{Key, PageLayout, Ptr, Value};
 use nam::msg;
+use rdma_sim::spec::{RETRY_BACKOFF_BASE, RETRY_BACKOFF_CAP, RETRY_LIMIT};
 use rdma_sim::{
     Endpoint, FenceKind, OpArgs, OpKind, OpOutcome, PageBuf, RegionKind, RemotePtr, VerbError,
 };
@@ -61,7 +62,7 @@ use simnet::SimDur;
 use crate::local::Local;
 use crate::onesided::{lock_node, read_unlocked, Locked};
 use crate::resolve::Index;
-use crate::{Design, OpError};
+use crate::{Design, Mutation, OpError};
 
 fn rp(p: Ptr) -> RemotePtr {
     RemotePtr::from_page_ptr(p)
@@ -88,17 +89,16 @@ pub(crate) fn spin_backoff(attempt: u32) -> SimDur {
 }
 
 /// Sleep the bounded exponential backoff before retry number `attempt`
-/// (1-based): `retry_backoff_base << (attempt - 1)`, capped at
-/// `retry_backoff_cap`, plus a deterministic jitter in `[0, delay)`
+/// (1-based): `RETRY_BACKOFF_BASE << (attempt - 1)`, capped at
+/// `RETRY_BACKOFF_CAP`, plus a deterministic jitter in `[0, delay)`
 /// derived from the client id, the attempt number, and the current
 /// virtual time — so concurrent retriers decorrelate without any
 /// wall-clock randomness.
 pub(crate) async fn backoff_before_retry(ep: &Endpoint, attempt: u32) {
-    let spec = ep.cluster().spec();
     let delay = expo_delay_nanos(
-        spec.retry_backoff_base.as_nanos(),
+        RETRY_BACKOFF_BASE.as_nanos(),
         attempt - 1,
-        spec.retry_backoff_cap.as_nanos(),
+        RETRY_BACKOFF_CAP.as_nanos(),
     );
     let now = ep.cluster().sim().now().as_nanos();
     let jitter = simnet::rng::mix3(ep.client_id(), attempt as u64, now) % delay.max(1);
@@ -115,7 +115,7 @@ pub(crate) async fn backoff_before_retry(ep: &Endpoint, attempt: u32) {
 
 /// Run `$op` (an expression producing a fresh future each evaluation —
 /// the whole operation restarts from the root) until it succeeds, the
-/// client dies, a fatal error occurs, or `retry_limit` retries of
+/// client dies, a fatal error occurs, or `RETRY_LIMIT` retries of
 /// transient faults are spent.
 ///
 /// Every call site declares how a re-run is safe: the literal
@@ -130,14 +130,13 @@ macro_rules! with_retry {
         with_retry!($ep, _idempotent, $op)
     };
     ($ep:expr, $retrying:ident, $op:expr) => {{
-        let limit = $ep.cluster().spec().retry_limit;
         let mut attempt: u32 = 0;
         loop {
             let $retrying = attempt > 0;
             match $op.await {
                 Ok(v) => break Ok(v),
                 Err(VerbError::Cancelled) => break Err(OpError::Cancelled),
-                Err(e) if e.is_retryable() && attempt < limit => {
+                Err(e) if e.is_retryable() && attempt < RETRY_LIMIT => {
                     attempt += 1;
                     backoff_before_retry($ep, attempt).await;
                 }
@@ -316,11 +315,10 @@ impl Index {
                 }
                 NodeKind::Leaf => {
                     let leaf = LeafNodeRef::new(&page);
-                    // Mutation (race, `mutations` builds under
-                    // NAMDEX_RACE_MUT=descend-no-covers): return the leaf
-                    // without evaluating the `covers()` fence, letting the
+                    // Mutation `DescendNoCovers`: return the leaf without
+                    // evaluating the `covers()` fence, letting the
                     // optimistic read escape unvalidated.
-                    let valid = if crate::race_mut(crate::RaceMut::DescendNoCovers) {
+                    let valid = if crate::mutated(Mutation::DescendNoCovers) {
                         true
                     } else {
                         crate::note_fence(ep, FenceKind::Revalidate, cur);
@@ -533,11 +531,11 @@ pub(crate) fn apply_insert_local(
     value: Value,
     retrying: bool,
 ) -> (Option<Ptr>, blink::WorkStats) {
-    // Mutation A (`mutations` builds only): drop the retry flag, so a
-    // retried insert re-applies unconditionally — the historical CG
-    // duplicate-insert-on-lost-response bug, kept re-introducible so the
-    // model checker can prove it detects this class of violation.
-    let retrying = retrying && !cfg!(feature = "mutations");
+    // Mutation A: drop the retry flag, so a retried insert re-applies
+    // unconditionally — the historical CG duplicate-insert-on-lost-
+    // response bug, kept re-introducible so the model checker can prove
+    // it detects this class of violation.
+    let retrying = retrying && !crate::mutated(Mutation::CgDuplicateInsert);
     if retrying {
         let mut dup = Vec::new();
         let probe = t.range(key, key, &mut dup);

@@ -200,7 +200,7 @@ mod tests {
         let probe = LockProbe::install(&cluster);
         let collector = Endpoint::new(&cluster);
         let writer = Endpoint::new(&cluster);
-        let lease = cluster.spec().lease_duration;
+        let lease = rdma_sim::spec::LEASE_DURATION;
         let s = sim.clone();
         let done = Rc::new(Cell::new(false));
         let done2 = done.clone();

@@ -54,6 +54,7 @@ pub use router::{LearnedStats, Router};
 use blink::{Key, Value};
 use nam::{IndexKind, NamCluster, PartitionMap};
 use rdma_sim::{Endpoint, RemotePtr, VerbError};
+use std::cell::Cell;
 use std::fmt;
 use std::rc::Rc;
 
@@ -64,7 +65,7 @@ pub enum OpError {
     /// and must not be retried (its worker is gone).
     Cancelled,
     /// Every retry of a transient fault failed;
-    /// [`rdma_sim::ClusterSpec::retry_limit`] attempts were made.
+    /// [`rdma_sim::spec::RETRY_LIMIT`] attempts were made.
     RetriesExhausted {
         /// Attempts performed (initial try + retries).
         attempts: u32,
@@ -117,22 +118,26 @@ pub enum Design {
     Learned(Rc<Index>),
 }
 
-/// Whether this build re-introduces the known-fixed historical bugs used
-/// to mutation-test the model checker (the `mutations` cargo feature).
-/// Such builds are intentionally incorrect; nothing but the checker's
-/// own validation should run against them.
+/// Whether this build can re-introduce the seeded bugs ([`Mutation`])
+/// used to mutation-test the model checker (the `mutations` cargo
+/// feature). Nothing but the checker's own validation should inject one.
 pub fn mutations_enabled() -> bool {
     cfg!(feature = "mutations")
 }
 
-/// The seeded *race* mutations of `mutations` builds: each one elides a
-/// single read-validation fence so the happens-before race detector
-/// (`crates/racecheck`) can be mutation-tested. Unlike the always-on
-/// historical mutations A/B these are selected one at a time through the
-/// `NAMDEX_RACE_MUT` environment variable, so one `mutations` binary can
-/// hunt each race in isolation.
+/// A seeded bug of `mutations` builds: each re-opens one known hole so
+/// the model checker (`crates/mc`) and the race detector
+/// (`crates/racecheck`) can prove they catch it. A bug is live only on
+/// the thread that [`inject`](Mutation::inject)s it, one at a time.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RaceMut {
+pub enum Mutation {
+    /// A: the CG insert handler ignores the retry flag, so a retried
+    /// insert whose first attempt landed re-applies (the historical
+    /// duplicate insert on a lost response).
+    CgDuplicateInsert,
+    /// B: a lease break keeps the lease-epoch byte (the historical
+    /// recovery bug the `version-protocol` rule flags).
+    LeaseEpochElision,
     /// Drop the `covers()` version re-check in the engine descent: the
     /// optimistically read leaf escapes into the op result unvalidated.
     DescendNoCovers,
@@ -150,32 +155,61 @@ pub enum RaceMut {
     UnlockBeforeWrite,
 }
 
-impl RaceMut {
-    /// The `NAMDEX_RACE_MUT` value selecting this mutation.
+thread_local! {
+    static ACTIVE: Cell<Option<Mutation>> = const { Cell::new(None) };
+}
+
+impl Mutation {
+    /// All six seeded bugs.
+    pub const ALL: [Mutation; 6] = [
+        Mutation::CgDuplicateInsert,
+        Mutation::LeaseEpochElision,
+        Mutation::DescendNoCovers,
+        Mutation::CachedNoFence,
+        Mutation::LearnedNoReread,
+        Mutation::UnlockBeforeWrite,
+    ];
+
+    /// Stable name (hunt labels, counterexample files).
     pub fn key(self) -> &'static str {
         match self {
-            RaceMut::DescendNoCovers => "descend-no-covers",
-            RaceMut::CachedNoFence => "cached-no-fence",
-            RaceMut::LearnedNoReread => "learned-no-reread",
-            RaceMut::UnlockBeforeWrite => "unlock-before-write",
+            Mutation::CgDuplicateInsert => "cg-duplicate-insert",
+            Mutation::LeaseEpochElision => "lease-epoch-elision",
+            Mutation::DescendNoCovers => "descend-no-covers",
+            Mutation::CachedNoFence => "cached-no-fence",
+            Mutation::LearnedNoReread => "learned-no-reread",
+            Mutation::UnlockBeforeWrite => "unlock-before-write",
         }
     }
 
-    /// All four seeded race mutations.
-    pub const ALL: [RaceMut; 4] = [
-        RaceMut::DescendNoCovers,
-        RaceMut::CachedNoFence,
-        RaceMut::LearnedNoReread,
-        RaceMut::UnlockBeforeWrite,
-    ];
+    /// Make this the calling thread's active mutation until the returned
+    /// guard drops. Panics in a build without the `mutations` feature,
+    /// where no mutation can take effect.
+    pub fn inject(self) -> Injected {
+        assert!(
+            mutations_enabled(),
+            "injecting mutation `{}` needs the `mutations` feature",
+            self.key()
+        );
+        Injected(ACTIVE.replace(Some(self)))
+    }
 }
 
-/// Whether `which` is active: `mutations` builds only, and only when
-/// `NAMDEX_RACE_MUT` selects it. Non-mutation builds compile this to
-/// `false` (the env read is behind the `cfg!`).
-pub fn race_mut(which: RaceMut) -> bool {
-    cfg!(feature = "mutations")
-        && std::env::var("NAMDEX_RACE_MUT").map(|v| v == which.key()) == Ok(true)
+/// The scope of an injected [`Mutation`]; dropping it restores the
+/// thread's previous one.
+#[must_use = "the mutation is active only while the guard lives"]
+pub struct Injected(Option<Mutation>);
+
+impl Drop for Injected {
+    fn drop(&mut self) {
+        ACTIVE.set(self.0);
+    }
+}
+
+/// Whether `m` is live here: `mutations` builds only, and only while it
+/// is the thread's injected mutation. Other builds compile it to `false`.
+pub(crate) fn mutated(m: Mutation) -> bool {
+    cfg!(feature = "mutations") && ACTIVE.get() == Some(m)
 }
 
 /// Report a protocol fence evaluation on the page at `ptr` to the
@@ -322,7 +356,7 @@ mod tests {
             });
         }
         sim.run();
-        let limit = ClusterSpec::default().retry_limit;
+        let limit = rdma_sim::spec::RETRY_LIMIT;
         assert_eq!(
             got.get(),
             Some(Err(OpError::RetriesExhausted {

@@ -27,6 +27,7 @@ use std::rc::Rc;
 
 use blink::{Key, LocalTree, PageLayout, Ptr, Value, WorkStats};
 use nam::{handler_cpu_time, msg, DurableTree, PartitionMap, ServerNode};
+use rdma_sim::spec::{CPU_INSERT_EXTRA, LEAF_LOCK_HOLD};
 use rdma_sim::{Cluster, Endpoint, RemotePtr, RpcReply, VerbError, WalRecord};
 use simnet::SimDur;
 
@@ -109,32 +110,13 @@ impl Local {
         self.nodes[s].clone()
     }
 
-    /// The request handler of server `s` that runs `body` and charges
-    /// for what it reports: the caller's value, the tree work done,
-    /// extra busy time on top (lock waits, write overhead) and the
-    /// response size.
-    fn handler<R>(
-        &self,
-        ep: &Endpoint,
-        s: usize,
-        body: impl FnOnce(&ServerNode, &Cluster) -> (R, WorkStats, SimDur, usize),
-    ) -> impl FnOnce() -> RpcReply<R> {
-        let node = self.node(s);
-        let cluster = ep.cluster().clone();
-        move || {
-            let (value, work, extra, resp_bytes) = body(&node, &cluster);
-            RpcReply {
-                value,
-                cpu: handler_cpu_time(cluster.spec(), work) + extra,
-                resp_bytes,
-            }
-        }
-    }
-
     /// Run `body` as a request handler of server `s` — in place when `ep`
     /// is co-located with it (Appendix A.3), behind an RPC shipping
     /// `req_bytes` otherwise; either way only once the client and the
-    /// server are known to be alive.
+    /// server are known to be alive, and acknowledged only once what it
+    /// logged is durable. The handler is charged for what `body`
+    /// reports: the caller's value, the tree work done, extra busy time
+    /// on top (lock waits, write overhead) and the response size.
     async fn handle<R>(
         &self,
         ep: &Endpoint,
@@ -142,7 +124,16 @@ impl Local {
         req_bytes: usize,
         body: impl FnOnce(&ServerNode, &Cluster) -> (R, WorkStats, SimDur, usize),
     ) -> Result<R, VerbError> {
-        let handler = self.handler(ep, s, body);
+        let node = self.node(s);
+        let cluster = ep.cluster().clone();
+        let handler = move || {
+            let (value, work, extra, resp_bytes) = body(&node, &cluster);
+            RpcReply {
+                value,
+                cpu: handler_cpu_time(cluster.spec(), work) + extra,
+                resp_bytes,
+            }
+        };
         if ep.is_local(s) {
             ep.local_call(s, handler).await
         } else {
@@ -212,8 +203,7 @@ impl Local {
         apply: impl FnOnce(&mut LocalTree) -> (R, Option<Ptr>, WorkStats, Option<WalRecord>),
     ) -> Result<R, VerbError> {
         let s = self.partition.server_of(key);
-        let handled = self.handle(ep, s, req_bytes, |node, cluster| {
-            let spec = cluster.spec();
+        self.handle(ep, s, req_bytes, |node, cluster| {
             let (value, leaf, work, record) = node.with_tree(apply);
             // The tree mutated: log it before the ack can form.
             if let Some(record) = record {
@@ -221,17 +211,11 @@ impl Local {
             }
             let wait = leaf.map_or(SimDur::ZERO, |leaf| {
                 let now = cluster.sim().now();
-                node.locks.acquire(leaf.raw(), now, spec.leaf_lock_hold)
+                node.locks.acquire(leaf.raw(), now, LEAF_LOCK_HOLD)
             });
-            (value, work, spec.cpu_insert_extra + wait, msg::ack())
-        });
-        let value = handled.await?;
-        // An RPC holds its response until the handler's records are
-        // durable; the in-place path has to wait for them itself.
-        if ep.is_local(s) {
-            ep.durability_barrier(s).await?;
-        }
-        Ok(value)
+            (value, work, CPU_INSERT_EXTRA + wait, msg::ack())
+        })
+        .await
     }
 
     /// Whole-operation insert. `retrying` marks attempts after the first
@@ -334,7 +318,6 @@ impl Local {
         repoint: Option<(Key, Value)>,
     ) -> Result<(), VerbError> {
         let update = move |node: &ServerNode, cluster: &Cluster| {
-            let spec = cluster.spec();
             let (leaf_page, repointed, mut work) = node.with_tree(|t| {
                 let mut work = WorkStats::default();
                 let leaf_page = install.map(|(key, value)| {
@@ -361,27 +344,24 @@ impl Local {
                     work.entries_scanned += 1;
                 }
                 let now = cluster.sim().now();
-                let wait = node
-                    .locks
-                    .acquire(leaf_page.raw(), now, spec.leaf_lock_hold);
+                let wait = node.locks.acquire(leaf_page.raw(), now, LEAF_LOCK_HOLD);
                 // Upper levels carry only their share of write overhead:
                 // leaf writes and leaf GC are client-side over a chain.
-                cpu = spec.cpu_insert_extra / 4 + wait;
+                cpu = CPU_INSERT_EXTRA / 4 + wait;
             }
             ((), work, cpu, msg::ack())
         };
-        let handler = self.handler(ep, s, update);
-        ep.rpc(s, msg::install_leaf_req(), handler).await
+        self.handle(ep, s, msg::install_leaf_req(), update).await
     }
 
     /// One local GC epoch (§3.2: each memory server collects its own
-    /// tree "in regular intervals") — one RPC per server whose handler
-    /// compacts every leaf, charged for the pages it touches. Returns
-    /// entries reclaimed.
+    /// tree "in regular intervals") — one request per server whose
+    /// handler compacts every leaf, charged for the pages it touches.
+    /// Returns entries reclaimed.
     pub(crate) async fn compact(&self, ep: &Endpoint) -> Result<usize, VerbError> {
         let mut reclaimed = 0;
         for s in 0..self.nodes.len() {
-            let handler = self.handler(ep, s, |node, _| {
+            let compacted = self.handle(ep, s, msg::ack(), |node, _| {
                 let (freed, pages) = node.with_tree(|t| (t.gc_compact(), t.num_pages()));
                 let work = WorkStats {
                     nodes_visited: pages as u32,
@@ -390,7 +370,7 @@ impl Local {
                 };
                 (freed, work, SimDur::ZERO, msg::ack())
             });
-            reclaimed += ep.rpc(s, msg::ack(), handler).await?;
+            reclaimed += compacted.await?;
         }
         Ok(reclaimed)
     }
@@ -629,6 +609,88 @@ mod tests {
             assert_eq!(rows, vec![(41, 999), (43, 7)]);
         });
         sim.run();
+    }
+
+    /// A co-located client runs every local-tree request in place
+    /// (Appendix A.3): split registrations and GC compaction included, so
+    /// its own machine's servers see no RPC at all.
+    #[test]
+    fn colocated_split_registration_and_gc_run_in_place() {
+        use crate::chain::small_cfg;
+        use crate::{gc, Design, Hybrid};
+        let sim = Sim::new();
+        let nam = NamCluster::new(&sim, ClusterSpec::default());
+        let n_keys = 1000u64;
+        let partition = PartitionMap::range_uniform(nam.num_servers(), n_keys * 8);
+        let items = (0..n_keys).map(|i| (i * 8, i));
+        let hybrid = Hybrid::build(&nam, small_cfg(), partition, items);
+        let machine = nam.rdma.spec().machine_of(0);
+        let ep = Endpoint::colocated(&nam.rdma, machine);
+        let upper = |idx: &Index| -> usize {
+            let nodes = idx.local().map_or(&[][..], Local::nodes);
+            nodes.iter().map(|n| n.with_tree(|t| t.len_live())).sum()
+        };
+        let before = upper(&hybrid);
+        let idx = hybrid.clone();
+        sim.spawn(async move {
+            // Odd keys well inside server 0's share: every split
+            // registers there.
+            for i in 0..100u64 {
+                idx.insert(&ep, i * 8 + 1, i, false).await.unwrap();
+            }
+        });
+        sim.run();
+        assert!(upper(&hybrid) > before, "the inserts must split leaves");
+        for s in 0..2 {
+            assert_eq!(nam.rdma.server_stats(s).rpcs, 0, "hybrid: server {s}");
+        }
+
+        let sim = Sim::new();
+        let (nam, cg) = build_index(&sim, 1000);
+        let ep = Endpoint::colocated(&nam.rdma, machine);
+        let design = Design::Cg(cg);
+        sim.spawn(async move {
+            gc::gc_pass(&design, &ep).await.unwrap();
+        });
+        sim.run();
+        let rpcs: Vec<u64> = (0..4).map(|s| nam.rdma.server_stats(s).rpcs).collect();
+        assert_eq!(rpcs, [0, 0, 1, 1], "cg gc");
+    }
+
+    /// An in-place write is acknowledged only once its log record is
+    /// durable, like an RPC's: a crash right after the ack loses nothing.
+    #[test]
+    fn colocated_write_survives_a_crash_after_its_ack() {
+        use rdma_sim::Durability;
+        let sim = Sim::new();
+        let spec = ClusterSpec {
+            durability: Durability::Wal,
+            wal_fsync_latency: SimDur::from_micros(200),
+            ..ClusterSpec::default()
+        };
+        let nam = NamCluster::new(&sim, spec);
+        let partition = PartitionMap::range_uniform(nam.num_servers(), 1000 * 8);
+        let items = (0..1000u64).map(|i| (i * 8, i));
+        let idx = CoarseGrained::build(&nam, PageLayout::default(), partition, items, 0.7);
+        let cluster = nam.rdma.clone();
+        let ep = Endpoint::colocated(&cluster, cluster.spec().machine_of(0));
+        let writer = idx.clone();
+        sim.spawn(async move {
+            // Key 41 lives on server 0, in place for this client.
+            writer.insert(&ep, 41, 999, false).await.unwrap();
+            cluster.fail_server(0);
+            cluster.restart_server(0);
+        });
+        sim.run();
+        assert_eq!(nam.rdma.recovery_records().len(), 1, "one recovery");
+        let ep = Endpoint::new(&nam.rdma);
+        let found = Rc::new(std::cell::Cell::new(None));
+        let out = found.clone();
+        sim.spawn(async move {
+            out.set(Some(idx.lookup(&ep, 41).await));
+        });
+        sim.run();
+        assert_eq!(found.get(), Some(Ok(Some(999))), "acked insert lost");
     }
 
     /// Co-located writes check liveness *before* they act, like the RPC

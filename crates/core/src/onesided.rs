@@ -20,7 +20,7 @@
 //! the node forever under the plain protocol. The lock word therefore
 //! carries the holder's owner id and a lease epoch (see
 //! [`blink::layout::lock_word`]): a contender that observes the *same*
-//! locked word for [`rdma_sim::ClusterSpec::lease_duration`] of virtual
+//! locked word for [`rdma_sim::spec::LEASE_DURATION`] of virtual
 //! time concludes the holder is dead and breaks the lock with a CAS to
 //! [`lock_word::break_lease`] — clearing the lock bit, bumping the
 //! version (so optimistic readers restart) and the lease epoch. Because
@@ -29,9 +29,9 @@
 //! the unlock FAA never arrived. This argument needs the lease to
 //! outlast every effect a live holder may still have in flight — at most
 //! [`rdma_sim::MAX_LOCK_HOLD_VERBS`] verbs, each of which applies or is
-//! refused by `issue + verb_timeout` — which `ClusterSpec::validate`
-//! (run by `Cluster::new`) enforces as
-//! `lease_duration > MAX_LOCK_HOLD_VERBS * verb_timeout`.
+//! refused by `issue + VERB_TIMEOUT` — which a compile-time assertion
+//! in `rdma_sim::spec` enforces as
+//! `LEASE_DURATION > MAX_LOCK_HOLD_VERBS * VERB_TIMEOUT`.
 //!
 //! ## Critical sections
 //!
@@ -52,10 +52,12 @@ use std::future::Future;
 
 use blink::layout::lock_word;
 use blink::node::{set_version_lock, version_lock_of};
+use rdma_sim::spec::LEASE_DURATION;
 use rdma_sim::{Endpoint, PageBuf, RegionKind, RemotePtr, VerbError, MAX_LOCK_HOLD_VERBS};
 use simnet::SimTime;
 
 use crate::engine::spin_backoff as backoff;
+use crate::Mutation;
 
 /// Lease bookkeeping for one spin loop: tracks how long the *same*
 /// locked word has been observed and breaks it once the lease expires.
@@ -79,17 +81,16 @@ impl LeaseWatch {
         w: u64,
         now: SimTime,
     ) -> Result<(), VerbError> {
-        let lease = ep.cluster().spec().lease_duration;
         match self.held {
             Some((prev, since)) if prev == w => {
-                if now - since >= lease {
+                if now - since >= LEASE_DURATION {
                     // Versions only move forward, so an unchanged word
                     // means no unlock happened: the holder is dead.
                     let mut broken = lock_word::break_lease(w);
-                    // Mutation B (`mutations` builds only): forget the
-                    // lease-epoch bump — the historical recovery bug the
-                    // checker's `version-protocol` rule must flag.
-                    if cfg!(feature = "mutations") {
+                    // Mutation B: forget the lease-epoch bump — the
+                    // historical recovery bug the checker's
+                    // `version-protocol` rule must flag.
+                    if crate::mutated(Mutation::LeaseEpochElision) {
                         broken = (broken & !lock_word::EPOCH_MASK) | (w & lock_word::EPOCH_MASK);
                     }
                     ep.cas(ptr, w, broken).await?;
@@ -262,12 +263,11 @@ impl Locked {
         if let Some((right_ptr, right_page)) = split {
             ep.write(right_ptr, right_page).await?;
         }
-        // Mutation (race, `mutations` builds under
-        // NAMDEX_RACE_MUT=unlock-before-write): publish the unlock/version
-        // bump *before* the in-place write-back, opening a window where a
+        // Mutation `UnlockBeforeWrite`: publish the unlock/version bump
+        // *before* the in-place write-back, opening a window where a
         // contender can acquire the lock while the page bytes still race
         // with this client's deferred WRITE.
-        if crate::race_mut(crate::RaceMut::UnlockBeforeWrite) {
+        if crate::mutated(Mutation::UnlockBeforeWrite) {
             let prev = ep.fetch_add(self.ptr, 1).await?;
             // Ship the page with the post-unlock word (a plain reorder, not
             // a stuck lock): readers can now observe a bumped version whose
@@ -611,7 +611,7 @@ pub(crate) mod tests {
             });
         }
         sim.run();
-        let lease = ClusterSpec::default().lease_duration.as_nanos();
+        let lease = LEASE_DURATION.as_nanos();
         assert!(
             done.get() >= lease,
             "the contender must wait out the lease ({}ns < {lease}ns)",

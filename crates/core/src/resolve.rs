@@ -68,6 +68,7 @@ use crate::chain::{Chain, FgConfig};
 use crate::local::Local;
 use crate::onesided::read_unlocked;
 use crate::router::Router;
+use crate::Mutation;
 
 /// Read-only bytes of a page, where they already are: the wire's buffer
 /// or a cached frame (which the holder pins for as long as it reads).
@@ -301,10 +302,9 @@ impl Index {
     /// server restart flushes the whole cache before any hit is served.
     fn fenced_cache(&self, ep: &Endpoint) -> Option<&CacheLayer> {
         let cache = self.cache.as_ref()?;
-        // Mutation (race, `mutations` builds under
-        // NAMDEX_RACE_MUT=cached-no-fence): skip the restart-epoch
-        // fence, serving cached pages/routes against a rebuilt pool.
-        if !crate::race_mut(crate::RaceMut::CachedNoFence) {
+        // Mutation `CachedNoFence`: skip the restart-epoch fence,
+        // serving cached pages/routes against a rebuilt pool.
+        if !crate::mutated(Mutation::CachedNoFence) {
             cache.flush_if_restarted();
             crate::note_epoch_check(ep);
         }
@@ -354,11 +354,10 @@ impl Index {
             return Ok(Page::Cached(frame));
         }
         let ps = self.layout().page_size();
-        // Mutation (race, `mutations` builds under
-        // NAMDEX_RACE_MUT=learned-no-reread): read a predicted page raw,
-        // skipping `read_unlocked`'s locked-spin re-read, so a mid-write
-        // snapshot can escape into the descent.
-        let page = if self.router.is_some() && crate::race_mut(crate::RaceMut::LearnedNoReread) {
+        // Mutation `LearnedNoReread`: read a predicted page raw, skipping
+        // `read_unlocked`'s locked-spin re-read, so a mid-write snapshot
+        // can escape into the descent.
+        let page = if self.router.is_some() && crate::mutated(Mutation::LearnedNoReread) {
             ep.read(ptr, ps).await?
         } else {
             read_unlocked(ep, ptr, ps).await?

@@ -36,7 +36,7 @@
 //! loader keeps of the leaves it wrote, so nothing is read back.
 //! Retraining is *incremental maintenance by replacement*: when the
 //! stale-prediction rate since the last training reaches
-//! [`rdma_sim::ClusterSpec::learned_retrain_threshold`], the client
+//! `RETRAIN_THRESHOLD` (0.05), the client
 //! walks the leaf chain over the untimed setup path (the same
 //! control-path view the checker's walk uses), rebuilds the table, and trains
 //! a fresh model — the old one stays in service until the swap, and
@@ -56,6 +56,17 @@ use learned_index::PgmModel;
 use rdma_sim::{Cluster, RemotePtr};
 
 use crate::resolve::SetupSource;
+
+/// Error bound ε of the model's linear segments: a predicted table
+/// position is within ±ε of the true one at training time. At least 1:
+/// a zero ε leaves float rounding nowhere to go.
+const EPSILON: u32 = 8;
+/// Stale-prediction rate (mispredicts / predictions since the last
+/// training) at which the model is retrained. In (0, 1].
+const RETRAIN_THRESHOLD: f64 = 0.05;
+/// Maximum segment count of the model's top level (the recursion stops
+/// once a level fits). At least 2.
+const MODEL_FANOUT: usize = 64;
 
 /// Counters of the learned routing layer (all client-side; the model
 /// itself never issues verbs).
@@ -95,9 +106,7 @@ impl Router {
     /// Train the initial model from `leaves`, the `(high key, leaf)`
     /// table of the leaf level just loaded — what a walk of the fresh
     /// chain would collect, without reading it back; the model keeps the
-    /// table's buffer. Model knobs are the cluster spec's
-    /// (`learned_epsilon`, `learned_retrain_threshold`,
-    /// `learned_model_fanout`).
+    /// table's buffer.
     pub(crate) fn trained(cluster: &Cluster, leaves: Vec<(Key, Ptr)>) -> Router {
         let router = Router {
             model: RefCell::new(None),
@@ -107,7 +116,7 @@ impl Router {
         };
         // Same layout, so this collects in place.
         let table = leaves.into_iter().map(|(high, ptr)| (high, ptr.raw()));
-        router.train(cluster, table.collect());
+        router.train(table.collect());
         router
     }
 
@@ -141,7 +150,7 @@ impl Router {
             self.window.set((0, 0));
         }
         let missing = self.model.borrow().is_none();
-        if missing || self.drift_rate() >= src.cluster().spec().learned_retrain_threshold {
+        if missing || self.drift_rate() >= RETRAIN_THRESHOLD {
             self.retrain(src, first);
         }
     }
@@ -176,20 +185,19 @@ impl Router {
                 NodeKind::Inner => return,
             }
         }
-        self.train(cluster, table);
+        self.train(table);
     }
 
     /// Swap in a model trained over `table`, the `(high key, ptr raw)`
     /// of every leaf in chain order, unless it is not a whole chain's.
-    fn train(&self, cluster: &Cluster, table: Vec<(Key, u64)>) {
+    fn train(&self, table: Vec<(Key, u64)>) {
         let intact = !table.is_empty()
             && table.is_sorted_by(|a, b| a.0 < b.0)
             && table.last().map(|e| e.0) == Some(blink::KEY_MAX);
         if !intact {
             return;
         }
-        let spec = cluster.spec();
-        let model = PgmModel::train(table, spec.learned_epsilon, spec.learned_model_fanout);
+        let model = PgmModel::train(table, EPSILON, MODEL_FANOUT);
         *self.model.borrow_mut() = Some(Rc::new(model));
         self.bump(|s| s.retrains += 1);
         self.window.set((0, 0));

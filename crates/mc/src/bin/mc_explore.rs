@@ -5,13 +5,14 @@
 //! ```text
 //! mc_explore explore  [--quick] [--design cg|fg|hybrid|learned] [--out DIR] [--seed N]
 //! mc_explore mutation [--quick] [--out DIR]        (needs --features mutations)
-//! mc_explore replay FILE
+//! mc_explore replay FILE                           (a seeded trace needs --features mutations)
 //! ```
 //!
-//! Exit codes: `0` success (explore: zero violations; mutation: every
-//! seeded bug — the two historical ones plus the four env-gated race
-//! mutations — detected; replay: violation reproduced), `1` violations
-//! found (explore) or replay failed to reproduce, `2` usage error.
+//! Exit codes: `0` success (explore: zero violations; mutation: all six
+//! seeded bugs — two historical ones and four dropped race fences —
+//! detected; replay: violation reproduced), `1` violations found
+//! (explore) or replay failed to reproduce, `2` usage error or a build
+//! that cannot run the request.
 
 use mc::explore::{explore, run_mutation_hunts, ExploreConfig};
 use mc::Counterexample;
@@ -134,6 +135,15 @@ fn cmd_replay(args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    if let Some(m) = cx.scenario.mutation {
+        if !namdex_core::mutations_enabled() {
+            eprintln!(
+                "{file} seeds mutation `{}`: replay needs `--features mutations` (this build has them off)",
+                m.key()
+            );
+            return ExitCode::from(2);
+        }
+    }
     println!(
         "replaying {} / {} / seed {} — expecting {} ({})",
         cx.scenario.design.key(),
@@ -152,9 +162,7 @@ fn cmd_replay(args: &[String]) -> ExitCode {
             ExitCode::SUCCESS
         }
         None => {
-            eprintln!(
-                "violation did NOT reproduce — wrong build flags (mutations?) or stale trace"
-            );
+            eprintln!("violation did NOT reproduce — stale trace");
             ExitCode::FAILURE
         }
     }

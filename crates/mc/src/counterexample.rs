@@ -2,8 +2,9 @@
 //! that replays the exact interleaving, plus greedy minimization.
 //!
 //! Determinism makes the decision trace a complete witness: the
-//! workload, fault plan and fault-RNG draws are all pure functions of
-//! the scenario fields plus the schedule, so `(Scenario, decisions)`
+//! workload, fault plan, fault-RNG draws and injected mutation are all
+//! pure functions of the scenario fields plus the schedule, so
+//! `(Scenario, decisions)`
 //! reproduces the violating run bit-for-bit. Past the end of the
 //! recorded decisions the replayer plays FIFO, which is what makes
 //! *truncation* a sound minimization move: a shorter prefix is still a
@@ -11,6 +12,7 @@
 
 use crate::scenario::{run_scenario, FaultMode, PolicyKind, RunReport, Scenario};
 use nam::IndexKind;
+use namdex_core::Mutation;
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -87,12 +89,11 @@ pub struct Counterexample {
 }
 
 impl Counterexample {
-    /// Serialize to the `namdex-mc counterexample v2` text format
-    /// (v2 added the `cache` line when scenarios grew a client-side
-    /// cache knob).
+    /// Serialize to the `namdex-mc counterexample v3` text format (v2
+    /// added the `cache` line, v3 the `mutation` line).
     pub fn to_text(&self) -> String {
         let mut s = String::new();
-        let _ = writeln!(s, "# namdex-mc counterexample v2");
+        let _ = writeln!(s, "# namdex-mc counterexample v3");
         let _ = writeln!(s, "design: {}", self.scenario.design.key());
         let _ = writeln!(s, "fault: {}", self.scenario.fault.name());
         let _ = writeln!(s, "seed: {}", self.scenario.seed);
@@ -104,6 +105,8 @@ impl Counterexample {
             Some(c) => c.to_string(),
         };
         let _ = writeln!(s, "cache: {cache}");
+        let mutation = self.scenario.mutation.map_or("none", Mutation::key);
+        let _ = writeln!(s, "mutation: {mutation}");
         let _ = writeln!(s, "violation: {}", self.class.name());
         let _ = writeln!(s, "detail: {}", self.detail.replace('\n', " "));
         let decisions: Vec<String> = self.decisions.iter().map(|d| d.to_string()).collect();
@@ -115,7 +118,7 @@ impl Counterexample {
     /// line, missing field, or version mismatch.
     pub fn from_text(text: &str) -> Option<Counterexample> {
         let mut lines = text.lines();
-        if lines.next()?.trim() != "# namdex-mc counterexample v2" {
+        if lines.next()?.trim() != "# namdex-mc counterexample v3" {
             return None;
         }
         let mut field = |name: &str| -> Option<String> {
@@ -132,6 +135,10 @@ impl Counterexample {
         let cache_capacity = match field("cache")?.as_str() {
             "none" => None,
             c => Some(c.parse().ok()?),
+        };
+        let mutation = match field("mutation")?.as_str() {
+            "none" => None,
+            m => Some(Mutation::ALL.into_iter().find(|x| x.key() == m)?),
         };
         let class = ViolationClass::parse(&field("violation")?)?;
         let detail = field("detail")?;
@@ -152,6 +159,7 @@ impl Counterexample {
                 ops_per_client,
                 with_scans,
                 cache_capacity,
+                mutation,
             },
             class,
             detail,
@@ -239,7 +247,10 @@ mod tests {
     #[test]
     fn text_format_roundtrips() {
         let cx = Counterexample {
-            scenario: Scenario::point_ops(IndexKind::CoarseGrained, FaultMode::Chaos, 42),
+            scenario: Scenario {
+                mutation: Some(Mutation::DescendNoCovers),
+                ..Scenario::point_ops(IndexKind::CoarseGrained, FaultMode::Chaos, 42)
+            },
             class: ViolationClass::Linearizability,
             detail: "duplicate insert observed".into(),
             decisions: vec![0, 2, 1, 0, 3],

@@ -6,6 +6,7 @@ use crate::counterexample::{classify, minimize, Counterexample, ViolationClass};
 use crate::policy::next_dfs_prefix;
 use crate::scenario::{run_scenario, FaultMode, PolicyKind, RunReport, Scenario};
 use nam::IndexKind;
+use namdex_core::Mutation;
 use simnet::rng::mix3;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -32,8 +33,7 @@ pub struct ExploreConfig {
 }
 
 impl ExploreConfig {
-    /// The `--quick` budget: small enough for CI, large enough that
-    /// both mutations are found (pinned by the mutation tests).
+    /// The `--quick` budget: small enough for CI.
     pub fn quick(out_dir: PathBuf) -> ExploreConfig {
         ExploreConfig {
             seed_base: 0xD15C0,
@@ -377,7 +377,7 @@ pub fn explore(cfg: &ExploreConfig) -> ExploreReport {
 /// Outcome of one mutation hunt.
 #[derive(Debug)]
 pub struct MutationResult {
-    /// Mutation label (`cg-duplicate-insert`, `lease-epoch-elision`).
+    /// Mutation label ([`Mutation::key`]).
     pub label: String,
     /// Schedules explored before the first detection.
     pub schedules_to_detect: u64,
@@ -392,22 +392,74 @@ pub struct MutationResult {
     pub minimized_len: usize,
 }
 
-/// Hunt one re-introduced bug: run schedules from `make` until a
-/// violation of class `want` appears — found, if `rules` names any, by
-/// one of those checker rules — then minimize + save + replay-verify.
-/// Panics if `budget` schedules pass without a detection — the whole
-/// point of the harness is that it *must* find these, and by the rule
-/// that exists for them.
-fn hunt(
-    label: &str,
-    budget: u64,
-    want: ViolationClass,
-    rules: &[&str],
-    out_dir: &Path,
-    make: impl Fn(u64) -> (Scenario, PolicyKind),
-) -> MutationResult {
+/// Hunt seeded bug `m`: inject it into schedules of its plan until a
+/// violation of the plan's class appears — found, if the plan names
+/// rules, by one of those checker rules — then minimize + save +
+/// replay-verify. Panics if `budget` schedules pass without a detection —
+/// the whole point of the harness is that it *must* find these, and by
+/// the rule that exists for them.
+fn hunt(m: Mutation, budget: u64, out_dir: &Path) -> MutationResult {
+    use FaultMode::{Chaos, CrashRecover};
+    use IndexKind::{CoarseGrained, FineGrained, Learned};
+    use ViolationClass::{Linearizability, Racecheck};
+    // Design, fault regime, cache, seed base, and what must catch it.
+    // Races need contention, not faults: clean runs, hot keys.
+    let (design, fault, cache, base, want, rules): (_, _, _, u64, _, &[&str]) = match m {
+        // Needs message loss, so a lost response is retried.
+        Mutation::CgDuplicateInsert => (CoarseGrained, Chaos, None, 0xA_B06, Linearizability, &[]),
+        // Needs an orphaned lock: kill-on-lock-acquire plus the
+        // verifier scan's lease reclaim.
+        Mutation::LeaseEpochElision => (
+            FineGrained,
+            Chaos,
+            None,
+            0xB_B06,
+            Racecheck,
+            &["version-protocol"],
+        ),
+        Mutation::DescendNoCovers => (
+            FineGrained,
+            FaultMode::None,
+            None,
+            0xC_B06,
+            Racecheck,
+            &["unvalidated-race"],
+        ),
+        // Stale cached artifacts need a restart and a cache to be stale.
+        Mutation::CachedNoFence => (
+            FineGrained,
+            CrashRecover,
+            Some(0),
+            0xD_B06,
+            Racecheck,
+            &["stale-epoch-cached-use"],
+        ),
+        Mutation::LearnedNoReread => (
+            Learned,
+            FaultMode::None,
+            None,
+            0xE_B06,
+            Racecheck,
+            &["locked-snapshot-read"],
+        ),
+        Mutation::UnlockBeforeWrite => (
+            FineGrained,
+            FaultMode::None,
+            None,
+            0xF_B06,
+            Racecheck,
+            &["unlocked-write"],
+        ),
+    };
+    let label = m.key();
     for i in 0..budget {
-        let (sc, policy) = make(i);
+        let sc = Scenario {
+            mutation: Some(m),
+            ..Scenario::point_ops(design, fault, mix3(base, i, 0)).with_cache(cache)
+        };
+        let policy = PolicyKind::RandomWalk {
+            seed: mix3(base, i, 1),
+        };
         let report = run_scenario(&sc, &policy);
         if caught(&report, want, rules) {
             let path = save_counterexample(&sc, &report, rules, out_dir, label);
@@ -429,26 +481,25 @@ fn hunt(
     );
 }
 
-/// Mutation-testing mode: with the `mutations` feature on, the index
-/// layer carries two historical bugs; prove the checker finds both.
+/// Mutation-testing mode: with the `mutations` feature on, inject each
+/// seeded bug ([`Mutation`]) in turn and prove the checker finds it.
 ///
-/// * **A — CG duplicate insert on lost-response retry**: an insert RPC
-///   lands, the response drops, the client retries and the mutated
-///   engine re-applies instead of absorbing. Caught as a
-///   linearizability violation (the quiescent scan observes two live
-///   entries where the spec admits at most one). Needs message loss,
-///   so it is hunted under [`FaultMode::Chaos`] on CG.
-/// * **B — lease break without epoch bump**: reclaiming an expired
-///   lease preserves the epoch byte, so a reader that raced the break
-///   can validate against a stale epoch. Caught by the checker's
-///   protocol rule on the CAS shape (`version-protocol`). Needs an
-///   orphaned lock, so it is hunted under [`FaultMode::Chaos`] on FG
-///   (kill-on-lock-acquire plus the verifier scan's lease reclaim).
+/// Two are historical bugs:
 ///
-/// Four further *race* mutations (env-gated via `NAMDEX_RACE_MUT` so
-/// each is hunted in isolation from one `mutations` binary) re-open
-/// classic optimistic-lock-coupling holes; each must be caught by the
-/// happens-before rule named beside it:
+/// * **cg-duplicate-insert** — an insert RPC lands, the response drops,
+///   the client retries and the mutated engine re-applies instead of
+///   absorbing. Caught as a linearizability violation (the quiescent
+///   scan observes two live entries where the spec admits at most one).
+///   Needs message loss, so it is hunted under [`FaultMode::Chaos`] on
+///   CG.
+/// * **lease-epoch-elision** — reclaiming an expired lease preserves
+///   the epoch byte, so a reader that raced the break can validate
+///   against a stale epoch. Caught by the checker's protocol rule on the
+///   CAS shape (`version-protocol`). Needs an orphaned lock, so it is
+///   hunted under [`FaultMode::Chaos`] on FG.
+///
+/// Four re-open classic optimistic-lock-coupling holes; each must be
+/// caught by the happens-before rule named beside it:
 ///
 /// * **descend-no-covers** — the descent trusts the leaf it READ
 ///   without the `covers()` fence, so a racy snapshot escapes into
@@ -470,104 +521,8 @@ pub fn run_mutation_hunts(budget: u64, out_dir: &Path) -> Vec<MutationResult> {
         namdex_core::mutations_enabled(),
         "mutation hunts require the `mutations` feature (cargo run -p mc --features mutations)"
     );
-    let a = hunt(
-        "cg-duplicate-insert",
-        budget,
-        ViolationClass::Linearizability,
-        &[],
-        out_dir,
-        |i| {
-            (
-                Scenario::point_ops(
-                    IndexKind::CoarseGrained,
-                    FaultMode::Chaos,
-                    mix3(0xA_B06, i, 0),
-                ),
-                PolicyKind::RandomWalk {
-                    seed: mix3(0xA_B06, i, 1),
-                },
-            )
-        },
-    );
-    let b = hunt(
-        "lease-epoch-elision",
-        budget,
-        ViolationClass::Racecheck,
-        &["version-protocol"],
-        out_dir,
-        |i| {
-            (
-                Scenario::point_ops(
-                    IndexKind::FineGrained,
-                    FaultMode::Chaos,
-                    mix3(0xB_B06, i, 0),
-                ),
-                PolicyKind::RandomWalk {
-                    seed: mix3(0xB_B06, i, 1),
-                },
-            )
-        },
-    );
-    let mut results = vec![a, b];
-    for m in namdex_core::RaceMut::ALL {
-        results.push(hunt_race_mutation(m, budget, out_dir));
-    }
-    results
-}
-
-/// Clears `NAMDEX_RACE_MUT` on scope exit so one process can hunt each
-/// race mutation in isolation (the gate re-reads the env on every call).
-struct RaceMutGuard;
-
-impl Drop for RaceMutGuard {
-    fn drop(&mut self) {
-        std::env::remove_var("NAMDEX_RACE_MUT");
-    }
-}
-
-fn hunt_race_mutation(m: namdex_core::RaceMut, budget: u64, out_dir: &Path) -> MutationResult {
-    std::env::set_var("NAMDEX_RACE_MUT", m.key());
-    let _guard = RaceMutGuard;
-    // Each with the happens-before rule that must catch it.
-    let (design, fault, cache, base, rule) = match m {
-        // Races need contention, not faults: clean runs, hot keys.
-        namdex_core::RaceMut::DescendNoCovers => (
-            IndexKind::FineGrained,
-            FaultMode::None,
-            None,
-            0xC_B06,
-            "unvalidated-race",
-        ),
-        // Stale cached artifacts need a restart and a cache to be stale.
-        namdex_core::RaceMut::CachedNoFence => (
-            IndexKind::FineGrained,
-            FaultMode::CrashRecover,
-            Some(0usize),
-            0xD_B06,
-            "stale-epoch-cached-use",
-        ),
-        namdex_core::RaceMut::LearnedNoReread => (
-            IndexKind::Learned,
-            FaultMode::None,
-            None,
-            0xE_B06,
-            "locked-snapshot-read",
-        ),
-        namdex_core::RaceMut::UnlockBeforeWrite => (
-            IndexKind::FineGrained,
-            FaultMode::None,
-            None,
-            0xF_B06,
-            "unlocked-write",
-        ),
-    };
-    let want = ViolationClass::Racecheck;
-    hunt(m.key(), budget, want, &[rule], out_dir, |i| {
-        (
-            Scenario::point_ops(design, fault, mix3(base, i, 0)).with_cache(cache),
-            PolicyKind::RandomWalk {
-                seed: mix3(base, i, 1),
-            },
-        )
-    })
+    Mutation::ALL
+        .into_iter()
+        .map(|m| hunt(m, budget, out_dir))
+        .collect()
 }

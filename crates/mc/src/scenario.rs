@@ -29,7 +29,7 @@ use crate::policy::{new_trace, Pct, RandomWalk, Replay, SharedTrace};
 use blink::PageLayout;
 use chaos::{ChaosController, FaultPlan};
 use nam::{IndexKind, NamCluster, PartitionMap};
-use namdex_core::{Design, FgConfig};
+use namdex_core::{Design, FgConfig, Mutation};
 use racecheck::{HeldLock, Racecheck, Violation};
 use rdma_sim::{ClusterSpec, Durability, Endpoint, LinkDegrade};
 use simnet::rng::DetRng;
@@ -102,6 +102,8 @@ pub struct Scenario {
     /// cached artifact served against a rebuilt pool) are invisible
     /// without it.
     pub cache_capacity: Option<usize>,
+    /// Seeded bug injected for the run (`mutations` builds only).
+    pub mutation: Option<Mutation>,
 }
 
 impl Scenario {
@@ -115,6 +117,7 @@ impl Scenario {
             ops_per_client: 12,
             with_scans: false,
             cache_capacity: None,
+            mutation: None,
         }
     }
 
@@ -128,6 +131,7 @@ impl Scenario {
             ops_per_client: 5,
             with_scans: true,
             cache_capacity: None,
+            mutation: None,
         }
     }
 
@@ -397,21 +401,14 @@ fn crash_plan(seed: u64) -> FaultPlan {
         .restart_server(SimTime::from_micros(45), CRASH_SERVER)
 }
 
-/// Run `sc` under `policy`, returning the full report.
+/// Run `sc` under `policy`, with its mutation injected, returning the
+/// full report.
 pub fn run_scenario(sc: &Scenario, policy: &PolicyKind) -> RunReport {
-    run_scenario_with_history(sc, policy).0
-}
-
-/// [`run_scenario`], additionally returning the recorded history
-/// (diagnostics, tests).
-pub fn run_scenario_with_history(
-    sc: &Scenario,
-    policy: &PolicyKind,
-) -> (RunReport, Vec<crate::history::Event>) {
     assert!(
         (1..=3).contains(&sc.clients),
         "insert-offset partitioning supports 1..=3 clients"
     );
+    let _mutation = sc.mutation.map(Mutation::inject);
     let abandoned_before = namdex_core::abandoned_guards();
     let sim = Sim::new();
     let trace: SharedTrace = new_trace();
@@ -500,7 +497,7 @@ pub fn run_scenario_with_history(
     let lin = lin::check(&events, &spec);
     let trace_counts: Vec<(u32, u32)> = trace.borrow().clone();
     let decisions: Vec<u32> = trace_counts.iter().map(|&(_, c)| c).collect();
-    let report = RunReport {
+    RunReport {
         lin,
         violations: race.violations(),
         held_leaks,
@@ -513,6 +510,5 @@ pub fn run_scenario_with_history(
         trace_counts,
         events: events.len(),
         recoveries: nam.rdma.recovery_records().len(),
-    };
-    (report, events)
+    }
 }

@@ -3,6 +3,7 @@
 use std::cell::RefCell;
 
 use blink::{LocalTree, WorkStats};
+use rdma_sim::spec::{CPU_PER_ENTRY, CPU_PER_NODE, CPU_PER_SPLIT};
 use rdma_sim::ClusterSpec;
 use simnet::SimDur;
 
@@ -54,14 +55,14 @@ impl Default for ServerNode {
 }
 
 /// Translate the work an RPC handler performed into CPU service time
-/// using the spec's cost constants. The fixed per-RPC cost covers
+/// using the cost model: the spec's fixed per-RPC cost covers
 /// receive/dispatch/send; traversal work scales with nodes visited,
 /// entries scanned, and splits performed.
 pub fn handler_cpu_time(spec: &ClusterSpec, work: WorkStats) -> SimDur {
     spec.rpc_fixed_cpu
-        + spec.cpu_per_node * (work.nodes_visited + work.sibling_hops) as u64
-        + spec.cpu_per_entry * work.entries_scanned as u64
-        + spec.cpu_per_split * work.splits as u64
+        + CPU_PER_NODE * (work.nodes_visited + work.sibling_hops) as u64
+        + CPU_PER_ENTRY * work.entries_scanned as u64
+        + CPU_PER_SPLIT * work.splits as u64
 }
 
 #[cfg(test)]

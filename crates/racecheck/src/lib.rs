@@ -487,7 +487,7 @@ impl VerbObserver for Racecheck {
             // protocol: only the access rules above apply.
             VerbKind::Cas { .. } | VerbKind::Faa { .. } if ev.offset != key.1 => {}
             VerbKind::Cas { expected, prev, .. } => {
-                protocol::on_cas(page, ev, self.cluster.spec().lease_duration, out);
+                protocol::on_cas(page, ev, rdma_sim::spec::LEASE_DURATION, out);
                 threads.on_cas(page, key, ev, prev == expected, out);
             }
             VerbKind::Faa { .. } => {

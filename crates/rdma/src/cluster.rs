@@ -16,7 +16,9 @@ use crate::fault::{FaultStats, LinkDegrade};
 use crate::observer::{OpArgs, OpKind, OpOutcome};
 use crate::pool::MemPool;
 use crate::ptr::RemotePtr;
-use crate::spec::{ClusterSpec, Durability};
+use crate::spec::{
+    ClusterSpec, Durability, WAL_READ_BANDWIDTH, WAL_REPLAY_CPU_PER_RECORD, WAL_WRITE_BANDWIDTH,
+};
 
 /// Server-local index state that must survive crashes under
 /// [`Durability::Wal`]. Implemented by the layer that owns the state (the
@@ -242,12 +244,12 @@ impl Cluster {
                     Durability::Wal => Some(ServerWal::new(
                         sim,
                         WalConfig {
-                            write_bandwidth: spec.wal_write_bandwidth,
-                            read_bandwidth: spec.wal_read_bandwidth,
+                            write_bandwidth: WAL_WRITE_BANDWIDTH,
+                            read_bandwidth: WAL_READ_BANDWIDTH,
                             fsync_latency: spec.wal_fsync_latency,
                             group_commit: spec.wal_group_commit,
                             checkpoint_every_bytes: spec.wal_checkpoint_every_bytes,
-                            replay_cpu_per_record: spec.wal_replay_cpu_per_record,
+                            replay_cpu_per_record: WAL_REPLAY_CPU_PER_RECORD,
                         },
                     )),
                 },
@@ -286,8 +288,8 @@ impl Cluster {
     }
 
     /// Declare how many compute clients are connected; RPC handler
-    /// service time grows by `rpc_client_penalty` per client (RC QP
-    /// state pressure, see [`ClusterSpec::rpc_client_penalty`]).
+    /// service time grows by [`crate::spec::RPC_CLIENT_PENALTY`] per
+    /// client (RC QP state pressure).
     pub fn set_active_clients(&self, n: usize) {
         self.inner.active_clients.set(n);
     }
@@ -865,6 +867,7 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::{NIC_BANDWIDTH, QPI_BANDWIDTH_FACTOR};
 
     #[test]
     fn setup_round_trip() {
@@ -892,9 +895,7 @@ mod tests {
     fn aggregate_bandwidth_counts_qpi() {
         let sim = Sim::new();
         let cluster = Cluster::new(&sim, ClusterSpec::default());
-        let spec = ClusterSpec::default();
-        let expect =
-            2.0 * spec.nic_bandwidth + 2.0 * spec.nic_bandwidth * spec.qpi_bandwidth_factor;
+        let expect = 2.0 * NIC_BANDWIDTH + 2.0 * NIC_BANDWIDTH * QPI_BANDWIDTH_FACTOR;
         assert!((cluster.aggregate_bandwidth() - expect).abs() < 1.0);
     }
 }

@@ -49,6 +49,10 @@ use crate::cluster::Cluster;
 use crate::fault::VerbError;
 use crate::observer::{RpcEvent, VerbEvent, VerbKind};
 use crate::ptr::RemotePtr;
+use crate::spec::{
+    ATOMIC_WIRE_OVERHEAD, BATCHED_WIRE_OVERHEAD, OP_WIRE_OVERHEAD, RPC_CLIENT_PENALTY, RT_LATENCY,
+    VERB_TIMEOUT,
+};
 
 /// What one message carries across a memory server's port.
 #[derive(Clone, Copy)]
@@ -193,7 +197,7 @@ impl Endpoint {
     async fn fail_unreachable(&self, s: usize) -> VerbError {
         self.cluster.note_unreachable();
         self.cluster.observe_unreachable(self.client, s);
-        self.sim().sleep(self.cluster.spec().rt_latency).await;
+        self.sim().sleep(RT_LATENCY).await;
         self.cluster.observe_verb_failed(self.client, s);
         VerbError::ServerUnreachable { server: s }
     }
@@ -237,9 +241,9 @@ impl Endpoint {
         let server = self.cluster.server(s);
         // (per-message cost, payload, bytes into the server, bytes out)
         let (overhead, payload, into, out) = match msg {
-            Msg::In(n) => (spec.op_wire_overhead, n, n, 0),
-            Msg::Out(n) => (spec.op_wire_overhead, n, 0, n),
-            Msg::Atomic => (spec.atomic_wire_overhead, 8, 8, 8),
+            Msg::In(n) => (OP_WIRE_OVERHEAD, n, n, 0),
+            Msg::Out(n) => (OP_WIRE_OVERHEAD, n, 0, n),
+            Msg::Atomic => (ATOMIC_WIRE_OVERHEAD, 8, 8, 8),
         };
         if self.is_local(s) {
             server.local_bytes.add(payload as u64);
@@ -267,7 +271,7 @@ impl Endpoint {
 
     /// This verb's completion deadline.
     fn deadline(&self) -> SimTime {
-        self.cluster.sim().now() + self.cluster.spec().verb_timeout
+        self.cluster.sim().now() + VERB_TIMEOUT
     }
 
     /// Park until server `s`'s log `w` is durable through `lsn`. A crash
@@ -299,20 +303,34 @@ impl Endpoint {
         self.wait_durable(s, &w, lsn).await
     }
 
-    /// Await durability of everything appended so far on server `s`
-    /// (no-op under `Durability::Off`). Index layers call this after
-    /// mutating server state through paths that log records themselves
-    /// (e.g. a co-located write path) and before acknowledging to the
-    /// application.
-    pub async fn durability_barrier(&self, s: usize) -> Result<(), VerbError> {
-        let Some(w) = self.cluster.server_wal(s) else {
+    /// Server `s`'s log position and crash epoch before a handler runs
+    /// (`None` under `Durability::Off`), for [`Endpoint::ack_durable`].
+    fn log_mark(&self, s: usize) -> Option<(u64, u64)> {
+        self.cluster
+            .server_wal(s)
+            .map(|w| (w.appended_lsn(), w.epoch()))
+    }
+
+    /// WAL-before-ack for a handler that ran after `mark` on server `s`:
+    /// park until everything logged since is durable (group commit
+    /// coalesces concurrent handlers' records into shared flushes). A
+    /// crash since `mark` fails the call: its records died with the RAM.
+    async fn ack_durable(&self, s: usize, mark: Option<(u64, u64)>) -> Result<(), VerbError> {
+        let Some((pre_lsn, pre_epoch)) = mark else {
             return Ok(());
         };
-        let lsn = w.appended_lsn();
-        if lsn == 0 || w.durable_lsn() >= lsn {
-            return Ok(());
+        let w = self
+            .cluster
+            .server_wal(s)
+            .expect("wal is fixed per cluster");
+        if w.epoch() != pre_epoch {
+            return Err(self.fail_unreachable(s).await);
         }
-        self.wait_durable(s, &w, lsn).await
+        let post = w.appended_lsn();
+        if post > pre_lsn {
+            self.wait_durable(s, &w, post).await?;
+        }
+        Ok(())
     }
 
     // ------------------------------------------------- one-sided verbs ----
@@ -345,9 +363,7 @@ impl Endpoint {
             // from now.
             server.pool.borrow().hint(ptr.offset(), len);
         }
-        let queue = self
-            .leg(s, msg, self.cluster.spec().rt_latency, deadline)
-            .await?;
+        let queue = self.leg(s, msg, RT_LATENCY, deadline).await?;
         if !self.cluster.server_up(s) {
             return Err(self.fail_unreachable(s).await);
         }
@@ -432,7 +448,7 @@ impl Endpoint {
             } else {
                 any_remote = true;
                 let (bw, extra) = self.link(s);
-                let wire = wire(self.cluster.spec().batched_wire_overhead, len, bw);
+                let wire = wire(BATCHED_WIRE_OVERHEAD, len, bw);
                 let i = match projected.iter().position(|&(ps, _)| ps == s) {
                     Some(i) => i,
                     None => {
@@ -451,7 +467,7 @@ impl Endpoint {
             }
         }
         let completion = if any_remote {
-            latest + self.cluster.spec().rt_latency
+            latest + RT_LATENCY
         } else {
             latest
         };
@@ -474,7 +490,7 @@ impl Endpoint {
         }
         sim.sleep_until(latest).await;
         if any_remote {
-            sim.sleep(self.cluster.spec().rt_latency).await;
+            sim.sleep(RT_LATENCY).await;
         }
         for &s in &servers {
             if !self.cluster.server_up(s) {
@@ -615,9 +631,9 @@ impl Endpoint {
     /// time on its own core plus the local-path transfer of the response
     /// — no NIC, no handler core. Like an RPC, the handler runs only
     /// after the client and the server are known to be alive, so a
-    /// refused call has no server-side effect. Handlers that log must be
-    /// followed by [`Endpoint::durability_barrier`]. Panics if the server
-    /// is not local to this endpoint.
+    /// refused call has no server-side effect, and the call returns only
+    /// once the records the handler logged are durable. Panics if the
+    /// server is not local to this endpoint.
     pub async fn local_call<R>(
         &self,
         s: usize,
@@ -628,6 +644,7 @@ impl Endpoint {
         if !self.cluster.server_up(s) {
             return Err(self.fail_unreachable(s).await);
         }
+        let mark = self.log_mark(s);
         let reply = handler();
         self.cluster
             .server(s)
@@ -635,6 +652,7 @@ impl Endpoint {
             .add(reply.resp_bytes as u64);
         let transfer = self.cluster.spec().local_time(reply.resp_bytes);
         self.sim().sleep(reply.cpu + transfer).await;
+        self.ack_durable(s, mark).await?;
         Ok(reply.value)
     }
 
@@ -666,7 +684,7 @@ impl Endpoint {
         let spec = self.cluster.spec();
         let server = self.cluster.server(s);
         server.rpcs.inc();
-        let half = spec.rt_latency / 2;
+        let half = RT_LATENCY / 2;
         // Time spent queued (NIC FIFO on both legs + waiting for a
         // handler core) and executing on the handler core, for the
         // completion event.
@@ -677,7 +695,7 @@ impl Endpoint {
 
         // Handler: queue for a core, run, hold the core for the work done.
         // RC connection state adds per-client pressure (see
-        // `ClusterSpec::rpc_client_penalty`).
+        // `RPC_CLIENT_PENALTY`).
         let cpu_wait_from = sim.now();
         let grant = server.cpu.acquire(sim).await;
         queue_nanos += (sim.now() - cpu_wait_from).as_nanos();
@@ -690,14 +708,9 @@ impl Endpoint {
             grant.complete(sim, SimDur::ZERO).await;
             return Err(self.fail_timeout(s, deadline).await);
         }
-        // Snapshot the WAL position so the post-handler barrier covers
-        // exactly the records this handler logs.
-        let wal_pre = self
-            .cluster
-            .server_wal(s)
-            .map(|w| (w.appended_lsn(), w.epoch()));
+        let mark = self.log_mark(s);
         let reply = handler();
-        let state_penalty = spec.rpc_client_penalty * self.cluster.active_clients() as u64;
+        let state_penalty = RPC_CLIENT_PENALTY * self.cluster.active_clients() as u64;
         let service =
             SimDur::from_secs_f64((reply.cpu + state_penalty).as_secs_f64() * spec.cpu_factor(s));
         grant.complete(sim, service).await;
@@ -705,22 +718,9 @@ impl Endpoint {
         if !self.cluster.server_up(s) {
             return Err(self.fail_unreachable(s).await);
         }
-        // WAL-before-ack: everything the handler logged must be durable
-        // before the response leg releases (group commit coalesces
-        // concurrent handlers' records into shared flushes).
-        if let Some((pre_lsn, pre_epoch)) = wal_pre {
-            let w = self
-                .cluster
-                .server_wal(s)
-                .expect("wal is fixed per cluster");
-            if w.epoch() != pre_epoch {
-                return Err(self.fail_unreachable(s).await);
-            }
-            let post = w.appended_lsn();
-            if post > pre_lsn {
-                self.wait_durable(s, &w, post).await?;
-            }
-        }
+        // The response leg releases only once the handler's records are
+        // durable.
+        self.ack_durable(s, mark).await?;
 
         let resp = Msg::Out(reply.resp_bytes);
         queue_nanos += self.leg(s, resp, half, deadline).await?;
@@ -742,7 +742,7 @@ impl Endpoint {
 mod tests {
     use super::*;
     use crate::fault::{FaultStats, LinkDegrade};
-    use crate::spec::ClusterSpec;
+    use crate::spec::{ClusterSpec, NIC_BANDWIDTH};
     use std::cell::Cell;
     use std::rc::Rc;
 
@@ -1023,8 +1023,7 @@ mod tests {
             ep.read(ptr, len).await.unwrap();
         });
         sim.run();
-        let spec = cluster.spec();
-        let expect = spec.op_wire_overhead + SimDur::from_secs_f64(len as f64 / spec.nic_bandwidth);
+        let expect = OP_WIRE_OVERHEAD + SimDur::from_secs_f64(len as f64 / NIC_BANDWIDTH);
         let busy = cluster.server_stats(0).nic_busy_nanos;
         assert_eq!(busy, expect.as_nanos());
         // 1 MiB at 6.8 GB/s ≈ 154 µs.
@@ -1050,13 +1049,9 @@ mod tests {
             }
         });
         sim.run();
-        let spec = cluster.spec();
-        let page_time = SimDur::from_secs_f64(PAGE as f64 / spec.nic_bandwidth);
+        let page_time = SimDur::from_secs_f64(PAGE as f64 / NIC_BANDWIDTH);
         let batched = cluster.server_stats(0).nic_busy_nanos;
-        assert_eq!(
-            batched,
-            8 * (spec.batched_wire_overhead + page_time).as_nanos()
-        );
+        assert_eq!(batched, 8 * (BATCHED_WIRE_OVERHEAD + page_time).as_nanos());
         assert!(batched < cluster.server_stats(2).nic_busy_nanos);
     }
 
@@ -1337,8 +1332,7 @@ mod tests {
             let begin = s.now();
             let err = ep.read(ptr, 64).await.unwrap_err();
             assert_eq!(err, VerbError::Timeout { server: 0 });
-            let spec = ep.cluster().spec().clone();
-            assert_eq!((s.now() - begin).as_nanos(), spec.verb_timeout.as_nanos());
+            assert_eq!((s.now() - begin).as_nanos(), VERB_TIMEOUT.as_nanos());
         });
         sim.run();
         let fs = cluster.fault_stats();

@@ -16,7 +16,7 @@ use simnet::SimDur;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum VerbError {
     /// The verb missed its completion deadline
-    /// ([`crate::ClusterSpec::verb_timeout`]): the message was dropped,
+    /// ([`crate::spec::VERB_TIMEOUT`]): the message was dropped,
     /// or queueing/degradation pushed completion past the deadline.
     Timeout {
         /// Target memory server.

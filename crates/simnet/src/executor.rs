@@ -82,11 +82,6 @@ impl<T> UncontendedLock<T> {
 pub struct TaskId(u64);
 
 impl TaskId {
-    /// The task's spawn index (stable across runs of the same program).
-    pub fn as_u64(self) -> u64 {
-        self.0
-    }
-
     /// Construct from a raw spawn index. Ids are plain labels, so this
     /// is safe; it exists for schedule-policy tests and tooling.
     pub fn from_u64(v: u64) -> Self {
@@ -445,7 +440,7 @@ struct SimInner {
     seq: Cell<u64>,
     next_task: Cell<u64>,
     timers: RefCell<TimerQueue>,
-    /// Task slab indexed by spawn index ([`TaskId::as_u64`]). Completed
+    /// Task slab indexed by spawn index (a [`TaskId`]'s value). Completed
     /// tasks leave a `None` behind (slots are never reused — ids stay
     /// stable labels), so the hot-path lookup is one bounds-checked
     /// array index instead of a map walk.

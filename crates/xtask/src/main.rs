@@ -661,13 +661,14 @@ fn cargo_step(label: &str, args: &[&str]) -> Result<(), ExitCode> {
 /// 2. **Clean matrix**: `mc_explore explore` over 4 designs ×
 ///    {no-fault, chaos} × {random-walk, PCT} (+ bounded DFS) must find
 ///    zero violations.
-/// 3. **Mutation hunts**: with `--features mutations`, every seeded bug
-///    — the two re-introduced historical ones (CG duplicate insert on
-///    lost-response retry; lease break without epoch bump) plus the four
-///    env-gated race mutations (dropped descent re-check, skipped cache
-///    fence, skipped mispredict re-read, unlock-before-write reorder) —
-///    must be detected within the budget, each leaving a replayable
-///    minimized counterexample.
+/// 3. **Mutation hunts**: with `--features mutations`, each of the six
+///    seeded bugs (`namdex_core::Mutation`: the two re-introduced
+///    historical ones — CG duplicate insert on lost-response retry; lease
+///    break without epoch bump — and four race mutations — dropped
+///    descent re-check, skipped cache fence, skipped mispredict re-read,
+///    unlock-before-write reorder) is injected in turn and must be
+///    detected within the budget, each leaving a replayable minimized
+///    counterexample that names its mutation.
 fn mc(quick: bool) -> ExitCode {
     let code = engine_parity_inner(false, true);
     if code != ExitCode::SUCCESS {

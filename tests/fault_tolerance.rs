@@ -49,7 +49,7 @@ fn lock_orphan_scenario(kind: IndexKind) {
     let (sim, nam) = cluster();
     let design = build(kind, &nam);
     let race = arm_checker(&nam, &design);
-    let lease = nam.rdma.spec().lease_duration;
+    let lease = namdex::rdma::spec::LEASE_DURATION;
 
     let victim = Endpoint::new(&nam.rdma);
     let contender = Endpoint::new(&nam.rdma);

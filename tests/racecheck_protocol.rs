@@ -342,7 +342,7 @@ fn lease_break_after_expiry_is_clean() {
     let (sim, nam) = cluster();
     let (idx, race) = armed_fg(&sim, &nam);
     let root = idx.root().expect("remote upper level");
-    let lease = nam.rdma.spec().lease_duration;
+    let lease = namdex::rdma::spec::LEASE_DURATION;
     let nam2 = nam.rdma.clone();
     let victim = Endpoint::new(&nam.rdma);
     let contender = Endpoint::new(&nam.rdma);
