@@ -15,8 +15,7 @@ use std::rc::Rc;
 
 use blink::PageLayout;
 use chaos::{ChaosController, FaultPlan};
-use nam::{IndexKind, NamCluster, PartitionMap};
-use namdex_core::{Design, FgConfig, LearnedStats};
+use namdex_core::{Design, FgConfig, IndexKind, LearnedStats, NamCluster, PartitionMap};
 use rdma_sim::{ClusterSpec, Endpoint, FaultStats, RecoveryRecord, ServerStats};
 use simnet::rng::Zipf;
 use simnet::stats::{Counter, Histogram};

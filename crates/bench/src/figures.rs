@@ -26,7 +26,7 @@ use std::cell::RefCell;
 use std::path::PathBuf;
 use std::rc::Rc;
 
-use nam::IndexKind;
+use namdex_core::IndexKind;
 
 use crate::cli::BenchArgs;
 use crate::driver::{run_experiment, DataDist, ExperimentConfig, ExperimentResult};
@@ -750,7 +750,7 @@ mod tests {
         }
     }
 
-    /// Schema drift shows without running a sweep. Nine committed files
+    /// Schema drift shows without running a sweep. Seven committed files
     /// were last regenerated before the trailing `aborts` column
     /// existed; that one difference is accepted, any other — a renamed,
     /// reordered, dropped or undeclared column — fails.

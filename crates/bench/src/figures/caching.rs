@@ -16,7 +16,7 @@
 
 use std::rc::Rc;
 
-use nam::{IndexKind, NamCluster};
+use namdex_core::{IndexKind, NamCluster};
 use rdma_sim::{ClusterSpec, Endpoint};
 use simnet::rng::{DetRng, Zipf};
 use simnet::stats::Counter;

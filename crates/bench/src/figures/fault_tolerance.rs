@@ -20,7 +20,7 @@
 //! whole run is virtual-time deterministic.
 
 use chaos::{FaultPlan, LinkDegrade, RandomProfile};
-use nam::IndexKind;
+use namdex_core::IndexKind;
 use rdma_sim::{ClusterSpec, Durability};
 use simnet::{SimDur, SimTime};
 use ycsb::Workload;

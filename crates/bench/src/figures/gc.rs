@@ -9,8 +9,7 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use nam::{IndexKind, NamCluster};
-use namdex_core::gc;
+use namdex_core::{gc, IndexKind, NamCluster};
 use rdma_sim::{ClusterSpec, Endpoint};
 use simnet::rng::DetRng;
 use simnet::stats::Counter;

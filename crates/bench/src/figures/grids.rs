@@ -2,9 +2,9 @@
 //!
 //! Cell order is CSV row order.
 
-use nam::IndexKind;
+use namdex_core::IndexKind;
 use simnet::SimDur;
-use ycsb::{InsertPattern, RequestDist, Workload};
+use ycsb::{RequestDist, Workload};
 
 use super::{Cell, Ctx};
 use crate::driver::{CgPartition, DataDist, ExperimentConfig, ExperimentResult};
@@ -281,7 +281,6 @@ pub fn ablation_mispredict(ctx: &Ctx) -> Vec<Cell> {
                     insert_frac: frac,
                     selectivity: 0.0,
                     dist: RequestDist::Uniform,
-                    insert_pattern: InsertPattern::Scattered,
                 },
                 num_keys: 100_000,
                 page_size: 256,

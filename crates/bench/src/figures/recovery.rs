@@ -20,8 +20,7 @@
 
 use std::fmt::Write as _;
 
-use nam::{IndexKind, NamCluster};
-use namdex_core::Design;
+use namdex_core::{Design, IndexKind, NamCluster};
 use rdma_sim::{ClusterSpec, Durability, Endpoint};
 use simnet::{Sim, SimDur};
 

@@ -114,7 +114,7 @@ fn allocations_in_window(
     mut next_key: impl FnMut() -> u64 + 'static,
 ) -> (u64, u64, Rc<Index>) {
     let sim = Sim::new();
-    let nam = nam::NamCluster::new(&sim, ClusterSpec::with_memory_servers(4));
+    let nam = namdex_core::NamCluster::new(&sim, ClusterSpec::with_memory_servers(4));
     nam.rdma.set_active_clients(1);
     if observed {
         nam.rdma.add_observer(Rc::new(NoOp));
@@ -249,9 +249,9 @@ fn steady_state_cached_fg_lookups_allocate_per_page_content_only() {
 /// Heap allocations made while building a learned index over `n` keys.
 fn learned_build_allocations(n: u64) -> u64 {
     let sim = Sim::new();
-    let nam = nam::NamCluster::new(&sim, ClusterSpec::with_memory_servers(4));
+    let nam = namdex_core::NamCluster::new(&sim, ClusterSpec::with_memory_servers(4));
     let data = ycsb::Dataset::new(n);
-    let partition = nam::PartitionMap::range_uniform(4, data.domain());
+    let partition = namdex_core::PartitionMap::range_uniform(4, data.domain());
     ALLOCS.set(0);
     COUNTING.set(true);
     let index = Learned::build(&nam, FgConfig::default(), partition, data.iter());
@@ -303,7 +303,7 @@ fn steady_state_fg_scans_allocate_their_result_once() {
         cache_capacity: None,
     };
     let sim = Sim::new();
-    let nam = nam::NamCluster::new(&sim, ClusterSpec::with_memory_servers(4));
+    let nam = namdex_core::NamCluster::new(&sim, ClusterSpec::with_memory_servers(4));
     nam.rdma.set_active_clients(1);
     let index = FineGrained::build(&nam.rdma, cfg, data.iter());
     let cluster = nam.rdma.clone();

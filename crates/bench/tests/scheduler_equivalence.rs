@@ -12,7 +12,7 @@
 
 use bench::{run_experiment, ExperimentConfig, ExperimentResult};
 use chaos::{FaultPlan, LinkDegrade};
-use nam::IndexKind;
+use namdex_core::IndexKind;
 use rdma_sim::{ClusterSpec, Durability};
 use simnet::{SchedulerKind, SimDur, SimTime};
 use ycsb::Workload;

@@ -52,7 +52,6 @@ use blink::node::{
     kind_of, HeadNodeRef, InnerNodeMut, InnerNodeRef, LeafNodeMut, LeafNodeRef, NodeKind,
 };
 use blink::{Key, PageLayout, Ptr, Value};
-use nam::msg;
 use rdma_sim::spec::{RETRY_BACKOFF_BASE, RETRY_BACKOFF_CAP, RETRY_LIMIT};
 use rdma_sim::{
     Endpoint, FenceKind, OpArgs, OpKind, OpOutcome, PageBuf, RegionKind, RemotePtr, VerbError,
@@ -60,6 +59,7 @@ use rdma_sim::{
 use simnet::SimDur;
 
 use crate::local::Local;
+use crate::msg;
 use crate::onesided::{lock_node, read_unlocked, Locked};
 use crate::resolve::Index;
 use crate::{Design, Mutation, OpError};
@@ -863,9 +863,8 @@ impl RangeProgress {
 mod tests {
     use super::*;
     use crate::chain::small_cfg;
-    use crate::{CoarseGrained, Design, FineGrained, Hybrid};
+    use crate::{CoarseGrained, Design, FineGrained, Hybrid, NamCluster, PartitionMap};
     use blink::PageLayout;
-    use nam::{NamCluster, PartitionMap};
     use rdma_sim::{Cluster, ClusterSpec};
     use simnet::Sim;
     use std::cell::Cell;

@@ -92,11 +92,10 @@ async fn chain_gc(ep: &Endpoint, first: RemotePtr, page_size: usize) -> Result<u
 mod tests {
     use super::*;
     use crate::chain::small_cfg;
-    use crate::{CoarseGrained, FineGrained, Hybrid};
+    use crate::{CoarseGrained, FineGrained, Hybrid, NamCluster, PartitionMap};
     use blink::layout::lock_word;
     use blink::node::version_lock_of;
     use blink::PageLayout;
-    use nam::{NamCluster, PartitionMap};
     use rdma_sim::{Cluster, ClusterSpec};
     use simnet::Sim;
     use std::cell::Cell;

@@ -39,7 +39,9 @@ pub mod chain;
 pub mod engine;
 pub mod gc;
 pub mod local;
+mod msg;
 pub(crate) mod onesided;
+pub mod partition;
 pub mod resolve;
 pub mod router;
 
@@ -48,15 +50,94 @@ pub use chain::{Chain, FgConfig};
 pub use engine::RangeProgress;
 pub use local::Local;
 pub use onesided::abandoned_guards;
+pub use partition::PartitionMap;
 pub use resolve::{CoarseGrained, FineGrained, Hybrid, Index, Learned, SetupSource};
 pub use router::{LearnedStats, Router};
 
 use blink::{Key, Value};
-use nam::{IndexKind, NamCluster, PartitionMap};
-use rdma_sim::{Endpoint, RemotePtr, VerbError};
+use rdma_sim::{Cluster, ClusterSpec, Endpoint, RemotePtr, VerbError};
+use simnet::Sim;
 use std::cell::Cell;
 use std::fmt;
 use std::rc::Rc;
+
+/// An assembled NAM deployment: the simulated RDMA cluster. Per-index
+/// server-side state ([`local::ServerNode`]) is owned by each index,
+/// since a memory server hosts one local tree per index it serves.
+pub struct NamCluster {
+    /// The underlying simulated RDMA cluster.
+    pub rdma: Cluster,
+}
+
+impl NamCluster {
+    /// Deploy a NAM cluster on `sim` with the given spec.
+    pub fn new(sim: &Sim, spec: ClusterSpec) -> Self {
+        NamCluster {
+            rdma: Cluster::new(sim, spec),
+        }
+    }
+
+    /// Number of memory servers.
+    pub fn num_servers(&self) -> usize {
+        self.rdma.num_servers()
+    }
+}
+
+/// Which of the four designs an index uses (the paper's three plus the
+/// learned-routing extension).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum IndexKind {
+    /// Design 1 (§3): coarse-grained distribution, two-sided access.
+    CoarseGrained,
+    /// Design 2 (§4): fine-grained distribution, one-sided access.
+    FineGrained,
+    /// Design 3 (§5): hybrid.
+    Hybrid,
+    /// Design 4: learned-index routing over the hybrid layout — clients
+    /// additionally hold the trained model.
+    Learned,
+}
+
+impl IndexKind {
+    /// All four designs, in the order every sweep and matrix visits them.
+    pub const ALL: [IndexKind; 4] = [
+        IndexKind::CoarseGrained,
+        IndexKind::FineGrained,
+        IndexKind::Hybrid,
+        IndexKind::Learned,
+    ];
+
+    /// `[key, name, label]` — the one table the three spellings read.
+    const fn names(self) -> [&'static str; 3] {
+        match self {
+            IndexKind::CoarseGrained => ["cg", "coarse-grained", "Coarse-Grained"],
+            IndexKind::FineGrained => ["fg", "fine-grained", "Fine-Grained"],
+            IndexKind::Hybrid => ["hybrid", "hybrid", "Hybrid"],
+            IndexKind::Learned => ["learned", "learned", "Learned"],
+        }
+    }
+
+    /// Stable short name: CLI flags and env lists (`NAMDEX_DESIGNS=cg,fg`),
+    /// counterexample files, artifact names.
+    pub const fn key(self) -> &'static str {
+        self.names()[0]
+    }
+
+    /// Report name (CSV `design` columns).
+    pub const fn name(self) -> &'static str {
+        self.names()[1]
+    }
+
+    /// Display name matching the paper's legends.
+    pub const fn label(self) -> &'static str {
+        self.names()[2]
+    }
+
+    /// Parse [`Self::key`] output.
+    pub fn parse(key: &str) -> Option<IndexKind> {
+        Self::ALL.into_iter().find(|k| k.key() == key)
+    }
+}
 
 /// Why an index operation failed after the retry layer gave up.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -289,10 +370,14 @@ impl Design {
 mod tests {
     use super::*;
     use blink::PageLayout;
-    use nam::{NamCluster, PartitionMap};
-    use rdma_sim::ClusterSpec;
-    use simnet::{Sim, SimDur};
-    use std::cell::Cell;
+    use simnet::SimDur;
+
+    #[test]
+    fn deploy_matches_spec() {
+        let sim = Sim::new();
+        let nam = NamCluster::new(&sim, ClusterSpec::with_memory_servers(6));
+        assert_eq!(nam.num_servers(), 6);
+    }
 
     #[test]
     fn retries_ride_out_a_server_restart() {

@@ -23,15 +23,122 @@
 //! (Appendix A.3). Every request surfaces verb failures (`VerbError`)
 //! to the caller; retry policy lives one level up, in [`crate::Design`].
 
+use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use blink::{Key, LocalTree, PageLayout, Ptr, Value, WorkStats};
-use nam::{handler_cpu_time, msg, DurableTree, PartitionMap, ServerNode};
-use rdma_sim::spec::{CPU_INSERT_EXTRA, LEAF_LOCK_HOLD};
-use rdma_sim::{Cluster, Endpoint, RemotePtr, RpcReply, VerbError, WalRecord};
-use simnet::SimDur;
+use rdma_sim::spec::{
+    CPU_INSERT_EXTRA, CPU_PER_ENTRY, CPU_PER_NODE, CPU_PER_SPLIT, LEAF_LOCK_HOLD,
+};
+use rdma_sim::{
+    Cluster, ClusterSpec, DurableState, Endpoint, RemotePtr, RpcReply, VerbError, WalRecord,
+};
+use simnet::{SimDur, SimTime};
 
 use crate::engine::RangeProgress;
+use crate::msg;
+use crate::PartitionMap;
+
+/// One memory server's software state for one index: the local B-link
+/// tree it serves over RPC (a coarse-grained partition, or the hybrid
+/// design's upper levels) and its virtual page locks.
+///
+/// The tree lives outside the pool and holds the only copy of its
+/// entries, so the node is also the tree's [`DurableState`]: under
+/// `Durability::Wal` a crash wipes it, fuzzy checkpoints snapshot its
+/// live entries and recovery bulk-loads them back at the tree's own
+/// geometry and the load's fill factor, then replays the logged
+/// handler mutations verbatim.
+pub struct ServerNode {
+    tree: RefCell<LocalTree>,
+    /// Per page, the virtual instant its lock is released.
+    locks: RefCell<BTreeMap<u64, SimTime>>,
+    fill: f64,
+}
+
+impl ServerNode {
+    fn new(tree: LocalTree, fill: f64) -> Self {
+        ServerNode {
+            tree: RefCell::new(tree),
+            locks: RefCell::default(),
+            fill,
+        }
+    }
+
+    /// Run `f` against the server's tree.
+    pub fn with_tree<R>(&self, f: impl FnOnce(&mut LocalTree) -> R) -> R {
+        f(&mut self.tree.borrow_mut())
+    }
+
+    /// Take the lock on `page` at virtual time `now`, holding it for
+    /// `hold` once acquired, and return the spin-wait the handler
+    /// suffers (zero if the lock is free).
+    ///
+    /// Handlers take page locks with a local CAS and *spin* while a page
+    /// is held (Listing 3: `awaitNodeUnlocked`). A handler runs
+    /// atomically at its core-grant instant, so real spinning cannot
+    /// happen; instead the wait is computed in virtual time and added to
+    /// the handler's CPU service time: **spinning occupies the core**,
+    /// the degradation mechanism §6.3 names for the coarse-grained and
+    /// hybrid schemes under insert-heavy load.
+    fn lock(&self, page: u64, now: SimTime, hold: SimDur) -> SimDur {
+        let mut map = self.locks.borrow_mut();
+        let free_at = map.get(&page).copied().unwrap_or(SimTime::ZERO).max(now);
+        let wait = free_at.since(now);
+        map.insert(page, free_at + hold);
+        wait
+    }
+}
+
+impl DurableState for ServerNode {
+    fn wipe(&self) {
+        // Crash with volatile DRAM: the tree empties.
+        self.with_tree(|t| *t = LocalTree::new(t.layout()));
+    }
+
+    fn snapshot(&self) -> Vec<(u64, u64)> {
+        let mut out = Vec::new();
+        self.with_tree(|t| t.range(0, u64::MAX, &mut out));
+        out
+    }
+
+    fn restore(&self, entries: &[(u64, u64)]) {
+        let entries = entries.iter().copied();
+        self.with_tree(|t| *t = LocalTree::bulk_load(t.layout(), entries, self.fill));
+    }
+
+    fn upsert(&self, key: u64, value: u64) {
+        self.with_tree(|t| {
+            if !t.update_value(key, value).0 {
+                t.insert_at_leaf(key, value);
+            }
+        });
+    }
+
+    fn insert(&self, key: u64, value: u64) {
+        self.with_tree(|t| {
+            t.insert_at_leaf(key, value);
+        });
+    }
+
+    fn delete(&self, key: u64) {
+        self.with_tree(|t| {
+            t.delete_at_leaf(key);
+        });
+    }
+}
+
+/// Translate the work an RPC handler performed into CPU service time:
+/// the spec's fixed per-RPC cost covers receive/dispatch/send;
+/// traversal work scales with nodes visited, entries scanned, and
+/// splits performed.
+fn handler_cpu_time(spec: &ClusterSpec, work: WorkStats) -> SimDur {
+    spec.rpc_fixed_cpu
+        + CPU_PER_NODE * (work.nodes_visited + work.sibling_hops) as u64
+        + CPU_PER_ENTRY * work.entries_scanned as u64
+        + CPU_PER_SPLIT * work.splits as u64
+}
 
 /// One local tree per memory server, routed by a partition map.
 pub struct Local {
@@ -75,18 +182,14 @@ impl Local {
             loaders[s].push(k, v);
         }
         // Each index owns its per-server state (a memory server hosts
-        // one ServerNode per index it serves).
-        let nodes: Vec<Rc<ServerNode>> = (0..n).map(|_| Rc::new(ServerNode::new())).collect();
-        for (s, loader) in loaders.into_iter().enumerate() {
-            nodes[s].install_tree(loader.into_tree());
-            // Local trees live outside the pool and hold the only copy of
-            // their entries: expose them to the transport's crash-recovery
-            // machinery (wipe on crash, fuzzy-checkpoint snapshots, log
-            // replay).
-            cluster.register_durable_state(
-                s,
-                Rc::new(DurableTree::new(nodes[s].clone(), layout, fill)),
-            );
+        // one ServerNode per index it serves), registered with the
+        // transport's crash-recovery machinery.
+        let nodes: Vec<Rc<ServerNode>> = loaders
+            .into_iter()
+            .map(|loader| Rc::new(ServerNode::new(loader.into_tree(), fill)))
+            .collect();
+        for (s, node) in nodes.iter().enumerate() {
+            cluster.register_durable_state(s, node.clone());
         }
         Local { nodes, partition }
     }
@@ -211,7 +314,7 @@ impl Local {
             }
             let wait = leaf.map_or(SimDur::ZERO, |leaf| {
                 let now = cluster.sim().now();
-                node.locks.acquire(leaf.raw(), now, LEAF_LOCK_HOLD)
+                node.lock(leaf.raw(), now, LEAF_LOCK_HOLD)
             });
             (value, work, CPU_INSERT_EXTRA + wait, msg::ack())
         })
@@ -344,7 +447,7 @@ impl Local {
                     work.entries_scanned += 1;
                 }
                 let now = cluster.sim().now();
-                let wait = node.locks.acquire(leaf_page.raw(), now, LEAF_LOCK_HOLD);
+                let wait = node.lock(leaf_page.raw(), now, LEAF_LOCK_HOLD);
                 // Upper levels carry only their share of write overhead:
                 // leaf writes and leaf GC are client-side over a chain.
                 cpu = CPU_INSERT_EXTRA / 4 + wait;
@@ -379,11 +482,8 @@ impl Local {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CoarseGrained, Index};
-    use nam::NamCluster;
-    use rdma_sim::ClusterSpec;
+    use crate::{CoarseGrained, Index, NamCluster};
     use simnet::Sim;
-    use std::cell::RefCell;
 
     fn build_index(sim: &Sim, n_keys: u64) -> (NamCluster, Rc<Index>) {
         let nam = NamCluster::new(sim, ClusterSpec::default());
@@ -740,5 +840,136 @@ mod tests {
         });
         sim.run();
         assert_eq!(sim.live_tasks(), 0, "an assertion task died");
+    }
+
+    #[test]
+    fn cpu_time_scales_with_work() {
+        let spec = ClusterSpec::default();
+        let small = handler_cpu_time(
+            &spec,
+            WorkStats {
+                nodes_visited: 3,
+                entries_scanned: 1,
+                ..WorkStats::default()
+            },
+        );
+        let large = handler_cpu_time(
+            &spec,
+            WorkStats {
+                nodes_visited: 6,
+                entries_scanned: 1000,
+                splits: 2,
+                sibling_hops: 1,
+                ..WorkStats::default()
+            },
+        );
+        assert!(large > small);
+        assert!(small >= spec.rpc_fixed_cpu);
+    }
+
+    fn loaded_node(n: u64) -> ServerNode {
+        let tree = LocalTree::bulk_load(PageLayout::default(), (0..n).map(|i| (i * 8, i)), 0.7);
+        ServerNode::new(tree, 0.7)
+    }
+
+    #[test]
+    fn uncontended_lock_is_free() {
+        let t = loaded_node(0);
+        let wait = t.lock(7, SimTime::from_micros(10), SimDur::from_micros(2));
+        assert_eq!(wait, SimDur::ZERO);
+    }
+
+    #[test]
+    fn contended_lock_serialises() {
+        let t = loaded_node(0);
+        let now = SimTime::from_micros(10);
+        assert_eq!(t.lock(7, now, SimDur::from_micros(2)), SimDur::ZERO);
+        // Second acquirer at the same instant waits 2us.
+        assert_eq!(
+            t.lock(7, now, SimDur::from_micros(2)),
+            SimDur::from_micros(2)
+        );
+        // Third waits 4us.
+        assert_eq!(
+            t.lock(7, now, SimDur::from_micros(2)),
+            SimDur::from_micros(4)
+        );
+        // A different page is unaffected.
+        assert_eq!(t.lock(8, now, SimDur::from_micros(2)), SimDur::ZERO);
+    }
+
+    #[test]
+    fn lock_expires_over_time() {
+        let t = loaded_node(0);
+        t.lock(7, SimTime::from_micros(0), SimDur::from_micros(2));
+        let wait = t.lock(7, SimTime::from_micros(100), SimDur::from_micros(2));
+        assert_eq!(wait, SimDur::ZERO);
+    }
+
+    #[test]
+    fn wipe_loses_everything_restore_brings_it_back() {
+        let node = loaded_node(500);
+        let snap = node.snapshot();
+        assert_eq!(snap.len(), 500);
+        node.wipe();
+        assert_eq!(node.snapshot(), Vec::new(), "crash must empty the tree");
+        node.restore(&snap);
+        assert_eq!(node.with_tree(|t| t.get(8 * 123).0), Some(123));
+        assert_eq!(node.snapshot(), snap);
+    }
+
+    #[test]
+    fn replay_mirrors_handler_mutations() {
+        let node = loaded_node(10);
+        // Fresh insert, in-place upsert, duplicate-key insert, delete.
+        node.insert(5, 100);
+        assert_eq!(node.with_tree(|t| t.get(5).0), Some(100));
+        node.upsert(5, 200);
+        assert_eq!(node.with_tree(|t| t.get(5).0), Some(200));
+        node.insert(5, 300);
+        let mut dup = Vec::new();
+        node.with_tree(|t| t.range(5, 5, &mut dup));
+        assert_eq!(dup.len(), 2, "insert replay keeps duplicate keys");
+        node.delete(5);
+        assert_eq!(node.with_tree(|t| t.get(5).0), Some(300), "first live gone");
+        // Upsert of an absent key degrades to an insert.
+        node.upsert(999, 1);
+        assert_eq!(node.with_tree(|t| t.get(999).0), Some(1));
+    }
+
+    /// Recovery rebuilds a local tree at the geometry it was loaded
+    /// with: a checkpoint holds only entries, so the page size must
+    /// come from the tree itself.
+    #[test]
+    fn wal_recovery_rebuilds_the_tree_at_its_geometry() {
+        use rdma_sim::Durability;
+        let sim = Sim::new();
+        let spec = ClusterSpec {
+            durability: Durability::Wal,
+            ..ClusterSpec::default()
+        };
+        let nam = NamCluster::new(&sim, spec);
+        let partition = PartitionMap::range_uniform(nam.num_servers(), 2000 * 8);
+        let items = (0..2000u64).map(|i| (i * 8, i));
+        let idx = CoarseGrained::build(&nam, PageLayout::new(256), partition, items, 0.7);
+        let cluster = nam.rdma.clone();
+        let ep = Endpoint::new(&cluster);
+        let writer = idx.clone();
+        sim.spawn(async move {
+            // Odd keys inside server 0's 500 loaded ones.
+            for i in 0..100u64 {
+                writer.insert(&ep, i * 8 + 1, i, false).await.unwrap();
+            }
+            cluster.fail_server(0);
+            cluster.restart_server(0);
+        });
+        sim.run();
+        assert_eq!(nam.rdma.recovery_records().len(), 1, "one recovery");
+        let local = idx.local().expect("a CG index has local trees");
+        local.nodes()[0].with_tree(|t| {
+            assert_eq!(t.layout().page_size(), 256);
+            t.check_invariants();
+            assert_eq!(t.len_live(), 600);
+        });
     }
 }

@@ -60,7 +60,6 @@ use std::rc::Rc;
 use blink::layout::lock_word;
 use blink::node::{kind_of, NodeKind};
 use blink::{Key, PageLayout, Ptr, Value};
-use nam::{NamCluster, PartitionMap};
 use rdma_sim::{Cluster, Endpoint, FenceKind, PageBuf, RemotePtr, VerbError};
 
 use crate::cache::{CacheLayer, Frame};
@@ -68,7 +67,7 @@ use crate::chain::{Chain, FgConfig};
 use crate::local::Local;
 use crate::onesided::read_unlocked;
 use crate::router::Router;
-use crate::Mutation;
+use crate::{Mutation, NamCluster, PartitionMap};
 
 /// Read-only bytes of a page, where they already are: the wire's buffer
 /// or a cached frame (which the holder pins for as long as it reads).
@@ -702,7 +701,7 @@ mod tests {
     #[test]
     fn bulk_loaded_pool_images_are_pinned() {
         use crate::Design;
-        use nam::IndexKind;
+        use crate::IndexKind;
         // (page, stride, n, dup) -> (per-server `allocated()`, digest) of
         // FG and of Hybrid = Learned: duplicates straddling leaf
         // boundaries, no heads, default geometry, empty input, one
@@ -789,7 +788,7 @@ mod tests {
     #[test]
     fn bulk_loaded_local_trees_are_pinned() {
         use crate::Design;
-        use nam::IndexKind;
+        use crate::IndexKind;
         // Keys are dense here, so each bound below 5000 is a loaded key.
         let skewed = PartitionMap::range_fractions(&[0.80, 0.12, 0.05, 0.03], 5000);
         assert!(
@@ -886,7 +885,7 @@ mod tests {
     #[test]
     fn each_kind_builds_its_parts() {
         use crate::Design;
-        use nam::IndexKind;
+        use crate::IndexKind;
         for capacity in [None, Some(64)] {
             for kind in IndexKind::ALL {
                 let sim = Sim::new();
@@ -928,7 +927,7 @@ mod tests {
     #[test]
     fn learned_without_a_model_issues_hybrids_verbs() {
         use crate::Design;
-        use nam::IndexKind;
+        use crate::IndexKind;
         const N: u64 = 2000;
         const DOWN: usize = 3;
         let run = |kind: IndexKind| {

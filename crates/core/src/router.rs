@@ -232,8 +232,7 @@ impl Router {
 mod tests {
     use super::*;
     use crate::chain::small_cfg;
-    use crate::{Index, Learned};
-    use nam::{NamCluster, PartitionMap};
+    use crate::{Index, Learned, NamCluster, PartitionMap};
     use rdma_sim::{ClusterSpec, Endpoint};
     use simnet::Sim;
 

@@ -3,7 +3,7 @@
 
 //! # learned-index — a PGM-style piecewise-linear index over remote leaves
 //!
-//! The routing model of the fourth design family (`namdex_core::learned`):
+//! The routing model of the fourth design family (`namdex_core::router`):
 //! a [Piecewise Geometric Model](https://pgm.di.unipi.it/) trained over
 //! the leaf-level `high_key → remote pointer` table of a distributed
 //! B-link tree, so a client can map a key to its candidate leaf with

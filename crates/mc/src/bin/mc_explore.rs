@@ -41,7 +41,7 @@ fn main() -> ExitCode {
 
 struct Flags {
     quick: bool,
-    design: Option<nam::IndexKind>,
+    design: Option<namdex_core::IndexKind>,
     out: PathBuf,
     seed: Option<u64>,
 }
@@ -57,7 +57,7 @@ fn parse_flags(args: &[String]) -> Option<Flags> {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--quick" => flags.quick = true,
-            "--design" => flags.design = Some(nam::IndexKind::parse(it.next()?)?),
+            "--design" => flags.design = Some(namdex_core::IndexKind::parse(it.next()?)?),
             "--out" => flags.out = PathBuf::from(it.next()?),
             "--seed" => flags.seed = it.next()?.parse().ok(),
             _ => return None,

@@ -11,8 +11,7 @@
 //! legal schedule, just one that deviates from FIFO in fewer places.
 
 use crate::scenario::{run_scenario, FaultMode, PolicyKind, RunReport, Scenario};
-use nam::IndexKind;
-use namdex_core::Mutation;
+use namdex_core::{IndexKind, Mutation};
 use std::fmt::Write as _;
 use std::path::Path;
 

@@ -5,8 +5,7 @@
 use crate::counterexample::{classify, minimize, Counterexample, ViolationClass};
 use crate::policy::next_dfs_prefix;
 use crate::scenario::{run_scenario, FaultMode, PolicyKind, RunReport, Scenario};
-use nam::IndexKind;
-use namdex_core::Mutation;
+use namdex_core::{IndexKind, Mutation};
 use simnet::rng::mix3;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};

@@ -28,8 +28,7 @@ use crate::lin::{self, CheckStats, LinViolation, Spec};
 use crate::policy::{new_trace, Pct, RandomWalk, Replay, SharedTrace};
 use blink::PageLayout;
 use chaos::{ChaosController, FaultPlan};
-use nam::{IndexKind, NamCluster, PartitionMap};
-use namdex_core::{Design, FgConfig, Mutation};
+use namdex_core::{Design, FgConfig, IndexKind, Mutation, NamCluster, PartitionMap};
 use racecheck::{HeldLock, Racecheck, Violation};
 use rdma_sim::{ClusterSpec, Durability, Endpoint, LinkDegrade};
 use simnet::rng::DetRng;

@@ -104,9 +104,6 @@ pub fn check_design(design: &Design) -> Vec<Violation> {
     }
     if let Some(local) = idx.local() {
         for (server, node) in local.nodes().iter().enumerate() {
-            if !node.has_tree() {
-                continue;
-            }
             let found = node.with_tree(|t| t.problems());
             out.extend(found.into_iter().map(|(p, detail)| Violation {
                 rule: "structural",
@@ -167,8 +164,7 @@ mod tests {
     use blink::layout::{lock_word, HEADER_SIZE};
     use blink::node::{set_version_lock, LeafNodeMut};
     use blink::PageLayout;
-    use nam::{NamCluster, PartitionMap};
-    use namdex_core::{FgConfig, FineGrained, Hybrid};
+    use namdex_core::{FgConfig, FineGrained, Hybrid, NamCluster, PartitionMap};
     use rdma_sim::{Cluster, ClusterSpec};
     use simnet::Sim;
 

@@ -6,8 +6,7 @@
 //! violations.
 
 use chaos::{ChaosController, FaultPlan};
-use nam::{NamCluster, PartitionMap};
-use namdex_core::{Design, FgConfig, Hybrid};
+use namdex_core::{Design, FgConfig, Hybrid, NamCluster, PartitionMap};
 use rdma_sim::{ClusterSpec, Endpoint};
 use simnet::rng::DetRng;
 use simnet::{Sim, SimDur, SimTime};

@@ -77,24 +77,6 @@ pub enum RequestDist {
     Zipfian(f64),
 }
 
-/// Where inserted keys land.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum InsertPattern {
-    /// Fresh keys scattered uniformly between existing keys (YCSB's
-    /// default hashed-key insert order).
-    Scattered,
-    /// Fresh keys appended past the end of the key space (YCSB's ordered
-    /// insert mode; creates a rightmost-leaf hotspot).
-    Append,
-    /// Fresh keys appended to one of `regions` growing clusters (e.g.
-    /// order-number sequences of several warehouses): a handful of hot
-    /// leaves, the moderate-contention regime of the paper's Fig. 12.
-    Clustered {
-        /// Number of independent append regions.
-        regions: u64,
-    },
-}
-
 /// An operation mix (one row of Table 3).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Workload {
@@ -108,8 +90,6 @@ pub struct Workload {
     pub selectivity: f64,
     /// Request key distribution.
     pub dist: RequestDist,
-    /// Insert key placement.
-    pub insert_pattern: InsertPattern,
 }
 
 impl Workload {
@@ -121,7 +101,6 @@ impl Workload {
             insert_frac: 0.0,
             selectivity: 0.0,
             dist: RequestDist::Uniform,
-            insert_pattern: InsertPattern::Scattered,
         }
     }
 
@@ -134,7 +113,6 @@ impl Workload {
             insert_frac: 0.0,
             selectivity: sel,
             dist: RequestDist::Uniform,
-            insert_pattern: InsertPattern::Scattered,
         }
     }
 
@@ -146,7 +124,6 @@ impl Workload {
             insert_frac: 0.05,
             selectivity: 0.0,
             dist: RequestDist::Uniform,
-            insert_pattern: InsertPattern::Scattered,
         }
     }
 
@@ -158,19 +135,12 @@ impl Workload {
             insert_frac: 0.5,
             selectivity: 0.0,
             dist: RequestDist::Uniform,
-            insert_pattern: InsertPattern::Scattered,
         }
     }
 
     /// Replace the request distribution.
     pub fn with_dist(mut self, dist: RequestDist) -> Self {
         self.dist = dist;
-        self
-    }
-
-    /// Replace the insert pattern.
-    pub fn with_insert_pattern(mut self, p: InsertPattern) -> Self {
-        self.insert_pattern = p;
         self
     }
 
@@ -198,8 +168,8 @@ pub enum Op {
 /// Deterministic per-client operation stream.
 ///
 /// Each of the `num_clients` closed-loop clients gets its own seeded
-/// stream; appended keys are striped across clients so no two clients
-/// ever insert the same key.
+/// stream. Inserted keys are fresh odd keys scattered uniformly between
+/// the loaded ones (YCSB's default hashed-key insert order).
 pub struct OpGen {
     workload: Workload,
     data: Dataset,
@@ -207,10 +177,7 @@ pub struct OpGen {
     zipf: Option<Zipf>,
     /// Range-query span in records.
     range_records: u64,
-    /// Next append sequence number for this client.
-    next_append: u64,
     client: u64,
-    num_clients: u64,
     /// Counter making inserted values unique per client.
     inserted: u64,
 }
@@ -254,9 +221,7 @@ impl OpGen {
             rng: DetRng::seed_from_u64(seed ^ client.wrapping_mul(0x9e3779b97f4a7c15)),
             zipf,
             range_records,
-            next_append: 0,
             client,
-            num_clients,
             inserted: 0,
         }
     }
@@ -288,28 +253,9 @@ impl OpGen {
                 .key((start + self.range_records - 1).min(self.data.num_keys - 1));
             Op::Range(lo, hi)
         } else {
-            let key = match self.workload.insert_pattern {
-                InsertPattern::Scattered => {
-                    // A fresh key strictly between existing stride-gap keys
-                    // (odd keys never collide with the loaded even strides).
-                    self.rng.next_u64_below(self.data.domain()) | 1
-                }
-                InsertPattern::Append => {
-                    let seq = self.next_append;
-                    self.next_append += 1;
-                    self.data.domain() + seq * self.num_clients + self.client
-                }
-                InsertPattern::Clustered { regions } => {
-                    // Regions live in disjoint bands past the loaded key
-                    // space; clients of one region interleave densely so
-                    // every region has one hot tail leaf.
-                    const BAND: u64 = 1 << 40;
-                    let region = self.client % regions;
-                    let seq = self.next_append;
-                    self.next_append += 1;
-                    self.data.domain() + (region + 1) * BAND + seq * self.num_clients + self.client
-                }
-            };
+            // A fresh key strictly between existing stride-gap keys (odd
+            // keys never collide with the loaded even strides).
+            let key = self.rng.next_u64_below(self.data.domain()) | 1;
             self.inserted += 1;
             let value = self.client * (1 << 32) + self.inserted;
             Op::Insert(key, value)
@@ -405,50 +351,6 @@ mod tests {
     }
 
     #[test]
-    fn append_inserts_striped_across_clients() {
-        let d = Dataset::new(100);
-        let w = Workload::d().with_insert_pattern(InsertPattern::Append);
-        let mut keys = Vec::new();
-        for c in 0..4u64 {
-            let mut g = OpGen::new(w, d, c, 4, 9);
-            for _ in 0..200 {
-                if let Op::Insert(k, _) = g.next_op() {
-                    assert!(k >= d.domain());
-                    keys.push(k);
-                }
-            }
-        }
-        let n = keys.len();
-        keys.sort_unstable();
-        keys.dedup();
-        assert_eq!(keys.len(), n, "append keys must be globally unique");
-    }
-
-    #[test]
-    fn clustered_inserts_form_hot_regions() {
-        let d = Dataset::new(100);
-        let w = Workload::d().with_insert_pattern(InsertPattern::Clustered { regions: 4 });
-        let mut per_region = std::collections::BTreeMap::new();
-        let mut all_keys = Vec::new();
-        for c in 0..8u64 {
-            let mut g = OpGen::new(w, d, c, 8, 5);
-            for _ in 0..100 {
-                if let Op::Insert(k, _) = g.next_op() {
-                    assert!(k >= d.domain(), "cluster keys live past the data");
-                    let region = (k - d.domain()) >> 40;
-                    *per_region.entry(region).or_insert(0u32) += 1;
-                    all_keys.push(k);
-                }
-            }
-        }
-        assert_eq!(per_region.len(), 4, "exactly the requested regions");
-        let n = all_keys.len();
-        all_keys.sort_unstable();
-        all_keys.dedup();
-        assert_eq!(all_keys.len(), n, "clustered keys must be unique");
-    }
-
-    #[test]
     fn streams_are_deterministic_and_distinct() {
         let d = Dataset::new(1000);
         let ops = |client, seed| {
@@ -487,7 +389,6 @@ mod tests {
             insert_frac: 0.0,
             selectivity: 0.0,
             dist: RequestDist::Uniform,
-            insert_pattern: InsertPattern::Scattered,
         }
         .validate();
     }

@@ -18,8 +18,7 @@
 //! | [`sim`] | `simnet` | deterministic virtual-time engine (executor, fluid resources, RNG, stats) |
 //! | [`rdma`] | `rdma-sim` | simulated RDMA verbs: memory pools, remote pointers, one-/two-sided ops, NIC/QPI model |
 //! | [`tree`] | `blink` | B-link tree pages and local trees with optimistic lock coupling |
-//! | [`cluster`] | `nam` | the NAM assembly: partitioning, per-server state, RPC sizing |
-//! | [`index`] | `namdex-core` | **the paper's contribution**: coarse-grained, fine-grained, and hybrid designs |
+//! | [`index`] | `namdex-core` | **the paper's contribution**: the coarse-grained, fine-grained and hybrid designs, plus the learned-routing extension |
 //! | [`workload`] | `ycsb` | the paper's modified YCSB (Table 3) |
 //! | [`model`] | `analysis` | the §2.3 analytical scalability model |
 //! | [`chaos`] | `chaos` | deterministic fault injection: fault plans, client kills, server crashes, link degradation |
@@ -62,7 +61,6 @@
 pub use analysis as model;
 pub use blink as tree;
 pub use chaos;
-pub use nam as cluster;
 pub use namdex_core as index;
 pub use racecheck;
 pub use rdma_sim as rdma;
@@ -75,9 +73,9 @@ pub use ycsb as workload;
 pub mod prelude {
     pub use blink::{Key, LocalTree, PageLayout, Value};
     pub use chaos::{ChaosController, FaultEvent, FaultPlan, RandomProfile};
-    pub use nam::{IndexKind, NamCluster, PartitionMap};
     pub use namdex_core::{
-        CoarseGrained, Design, FgConfig, FineGrained, Hybrid, Index, Learned, LearnedStats, OpError,
+        CoarseGrained, Design, FgConfig, FineGrained, Hybrid, Index, IndexKind, Learned,
+        LearnedStats, NamCluster, OpError, PartitionMap,
     };
     pub use racecheck::Racecheck;
     pub use rdma_sim::{
@@ -85,5 +83,5 @@ pub mod prelude {
         VerbError, WalStats,
     };
     pub use simnet::{Sim, SimDur, SimTime};
-    pub use ycsb::{Dataset, InsertPattern, Op, OpGen, RequestDist, Workload};
+    pub use ycsb::{Dataset, Op, OpGen, RequestDist, Workload};
 }

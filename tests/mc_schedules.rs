@@ -12,7 +12,7 @@
 //!   tasks, zero held locks, linearizable history.
 
 use mc::{run_scenario, FaultMode, PolicyKind, Scenario};
-use nam::IndexKind;
+use namdex_core::IndexKind;
 use proptest::prelude::*;
 
 fn scenarios_for(seed: u64) -> Vec<Scenario> {
