@@ -16,11 +16,11 @@ use std::rc::Rc;
 use blink::PageLayout;
 use chaos::{ChaosController, FaultPlan};
 use namdex_core::{Design, FgConfig, IndexKind, LearnedStats, NamCluster, PartitionMap};
-use rdma_sim::{ClusterSpec, Endpoint, FaultStats, RecoveryRecord, ServerStats};
+use rdma_sim::{ClusterSpec, Durability, Endpoint, FaultStats, RecoveryRecord, ServerStats};
 use simnet::rng::Zipf;
 use simnet::stats::{Counter, Histogram};
 use simnet::{Sim, SimDur};
-use telemetry::{MetricRow, Registry, Telemetry};
+use telemetry::{Registry, Telemetry};
 use ycsb::{Dataset, Op, OpGen, RequestDist, Workload};
 
 /// Coarse-grained partitioning flavour.
@@ -89,8 +89,9 @@ pub struct ExperimentConfig {
     /// unbounded, `None` = caching off). FG caches inner pages, Hybrid
     /// caches leaf routes; CG ignores it.
     pub cache_capacity: Option<usize>,
-    /// Cluster spec override (defaults to the calibrated spec).
-    pub spec: Option<ClusterSpec>,
+    /// Durability mode of the memory servers (`Wal` makes a crash wipe
+    /// RAM and a restart replay the log).
+    pub durability: Durability,
     /// Fault schedule to install (None = fault-free run).
     pub fault_plan: Option<FaultPlan>,
     /// Timeline sampling window; `SimDur::ZERO` disables the timeline.
@@ -129,7 +130,7 @@ impl Default for ExperimentConfig {
             page_size: PageLayout::DEFAULT_PAGE_SIZE,
             head_stride: 8,
             cache_capacity: None,
-            spec: None,
+            durability: Durability::Off,
             fault_plan: None,
             timeline_window: SimDur::ZERO,
             trace_path: None,
@@ -180,9 +181,6 @@ pub struct ExperimentResult {
     /// Per-window throughput/abort timeline (empty unless
     /// [`ExperimentConfig::timeline_window`] is set).
     pub timeline: Vec<TimelinePoint>,
-    /// Telemetry registry snapshot (empty unless
-    /// [`ExperimentConfig::trace_path`] is set).
-    pub metrics: Vec<MetricRow>,
     /// Model routing counters for the whole run (`None` unless the
     /// design is [`IndexKind::Learned`]).
     pub learned: Option<LearnedStats>,
@@ -190,7 +188,7 @@ pub struct ExperimentResult {
     /// (deterministic).
     pub sim_events: u64,
     /// Completed crash/recovery cycles, in completion order (empty
-    /// unless the spec runs `Durability::Wal` and the fault plan
+    /// unless [`ExperimentConfig::durability`] is `Wal` and the fault plan
     /// crashes a server).
     pub recoveries: Vec<RecoveryRecord>,
 }
@@ -243,10 +241,10 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> ExperimentResult {
     if std::env::var_os("NAMDEX_MC_FIFO").is_some() {
         sim.set_schedule_policy(Box::new(simnet::FifoPolicy));
     }
-    let spec = cfg
-        .spec
-        .clone()
-        .unwrap_or_else(|| ClusterSpec::with_memory_servers(cfg.memory_servers));
+    let spec = ClusterSpec {
+        durability: cfg.durability,
+        ..ClusterSpec::with_memory_servers(cfg.memory_servers)
+    };
     let machines = spec.machines;
     let nam = NamCluster::new(&sim, spec);
     nam.rdma.set_active_clients(cfg.clients);
@@ -426,28 +424,24 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> ExperimentResult {
         })
         .collect();
 
-    let metrics = match (&tel, &cfg.trace_path) {
-        (Some(tel), Some(path)) => {
-            assert_eq!(
-                tel.breakdown_mismatches(),
-                0,
-                "span breakdowns must sum exactly to op latency"
-            );
-            if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-                std::fs::create_dir_all(dir).expect("create trace directory");
-            }
-            tel.write_chrome_trace(path).expect("write trace JSON");
-            let metrics_path = metrics_csv_path(path);
-            std::fs::write(&metrics_path, tel.registry().to_csv()).expect("write metrics CSV");
-            eprintln!(
-                "[trace] wrote {} and {}",
-                path.display(),
-                metrics_path.display()
-            );
-            tel.registry().snapshot()
+    if let (Some(tel), Some(path)) = (&tel, &cfg.trace_path) {
+        assert_eq!(
+            tel.breakdown_mismatches(),
+            0,
+            "span breakdowns must sum exactly to op latency"
+        );
+        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+            std::fs::create_dir_all(dir).expect("create trace directory");
         }
-        _ => Vec::new(),
-    };
+        tel.write_chrome_trace(path).expect("write trace JSON");
+        let metrics_path = metrics_csv_path(path);
+        std::fs::write(&metrics_path, tel.registry().to_csv()).expect("write metrics CSV");
+        eprintln!(
+            "[trace] wrote {} and {}",
+            path.display(),
+            metrics_path.display()
+        );
+    }
 
     if let Some(race) = &race {
         let c = race.counts();
@@ -469,7 +463,6 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> ExperimentResult {
         aborts: aborts.get(),
         fault_stats: nam.rdma.fault_stats(),
         timeline,
-        metrics,
         learned: design.learned_stats(),
         sim_events: sim.events_processed(),
         recoveries: nam.rdma.recovery_records(),
@@ -653,8 +646,7 @@ mod tests {
                 trace_path: Some(dir.join(name)),
                 ..quick(IndexKind::Hybrid)
             };
-            let r = run_experiment(&cfg);
-            assert!(!r.metrics.is_empty(), "telemetry must produce metrics");
+            run_experiment(&cfg);
             let trace = std::fs::read_to_string(dir.join(name)).unwrap();
             let metrics = std::fs::read_to_string(metrics_csv_path(&dir.join(name))).unwrap();
             (trace, metrics)
@@ -680,10 +672,7 @@ mod tests {
             num_keys: keys,
             memory_servers: 2,
             workload: Workload::d(),
-            spec: Some(ClusterSpec {
-                durability: rdma_sim::Durability::Wal,
-                ..ClusterSpec::with_memory_servers(2)
-            }),
+            durability: Durability::Wal,
             fault_plan: Some(
                 FaultPlan::new()
                     .kill_client(simnet::SimTime::from_micros(1500), 1)

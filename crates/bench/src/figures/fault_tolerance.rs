@@ -21,7 +21,7 @@
 
 use chaos::{FaultPlan, LinkDegrade, RandomProfile};
 use namdex_core::IndexKind;
-use rdma_sim::{ClusterSpec, Durability};
+use rdma_sim::Durability;
 use simnet::{SimDur, SimTime};
 use ycsb::Workload;
 
@@ -83,10 +83,7 @@ fn config(ctx: &Ctx, design: IndexKind, plan: Option<FaultPlan>) -> ExperimentCo
 fn config_wal(ctx: &Ctx, design: IndexKind, plan: FaultPlan) -> ExperimentConfig {
     ExperimentConfig {
         workload: Workload::d(),
-        spec: Some(ClusterSpec {
-            durability: Durability::Wal,
-            ..ClusterSpec::with_memory_servers(4)
-        }),
+        durability: Durability::Wal,
         ..config(ctx, design, Some(plan))
     }
 }

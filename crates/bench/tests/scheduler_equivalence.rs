@@ -13,7 +13,7 @@
 use bench::{run_experiment, ExperimentConfig, ExperimentResult};
 use chaos::{FaultPlan, LinkDegrade};
 use namdex_core::IndexKind;
-use rdma_sim::{ClusterSpec, Durability};
+use rdma_sim::Durability;
 use simnet::{SchedulerKind, SimDur, SimTime};
 use ycsb::Workload;
 
@@ -119,15 +119,11 @@ fn wheel_matches_heap_through_wal_crash_recovery() {
     // Crash a server under `Durability::Wal` with writes in flight and
     // recover it mid-window: checkpoint/log streaming, replay CPU, and
     // the boot latency are all timer-driven.
-    let spec = ClusterSpec {
-        durability: Durability::Wal,
-        ..ClusterSpec::with_memory_servers(4)
-    };
     let plan = FaultPlan::with_seed(11)
         .crash_server(SimTime::from_millis(2), 1)
         .restart_server(SimTime::from_micros(2_300), 1);
     let cfg = ExperimentConfig {
-        spec: Some(spec),
+        durability: Durability::Wal,
         fault_plan: Some(plan),
         measure: SimDur::from_millis(8),
         ..small(IndexKind::CoarseGrained, Workload::d())

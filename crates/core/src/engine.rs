@@ -53,9 +53,7 @@ use blink::node::{
 };
 use blink::{Key, PageLayout, Ptr, Value};
 use rdma_sim::spec::{RETRY_BACKOFF_BASE, RETRY_BACKOFF_CAP, RETRY_LIMIT};
-use rdma_sim::{
-    Endpoint, FenceKind, OpArgs, OpKind, OpOutcome, PageBuf, RegionKind, RemotePtr, VerbError,
-};
+use rdma_sim::{Endpoint, FenceKind, OpKind, PageBuf, RegionKind, RemotePtr, VerbError};
 use simnet::SimDur;
 
 use crate::local::Local;
@@ -162,8 +160,7 @@ impl Design {
     pub async fn lookup(&self, ep: &Endpoint, key: Key) -> Result<Option<Value>, OpError> {
         let idx = self.index();
         let op = async { with_retry!(ep, idempotent, idx.lookup(ep, key)) };
-        let args = OpArgs::Lookup { key };
-        observed(ep, args, OpKind::Lookup, |v| OpOutcome::Lookup(*v), op).await
+        observed(ep, OpKind::Lookup, op).await
     }
 
     /// Range query over `[lo, hi]` (inclusive); returns live entries in
@@ -180,8 +177,7 @@ impl Design {
         let idx = self.index();
         let progress = RangeProgress::default();
         let op = async { with_retry!(ep, idempotent, idx.range_with(ep, lo, hi, &progress)) };
-        let args = OpArgs::Range { lo, hi };
-        observed(ep, args, OpKind::Range, |r| OpOutcome::Range(r.clone()), op).await
+        observed(ep, OpKind::Range, op).await
     }
 
     /// Insert `(key, value)`; duplicates are allowed (non-unique index).
@@ -198,8 +194,7 @@ impl Design {
     pub async fn insert(&self, ep: &Endpoint, key: Key, value: Value) -> Result<(), OpError> {
         let idx = self.index();
         let op = async { with_retry!(ep, retrying, idx.insert(ep, key, value, retrying)) };
-        let args = OpArgs::Insert { key, value };
-        observed(ep, args, OpKind::Insert, |()| OpOutcome::Insert, op).await
+        observed(ep, OpKind::Insert, op).await
     }
 
     /// Tombstone-delete the first live entry under `key`; returns whether
@@ -209,30 +204,22 @@ impl Design {
     pub async fn delete(&self, ep: &Endpoint, key: Key) -> Result<bool, OpError> {
         let idx = self.index();
         let op = async { with_retry!(ep, idempotent, idx.delete(ep, key)) };
-        let args = OpArgs::Delete { key };
-        observed(ep, args, OpKind::Delete, |&f| OpOutcome::Delete(f), op).await
+        observed(ep, OpKind::Delete, op).await
     }
 }
 
-/// Bracket a design-level operation for the observer bus: one start
-/// carrying its arguments and one end carrying its outcome, for history
-/// recorders (model checker) and telemetry spans alike. With no observers
-/// installed each end is a flag check — `outcome` is built lazily so the
-/// hot path never clones range rows.
-async fn observed<T>(
+/// Bracket an operation for the observer bus with one start and one
+/// end, retries included. With no observers installed each end is a
+/// flag check.
+pub(crate) async fn observed<T, E>(
     ep: &Endpoint,
-    args: OpArgs,
     kind: OpKind,
-    outcome: impl FnOnce(&T) -> OpOutcome,
-    op: impl Future<Output = Result<T, OpError>>,
-) -> Result<T, OpError> {
+    op: impl Future<Output = Result<T, E>>,
+) -> Result<T, E> {
     let (cluster, client) = (ep.cluster(), ep.client_id());
-    cluster.note_op_start(client, kind, Some(args));
+    cluster.note_op_start(client, kind);
     let res = op.await;
-    if cluster.has_observers() {
-        let outcome = res.as_ref().map_or(OpOutcome::Failed, outcome);
-        cluster.note_op_end(client, kind, res.is_ok(), Some(&outcome));
-    }
+    cluster.note_op_end(client, kind, res.is_ok());
     res
 }
 

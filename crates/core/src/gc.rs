@@ -32,8 +32,7 @@ use crate::Design;
 /// the local trees otherwise.
 pub async fn gc_pass(design: &Design, ep: &Endpoint) -> Result<usize, VerbError> {
     let idx = design.index();
-    ep.cluster().note_op_start(ep.client_id(), OpKind::Gc, None);
-    let res = async {
+    let pass = async {
         let on_chain = match idx.chain() {
             Some(chain) => Some(chain_gc(ep, chain.first(), idx.layout().page_size()).await?),
             None => None,
@@ -43,11 +42,8 @@ pub async fn gc_pass(design: &Design, ep: &Endpoint) -> Result<usize, VerbError>
             None => 0,
         };
         Ok(on_chain.unwrap_or(in_trees))
-    }
-    .await;
-    ep.cluster()
-        .note_op_end(ep.client_id(), OpKind::Gc, res.is_ok(), None);
-    res
+    };
+    crate::engine::observed(ep, OpKind::Gc, pass).await
 }
 
 /// Walk the leaf chain from `first`, compacting tombstoned leaves with

@@ -1,22 +1,67 @@
-//! History recording: op start/end events off the observer bus.
+//! History recording: each index op's invoke/response window, taken
+//! where the scenario issues the op.
 //!
-//! The recorder implements [`VerbObserver`] and subscribes to the
-//! cluster's always-compiled observation hooks; the index layer reports
-//! every `Design::{lookup, range, insert, delete}` invocation
-//! ([`rdma_sim::OpArgs`]) and its result ([`rdma_sim::OpOutcome`]).
-//! Each client runs its ops sequentially, so one pending slot per
-//! client suffices; an op whose response never arrives (the client was
-//! killed mid-await and its task cancelled) is closed out as
-//! [`OpOutcome::Failed`] with an open-ended response time, which the
-//! linearizability checker treats as "may or may not have taken
-//! effect".
+//! [`History::record`] wraps one `Design::{lookup, range, insert,
+//! delete}` call with its arguments ([`OpArgs`]) and maps its result to
+//! an [`OpOutcome`]. It stamps the invoke time before the op's first
+//! poll and the response time once the result is in: the virtual
+//! instants at which the design's observer bracket fires. Each client
+//! runs its ops sequentially, so one pending slot per client suffices;
+//! an op whose response never arrives (the client was killed mid-await
+//! and its task cancelled) is closed out as [`OpOutcome::Failed`] with
+//! an open-ended response time, which the linearizability checker
+//! treats as "may or may not have taken effect".
 
-use rdma_sim::observer::{OpArgs, OpKind, OpOutcome, VerbEvent, VerbObserver};
-use rdma_sim::Cluster;
-use simnet::SimTime;
+use simnet::{Sim, SimTime};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::rc::Rc;
+use std::future::Future;
+
+/// Arguments of an index-level operation. Keys and values are the
+/// plain `u64`s of the simulated index API.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum OpArgs {
+    /// Point lookup of `key`.
+    Lookup {
+        /// Key probed.
+        key: u64,
+    },
+    /// Range scan over `[lo, hi]` inclusive.
+    Range {
+        /// Low key (inclusive).
+        lo: u64,
+        /// High key (inclusive).
+        hi: u64,
+    },
+    /// Insert of `(key, value)`.
+    Insert {
+        /// Key inserted.
+        key: u64,
+        /// Value inserted.
+        value: u64,
+    },
+    /// Delete of `key`.
+    Delete {
+        /// Key deleted.
+        key: u64,
+    },
+}
+
+/// Result of an index-level operation, as returned to its caller.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum OpOutcome {
+    /// Lookup returned the value (or `None` if the key was absent).
+    Lookup(Option<u64>),
+    /// Range scan returned these rows, in key order.
+    Range(Vec<(u64, u64)>),
+    /// Insert succeeded.
+    Insert,
+    /// Delete returned whether a live entry was removed.
+    Delete(bool),
+    /// The operation returned an error; its effects are indeterminate
+    /// (it may or may not have been applied).
+    Failed,
+}
 
 /// One index-level operation with its concurrency window.
 #[derive(Clone, Debug)]
@@ -34,86 +79,106 @@ pub struct Event {
     pub response: SimTime,
 }
 
+/// The ops of one run, completed and pending.
 #[derive(Default)]
-struct Inner {
-    pending: BTreeMap<u64, (OpArgs, SimTime)>,
-    events: Vec<Event>,
+pub struct History {
+    /// Each client's op in flight, already closed out as `Failed` at
+    /// [`SimTime::MAX`] in case its response never arrives.
+    pending: RefCell<BTreeMap<u64, Event>>,
+    events: RefCell<Vec<Event>>,
 }
 
-/// Observer that turns op start/end notes carrying arguments and
-/// outcomes into a history.
-pub struct HistoryRecorder {
-    state: RefCell<Inner>,
-}
-
-impl HistoryRecorder {
-    /// Build a recorder and register it on `cluster`'s observer bus.
-    pub fn install(cluster: &Cluster) -> Rc<HistoryRecorder> {
-        let rec = Rc::new(HistoryRecorder {
-            state: RefCell::new(Inner::default()),
-        });
-        cluster.add_observer(rec.clone());
-        rec
+impl History {
+    /// Run `op`, which `client` issues with `args`, and record its
+    /// window. `outcome` maps a successful result; an error records
+    /// [`OpOutcome::Failed`].
+    pub async fn record<T, E>(
+        &self,
+        sim: &Sim,
+        client: u64,
+        args: OpArgs,
+        op: impl Future<Output = Result<T, E>>,
+        outcome: impl FnOnce(&T) -> OpOutcome,
+    ) -> Result<T, E> {
+        let open = Event {
+            client,
+            args,
+            outcome: OpOutcome::Failed,
+            invoke: sim.now(),
+            response: SimTime::MAX,
+        };
+        let prev = self.pending.borrow_mut().insert(client, open);
+        debug_assert!(prev.is_none(), "client {client} has overlapping ops");
+        let res = op.await;
+        if let Some(mut ev) = self.pending.borrow_mut().remove(&client) {
+            ev.outcome = res.as_ref().map_or(OpOutcome::Failed, outcome);
+            ev.response = sim.now();
+            self.events.borrow_mut().push(ev);
+        }
+        res
     }
 
     /// The recorded history: completed events in response order, then
-    /// any still-pending invocations closed out as `Failed` with an
-    /// open-ended (`SimTime::MAX`) response.
+    /// the ops still in flight, by client.
     pub fn history(&self) -> Vec<Event> {
-        let st = self.state.borrow();
-        let mut events = st.events.clone();
-        for (&client, &(args, invoke)) in &st.pending {
-            events.push(Event {
-                client,
-                args,
-                outcome: OpOutcome::Failed,
-                invoke,
-                response: SimTime::MAX,
-            });
-        }
-        events
-    }
-
-    /// Number of completed events recorded so far.
-    pub fn len(&self) -> usize {
-        self.state.borrow().events.len()
-    }
-
-    /// Whether no event has completed yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        let pending = self.pending.borrow();
+        self.events
+            .borrow()
+            .iter()
+            .chain(pending.values())
+            .cloned()
+            .collect()
     }
 }
 
-impl VerbObserver for HistoryRecorder {
-    fn on_verb(&self, _ev: &VerbEvent) {}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use simnet::SimDur;
+    use std::rc::Rc;
 
-    fn on_free(&self, _server: usize, _offset: u64, _len: usize, _time: SimTime) {}
-
-    fn on_op_start(&self, client: u64, _kind: OpKind, args: Option<OpArgs>, time: SimTime) {
-        let Some(args) = args else { return };
-        let prev = self.state.borrow_mut().pending.insert(client, (args, time));
-        debug_assert!(prev.is_none(), "client {client} has overlapping ops");
-    }
-
-    fn on_op_end(
-        &self,
-        client: u64,
-        _kind: OpKind,
-        _ok: bool,
-        outcome: Option<&OpOutcome>,
-        time: SimTime,
-    ) {
-        let Some(outcome) = outcome else { return };
-        let mut st = self.state.borrow_mut();
-        if let Some((args, invoke)) = st.pending.remove(&client) {
-            st.events.push(Event {
-                client,
-                args,
-                outcome: outcome.clone(),
-                invoke,
-                response: time,
+    #[test]
+    fn an_op_in_flight_at_the_end_is_reported_once_as_failed() {
+        let sim = Sim::new();
+        let history = Rc::new(History::default());
+        let (h, s) = (history.clone(), sim.clone());
+        sim.spawn(async move {
+            s.sleep(SimDur::from_micros(1)).await;
+            let op = async {
+                s.sleep(SimDur::from_micros(2)).await;
+                Ok::<_, ()>(Some(7))
+            };
+            let got = h.record(&s, 1, OpArgs::Lookup { key: 3 }, op, |v| {
+                OpOutcome::Lookup(*v)
             });
-        }
+            assert_eq!(got.await, Ok(Some(7)));
+        });
+        let (h, s) = (history.clone(), sim.clone());
+        sim.spawn(async move {
+            let op = std::future::pending::<Result<bool, ()>>();
+            let deleted = |&f: &bool| OpOutcome::Delete(f);
+            let _ = h
+                .record(&s, 2, OpArgs::Delete { key: 5 }, op, deleted)
+                .await;
+        });
+        sim.run();
+
+        let events = history.history();
+        assert_eq!(events.len(), 2, "{events:?}");
+        let done = &events[0];
+        assert_eq!(
+            (done.client, done.outcome.clone()),
+            (1, OpOutcome::Lookup(Some(7)))
+        );
+        assert!(done.invoke <= done.response);
+        assert_eq!(done.invoke, SimTime::from_micros(1));
+        assert_eq!(done.response, SimTime::from_micros(3));
+        let pending = &events[1];
+        assert_eq!(pending.client, 2);
+        assert_eq!(pending.args, OpArgs::Delete { key: 5 });
+        assert_eq!(pending.outcome, OpOutcome::Failed);
+        assert_eq!(pending.response, SimTime::MAX);
+        // Reading the history closes nothing out for good.
+        assert_eq!(history.history().len(), 2);
     }
 }

@@ -10,8 +10,8 @@
 //!   (random walk, PCT priority scheduling, bounded-exhaustive DFS,
 //!   exact replay), each recording a decision trace that names the
 //!   schedule;
-//! * [`history`] — an observer that records every index op's
-//!   invoke/response window;
+//! * [`history`] — every index op's arguments, result and
+//!   invoke/response window, recorded where the scenario issues it;
 //! * [`lin`] — a Wing & Gong linearizability checker (with Lowe's
 //!   per-key partitioning) validating each explored schedule against a
 //!   sequential map spec;
@@ -35,7 +35,7 @@ pub mod scenario;
 
 pub use counterexample::{classify, minimize, Counterexample, ViolationClass};
 pub use explore::{explore, run_mutation_hunts, CellStats, ExploreConfig, ExploreReport};
-pub use history::{Event, HistoryRecorder};
+pub use history::{Event, History, OpArgs, OpOutcome};
 pub use lin::{CheckStats, LinViolation, Spec};
 pub use policy::{new_trace, next_dfs_prefix, Pct, RandomWalk, Replay, SharedTrace};
 pub use scenario::{run_scenario, FaultMode, PolicyKind, RunReport, Scenario};

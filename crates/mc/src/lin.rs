@@ -63,8 +63,7 @@
 //!   memoized on `(mask, exact state)`. Scan workloads are kept tiny
 //!   for exactly this reason.
 
-use crate::history::Event;
-use rdma_sim::observer::{OpArgs, OpOutcome};
+use crate::history::{Event, OpArgs, OpOutcome};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The sequential spec the history is validated against.

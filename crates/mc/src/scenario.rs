@@ -23,7 +23,7 @@
 //! [`HOT_UNITS`] hot units of the loaded tree so schedules actually
 //! collide instead of diffusing over the key space.
 
-use crate::history::HistoryRecorder;
+use crate::history::{Event, History, OpArgs, OpOutcome};
 use crate::lin::{self, CheckStats, LinViolation, Spec};
 use crate::policy::{new_trace, Pct, RandomWalk, Replay, SharedTrace};
 use blink::PageLayout;
@@ -34,6 +34,7 @@ use rdma_sim::{ClusterSpec, Durability, Endpoint, LinkDegrade};
 use simnet::rng::DetRng;
 use simnet::{FifoPolicy, Sim, SimDur, SimTime};
 use std::collections::BTreeSet;
+use std::rc::Rc;
 
 /// Loaded units; keys are `unit * 8 + offset`, unit `i` preloaded with
 /// `(i * 8, i)`.
@@ -249,8 +250,7 @@ impl Default for Digest {
     }
 }
 
-fn digest_history(events: &[crate::history::Event]) -> u64 {
-    use rdma_sim::observer::{OpArgs, OpOutcome};
+fn digest_history(events: &[Event]) -> u64 {
     let mut d = Digest::new();
     for ev in events {
         d.word(ev.client);
@@ -323,10 +323,18 @@ fn build(sc: &Scenario, nam: &NamCluster) -> Design {
     Design::build(sc.design, nam, cfg, partition, items)
 }
 
-/// One client's sequential op stream. Insert keys come from the
-/// client's private offsets (`2c + 1`, `2c + 2`); deletes and lookups
-/// hit any workload offset of the hot units, so clients contend.
-async fn client_loop(idx: Design, ep: Endpoint, c: u64, sc: Scenario) {
+/// One client's sequential op stream, each op recorded into `history`.
+/// Insert keys come from the client's private offsets (`2c + 1`,
+/// `2c + 2`); deletes and lookups hit any workload offset of the hot
+/// units, so clients contend.
+async fn client_loop(idx: Design, ep: Endpoint, c: u64, sc: Scenario, history: Rc<History>) {
+    let (sim, client) = (ep.cluster().sim(), ep.client_id());
+    let lookup = |key| {
+        let op = idx.lookup(&ep, key);
+        history.record(sim, client, OpArgs::Lookup { key }, op, |v| {
+            OpOutcome::Lookup(*v)
+        })
+    };
     let mut rng = DetRng::seed_from_u64(sc.seed ^ (0x5CE_A127 + c));
     let my_offsets = [2 * c + 1, 2 * c + 2];
     let hot_span = HOT_UNITS.end - HOT_UNITS.start;
@@ -339,25 +347,34 @@ async fn client_loop(idx: Design, ep: Endpoint, c: u64, sc: Scenario) {
         if roll < scan_cut {
             let lo = HOT_UNITS.start * 8;
             let hi = HOT_UNITS.end * 8 - 1;
-            let _ = idx.range(&ep, lo, hi).await;
+            let (args, op) = (OpArgs::Range { lo, hi }, idx.range(&ep, lo, hi));
+            let rows = |r: &Vec<_>| OpOutcome::Range(r.clone());
+            let _ = history.record(sim, client, args, op, rows).await;
         } else if roll < scan_cut + 40 {
             // Insert a fresh key from this client's private offsets.
             let key = unit * 8 + my_offsets[rng.next_u64_below(2) as usize];
             if inserted.insert(key) {
-                let _ = idx.insert(&ep, key, value_of(key)).await;
+                let value = value_of(key);
+                let (args, op) = (OpArgs::Insert { key, value }, idx.insert(&ep, key, value));
+                let _ = history
+                    .record(sim, client, args, op, |()| OpOutcome::Insert)
+                    .await;
             } else {
                 // Key already used: read it instead (keeps op count).
-                let _ = idx.lookup(&ep, key).await;
+                let _ = lookup(key).await;
             }
         } else if roll < scan_cut + 65 {
             // Delete any workload key of the hot units — including
             // other clients' inserts (contention), never offset 0.
             let key = unit * 8 + 1 + rng.next_u64_below(max_offset);
-            let _ = idx.delete(&ep, key).await;
+            let (args, op) = (OpArgs::Delete { key }, idx.delete(&ep, key));
+            let _ = history
+                .record(sim, client, args, op, |&f| OpOutcome::Delete(f))
+                .await;
         } else {
             // Lookup any key of the unit, loaded key included.
             let key = unit * 8 + rng.next_u64_below(max_offset + 1);
-            let _ = idx.lookup(&ep, key).await;
+            let _ = lookup(key).await;
         }
     }
 }
@@ -441,7 +458,7 @@ pub fn run_scenario(sc: &Scenario, policy: &PolicyKind) -> RunReport {
     };
     let nam = NamCluster::new(&sim, spec);
     let idx = build(sc, &nam);
-    let recorder = HistoryRecorder::install(&nam.rdma);
+    let history = Rc::new(History::default());
     let race = Racecheck::install(&nam.rdma, PAGE_SIZE);
     racecheck::walk::register_design(&race, &idx);
 
@@ -461,7 +478,13 @@ pub fn run_scenario(sc: &Scenario, policy: &PolicyKind) -> RunReport {
         }
     }
     for (c, ep) in eps.into_iter().enumerate() {
-        sim.spawn(client_loop(idx.clone(), ep, c as u64, sc.clone()));
+        sim.spawn(client_loop(
+            idx.clone(),
+            ep,
+            c as u64,
+            sc.clone(),
+            history.clone(),
+        ));
     }
     sim.run();
 
@@ -470,9 +493,13 @@ pub fn run_scenario(sc: &Scenario, policy: &PolicyKind) -> RunReport {
     // traversal reclaims any lease-expired lock left by a killed client
     // (which is what lets the checker judge the reclaim CAS).
     let ep = Endpoint::new(&nam.rdma);
-    let idx2 = idx.clone();
+    let (idx2, history2) = (idx.clone(), history.clone());
     sim.spawn(async move {
-        let _ = idx2.range(&ep, 0, u64::MAX - 1).await.expect("final scan");
+        let (lo, hi, client) = (0, u64::MAX - 1, ep.client_id());
+        let (args, op) = (OpArgs::Range { lo, hi }, idx2.range(&ep, lo, hi));
+        let rows = |r: &Vec<_>| OpOutcome::Range(r.clone());
+        let scan = history2.record(ep.cluster().sim(), client, args, op, rows);
+        scan.await.expect("final scan");
     });
     let end = sim.run();
 
@@ -487,7 +514,7 @@ pub fn run_scenario(sc: &Scenario, policy: &PolicyKind) -> RunReport {
         .filter(|l| !nam.rdma.client_dead(l.owner))
         .collect();
 
-    let events = recorder.history();
+    let events = history.history();
     let spec = Spec {
         loaded: (0..LOAD_UNITS).map(|i| (i * 8, i)).collect(),
         value_of,

@@ -93,9 +93,7 @@ use std::fmt;
 use std::rc::Rc;
 
 use blink::layout::lock_word;
-use rdma_sim::observer::{
-    FenceKind, OpArgs, OpKind, OpOutcome, RpcEvent, VerbEvent, VerbKind, VerbObserver,
-};
+use rdma_sim::observer::{FenceKind, OpKind, RpcEvent, VerbEvent, VerbKind, VerbObserver};
 use rdma_sim::{Cluster, RemotePtr};
 use simnet::SimTime;
 
@@ -542,18 +540,11 @@ impl VerbObserver for Racecheck {
         self.state.borrow_mut().threads.drop_pending(client);
     }
 
-    fn on_op_start(&self, client: u64, _kind: OpKind, _args: Option<OpArgs>, _time: SimTime) {
+    fn on_op_start(&self, client: u64, _kind: OpKind, _time: SimTime) {
         self.state.borrow_mut().threads.drop_pending(client);
     }
 
-    fn on_op_end(
-        &self,
-        client: u64,
-        kind: OpKind,
-        ok: bool,
-        _outcome: Option<&OpOutcome>,
-        time: SimTime,
-    ) {
+    fn on_op_end(&self, client: u64, kind: OpKind, ok: bool, time: SimTime) {
         let st = &mut *self.state.borrow_mut();
         if ok {
             st.threads.report_pending(client, kind, time, &mut st.out);

@@ -13,7 +13,7 @@ use simnet::{Sim, SimTime};
 use wal::{CheckpointPayload, CheckpointSource, ServerWal, WalConfig, WalRecord, WalStats};
 
 use crate::fault::{FaultStats, LinkDegrade};
-use crate::observer::{OpArgs, OpKind, OpOutcome};
+use crate::observer::OpKind;
 use crate::pool::MemPool;
 use crate::ptr::RemotePtr;
 use crate::spec::{
@@ -742,18 +742,16 @@ impl Cluster {
         self.each_observer(|o| o.on_verb_failed(client, server, now));
     }
 
-    /// Report that `client` began an index-level operation, with its
-    /// arguments when it has any (a GC pass has none).
-    pub fn note_op_start(&self, client: u64, kind: OpKind, args: Option<OpArgs>) {
+    /// Report that `client` began an index-level operation.
+    pub fn note_op_start(&self, client: u64, kind: OpKind) {
         let now = self.inner.sim.now();
-        self.each_observer(|o| o.on_op_start(client, kind, args, now));
+        self.each_observer(|o| o.on_op_start(client, kind, now));
     }
 
-    /// Report that `client` finished its current index-level operation,
-    /// with the outcome it returned when the caller built one.
-    pub fn note_op_end(&self, client: u64, kind: OpKind, ok: bool, outcome: Option<&OpOutcome>) {
+    /// Report that `client` finished its current index-level operation.
+    pub fn note_op_end(&self, client: u64, kind: OpKind, ok: bool) {
         let now = self.inner.sim.now();
-        self.each_observer(|o| o.on_op_end(client, kind, ok, outcome, now));
+        self.each_observer(|o| o.on_op_end(client, kind, ok, now));
     }
 
     /// Report that `client` entered (`enter`) or left a protocol region.

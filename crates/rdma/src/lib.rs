@@ -45,9 +45,7 @@ pub use buf::{BufArena, PageBuf};
 pub use cluster::{Cluster, DurableState, RecoveryRecord, ServerStats};
 pub use endpoint::{Endpoint, RpcReply};
 pub use fault::{FaultStats, LinkDegrade, VerbError};
-pub use observer::{
-    FenceKind, OpArgs, OpKind, OpOutcome, RegionKind, RpcEvent, VerbEvent, VerbKind, VerbObserver,
-};
+pub use observer::{FenceKind, OpKind, RegionKind, RpcEvent, VerbEvent, VerbKind, VerbObserver};
 pub use pool::MemPool;
 pub use ptr::{PtrDecodeError, RemotePtr};
 pub use spec::{ClusterSpec, Durability, MAX_LOCK_HOLD_VERBS};

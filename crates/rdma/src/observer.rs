@@ -5,10 +5,13 @@
 //! virtual time, issuing client)` to each installed [`VerbObserver`] at
 //! the instant its memory effect applies. Two-sided RPCs, failed verbs,
 //! index-operation boundaries, protocol regions (lock wait, backoff) and
-//! free-text instants flow through the same hook. The dynamic checker
-//! (`racecheck`) implements the observer to enforce optimistic-lock-coupling
-//! invariants; the telemetry crate implements it to build causal spans
-//! and Perfetto traces. This module only defines the reporting surface
+//! free-text instants flow through the same hook. An operation boundary
+//! says when an operation ran — client, [`OpKind`], whether it
+//! succeeded — never what it took or returned: the caller already holds
+//! both (the model checker records its history where it issues each op).
+//! The dynamic checker (`racecheck`) implements the observer to enforce
+//! optimistic-lock-coupling invariants; the telemetry crate implements
+//! it to build causal spans and Perfetto traces. This module only defines the reporting surface
 //! so the verb layer stays free of checking/accounting policy.
 //!
 //! Multiple observers may be registered ([`crate::Cluster::add_observer`]);
@@ -120,54 +123,6 @@ impl OpKind {
     }
 }
 
-/// Arguments of an index-level operation, reported when it starts (see
-/// [`VerbObserver::on_op_start`]). Keys and values are the plain `u64`s
-/// of the simulated index API.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum OpArgs {
-    /// Point lookup of `key`.
-    Lookup {
-        /// Key probed.
-        key: u64,
-    },
-    /// Range scan over `[lo, hi]` inclusive.
-    Range {
-        /// Low key (inclusive).
-        lo: u64,
-        /// High key (inclusive).
-        hi: u64,
-    },
-    /// Insert of `(key, value)`.
-    Insert {
-        /// Key inserted.
-        key: u64,
-        /// Value inserted.
-        value: u64,
-    },
-    /// Delete of `key`.
-    Delete {
-        /// Key deleted.
-        key: u64,
-    },
-}
-
-/// Result of a completed index-level operation, reported when it ends
-/// (see [`VerbObserver::on_op_end`]).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum OpOutcome {
-    /// Lookup returned the value (or `None` if the key was absent).
-    Lookup(Option<u64>),
-    /// Range scan returned these rows, in key order.
-    Range(Vec<(u64, u64)>),
-    /// Insert succeeded.
-    Insert,
-    /// Delete returned whether a live entry was removed.
-    Delete(bool),
-    /// The operation returned an error; its effects are indeterminate
-    /// (it may or may not have been applied).
-    Failed,
-}
-
 /// A protocol region a client can enter within an op (see
 /// [`VerbObserver::on_region`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -246,26 +201,16 @@ pub trait VerbObserver {
     }
 
     /// `client` began an index-level operation, before any remote access
-    /// is issued. `args` is `None` for an operation without index
-    /// arguments (a GC pass). History checkers use the `[start, end]`
-    /// interval as the operation's concurrency window. Default: ignore.
-    fn on_op_start(&self, client: u64, kind: OpKind, args: Option<OpArgs>, time: SimTime) {
-        let _ = (client, kind, args, time);
+    /// is issued. Telemetry opens its span here. Default: ignore.
+    fn on_op_start(&self, client: u64, kind: OpKind, time: SimTime) {
+        let _ = (client, kind, time);
     }
 
     /// `client` finished the operation started by the matching
     /// [`on_op_start`](Self::on_op_start); `ok` is false when it returned
-    /// an error. `outcome` is what it returned to the caller, `None` where
-    /// the operation has no index outcome (a GC pass). Default: ignore.
-    fn on_op_end(
-        &self,
-        client: u64,
-        kind: OpKind,
-        ok: bool,
-        outcome: Option<&OpOutcome>,
-        time: SimTime,
-    ) {
-        let _ = (client, kind, ok, outcome, time);
+    /// an error. Default: ignore.
+    fn on_op_end(&self, client: u64, kind: OpKind, ok: bool, time: SimTime) {
+        let _ = (client, kind, ok, time);
     }
 
     /// `client` entered (`enter == true`) or left a protocol region.

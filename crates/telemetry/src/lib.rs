@@ -31,9 +31,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use rdma_sim::observer::{
-    OpArgs, OpKind, OpOutcome, RegionKind, RpcEvent, VerbEvent, VerbKind, VerbObserver,
-};
+use rdma_sim::observer::{OpKind, RegionKind, RpcEvent, VerbEvent, VerbKind, VerbObserver};
 use rdma_sim::Cluster;
 use simnet::stats::Counter;
 use simnet::SimTime;
@@ -215,7 +213,7 @@ impl VerbObserver for Telemetry {
         });
     }
 
-    fn on_op_start(&self, client: u64, kind: OpKind, _args: Option<OpArgs>, time: SimTime) {
+    fn on_op_start(&self, client: u64, kind: OpKind, time: SimTime) {
         self.with_client(client, |st| {
             debug_assert!(st.span.is_none(), "ops do not nest within a client");
             st.span = Some(OpSpan::new(kind, time.as_nanos()));
@@ -232,14 +230,7 @@ impl VerbObserver for Telemetry {
         });
     }
 
-    fn on_op_end(
-        &self,
-        client: u64,
-        kind: OpKind,
-        ok: bool,
-        _outcome: Option<&OpOutcome>,
-        time: SimTime,
-    ) {
+    fn on_op_end(&self, client: u64, kind: OpKind, ok: bool, time: SimTime) {
         let closed = self.with_client(client, |st| {
             let mut span = st.span.take()?;
             let total = span.close(time.as_nanos());

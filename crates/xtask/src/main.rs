@@ -27,8 +27,10 @@
 //! the seeded `trace_demo` figure twice with `--trace`, validates
 //! the Chrome-trace JSON line by line (required fields, matched B/E
 //! stacks per track, non-decreasing duration-event timestamps), and
-//! fails unless the two same-seed traces are byte-identical (FNV-1a
-//! digest) — the telemetry counterpart of the determinism lint.
+//! fails unless the two same-seed traces and metrics CSVs are
+//! byte-identical and match the FNV-1a digests pinned in
+//! `crates/xtask/golden/trace_demo.digest` — the telemetry counterpart
+//! of the determinism lint.
 //!
 //! `cargo xtask mc [--quick]` is the model-checking gate (see
 //! `crates/mc`): FIFO-policy engine parity, the clean schedule-
@@ -137,12 +139,15 @@ const RULES: &[Rule] = &[
         scope: None,
     },
     // Not a determinism rule: an operation's verbs must go through the
-    // `ep: &Endpoint` it was handed, which carries the deadline; a fresh
-    // endpoint on the operation path would issue them without it.
+    // `ep: &Endpoint` it was handed. `Endpoint::new` allocates a new
+    // client id, so verbs sent on a fresh endpoint escape the
+    // operation's span, its lock-owner bits, a kill or cancel of its
+    // client, and the checker's per-client windows.
     Rule {
         id: "deadline-thread",
         needle: "Endpoint::new",
-        why: "a fresh endpoint drops the operation's deadline; thread `ep: &Endpoint` through",
+        why: "a fresh endpoint is a new client id, outside the operation's span, lock-owner bits, \
+              kill/cancel and checker windows; thread `ep: &Endpoint` through",
         scope: Some("crates/core/src/"),
     },
 ];
@@ -348,7 +353,7 @@ fn self_test() -> ExitCode {
 }
 
 // ---------------------------------------------------------------------
-// trace-check: schema + determinism gate for the telemetry exporter.
+// trace-check: schema, determinism and golden gate for the telemetry exporter.
 
 /// FNV-1a 64-bit digest (dependency-free, stable across platforms).
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -492,6 +497,11 @@ fn run_trace_demo(root: &Path, out: &Path) -> Result<(), String> {
     Ok(())
 }
 
+/// Committed digests of the seed-42 `trace_demo` trace and its metrics
+/// CSV, one `<fnv1a> <file>` line each. Re-pinning is an edit of this
+/// file, justified in the change that moves them.
+const TRACE_DEMO_GOLDEN: &str = "crates/xtask/golden/trace_demo.digest";
+
 fn trace_check() -> ExitCode {
     let root = repo_root();
     let dir = root.join("target").join("trace-check");
@@ -506,10 +516,13 @@ fn trace_check() -> ExitCode {
             eprintln!("trace-check: {e}");
             return ExitCode::FAILURE;
         }
-        let contents = match fs::read_to_string(out) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("trace-check: cannot read {}: {e}", out.display());
+        let read = |path: &Path| {
+            fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))
+        };
+        let (contents, metrics) = match (read(out), read(&out.with_extension("metrics.csv"))) {
+            (Ok(c), Ok(m)) => (c, m),
+            (Err(e), _) | (_, Err(e)) => {
+                eprintln!("trace-check: {e}");
                 return ExitCode::FAILURE;
             }
         };
@@ -517,22 +530,40 @@ fn trace_check() -> ExitCode {
             eprintln!("trace-check: {} is malformed: {e}", out.display());
             return ExitCode::FAILURE;
         }
-        digests.push(fnv1a(contents.as_bytes()));
-        println!(
-            "trace-check: {} valid ({} lines, fnv1a {:016x})",
+        let digest = format!(
+            "{:016x} trace_demo.json\n{:016x} trace_demo.metrics.csv\n",
+            fnv1a(contents.as_bytes()),
+            fnv1a(metrics.as_bytes())
+        );
+        print!(
+            "trace-check: {} valid ({} lines)\n{digest}",
             out.display(),
             contents.lines().count(),
-            digests.last().unwrap()
         );
+        digests.push(digest);
     }
     if digests[0] != digests[1] {
         eprintln!(
-            "trace-check: same-seed traces differ ({:016x} vs {:016x}) — telemetry is nondeterministic",
+            "trace-check: same-seed runs differ — telemetry is nondeterministic:\n{}\n{}",
             digests[0], digests[1]
         );
         return ExitCode::FAILURE;
     }
-    println!("trace-check: same seed, same trace — ok");
+    let golden = match fs::read_to_string(root.join(TRACE_DEMO_GOLDEN)) {
+        Ok(g) => g,
+        Err(e) => {
+            eprintln!("trace-check: cannot read {TRACE_DEMO_GOLDEN}: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    if digests[0] != golden {
+        eprintln!(
+            "trace-check: digests differ from {TRACE_DEMO_GOLDEN}\ngot:\n{}want:\n{golden}",
+            digests[0]
+        );
+        return ExitCode::FAILURE;
+    }
+    println!("trace-check: same seed, same trace, matches {TRACE_DEMO_GOLDEN} — ok");
     ExitCode::SUCCESS
 }
 

@@ -9,7 +9,9 @@
 //! * PCT exploration under a pinned seed has a **stable coverage
 //!   digest** — schedule search itself is deterministic;
 //! * every no-fault harness run reaches **quiescence clean**: zero live
-//!   tasks, zero held locks, linearizable history.
+//!   tasks, zero held locks, linearizable history;
+//! * the history holds **every op the scenario issues**, under every
+//!   fault regime: each client's ops plus the final scan.
 
 use mc::{run_scenario, FaultMode, PolicyKind, Scenario};
 use namdex_core::IndexKind;
@@ -228,6 +230,30 @@ fn crash_recovery_interleavings_stay_linearizable() {
                 design.key(),
                 report.lin
             );
+        }
+    }
+}
+
+#[test]
+fn history_holds_every_issued_op() {
+    for design in IndexKind::ALL {
+        for fault in [FaultMode::None, FaultMode::Chaos, FaultMode::CrashRecover] {
+            for seed in 0..4 {
+                let point = Scenario::point_ops(design, fault, seed);
+                let scans = Scenario::with_scans(design, fault, seed);
+                for sc in [point, scans] {
+                    let r = run_scenario(&sc, &PolicyKind::RandomWalk { seed: 0x415 + seed });
+                    assert_eq!(
+                        r.events as u64,
+                        sc.clients * sc.ops_per_client + 1,
+                        "{}/{} seed {} scans={}: an issued op is missing from the history",
+                        design.key(),
+                        fault.name(),
+                        seed,
+                        sc.with_scans
+                    );
+                }
+            }
         }
     }
 }

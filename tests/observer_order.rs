@@ -9,20 +9,23 @@
 //! temptation to reorder is real: acks are deferred behind log flushes
 //! and a crash/recovery cycle rewinds server memory mid-run.
 //!
-//! * every hook of the full surface (verbs, RPCs, op spans, fences,
-//!   regions, failures, recovery) is recorded by two observers; they
-//!   must see the identical sequence, strictly in registration order;
+//! * every hook of the full surface (verbs, RPCs, fences, regions,
+//!   failures, recovery) is recorded by two observers; they must see
+//!   the identical sequence, strictly in registration order;
 //! * event times are non-decreasing — nothing is reported out of apply
 //!   order — and every verb completes no earlier than it was issued;
 //! * the whole recorded sequence is pinned by an FNV-1a digest: any
 //!   change to what fires, when it fires, or its order is a visible,
-//!   deliberate golden update.
+//!   deliberate golden update. That run calls single-attempt `Index`
+//!   ops, which open no op span and never back off;
+//! * a second run issues `Design` ops, which do: there each client's
+//!   op starts and ends alternate, and every verb, RPC, failure, region
+//!   and fence of a client falls inside one of its op windows.
 
 use namdex::prelude::*;
-use namdex::rdma::observer::{
-    FenceKind, OpArgs, OpKind, OpOutcome, RegionKind, RpcEvent, VerbEvent, VerbObserver,
-};
+use namdex::rdma::observer::{FenceKind, OpKind, RegionKind, RpcEvent, VerbEvent, VerbObserver};
 use std::cell::{Cell, RefCell};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 /// Golden FNV-1a digest of the recorded event sequence. Regenerate by
@@ -30,11 +33,13 @@ use std::rc::Rc;
 /// the observer surface or the engine's verb schedule.
 const OBSERVER_ORDER_GOLDEN: u64 = 0x03c4_1149_ac42_4e79;
 
-/// Records every observer hook as a rendered line, tagging each with a
-/// ticket from the bus-wide sequence counter shared by all recorders.
+/// Records every observer hook as a rendered line with the client it
+/// names (if any), tagging each with a ticket from the bus-wide sequence
+/// counter shared by all recorders.
 struct Recorder {
     seq: Rc<Cell<u64>>,
     lines: RefCell<Vec<String>>,
+    clients: RefCell<Vec<Option<u64>>>,
     tickets: RefCell<Vec<u64>>,
     times: RefCell<Vec<u64>>,
 }
@@ -44,14 +49,16 @@ impl Recorder {
         Rc::new(Recorder {
             seq: seq.clone(),
             lines: RefCell::new(Vec::new()),
+            clients: RefCell::new(Vec::new()),
             tickets: RefCell::new(Vec::new()),
             times: RefCell::new(Vec::new()),
         })
     }
 
-    fn record(&self, time: SimTime, line: String) {
+    fn record(&self, time: SimTime, client: Option<u64>, line: String) {
         let t = self.seq.get();
         self.seq.set(t + 1);
+        self.clients.borrow_mut().push(client);
         self.tickets.borrow_mut().push(t);
         self.times.borrow_mut().push(time.as_nanos());
         self.lines.borrow_mut().push(line);
@@ -66,6 +73,7 @@ impl VerbObserver for Recorder {
         );
         self.record(
             ev.time,
+            Some(ev.client),
             format!(
                 "verb {:?} c{} s{} {:#x}+{} t={}",
                 ev.kind, ev.client, ev.server, ev.offset, ev.len, ev.time
@@ -73,59 +81,60 @@ impl VerbObserver for Recorder {
         );
     }
     fn on_free(&self, server: usize, offset: u64, len: usize, time: SimTime) {
-        self.record(time, format!("free s{server} {offset:#x}+{len} t={time}"));
+        self.record(
+            time,
+            None,
+            format!("free s{server} {offset:#x}+{len} t={time}"),
+        );
     }
     fn on_unreachable(&self, client: u64, server: usize, time: SimTime) {
-        self.record(time, format!("unreachable c{client} s{server} t={time}"));
+        self.record(
+            time,
+            Some(client),
+            format!("unreachable c{client} s{server} t={time}"),
+        );
     }
     fn on_rpc(&self, ev: &RpcEvent) {
         self.record(
             ev.time,
+            Some(ev.client),
             format!("rpc c{} s{} t={}", ev.client, ev.server, ev.time),
         );
     }
     fn on_verb_failed(&self, client: u64, server: usize, time: SimTime) {
-        self.record(time, format!("verb-failed c{client} s{server} t={time}"));
-    }
-    fn on_op_start(&self, client: u64, kind: OpKind, args: Option<OpArgs>, time: SimTime) {
         self.record(
             time,
-            format!("op-start c{client} {} {args:?} t={time}", kind.label()),
+            Some(client),
+            format!("verb-failed c{client} s{server} t={time}"),
         );
     }
-    fn on_op_end(
-        &self,
-        client: u64,
-        kind: OpKind,
-        ok: bool,
-        outcome: Option<&OpOutcome>,
-        time: SimTime,
-    ) {
-        self.record(
-            time,
-            format!(
-                "op-end c{client} {} ok={ok} {outcome:?} t={time}",
-                kind.label()
-            ),
-        );
+    fn on_op_start(&self, client: u64, kind: OpKind, time: SimTime) {
+        let line = format!("op-start c{client} {} t={time}", kind.label());
+        self.record(time, Some(client), line);
+    }
+    fn on_op_end(&self, client: u64, kind: OpKind, ok: bool, time: SimTime) {
+        let line = format!("op-end c{client} {} ok={ok} t={time}", kind.label());
+        self.record(time, Some(client), line);
     }
     fn on_region(&self, client: u64, kind: RegionKind, enter: bool, time: SimTime) {
         self.record(
             time,
+            Some(client),
             format!("region c{client} {} enter={enter} t={time}", kind.label()),
         );
     }
     fn on_instant(&self, label: &str, time: SimTime) {
-        self.record(time, format!("instant {label} t={time}"));
+        self.record(time, None, format!("instant {label} t={time}"));
     }
     fn on_fence(&self, client: u64, kind: FenceKind, server: usize, offset: u64, time: SimTime) {
         self.record(
             time,
+            Some(client),
             format!("fence c{client} {kind:?} s{server} {offset:#x} t={time}"),
         );
     }
     fn on_server_recovered(&self, server: usize, time: SimTime) {
-        self.record(time, format!("recovered s{server} t={time}"));
+        self.record(time, None, format!("recovered s{server} t={time}"));
     }
 }
 
@@ -144,8 +153,10 @@ fn fnv1a(lines: &[String]) -> u64 {
 
 /// Hybrid-design workload under `Durability::Wal` with a crash/recovery
 /// of server 1 mid-run: one-sided reads, RPC writes, WAL-deferred acks,
-/// unreachable windows and a recovery all cross the bus.
-fn recorded_run() -> (Rc<Recorder>, Rc<Recorder>) {
+/// unreachable windows and a recovery all cross the bus. With
+/// `design_ops` the same ops go through the `Design` retry layer, which
+/// brackets each in an op span and backs off between attempts.
+fn recorded_run(design_ops: bool) -> (Rc<Recorder>, Rc<Recorder>) {
     const KEYS: u64 = 64;
     let sim = Sim::new();
     let nam = NamCluster::new(
@@ -179,12 +190,19 @@ fn recorded_run() -> (Rc<Recorder>, Rc<Recorder>) {
         let index = index.clone();
         let ep = Endpoint::new(&nam.rdma);
         sim.spawn(async move {
+            let design = Design::Hybrid(index.clone());
             for i in 0..12u64 {
                 let k = 1 + 2 * (w * 12 + i);
+                let (v, probe) = (k * 10 + w, (i % KEYS) * 8);
                 // Crash-window ops may fail; the sequence of attempts is
                 // still deterministic and that is all the digest pins.
-                let _ = index.insert(&ep, k, k * 10 + w, false).await;
-                let _ = index.lookup(&ep, (i % KEYS) * 8).await;
+                if design_ops {
+                    let _ = design.insert(&ep, k, v).await;
+                    let _ = design.lookup(&ep, probe).await;
+                } else {
+                    let _ = index.insert(&ep, k, v, false).await;
+                    let _ = index.lookup(&ep, probe).await;
+                }
             }
         });
     }
@@ -194,7 +212,7 @@ fn recorded_run() -> (Rc<Recorder>, Rc<Recorder>) {
 
 #[test]
 fn observer_firing_order_is_pinned() {
-    let (first, second) = recorded_run();
+    let (first, second) = recorded_run(false);
     let lines = first.lines.borrow();
 
     // Both observers saw the identical sequence...
@@ -246,7 +264,38 @@ fn observer_firing_order_is_pinned() {
 /// The digest is a run invariant, not an accident of one execution.
 #[test]
 fn recorded_sequence_is_deterministic() {
-    let (a, _) = recorded_run();
-    let (b, _) = recorded_run();
+    let (a, _) = recorded_run(false);
+    let (b, _) = recorded_run(false);
     assert_eq!(*a.lines.borrow(), *b.lines.borrow());
+}
+
+/// `Design` ops bracket their client's events: per client, op starts
+/// and ends alternate, and every verb, RPC, failure, region and fence
+/// falls inside one of that client's op windows.
+#[test]
+fn op_spans_bracket_their_clients_events() {
+    let (first, second) = recorded_run(true);
+    let lines = first.lines.borrow();
+    assert_eq!(*lines, *second.lines.borrow());
+
+    let mut open: BTreeMap<u64, bool> = BTreeMap::new();
+    let (mut spans, mut backoffs) = (0, 0);
+    for (line, client) in lines.iter().zip(first.clients.borrow().iter()) {
+        let Some(c) = *client else { continue };
+        let in_op = open.entry(c).or_default();
+        if line.starts_with("op-start") {
+            assert!(!*in_op, "op started inside an open op: {line}");
+            *in_op = true;
+            spans += 1;
+        } else if line.starts_with("op-end") {
+            assert!(*in_op, "op ended with none open: {line}");
+            *in_op = false;
+        } else {
+            assert!(*in_op, "client event outside its op windows: {line}");
+            backoffs += usize::from(line.contains(" backoff enter=true"));
+        }
+    }
+    assert_eq!(spans, 2 * 12 * 2, "one span per issued op");
+    assert!(open.values().all(|&in_op| !in_op), "every op ended");
+    assert!(backoffs > 0, "the crash window forced a retry");
 }

@@ -121,15 +121,15 @@ fn unvalidated_racy_read_is_reported() {
         let writer = Endpoint::new(&cluster);
         let reader = Endpoint::new(&cluster);
         sim.spawn(async move {
-            cluster.note_op_start(writer.client_id(), OpKind::Insert, None);
+            cluster.note_op_start(writer.client_id(), OpKind::Insert);
             locked_update(&writer, ptr, 7).await;
-            cluster.note_op_end(writer.client_id(), OpKind::Insert, true, None);
+            cluster.note_op_end(writer.client_id(), OpKind::Insert, true);
 
             // The reader's clock has no edge from the writer: the read
             // races with the unlock FAA, and no fence ever validates it.
-            cluster.note_op_start(reader.client_id(), OpKind::Lookup, None);
+            cluster.note_op_start(reader.client_id(), OpKind::Lookup);
             reader.read(ptr, PAGE).await.unwrap();
-            cluster.note_op_end(reader.client_id(), OpKind::Lookup, true, None);
+            cluster.note_op_end(reader.client_id(), OpKind::Lookup, true);
         });
     }
     sim.run();
@@ -158,17 +158,17 @@ fn validated_racy_read_is_benign() {
         let writer = Endpoint::new(&cluster);
         let reader = Endpoint::new(&cluster);
         sim.spawn(async move {
-            cluster.note_op_start(writer.client_id(), OpKind::Insert, None);
+            cluster.note_op_start(writer.client_id(), OpKind::Insert);
             locked_update(&writer, ptr, 7).await;
-            cluster.note_op_end(writer.client_id(), OpKind::Insert, true, None);
+            cluster.note_op_end(writer.client_id(), OpKind::Insert, true);
 
             // Same racy read — but the engine's validation fence
             // (covers()/find_child() re-check) closes the window before
             // the op completes: benign-validated, not a violation.
-            cluster.note_op_start(reader.client_id(), OpKind::Lookup, None);
+            cluster.note_op_start(reader.client_id(), OpKind::Lookup);
             reader.read(ptr, PAGE).await.unwrap();
             cluster.note_fence(reader.client_id(), FenceKind::Revalidate, 0, ptr.offset());
-            cluster.note_op_end(reader.client_id(), OpKind::Lookup, true, None);
+            cluster.note_op_end(reader.client_id(), OpKind::Lookup, true);
         });
     }
     sim.run();
@@ -187,14 +187,14 @@ fn discarded_racy_read_is_benign() {
         let writer = Endpoint::new(&cluster);
         let reader = Endpoint::new(&cluster);
         sim.spawn(async move {
-            cluster.note_op_start(writer.client_id(), OpKind::Insert, None);
+            cluster.note_op_start(writer.client_id(), OpKind::Insert);
             locked_update(&writer, ptr, 7).await;
-            cluster.note_op_end(writer.client_id(), OpKind::Insert, true, None);
+            cluster.note_op_end(writer.client_id(), OpKind::Insert, true);
 
-            cluster.note_op_start(reader.client_id(), OpKind::Lookup, None);
+            cluster.note_op_start(reader.client_id(), OpKind::Lookup);
             reader.read(ptr, PAGE).await.unwrap();
             cluster.note_fence(reader.client_id(), FenceKind::Discard, 0, ptr.offset());
-            cluster.note_op_end(reader.client_id(), OpKind::Lookup, true, None);
+            cluster.note_op_end(reader.client_id(), OpKind::Lookup, true);
         });
     }
     sim.run();
@@ -211,10 +211,10 @@ fn failed_op_does_not_report_its_racy_reads() {
         let reader = Endpoint::new(&cluster);
         sim.spawn(async move {
             locked_update(&writer, ptr, 7).await;
-            cluster.note_op_start(reader.client_id(), OpKind::Lookup, None);
+            cluster.note_op_start(reader.client_id(), OpKind::Lookup);
             reader.read(ptr, PAGE).await.unwrap();
             // The attempt aborts: its bytes never reach a result.
-            cluster.note_op_end(reader.client_id(), OpKind::Lookup, false, None);
+            cluster.note_op_end(reader.client_id(), OpKind::Lookup, false);
         });
     }
     sim.run();
@@ -238,10 +238,10 @@ fn locked_snapshot_read_survives_version_recheck() {
             // construction. A version re-check does NOT validate it
             // (the version it would check is itself mid-update), so the
             // window survives to op end and is reported.
-            cluster.note_op_start(reader.client_id(), OpKind::Lookup, None);
+            cluster.note_op_start(reader.client_id(), OpKind::Lookup);
             reader.read(ptr, PAGE).await.unwrap();
             cluster.note_fence(reader.client_id(), FenceKind::Revalidate, 0, ptr.offset());
-            cluster.note_op_end(reader.client_id(), OpKind::Lookup, true, None);
+            cluster.note_op_end(reader.client_id(), OpKind::Lookup, true);
         });
     }
     sim.run();
@@ -266,10 +266,10 @@ fn locked_snapshot_read_is_judged_by_full_client_id() {
             let locked = lock_word::locked_by(0, holder.client_id());
             holder.cas(ptr, 0, locked).await.unwrap();
 
-            cluster.note_op_start(reader.client_id(), OpKind::Lookup, None);
+            cluster.note_op_start(reader.client_id(), OpKind::Lookup);
             reader.read(ptr, PAGE).await.unwrap();
             cluster.note_fence(reader.client_id(), FenceKind::Revalidate, 0, ptr.offset());
-            cluster.note_op_end(reader.client_id(), OpKind::Lookup, true, None);
+            cluster.note_op_end(reader.client_id(), OpKind::Lookup, true);
         });
     }
     sim.run();
@@ -398,7 +398,7 @@ fn recovery_resyncs_lock_words_and_clears_clocks_on_that_server_only() {
             locked_update(&writer, a, 1).await;
             locked_update(&writer, b, 1).await;
             // ... which a reader with no edge from the writer races with.
-            cluster.note_op_start(reader.client_id(), OpKind::Range, None);
+            cluster.note_op_start(reader.client_id(), OpKind::Range);
             reader.read(a, PAGE).await.unwrap();
             reader.read(b, PAGE).await.unwrap();
             assert_eq!(race.counts().racy_reads, 2);
@@ -424,9 +424,9 @@ fn recovery_resyncs_lock_words_and_clears_clocks_on_that_server_only() {
             assert_eq!(cluster.setup_read(a, 8), word.to_le_bytes(), "undone");
 
             // The window on the rewound server is gone, the other escapes.
-            cluster.note_op_end(reader.client_id(), OpKind::Range, true, None);
+            cluster.note_op_end(reader.client_id(), OpKind::Range, true);
             // Pre-crash writes no longer order reads of `a`; those of `b` do.
-            cluster.note_op_start(late_reader.client_id(), OpKind::Range, None);
+            cluster.note_op_start(late_reader.client_id(), OpKind::Range);
             late_reader.read(a, PAGE).await.unwrap();
             late_reader.read(b, PAGE).await.unwrap();
             cluster.note_fence(
@@ -435,7 +435,7 @@ fn recovery_resyncs_lock_words_and_clears_clocks_on_that_server_only() {
                 1,
                 b.offset(),
             );
-            cluster.note_op_end(late_reader.client_id(), OpKind::Range, true, None);
+            cluster.note_op_end(late_reader.client_id(), OpKind::Range, true);
             assert_eq!(race.counts().racy_reads, 3);
             // And the shadow word of `a` is the recovered one: a fresh
             // acquire of it is no unobserved mutation.
@@ -468,13 +468,13 @@ fn detector_does_not_perturb_the_run() {
             let a = Endpoint::new(&cluster);
             let b = Endpoint::new(&cluster);
             sim.spawn(async move {
-                cluster.note_op_start(a.client_id(), OpKind::Insert, None);
+                cluster.note_op_start(a.client_id(), OpKind::Insert);
                 locked_update(&a, ptr, 3).await;
-                cluster.note_op_end(a.client_id(), OpKind::Insert, true, None);
-                cluster.note_op_start(b.client_id(), OpKind::Lookup, None);
+                cluster.note_op_end(a.client_id(), OpKind::Insert, true);
+                cluster.note_op_start(b.client_id(), OpKind::Lookup);
                 b.read(ptr, PAGE).await.unwrap();
                 cluster.note_fence(b.client_id(), FenceKind::Revalidate, 0, ptr.offset());
-                cluster.note_op_end(b.client_id(), OpKind::Lookup, true, None);
+                cluster.note_op_end(b.client_id(), OpKind::Lookup, true);
             });
         }
         let end = sim.run();
