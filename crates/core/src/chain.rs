@@ -71,7 +71,7 @@ pub struct Chain {
     /// Round-robin cursor for new-page placement: setup-path loads and
     /// timed split-page allocation both draw from it.
     alloc_rr: Cell<usize>,
-    head_stride: usize,
+    pub(crate) head_stride: usize,
 }
 
 /// The memory pools as a bulk-load sink: pages placed round-robin from

@@ -27,7 +27,7 @@
 //!   uncached on purpose: SMOs must observe fresh versions to CAS
 //!   against;
 //! * `scan_chain` — the §4.3 range scan with head-node group
-//!   prefetch;
+//!   prefetch, or batched READs of the leaves a learned model names;
 //! * `with_retry!` + `backoff_before_retry` — the operation retry
 //!   layer with the single deterministic backoff/jitter source
 //!   ([`expo_delay_nanos`]), shared with the remote-spin backoff of
@@ -51,7 +51,7 @@ use std::future::Future;
 use blink::node::{
     kind_of, HeadNodeRef, InnerNodeMut, InnerNodeRef, LeafNodeMut, LeafNodeRef, NodeKind,
 };
-use blink::{Key, PageLayout, Ptr, Value};
+use blink::{Key, Ptr, Value};
 use rdma_sim::spec::{RETRY_BACKOFF_BASE, RETRY_BACKOFF_CAP, RETRY_LIMIT};
 use rdma_sim::{Endpoint, FenceKind, OpKind, PageBuf, RegionKind, RemotePtr, VerbError};
 use simnet::SimDur;
@@ -60,6 +60,7 @@ use crate::local::Local;
 use crate::msg;
 use crate::onesided::{lock_node, read_unlocked, Locked};
 use crate::resolve::Index;
+use crate::router::{scan_plan, Router};
 use crate::{Design, Mutation, OpError};
 
 fn rp(p: Ptr) -> RemotePtr {
@@ -350,7 +351,7 @@ impl Index {
     /// prefetch over a chain. A client descent reaches the covering leaf
     /// first (chases before the scan issue no prefetch, matching
     /// Listing 2); otherwise the whole chain walk is [`scan_chain`]'s,
-    /// which prefetches through any head it meets.
+    /// which prefetches through any head it meets, or the model's plan.
     /// `progress` only matters to shipped ranges (see [`Local::range`]).
     pub(crate) async fn range_with(
         &self,
@@ -362,10 +363,10 @@ impl Index {
         if let Some(local) = self.shipped() {
             return local.range(ep, lo, hi, progress).await;
         }
-        let mut out = Vec::new();
+        // The epoch `start` checks, at the same instant.
+        let epoch = ep.cluster().restart_epoch();
         let (start, page) = self.reach(ep, lo, msg::range_req(), None).await?;
-        scan_chain(ep, self.layout(), start, page, lo, hi, &mut out).await?;
-        Ok(out)
+        scan_chain(self, ep, start, page, lo, hi, epoch).await
     }
 
     // -----------------------------------------------------------------------
@@ -706,16 +707,26 @@ impl Index {
 /// Scan the leaf chain from `start` collecting live entries in
 /// `[lo, hi]`, prefetching whole groups when head nodes are met.
 /// `start_page`, when given, is an already-fetched copy of `start`.
-pub(crate) async fn scan_chain(
+/// Along the model's plan ([`scan_plan`]), while the restart `epoch`
+/// `start` was chosen under holds, it READs the planned leaves in
+/// `head_stride` batches and skips heads: a leaf that kept its trained
+/// high key never split, so the plan's next leaf follows it (DESIGN.md
+/// §15); a split one counts a mispredict and is left by its sibling.
+async fn scan_chain(
+    idx: &Index,
     ep: &Endpoint,
-    layout: PageLayout,
     start: RemotePtr,
     start_page: Option<PageBuf>,
     lo: Key,
     hi: Key,
-    out: &mut Vec<(Key, Value)>,
-) -> Result<(), VerbError> {
-    let ps = layout.page_size();
+    epoch: u64,
+) -> Result<Vec<(Key, Value)>, VerbError> {
+    let ps = idx.layout().page_size();
+    let model = idx.router().and_then(Router::model);
+    let mut plan = scan_plan(model.as_deref(), lo, hi, start);
+    let batch = idx.chain().map_or(0, |c| c.head_stride).max(1);
+    let mut batch_reqs: Vec<(RemotePtr, usize)> = Vec::with_capacity(batch.min(plan.len()));
+    let mut out = Vec::new();
     let mut prefetched: BTreeMap<u64, PageBuf> = BTreeMap::new();
     let mut cur = start;
     let mut pending = start_page;
@@ -731,7 +742,24 @@ pub(crate) async fn scan_chain(
     loop {
         if cur.is_null() {
             discard_rest(ep, &prefetched);
-            return Ok(());
+            return Ok(out);
+        }
+        if !plan.is_empty() && ep.cluster().restart_epoch() != epoch {
+            plan = &[];
+        }
+        // The trained high key of `cur`, if it is the plan's next leaf.
+        let trained = plan.first().filter(|e| e.1 == cur.raw()).map(|e| e.0);
+        if trained.is_some() && pending.is_none() && !prefetched.contains_key(&cur.raw()) {
+            batch_reqs.clear();
+            for &(_, raw) in plan.iter().take(batch) {
+                // A planned pointer is served from the model, as a prediction is.
+                crate::note_fence(ep, FenceKind::CachedUse, RemotePtr::from_raw(raw));
+                batch_reqs.push((RemotePtr::from_raw(raw), ps));
+            }
+            let pages = ep.read_many(&batch_reqs).await?;
+            for ((p, _), bytes) in batch_reqs.iter().zip(pages) {
+                prefetched.insert(p.raw(), bytes);
+            }
         }
         let page = match pending.take() {
             Some(p) => p,
@@ -771,12 +799,21 @@ pub(crate) async fn scan_chain(
                 if std::mem::take(&mut first_leaf) {
                     out.reserve(leaf.expected_rows(lo, hi));
                 }
-                leaf.collect_range(lo, hi, out);
+                leaf.collect_range(lo, hi, &mut out);
                 if leaf.high_key() >= hi {
                     discard_rest(ep, &prefetched);
-                    return Ok(());
+                    return Ok(out);
                 }
                 cur = rp(leaf.right_sibling());
+                if let Some(high) = trained {
+                    plan = plan.get(1..).unwrap_or_default();
+                    // Mutation `LearnedScanSkipsSplit`: skip the high-key check.
+                    if leaf.high_key() == high || crate::mutated(Mutation::LearnedScanSkipsSplit) {
+                        cur = plan.first().map_or(cur, |e| RemotePtr::from_raw(e.1));
+                    } else {
+                        idx.invalidate(ep, high, RemotePtr::NULL);
+                    }
+                }
             }
             // Leaf chains never link to an inner node; reaching one means
             // corrupted pages, not a state an operation can recover from.

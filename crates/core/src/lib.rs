@@ -234,6 +234,9 @@ pub enum Mutation {
     /// written): unlock FAA before the final in-place WRITE, publishing
     /// the version bump while the page bytes still race.
     UnlockBeforeWrite,
+    /// A learned scan jumps to the model's next leaf without checking
+    /// for a split, skipping any split-born leaf and its rows.
+    LearnedScanSkipsSplit,
 }
 
 thread_local! {
@@ -241,14 +244,15 @@ thread_local! {
 }
 
 impl Mutation {
-    /// All six seeded bugs.
-    pub const ALL: [Mutation; 6] = [
+    /// All seven seeded bugs.
+    pub const ALL: [Mutation; 7] = [
         Mutation::CgDuplicateInsert,
         Mutation::LeaseEpochElision,
         Mutation::DescendNoCovers,
         Mutation::CachedNoFence,
         Mutation::LearnedNoReread,
         Mutation::UnlockBeforeWrite,
+        Mutation::LearnedScanSkipsSplit,
     ];
 
     /// Stable name (hunt labels, counterexample files).
@@ -260,6 +264,7 @@ impl Mutation {
             Mutation::CachedNoFence => "cached-no-fence",
             Mutation::LearnedNoReread => "learned-no-reread",
             Mutation::UnlockBeforeWrite => "unlock-before-write",
+            Mutation::LearnedScanSkipsSplit => "learned-scan-skips-split",
         }
     }
 

@@ -923,7 +923,8 @@ mod tests {
 
     /// Composition is real: a Learned index whose model is withheld
     /// (restart-epoch flush with a server still down) is a Hybrid index —
-    /// the same op sequence costs exactly the same verbs on every server.
+    /// the same op sequence, scans over many leaves included, costs
+    /// exactly the same verbs on every server and returns the same.
     #[test]
     fn learned_without_a_model_issues_hybrids_verbs() {
         use crate::Design;
@@ -960,10 +961,17 @@ mod tests {
             assert!(keys.len() >= 20, "too few usable keys: {}", keys.len());
             let before = nam.rdma.all_stats();
             let ep = Endpoint::new(&nam.rdma);
+            let scans = Rc::new(RefCell::new(Vec::new()));
+            let scans2 = scans.clone();
             sim.spawn(async move {
-                for &k in &keys {
+                for (i, &k) in keys.iter().enumerate() {
                     assert_eq!(idx.lookup(&ep, k).await, Ok(Some(k / 8)));
                     assert_eq!(idx.range(&ep, k, k).await, Ok(vec![(k, k / 8)]));
+                    // Scans over several leaves: across head groups, and
+                    // failing where they meet the down server.
+                    let hi = k + 8 * [3, 12, 40][i % 3];
+                    let scan = idx.range(&ep, k, hi).await;
+                    scans2.borrow_mut().push(scan);
                     assert_eq!(idx.insert(&ep, k + 1, 7, false).await, Ok(()));
                     assert_eq!(idx.delete(&ep, k + 2).await, Ok(false));
                     assert_eq!(idx.delete(&ep, k).await, Ok(true));
@@ -978,12 +986,15 @@ mod tests {
                 .zip(&before)
                 .map(|(a, b)| (a.rpcs - b.rpcs, a.onesided_ops - b.onesided_ops))
                 .collect();
-            (verbs, design.learned_stats())
+            (verbs, scans.take(), design.learned_stats())
         };
-        let (hybrid, _) = run(IndexKind::Hybrid);
-        let (learned, stats) = run(IndexKind::Learned);
+        let (hybrid, hybrid_scans, _) = run(IndexKind::Hybrid);
+        let (learned, learned_scans, stats) = run(IndexKind::Learned);
         assert_eq!(learned, hybrid, "(rpcs, onesided_ops) per server");
         assert!(hybrid.iter().any(|&(rpcs, _)| rpcs > 0));
+        assert_eq!(learned_scans, hybrid_scans);
+        let long = |r: &Result<Vec<_>, _>| r.as_ref().is_ok_and(|rows| rows.len() > 10);
+        assert!(hybrid_scans.iter().any(long), "{hybrid_scans:?}");
         let stats = stats.expect("router stats");
         assert_eq!(stats.epoch_flushes, 1);
         assert_eq!(stats.predictions, 0, "a withheld model predicts nothing");

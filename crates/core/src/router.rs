@@ -228,6 +228,24 @@ impl Router {
     }
 }
 
+/// The leaves a scan of `[lo, hi]` crosses by `model`: the slice of its
+/// `(trained high key, leaf)` table from `lo`'s prediction through
+/// `hi`'s, if it begins at `start`, the leaf `model` predicted; else none.
+pub(crate) fn scan_plan(
+    model: Option<&PgmModel>,
+    lo: Key,
+    hi: Key,
+    start: RemotePtr,
+) -> &[(Key, u64)] {
+    let Some(model) = model else { return &[] };
+    let span = model.predict_pos(lo)..=model.predict_pos(hi);
+    let plan = model.table().get(span).unwrap_or_default();
+    match plan.first() {
+        Some(&(_, raw)) if raw == start.raw() => plan,
+        _ => &[],
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -359,6 +377,80 @@ mod tests {
         assert_eq!(rows.len(), 200);
         assert!(rows.windows(2).all(|w| w[0].0 < w[1].0));
         drop(nam);
+    }
+
+    /// A scan follows the leaves the model names, one READ each. Once a
+    /// planned leaf splits, the same scan still returns every row: it
+    /// READs the split-born leaf through the split leaf's sibling
+    /// pointer, rejoins the plan at the next planned leaf, and counts the
+    /// split as one mispredict.
+    #[test]
+    fn a_scan_leaves_the_plan_at_a_split_and_rejoins_it() {
+        let sim = Sim::new();
+        let (nam, idx) = build(&sim, 500);
+        let (lo, hi) = (100 * 8, 199 * 8);
+        let model = idx.router().expect("a router").model().expect("trained");
+        let plan = scan_plan(Some(&model), lo, hi, model.predict(lo));
+        let n = plan.len() as u64;
+        assert!(n > 8, "the range spans {n} leaves");
+        // A planned leaf mid-range; keys between its loaded ones fill it.
+        let (high, raw) = plan[plan.len() / 2];
+        let split = RemotePtr::from_raw(raw);
+        let high_now =
+            move |idx: &Index| LeafNodeRef::new(&idx.setup_source().load(split)).high_key();
+        let mut oracle: Vec<(Key, u64)> = (100..200u64).map(|i| (i * 8, i)).collect();
+        let scans = Rc::new(RefCell::new(Vec::new()));
+        let inserted = Rc::new(RefCell::new(Vec::new()));
+        {
+            let (idx, scans, inserted) = (idx.clone(), scans.clone(), inserted.clone());
+            let cluster = nam.rdma.clone();
+            let ep = Endpoint::new(&cluster);
+            sim.spawn(async move {
+                let verbs = || {
+                    let stats = (0..4).map(|s| cluster.server_stats(s));
+                    stats.fold((0, 0), |(r, o), st| (r + st.rpcs, o + st.onesided_ops))
+                };
+                for round in 0..2 {
+                    let (rpcs, reads) = verbs();
+                    let rows = idx.range(&ep, lo, hi).await.unwrap();
+                    let (rpcs2, reads2) = verbs();
+                    let mispredicts = stats(&idx).mispredicts;
+                    scans
+                        .borrow_mut()
+                        .push((rows, rpcs2 - rpcs, reads2 - reads, mispredicts));
+                    // Between the scans, fill the planned leaf until it splits.
+                    let fill = (0..6).map(|d| high - 1 - 8 * d).filter(|_| round == 0);
+                    for key in fill {
+                        idx.insert(&ep, key, key, false).await.unwrap();
+                        inserted.borrow_mut().push((key, key));
+                        if high_now(&idx) != high {
+                            break;
+                        }
+                    }
+                }
+            });
+        }
+        sim.run();
+        let scans = scans.borrow();
+        assert_eq!(scans.len(), 2);
+        assert_eq!(
+            scans[0],
+            (oracle.clone(), 0, n, 0),
+            "one READ per planned leaf"
+        );
+        assert!(high_now(&idx) < high, "the leaf split");
+        assert_eq!(
+            stats(&idx).mispredicts,
+            1,
+            "no op but the scan met the split"
+        );
+        oracle.extend(inserted.borrow().iter().copied());
+        oracle.sort_unstable();
+        assert_eq!(
+            scans[1],
+            (oracle, 0, n + 1, 1),
+            "the split-born leaf costs one READ, and the split one mispredict"
+        );
     }
 
     #[test]

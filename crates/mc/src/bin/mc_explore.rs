@@ -8,11 +8,11 @@
 //! mc_explore replay FILE                           (a seeded trace needs --features mutations)
 //! ```
 //!
-//! Exit codes: `0` success (explore: zero violations; mutation: all six
-//! seeded bugs — two historical ones and four dropped race fences —
-//! detected; replay: violation reproduced), `1` violations found
-//! (explore) or replay failed to reproduce, `2` usage error or a build
-//! that cannot run the request.
+//! Exit codes: `0` success (explore: zero violations; mutation: all seven
+//! seeded bugs — two historical ones, four dropped race fences and a
+//! learned scan's dropped split check — detected; replay: violation
+//! reproduced), `1` violations found (explore) or replay failed to
+//! reproduce, `2` usage error or a build that cannot run the request.
 
 use mc::explore::{explore, run_mutation_hunts, ExploreConfig};
 use mc::Counterexample;

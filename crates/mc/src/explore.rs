@@ -449,6 +449,17 @@ fn hunt(m: Mutation, budget: u64, out_dir: &Path) -> MutationResult {
             Racecheck,
             &["unlocked-write"],
         ),
+        // Needs a leaf split the model has not retrained over when a
+        // scan crosses it; the quiescent scan loses the split-born
+        // leaf's loaded keys.
+        Mutation::LearnedScanSkipsSplit => (
+            Learned,
+            FaultMode::None,
+            None,
+            0x10_B06,
+            Linearizability,
+            &[],
+        ),
     };
     let label = m.key();
     for i in 0..budget {
@@ -515,6 +526,15 @@ fn hunt(m: Mutation, budget: u64, out_dir: &Path) -> MutationResult {
 ///   FAA before the in-place WRITE, so the deferred WRITE races with
 ///   the next acquirer's critical section (`unlocked-write`, the
 ///   lockset rule).
+///
+/// One skips a step the learned design's range scan owes its soundness:
+///
+/// * **learned-scan-skips-split** — a scan following the leaves the
+///   model names jumps from a planned leaf to the model's next one
+///   without checking that its high key is still the trained one, so
+///   a leaf split since training loses its split-born sibling's rows.
+///   Caught as a linearizability violation (the quiescent scan misses
+///   loaded keys).
 pub fn run_mutation_hunts(budget: u64, out_dir: &Path) -> Vec<MutationResult> {
     assert!(
         namdex_core::mutations_enabled(),

@@ -692,12 +692,13 @@ fn cargo_step(label: &str, args: &[&str]) -> Result<(), ExitCode> {
 /// 2. **Clean matrix**: `mc_explore explore` over 4 designs ×
 ///    {no-fault, chaos} × {random-walk, PCT} (+ bounded DFS) must find
 ///    zero violations.
-/// 3. **Mutation hunts**: with `--features mutations`, each of the six
+/// 3. **Mutation hunts**: with `--features mutations`, each of the seven
 ///    seeded bugs (`namdex_core::Mutation`: the two re-introduced
 ///    historical ones — CG duplicate insert on lost-response retry; lease
-///    break without epoch bump — and four race mutations — dropped
+///    break without epoch bump — four race mutations — dropped
 ///    descent re-check, skipped cache fence, skipped mispredict re-read,
-///    unlock-before-write reorder) is injected in turn and must be
+///    unlock-before-write reorder — and a learned scan that skips its
+///    split check) is injected in turn and must be
 ///    detected within the budget, each leaving a replayable minimized
 ///    counterexample that names its mutation.
 fn mc(quick: bool) -> ExitCode {

@@ -7,10 +7,12 @@
 //! of summed `ServerStats { rpcs, onesided_ops }` must equal `K` times
 //! the table's cost. The symbolic level count `L` of the fine-grained
 //! design is derived from its measured lookup phase, not assumed, so the
-//! check also pins the `L`-polynomials to the actual tree height.
+//! check also pins the `L`-polynomials to the actual tree height. The
+//! learned design's range row is its own test: a scan over `n` leaves
+//! of a static tree is `n` one-sided READs and nothing else.
 
 use namdex::prelude::*;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 const PAGE_SIZE: usize = 256;
@@ -180,4 +182,49 @@ fn measured_verbs_per_op_equal_the_documented_model() {
             );
         }
     }
+}
+
+/// The learned column's range row: on a static tree a scan READs each
+/// leaf it spans exactly once and nothing else — for `n` leaves, `n`
+/// one-sided READs and no RPC, so no head node is READ either. `n` is
+/// counted from the trained leaf table: the leaves from the one covering
+/// `lo` through the one covering `hi`.
+#[test]
+fn a_learned_scan_reads_each_spanned_leaf_once() {
+    let sim = Sim::new();
+    let nam = NamCluster::new(&sim, ClusterSpec::default());
+    let idx = build(IndexKind::Learned, &nam);
+    let model = idx.index().router().and_then(|r| r.model());
+    let table = model.expect("a trained model").table().to_vec();
+    let covering = |key: u64| table.partition_point(|&(high, _)| high < key) as u64;
+    // Ranges of 1 to ~450 keys (one leaf to several head groups), some
+    // across partition boundaries.
+    let ranges: Vec<(u64, u64)> = (0..K)
+        .map(|j| {
+            let lo = (j * STRIDE) * 8 + 3;
+            (lo, (lo + (j * 113 % 450) * 8).min(KEYS * 8 - 5))
+        })
+        .collect();
+    // Per scan: (rows, RPCs, one-sided verbs).
+    let want: Vec<(u64, u64, u64)> = ranges
+        .iter()
+        .map(|&(lo, hi)| ((hi - lo) / 8, 0, covering(hi) - covering(lo) + 1))
+        .collect();
+    let rows: Rc<Cell<u64>> = Rc::default();
+    let measured: Vec<(u64, u64, u64)> = ranges
+        .iter()
+        .map(|&(lo, hi)| {
+            let before = totals(&nam);
+            let (idx, ep, out) = (idx.clone(), Endpoint::new(&nam.rdma), rows.clone());
+            sim.spawn(async move {
+                let got = idx.range(&ep, lo, hi).await.expect("range");
+                out.set(got.len() as u64);
+            });
+            sim.run();
+            let after = totals(&nam);
+            (rows.get(), after.0 - before.0, after.1 - before.1)
+        })
+        .collect();
+    assert_eq!(measured, want, "(rows, rpc, os) per scan");
+    assert!(want.iter().any(|&(_, _, n)| n > 30), "{want:?}");
 }
