@@ -286,13 +286,14 @@ fn learned_build_allocations_do_not_grow_with_the_pages() {
 /// 1 000-row scans from 64 places in 60 000 evenly spaced keys: ~24
 /// leaves and three or four head groups each. Once the arena holds a
 /// group's buffers, a scan allocates its result exactly once — the one
-/// large allocation it makes — and what is left is small: the `read_many`
-/// bookkeeping and the prefetch map of each group.
+/// large allocation it makes — and what is left is small: each group's
+/// READ batch (its messages, their queue waits and its buffer list) and
+/// its prefetch map.
 #[test]
 fn steady_state_fg_scans_allocate_their_result_once() {
-    /// Measured: 22.7 a scan. A result that doubled its way from 4 rows
-    /// to 1 024 made 8 more per scan (1 963), two of them large.
-    const WINDOW_ALLOCS: u64 = 1_451;
+    /// Measured: 16.8 a scan. A result that doubled its way from 4 rows
+    /// to 1 024 made 8 more per scan, two of them large.
+    const WINDOW_ALLOCS: u64 = 1_073;
     const ROWS: u64 = 1_000;
     const SCANS: u64 = 64;
     let data = ycsb::Dataset::new(60_000);
@@ -344,14 +345,13 @@ fn steady_state_fg_scans_allocate_their_result_once() {
 /// a scan READs them in `head_stride` batches and no head. Its result is
 /// still allocated once, at its final size, and the plan allocates
 /// nothing — it is a slice of the model's table, held through an `Rc`
-/// clone — so what is left is each batch's `read_many` bookkeeping and
-/// prefetch-map nodes, as for a head group, and one request buffer the
-/// batches share.
+/// clone — so what is left is each READ batch's messages, queue waits
+/// and buffer list and its prefetch-map nodes, as for a head group, and
+/// one request buffer the batches share.
 #[test]
 fn steady_state_learned_scans_allocate_their_result_once() {
-    /// Measured: 21.7 a scan. Walking to each head and prefetching its
-    /// group instead made 22.7 (1 451).
-    const WINDOW_ALLOCS: u64 = 1_387;
+    /// Measured: 14.2 a scan.
+    const WINDOW_ALLOCS: u64 = 909;
     const ROWS: u64 = 1_000;
     const SCANS: u64 = 64;
     let data = ycsb::Dataset::new(60_000);

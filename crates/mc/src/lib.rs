@@ -21,7 +21,7 @@
 //! * [`counterexample`] — violating schedules serialized as replayable,
 //!   greedily minimized artifacts;
 //! * [`explore`](mod@explore) — the budgeted exploration matrix and the mutation
-//!   hunts (feature `mutations`) that prove the checker catches six
+//!   hunts (feature `mutations`) that prove the checker catches seven
 //!   seeded bugs.
 //!
 //! Run it via `cargo xtask mc --quick` or the `mc_explore` binary.

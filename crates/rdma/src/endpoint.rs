@@ -33,18 +33,19 @@
 //!
 //! ## One verb body
 //!
-//! READ, WRITE, CAS, FETCH_AND_ADD and ALLOC share one path up to their
-//! effect (`Endpoint::onesided`: the issue-time refusals, the verb count,
-//! one leg of a round trip, the completion-time re-check), and every
-//! single message — a one-sided verb or either leg of an RPC — crosses
-//! a port, or the local path, through one `Endpoint::leg`. What stays
-//! per verb is its effect on the pool, the event it reports, and its log
-//! record.
+//! READ, WRITE, CAS, FETCH_AND_ADD, ALLOC and a `read_many` batch share
+//! one path up to their effect (`Endpoint::onesided`: the issue-time
+//! refusals, the verb count, one round trip, the completion-time
+//! re-check), and every message onto the wire — a one-sided verb's, a
+//! batch's, or either leg of an RPC — crosses a port, or the local path,
+//! in one `Endpoint::round`. What stays per verb is its effect on the
+//! pool, the event it reports, and its log record.
 
 use simnet::{Sim, SimDur, SimTime};
 
 use wal::{ServerWal, WaitOutcome, WalRecord};
 
+use crate::buf::PageBuf;
 use crate::cluster::Cluster;
 use crate::fault::VerbError;
 use crate::observer::{RpcEvent, VerbEvent, VerbKind};
@@ -65,16 +66,27 @@ enum Msg {
     /// An atomic: an 8-byte operand in and the old word out, at the
     /// atomic per-message cost.
     Atomic,
+    /// `n` bytes out of the server as one READ of a selectively
+    /// signalled batch (§4.3), at the batched per-message cost.
+    Batched(usize),
 }
 
-/// Port occupancy of one message: its per-message cost plus `bytes` at
-/// `bw` bytes per second.
-fn wire(overhead: SimDur, bytes: usize, bw: f64) -> SimDur {
-    overhead + SimDur::from_secs_f64(bytes as f64 / bw)
+impl Msg {
+    /// (per-message cost, payload, bytes into the server, bytes out). A
+    /// remote message holds its port for its cost plus its payload at
+    /// the link's bandwidth.
+    fn parts(self) -> (SimDur, usize, u64, u64) {
+        match self {
+            Msg::In(n) => (OP_WIRE_OVERHEAD, n, n as u64, 0),
+            Msg::Out(n) => (OP_WIRE_OVERHEAD, n, 0, n as u64),
+            Msg::Atomic => (ATOMIC_WIRE_OVERHEAD, 8, 8, 8),
+            Msg::Batched(n) => (BATCHED_WIRE_OVERHEAD, n, 0, n as u64),
+        }
+    }
 }
 
-/// A one-sided verb as its shared path sees it (one small value: an
-/// async fn keeps its arguments for its whole life).
+/// A single one-sided verb as `Endpoint::single` takes it (one small
+/// value: an async fn keeps its arguments for its whole life).
 #[derive(Clone, Copy)]
 enum OneSided {
     /// READ of `len` bytes at a pointer; its target is prefetched at
@@ -220,53 +232,86 @@ impl Endpoint {
         }
     }
 
-    /// Carry one message between this endpoint and server `s`; returns at
-    /// its completion with the nanoseconds it waited behind earlier NIC
-    /// traffic, and applies no memory effect. A co-located server takes
-    /// the local path. A remote message rolls the drop die, then is
-    /// projected against the FIFO port and refused if
-    /// `now + queue + wire + latency + extra > deadline`; only an admitted
-    /// message counts its bytes, occupies the wire and flies for
-    /// `latency` plus any degradation delay. One-sided verbs pass the
-    /// round trip, each RPC leg half of it.
-    async fn leg(
+    /// Carry one round of messages — a one-sided verb's, an RPC leg's or
+    /// a READ batch's — to their servers, and return at its completion
+    /// with each message's wait behind earlier NIC traffic in `queues`;
+    /// no memory effect applies here. A co-located server takes the
+    /// local path. Every remote message rolls its drop die before any
+    /// wire time is reserved (FIFO reservations cannot be rolled back):
+    /// one drop stalls the whole round, charged to the last dropped
+    /// server. Each message queues behind its port's earlier traffic and
+    /// this round's earlier messages to it, and the round is refused,
+    /// charged to the slowest message, if its last arrival plus `latency`
+    /// (the round trip for one-sided verbs, half of it per RPC leg)
+    /// passes `deadline`. Only an admitted round counts bytes and
+    /// occupies the wire.
+    async fn round(
         &self,
-        s: usize,
-        msg: Msg,
+        msgs: &[(usize, Msg)],
+        queues: &mut [u64],
         latency: SimDur,
         deadline: SimTime,
-    ) -> Result<u64, VerbError> {
+    ) -> Result<(), VerbError> {
         let sim = self.sim();
-        let spec = self.cluster.spec();
-        let server = self.cluster.server(s);
-        // (per-message cost, payload, bytes into the server, bytes out)
-        let (overhead, payload, into, out) = match msg {
-            Msg::In(n) => (OP_WIRE_OVERHEAD, n, n, 0),
-            Msg::Out(n) => (OP_WIRE_OVERHEAD, n, 0, n),
-            Msg::Atomic => (ATOMIC_WIRE_OVERHEAD, 8, 8, 8),
-        };
-        if self.is_local(s) {
-            server.local_bytes.add(payload as u64);
-            sim.sleep(spec.local_time(payload)).await;
-            return Ok(0);
+        let now = sim.now();
+        // The last drop, the last wire or local copy end, the last arrival
+        // and whose it is, and whether any message leaves the machine.
+        let (mut dropped, mut wired, mut arrival) = (None, now, now);
+        let (mut slowest, mut remote) = (msgs[0].0, false);
+        for (i, &(s, msg)) in msgs.iter().enumerate() {
+            let (cost, payload, ..) = msg.parts();
+            let (end, arrives) = if self.is_local(s) {
+                queues[i] = 0;
+                let end = now + self.cluster.spec().local_time(payload);
+                (end, end)
+            } else {
+                remote = true;
+                if self.cluster.roll_drop(s) {
+                    dropped = Some(s);
+                }
+                let (bw, extra) = self.link(s);
+                // Until admission, `queues` holds each remote message's
+                // projected wire end.
+                let start = match msgs[..i].iter().rposition(|&(t, _)| t == s) {
+                    Some(j) => SimTime::from_nanos(queues[j]),
+                    None => self.cluster.server(s).nic.busy_until().max(now),
+                };
+                let end = start + cost + SimDur::from_secs_f64(payload as f64 / bw);
+                queues[i] = end.as_nanos();
+                (end, end + extra)
+            };
+            wired = wired.max(end);
+            if arrives > arrival {
+                arrival = arrives;
+                slowest = s;
+            }
         }
-        let (bw, extra) = self.link(s);
-        if self.cluster.roll_drop(s) {
+        let completion = if remote { arrival + latency } else { arrival };
+        if let Some(s) = dropped.or((completion > deadline).then_some(slowest)) {
             return Err(self.fail_timeout(s, deadline).await);
         }
-        let wire = wire(overhead, payload, bw);
-        let queue = server.nic.queue_delay(sim.now());
-        if sim.now() + queue + wire + latency + extra > deadline {
-            return Err(self.fail_timeout(s, deadline).await);
+        // Admitted. With no await since the projection, each message
+        // starts at its port's `busy_until` after earlier reservations.
+        for (&(s, msg), queue) in msgs.iter().zip(queues.iter_mut()) {
+            let server = self.cluster.server(s);
+            let (_, payload, into, out) = msg.parts();
+            if self.is_local(s) {
+                server.local_bytes.add(payload as u64);
+            } else {
+                server.bytes_in.add(into);
+                server.bytes_out.add(out);
+                let start = server.nic.busy_until().max(now);
+                server.nic.reserve(now, SimTime::from_nanos(*queue) - start);
+                *queue = (start - now).as_nanos();
+            }
         }
-        server.bytes_in.add(into as u64);
-        server.bytes_out.add(out as u64);
-        // Read no argument after an await: the future would keep a
+        // Two timers, last wire end then completion (fusing them exactly
+        // is ROADMAP item 7(ii)); an all-local round's second returns at
+        // once. Read no argument after an await: the future would keep a
         // second copy of it.
-        let (flight, queue) = (latency + extra, queue.as_nanos());
-        server.nic.acquire(sim, wire).await;
-        sim.sleep(flight).await;
-        Ok(queue)
+        sim.sleep_until(wired).await;
+        sim.sleep_until(completion).await;
+        Ok(())
     }
 
     /// This verb's completion deadline.
@@ -335,13 +380,47 @@ impl Endpoint {
 
     // ------------------------------------------------- one-sided verbs ----
 
-    /// Everything a one-sided verb does before its effect: refuse at
-    /// issue (`Cancelled`, then `InvalidPointer`, then
-    /// `ServerUnreachable`), count the verb, carry its message through
-    /// one leg of a round trip, and re-check the server at completion.
-    /// Returns the server, the issue instant and the NIC queue wait; the
-    /// caller applies the effect, reports it and logs it.
-    async fn onesided(&self, verb: OneSided) -> Result<(usize, SimTime, u64), VerbError> {
+    /// The first of `msgs`' servers that is down, if any.
+    fn down(&self, msgs: &[(usize, Msg)]) -> Option<usize> {
+        msgs.iter()
+            .map(|&(s, _)| s)
+            .find(|&s| !self.cluster.server_up(s))
+    }
+
+    /// Everything one-sided verbs do between decoding their targets and
+    /// applying their effects: refuse at issue if a server is down, count
+    /// the verbs (unless `ops` is false: ALLOC is no one-sided op), carry
+    /// their messages through one round, and re-check every server at
+    /// completion. A single verb passes one message, a READ batch one per
+    /// request; `queues` receives each message's NIC queue wait.
+    async fn onesided(
+        &self,
+        msgs: &[(usize, Msg)],
+        queues: &mut [u64],
+        ops: bool,
+    ) -> Result<(), VerbError> {
+        if let Some(s) = self.down(msgs) {
+            return Err(self.fail_unreachable(s).await);
+        }
+        let deadline = self.deadline();
+        if ops {
+            for &(s, _) in msgs {
+                self.cluster.server(s).onesided_ops.inc();
+            }
+        }
+        self.round(msgs, queues, RT_LATENCY, deadline).await?;
+        if let Some(s) = self.down(msgs) {
+            return Err(self.fail_unreachable(s).await);
+        }
+        Ok(())
+    }
+
+    /// Everything a single one-sided verb does before its effect: refuse
+    /// at issue (`Cancelled`, then `InvalidPointer`), then the shared
+    /// [`Endpoint::onesided`] path for its one message. Returns the
+    /// server, the issue instant and the NIC queue wait; the caller
+    /// applies the effect, reports it and logs it.
+    async fn single(&self, verb: OneSided) -> Result<(usize, SimTime, u64), VerbError> {
         let issued = self.sim().now();
         self.check_alive()?;
         let (s, msg) = match verb {
@@ -350,164 +429,58 @@ impl Endpoint {
             OneSided::Atomic(ptr) => (self.decode(ptr)?, Msg::Atomic),
             OneSided::Alloc(s) => (s, Msg::In(0)),
         };
-        if !self.cluster.server_up(s) {
-            return Err(self.fail_unreachable(s).await);
-        }
-        let deadline = self.deadline();
-        let server = self.cluster.server(s);
-        if !matches!(verb, OneSided::Alloc(_)) {
-            server.onesided_ops.inc();
-        }
         if let OneSided::Read(ptr, len) = verb {
             // Host-side only: the copy at completion runs many events
             // from now.
-            server.pool.borrow().hint(ptr.offset(), len);
+            self.cluster.server(s).pool.borrow().hint(ptr.offset(), len);
         }
-        let queue = self.leg(s, msg, RT_LATENCY, deadline).await?;
-        if !self.cluster.server_up(s) {
-            return Err(self.fail_unreachable(s).await);
-        }
-        Ok((s, issued, queue))
+        let mut queue = [0];
+        let ops = !matches!(verb, OneSided::Alloc(_));
+        self.onesided(&[(s, msg)], &mut queue, ops).await?;
+        Ok((s, issued, queue[0]))
+    }
+
+    /// READ's effect at completion: the `len` bytes at `ptr` as they are
+    /// *now*, in a recycled buffer from the cluster's arena.
+    fn copy_out(&self, ptr: RemotePtr, len: usize) -> PageBuf {
+        let mut buf = self.cluster.arena().checkout(len);
+        let pool = &self.cluster.server(ptr.server()).pool;
+        pool.borrow().copy_out(ptr.offset(), &mut buf);
+        buf
     }
 
     /// One-sided `RDMA_READ` of `len` bytes.
     ///
-    /// The payload arrives in a recycled [`crate::buf::PageBuf`] from the
-    /// cluster's arena — steady-state descents re-use the same buffers
-    /// instead of allocating per verb.
-    pub async fn read(&self, ptr: RemotePtr, len: usize) -> Result<crate::buf::PageBuf, VerbError> {
-        let (s, issued, queue) = self.onesided(OneSided::Read(ptr, len)).await?;
-        // Effect at completion: copy the bytes as they are *now*.
-        let mut buf = self.cluster.arena().checkout(len);
-        let pool = &self.cluster.server(s).pool;
-        pool.borrow().copy_out(ptr.offset(), &mut buf);
+    /// The payload arrives in a recycled [`PageBuf`] from the cluster's
+    /// arena — steady-state descents re-use the same buffers instead of
+    /// allocating per verb.
+    pub async fn read(&self, ptr: RemotePtr, len: usize) -> Result<PageBuf, VerbError> {
+        let (s, issued, queue) = self.single(OneSided::Read(ptr, len)).await?;
+        let buf = self.copy_out(ptr, len);
         self.emit(s, ptr.offset(), len, VerbKind::Read, issued, queue);
         Ok(buf)
     }
 
-    /// Fan out one-sided READs (selectively signalled, §4.3): all wires
-    /// are reserved immediately and the caller waits for the last
-    /// completion, so transfers to different servers overlap. An empty
-    /// batch is no verb at all: nothing is counted, rolled or awaited.
-    pub async fn read_many(
-        &self,
-        reqs: &[(RemotePtr, usize)],
-    ) -> Result<Vec<crate::buf::PageBuf>, VerbError> {
+    /// Fan out one-sided READs (selectively signalled, §4.3) as one
+    /// round: all wires are reserved at once and the caller waits for the
+    /// last completion, so transfers to different servers overlap. An
+    /// empty batch is no verb at all: nothing is counted, rolled or
+    /// awaited.
+    pub async fn read_many(&self, reqs: &[(RemotePtr, usize)]) -> Result<Vec<PageBuf>, VerbError> {
         if reqs.is_empty() {
             return Ok(Vec::new());
         }
-        let sim = self.sim();
-        let issued = sim.now();
+        let issued = self.sim().now();
         self.check_alive()?;
-        let mut servers = Vec::with_capacity(reqs.len());
-        for &(ptr, _) in reqs {
-            servers.push(self.decode(ptr)?);
+        let mut msgs = Vec::with_capacity(reqs.len());
+        for &(ptr, len) in reqs {
+            msgs.push((self.decode(ptr)?, Msg::Batched(len)));
         }
-        for &s in &servers {
-            if !self.cluster.server_up(s) {
-                return Err(self.fail_unreachable(s).await);
-            }
-        }
-        let deadline = self.deadline();
-        // Roll every drop die up front, before any wire time is reserved:
-        // one dropped message stalls the whole selectively-signalled batch
-        // (the final completion never arrives), and a refused batch must
-        // not occupy the wire — FIFO reservations cannot be rolled back.
-        let mut dropped = None;
-        for &s in &servers {
-            if !self.is_local(s) && self.cluster.roll_drop(s) {
-                dropped = Some(s);
-            }
-        }
-        if let Some(s) = dropped {
-            for &t in &servers {
-                self.cluster.server(t).onesided_ops.inc();
-            }
-            return Err(self.fail_timeout(s, deadline).await);
-        }
-        // Project every completion against the FIFO NIC model without
-        // reserving, so a batch that would miss its deadline never touches
-        // the wire either. `projected` tracks per-server queue depth as
-        // this batch's own requests stack up behind one another.
-        let mut projected: Vec<(usize, SimTime)> = Vec::new();
-        let mut wires: Vec<Option<SimDur>> = Vec::with_capacity(reqs.len());
-        // Per-request NIC queue wait (behind earlier traffic *and* this
-        // batch's own earlier requests to the same server).
-        let mut queues: Vec<u64> = Vec::with_capacity(reqs.len());
-        let mut latest = sim.now();
-        let mut slowest = servers[0];
-        let mut any_remote = false;
-        for (&(_, len), &s) in reqs.iter().zip(&servers) {
-            let server = self.cluster.server(s);
-            server.onesided_ops.inc();
-            let done;
-            if self.is_local(s) {
-                done = sim.now() + self.cluster.spec().local_time(len);
-                wires.push(None);
-                queues.push(0);
-            } else {
-                any_remote = true;
-                let (bw, extra) = self.link(s);
-                let wire = wire(BATCHED_WIRE_OVERHEAD, len, bw);
-                let i = match projected.iter().position(|&(ps, _)| ps == s) {
-                    Some(i) => i,
-                    None => {
-                        projected.push((s, server.nic.busy_until().max(sim.now())));
-                        projected.len() - 1
-                    }
-                };
-                queues.push((projected[i].1 - sim.now()).as_nanos());
-                projected[i].1 += wire;
-                done = projected[i].1 + extra;
-                wires.push(Some(wire));
-            }
-            if done > latest {
-                latest = done;
-                slowest = s;
-            }
-        }
-        let completion = if any_remote {
-            latest + RT_LATENCY
-        } else {
-            latest
-        };
-        if completion > deadline {
-            // Attribute the timeout to the server whose projected
-            // completion pushed the batch past its deadline.
-            return Err(self.fail_timeout(slowest, deadline).await);
-        }
-        // The batch is admitted: commit reservations and byte counters.
-        // No await separates projection from reservation, so the
-        // reserved times equal the projected ones exactly.
-        for (&(_, len), (&s, wire)) in reqs.iter().zip(servers.iter().zip(&wires)) {
-            let server = self.cluster.server(s);
-            if let Some(wire) = wire {
-                server.bytes_out.add(len as u64);
-                server.nic.reserve(sim.now(), *wire);
-            } else {
-                server.local_bytes.add(len as u64);
-            }
-        }
-        sim.sleep_until(latest).await;
-        if any_remote {
-            sim.sleep(RT_LATENCY).await;
-        }
-        for &s in &servers {
-            if !self.cluster.server_up(s) {
-                return Err(self.fail_unreachable(s).await);
-            }
-        }
-        let bufs: Vec<crate::buf::PageBuf> = reqs
+        let mut queues = vec![0; reqs.len()];
+        self.onesided(&msgs, &mut queues, true).await?;
+        let bufs: Vec<_> = reqs
             .iter()
-            .map(|&(ptr, len)| {
-                let mut buf = self.cluster.arena().checkout(len);
-                self.cluster
-                    .server(ptr.server())
-                    .pool
-                    .borrow()
-                    .copy_out(ptr.offset(), &mut buf);
-                buf
-            })
+            .map(|&(ptr, len)| self.copy_out(ptr, len))
             .collect();
         for (&(ptr, len), &queue) in reqs.iter().zip(&queues) {
             self.emit(
@@ -524,7 +497,7 @@ impl Endpoint {
 
     /// One-sided `RDMA_WRITE` of `data`.
     pub async fn write(&self, ptr: RemotePtr, data: &[u8]) -> Result<(), VerbError> {
-        let (s, issued, queue) = self.onesided(OneSided::Write(ptr, data.len())).await?;
+        let (s, issued, queue) = self.single(OneSided::Write(ptr, data.len())).await?;
         let pool = &self.cluster.server(s).pool;
         pool.borrow_mut().copy_in(ptr.offset(), data);
         // Observers (checker, telemetry) see the effect when it
@@ -541,7 +514,7 @@ impl Endpoint {
     /// One-sided `RDMA_CAS` on an 8-byte word. Returns the previous
     /// value; the swap happened iff it equals `expected`.
     pub async fn cas(&self, ptr: RemotePtr, expected: u64, new: u64) -> Result<u64, VerbError> {
-        let (s, issued, queue) = self.onesided(OneSided::Atomic(ptr)).await?;
+        let (s, issued, queue) = self.single(OneSided::Atomic(ptr)).await?;
         let pool = &self.cluster.server(s).pool;
         let prev = pool.borrow_mut().cas(ptr.offset(), expected, new);
         // Observed at apply time (see `write`): a racing CAS can fail
@@ -582,7 +555,7 @@ impl Endpoint {
     /// One-sided `RDMA_FETCH_AND_ADD` on an 8-byte word; returns the
     /// previous value.
     pub async fn fetch_add(&self, ptr: RemotePtr, add: u64) -> Result<u64, VerbError> {
-        let (s, issued, queue) = self.onesided(OneSided::Atomic(ptr)).await?;
+        let (s, issued, queue) = self.single(OneSided::Atomic(ptr)).await?;
         let pool = &self.cluster.server(s).pool;
         let prev = pool.borrow_mut().fetch_add(ptr.offset(), add);
         self.emit(
@@ -607,7 +580,7 @@ impl Endpoint {
     /// degradation, and a crash that lands mid-flight all void the
     /// reservation — the allocation effect applies only at completion.
     pub async fn alloc(&self, s: usize, size: u64) -> Result<RemotePtr, VerbError> {
-        let (s, issued, queue) = self.onesided(OneSided::Alloc(s)).await?;
+        let (s, issued, queue) = self.single(OneSided::Alloc(s)).await?;
         // Effect at completion: the bump reservation happens only once
         // the request has survived the wire and the server is still up.
         let ptr = self.cluster.setup_alloc(s, size);
@@ -688,7 +661,10 @@ impl Endpoint {
         // Time spent queued (NIC FIFO on both legs + waiting for a
         // handler core) and executing on the handler core, for the
         // completion event.
-        let mut queue_nanos = self.leg(s, Msg::In(req_bytes), half, deadline).await?;
+        let mut queue = [0];
+        self.round(&[(s, Msg::In(req_bytes))], &mut queue, half, deadline)
+            .await?;
+        let mut queue_nanos = queue[0];
         if !self.cluster.server_up(s) {
             return Err(self.fail_unreachable(s).await);
         }
@@ -723,7 +699,8 @@ impl Endpoint {
         self.ack_durable(s, mark).await?;
 
         let resp = Msg::Out(reply.resp_bytes);
-        queue_nanos += self.leg(s, resp, half, deadline).await?;
+        self.round(&[(s, resp)], &mut queue, half, deadline).await?;
+        queue_nanos += queue[0];
         if self.cluster.has_observers() {
             self.cluster.observe_rpc(RpcEvent {
                 client: self.client,
@@ -743,7 +720,7 @@ mod tests {
     use super::*;
     use crate::fault::{FaultStats, LinkDegrade};
     use crate::spec::{ClusterSpec, NIC_BANDWIDTH};
-    use std::cell::Cell;
+    use std::cell::{Cell, RefCell};
     use std::rc::Rc;
 
     fn harness() -> (Sim, Cluster) {
@@ -1220,25 +1197,27 @@ mod tests {
     fn refused_read_many_batch_never_touches_the_wire() {
         let (sim, cluster) = harness();
         cluster.set_fault_seed(7);
-        // Only server 2's link drops; servers 0 and 1 are clean, yet the
-        // refused batch must not occupy their NICs either.
-        cluster.degrade_link(
-            2,
-            LinkDegrade {
+        // Servers 1 and 3 drop; servers 0 and 2 are clean, yet the
+        // refused batch must not occupy their NICs either. Every die is
+        // rolled, and the round is charged to the last dropped server.
+        for s in [1, 3] {
+            let drop = LinkDegrade {
                 drop_chance: 1.0,
                 ..LinkDegrade::default()
-            },
-        );
-        let reqs: Vec<_> = (0..3)
+            };
+            cluster.degrade_link(s, drop);
+        }
+        let reqs: Vec<_> = (0..4)
             .map(|s| (cluster.setup_alloc(s, 512), 512usize))
             .collect();
         let ep = Endpoint::new(&cluster);
         sim.spawn(async move {
             let err = ep.read_many(&reqs).await.unwrap_err();
-            assert_eq!(err, VerbError::Timeout { server: 2 });
+            assert_eq!(err, VerbError::Timeout { server: 3 });
         });
         sim.run();
-        for s in 0..3 {
+        assert_eq!(cluster.fault_stats().verbs_dropped, 2);
+        for s in 0..4 {
             let stats = cluster.server_stats(s);
             assert_eq!(stats.nic_busy_nanos, 0, "server {s} wire stayed idle");
             assert_eq!(stats.bytes_out, 0, "server {s} shipped no bytes");
@@ -1371,6 +1350,7 @@ mod tests {
                 assert_eq!(ep.write(ptr, &[1; 1024]).await, timeout);
                 assert_eq!(ep.cas(ptr, 0, 1).await.map(|_| ()), timeout);
                 assert_eq!(ep.fetch_add(ptr, 1).await.map(|_| ()), timeout);
+                assert_eq!(ep.read_many(&[(ptr, 1024)]).await.map(|_| ()), timeout);
             });
             sim.run();
             let stats = cluster.server_stats(0);
@@ -1379,7 +1359,164 @@ mod tests {
                 (0, 0, 0),
                 "{degrade:?}"
             );
-            assert_eq!(stats.onesided_ops, 4, "refused verbs are still issued");
+            assert_eq!(stats.onesided_ops, 5, "refused verbs are still issued");
+        }
+    }
+
+    /// What a round of `(server, per-message cost, bytes)` messages does,
+    /// worked out from the state before it: each message's NIC queue
+    /// wait, the completion instant, and the server a deadline refusal is
+    /// charged to. Port by port, a remote message starts when the port
+    /// frees up and holds it for its cost plus its bytes at the degraded
+    /// bandwidth; it arrives after any extra delay, a local copy when it
+    /// ends, and the round completes a round trip after its last arrival.
+    fn expected_round(
+        ep: &Endpoint,
+        msgs: &[(usize, SimDur, usize)],
+    ) -> (Vec<u64>, SimTime, usize) {
+        let cluster = ep.cluster();
+        let now = cluster.sim().now();
+        let mut free: Vec<_> = (0..cluster.num_servers())
+            .map(|s| cluster.server(s).nic.busy_until().max(now))
+            .collect();
+        let (mut queues, mut last, mut slowest, mut remote) = (vec![], now, msgs[0].0, false);
+        for &(s, cost, len) in msgs {
+            let arrives = if ep.is_local(s) {
+                queues.push(0);
+                now + cluster.spec().local_time(len)
+            } else {
+                remote = true;
+                let d = cluster.link_degrade(s).unwrap_or_default();
+                let bw = cluster.spec().effective_bandwidth(s) * d.bandwidth_factor;
+                queues.push((free[s] - now).as_nanos());
+                free[s] += cost + SimDur::from_secs_f64(len as f64 / bw);
+                free[s] + d.extra_delay
+            };
+            if arrives > last {
+                (last, slowest) = (arrives, s);
+            }
+        }
+        let done = if remote { last + RT_LATENCY } else { last };
+        (queues, done, slowest)
+    }
+
+    /// A single READ and a `read_many` batch cross the wire through one
+    /// round, so both are exactly the arithmetic of the state they start
+    /// from: the completion instant, each message's queue wait, the bytes
+    /// counted and the server a refusal is charged to.
+    #[test]
+    fn one_round_prices_single_reads_and_batches() {
+        struct Queues(RefCell<Vec<u64>>);
+        impl crate::observer::VerbObserver for Queues {
+            fn on_verb(&self, e: &VerbEvent) {
+                self.0.borrow_mut().push(e.queue_nanos);
+            }
+            fn on_free(&self, _: usize, _: u64, _: usize, _: SimTime) {}
+        }
+        let slow = LinkDegrade {
+            extra_delay: SimDur::from_nanos(3_000),
+            bandwidth_factor: 0.25,
+            ..LinkDegrade::default()
+        };
+        let stalled = LinkDegrade {
+            bandwidth_factor: 1e-6,
+            ..LinkDegrade::default()
+        };
+        type Case<'a> = (bool, bool, &'a [(usize, LinkDegrade)], &'a [(usize, usize)]);
+        // (co-located on machine 0, a single READ, degraded links,
+        // requests as (server, bytes))
+        let cases: [Case; 5] = [
+            // (a) one READ, (b) a one-element batch
+            (false, true, &[], &[(0, 1024)]),
+            (false, false, &[], &[(0, 1024)]),
+            // (c) four servers, two requests on port 0, a degraded link
+            (
+                false,
+                false,
+                &[(2, slow)],
+                &[(0, 512), (2, 4096), (1, 256), (0, 2048), (3, 1024)],
+            ),
+            // (d) servers 0 and 1 are local, 2 and 3 remote
+            (
+                true,
+                false,
+                &[(2, slow)],
+                &[(2, 1024), (0, 512), (3, 256), (1, 4096), (2, 64)],
+            ),
+            // (e) server 3's wire would outlast the deadline
+            (
+                false,
+                false,
+                &[(2, slow), (3, stalled)],
+                &[(0, 512), (3, 512), (2, 512)],
+            ),
+        ];
+        for (colocated, single, degrades, reqs) in cases {
+            let (sim, cluster) = harness();
+            // Earlier traffic still on two ports.
+            cluster
+                .server(0)
+                .nic
+                .reserve(SimTime::ZERO, SimDur::from_nanos(900));
+            cluster
+                .server(2)
+                .nic
+                .reserve(SimTime::ZERO, SimDur::from_nanos(400));
+            for &(s, d) in degrades {
+                cluster.degrade_link(s, d);
+            }
+            let ptrs: Vec<_> = reqs
+                .iter()
+                .map(|&(s, len)| (cluster.setup_alloc(s, len as u64), len))
+                .collect();
+            let ep = if colocated {
+                Endpoint::colocated(&cluster, 0)
+            } else {
+                Endpoint::new(&cluster)
+            };
+            let cost = if single {
+                OP_WIRE_OVERHEAD
+            } else {
+                BATCHED_WIRE_OVERHEAD
+            };
+            let msgs: Vec<_> = reqs.iter().map(|&(s, len)| (s, cost, len)).collect();
+            let (queues, done, slowest) = expected_round(&ep, &msgs);
+            let ports: Vec<_> = (0..4).map(|s| cluster.server(s).nic.busy_until()).collect();
+            let local: Vec<_> = (0..4).map(|s| ep.is_local(s)).collect();
+            let seen = Rc::new(Queues(RefCell::new(vec![])));
+            cluster.add_observer(seen.clone());
+            let outcome = Rc::new(Cell::new(None));
+            let (out, s) = (outcome.clone(), sim.clone());
+            sim.spawn(async move {
+                let r = if single {
+                    ep.read(ptrs[0].0, ptrs[0].1).await.map(|_| ())
+                } else {
+                    ep.read_many(&ptrs).await.map(|_| ())
+                };
+                out.set(Some((r, s.now())));
+            });
+            sim.run();
+            let deadline = SimTime::ZERO + VERB_TIMEOUT;
+            let bytes = |s: usize| {
+                let st = cluster.server_stats(s);
+                (st.bytes_in, st.bytes_out, st.local_bytes)
+            };
+            if done > deadline {
+                let timeout = Err(VerbError::Timeout { server: slowest });
+                assert_eq!(outcome.get(), Some((timeout, deadline)));
+                for (s, &port) in ports.iter().enumerate() {
+                    assert_eq!(bytes(s), (0, 0, 0), "server {s}");
+                    assert_eq!(cluster.server(s).nic.busy_until(), port);
+                }
+                continue;
+            }
+            assert_eq!(outcome.get(), Some((Ok(()), done)), "{reqs:?}");
+            assert_eq!(*seen.0.borrow(), queues, "{reqs:?}");
+            for (s, &local) in local.iter().enumerate() {
+                let sent: u64 = reqs.iter().filter(|r| r.0 == s).map(|r| r.1 as u64).sum();
+                let counted = if local { (0, 0, sent) } else { (0, sent, 0) };
+                assert_eq!(bytes(s), counted, "server {s} of {reqs:?}");
+            }
         }
     }
 

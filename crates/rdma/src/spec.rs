@@ -77,10 +77,12 @@ pub const RPC_CLIENT_PENALTY: SimDur = SimDur::from_nanos(25);
 
 // --- failure model (fault injection + recovery) ---
 
-/// Completion deadline for a single verb: if a verb cannot complete
-/// by `issue + VERB_TIMEOUT` (queueing, degradation, or a dropped
-/// message), it fails with `VerbError::Timeout` at the deadline.
-/// Generous so fault-free RPC queueing never trips it.
+/// Completion deadline of a verb from its issue; an RPC's two legs, its
+/// wait for a handler core and the handler's run share one. A verb that
+/// cannot complete by then (queueing, degradation, a dropped message, a
+/// long handler) fails with `VerbError::Timeout` at the deadline. Not
+/// generous: fault-free full-scale CG `range_sel0.1` cells of fig07 and
+/// fig08 abort on it, at 0.0 ops/s (ROADMAP item 1).
 pub const VERB_TIMEOUT: SimDur = SimDur::from_millis(1);
 /// First retry backoff step for retryable verb failures.
 pub const RETRY_BACKOFF_BASE: SimDur = SimDur::from_micros(2);

@@ -70,12 +70,6 @@ impl FifoLink {
         self.busy_until.get()
     }
 
-    /// How long an acquirer arriving at `now` would wait behind earlier
-    /// holders before its own occupancy starts (zero on an idle link).
-    pub fn queue_delay(&self, now: SimTime) -> SimDur {
-        self.busy_until.get().max(now) - now
-    }
-
     /// Total virtual time the link has been occupied (for utilization).
     pub fn busy_time(&self) -> SimDur {
         SimDur::from_nanos(self.busy_nanos.get())
@@ -300,22 +294,6 @@ mod tests {
         sim.run();
         assert_eq!(*ends.borrow(), vec![(0, 10), (1, 20), (2, 30)]);
         assert_eq!(link.busy_time().as_micros(), 30);
-    }
-
-    #[test]
-    fn fifo_link_queue_delay_tracks_backlog() {
-        let link = FifoLink::new();
-        assert_eq!(link.queue_delay(SimTime::ZERO), SimDur::ZERO);
-        link.reserve(SimTime::ZERO, SimDur::from_micros(10));
-        assert_eq!(
-            link.queue_delay(SimTime::ZERO + SimDur::from_micros(4)),
-            SimDur::from_micros(6)
-        );
-        // After the backlog drains, arrivals wait nothing.
-        assert_eq!(
-            link.queue_delay(SimTime::ZERO + SimDur::from_micros(15)),
-            SimDur::ZERO
-        );
     }
 
     #[test]
