@@ -205,26 +205,30 @@ impl LocalTree {
         (node.get(key), stats)
     }
 
-    /// Smallest stored live `(key, value)` with key `>= key`, if any.
-    /// Used by the hybrid design's upper levels to map a search key to a
-    /// leaf pointer.
-    pub fn ceiling(&self, key: Key) -> (Option<(Key, Value)>, WorkStats) {
+    /// The live entries of the one leaf holding `key`'s ceiling (the
+    /// smallest stored live key `>= key`), from that ceiling on, handed
+    /// to `take` in key order until it returns false. The hybrid design's
+    /// upper levels map a key to the leaf pointer at its ceiling, and a
+    /// range to the run of pointers after it.
+    pub fn ceiling_run(&self, key: Key, mut take: impl FnMut(Key, Value) -> bool) -> WorkStats {
         let mut stats = WorkStats::default();
         let mut cur = self.descend(key, &mut stats, None);
         loop {
             let node = LeafNodeRef::new(self.page(cur));
-            let mut i = node.lower_bound(key);
-            while i < node.count() {
+            let mut taken = false;
+            for i in node.lower_bound(key)..node.count() {
                 let (k, v, deleted) = node.entry(i);
                 stats.entries_scanned += 1;
                 if !deleted {
-                    return (Some((k, v)), stats);
+                    taken = true;
+                    if !take(k, v) {
+                        return stats;
+                    }
                 }
-                i += 1;
             }
             let next = node.right_sibling();
-            if next.is_null() {
-                return (None, stats);
+            if taken || next.is_null() {
+                return stats;
             }
             stats.nodes_visited += 1;
             stats.sibling_hops += 1;
@@ -725,10 +729,18 @@ mod tests {
     #[test]
     fn ceiling_queries() {
         let tree = LocalTree::bulk_load(layout(), (0..100u64).map(|k| (k * 10, k)), 0.8);
-        assert_eq!(tree.ceiling(0).0, Some((0, 0)));
-        assert_eq!(tree.ceiling(11).0, Some((20, 2)));
-        assert_eq!(tree.ceiling(990).0, Some((990, 99)));
-        assert_eq!(tree.ceiling(991).0, None);
+        let ceiling = |key| {
+            let mut found = None;
+            tree.ceiling_run(key, |k, v| {
+                found = Some((k, v));
+                false
+            });
+            found
+        };
+        assert_eq!(ceiling(0), Some((0, 0)));
+        assert_eq!(ceiling(11), Some((20, 2)));
+        assert_eq!(ceiling(990), Some((990, 99)));
+        assert_eq!(ceiling(991), None);
     }
 
     /// Each seeded corruption comes back as a finding naming it, and

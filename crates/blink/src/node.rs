@@ -566,6 +566,13 @@ impl<'a> InnerNodeRef<'a> {
             None
         }
     }
+
+    /// Indices of the entries a scan of `[lo, hi]` crosses: from the
+    /// child covering `lo` through the first whose separator is `>= hi`,
+    /// or through the last entry.
+    pub fn span(&self, lo: Key, hi: Key) -> std::ops::Range<usize> {
+        lower_bound(self.page, lo)..(lower_bound(self.page, hi) + 1).min(self.count())
+    }
 }
 
 /// Mutable view of an inner page.
@@ -696,11 +703,6 @@ impl<'a> HeadNodeRef<'a> {
     pub fn ptr(&self, i: usize) -> Ptr {
         debug_assert!(i < self.count());
         Ptr(read_u64(self.page, off::ENTRIES + i * HEAD_ENTRY_SIZE))
-    }
-
-    /// All stored pointers.
-    pub fn ptrs(&self) -> Vec<Ptr> {
-        (0..self.count()).map(|i| self.ptr(i)).collect()
     }
 
     /// The head's sibling pointer (first leaf of its group).
@@ -1037,6 +1039,23 @@ mod tests {
         assert_eq!(inner.find_child(u64::MAX - 1), Some(Ptr(200)));
     }
 
+    /// A scan's span runs from the child covering `lo` through the first
+    /// whose separator reaches `hi`, and is empty past the high key.
+    #[test]
+    fn inner_span_names_the_children_a_scan_crosses() {
+        let mut page = PageLayout::default().alloc_page();
+        let mut inner = InnerNodeMut::init(&mut page, 1, 40, Ptr::NULL);
+        for (sep, child) in [(10, 1), (20, 2), (30, 3), (40, 4)] {
+            inner.push(sep, Ptr(child)).unwrap();
+        }
+        let inner = inner.as_ref();
+        assert_eq!(inner.span(15, 25), 1..3);
+        assert_eq!(inner.span(10, 10), 0..1, "separators are inclusive");
+        assert_eq!(inner.span(0, 11), 0..2);
+        assert_eq!(inner.span(35, u64::MAX), 3..4, "through the last entry");
+        assert!(inner.span(41, 50).is_empty(), "past the high key");
+    }
+
     #[test]
     fn inner_install_split() {
         let mut page = PageLayout::default().alloc_page();
@@ -1079,7 +1098,9 @@ mod tests {
         let head = HeadNodeRef::new(&page);
         assert_eq!(head.count(), 8);
         assert_eq!(head.ptr(3), Ptr(4));
-        assert_eq!(head.ptrs(), ptrs);
+        assert!((0..head.count())
+            .map(|i| head.ptr(i))
+            .eq(ptrs.iter().copied()));
         assert_eq!(head.right_sibling(), Ptr(1));
         assert_eq!(kind_of(&page), NodeKind::Head);
     }

@@ -14,10 +14,13 @@
 //! Range scans use the §4.3 optimisation: *head nodes* interposed in the
 //! leaf chain every `head_stride` leaves redundantly store the remote
 //! pointers of their group, letting a scan prefetch a whole group of
-//! leaves with selectively signalled READs. Head nodes are only an
-//! optimisation: direct sibling pointers are kept, and a scan that meets
-//! a leaf absent from the prefetched group (a concurrent split) simply
-//! issues one extra READ.
+//! leaves with selectively signalled READs. A scan meets them only off
+//! its plan: the node above the leaves (a level-1 page, a local upper
+//! level's reply, a model) already names the leaves and is READ in
+//! `head_stride` batches instead ([`crate::engine`]). Head nodes are
+//! only an optimisation: direct sibling pointers are kept, and a scan
+//! that meets a leaf absent from the prefetched group (a concurrent
+//! split) simply issues one extra READ.
 //!
 //! Cost profile (Table 2): every level costs a round trip, so point
 //! lookups over remote inner levels move `H·P` bytes; but the aggregated
@@ -43,7 +46,8 @@ pub struct FgConfig {
     /// Bulk-load fill factor in `(0, 1]`.
     pub fill: f64,
     /// Install a head node before every `head_stride` leaves; `0`
-    /// disables head nodes.
+    /// disables head nodes. Also the number of planned leaves a scan
+    /// READs in one batch (one when `0`).
     pub head_stride: usize,
     /// Client-side cache capacity in entries per client (`Some(0)` =
     /// unbounded); `None` disables caching entirely — the descent is an

@@ -26,8 +26,9 @@
 //!   registrations over RPC, see `Index::complete_split`). Runs
 //!   uncached on purpose: SMOs must observe fresh versions to CAS
 //!   against;
-//! * `scan_chain` — the §4.3 range scan with head-node group
-//!   prefetch, or batched READs of the leaves a learned model names;
+//! * `scan_chain` — the §4.3 range scan: batched READs of the leaves
+//!   the node above them names (a level-1 page, a resolution RPC's run,
+//!   the model's table), head-node group prefetch off that plan;
 //! * `with_retry!` + `backoff_before_retry` — the operation retry
 //!   layer with the single deterministic backoff/jitter source
 //!   ([`expo_delay_nanos`]), shared with the remote-spin backoff of
@@ -47,11 +48,14 @@
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::future::Future;
+use std::ops::Range;
+use std::rc::Rc;
 
 use blink::node::{
     kind_of, HeadNodeRef, InnerNodeMut, InnerNodeRef, LeafNodeMut, LeafNodeRef, NodeKind,
 };
 use blink::{Key, Ptr, Value};
+use learned_index::PgmModel;
 use rdma_sim::spec::{RETRY_BACKOFF_BASE, RETRY_BACKOFF_CAP, RETRY_LIMIT};
 use rdma_sim::{Endpoint, FenceKind, OpKind, PageBuf, RegionKind, RemotePtr, VerbError};
 use simnet::SimDur;
@@ -59,8 +63,8 @@ use simnet::SimDur;
 use crate::local::Local;
 use crate::msg;
 use crate::onesided::{lock_node, read_unlocked, Locked};
-use crate::resolve::Index;
-use crate::router::{scan_plan, Router};
+use crate::resolve::{Index, Page};
+use crate::router::Router;
 use crate::{Design, Mutation, OpError};
 
 fn rp(p: Ptr) -> RemotePtr {
@@ -249,26 +253,28 @@ impl Index {
         path: Option<&mut Vec<RemotePtr>>,
     ) -> Result<(RemotePtr, Option<PageBuf>), VerbError> {
         if self.root().is_some() {
-            let (leaf, page) = self.descend(ep, key, req_bytes, path).await?;
-            return Ok((leaf, Some(page)));
+            let (leaf, page) = self.descend(ep, key, req_bytes, path, 0).await?;
+            return Ok((leaf, Some(page.into_owned())));
         }
         Ok((self.start(ep, key, req_bytes).await?, None))
     }
 
-    /// Descend from the index's start to the leaf covering `key`: the
-    /// optimistic read / fence-validate / move-right loop shared by every
-    /// pointer-resolving traversal. When `path` is given, inner nodes
-    /// crossed on a *descending* edge are recorded (sibling chases are not
-    /// part of the path — Listing 2). Cache feedback: stale routing steps
-    /// call [`Index::invalidate`]; the covering leaf is reported via
-    /// [`Index::note_leaf`].
+    /// Descend from the index's start to the node at `level` covering
+    /// `key` (the leaf at level 0; a tree with no such level ends at its
+    /// leaf): the optimistic read / fence-validate / move-right loop
+    /// shared by every pointer-resolving traversal. When `path` is given,
+    /// inner nodes crossed on a *descending* edge are recorded (sibling
+    /// chases are not part of the path — Listing 2). Cache feedback: stale
+    /// routing steps call [`Index::invalidate`]; the covering leaf is
+    /// reported via [`Index::note_leaf`].
     async fn descend(
         &self,
         ep: &Endpoint,
         key: Key,
         req_bytes: usize,
         mut path: Option<&mut Vec<RemotePtr>>,
-    ) -> Result<(RemotePtr, PageBuf), VerbError> {
+        level: u8,
+    ) -> Result<(RemotePtr, Page), VerbError> {
         let mut parent = RemotePtr::NULL;
         let mut cur = self.start(ep, key, req_bytes).await?;
         loop {
@@ -280,6 +286,7 @@ impl Index {
                     // (optimistically read) inner copy still routes the key.
                     crate::note_fence(ep, FenceKind::Revalidate, cur);
                     match node.find_child(key) {
+                        Some(_) if node.level() == level => return Ok((cur, page)),
                         Some(c) => {
                             if let Some(p) = path.as_deref_mut() {
                                 p.push(cur);
@@ -314,7 +321,7 @@ impl Index {
                     };
                     if valid {
                         self.note_leaf(ep, key, cur, &page);
-                        return Ok((cur, page.into_owned()));
+                        return Ok((cur, page));
                     }
                     // Routed too far left (stale parent copy, stale cached
                     // route or prediction): invalidate the step that sent
@@ -332,7 +339,7 @@ impl Index {
         if let Some(local) = self.shipped() {
             return local.lookup(ep, key).await;
         }
-        let (_leaf, page) = self.descend(ep, key, msg::lookup_req(), None).await?;
+        let (_leaf, page) = self.descend(ep, key, msg::lookup_req(), None, 0).await?;
         Ok(LeafNodeRef::new(&page).get(key))
     }
 
@@ -347,12 +354,9 @@ impl Index {
         self.range_with(ep, lo, hi, &RangeProgress::default()).await
     }
 
-    /// [`Index::range`] as one attempt of a retried operation, with head-node
-    /// prefetch over a chain. A client descent reaches the covering leaf
-    /// first (chases before the scan issue no prefetch, matching
-    /// Listing 2); otherwise the whole chain walk is [`scan_chain`]'s,
-    /// which prefetches through any head it meets, or the model's plan.
-    /// `progress` only matters to shipped ranges (see [`Local::range`]).
+    /// [`Index::range`] as one attempt of a retried operation: shipped
+    /// whole, or [`scan_chain`] over a chain. `progress` only matters to
+    /// shipped ranges (see [`Local::range`]).
     pub(crate) async fn range_with(
         &self,
         ep: &Endpoint,
@@ -363,10 +367,36 @@ impl Index {
         if let Some(local) = self.shipped() {
             return local.range(ep, lo, hi, progress).await;
         }
-        // The epoch `start` checks, at the same instant.
-        let epoch = ep.cluster().restart_epoch();
-        let (start, page) = self.reach(ep, lo, msg::range_req(), None).await?;
-        scan_chain(self, ep, start, page, lo, hi, epoch).await
+        scan_chain(self, ep, lo, hi).await
+    }
+
+    /// The plan after `plan`, whose last leaf kept its high key `high <
+    /// hi`: the level-1 page's right sibling or the RPC's next run. A
+    /// model's plan covers `hi` already.
+    async fn next_plan(
+        &self,
+        ep: &Endpoint,
+        plan: &Plan,
+        high: Key,
+        hi: Key,
+    ) -> Result<Option<Plan>, VerbError> {
+        Ok(match (&plan.src, self.local()) {
+            (Source::Node(_, page), _) => {
+                let next = rp(InnerNodeRef::new(page).right_sibling());
+                let page = self.load(ep, next).await?;
+                if kind_of(&page) != NodeKind::Inner {
+                    return Err(VerbError::Invariant("a level-1 sibling is no inner node"));
+                }
+                // Its `span` is this page's fence, as `find_child` is a descent's.
+                crate::note_fence(ep, FenceKind::Revalidate, next);
+                Some(Plan::new(Source::Node(next, page), high + 1, hi))
+            }
+            (Source::Reply(_), Some(local)) => {
+                let run = local.leaf_plan(ep, high + 1, hi).await?;
+                Some(Plan::new(Source::Reply(run), high + 1, hi))
+            }
+            _ => None,
+        })
     }
 
     // -----------------------------------------------------------------------
@@ -704,32 +734,101 @@ impl Index {
 // Range scan over the leaf chain.
 // ---------------------------------------------------------------------------
 
-/// Scan the leaf chain from `start` collecting live entries in
-/// `[lo, hi]`, prefetching whole groups when head nodes are met.
-/// `start_page`, when given, is an already-fetched copy of `start`.
-/// Along the model's plan ([`scan_plan`]), while the restart `epoch`
-/// `start` was chosen under holds, it READs the planned leaves in
-/// `head_stride` batches and skips heads: a leaf that kept its trained
-/// high key never split, so the plan's next leaf follows it (DESIGN.md
-/// §15); a split one counts a mispredict and is left by its sibling.
+/// Where a scan's plan, `(high key, leaf)` pairs in chain order, comes
+/// from: the node above the leaves (DESIGN.md §15, "Range scans").
+enum Source {
+    /// The model's leaf table: client-resident, as a prediction is.
+    Model(Rc<PgmModel>),
+    /// The level-1 page at the pointer, READ by this scan or cached.
+    Node(RemotePtr, Page),
+    /// The run of one local leaf a resolution RPC returned.
+    Reply(Vec<(Key, u64)>),
+}
+
+/// The leaves a scan expects to cross next: entries `span` of `src`.
+struct Plan {
+    src: Source,
+    span: Range<usize>,
+}
+
+impl Plan {
+    /// The entries of `src` a scan of `[lo, hi]` crosses.
+    fn new(src: Source, lo: Key, hi: Key) -> Plan {
+        let span = match &src {
+            Source::Model(m) => m.predict_pos(lo)..m.predict_pos(hi) + 1,
+            Source::Node(_, page) => InnerNodeRef::new(page).span(lo, hi),
+            Source::Reply(run) => 0..run.len(),
+        };
+        Plan { src, span }
+    }
+
+    /// Planned entry `i`.
+    fn entry(&self, i: usize) -> Option<(Key, RemotePtr)> {
+        let (high, raw) = match &self.src {
+            _ if !self.span.contains(&i) => return None,
+            Source::Model(model) => *model.table().get(i)?,
+            Source::Node(_, page) => {
+                let (sep, child) = InnerNodeRef::new(page).entry(i);
+                (sep, child.raw())
+            }
+            Source::Reply(run) => *run.get(i)?,
+        };
+        Some((high, RemotePtr::from_raw(raw)))
+    }
+
+    /// The next planned leaf.
+    fn next(&self) -> Option<(Key, RemotePtr)> {
+        self.entry(self.span.start)
+    }
+}
+
+/// Scan the leaf chain collecting live entries in `[lo, hi]`, along the
+/// plan the node above the first leaf gives (DESIGN.md §15): the level-1
+/// page a remote upper level's descent stops at, the model's table, or
+/// a local upper level's resolution RPC. While the restart epoch holds,
+/// planned leaves are READ in `head_stride` batches and no head is: a
+/// leaf that kept its planned high key is followed by the plan's next, a
+/// split one by its sibling until the plan resumes. Off a plan, heads
+/// prefetch their groups.
 async fn scan_chain(
     idx: &Index,
     ep: &Endpoint,
-    start: RemotePtr,
-    start_page: Option<PageBuf>,
     lo: Key,
     hi: Key,
-    epoch: u64,
 ) -> Result<Vec<(Key, Value)>, VerbError> {
+    // The epoch `start` checks, at the same instant.
+    let epoch = ep.cluster().restart_epoch();
+    let (mut cur, mut pending, mut plan) = (RemotePtr::NULL, None, None);
+    if idx.root().is_some() {
+        let (ptr, page) = idx.descend(ep, lo, msg::range_req(), None, 1).await?;
+        match kind_of(&page) {
+            NodeKind::Inner => plan = Some(Plan::new(Source::Node(ptr, page), lo, hi)),
+            _ => (cur, pending) = (ptr, Some(page.into_owned())),
+        }
+    } else if let Some(ptr) = idx.client_start(ep, lo) {
+        cur = ptr;
+        plan = idx
+            .router()
+            .and_then(Router::model)
+            .map(|m| Plan::new(Source::Model(m), lo, hi));
+    } else if let Some(local) = idx.local() {
+        plan = Some(Plan::new(
+            Source::Reply(local.leaf_plan(ep, lo, hi).await?),
+            lo,
+            hi,
+        ));
+    }
+    // A plan begins at its first leaf; a model's must be the one predicted.
+    plan = plan.filter(|p| p.next().is_some_and(|e| cur.is_null() || e.1 == cur));
+    cur = plan.as_ref().and_then(Plan::next).map_or(cur, |e| e.1);
     let ps = idx.layout().page_size();
-    let model = idx.router().and_then(Router::model);
-    let mut plan = scan_plan(model.as_deref(), lo, hi, start);
     let batch = idx.chain().map_or(0, |c| c.head_stride).max(1);
-    let mut batch_reqs: Vec<(RemotePtr, usize)> = Vec::with_capacity(batch.min(plan.len()));
+    let mut batch_reqs: Vec<(RemotePtr, usize)> =
+        Vec::with_capacity(plan.as_ref().map_or(0, |p| batch.min(p.span.len())));
     let mut out = Vec::new();
     let mut prefetched: BTreeMap<u64, PageBuf> = BTreeMap::new();
-    let mut cur = start;
-    let mut pending = start_page;
+    // Keys below `from` lie in leaves already scanned.
+    let mut from = lo;
     // The result is sized once, from the first leaf's key density.
     let mut first_leaf = true;
     // Unconsumed prefetched pages never escape into the result; tell the
@@ -744,17 +843,25 @@ async fn scan_chain(
             discard_rest(ep, &prefetched);
             return Ok(out);
         }
-        if !plan.is_empty() && ep.cluster().restart_epoch() != epoch {
-            plan = &[];
+        if plan.is_some() && ep.cluster().restart_epoch() != epoch {
+            plan = None;
         }
-        // The trained high key of `cur`, if it is the plan's next leaf.
-        let trained = plan.first().filter(|e| e.1 == cur.raw()).map(|e| e.0);
-        if trained.is_some() && pending.is_none() && !prefetched.contains_key(&cur.raw()) {
+        // The planned high key of `cur`, if it is the plan's next leaf.
+        let planned = plan.as_ref().and_then(Plan::next).filter(|e| e.1 == cur);
+        let unread = pending.is_none() && !prefetched.contains_key(&cur.raw());
+        if let Some(plan) = plan.as_ref().filter(|_| planned.is_some() && unread) {
+            // Pointers from client-resident state take the fence a
+            // prediction takes; those this scan just read, none.
+            let served = matches!(
+                plan.src,
+                Source::Model(_) | Source::Node(_, Page::Cached(_))
+            );
             batch_reqs.clear();
-            for &(_, raw) in plan.iter().take(batch) {
-                // A planned pointer is served from the model, as a prediction is.
-                crate::note_fence(ep, FenceKind::CachedUse, RemotePtr::from_raw(raw));
-                batch_reqs.push((RemotePtr::from_raw(raw), ps));
+            for (_, ptr) in plan.span.clone().take(batch).map_while(|i| plan.entry(i)) {
+                if served {
+                    crate::note_fence(ep, FenceKind::CachedUse, ptr);
+                }
+                batch_reqs.push((ptr, ps));
             }
             let pages = ep.read_many(&batch_reqs).await?;
             for ((p, _), bytes) in batch_reqs.iter().zip(pages) {
@@ -782,11 +889,8 @@ async fn scan_chain(
                 // READs (§4.3) — one latency for the group.
                 crate::note_fence(ep, FenceKind::Revalidate, cur);
                 let head = HeadNodeRef::new(&page);
-                let reqs: Vec<(RemotePtr, usize)> = head
-                    .ptrs()
-                    .iter()
-                    .map(|p| (RemotePtr::from_page_ptr(*p), ps))
-                    .collect();
+                let reqs: Vec<(RemotePtr, usize)> =
+                    (0..head.count()).map(|i| (rp(head.ptr(i)), ps)).collect();
                 let pages = ep.read_many(&reqs).await?;
                 for ((p, _), bytes) in reqs.iter().zip(pages) {
                     prefetched.insert(p.raw(), bytes);
@@ -799,20 +903,28 @@ async fn scan_chain(
                 if std::mem::take(&mut first_leaf) {
                     out.reserve(leaf.expected_rows(lo, hi));
                 }
-                leaf.collect_range(lo, hi, &mut out);
+                leaf.collect_range(from, hi, &mut out);
                 if leaf.high_key() >= hi {
                     discard_rest(ep, &prefetched);
                     return Ok(out);
                 }
+                from = leaf.high_key() + 1;
                 cur = rp(leaf.right_sibling());
-                if let Some(high) = trained {
-                    plan = plan.get(1..).unwrap_or_default();
-                    // Mutation `LearnedScanSkipsSplit`: skip the high-key check.
-                    if leaf.high_key() == high || crate::mutated(Mutation::LearnedScanSkipsSplit) {
-                        cur = plan.first().map_or(cur, |e| RemotePtr::from_raw(e.1));
-                    } else {
-                        idx.invalidate(ep, high, RemotePtr::NULL);
+                let Some(((high, _), p)) = planned.zip(plan.as_mut()) else {
+                    continue;
+                };
+                p.span.start += 1;
+                // Mutation `LearnedScanSkipsSplit`: skip the high-key check.
+                if leaf.high_key() == high || crate::mutated(Mutation::LearnedScanSkipsSplit) {
+                    if p.span.is_empty() {
+                        plan = idx.next_plan(ep, p, high, hi).await?;
                     }
+                    cur = plan.as_ref().and_then(Plan::next).map_or(cur, |e| e.1);
+                } else if let Source::Node(origin, _) = p.src {
+                    // The stale level-1 page leaves the cache.
+                    idx.invalidate(ep, high, origin);
+                } else {
+                    idx.invalidate(ep, high, RemotePtr::NULL);
                 }
             }
             // Leaf chains never link to an inner node; reaching one means
@@ -892,7 +1004,6 @@ mod tests {
     use rdma_sim::{Cluster, ClusterSpec};
     use simnet::Sim;
     use std::cell::Cell;
-    use std::rc::Rc;
 
     fn fnv1a(bytes: &[u8]) -> u64 {
         let mut h: u64 = 0xcbf29ce484222325;
@@ -995,6 +1106,89 @@ mod tests {
             assert_eq!(rows.len(), 3, "absorption is exact-pair only: {rows:?}");
         });
         sim.run();
+    }
+
+    /// A scan whose plan names a leaf that has split since — a split
+    /// whose registration has not reached the level above yet, made here
+    /// on the setup path — still returns every row: it leaves the plan at
+    /// the split leaf, READs the split-born leaf through its sibling
+    /// pointer and rejoins the plan at the next planned leaf, for one
+    /// READ more than before the split. (The learned twin, whose plan is
+    /// the model's, is in `router.rs`.)
+    fn scan_leaves_the_plan_at_a_split_and_rejoins_it(nam: &NamCluster, idx: Rc<Index>) {
+        use blink::node::LeafNodeMut;
+        let (lo, hi) = (100 * 8, 199 * 8);
+        let src = idx.setup_source();
+        let chain: Vec<_> = src.chain(idx.chain().unwrap().first()).collect();
+        // A leaf mid-range whose chain successor is a leaf, not a head.
+        let inside: Vec<RemotePtr> = chain
+            .windows(2)
+            .filter(|w| kind_of(&w[0].1) == NodeKind::Leaf && kind_of(&w[1].1) == NodeKind::Leaf)
+            .filter(|w| (lo + 80..hi - 80).contains(&LeafNodeRef::new(&w[0].1).high_key()))
+            .map(|w| w[0].0)
+            .collect();
+        let split = inside[inside.len() / 2];
+        let oracle: Vec<(Key, Value)> = (100..200u64).map(|i| (i * 8, i)).collect();
+        let scan = || {
+            let cluster = nam.rdma.clone();
+            let verbs = move || {
+                let stats = (0..4).map(|s| cluster.server_stats(s));
+                stats.fold((0, 0), |(r, o), st| (r + st.rpcs, o + st.onesided_ops))
+            };
+            let got = Rc::new(RefCell::new(None));
+            let (idx, out) = (idx.clone(), got.clone());
+            let ep = rdma_sim::Endpoint::new(&nam.rdma);
+            let sim = nam.rdma.sim().clone();
+            sim.spawn(async move {
+                let (rpcs, reads) = verbs();
+                let rows = idx.range(&ep, lo, hi).await.unwrap();
+                let (rpcs2, reads2) = verbs();
+                *out.borrow_mut() = Some((rows, rpcs2 - rpcs, reads2 - reads));
+            });
+            sim.run();
+            got.take().unwrap()
+        };
+        let (rows, rpcs, reads) = scan();
+        assert_eq!(rows, oracle);
+        // Split the leaf in place; nothing above it learns of the split.
+        let ps = idx.layout().page_size();
+        let right = nam.rdma.setup_alloc(split.server(), ps as u64);
+        let (mut left_page, mut right_page) = (src.load(split), vec![0; ps]);
+        let sep = LeafNodeMut::new(&mut left_page).split_into(
+            &mut right_page,
+            split.as_page_ptr(),
+            right.as_page_ptr(),
+        );
+        assert!((lo..hi).contains(&sep));
+        nam.rdma.setup_write(right, &right_page);
+        nam.rdma.setup_write(split, &left_page);
+        assert_eq!(
+            scan(),
+            (oracle, rpcs, reads + 1),
+            "the split-born leaf costs one READ"
+        );
+    }
+
+    #[test]
+    fn an_fg_scan_leaves_the_plan_at_a_split_and_rejoins_it() {
+        let sim = Sim::new();
+        let nam = NamCluster::new(&sim, ClusterSpec::default());
+        let idx = FineGrained::build(&nam.rdma, small_cfg(), (0..500u64).map(|i| (i * 8, i)));
+        scan_leaves_the_plan_at_a_split_and_rejoins_it(&nam, idx);
+    }
+
+    #[test]
+    fn a_hybrid_scan_leaves_the_plan_at_a_split_and_rejoins_it() {
+        let sim = Sim::new();
+        let nam = NamCluster::new(&sim, ClusterSpec::default());
+        let partition = PartitionMap::range_uniform(nam.num_servers(), 500 * 8);
+        let idx = Hybrid::build(
+            &nam,
+            small_cfg(),
+            partition,
+            (0..500u64).map(|i| (i * 8, i)),
+        );
+        scan_leaves_the_plan_at_a_split_and_rejoins_it(&nam, idx);
     }
 
     /// `merge` hands back every recorded row once, in server order or

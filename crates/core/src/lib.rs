@@ -25,8 +25,8 @@
 //! `(version, lock-bit)` word per node — implemented once in the shared
 //! traversal/SMO [`engine`] over the index's six page-resolution
 //! methods, and share the same tombstone-delete / epoch-GC scheme
-//! ([`gc`]); the leaf chain supports head-node prefetch for range scans
-//! (§4.3).
+//! ([`gc`]); a range scan READs the leaves the node above them names, in
+//! batches, with the chain's head nodes (§4.3) as the fallback.
 //!
 //! [`Design`] pairs an index with its name for benchmarks and examples,
 //! and adds the *recovery* layer: transient verb failures (timeouts,
@@ -234,8 +234,10 @@ pub enum Mutation {
     /// written): unlock FAA before the final in-place WRITE, publishing
     /// the version bump while the page bytes still race.
     UnlockBeforeWrite,
-    /// A learned scan jumps to the model's next leaf without checking
-    /// for a split, skipping any split-born leaf and its rows.
+    /// A scan jumps to its plan's next leaf without checking for a
+    /// split, skipping any split-born leaf and its rows (seeded in the
+    /// one check every plan source shares; hunted over a learned model's
+    /// plan).
     LearnedScanSkipsSplit,
 }
 

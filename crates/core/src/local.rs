@@ -17,7 +17,8 @@
 //! * **upper-level resolution** (designs 3–4) — the tree maps leaf high
 //!   keys to the remote pointers of a scattered leaf chain
 //!   ([`crate::chain`]); an RPC returns only the covering leaf's pointer
-//!   (§5.2) and a second kind registers committed leaf splits.
+//!   (§5.2) — or, for a range scan, the run of leaf pointers one local
+//!   leaf holds — and a second kind registers committed leaf splits.
 //!
 //! A co-located compute server runs the same handler in place
 //! (Appendix A.3). Every request surfaces verb failures (`VerbError`)
@@ -356,24 +357,63 @@ impl Local {
     }
 
     /// Upper-level resolution: the remote pointer of the chain leaf
-    /// covering `key` (§5.2: the RPC returns only the pointer). Falls
-    /// through to the next partition only when the covering leaf's high
-    /// key lives there; the rightmost leaf (high key = +inf) bounds the
-    /// probe.
+    /// covering `key` (§5.2: the RPC returns only the pointer).
     pub(crate) async fn leaf_ptr_for(
         &self,
         ep: &Endpoint,
         key: Key,
         req_bytes: usize,
     ) -> Result<RemotePtr, VerbError> {
+        self.resolve(ep, key, req_bytes, |t| {
+            let mut found = None;
+            let work = t.ceiling_run(key, |_, raw| {
+                found = Some(RemotePtr::from_raw(raw));
+                false
+            });
+            (found, work, msg::leaf_ptr_resp())
+        })
+        .await
+    }
+
+    /// A scan's upper-level resolution: the `(high key, leaf)` entries
+    /// of the one local leaf holding `lo`'s ceiling, through the first
+    /// whose high key is `>= hi` — the chain leaves the scan crosses next.
+    pub(crate) async fn leaf_plan(
+        &self,
+        ep: &Endpoint,
+        lo: Key,
+        hi: Key,
+    ) -> Result<Vec<(Key, u64)>, VerbError> {
+        self.resolve(ep, lo, msg::range_req(), |t| {
+            let mut run = Vec::new();
+            let work = t.ceiling_run(lo, |high, raw| {
+                run.push((high, raw));
+                high < hi
+            });
+            let resp = msg::leaf_plan_resp(run.len());
+            ((!run.is_empty()).then_some(run), work, resp)
+        })
+        .await
+    }
+
+    /// Ask the servers from `key`'s owner rightwards until `probe` finds
+    /// an answer in one's tree (it also reports its work and response
+    /// size): the next partition answers when the covering leaf's high
+    /// key lives there; the rightmost leaf (high key = +inf) bounds it.
+    async fn resolve<R>(
+        &self,
+        ep: &Endpoint,
+        key: Key,
+        req_bytes: usize,
+        probe: impl Fn(&mut LocalTree) -> (Option<R>, WorkStats, usize),
+    ) -> Result<R, VerbError> {
         for s in self.partition.server_of(key)..self.nodes.len() {
-            let probe = |node: &ServerNode, _: &Cluster| {
-                let (res, work) = node.with_tree(|t| t.ceiling(key));
-                let found = res.map(|(_, ptr_raw)| ptr_raw);
-                (found, work, SimDur::ZERO, msg::leaf_ptr_resp())
+            let handler = |node: &ServerNode, _: &Cluster| {
+                let (found, work, resp) = node.with_tree(&probe);
+                (found, work, SimDur::ZERO, resp)
             };
-            if let Some(raw) = self.handle(ep, s, req_bytes, probe).await? {
-                return Ok(RemotePtr::from_raw(raw));
+            if let Some(found) = self.handle(ep, s, req_bytes, handler).await? {
+                return Ok(found);
             }
         }
         Err(VerbError::Invariant(

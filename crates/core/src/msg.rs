@@ -55,6 +55,12 @@ pub const fn leaf_ptr_resp() -> usize {
     HEADER + WORD
 }
 
+/// Hybrid scan-plan response: header + `(high key, leaf pointer)` per
+/// leaf one local leaf names for the range.
+pub const fn leaf_plan_resp(entries: usize) -> usize {
+    HEADER + entries * 2 * WORD
+}
+
 /// Hybrid new-leaf registration request: header + start key + remote
 /// pointer (§5.2).
 pub const fn install_leaf_req() -> usize {

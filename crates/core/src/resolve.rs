@@ -319,28 +319,34 @@ impl Index {
         key: Key,
         req_bytes: usize,
     ) -> Result<RemotePtr, VerbError> {
-        if let (Some(cache), Some(_)) = (self.fenced_cache(ep), self.local()) {
-            if let Some(ptr) = cache.route_hit(ep.client_id(), key) {
-                crate::note_fence(ep, FenceKind::CachedUse, ptr);
-                return Ok(ptr);
-            }
-        }
-        if let (Some(router), Some(chain)) = (&self.router, &self.chain) {
-            // `sync` reconciles the model against the cluster restart
-            // epoch — the same fence the cache layer evaluates.
-            router.sync(&self.setup, chain.first());
-            crate::note_epoch_check(ep);
-            if let Some(ptr) = router.predict(key) {
-                // A prediction is a served client-resident artifact: its
-                // pointer derives from reads of a past leaf-chain snapshot.
-                crate::note_fence(ep, FenceKind::CachedUse, ptr);
-                return Ok(ptr);
-            }
+        if let Some(ptr) = self.client_start(ep, key) {
+            return Ok(ptr);
         }
         match &self.upper {
             Upper::Remote { root } => Ok(root.get()),
             Upper::Local(local) => local.leaf_ptr_for(ep, key, req_bytes).await,
         }
+    }
+
+    /// The descent start for `key` that client-resident state serves, if
+    /// any: a cached route, else the model's prediction.
+    pub(crate) fn client_start(&self, ep: &Endpoint, key: Key) -> Option<RemotePtr> {
+        if let (Some(cache), Some(_)) = (self.fenced_cache(ep), self.local()) {
+            if let Some(ptr) = cache.route_hit(ep.client_id(), key) {
+                crate::note_fence(ep, FenceKind::CachedUse, ptr);
+                return Some(ptr);
+            }
+        }
+        let (router, chain) = (self.router.as_ref()?, self.chain.as_ref()?);
+        // `sync` reconciles the model against the cluster restart epoch —
+        // the same fence the cache layer evaluates.
+        router.sync(&self.setup, chain.first());
+        crate::note_epoch_check(ep);
+        let ptr = router.predict(key)?;
+        // A prediction is a served client-resident artifact: its pointer
+        // derives from reads of a past leaf-chain snapshot.
+        crate::note_fence(ep, FenceKind::CachedUse, ptr);
+        Some(ptr)
     }
 
     /// Current bytes of the page at `ptr` (spins past locked copies).
@@ -950,7 +956,13 @@ mod tests {
                 .map(|i| i * 8)
                 .filter(|&k| {
                     let s = partition.server_of(k);
-                    let leaf = local.nodes()[s].with_tree(|t| t.ceiling(k).0);
+                    let mut leaf = None;
+                    local.nodes()[s].with_tree(|t| {
+                        t.ceiling_run(k, |high, raw| {
+                            leaf = Some((high, raw));
+                            false
+                        })
+                    });
                     s != DOWN
                         && leaf.is_some_and(|(high, raw)| {
                             high > k + 2 && RemotePtr::from_raw(raw).server() != DOWN

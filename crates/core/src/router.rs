@@ -228,24 +228,6 @@ impl Router {
     }
 }
 
-/// The leaves a scan of `[lo, hi]` crosses by `model`: the slice of its
-/// `(trained high key, leaf)` table from `lo`'s prediction through
-/// `hi`'s, if it begins at `start`, the leaf `model` predicted; else none.
-pub(crate) fn scan_plan(
-    model: Option<&PgmModel>,
-    lo: Key,
-    hi: Key,
-    start: RemotePtr,
-) -> &[(Key, u64)] {
-    let Some(model) = model else { return &[] };
-    let span = model.predict_pos(lo)..=model.predict_pos(hi);
-    let plan = model.table().get(span).unwrap_or_default();
-    match plan.first() {
-        Some(&(_, raw)) if raw == start.raw() => plan,
-        _ => &[],
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -390,7 +372,7 @@ mod tests {
         let (nam, idx) = build(&sim, 500);
         let (lo, hi) = (100 * 8, 199 * 8);
         let model = idx.router().expect("a router").model().expect("trained");
-        let plan = scan_plan(Some(&model), lo, hi, model.predict(lo));
+        let plan = &model.table()[model.predict_pos(lo)..=model.predict_pos(hi)];
         let n = plan.len() as u64;
         assert!(n > 8, "the range spans {n} leaves");
         // A planned leaf mid-range; keys between its loaded ones fill it.

@@ -463,18 +463,24 @@ impl Endpoint {
 
     /// Fan out one-sided READs (selectively signalled, §4.3) as one
     /// round: all wires are reserved at once and the caller waits for the
-    /// last completion, so transfers to different servers overlap. An
-    /// empty batch is no verb at all: nothing is counted, rolled or
-    /// awaited.
+    /// last completion, so transfers to different servers overlap. A
+    /// batch of one is the single READ it is, priced as one; an empty
+    /// batch is no verb at all: nothing is counted, rolled or awaited.
     pub async fn read_many(&self, reqs: &[(RemotePtr, usize)]) -> Result<Vec<PageBuf>, VerbError> {
         if reqs.is_empty() {
             return Ok(Vec::new());
         }
         let issued = self.sim().now();
         self.check_alive()?;
+        let single = reqs.len() == 1;
         let mut msgs = Vec::with_capacity(reqs.len());
         for &(ptr, len) in reqs {
-            msgs.push((self.decode(ptr)?, Msg::Batched(len)));
+            let msg = if single {
+                Msg::Out(len)
+            } else {
+                Msg::Batched(len)
+            };
+            msgs.push((self.decode(ptr)?, msg));
         }
         let mut queues = vec![0; reqs.len()];
         self.onesided(&msgs, &mut queues, true).await?;
@@ -1426,7 +1432,7 @@ mod tests {
         // (co-located on machine 0, a single READ, degraded links,
         // requests as (server, bytes))
         let cases: [Case; 5] = [
-            // (a) one READ, (b) a one-element batch
+            // (a) one READ, (b) a one-element batch, priced alike
             (false, true, &[], &[(0, 1024)]),
             (false, false, &[], &[(0, 1024)]),
             // (c) four servers, two requests on port 0, a degraded link
@@ -1474,7 +1480,8 @@ mod tests {
             } else {
                 Endpoint::new(&cluster)
             };
-            let cost = if single {
+            // A one-element batch is priced as the single READ it is.
+            let cost = if single || reqs.len() == 1 {
                 OP_WIRE_OVERHEAD
             } else {
                 BATCHED_WIRE_OVERHEAD

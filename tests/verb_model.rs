@@ -8,8 +8,10 @@
 //! the table's cost. The symbolic level count `L` of the fine-grained
 //! design is derived from its measured lookup phase, not assumed, so the
 //! check also pins the `L`-polynomials to the actual tree height. The
-//! learned design's range row is its own test: a scan over `n` leaves
-//! of a static tree is `n` one-sided READs and nothing else.
+//! range row is one test per chain design: a scan over `n` leaves of a
+//! static tree READs each once and no head node, plus what naming them
+//! costs — nothing (Learned), the level-1 nodes (FG), one RPC per
+//! server-local leaf (Hybrid).
 
 use namdex::prelude::*;
 use std::cell::{Cell, RefCell};
@@ -184,21 +186,18 @@ fn measured_verbs_per_op_equal_the_documented_model() {
     }
 }
 
-/// The learned column's range row: on a static tree a scan READs each
-/// leaf it spans exactly once and nothing else — for `n` leaves, `n`
-/// one-sided READs and no RPC, so no head node is READ either. `n` is
-/// counted from the trained leaf table: the leaves from the one covering
-/// `lo` through the one covering `hi`.
-#[test]
-fn a_learned_scan_reads_each_spanned_leaf_once() {
-    let sim = Sim::new();
-    let nam = NamCluster::new(&sim, ClusterSpec::default());
-    let idx = build(IndexKind::Learned, &nam);
-    let model = idx.index().router().and_then(|r| r.model());
-    let table = model.expect("a trained model").table().to_vec();
-    let covering = |key: u64| table.partition_point(|&(high, _)| high < key) as u64;
-    // Ranges of 1 to ~450 keys (one leaf to several head groups), some
-    // across partition boundaries.
+/// The range row: on a static tree a scan READs each leaf it spans
+/// exactly once and no head node, in batches named by the node above
+/// the leaves. `cost(lo, hi)` is the design's `(rpc, os)` for a scan of
+/// `[lo, hi]`, counted from that node level; this checks it over ranges
+/// of 1 to ~450 keys (one leaf to several head groups), some across
+/// partition boundaries.
+fn check_scan_costs(
+    idx: &Design,
+    nam: &NamCluster,
+    sim: &Sim,
+    cost: impl Fn(u64, u64) -> (u64, u64),
+) {
     let ranges: Vec<(u64, u64)> = (0..K)
         .map(|j| {
             let lo = (j * STRIDE) * 8 + 3;
@@ -208,23 +207,124 @@ fn a_learned_scan_reads_each_spanned_leaf_once() {
     // Per scan: (rows, RPCs, one-sided verbs).
     let want: Vec<(u64, u64, u64)> = ranges
         .iter()
-        .map(|&(lo, hi)| ((hi - lo) / 8, 0, covering(hi) - covering(lo) + 1))
+        .map(|&(lo, hi)| {
+            let (rpc, os) = cost(lo, hi);
+            ((hi - lo) / 8, rpc, os)
+        })
         .collect();
     let rows: Rc<Cell<u64>> = Rc::default();
     let measured: Vec<(u64, u64, u64)> = ranges
         .iter()
         .map(|&(lo, hi)| {
-            let before = totals(&nam);
+            let before = totals(nam);
             let (idx, ep, out) = (idx.clone(), Endpoint::new(&nam.rdma), rows.clone());
             sim.spawn(async move {
                 let got = idx.range(&ep, lo, hi).await.expect("range");
                 out.set(got.len() as u64);
             });
             sim.run();
-            let after = totals(&nam);
+            let after = totals(nam);
             (rows.get(), after.0 - before.0, after.1 - before.1)
         })
         .collect();
     assert_eq!(measured, want, "(rows, rpc, os) per scan");
-    assert!(want.iter().any(|&(_, _, n)| n > 30), "{want:?}");
+    assert!(want.iter().any(|&(_, _, os)| os > 30), "{want:?}");
+}
+
+/// The leaves of a `(high key, node)` table a scan of `[lo, hi]` spans:
+/// from the one covering `lo` through the one covering `hi`, as `n`
+/// leaves under `k` nodes.
+fn spanned(table: &[(u64, usize)], lo: u64, hi: u64) -> (u64, u64) {
+    let covering = |key: u64| table.partition_point(|&(high, _)| high < key);
+    let (first, last) = (covering(lo), covering(hi));
+    let n = (last - first + 1) as u64;
+    let k = (table[last].1 - table[first].1 + 1) as u64;
+    (n, k)
+}
+
+/// Learned: the model's table names the leaves, so a scan over `n` of
+/// them is `n` READs and no RPC.
+#[test]
+fn a_learned_scan_reads_each_spanned_leaf_once() {
+    let sim = Sim::new();
+    let nam = NamCluster::new(&sim, ClusterSpec::default());
+    let idx = build(IndexKind::Learned, &nam);
+    let model = idx.index().router().and_then(|r| r.model());
+    let table = model.expect("a trained model").table().to_vec();
+    let table: Vec<(u64, usize)> = table.iter().map(|&(high, _)| (high, 0)).collect();
+    check_scan_costs(&idx, &nam, &sim, |lo, hi| (0, spanned(&table, lo, hi).0));
+}
+
+/// FG: the descent stops at the level-1 node covering `lo` (`L − 1`
+/// READs), whose entries name the leaves; each further level-1 node the
+/// range reaches is one READ of the right sibling. So `n` leaves under
+/// `k` level-1 nodes cost `(L − 1) + (k − 1) + n` READs.
+#[test]
+fn an_fg_scan_reads_the_level_above_the_leaves_once_per_node() {
+    use blink::node::InnerNodeRef;
+    let sim = Sim::new();
+    let nam = NamCluster::new(&sim, ClusterSpec::default());
+    let idx = build(IndexKind::FineGrained, &nam);
+    let src = idx.index().setup_source();
+    let root = idx.index().root().expect("remote inner levels");
+    let height = InnerNodeRef::new(&src.load(root)).level() as u64 + 1;
+    // Down the left edge to level 1, then along it: every child's
+    // separator, with the index of the level-1 node holding it.
+    let mut cur = root;
+    while InnerNodeRef::new(&src.load(cur)).level() > 1 {
+        cur = RemotePtr::from_page_ptr(InnerNodeRef::new(&src.load(cur)).entry(0).1);
+    }
+    let mut table = Vec::new();
+    let mut node = 0;
+    while !cur.is_null() {
+        let page = src.load(cur);
+        let inner = InnerNodeRef::new(&page);
+        table.extend((0..inner.count()).map(|i| (inner.entry(i).0, node)));
+        cur = RemotePtr::from_page_ptr(inner.right_sibling());
+        node += 1;
+    }
+    assert!(node > 4, "the ranges cross level-1 nodes: {node}");
+    check_scan_costs(&idx, &nam, &sim, |lo, hi| {
+        let (n, k) = spanned(&table, lo, hi);
+        (0, (height - 1) + (k - 1) + n)
+    });
+}
+
+/// Hybrid: each resolution RPC returns the run of one server-local leaf,
+/// so `n` leaves registered under `k` local leaves cost `k` RPCs and `n`
+/// READs. Each partition boundary crossed costs one RPC more: the
+/// request for the keys after a server's last local leaf goes to that
+/// server first, and falls through.
+#[test]
+fn a_hybrid_scan_asks_the_server_once_per_local_node() {
+    use blink::node::LeafNodeRef;
+    let sim = Sim::new();
+    let nam = NamCluster::new(&sim, ClusterSpec::default());
+    let idx = build(IndexKind::Hybrid, &nam);
+    let local = idx.index().local().expect("local upper levels");
+    // Every server's local leaves in key order: each entry's high key,
+    // with the index of the local leaf holding it.
+    let mut table = Vec::new();
+    let mut node = 0;
+    for server in local.nodes() {
+        server.with_tree(|t| {
+            let ps = t.layout().page_size();
+            let mut cur = t.leftmost_leaf();
+            while !cur.is_null() {
+                let at = (cur.raw() as usize - 1) * ps;
+                let leaf = LeafNodeRef::new(&t.image()[at..at + ps]);
+                table.extend((0..leaf.count()).map(|i| (leaf.entry(i).0, node)));
+                cur = leaf.right_sibling();
+                node += 1;
+            }
+        });
+    }
+    assert!(node > 8, "the ranges cross local leaves: {node}");
+    let pm = PartitionMap::range_uniform(nam.num_servers(), KEYS * 8);
+    check_scan_costs(&idx, &nam, &sim, |lo, hi| {
+        let (n, k) = spanned(&table, lo, hi);
+        let last = table[table.partition_point(|&(high, _)| high < hi)].0;
+        let crossed = (pm.server_of(last) - pm.server_of(lo)) as u64;
+        (k + crossed, n)
+    });
 }
