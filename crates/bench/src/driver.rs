@@ -83,8 +83,8 @@ pub struct ExperimentConfig {
     pub seed: u64,
     /// Index page size `P`.
     pub page_size: usize,
-    /// Head-node stride (FG/hybrid leaf level; 0 disables).
-    pub head_stride: usize,
+    /// Planned leaves a chain scan READs in one batch (0 reads as 1).
+    pub scan_batch: usize,
     /// Client-side cache capacity in entries per client (`Some(0)` =
     /// unbounded, `None` = caching off). FG caches inner pages, Hybrid
     /// caches leaf routes; CG ignores it.
@@ -128,7 +128,7 @@ impl Default for ExperimentConfig {
             measure: SimDur::from_millis(40),
             seed: 42,
             page_size: PageLayout::DEFAULT_PAGE_SIZE,
-            head_stride: 8,
+            scan_batch: 8,
             cache_capacity: None,
             durability: Durability::Off,
             fault_plan: None,
@@ -219,7 +219,7 @@ pub fn build_design(cfg: &ExperimentConfig, nam: &NamCluster) -> Design {
     let fg = FgConfig {
         layout,
         fill: 0.7,
-        head_stride: cfg.head_stride,
+        scan_batch: cfg.scan_batch,
         cache_capacity: cfg.cache_capacity,
     };
     // Only whole-operation trees can be hash-partitioned: upper levels

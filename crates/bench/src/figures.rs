@@ -641,10 +641,10 @@ pub const FIGURES: &[Figure] = &[
     },
     grid(
         "ablation_heads",
-        "Ablation: head-node prefetch stride (fine-grained range scans, 120 clients)",
+        "Ablation: scan READ batch (fine-grained range scans, 120 clients)",
         "selectivity,stride,throughput,p50_ns,aborts",
         Cells::Own(grids::ablation_heads),
-        grids::heads_row,
+        grids::batch_row,
         None,
     ),
     grid(

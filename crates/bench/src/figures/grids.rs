@@ -221,9 +221,10 @@ pub fn fig15(ctx: &Ctx) -> Vec<Cell> {
     cells
 }
 
-/// Head-node prefetch stride (§4.3) for fine-grained range scans.
-/// Stride 0 disables head nodes entirely (every leaf is a fresh round
-/// trip); larger strides prefetch bigger groups per round trip but
+/// The scan READ batch for fine-grained range scans: how many of the
+/// leaves a level-1 page names go out in one round trip (the paper's
+/// head-node stride, §4.3). Batch 0 reads as 1 (every leaf is a fresh
+/// round trip); larger batches fetch bigger groups per round trip but
 /// over-read more at scan tails.
 pub fn ablation_heads(ctx: &Ctx) -> Vec<Cell> {
     let mut cells = Vec::new();
@@ -233,7 +234,7 @@ pub fn ablation_heads(ctx: &Ctx) -> Vec<Cell> {
                 design: IndexKind::FineGrained,
                 workload: Workload::b(sel),
                 clients: 120,
-                head_stride: stride,
+                scan_batch: stride,
                 measure: SimDur::from_millis(60),
                 ..base(ctx)
             };
@@ -244,7 +245,7 @@ pub fn ablation_heads(ctx: &Ctx) -> Vec<Cell> {
 }
 
 /// `throughput, p50_ns, aborts`.
-pub fn heads_row(r: &ExperimentResult) -> Vec<String> {
+pub fn batch_row(r: &ExperimentResult) -> Vec<String> {
     strs![
         format!("{:.1}", r.throughput),
         r.latency.percentile(0.5),

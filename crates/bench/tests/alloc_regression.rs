@@ -30,7 +30,7 @@ use blink::node::InnerNodeRef;
 use namdex_core::{FgConfig, FineGrained, Index, Learned};
 use rdma_sim::{ClusterSpec, Endpoint, RemotePtr, VerbEvent, VerbObserver};
 use simnet::rng::{DetRng, Zipf};
-use simnet::{Sim, SimTime};
+use simnet::Sim;
 
 struct CountingAlloc;
 
@@ -96,7 +96,6 @@ struct NoOp;
 
 impl VerbObserver for NoOp {
     fn on_verb(&self, _ev: &VerbEvent) {}
-    fn on_free(&self, _server: usize, _offset: u64, _len: usize, _time: SimTime) {}
 }
 
 /// Heap allocations made by the last 500 one-client point lookups of
@@ -173,7 +172,7 @@ fn fg_lookup_window(observed: bool) -> u64 {
     let cfg = FgConfig {
         layout: blink::PageLayout::default(),
         fill: 0.7,
-        head_stride: 8,
+        scan_batch: 8,
         cache_capacity: None,
     };
     let domain = data.domain();
@@ -216,7 +215,7 @@ fn steady_state_cached_fg_lookups_allocate_per_page_content_only() {
     let cfg = FgConfig {
         layout: blink::PageLayout::new(256),
         fill: 0.7,
-        head_stride: 8,
+        scan_batch: 8,
         cache_capacity: Some(32),
     };
     let zipf = Zipf::new(data.num_keys, Zipf::YCSB_THETA);
@@ -284,7 +283,7 @@ fn learned_build_allocations_do_not_grow_with_the_pages() {
 }
 
 /// 1 000-row scans from 64 places in 60 000 evenly spaced keys: ~24
-/// leaves in three or four `head_stride` batches each, named by the
+/// leaves in three or four `scan_batch` batches each, named by the
 /// level-1 page the descent stops at, which the plan reads in place.
 /// Once the arena holds a batch's buffers, a scan allocates its result
 /// exactly once — the one large allocation it makes — and what is left
@@ -303,7 +302,7 @@ fn steady_state_fg_scans_allocate_their_result_once() {
     let cfg = FgConfig {
         layout: blink::PageLayout::default(),
         fill: 0.7,
-        head_stride: 8,
+        scan_batch: 8,
         cache_capacity: None,
     };
     let sim = Sim::new();
@@ -345,12 +344,12 @@ fn steady_state_fg_scans_allocate_their_result_once() {
 }
 
 /// The same scans over a learned index: the model names every leaf, so
-/// a scan READs them in `head_stride` batches and no head. Its result is
+/// a scan READs them in `scan_batch` batches. Its result is
 /// still allocated once, at its final size, and the plan allocates
 /// nothing — it is a slice of the model's table, held through an `Rc`
 /// clone — so what is left is each READ batch's messages, queue waits
-/// and buffer list and its prefetch-map nodes, as for a head group, and
-/// one request buffer the batches share.
+/// and buffer list and its prefetch-map nodes, as for FG, and one
+/// request buffer the batches share.
 #[test]
 fn steady_state_learned_scans_allocate_their_result_once() {
     /// Measured: 14.2 a scan.

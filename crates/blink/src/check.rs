@@ -5,21 +5,19 @@
 //! Pages are read through a closure `Fn(Ptr) -> Vec<u8>`, so the walk
 //! never needs to know how a pointer is encoded. Every rule broken is
 //! returned as a finding `(page, detail)`, not a panic, and a sibling
-//! cycle is cut, not walked forever. (A page whose kind byte is none of
-//! the three still panics in [`kind_of`].)
+//! cycle is cut, not walked forever. (A page whose kind byte is neither
+//! inner nor leaf still panics in [`kind_of`].)
 
 use std::collections::BTreeSet;
 
 use crate::layout::{lock_word, Key, PageLayout, Ptr, KEY_MAX};
-use crate::node::{
-    kind_of, level_of, version_lock_of, HeadNodeRef, InnerNodeRef, LeafNodeRef, NodeKind,
-};
+use crate::node::{kind_of, level_of, version_lock_of, InnerNodeRef, LeafNodeRef, NodeKind};
 
 /// Safety cap on the inner-level traversal (a cycle shows up long before).
 pub const MAX_PAGES: usize = 1_000_000;
 
-/// The leaf chain from `first` in sibling order: every head and leaf
-/// with its bytes as `load` returns them. Ends at a null sibling, after
+/// The leaf chain from `first` in sibling order: every leaf with its
+/// bytes as `load` returns them. Ends at a null sibling, after
 /// yielding a non-chain (inner) page — what a torn chain means is the
 /// caller's call — or when the walk comes back to a page it has passed.
 /// The cycle check is Brent's: constant state, so a cycle may be walked
@@ -39,7 +37,6 @@ pub fn chain<L: Fn(Ptr) -> Vec<u8>>(first: Ptr, load: L) -> impl Iterator<Item =
         }
         let page = load(at);
         cur = match kind_of(&page) {
-            NodeKind::Head => HeadNodeRef::new(&page).right_sibling(),
             NodeKind::Leaf => LeafNodeRef::new(&page).right_sibling(),
             NodeKind::Inner => Ptr::NULL,
         };
@@ -52,8 +49,8 @@ pub fn chain<L: Fn(Ptr) -> Vec<u8>>(first: Ptr, load: L) -> impl Iterator<Item =
 ///
 /// Along the chain: no page locked, leaves at level 0 within capacity,
 /// keys sorted and inside `(previous high key, high key]`, high keys
-/// ascending up to `KEY_MAX`, no inner page and no cycle, and head
-/// pointers only to chain leaves. From the root down: no page locked,
+/// ascending up to `KEY_MAX`, no inner page and no cycle. From the root
+/// down: no page locked,
 /// inner nodes hold `1..=capacity` strictly ascending separators, each
 /// equal to its child's high key, the last to the node's own; children
 /// sit one level below; every leaf reached is on the chain.
@@ -76,7 +73,6 @@ fn high_key_of(page: &[u8]) -> Key {
     match kind_of(page) {
         NodeKind::Leaf => LeafNodeRef::new(page).high_key(),
         NodeKind::Inner => InnerNodeRef::new(page).high_key(),
-        NodeKind::Head => KEY_MAX,
     }
 }
 
@@ -90,7 +86,6 @@ fn check_chain(
 ) -> BTreeSet<Ptr> {
     let mut flag = |at: Ptr, detail: String| out.push((at, detail));
     let mut leaves = BTreeSet::new();
-    let mut head_targets = Vec::new();
     let mut prev_high: Option<Key> = None;
     // Where the last page walked points: non-null after the loop means
     // the iterator cut a cycle.
@@ -100,15 +95,6 @@ fn check_chain(
             flag(cur, "page left locked after quiescence".into());
         }
         match kind_of(&page) {
-            NodeKind::Head => {
-                let (head, cap) = (HeadNodeRef::new(&page), layout.head_capacity());
-                let n = head.count();
-                if n > cap {
-                    flag(cur, format!("head count {n} exceeds capacity {cap}"));
-                }
-                head_targets.extend((0..n.min(cap)).map(|i| (cur, head.ptr(i))));
-                next = head.right_sibling();
-            }
             NodeKind::Leaf => {
                 let (leaf, cap) = (LeafNodeRef::new(&page), layout.entry_capacity());
                 let (n, high) = (leaf.count(), leaf.high_key());
@@ -158,14 +144,6 @@ fn check_chain(
         let detail = format!("rightmost leaf high fence is {prev_high:?}, must cover +inf");
         flag(first, detail);
     }
-    // Head prefetch lists must only reference leaves on the chain.
-    for (head, target) in head_targets {
-        if !leaves.contains(&target) {
-            let raw = target.raw();
-            let detail = format!("head references page {raw:#x} which is not a chain leaf");
-            flag(head, detail);
-        }
-    }
     leaves
 }
 
@@ -196,7 +174,6 @@ fn check_inner(
                 flag(cur, detail.into());
             }
             NodeKind::Leaf => {}
-            NodeKind::Head => flag(cur, "head node referenced by inner level".into()),
             NodeKind::Inner => {
                 if lock_word::is_locked(version_lock_of(&page)) {
                     flag(cur, "page left locked after quiescence".into());

@@ -6,7 +6,7 @@
 //! ```text
 //! offset  size  field
 //! 0       8     version_lock   (bit 0 = lock bit, rest = version counter)
-//! 8       1     kind           (0 = inner, 1 = leaf, 2 = head)
+//! 8       1     kind           (0 = inner, 1 = leaf)
 //! 9       1     level          (0 = leaf level)
 //! 10      2     count          (number of entries)
 //! 12      4     padding
@@ -18,7 +18,7 @@
 //!
 //! Inner and leaf entries are 16 bytes: `(key: u64, word: u64)` where the
 //! word is a child [`Ptr`] (inner) or a value with the top bit reserved as
-//! the *delete bit* (leaf). Head-node entries are 8-byte [`Ptr`]s.
+//! the *delete bit* (leaf).
 //!
 //! The `(version, lock-bit)` word implements the paper's optimistic lock
 //! coupling: an even word is unlocked; CAS to `word | 1` locks; the unlock
@@ -79,9 +79,6 @@ pub const HEADER_SIZE: usize = off::ENTRIES;
 /// Size of an inner/leaf entry in bytes (8-byte key + 8-byte word).
 pub const ENTRY_SIZE: usize = 16;
 
-/// Size of a head-node entry in bytes (one remote pointer).
-pub const HEAD_ENTRY_SIZE: usize = 8;
-
 /// Describes page geometry: entry capacities for a given page size.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PageLayout {
@@ -110,11 +107,6 @@ impl PageLayout {
     /// Max entries per leaf or inner node (the paper's fanout `M`).
     pub fn entry_capacity(self) -> usize {
         (self.page_size - HEADER_SIZE) / ENTRY_SIZE
-    }
-
-    /// Max pointers per head node.
-    pub fn head_capacity(self) -> usize {
-        (self.page_size - HEADER_SIZE) / HEAD_ENTRY_SIZE
     }
 
     /// Allocate a zeroed page buffer of this size.
@@ -252,7 +244,6 @@ mod tests {
         // (1024 - 40) / 16 = 61 entries; same regime as the paper's
         // M = P/(3K) = 42 (heights differ by < 1 level at realistic N).
         assert_eq!(l.entry_capacity(), 61);
-        assert_eq!(l.head_capacity(), 123);
     }
 
     #[test]

@@ -16,8 +16,7 @@
 //!   byte arrays so they can live in an RDMA-registered memory pool and be
 //!   fetched with one-sided READs.
 //! * [`node`] — node-level operations on page bytes: binary search,
-//!   sorted insert, Lehman-Yao splits, tombstone deletes, head-node
-//!   (prefetch) pages.
+//!   sorted insert, Lehman-Yao splits, tombstone deletes.
 //! * [`load`] — the one bottom-up bulk loader: sorted entries streamed
 //!   into pages that are built where a [`load::PageSink`] keeps them — a
 //!   local tree's buffer, or remote memory pools.

@@ -5,13 +5,13 @@
 //! The loader is fed sorted entries one at a time and holds at most one
 //! leaf's worth of them: a page is allocated from the [`PageSink`], built
 //! where the sink keeps it, and never copied. What it fixes is the
-//! *order* of `alloc` calls — leaves in key order, then head nodes, then
-//! each inner level left to right — so a sink that places pages by
-//! allocation order (round-robin over memory servers) gets the same
-//! image from the same input, every time.
+//! *order* of `alloc` calls — leaves in key order, then each inner level
+//! left to right — so a sink that places pages by allocation order
+//! (round-robin over memory servers) gets the same image from the same
+//! input, every time.
 
 use crate::layout::{Key, PageLayout, Ptr, Value, KEY_MAX};
-use crate::node::{init_head, InnerNodeMut, LeafNodeMut};
+use crate::node::{InnerNodeMut, LeafNodeMut};
 
 /// Where a bulk load puts its pages.
 pub trait PageSink {
@@ -26,7 +26,6 @@ pub struct Loader<S> {
     sink: S,
     /// Entries per bulk-built node, leaf or inner.
     per_node: usize,
-    head_stride: usize,
     /// `(high_key, ptr)` of every finished leaf, in key order.
     leaves: Vec<(Key, Ptr)>,
     /// The leaf being filled (null before the first entry) ...
@@ -36,15 +35,13 @@ pub struct Loader<S> {
 }
 
 impl<S: PageSink> Loader<S> {
-    /// Load into `sink`: leaves filled to `fill` in `(0, 1]`, with a head
-    /// node (§4.3) per `head_stride` leaves unless that is `0`.
-    pub fn new(sink: S, layout: PageLayout, fill: f64, head_stride: usize) -> Self {
+    /// Load into `sink`: leaves filled to `fill` in `(0, 1]`.
+    pub fn new(sink: S, layout: PageLayout, fill: f64) -> Self {
         assert!(fill > 0.0 && fill <= 1.0, "fill factor in (0,1]");
         let per_node = ((layout.entry_capacity() as f64 * fill) as usize).max(2);
         Loader {
             sink,
             per_node,
-            head_stride,
             leaves: Vec::new(),
             open: Ptr::NULL,
             entries: Vec::with_capacity(per_node),
@@ -88,15 +85,7 @@ impl<S: PageSink> Loader<S> {
             self.open = self.sink.alloc();
         }
         self.write_leaf(KEY_MAX, Ptr::NULL);
-        let first = match self.head_stride {
-            0 => self.leaves[0].1,
-            stride => {
-                let ptrs: Vec<Ptr> = self.leaves.iter().map(|&(_, ptr)| ptr).collect();
-                link_heads(&mut self.sink, &ptrs, stride)
-            }
-        };
         let level = LeafLevel {
-            first,
             leaves: self.leaves,
             per_node: self.per_node,
         };
@@ -106,10 +95,7 @@ impl<S: PageSink> Loader<S> {
 
 /// A loaded leaf level: what an upper level is built over.
 pub struct LeafLevel {
-    /// Start of the leaf chain: the first head node, else the leftmost
-    /// leaf.
-    pub first: Ptr,
-    /// `(high_key, ptr)` of every leaf, in key order.
+    /// `(high_key, ptr)` of every leaf, in key order (at least one).
     pub leaves: Vec<(Key, Ptr)>,
     per_node: usize,
 }
@@ -151,25 +137,4 @@ impl LeafLevel {
         }
         (level[0].1, height)
     }
-}
-
-/// Interpose a fresh head node before every `stride > 0` of the chained
-/// `leaves` (at least one): each lists its group and chains to the
-/// group's first leaf, and the last leaf of the group before it is
-/// repointed at it. Returns the first head.
-pub fn link_heads<S: PageSink>(sink: &mut S, leaves: &[Ptr], stride: usize) -> Ptr {
-    let heads: Vec<Ptr> = leaves.chunks(stride).map(|_| sink.alloc()).collect();
-    let mut prev_last = None;
-    for (group, &head) in leaves.chunks(stride).zip(&heads) {
-        sink.with_page(head, |page| {
-            init_head(page, group, group[0]);
-        });
-        if let Some(last) = prev_last {
-            sink.with_page(last, |page| {
-                LeafNodeMut::new(page).set_right_sibling(head);
-            });
-        }
-        prev_last = group.last().copied();
-    }
-    heads[0]
 }

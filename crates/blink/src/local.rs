@@ -73,7 +73,7 @@ impl Loader<LocalTree> {
     /// Finish the load: inner levels over the leaves, up to the root.
     pub fn into_tree(self) -> LocalTree {
         let (mut tree, leaves) = self.finish();
-        tree.leftmost_leaf = leaves.first;
+        tree.leftmost_leaf = leaves.leaves[0].1;
         (tree.root, tree.height) = leaves.inner_levels(&mut tree);
         tree
     }
@@ -96,7 +96,7 @@ impl LocalTree {
             leftmost_leaf: Ptr::NULL,
             height: 1,
         };
-        Loader::new(blank, layout, fill, 0)
+        Loader::new(blank, layout, fill)
     }
 
     /// Bulk-load from keys sorted ascending (duplicates allowed).
@@ -191,7 +191,6 @@ impl LocalTree {
                     cur = node.right_sibling();
                     assert!(!cur.is_null(), "rightmost leaf must cover KEY_MAX");
                 }
-                NodeKind::Head => unreachable!("local trees have no head nodes"),
             }
         }
     }

@@ -1,10 +1,9 @@
 //! Node-level operations on raw page bytes.
 //!
 //! Views decode a page in place: [`LeafNodeRef`]/[`InnerNodeRef`] for
-//! reading, [`LeafNodeMut`]/[`InnerNodeMut`] for mutation, plus
-//! [`HeadNodeRef`]/[`init_head`] for the fine-grained design's prefetch
-//! head nodes (§4.3). Working on bytes (not structs) is what lets the same
-//! code serve local trees and pages fetched over one-sided RDMA READs.
+//! reading, [`LeafNodeMut`]/[`InnerNodeMut`] for mutation. Working on
+//! bytes (not structs) is what lets the same code serve local trees and
+//! pages fetched over one-sided RDMA READs.
 //!
 //! ## Key ordering invariants
 //!
@@ -19,7 +18,7 @@
 
 use crate::layout::{
     off, read_u16, read_u64, write_u16, write_u64, Key, Ptr, Value, DELETE_BIT, ENTRY_SIZE,
-    HEAD_ENTRY_SIZE, KEY_MAX, MAX_VALUE,
+    KEY_MAX, MAX_VALUE,
 };
 
 /// Most rows a range scan reserves ahead of finding them
@@ -36,8 +35,6 @@ pub enum NodeKind {
     Inner = 0,
     /// Leaf node: `(key, value)` entries with per-entry delete bits.
     Leaf = 1,
-    /// Head node: an array of leaf pointers used for range-scan prefetch.
-    Head = 2,
 }
 
 /// Error returned when an insert does not fit; the caller must split.
@@ -57,7 +54,6 @@ pub fn kind_of(page: &[u8]) -> NodeKind {
     match page[off::KIND] {
         0 => NodeKind::Inner,
         1 => NodeKind::Leaf,
-        2 => NodeKind::Head,
         k => panic!("corrupt page: unknown node kind {k}"),
     }
 }
@@ -520,8 +516,7 @@ impl<'a> LeafNodeMut<'a> {
         write_u64(self.page, off::LEFT_SIBLING, p.raw());
     }
 
-    /// Overwrite the right-sibling pointer (head-node maintenance
-    /// relinks the chain through rebuilt head nodes).
+    /// Overwrite the right-sibling pointer.
     pub fn set_right_sibling(&mut self, p: Ptr) {
         write_u64(self.page, off::RIGHT_SIBLING, p.raw());
     }
@@ -676,56 +671,6 @@ impl<'a> InnerNodeMut<'a> {
     pub fn set_version_lock(&mut self, word: u64) {
         set_version_lock(self.page, word);
     }
-}
-
-// ---------------------------------------------------------------- head ----
-
-/// Read-only view of a head node (§4.3): pointers to the following `n-1`
-/// leaves, enabling prefetch during leaf-level scans.
-#[derive(Clone, Copy)]
-pub struct HeadNodeRef<'a> {
-    page: &'a [u8],
-}
-
-impl<'a> HeadNodeRef<'a> {
-    /// Wrap a page; panics if it is not a head node.
-    pub fn new(page: &'a [u8]) -> Self {
-        assert_eq!(kind_of(page), NodeKind::Head, "expected a head page");
-        HeadNodeRef { page }
-    }
-
-    /// Number of stored leaf pointers.
-    pub fn count(&self) -> usize {
-        count_of(self.page)
-    }
-
-    /// Stored pointer `i`.
-    pub fn ptr(&self, i: usize) -> Ptr {
-        debug_assert!(i < self.count());
-        Ptr(read_u64(self.page, off::ENTRIES + i * HEAD_ENTRY_SIZE))
-    }
-
-    /// The head's sibling pointer (first leaf of its group).
-    pub fn right_sibling(&self) -> Ptr {
-        Ptr(read_u64(self.page, off::RIGHT_SIBLING))
-    }
-}
-
-/// Format a blank (all-zero) page as a head node holding `ptrs`, with its
-/// sibling pointer set to `next` (the first leaf of its group), so a
-/// client that lands on a head during a sibling chase can proceed even
-/// without decoding the pointer list. Head nodes are written once, at
-/// bulk load.
-pub fn init_head(page: &mut [u8], ptrs: &[Ptr], next: Ptr) {
-    let cap = (page.len() - off::ENTRIES) / HEAD_ENTRY_SIZE;
-    assert!(ptrs.len() <= cap, "too many pointers for a head node");
-    debug_assert_blank(page);
-    page[off::KIND] = NodeKind::Head as u8;
-    write_u64(page, off::RIGHT_SIBLING, next.raw());
-    for (i, p) in ptrs.iter().enumerate() {
-        write_u64(page, off::ENTRIES + i * HEAD_ENTRY_SIZE, p.raw());
-    }
-    set_count(page, ptrs.len());
 }
 
 #[cfg(test)]
@@ -1088,21 +1033,6 @@ mod tests {
         assert_eq!(right.find_child(55), Some(Ptr(1005)));
         assert_eq!(inner.find_child(55), None, "past high key -> sibling");
         assert_eq!(inner.right_sibling(), Ptr(8));
-    }
-
-    #[test]
-    fn head_node_round_trip() {
-        let mut page = PageLayout::default().alloc_page();
-        let ptrs: Vec<Ptr> = (1..=8).map(Ptr).collect();
-        init_head(&mut page, &ptrs, Ptr(1));
-        let head = HeadNodeRef::new(&page);
-        assert_eq!(head.count(), 8);
-        assert_eq!(head.ptr(3), Ptr(4));
-        assert!((0..head.count())
-            .map(|i| head.ptr(i))
-            .eq(ptrs.iter().copied()));
-        assert_eq!(head.right_sibling(), Ptr(1));
-        assert_eq!(kind_of(&page), NodeKind::Head);
     }
 
     #[test]

@@ -306,7 +306,6 @@ mod tests {
 
     impl VerbObserver for Instants {
         fn on_verb(&self, _ev: &VerbEvent) {}
-        fn on_free(&self, _server: usize, _offset: u64, _len: usize, _time: SimTime) {}
         fn on_instant(&self, label: &str, time: SimTime) {
             self.0
                 .borrow_mut()

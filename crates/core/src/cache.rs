@@ -349,7 +349,7 @@ mod tests {
         FgConfig {
             layout: PageLayout::new(200),
             fill: 0.7,
-            head_stride: 0,
+            scan_batch: 0,
             cache_capacity: Some(0),
         }
     }

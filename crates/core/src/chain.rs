@@ -6,21 +6,17 @@
 //! one-sided READs and update them with CAS / WRITE / FETCH_AND_ADD —
 //! memory-server CPUs are never involved (Listing 2 + Listing 4). The
 //! traversal/SMO protocol itself lives in [`crate::engine`]; this module
-//! is the part an [`Index`] *has*: the memory pools as the sink
-//! [`blink::load`] builds the leaf level (and, for a remote upper level,
-//! the inner levels) into, the round-robin placement cursor load and
-//! split pages are drawn from, and epoch head-node maintenance.
+//! is the part an [`Index`](crate::Index) *has*: the memory pools as
+//! the sink [`blink::load`] builds the leaf level (and, for a remote
+//! upper level, the inner levels) into, and the round-robin placement
+//! cursor load and split pages are drawn from.
 //!
-//! Range scans use the §4.3 optimisation: *head nodes* interposed in the
-//! leaf chain every `head_stride` leaves redundantly store the remote
-//! pointers of their group, letting a scan prefetch a whole group of
-//! leaves with selectively signalled READs. A scan meets them only off
-//! its plan: the node above the leaves (a level-1 page, a local upper
-//! level's reply, a model) already names the leaves and is READ in
-//! `head_stride` batches instead ([`crate::engine`]). Head nodes are
-//! only an optimisation: direct sibling pointers are kept, and a scan
-//! that meets a leaf absent from the prefetched group (a concurrent
-//! split) simply issues one extra READ.
+//! The chain is only leaves. A range scan prefetches the leaves the node
+//! above them names — a level-1 page, a local upper level's reply, a
+//! model — in `scan_batch` READs at a time ([`crate::engine`]), where
+//! the paper's §4.3 interposes *head nodes* listing each group of
+//! leaves; the sibling pointers carry it past anything that plan did
+//! not name (a concurrent split).
 //!
 //! Cost profile (Table 2): every level costs a round trip, so point
 //! lookups over remote inner levels move `H·P` bytes; but the aggregated
@@ -30,25 +26,21 @@
 
 use std::cell::Cell;
 
-use blink::load::{link_heads, LeafLevel, Loader, PageSink};
-use blink::node::{kind_of, NodeKind};
+use blink::load::{LeafLevel, Loader, PageSink};
 use blink::{Key, PageLayout, Ptr, Value};
 use rdma_sim::{Cluster, RemotePtr};
 
-use crate::resolve::Index;
-
 /// Construction parameters of an index: page geometry and fill for
-/// every part, plus the chain's head stride and the client cache size.
+/// every part, plus a scan's READ batch and the client cache size.
 #[derive(Clone, Copy, Debug)]
 pub struct FgConfig {
     /// Page geometry.
     pub layout: PageLayout,
     /// Bulk-load fill factor in `(0, 1]`.
     pub fill: f64,
-    /// Install a head node before every `head_stride` leaves; `0`
-    /// disables head nodes. Also the number of planned leaves a scan
-    /// READs in one batch (one when `0`).
-    pub head_stride: usize,
+    /// The number of planned leaves a scan READs in one batch (one when
+    /// `0`).
+    pub scan_batch: usize,
     /// Client-side cache capacity in entries per client (`Some(0)` =
     /// unbounded); `None` disables caching entirely — the descent is an
     /// exact pass-through to the wire.
@@ -60,7 +52,7 @@ impl Default for FgConfig {
         FgConfig {
             layout: PageLayout::default(),
             fill: 0.7,
-            head_stride: 8,
+            scan_batch: 8,
             cache_capacity: None,
         }
     }
@@ -69,13 +61,13 @@ impl Default for FgConfig {
 /// The scattered leaf chain an index has (every design but the
 /// coarse-grained one).
 pub struct Chain {
-    /// Start of the chain (a head node, if enabled, else the leftmost
-    /// leaf).
-    first: Cell<RemotePtr>,
+    /// The leftmost leaf: every split keeps its left half in place, so
+    /// it never changes.
+    first: RemotePtr,
     /// Round-robin cursor for new-page placement: setup-path loads and
     /// timed split-page allocation both draw from it.
     alloc_rr: Cell<usize>,
-    pub(crate) head_stride: usize,
+    pub(crate) scan_batch: usize,
 }
 
 /// The memory pools as a bulk-load sink: pages placed round-robin from
@@ -100,9 +92,9 @@ impl PageSink for PoolPages<'_> {
 }
 
 impl Chain {
-    /// Start of the leaf chain.
+    /// Start of the leaf chain: the leftmost leaf.
     pub fn first(&self) -> RemotePtr {
-        self.first.get()
+        self.first
     }
 
     /// The server the next new page goes to (and advance the cursor).
@@ -122,26 +114,25 @@ impl Chain {
 
     /// Build the remote leaf chain as `items` (sorted by key) stream
     /// past: leaves filled to `fill`, scattered round-robin, linked by
-    /// remote pointers, with optional head nodes interposed every
-    /// `head_stride` leaves. Setup path (untimed). Also returns the leaf
-    /// level — what the upper level is built over.
+    /// remote pointers. Setup path (untimed). Also returns the leaf level
+    /// — what the upper level is built over.
     pub(crate) fn load(
         cluster: &Cluster,
         cfg: &FgConfig,
         items: impl Iterator<Item = (Key, Value)>,
     ) -> (Chain, LeafLevel) {
-        let chain = Chain {
-            first: Cell::new(RemotePtr::NULL),
+        let mut chain = Chain {
+            first: RemotePtr::NULL,
             alloc_rr: Cell::new(0),
-            head_stride: cfg.head_stride,
+            scan_batch: cfg.scan_batch,
         };
         let pages = chain.pages(cluster, cfg.layout);
-        let mut loader = Loader::new(pages, cfg.layout, cfg.fill, cfg.head_stride);
+        let mut loader = Loader::new(pages, cfg.layout, cfg.fill);
         for (key, value) in items {
             loader.push(key, value);
         }
         let (_, level) = loader.finish();
-        chain.first.set(RemotePtr::from_page_ptr(level.first));
+        chain.first = RemotePtr::from_page_ptr(level.leaves[0].1);
         (chain, level)
     }
 
@@ -159,46 +150,6 @@ impl Chain {
     }
 }
 
-impl Index {
-    /// Epoch head-node maintenance (§4.3): rebuild the head nodes' group
-    /// pointer lists from the current leaf chain, folding in leaves added
-    /// by splits. Runs on the control path (the paper runs it in a
-    /// background thread in regular intervals). A no-op without a chain
-    /// or with head nodes disabled.
-    pub fn maintain_heads(&self) {
-        let Some(chain) = self.chain().filter(|c| c.head_stride > 0) else {
-            return;
-        };
-        let src = self.setup_source();
-        let (cluster, layout) = (src.cluster(), src.layout());
-        // Collect the real leaves in chain order; the head pages passed
-        // on the way are about to be abandoned (epoch-retired).
-        let mut leaves = Vec::new();
-        let mut old_heads = Vec::new();
-        for (ptr, page) in src.chain(chain.first.get()) {
-            match kind_of(&page) {
-                NodeKind::Head => old_heads.push(ptr),
-                NodeKind::Leaf => leaves.push(ptr.as_page_ptr()),
-                NodeKind::Inner => unreachable!("inner node in the leaf chain"),
-            }
-        }
-        // Regroup them under fresh head nodes; the last leaf of a group
-        // points at the next group's head, whose sibling routes on to
-        // that group's first leaf.
-        let mut pages = chain.pages(cluster, layout);
-        let first = link_heads(&mut pages, &leaves, chain.head_stride);
-        chain.first.set(RemotePtr::from_page_ptr(first));
-        // The replaced heads are unreachable from the new chain: report
-        // them retired, so the checker can flag any straggler access as a
-        // use-after-free. (The simulator itself never reuses retired
-        // regions — the pools are bump allocators — so reclamation is
-        // purely a protocol-level event.)
-        for h in old_heads {
-            cluster.note_freed(h.server(), h.offset(), layout.page_size());
-        }
-    }
-}
-
 /// The small-page configuration the unit tests share: 10 entries per
 /// node, so a few hundred keys already give a multi-level tree.
 #[cfg(test)]
@@ -206,7 +157,7 @@ pub(crate) fn small_cfg() -> FgConfig {
     FgConfig {
         layout: PageLayout::new(200),
         fill: 0.7,
-        head_stride: 4,
+        scan_batch: 4,
         cache_capacity: None,
     }
 }
@@ -215,7 +166,6 @@ pub(crate) fn small_cfg() -> FgConfig {
 mod tests {
     use super::*;
     use crate::{FineGrained, Index};
-    use blink::KEY_MAX;
     use rdma_sim::{ClusterSpec, Endpoint};
     use simnet::Sim;
     use std::cell::RefCell;
@@ -306,7 +256,7 @@ mod tests {
     }
 
     #[test]
-    fn range_with_head_prefetch() {
+    fn range_with_batched_reads() {
         let sim = Sim::new();
         let (cluster, idx) = build(&sim, 5000, small_cfg());
         let ep = Endpoint::new(&cluster);
@@ -326,10 +276,10 @@ mod tests {
     }
 
     #[test]
-    fn range_without_heads_matches() {
+    fn range_with_single_reads_matches() {
         let sim = Sim::new();
         let cfg = FgConfig {
-            head_stride: 0,
+            scan_batch: 0,
             ..small_cfg()
         };
         let (cluster, idx) = build(&sim, 2000, cfg);
@@ -443,35 +393,6 @@ mod tests {
             }
         });
         sim.run();
-    }
-
-    #[test]
-    fn maintain_heads_after_splits() {
-        let sim = Sim::new();
-        let (cluster, idx) = build(&sim, 300, small_cfg());
-        let ep = Endpoint::new(&cluster);
-        {
-            let idx = idx.clone();
-            sim.spawn(async move {
-                for i in 0..300u64 {
-                    idx.insert(&ep, i * 8 + 3, i, false).await.unwrap();
-                }
-            });
-        }
-        sim.run();
-        idx.maintain_heads();
-        // Scans still see everything after head rebuild.
-        let ep = Endpoint::new(&cluster);
-        let n = Rc::new(Cell::new(0usize));
-        {
-            let idx = idx.clone();
-            let n = n.clone();
-            sim.spawn(async move {
-                n.set(idx.range(&ep, 0, KEY_MAX - 1).await.unwrap().len());
-            });
-        }
-        sim.run();
-        assert_eq!(n.get(), 600);
     }
 
     use std::cell::Cell;

@@ -28,7 +28,7 @@
 //!   against;
 //! * `scan_chain` — the §4.3 range scan: batched READs of the leaves
 //!   the node above them names (a level-1 page, a resolution RPC's run,
-//!   the model's table), head-node group prefetch off that plan;
+//!   the model's table);
 //! * `with_retry!` + `backoff_before_retry` — the operation retry
 //!   layer with the single deterministic backoff/jitter source
 //!   ([`expo_delay_nanos`]), shared with the remote-spin backoff of
@@ -51,9 +51,7 @@ use std::future::Future;
 use std::ops::Range;
 use std::rc::Rc;
 
-use blink::node::{
-    kind_of, HeadNodeRef, InnerNodeMut, InnerNodeRef, LeafNodeMut, LeafNodeRef, NodeKind,
-};
+use blink::node::{kind_of, InnerNodeMut, InnerNodeRef, LeafNodeMut, LeafNodeRef, NodeKind};
 use blink::{Key, Ptr, Value};
 use learned_index::PgmModel;
 use rdma_sim::spec::{RETRY_BACKOFF_BASE, RETRY_BACKOFF_CAP, RETRY_LIMIT};
@@ -302,12 +300,6 @@ impl Index {
                         }
                     }
                 }
-                NodeKind::Head => {
-                    // Head bytes never escape: only the (append-only)
-                    // sibling pointer is consumed — a routing re-check.
-                    crate::note_fence(ep, FenceKind::Revalidate, cur);
-                    cur = rp(HeadNodeRef::new(&page).right_sibling());
-                }
                 NodeKind::Leaf => {
                     let leaf = LeafNodeRef::new(&page);
                     // Mutation `DescendNoCovers`: return the leaf without
@@ -370,9 +362,10 @@ impl Index {
         scan_chain(self, ep, lo, hi).await
     }
 
-    /// The plan after `plan`, whose last leaf kept its high key `high <
-    /// hi`: the level-1 page's right sibling or the RPC's next run. A
-    /// model's plan covers `hi` already.
+    /// The plan after `plan`, whose last leaf was planned with high key
+    /// `high < hi` (whether it kept it or split since): the level-1
+    /// page's right sibling or the RPC's next run. A model's plan covers
+    /// `hi` already.
     async fn next_plan(
         &self,
         ep: &Endpoint,
@@ -421,11 +414,6 @@ impl Index {
                 Some(p) => p,
                 None => self.load(ep, cur).await?.into_owned(),
             };
-            if kind_of(&page) == NodeKind::Head {
-                crate::note_fence(ep, FenceKind::Revalidate, cur);
-                cur = rp(HeadNodeRef::new(&page).right_sibling());
-                continue;
-            }
             let locked = lock_node(ep, cur, page).await?;
             let leaf = LeafNodeRef::new(&locked.page);
             // Coverage re-check *under the lock* (the acquire CAS already
@@ -785,11 +773,13 @@ impl Plan {
 /// Scan the leaf chain collecting live entries in `[lo, hi]`, along the
 /// plan the node above the first leaf gives (DESIGN.md §15): the level-1
 /// page a remote upper level's descent stops at, the model's table, or
-/// a local upper level's resolution RPC. While the restart epoch holds,
-/// planned leaves are READ in `head_stride` batches and no head is: a
-/// leaf that kept its planned high key is followed by the plan's next, a
-/// split one by its sibling until the plan resumes. Off a plan, heads
-/// prefetch their groups.
+/// a local upper level's resolution RPC (a cached route names no plan,
+/// so it is not consulted). While the restart epoch holds, planned
+/// leaves are READ in `scan_batch` batches: a leaf that kept its planned
+/// high key is followed by the plan's next, a split one by its sibling
+/// until the plan resumes. A plan used up below `hi` is followed by the
+/// source's next, split or not. Off a plan (a one-leaf tree, a restart
+/// mid-scan), each leaf is READ on its own.
 async fn scan_chain(
     idx: &Index,
     ep: &Endpoint,
@@ -805,8 +795,7 @@ async fn scan_chain(
             NodeKind::Inner => plan = Some(Plan::new(Source::Node(ptr, page), lo, hi)),
             _ => (cur, pending) = (ptr, Some(page.into_owned())),
         }
-    } else if let Some(ptr) = idx.client_start(ep, lo) {
-        cur = ptr;
+    } else if idx.predicted_start(ep, lo).is_some() {
         plan = idx
             .router()
             .and_then(Router::model)
@@ -818,11 +807,10 @@ async fn scan_chain(
             hi,
         ));
     }
-    // A plan begins at its first leaf; a model's must be the one predicted.
-    plan = plan.filter(|p| p.next().is_some_and(|e| cur.is_null() || e.1 == cur));
+    // A plan begins at its first leaf (for a model's, the one predicted).
     cur = plan.as_ref().and_then(Plan::next).map_or(cur, |e| e.1);
     let ps = idx.layout().page_size();
-    let batch = idx.chain().map_or(0, |c| c.head_stride).max(1);
+    let batch = idx.chain().map_or(0, |c| c.scan_batch).max(1);
     let mut batch_reqs: Vec<(RemotePtr, usize)> =
         Vec::with_capacity(plan.as_ref().map_or(0, |p| batch.min(p.span.len())));
     let mut out = Vec::new();
@@ -884,19 +872,6 @@ async fn scan_chain(
             },
         };
         match kind_of(&page) {
-            NodeKind::Head => {
-                // Prefetch the whole group with selectively signalled
-                // READs (§4.3) — one latency for the group.
-                crate::note_fence(ep, FenceKind::Revalidate, cur);
-                let head = HeadNodeRef::new(&page);
-                let reqs: Vec<(RemotePtr, usize)> =
-                    (0..head.count()).map(|i| (rp(head.ptr(i)), ps)).collect();
-                let pages = ep.read_many(&reqs).await?;
-                for ((p, _), bytes) in reqs.iter().zip(pages) {
-                    prefetched.insert(p.raw(), bytes);
-                }
-                cur = rp(head.right_sibling());
-            }
             NodeKind::Leaf => {
                 let leaf = LeafNodeRef::new(&page);
                 crate::note_fence(ep, FenceKind::Revalidate, cur);
@@ -915,16 +890,25 @@ async fn scan_chain(
                 };
                 p.span.start += 1;
                 // Mutation `LearnedScanSkipsSplit`: skip the high-key check.
-                if leaf.high_key() == high || crate::mutated(Mutation::LearnedScanSkipsSplit) {
-                    if p.span.is_empty() {
-                        plan = idx.next_plan(ep, p, high, hi).await?;
-                    }
-                    cur = plan.as_ref().and_then(Plan::next).map_or(cur, |e| e.1);
-                } else if let Source::Node(origin, _) = p.src {
-                    // The stale level-1 page leaves the cache.
+                let intact =
+                    leaf.high_key() == high || crate::mutated(Mutation::LearnedScanSkipsSplit);
+                if !intact {
+                    // A stale level-1 page leaves the cache.
+                    let origin = match p.src {
+                        Source::Node(origin, _) => origin,
+                        _ => RemotePtr::NULL,
+                    };
                     idx.invalidate(ep, high, origin);
-                } else {
-                    idx.invalidate(ep, high, RemotePtr::NULL);
+                }
+                // A plan used up below `hi` is followed by its source's
+                // next, keyed by the planned high key, split or not.
+                if p.span.is_empty() && high < hi {
+                    plan = idx.next_plan(ep, p, high, hi).await?;
+                }
+                // Past a split leaf the walk follows its sibling, through
+                // the leaves split off it, until it meets the plan again.
+                if intact {
+                    cur = plan.as_ref().and_then(Plan::next).map_or(cur, |e| e.1);
                 }
             }
             // Leaf chains never link to an inner node; reaching one means
@@ -1113,21 +1097,51 @@ mod tests {
     /// on the setup path — still returns every row: it leaves the plan at
     /// the split leaf, READs the split-born leaf through its sibling
     /// pointer and rejoins the plan at the next planned leaf, for one
-    /// READ more than before the split. (The learned twin, whose plan is
-    /// the model's, is in `router.rs`.)
-    fn scan_leaves_the_plan_at_a_split_and_rejoins_it(nam: &NamCluster, idx: Rc<Index>) {
+    /// READ more than before the split. Mid-plan, that leaf is still in
+    /// the plan; at the plan's end (`plan_end`) it is the first of the
+    /// plan fetched next, exactly as without the split: a level-1 page's
+    /// sibling READ or one RPC, and the planned leaves after it in
+    /// batches (walking them singly instead READs no sibling page or asks
+    /// no server). (The learned twin, whose plan is the model's, is in
+    /// `router.rs`.)
+    fn scan_survives_a_split_of_a_planned_leaf(nam: &NamCluster, idx: Rc<Index>, plan_end: bool) {
         use blink::node::LeafNodeMut;
         let (lo, hi) = (100 * 8, 199 * 8);
         let src = idx.setup_source();
-        let chain: Vec<_> = src.chain(idx.chain().unwrap().first()).collect();
-        // A leaf mid-range whose chain successor is a leaf, not a head.
-        let inside: Vec<RemotePtr> = chain
-            .windows(2)
-            .filter(|w| kind_of(&w[0].1) == NodeKind::Leaf && kind_of(&w[1].1) == NodeKind::Leaf)
-            .filter(|w| (lo + 80..hi - 80).contains(&LeafNodeRef::new(&w[0].1).high_key()))
-            .map(|w| w[0].0)
-            .collect();
-        let split = inside[inside.len() / 2];
+        let sim = nam.rdma.sim().clone();
+        let split = if plan_end {
+            // The last leaf of the scan's first plan.
+            let (idx, ep) = (idx.clone(), rdma_sim::Endpoint::new(&nam.rdma));
+            let last = Rc::new(Cell::new(RemotePtr::NULL));
+            let out = last.clone();
+            sim.spawn(async move {
+                let src = match idx.local() {
+                    Some(local) => Source::Reply(local.leaf_plan(&ep, lo, hi).await.unwrap()),
+                    None => {
+                        let level1 = idx.descend(&ep, lo, msg::range_req(), None, 1);
+                        let (ptr, page) = level1.await.unwrap();
+                        Source::Node(ptr, page)
+                    }
+                };
+                let plan = Plan::new(src, lo, hi);
+                let (high, ptr) = plan.entry(plan.span.end - 1).unwrap();
+                assert!(
+                    (lo + 80..hi - 80).contains(&high),
+                    "the scan goes on past {high}"
+                );
+                out.set(ptr);
+            });
+            sim.run();
+            last.get()
+        } else {
+            // A leaf mid-range.
+            let inside: Vec<RemotePtr> = src
+                .chain(idx.chain().unwrap().first())
+                .filter(|(_, page)| (lo + 80..hi - 80).contains(&LeafNodeRef::new(page).high_key()))
+                .map(|(ptr, _)| ptr)
+                .collect();
+            inside[inside.len() / 2]
+        };
         let oracle: Vec<(Key, Value)> = (100..200u64).map(|i| (i * 8, i)).collect();
         let scan = || {
             let cluster = nam.rdma.clone();
@@ -1138,7 +1152,6 @@ mod tests {
             let got = Rc::new(RefCell::new(None));
             let (idx, out) = (idx.clone(), got.clone());
             let ep = rdma_sim::Endpoint::new(&nam.rdma);
-            let sim = nam.rdma.sim().clone();
             sim.spawn(async move {
                 let (rpcs, reads) = verbs();
                 let rows = idx.range(&ep, lo, hi).await.unwrap();
@@ -1169,26 +1182,38 @@ mod tests {
         );
     }
 
+    fn fg_twin(nam: &NamCluster) -> Rc<Index> {
+        FineGrained::build(&nam.rdma, small_cfg(), (0..500u64).map(|i| (i * 8, i)))
+    }
+
+    fn hybrid_twin(nam: &NamCluster) -> Rc<Index> {
+        let partition = PartitionMap::range_uniform(nam.num_servers(), 500 * 8);
+        let items = (0..500u64).map(|i| (i * 8, i));
+        Hybrid::build(nam, small_cfg(), partition, items)
+    }
+
     #[test]
     fn an_fg_scan_leaves_the_plan_at_a_split_and_rejoins_it() {
-        let sim = Sim::new();
-        let nam = NamCluster::new(&sim, ClusterSpec::default());
-        let idx = FineGrained::build(&nam.rdma, small_cfg(), (0..500u64).map(|i| (i * 8, i)));
-        scan_leaves_the_plan_at_a_split_and_rejoins_it(&nam, idx);
+        let nam = NamCluster::new(&Sim::new(), ClusterSpec::default());
+        scan_survives_a_split_of_a_planned_leaf(&nam, fg_twin(&nam), false);
     }
 
     #[test]
     fn a_hybrid_scan_leaves_the_plan_at_a_split_and_rejoins_it() {
-        let sim = Sim::new();
-        let nam = NamCluster::new(&sim, ClusterSpec::default());
-        let partition = PartitionMap::range_uniform(nam.num_servers(), 500 * 8);
-        let idx = Hybrid::build(
-            &nam,
-            small_cfg(),
-            partition,
-            (0..500u64).map(|i| (i * 8, i)),
-        );
-        scan_leaves_the_plan_at_a_split_and_rejoins_it(&nam, idx);
+        let nam = NamCluster::new(&Sim::new(), ClusterSpec::default());
+        scan_survives_a_split_of_a_planned_leaf(&nam, hybrid_twin(&nam), false);
+    }
+
+    #[test]
+    fn an_fg_scan_fetches_the_next_plan_past_a_split_last_leaf() {
+        let nam = NamCluster::new(&Sim::new(), ClusterSpec::default());
+        scan_survives_a_split_of_a_planned_leaf(&nam, fg_twin(&nam), true);
+    }
+
+    #[test]
+    fn a_hybrid_scan_fetches_the_next_plan_past_a_split_last_leaf() {
+        let nam = NamCluster::new(&Sim::new(), ClusterSpec::default());
+        scan_survives_a_split_of_a_planned_leaf(&nam, hybrid_twin(&nam), true);
     }
 
     /// `merge` hands back every recorded row once, in server order or

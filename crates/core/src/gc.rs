@@ -17,7 +17,7 @@
 //!   No synchronisation between the two is needed since delete bits are
 //!   set consistently.
 
-use blink::node::{kind_of, HeadNodeRef, LeafNodeMut, LeafNodeRef, NodeKind};
+use blink::node::{kind_of, LeafNodeMut, LeafNodeRef, NodeKind};
 use rdma_sim::{Endpoint, OpKind, RemotePtr, VerbError};
 
 use crate::onesided::{lock_node, read_unlocked};
@@ -63,9 +63,6 @@ async fn chain_gc(ep: &Endpoint, first: RemotePtr, page_size: usize) -> Result<u
         // the lock CAS below before any bytes are rewritten.
         crate::note_fence(ep, rdma_sim::FenceKind::Revalidate, cur);
         match kind_of(&page) {
-            NodeKind::Head => {
-                cur = RemotePtr::from_page_ptr(HeadNodeRef::new(&page).right_sibling());
-            }
             NodeKind::Leaf => {
                 let leaf = LeafNodeRef::new(&page);
                 let next = RemotePtr::from_page_ptr(leaf.right_sibling());

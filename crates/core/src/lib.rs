@@ -26,7 +26,7 @@
 //! traversal/SMO [`engine`] over the index's six page-resolution
 //! methods, and share the same tombstone-delete / epoch-GC scheme
 //! ([`gc`]); a range scan READs the leaves the node above them names, in
-//! batches, with the chain's head nodes (§4.3) as the fallback.
+//! batches (where §4.3 reads head nodes).
 //!
 //! [`Design`] pairs an index with its name for benchmarks and examples,
 //! and adds the *recovery* layer: transient verb failures (timeouts,

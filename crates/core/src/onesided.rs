@@ -440,8 +440,6 @@ pub(crate) mod tests {
             }
         }
 
-        fn on_free(&self, _: usize, _: u64, _: usize, _: SimTime) {}
-
         fn on_verb_failed(&self, _: u64, _: usize, _: SimTime) {
             for s in 0..self.cluster.num_servers() {
                 self.cluster.restore_link(s);
@@ -678,7 +676,7 @@ pub(crate) mod tests {
         let cfg = FgConfig {
             layout: PageLayout::new(200),
             fill: 0.7,
-            head_stride: 4,
+            scan_batch: 4,
             cache_capacity: None,
         };
         let idx = FineGrained::build(&cluster, cfg, (0..100u64).map(|i| (i * 8, i)));

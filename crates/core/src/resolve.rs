@@ -319,7 +319,10 @@ impl Index {
         key: Key,
         req_bytes: usize,
     ) -> Result<RemotePtr, VerbError> {
-        if let Some(ptr) = self.client_start(ep, key) {
+        if let Some(ptr) = self.cached_route(ep, key) {
+            return Ok(ptr);
+        }
+        if let Some(ptr) = self.predicted_start(ep, key) {
             return Ok(ptr);
         }
         match &self.upper {
@@ -328,15 +331,19 @@ impl Index {
         }
     }
 
-    /// The descent start for `key` that client-resident state serves, if
-    /// any: a cached route, else the model's prediction.
-    pub(crate) fn client_start(&self, ep: &Endpoint, key: Key) -> Option<RemotePtr> {
-        if let (Some(cache), Some(_)) = (self.fenced_cache(ep), self.local()) {
-            if let Some(ptr) = cache.route_hit(ep.client_id(), key) {
-                crate::note_fence(ep, FenceKind::CachedUse, ptr);
-                return Some(ptr);
-            }
-        }
+    /// The cached route for `key`, if a local upper level's cache holds
+    /// one. Every cache consultation, a remote upper level's too, passes
+    /// the restart-epoch fence here first.
+    fn cached_route(&self, ep: &Endpoint, key: Key) -> Option<RemotePtr> {
+        let cache = self.fenced_cache(ep)?;
+        self.local()?;
+        let ptr = cache.route_hit(ep.client_id(), key)?;
+        crate::note_fence(ep, FenceKind::CachedUse, ptr);
+        Some(ptr)
+    }
+
+    /// The model's prediction for `key`'s leaf, if there is a model.
+    pub(crate) fn predicted_start(&self, ep: &Endpoint, key: Key) -> Option<RemotePtr> {
         let (router, chain) = (self.router.as_ref()?, self.chain.as_ref()?);
         // `sync` reconciles the model against the cluster restart epoch —
         // the same fence the cache layer evaluates.
@@ -701,22 +708,22 @@ mod tests {
     }
 
     /// The byte-identity contract of bulk load: placement is the order of
-    /// `alloc` calls (leaves, then heads, then each inner level left to
-    /// right), so every pool image is pinned — per-server watermark plus
-    /// one FNV-1a-64 digest chained over the four images.
+    /// `alloc` calls (leaves, then each inner level left to right), so
+    /// every pool image is pinned — per-server watermark plus one
+    /// FNV-1a-64 digest chained over the four images.
     #[test]
     fn bulk_loaded_pool_images_are_pinned() {
         use crate::Design;
         use crate::IndexKind;
-        // (page, stride, n, dup) -> (per-server `allocated()`, digest) of
+        // (page, batch, n, dup) -> (per-server `allocated()`, digest) of
         // FG and of Hybrid = Learned: duplicates straddling leaf
-        // boundaries, no heads, default geometry, empty input, one
-        // duplicated key per leaf.
+        // boundaries, single scan READs, default geometry, empty input,
+        // one duplicated key per leaf.
         let cases = [
             (
                 (200usize, 4usize, 5000u64, 3u64),
-                ([39608u64, 39608, 39408, 39408], 0x5ac27a254e219aceu64),
-                ([34808, 34808, 34808, 34608], 0xdaa2c88668d47646),
+                ([32608u64, 32608, 32608, 32408], 0x7c936aa2c0dab2bfu64),
+                ([27808, 27808, 27808, 27808], 0xe75186d2574cd390),
             ),
             (
                 (200, 0, 777, 1),
@@ -725,18 +732,18 @@ mod tests {
             ),
             (
                 (1024, 8, 100_000, 1),
-                ([701448, 701448, 701448, 700424], 0xeb07bc94f22733fd),
-                ([686088, 686088, 686088, 685064], 0x885b91aab6755c31),
+                ([625672, 624648, 624648, 624648], 0xd2f8b66d4dabd881),
+                ([610312, 609288, 609288, 609288], 0xed4a4812fce18f35),
             ),
             (
                 (1024, 8, 0, 1),
-                ([1032, 1032, 8, 8], 0xbf636247f6f37897),
-                ([1032, 1032, 8, 8], 0xbf636247f6f37897),
+                ([1032, 8, 8, 8], 0x7aaab18c4a4b1f5c),
+                ([1032, 8, 8, 8], 0x7aaab18c4a4b1f5c),
             ),
             (
                 (200, 4, 28, 7),
-                ([408, 408, 208, 208], 0x4c05dd2e6561c171),
-                ([408, 208, 208, 208], 0x8ca544694361bf36),
+                ([408, 208, 208, 208], 0x0aa492c5d2656f5b),
+                ([208, 208, 208, 208], 0x5d1df6a8942dfd88),
             ),
         ];
         // Twice: the second round builds every pool in memory the first
@@ -746,7 +753,7 @@ mod tests {
                 round == 0 || blink::mem::spare_bytes() > 0,
                 "nothing was parked for the second round"
             );
-            for ((page, head_stride, n, dup), fg, hybrid) in cases {
+            for ((page, scan_batch, n, dup), fg, hybrid) in cases {
                 // Every design with a chain (CG keeps nothing in the pools).
                 for kind in &IndexKind::ALL[1..] {
                     let sim = Sim::new();
@@ -754,7 +761,7 @@ mod tests {
                     let cfg = FgConfig {
                         layout: PageLayout::new(page),
                         fill: 0.7,
-                        head_stride,
+                        scan_batch,
                         cache_capacity: None,
                     };
                     let partition = PartitionMap::range_uniform(4, (n / dup + 1) * 8);
@@ -776,7 +783,7 @@ mod tests {
                     assert_eq!(
                         (allocated, digest),
                         want,
-                        "{kind:?} ({page}, {head_stride}, {n}, {dup}): digest {digest:016x}"
+                        "{kind:?} ({page}, {scan_batch}, {n}, {dup}): digest {digest:016x}"
                     );
                 }
             }
@@ -845,7 +852,7 @@ mod tests {
         // Twice, like the pool golden: the second round builds in the
         // memory the first round's trees left dirty.
         for round in 0..2 {
-            for ((page, head_stride, n, dup, partition), cg, hybrid) in cases.clone() {
+            for ((page, scan_batch, n, dup, partition), cg, hybrid) in cases.clone() {
                 let stride = if partition.is_some() { 1 } else { 8 };
                 let partition =
                     partition.unwrap_or_else(|| PartitionMap::range_uniform(4, (n / dup + 1) * 8));
@@ -860,7 +867,7 @@ mod tests {
                     let cfg = FgConfig {
                         layout: PageLayout::new(page),
                         fill: 0.7,
-                        head_stride,
+                        scan_batch,
                         cache_capacity: None,
                     };
                     let items = (0..n).map(|i| ((i / dup) * stride, i));
@@ -879,7 +886,7 @@ mod tests {
                     assert_eq!(
                         (pages, digest),
                         want,
-                        "round {round}, {kind:?} ({page}, {head_stride}, {n}, {dup}, \
+                        "round {round}, {kind:?} ({page}, {scan_batch}, {n}, {dup}, \
                          {partition:?}): digest {digest:016x}"
                     );
                 }

@@ -178,12 +178,11 @@ impl Router {
         // An untimed control-path snapshot, not a wire READ: a torn
         // chain aborts the rebuild below (non-chain page kind).
         for (ptr, page) in src.chain(first) {
-            match kind_of(&page) {
-                NodeKind::Head => {}
-                NodeKind::Leaf => table.push((LeafNodeRef::new(&page).high_key(), ptr.raw())),
-                // A non-chain page in the chain: torn snapshot, abort.
-                NodeKind::Inner => return,
+            // A non-chain page in the chain: torn snapshot, abort.
+            if kind_of(&page) != NodeKind::Leaf {
+                return;
             }
+            table.push((LeafNodeRef::new(&page).high_key(), ptr.raw()));
         }
         self.train(table);
     }
@@ -283,14 +282,14 @@ mod tests {
     /// The build trains from the loader's own leaf table, not from a walk
     /// of the chain it just wrote; the two are the same model: the same
     /// table, and the same leaf predicted for every leaf's high key and
-    /// for 10 000 random keys, with head nodes or without and with
-    /// duplicates straddling leaf boundaries.
+    /// for 10 000 random keys, at either page size and with duplicates
+    /// straddling leaf boundaries.
     #[test]
     fn the_loaders_table_trains_the_model_a_chain_walk_trains() {
         use crate::chain::FgConfig;
         use simnet::rng::DetRng;
         let default_pages = FgConfig {
-            head_stride: 0,
+            scan_batch: 0,
             ..FgConfig::default()
         };
         for (cfg, n, dup) in [(small_cfg(), 5000u64, 3u64), (default_pages, 100_000, 1)] {

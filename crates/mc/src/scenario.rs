@@ -317,7 +317,7 @@ fn build(sc: &Scenario, nam: &NamCluster) -> Design {
     let cfg = FgConfig {
         layout: PageLayout::new(PAGE_SIZE),
         fill: 0.7,
-        head_stride: 4,
+        scan_batch: 4,
         cache_capacity: sc.cache_capacity,
     };
     Design::build(sc.design, nam, cfg, partition, items)

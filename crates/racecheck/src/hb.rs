@@ -314,11 +314,10 @@ impl Threads {
         }
     }
 
-    /// Drop every window on pages for which `gone` holds (freed, or on a
-    /// server whose memory was rewound).
-    pub(crate) fn forget_pages(&mut self, gone: impl Fn(&PageKey) -> bool) {
+    /// Drop every window on pages of `server`, whose memory was rewound.
+    pub(crate) fn forget_server(&mut self, server: usize) {
         for open in self.pending.values_mut() {
-            open.retain(|k, _| !gone(k));
+            open.retain(|k, _| k.0 != server);
         }
     }
 

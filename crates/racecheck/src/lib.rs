@@ -26,8 +26,6 @@
 //!   on first sight: an `ALLOC` as private to its allocator, a page-sized
 //!   READ/WRITE or an atomic as a published page whose word is seeded
 //!   from memory or from the atomic's `prev`), then the rule modules;
-//! * `on_free` — retired pages leave the table (and become
-//!   use-after-free regions);
 //! * `on_server_recovered` — WAL recovery rewound that server's memory to
 //!   the durable prefix: lock words are resynced from memory and clocks
 //!   and pending windows on that server are cleared, because pre-crash
@@ -41,9 +39,9 @@
 //! ## Rule modules
 //!
 //! * `protocol` — version protocol of the lock word, lease-break
-//!   legality, atomic hygiene, use-after-free, blind writes after an
-//!   unreachable episode; the only code that moves a page's word, holder
-//!   and privacy;
+//!   legality, atomic hygiene, blind writes after an unreachable
+//!   episode; the only code that moves a page's word, holder and
+//!   privacy;
 //! * `hb` — vector clocks: every page READ is *synchronized*,
 //!   *benign-validated* (a version/fence re-check was observed before its
 //!   bytes escaped into a completed op) or an unvalidated race;
@@ -77,10 +75,9 @@
 //! # Rules
 //!
 //! `version-protocol`, `version-tamper`, `lease-break`,
-//! `misaligned-atomic`, `atomic-race`, `use-after-free`,
-//! `unreachable-write` (protocol); `unvalidated-race`,
-//! `locked-snapshot-read`, `write-write-race`, `unlocked-write`,
-//! `stale-epoch-cached-use` (hb); `structural` (walk).
+//! `misaligned-atomic`, `atomic-race`, `unreachable-write` (protocol);
+//! `unvalidated-race`, `locked-snapshot-read`, `write-write-race`,
+//! `unlocked-write`, `stale-epoch-cached-use` (hb); `structural` (walk).
 //! [`Violation::rule`] carries the id.
 
 mod hb;
@@ -495,16 +492,6 @@ impl VerbObserver for Racecheck {
         }
     }
 
-    fn on_free(&self, server: usize, offset: u64, len: usize, time: SimTime) {
-        let st = &mut *self.state.borrow_mut();
-        st.traffic.note_freed(server, offset, len, time);
-        // Retired pages stop being protocol pages.
-        while let Some(key) = find(&st.pages, server, offset, len) {
-            st.pages.remove(&key);
-            st.threads.forget_pages(|k| *k == key);
-        }
-    }
-
     fn on_server_recovered(&self, server: usize, time: SimTime) {
         // Recovery rewound this server's memory to the durable prefix: a
         // mutation that applied before the crash but never reached the
@@ -522,7 +509,7 @@ impl VerbObserver for Racecheck {
                 page.resync(self.mem_word(key), time);
             }
         }
-        st.threads.forget_pages(|k| k.0 == server);
+        st.threads.forget_server(server);
     }
 
     fn on_rpc(&self, ev: &RpcEvent) {

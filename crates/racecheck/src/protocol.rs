@@ -13,9 +13,7 @@
 //!    clients, except on a lock word: the holder's write-back legally
 //!    crosses a contender's failing CAS, precisely because it leaves the
 //!    word unchanged (which rule 1 checks).
-//! 3. **No use-after-free** (`use-after-free`) — no verb touches a region
-//!    retired by epoch maintenance.
-//! 4. **No blind mutation** (`unreachable-write`) — a client that saw a
+//! 3. **No blind mutation** (`unreachable-write`) — a client that saw a
 //!    server unreachable re-validates with a READ before it mutates
 //!    there again; otherwise it may be applying pre-crash cached state.
 //!
@@ -46,18 +44,9 @@ struct Access {
     client: u64,
 }
 
-#[derive(Clone, Copy)]
-struct Freed {
-    len: usize,
-    time: SimTime,
-}
-
 /// Rule state that is about regions and clients rather than pages.
 #[derive(Default)]
 pub(crate) struct Traffic {
-    /// Epoch-retired regions, keyed by `(server, start offset)`.
-    freed: BTreeMap<PageKey, Freed>,
-    max_freed_len: usize,
     /// Recently completed WRITEs / atomics, in completion order.
     writes: VecDeque<Access>,
     atomics: VecDeque<Access>,
@@ -71,19 +60,12 @@ impl Traffic {
         self.unreachable.entry((client, server)).or_insert(time);
     }
 
-    pub(crate) fn note_freed(&mut self, server: usize, offset: u64, len: usize, time: SimTime) {
-        self.freed.insert((server, offset), Freed { len, time });
-        self.max_freed_len = self.max_freed_len.max(len);
-    }
-
-    /// Rules 2–4: judge the access itself, whatever page it lands on.
+    /// Rules 2–3: judge the access itself, whatever page it lands on.
     pub(crate) fn check_access(&mut self, pages: &Pages, ev: &VerbEvent, out: &mut Findings) {
         let atomic = match ev.kind {
-            // Bump allocation never reuses freed space.
             VerbKind::Alloc => return,
             VerbKind::Read => {
                 self.unreachable.remove(&(ev.client, ev.server));
-                self.check_freed(ev, out);
                 return;
             }
             VerbKind::Write => false,
@@ -98,33 +80,11 @@ impl Traffic {
             );
             out.verb("unreachable-write", ev, detail);
         }
-        self.check_freed(ev, out);
         if atomic && !ev.offset.is_multiple_of(8) {
             let detail = format!("{:?} at non-8-byte-aligned offset", ev.kind);
             out.verb("misaligned-atomic", ev, detail);
         }
         self.check_inflight(pages, ev, atomic, out);
-    }
-
-    fn check_freed(&self, ev: &VerbEvent, out: &mut Findings) {
-        if self.freed.is_empty() {
-            return;
-        }
-        let lo = ev
-            .offset
-            .saturating_sub(self.max_freed_len.max(1) as u64 - 1);
-        let hi = ev.offset + ev.len as u64;
-        for (&(_, start), f) in self.freed.range((ev.server, lo)..(ev.server, hi)) {
-            if start + f.len as u64 > ev.offset {
-                let detail = format!(
-                    "{:?} touches region {start}+{} retired at t={}ns",
-                    ev.kind,
-                    f.len,
-                    f.time.as_nanos()
-                );
-                out.verb("use-after-free", ev, detail);
-            }
-        }
     }
 
     /// Record `ev` among its own kind and report overlaps in time and

@@ -67,8 +67,6 @@ fn audit_model(src: &SetupSource, table: &[(Key, u64)], out: &mut Vec<Violation>
         let page = src.load(ptr);
         let stale_right = match kind_of(&page) {
             NodeKind::Leaf => LeafNodeRef::new(&page).high_key() > high,
-            // Heads are legal chain interposers the engine skips.
-            NodeKind::Head => false,
             NodeKind::Inner => true,
         };
         if stale_right {
@@ -161,7 +159,7 @@ pub fn register_design(rc: &Racecheck, design: &Design) {
 #[allow(clippy::indexing_slicing)]
 mod tests {
     use super::*;
-    use blink::layout::{lock_word, HEADER_SIZE};
+    use blink::layout::lock_word;
     use blink::node::{set_version_lock, LeafNodeMut};
     use blink::PageLayout;
     use namdex_core::{FgConfig, FineGrained, Hybrid, NamCluster, PartitionMap};
@@ -176,7 +174,7 @@ mod tests {
         FgConfig {
             layout: PageLayout::new(PAGE),
             fill: 0.7,
-            head_stride: 4,
+            scan_batch: 4,
             cache_capacity: None,
         }
     }
@@ -189,29 +187,23 @@ mod tests {
     /// one, comes back as a `structural` violation naming it — no panic.
     #[test]
     fn corrupted_pool_pages_are_structural_violations() {
-        type Corrupt = fn(&Cluster, &[RemotePtr], &[RemotePtr]);
-        let cases: [(&str, Corrupt); 4] = [
-            ("left locked", |c, leaves, _| {
+        type Corrupt = fn(&Cluster, &[RemotePtr]);
+        let cases: [(&str, Corrupt); 3] = [
+            ("left locked", |c, leaves| {
                 c.setup_page(leaves[5], PAGE, |p| {
                     set_version_lock(p, lock_word::locked(0))
                 })
             }),
-            ("above leaf high fence", |c, leaves, _| {
+            ("above leaf high fence", |c, leaves| {
                 c.setup_page(leaves[5], PAGE, |p| {
                     let lowered = LeafNodeRef::new(p).entry(0).0 - 1;
                     p[HIGH_KEY..HIGH_KEY + 8].copy_from_slice(&lowered.to_le_bytes());
                 })
             }),
-            ("cycle in the leaf chain", |c, leaves, _| {
+            ("cycle in the leaf chain", |c, leaves| {
                 let back = leaves[2].as_page_ptr();
                 c.setup_page(leaves[8], PAGE, |p| {
                     LeafNodeMut::new(p).set_right_sibling(back)
-                })
-            }),
-            ("not a chain leaf", |c, _, heads| {
-                let off_chain = c.setup_alloc(0, PAGE as u64).raw().to_le_bytes();
-                c.setup_page(heads[1], PAGE, |p| {
-                    p[HEADER_SIZE..HEADER_SIZE + 8].copy_from_slice(&off_chain)
                 })
             }),
         ];
@@ -232,14 +224,12 @@ mod tests {
                 );
                 let idx = design.index();
                 let first = idx.chain().map(|c| c.first()).unwrap_or_default();
-                let (mut leaves, mut heads) = (Vec::new(), Vec::new());
-                for (ptr, page) in idx.setup_source().chain(first) {
-                    match kind_of(&page) {
-                        NodeKind::Head => heads.push(ptr),
-                        _ => leaves.push(ptr),
-                    }
-                }
-                corrupt(&nam.rdma, &leaves, &heads);
+                let leaves: Vec<RemotePtr> = idx
+                    .setup_source()
+                    .chain(first)
+                    .map(|(ptr, _)| ptr)
+                    .collect();
+                corrupt(&nam.rdma, &leaves);
                 let found = check_design(&design);
                 assert!(
                     found

@@ -723,14 +723,6 @@ impl Cluster {
         self.each_observer(|o| o.on_unreachable(client, server, now));
     }
 
-    /// Report that epoch GC retired `[offset, offset + len)` on `server`;
-    /// later verbs touching it are use-after-free (see
-    /// [`crate::observer::VerbObserver::on_free`]).
-    pub fn note_freed(&self, server: usize, offset: u64, len: usize) {
-        let now = self.inner.sim.now();
-        self.each_observer(|o| o.on_free(server, offset, len, now));
-    }
-
     /// Report a completed two-sided RPC to the installed observers.
     pub(crate) fn observe_rpc(&self, ev: crate::observer::RpcEvent) {
         self.each_observer(|o| o.on_rpc(&ev));

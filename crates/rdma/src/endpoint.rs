@@ -1237,7 +1237,6 @@ mod tests {
             fn on_verb(&self, _: &VerbEvent) {
                 self.0.set(self.0.get() + 1);
             }
-            fn on_free(&self, _: usize, _: u64, _: usize, _: SimTime) {}
         }
         let (sim, cluster) = harness();
         // Every die would come up "dropped" — if one were rolled.
@@ -1417,7 +1416,6 @@ mod tests {
             fn on_verb(&self, e: &VerbEvent) {
                 self.0.borrow_mut().push(e.queue_nanos);
             }
-            fn on_free(&self, _: usize, _: u64, _: usize, _: SimTime) {}
         }
         let slow = LinkDegrade {
             extra_delay: SimDur::from_nanos(3_000),

@@ -169,18 +169,14 @@ pub enum FenceKind {
     EpochCheck,
 }
 
-/// Receiver for verb events and reclamation notices.
+/// Receiver for verb events.
 ///
-/// Only [`on_verb`](Self::on_verb) and [`on_free`](Self::on_free) are
-/// required; every other hook defaults to a no-op so existing observers
-/// (the checker) keep compiling as the reporting surface grows.
+/// Only [`on_verb`](Self::on_verb) is required; every other hook
+/// defaults to a no-op so existing observers (the checker) keep
+/// compiling as the reporting surface grows.
 pub trait VerbObserver {
     /// A verb completed and its memory effect has been applied.
     fn on_verb(&self, ev: &VerbEvent);
-
-    /// Epoch GC retired `[offset, offset + len)` on `server`; any later
-    /// verb touching the region is a use-after-free.
-    fn on_free(&self, server: usize, offset: u64, len: usize, time: SimTime);
 
     /// `client` attempted a verb against a crashed `server` and received
     /// `ServerUnreachable`. The verb had no remote effect. Fires at issue

@@ -155,11 +155,6 @@ impl VerbObserver for Telemetry {
         });
     }
 
-    fn on_free(&self, _server: usize, _offset: u64, len: usize, _time: SimTime) {
-        self.registry.add("gc.freed_regions", 1);
-        self.registry.add("gc.freed_bytes", len as u64);
-    }
-
     fn on_unreachable(&self, _client: u64, _server: usize, _time: SimTime) {
         self.registry.add("verb.unreachable.count", 1);
     }

@@ -1,8 +1,10 @@
 //! OLAP scenario: analytical range scans at different selectivities.
 //!
-//! Compares the fine-grained design's head-node prefetch (§4.3) against
-//! plain sibling chasing, and shows how the scan cost scales with
-//! selectivity — the effect behind Figures 7(b–d).
+//! Sweeps the fine-grained design's scan READ batch (`scan_batch`: how
+//! many of the leaves a level-1 page names go out in one round trip, the
+//! paper's head-node stride, §4.3) from one leaf at a time upwards, and
+//! shows how the scan cost scales with selectivity — the effect behind
+//! Figures 7(b–d).
 //!
 //! ```sh
 //! cargo run --release --example analytics_scan
@@ -14,11 +16,11 @@ use std::rc::Rc;
 
 const KEYS: u64 = 200_000;
 
-fn scan_time(head_stride: usize, sel: f64) -> (f64, usize) {
+fn scan_time(scan_batch: usize, sel: f64) -> (f64, usize) {
     let sim = Sim::new();
     let cluster = Cluster::new(&sim, ClusterSpec::default());
     let cfg = FgConfig {
-        head_stride,
+        scan_batch,
         ..FgConfig::default()
     };
     let index = FineGrained::build(&cluster, cfg, (0..KEYS).map(|i| (i * 8, i)));
@@ -53,24 +55,28 @@ fn scan_time(head_stride: usize, sel: f64) -> (f64, usize) {
 }
 
 fn main() {
-    println!("analytical scans over {KEYS} keys (fine-grained design)\n");
-    println!(
-        "{:>10} {:>10} {:>16} {:>16} {:>9}",
-        "sel", "rows", "no prefetch", "head prefetch", "speedup"
-    );
+    const BATCHES: [usize; 4] = [1, 4, 8, 16];
+    println!("analytical scans over {KEYS} keys (fine-grained design), us per scan\n");
+    print!("{:>10} {:>10}", "sel", "rows");
+    for batch in BATCHES {
+        print!(" {:>11}", format!("batch {batch}"));
+    }
+    println!(" {:>9}", "speedup");
     for sel in [0.001, 0.01, 0.1] {
-        let (plain, rows) = scan_time(0, sel);
-        let (prefetch, rows2) = scan_time(8, sel);
-        assert_eq!(rows, rows2, "prefetch must not change results");
-        println!(
-            "{sel:>10} {rows:>10} {:>13.0} us {:>13.0} us {:>8.2}x",
-            plain,
-            prefetch,
-            plain / prefetch
+        let runs = BATCHES.map(|batch| scan_time(batch, sel));
+        let rows = runs[0].1;
+        assert!(
+            runs.iter().all(|r| r.1 == rows),
+            "the batch changed results"
         );
+        print!("{sel:>10} {rows:>10}");
+        for (us, _) in runs {
+            print!(" {us:>11.0}");
+        }
+        println!(" {:>8.2}x", runs[0].0 / runs[BATCHES.len() - 1].0);
     }
     println!(
-        "\nhead nodes prefetch a whole leaf group per round trip, so the \
+        "\nA batch READs that many planned leaves per round trip, so the \
          speedup grows\nwith scan length (the paper's §4.3 'selectively \
          signaled READs')."
     );

@@ -23,7 +23,6 @@ struct PrintFaults;
 
 impl VerbObserver for PrintFaults {
     fn on_verb(&self, _ev: &VerbEvent) {}
-    fn on_free(&self, _server: usize, _offset: u64, _len: usize, _time: SimTime) {}
     fn on_instant(&self, label: &str, _time: SimTime) {
         println!("  [chaos] {label}");
     }

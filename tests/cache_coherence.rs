@@ -30,7 +30,7 @@ fn bounded_cfg(capacity: usize) -> FgConfig {
     FgConfig {
         layout: PageLayout::new(256), // small pages: deep tree, easy splits
         fill: 0.7,
-        head_stride: 4,
+        scan_batch: 4,
         cache_capacity: Some(capacity),
     }
 }
@@ -444,27 +444,27 @@ fn cached_cells_are_pinned() {
         (
             IndexKind::FineGrained,
             256,
-            325_781,
-            134_733,
-            0x9c34d240df072795u64,
+            325_723,
+            134_920,
+            0x2e89e7d91e41f0bdu64,
         ),
         (
             IndexKind::FineGrained,
             SMALL,
-            163_719,
-            268_457,
-            0xc4cb6762a42ea472,
+            164_009,
+            268_160,
+            0x603d95652f28c844,
         ),
         (
             IndexKind::FineGrained,
             0,
-            341_595,
-            120_597,
-            0xcc8f93d3257d9670,
+            341_630,
+            119_583,
+            0x8ab61df7ff747d33,
         ),
-        (IndexKind::Hybrid, 256, 29_381, 42_619, 0x223a45184b7671bb),
-        (IndexKind::Hybrid, SMALL, 3_907, 68_093, 0xb949e3e468c37209),
-        (IndexKind::Hybrid, 0, 38_615, 33_385, 0xb77c50147afcaec0),
+        (IndexKind::Hybrid, 256, 29_366, 42_634, 0x425db43a41495065),
+        (IndexKind::Hybrid, SMALL, 3_921, 68_079, 0xfd9f7e065b23db26),
+        (IndexKind::Hybrid, 0, 38_632, 33_368, 0xd7c608d006c52ef1),
     ];
     for (kind, capacity, hits, misses, digest) in want {
         let got = cell(kind, capacity);

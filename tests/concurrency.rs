@@ -31,7 +31,7 @@ fn small_fg_cfg() -> FgConfig {
     FgConfig {
         layout: PageLayout::new(256), // 13 entries/node: deep trees, many splits
         fill: 0.7,
-        head_stride: 4,
+        scan_batch: 4,
         cache_capacity: None,
     }
 }

@@ -33,7 +33,7 @@ fn small_cfg() -> FgConfig {
     FgConfig {
         layout: PageLayout::new(256), // small pages: deep trees, many splits
         fill: 0.7,
-        head_stride: 4,
+        scan_batch: 4,
         cache_capacity: None,
     }
 }

@@ -80,13 +80,6 @@ impl VerbObserver for Recorder {
             ),
         );
     }
-    fn on_free(&self, server: usize, offset: u64, len: usize, time: SimTime) {
-        self.record(
-            time,
-            None,
-            format!("free s{server} {offset:#x}+{len} t={time}"),
-        );
-    }
     fn on_unreachable(&self, client: u64, server: usize, time: SimTime) {
         self.record(
             time,

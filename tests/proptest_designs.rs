@@ -37,7 +37,7 @@ fn run_script(design_kind: u8, page_size: usize, loaded: u64, script: Vec<Script
             FgConfig {
                 layout,
                 fill: 0.75,
-                head_stride: 3,
+                scan_batch: 3,
                 cache_capacity: None,
             },
             items,
@@ -47,7 +47,7 @@ fn run_script(design_kind: u8, page_size: usize, loaded: u64, script: Vec<Script
             FgConfig {
                 layout,
                 fill: 0.75,
-                head_stride: 3,
+                scan_batch: 3,
                 cache_capacity: None,
             },
             partition,

@@ -9,9 +9,9 @@
 //! design is derived from its measured lookup phase, not assumed, so the
 //! check also pins the `L`-polynomials to the actual tree height. The
 //! range row is one test per chain design: a scan over `n` leaves of a
-//! static tree READs each once and no head node, plus what naming them
-//! costs — nothing (Learned), the level-1 nodes (FG), one RPC per
-//! server-local leaf (Hybrid).
+//! static tree READs each once, plus what naming them costs — nothing
+//! (Learned), the level-1 nodes (FG), one RPC per server-local leaf
+//! (Hybrid, with or without a client cache).
 
 use namdex::prelude::*;
 use std::cell::{Cell, RefCell};
@@ -68,13 +68,17 @@ const MODEL: [Row; 4] = [
 ];
 
 fn build(kind: IndexKind, nam: &NamCluster) -> Design {
+    build_cached(kind, nam, None)
+}
+
+fn build_cached(kind: IndexKind, nam: &NamCluster, cache_capacity: Option<usize>) -> Design {
     let items = (0..KEYS).map(|i| (i * 8, i));
     let partition = PartitionMap::range_uniform(nam.num_servers(), KEYS * 8);
     let cfg = FgConfig {
         layout: PageLayout::new(PAGE_SIZE),
         fill: 0.7,
-        head_stride: 4,
-        cache_capacity: None,
+        scan_batch: 4,
+        cache_capacity,
     };
     Design::build(kind, nam, cfg, partition, items)
 }
@@ -186,24 +190,30 @@ fn measured_verbs_per_op_equal_the_documented_model() {
     }
 }
 
-/// The range row: on a static tree a scan READs each leaf it spans
-/// exactly once and no head node, in batches named by the node above
-/// the leaves. `cost(lo, hi)` is the design's `(rpc, os)` for a scan of
-/// `[lo, hi]`, counted from that node level; this checks it over ranges
-/// of 1 to ~450 keys (one leaf to several head groups), some across
-/// partition boundaries.
-fn check_scan_costs(
-    idx: &Design,
-    nam: &NamCluster,
-    sim: &Sim,
-    cost: impl Fn(u64, u64) -> (u64, u64),
-) {
-    let ranges: Vec<(u64, u64)> = (0..K)
+/// The scanned ranges: 1 to ~450 keys (one leaf to several READ
+/// batches), some across partition boundaries.
+fn scan_ranges() -> Vec<(u64, u64)> {
+    (0..K)
         .map(|j| {
             let lo = (j * STRIDE) * 8 + 3;
             (lo, (lo + (j * 113 % 450) * 8).min(KEYS * 8 - 5))
         })
-        .collect();
+        .collect()
+}
+
+/// The range row: on a static tree a scan READs each leaf it spans
+/// exactly once, in batches named by the node above the leaves.
+/// `cost(lo, hi)` is the design's `(rpc, os)` for a scan of `[lo, hi]`,
+/// counted from that node level; this checks it over [`scan_ranges`],
+/// each scanned by client `ep`.
+fn check_scan_costs(
+    idx: &Design,
+    nam: &NamCluster,
+    sim: &Sim,
+    ep: &Endpoint,
+    cost: impl Fn(u64, u64) -> (u64, u64),
+) {
+    let ranges = scan_ranges();
     // Per scan: (rows, RPCs, one-sided verbs).
     let want: Vec<(u64, u64, u64)> = ranges
         .iter()
@@ -217,7 +227,7 @@ fn check_scan_costs(
         .iter()
         .map(|&(lo, hi)| {
             let before = totals(nam);
-            let (idx, ep, out) = (idx.clone(), Endpoint::new(&nam.rdma), rows.clone());
+            let (idx, ep, out) = (idx.clone(), ep.clone(), rows.clone());
             sim.spawn(async move {
                 let got = idx.range(&ep, lo, hi).await.expect("range");
                 out.set(got.len() as u64);
@@ -252,7 +262,10 @@ fn a_learned_scan_reads_each_spanned_leaf_once() {
     let model = idx.index().router().and_then(|r| r.model());
     let table = model.expect("a trained model").table().to_vec();
     let table: Vec<(u64, usize)> = table.iter().map(|&(high, _)| (high, 0)).collect();
-    check_scan_costs(&idx, &nam, &sim, |lo, hi| (0, spanned(&table, lo, hi).0));
+    let ep = Endpoint::new(&nam.rdma);
+    check_scan_costs(&idx, &nam, &sim, &ep, |lo, hi| {
+        (0, spanned(&table, lo, hi).0)
+    });
 }
 
 /// FG: the descent stops at the level-1 node covering `lo` (`L − 1`
@@ -284,7 +297,8 @@ fn an_fg_scan_reads_the_level_above_the_leaves_once_per_node() {
         node += 1;
     }
     assert!(node > 4, "the ranges cross level-1 nodes: {node}");
-    check_scan_costs(&idx, &nam, &sim, |lo, hi| {
+    let ep = Endpoint::new(&nam.rdma);
+    check_scan_costs(&idx, &nam, &sim, &ep, |lo, hi| {
         let (n, k) = spanned(&table, lo, hi);
         (0, (height - 1) + (k - 1) + n)
     });
@@ -295,12 +309,8 @@ fn an_fg_scan_reads_the_level_above_the_leaves_once_per_node() {
 /// READs. Each partition boundary crossed costs one RPC more: the
 /// request for the keys after a server's last local leaf goes to that
 /// server first, and falls through.
-#[test]
-fn a_hybrid_scan_asks_the_server_once_per_local_node() {
+fn hybrid_scan_cost(idx: &Design, nam: &NamCluster) -> impl Fn(u64, u64) -> (u64, u64) {
     use blink::node::LeafNodeRef;
-    let sim = Sim::new();
-    let nam = NamCluster::new(&sim, ClusterSpec::default());
-    let idx = build(IndexKind::Hybrid, &nam);
     let local = idx.index().local().expect("local upper levels");
     // Every server's local leaves in key order: each entry's high key,
     // with the index of the local leaf holding it.
@@ -321,10 +331,44 @@ fn a_hybrid_scan_asks_the_server_once_per_local_node() {
     }
     assert!(node > 8, "the ranges cross local leaves: {node}");
     let pm = PartitionMap::range_uniform(nam.num_servers(), KEYS * 8);
-    check_scan_costs(&idx, &nam, &sim, |lo, hi| {
+    move |lo, hi| {
         let (n, k) = spanned(&table, lo, hi);
         let last = table[table.partition_point(|&(high, _)| high < hi)].0;
         let crossed = (pm.server_of(last) - pm.server_of(lo)) as u64;
         (k + crossed, n)
-    });
+    }
+}
+
+#[test]
+fn a_hybrid_scan_asks_the_server_once_per_local_node() {
+    let sim = Sim::new();
+    let nam = NamCluster::new(&sim, ClusterSpec::default());
+    let idx = build(IndexKind::Hybrid, &nam);
+    let ep = Endpoint::new(&nam.rdma);
+    check_scan_costs(&idx, &nam, &sim, &ep, hybrid_scan_cost(&idx, &nam));
+}
+
+/// A cached route names one leaf, not the leaves after it: a Hybrid
+/// scan whose first leaf the client has cached still takes its plan
+/// from the server, at the uncached cost.
+#[test]
+fn a_cached_hybrid_scan_asks_the_server_as_an_uncached_one_does() {
+    let sim = Sim::new();
+    let nam = NamCluster::new(&sim, ClusterSpec::default());
+    let idx = build_cached(IndexKind::Hybrid, &nam, Some(0));
+    let ep = Endpoint::new(&nam.rdma);
+    // Look every scan's low key up twice: the first round caches the
+    // route to its leaf, the second hits it.
+    for _ in 0..2 {
+        let (idx, ep) = (idx.clone(), ep.clone());
+        sim.spawn(async move {
+            for (lo, _) in scan_ranges() {
+                idx.lookup(&ep, lo).await.expect("lookup");
+            }
+        });
+        sim.run();
+    }
+    let stats = idx.cache_stats().expect("a client cache");
+    assert_eq!((stats.hits, stats.misses), (K, K), "{stats:?}");
+    check_scan_costs(&idx, &nam, &sim, &ep, hybrid_scan_cost(&idx, &nam));
 }
