@@ -397,3 +397,56 @@ fn steady_state_learned_scans_allocate_their_result_once() {
         ALLOCS.get()
     );
 }
+
+/// Heap allocations made by 500 one-client inserts of fresh keys into a
+/// fine-grained index over 20 000 keys, after 1 000 others: descents,
+/// lock CASes and write-back and unlock pairs, three or so inserts per
+/// leaf, so no split. The pair's queue waits live on the stack and its
+/// WAL records are built only under `Durability::Wal`, so a commit
+/// allocates nothing; what is counted is one vector per insert, the
+/// descent path a split would propagate along.
+#[test]
+fn steady_state_fg_inserts_allocate_no_more_than_measured() {
+    /// Measured while the write-back and the unlock were two verbs, and
+    /// since: one per insert.
+    const WINDOW_ALLOCS: u64 = 500;
+    let data = ycsb::Dataset::new(20_000);
+    let cfg = FgConfig {
+        layout: blink::PageLayout::default(),
+        fill: 0.7,
+        scan_batch: 8,
+        cache_capacity: None,
+    };
+    let sim = Sim::new();
+    let nam = namdex_core::NamCluster::new(&sim, ClusterSpec::with_memory_servers(4));
+    nam.rdma.set_active_clients(1);
+    let index = FineGrained::build(&nam.rdma, cfg, data.iter());
+    let cluster = nam.rdma.clone();
+    sim.spawn(async move {
+        let ep = Endpoint::new(&cluster);
+        // Distinct loaded keys in a scattered order (7 919 is prime to
+        // the key count), each plus one: every insert is fresh.
+        let key = |n: u64| data.key(n * 7_919 % data.num_keys) + 1;
+        for n in 0..1_000 {
+            index
+                .insert(&ep, key(n), n, false)
+                .await
+                .expect("warm-up insert");
+        }
+        ALLOCS.set(0);
+        COUNTING.set(true);
+        for n in 1_000..1_500 {
+            index
+                .insert(&ep, key(n), n, false)
+                .await
+                .expect("measured insert");
+        }
+        COUNTING.set(false);
+    });
+    sim.run();
+    assert!(
+        ALLOCS.get() <= WINDOW_ALLOCS,
+        "{} allocations in 500 inserts, were {WINDOW_ALLOCS}",
+        ALLOCS.get()
+    );
+}

@@ -10,9 +10,10 @@
 //!   [`Locked`] guard — the only handle through which a verb can be
 //!   issued under the remote lock.
 //! * `remote_writeUnlock` → [`Locked::commit`]: install the (optional)
-//!   split sibling with a WRITE, write the modified node back, then
+//!   split sibling with a WRITE, then write the modified node back and
 //!   FETCH_AND_ADD(+1) the lock word — clearing the lock bit and bumping
-//!   the version in one atomic step.
+//!   the version in one atomic step — as one in-order round on the
+//!   node's queue pair ([`Endpoint::write_fetch_add`]).
 //!
 //! ## Lease-based lock recovery
 //!
@@ -37,12 +38,17 @@
 //!
 //! Verbs a [`Locked`] guard issues between the acquire CAS and its
 //! unlock FAA (the best-effort rescue FAA on an error path reuses the
-//! unlock slot and is not counted); the guard counts them on every run:
+//! unlock slot and is not counted); the guard counts them on every run,
+//! one per message, so the in-place WRITE and the unlock FAA count two
+//! though they travel as one round:
 //!
-//! - `release`: unlock FAA (1 verb)
-//! - `commit`: in-place WRITE + unlock FAA (2 verbs)
+//! - `release`: unlock FAA (1 verb, 1 round)
+//! - `commit`: in-place WRITE + unlock FAA (2 verbs, 1 round)
 //! - `under(alloc)` + split `commit`: alloc + sibling WRITE + in-place
-//!   WRITE + unlock FAA (4 verbs = `MAX_LOCK_HOLD_VERBS`)
+//!   WRITE + unlock FAA (4 verbs = `MAX_LOCK_HOLD_VERBS`, 3 rounds; the
+//!   sibling may live on another server, whose queue pair gives no order
+//!   against the node's, so its WRITE completes before the pair is
+//!   posted)
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)]
 #![deny(clippy::unreachable, clippy::unimplemented, clippy::indexing_slicing)]
@@ -232,9 +238,9 @@ impl Locked {
     }
 
     /// `remote_writeUnlock` (Listing 4): if the node was split, WRITE the
-    /// new right sibling first; WRITE the modified node in place;
-    /// FETCH_AND_ADD the lock word to unlock-and-version-bump. The lock
-    /// is rescued if any of them is refused.
+    /// new right sibling first; then WRITE the modified node in place and
+    /// FETCH_AND_ADD the lock word to unlock-and-version-bump, as one
+    /// round. The lock is rescued if either round is refused.
     pub(crate) async fn commit(
         mut self,
         ep: &Endpoint,
@@ -276,8 +282,9 @@ impl Locked {
             ep.write(self.ptr, &self.page).await?;
             return Ok(());
         }
-        ep.write(self.ptr, &self.page).await?;
-        ep.fetch_add(self.ptr, 1).await?;
+        // One doorbell: the queue pair runs the WRITE before the FAA, so
+        // the word stays locked until the page bytes have landed.
+        ep.write_fetch_add(self.ptr, &self.page, 1).await?;
         Ok(())
     }
 
@@ -375,9 +382,10 @@ pub(crate) mod tests {
 
     /// Test observer over remote critical sections: records how many
     /// verbs each one issued (acquire CAS exclusive, unlock FAA
-    /// inclusive), and can refuse exactly one verb — the `n`-th issued
-    /// under the next lock — by cutting every link until that verb's
-    /// timeout fires, so the verb after it goes through again.
+    /// inclusive), and can refuse exactly one round — the one issued
+    /// after the `n`-th verb under the next lock — by cutting every link
+    /// until that round's timeout fires, so the verb after it goes
+    /// through again.
     pub(crate) struct LockProbe {
         cluster: Cluster,
         /// Verbs completed under the currently held lock.
@@ -399,8 +407,8 @@ pub(crate) mod tests {
             probe
         }
 
-        /// Refuse the verb at position `nth` (0 = first after the CAS)
-        /// of the next critical section.
+        /// Refuse the round that starts at verb position `nth` (0 =
+        /// first after the CAS) of the next critical section.
         pub(crate) fn refuse_nth(&self, nth: u32) {
             self.refuse.set(Some(nth));
         }
@@ -622,13 +630,15 @@ pub(crate) mod tests {
         assert_eq!(lock_word::version_of(word), 2);
     }
 
-    /// One refused verb at each position of a split commit — alloc,
-    /// sibling WRITE, in-place WRITE, unlock FAA — is rescued: the op
-    /// fails, but the word is unlocked on return and no guard was
-    /// dropped undischarged.
+    /// One refused round at each position of a split commit — alloc,
+    /// sibling WRITE, in-place WRITE with the unlock FAA — is rescued:
+    /// the op fails, but the word is unlocked on return and no guard was
+    /// dropped undischarged. Each message of a refused round rolls its
+    /// own drop: the last round loses two.
     #[test]
     fn a_refused_verb_at_any_position_of_a_split_commit_is_rescued() {
-        for pos in 0..MAX_LOCK_HOLD_VERBS {
+        // (verbs completed under the lock before the round, messages in it)
+        for (pos, dropped) in [(0, 1), (1, 1), (2, 2)] {
             let sim = Sim::new();
             let cluster = Cluster::new(&sim, ClusterSpec::default());
             let ptr = setup_leaf(&cluster);
@@ -655,7 +665,8 @@ pub(crate) mod tests {
                 "position {pos}: {:?}",
                 outcome.get()
             );
-            assert_eq!(cluster.fault_stats().verbs_dropped, 1, "position {pos}");
+            let stats = cluster.fault_stats();
+            assert_eq!(stats.verbs_dropped, dropped, "position {pos}");
             let word = cluster.with_pool(0, |p| p.read_u64(ptr.offset()));
             assert!(!lock_word::is_locked(word), "position {pos}: lock leaked");
             assert_eq!(lock_word::version_of(word), 1, "position {pos}");

@@ -33,12 +33,12 @@
 //!
 //! ## One verb body
 //!
-//! READ, WRITE, CAS, FETCH_AND_ADD, ALLOC and a `read_many` batch share
-//! one path up to their effect (`Endpoint::onesided`: the issue-time
-//! refusals, the verb count, one round trip, the completion-time
-//! re-check), and every message onto the wire — a one-sided verb's, a
-//! batch's, or either leg of an RPC — crosses a port, or the local path,
-//! in one `Endpoint::round`. What stays per verb is its effect on the
+//! READ, WRITE, CAS, FETCH_AND_ADD, ALLOC, a `read_many` batch and a
+//! `write_fetch_add` pair share one path up to their effect
+//! (`Endpoint::onesided`: the issue-time refusals, the verb count, one
+//! round trip, the completion-time re-check), and every message onto
+//! the wire — a one-sided verb's, a batch's, or either leg of an RPC —
+//! crosses a port, or the local path, in one `Endpoint::round`. What stays per verb is its effect on the
 //! pool, the event it reports, and its log record.
 
 use simnet::{Sim, SimDur, SimTime};
@@ -69,6 +69,9 @@ enum Msg {
     /// `n` bytes out of the server as one READ of a selectively
     /// signalled batch (§4.3), at the batched per-message cost.
     Batched(usize),
+    /// `n` bytes into the server as a batch's WRITE, at the batched
+    /// per-message cost.
+    BatchedIn(usize),
 }
 
 impl Msg {
@@ -81,6 +84,7 @@ impl Msg {
             Msg::Out(n) => (OP_WIRE_OVERHEAD, n, 0, n as u64),
             Msg::Atomic => (ATOMIC_WIRE_OVERHEAD, 8, 8, 8),
             Msg::Batched(n) => (BATCHED_WIRE_OVERHEAD, n, 0, n as u64),
+            Msg::BatchedIn(n) => (BATCHED_WIRE_OVERHEAD, n, n as u64, 0),
         }
     }
 }
@@ -577,6 +581,40 @@ impl Endpoint {
             word: prev.wrapping_add(add),
         })
         .await?;
+        Ok(prev)
+    }
+
+    /// A WRITE of `data` at `ptr`, then a FETCH_AND_ADD of `add` on the
+    /// word at `ptr`, posted together on one queue pair (§4.3), which
+    /// runs them in order: one round, the WRITE at the batched cost and
+    /// the FAA behind it at the atomic one, one round trip and deadline.
+    /// Both effects apply at completion, WRITE first, or neither does.
+    /// Returns the FAA's previous word.
+    pub async fn write_fetch_add(
+        &self,
+        ptr: RemotePtr,
+        data: &[u8],
+        add: u64,
+    ) -> Result<u64, VerbError> {
+        let issued = self.sim().now();
+        self.check_alive()?;
+        let (s, off) = (self.decode(ptr)?, ptr.offset());
+        let msgs = [(s, Msg::BatchedIn(data.len())), (s, Msg::Atomic)];
+        let mut queues = [0; 2];
+        self.onesided(&msgs, &mut queues, true).await?;
+        let pool = &self.cluster.server(s).pool;
+        pool.borrow_mut().copy_in(off, data);
+        self.emit(s, off, data.len(), VerbKind::Write, issued, queues[0]);
+        let prev = pool.borrow_mut().fetch_add(off, add);
+        self.emit(s, off, 8, VerbKind::Faa { add, prev }, issued, queues[1]);
+        // Both records, one wait: the later LSN covers the earlier.
+        if let Some(w) = self.cluster.server_wal(s) {
+            let data = data.to_vec();
+            w.append(WalRecord::PoolWrite { offset: off, data });
+            let word = prev.wrapping_add(add);
+            let lsn = w.append(WalRecord::PoolWriteWord { offset: off, word });
+            self.wait_durable(s, &w, lsn).await?;
+        }
         Ok(prev)
     }
 
@@ -1356,6 +1394,8 @@ mod tests {
                 assert_eq!(ep.cas(ptr, 0, 1).await.map(|_| ()), timeout);
                 assert_eq!(ep.fetch_add(ptr, 1).await.map(|_| ()), timeout);
                 assert_eq!(ep.read_many(&[(ptr, 1024)]).await.map(|_| ()), timeout);
+                let pair = ep.write_fetch_add(ptr, &[1; 1024], 1).await;
+                assert_eq!(pair.map(|_| ()), timeout);
             });
             sim.run();
             let stats = cluster.server_stats(0);
@@ -1364,7 +1404,10 @@ mod tests {
                 (0, 0, 0),
                 "{degrade:?}"
             );
-            assert_eq!(stats.onesided_ops, 5, "refused verbs are still issued");
+            // The pair is two messages.
+            assert_eq!(stats.onesided_ops, 7, "refused verbs are still issued");
+            let untouched = cluster.setup_read(ptr, 1024) == vec![0; 1024];
+            assert!(untouched, "a refused verb applies no effect: {degrade:?}");
         }
     }
 
@@ -1405,16 +1448,17 @@ mod tests {
         (queues, done, slowest)
     }
 
-    /// A single READ and a `read_many` batch cross the wire through one
-    /// round, so both are exactly the arithmetic of the state they start
-    /// from: the completion instant, each message's queue wait, the bytes
-    /// counted and the server a refusal is charged to.
+    /// A single READ, a `read_many` batch and a `write_fetch_add` pair
+    /// cross the wire through one round, so each is exactly the
+    /// arithmetic of the state it starts from: the completion instant,
+    /// each message's queue wait, the bytes counted and the server a
+    /// refusal is charged to.
     #[test]
     fn one_round_prices_single_reads_and_batches() {
-        struct Queues(RefCell<Vec<u64>>);
-        impl crate::observer::VerbObserver for Queues {
+        struct Events(RefCell<Vec<VerbEvent>>);
+        impl crate::observer::VerbObserver for Events {
             fn on_verb(&self, e: &VerbEvent) {
-                self.0.borrow_mut().push(e.queue_nanos);
+                self.0.borrow_mut().push(*e);
             }
         }
         let slow = LinkDegrade {
@@ -1488,7 +1532,7 @@ mod tests {
             let (queues, done, slowest) = expected_round(&ep, &msgs);
             let ports: Vec<_> = (0..4).map(|s| cluster.server(s).nic.busy_until()).collect();
             let local: Vec<_> = (0..4).map(|s| ep.is_local(s)).collect();
-            let seen = Rc::new(Queues(RefCell::new(vec![])));
+            let seen = Rc::new(Events(RefCell::new(vec![])));
             cluster.add_observer(seen.clone());
             let outcome = Rc::new(Cell::new(None));
             let (out, s) = (outcome.clone(), sim.clone());
@@ -1516,13 +1560,59 @@ mod tests {
                 continue;
             }
             assert_eq!(outcome.get(), Some((Ok(()), done)), "{reqs:?}");
-            assert_eq!(*seen.0.borrow(), queues, "{reqs:?}");
+            let waits: Vec<_> = seen.0.borrow().iter().map(|e| e.queue_nanos).collect();
+            assert_eq!(waits, queues, "{reqs:?}");
             for (s, &local) in local.iter().enumerate() {
                 let sent: u64 = reqs.iter().filter(|r| r.0 == s).map(|r| r.1 as u64).sum();
                 let counted = if local { (0, 0, sent) } else { (0, sent, 0) };
                 assert_eq!(bytes(s), counted, "server {s} of {reqs:?}");
             }
         }
+
+        // (f) a write+add pair behind earlier traffic on port 0: the
+        // WRITE at the batched cost, the FAA queued behind it at the
+        // atomic cost, one round trip after both.
+        let (sim, cluster) = harness();
+        cluster
+            .server(0)
+            .nic
+            .reserve(SimTime::ZERO, SimDur::from_nanos(900));
+        let ptr = cluster.setup_alloc(0, 64);
+        let ep = Endpoint::new(&cluster);
+        let msgs = [(0, BATCHED_WIRE_OVERHEAD, 64), (0, ATOMIC_WIRE_OVERHEAD, 8)];
+        let (queues, done, _) = expected_round(&ep, &msgs);
+        assert!(queues[1] > queues[0], "the FAA waits behind the WRITE");
+        let seen = Rc::new(Events(RefCell::new(vec![])));
+        cluster.add_observer(seen.clone());
+        let outcome = Rc::new(Cell::new(None));
+        let (out, s) = (outcome.clone(), sim.clone());
+        sim.spawn(async move {
+            // The page carries word 41: the FAA sees it only if the
+            // WRITE landed first.
+            let mut page = [7; 64];
+            page[..8].copy_from_slice(&41u64.to_le_bytes());
+            let r = ep.write_fetch_add(ptr, &page, 1).await;
+            out.set(Some((r, s.now())));
+        });
+        sim.run();
+        assert_eq!(outcome.get(), Some((Ok(41), done)));
+        let seen: Vec<_> = seen
+            .0
+            .borrow()
+            .iter()
+            .map(|e| (e.kind, e.issued, e.time, e.queue_nanos))
+            .collect();
+        let faa = VerbKind::Faa { add: 1, prev: 41 };
+        let want = [
+            (VerbKind::Write, SimTime::ZERO, done, queues[0]),
+            (faa, SimTime::ZERO, done, queues[1]),
+        ];
+        assert_eq!(seen, want);
+        let stats = cluster.server_stats(0);
+        assert_eq!((stats.bytes_in, stats.bytes_out), (64 + 8, 8));
+        let mut page = vec![7; 64];
+        page[..8].copy_from_slice(&42u64.to_le_bytes());
+        assert_eq!(cluster.setup_read(ptr, 64), page);
     }
 
     #[test]
@@ -1602,6 +1692,8 @@ mod tests {
         assert_eq!(sim.live_tasks(), 0);
     }
 
+    /// Every mutating verb logs its post-state before it returns: ten
+    /// FAAs ten records, a write+add pair two, all flushed.
     #[test]
     fn wal_mode_charges_log_flushes_on_mutating_verbs() {
         use crate::spec::Durability;
@@ -1614,7 +1706,7 @@ mod tests {
                     ..ClusterSpec::default()
                 },
             );
-            let ptr = cluster.setup_alloc(0, 8);
+            let ptr = cluster.setup_alloc(0, 16);
             cluster.seal_setup();
             let ep = Endpoint::new(&cluster);
             let s = sim.clone();
@@ -1625,12 +1717,16 @@ mod tests {
                     ep.fetch_add(ptr, i).await.unwrap();
                 }
                 t2.set(s.now().as_nanos());
+                ep.write_fetch_add(ptr, &[3; 16], 1).await.unwrap();
             });
             sim.run();
-            t.get()
+            let logged = cluster.wal_stats(0).map(|w| (w.appends, w.records_flushed));
+            (t.get(), logged)
         };
-        let off = elapsed(Durability::Off);
-        let on = elapsed(Durability::Wal);
+        let (off, unlogged) = elapsed(Durability::Off);
+        let (on, logged) = elapsed(Durability::Wal);
+        assert_eq!(unlogged, None);
+        assert_eq!(logged, Some((12, 12)), "(appended, flushed)");
         // Ten sequential FAAs each wait one fsync (10us default).
         assert!(
             on >= off + 10 * 10_000,

@@ -98,16 +98,19 @@ pub const RETRY_LIMIT: u32 = 16;
 /// exceed the longest *legitimate* hold. A live holder's critical
 /// section issues at most [`MAX_LOCK_HOLD_VERBS`] verbs after its
 /// acquire CAS (page alloc, split-sibling WRITE, in-place WRITE-back,
-/// unlock FAA), and every verb either applies its effect or fails with
-/// no effect by `issue + VERB_TIMEOUT`. So after
-/// `MAX_LOCK_HOLD_VERBS * VERB_TIMEOUT` of an unchanged locked word, no
-/// effect of a live holder can still land — only then is the break CAS
-/// safe, and "a live holder can never be broken" holds.
+/// unlock FAA), in at most as many sequential rounds, and every round
+/// either applies its effects or fails with none by
+/// `issue + VERB_TIMEOUT`. So after `MAX_LOCK_HOLD_VERBS * VERB_TIMEOUT`
+/// of an unchanged locked word, no effect of a live holder can still
+/// land — only then is the break CAS safe, and "a live holder can never
+/// be broken" holds.
 pub const LEASE_DURATION: SimDur = SimDur::from_millis(5);
 
 /// Upper bound on the verbs a holder issues while a page lock is held:
 /// remote page alloc + split-sibling WRITE + in-place WRITE-back +
-/// unlock FAA. Lower-bounds [`LEASE_DURATION`] against [`VERB_TIMEOUT`].
+/// unlock FAA, counted per message: the write-back and the unlock are
+/// one round with one deadline (`Endpoint::write_fetch_add`) but count
+/// two. Lower-bounds [`LEASE_DURATION`] against [`VERB_TIMEOUT`].
 pub const MAX_LOCK_HOLD_VERBS: u32 = 4;
 
 // A shorter lease would let a contender break a *live* holder whose

@@ -138,7 +138,7 @@ fn pct_pinned_seed_coverage_is_stable() {
     let combined = combined.finish();
     assert_eq!(
         (distinct, combined),
-        (3, 0x2771da5da43b1cb5),
+        (3, 0x0709b8bf8cbe228d),
         "PCT coverage drifted: distinct={distinct} combined={combined:#x}"
     );
 }

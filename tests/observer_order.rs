@@ -31,7 +31,7 @@ use std::rc::Rc;
 /// Golden FNV-1a digest of the recorded event sequence. Regenerate by
 /// running with `NAMDEX_PRINT_DIGEST=1` after a *deliberate* change to
 /// the observer surface or the engine's verb schedule.
-const OBSERVER_ORDER_GOLDEN: u64 = 0x03c4_1149_ac42_4e79;
+const OBSERVER_ORDER_GOLDEN: u64 = 0x154b_0f87_64f5_c3a3;
 
 /// Records every observer hook as a rendered line with the client it
 /// names (if any), tagging each with a ticket from the bus-wide sequence

@@ -372,3 +372,61 @@ fn a_cached_hybrid_scan_asks_the_server_as_an_uncached_one_does() {
     assert_eq!((stats.hits, stats.misses), (K, K), "{stats:?}");
     check_scan_costs(&idx, &nam, &sim, &ep, hybrid_scan_cost(&idx, &nam));
 }
+
+/// Every completed verb, in completion order.
+#[derive(Default)]
+struct Verbs(RefCell<Vec<namdex::rdma::VerbEvent>>);
+
+impl namdex::rdma::VerbObserver for Verbs {
+    fn on_verb(&self, ev: &namdex::rdma::VerbEvent) {
+        self.0.borrow_mut().push(*ev);
+    }
+}
+
+/// A one-sided commit posts its in-place WRITE and its unlock FAA
+/// together (DESIGN.md §10): in every FG, Hybrid and Learned insert the
+/// FAA is reported right after the WRITE of the same node, issued and
+/// completed at the same instants.
+#[test]
+fn a_commit_writes_back_and_unlocks_in_one_round() {
+    use namdex::rdma::VerbKind;
+    for kind in [
+        IndexKind::FineGrained,
+        IndexKind::Hybrid,
+        IndexKind::Learned,
+    ] {
+        let sim = Sim::new();
+        let nam = NamCluster::new(&sim, ClusterSpec::default());
+        let idx = build(kind, &nam);
+        let verbs = Rc::new(Verbs::default());
+        nam.rdma.add_observer(verbs.clone());
+        run_phase(&sim, &nam, &idx, 1);
+        let events = verbs.0.borrow();
+        let unlocks: Vec<_> = events
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| matches!(e.kind, VerbKind::Faa { .. }))
+            .collect();
+        assert_eq!(
+            unlocks.len() as u64,
+            K,
+            "{}: one commit per insert",
+            kind.key()
+        );
+        for (i, faa) in unlocks {
+            let write = &events[i - 1];
+            assert_eq!(
+                (write.kind, write.client, write.server, write.offset),
+                (VerbKind::Write, faa.client, faa.server, faa.offset),
+                "{}: the unlock follows the write-back of its node",
+                kind.key()
+            );
+            assert_eq!(
+                (write.issued, write.time),
+                (faa.issued, faa.time),
+                "{}: write-back and unlock are one round",
+                kind.key()
+            );
+        }
+    }
+}
