@@ -750,10 +750,8 @@ mod tests {
         }
     }
 
-    /// Schema drift shows without running a sweep. Seven committed files
-    /// were last regenerated before the trailing `aborts` column
-    /// existed; that one difference is accepted, any other — a renamed,
-    /// reordered, dropped or undeclared column — fails.
+    /// Schema drift shows without running a sweep: a renamed, reordered,
+    /// dropped or undeclared column fails.
     #[test]
     fn committed_csvs_carry_the_declared_headers() {
         let results = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
@@ -762,10 +760,7 @@ mod tests {
             let text = std::fs::read_to_string(results.join(format!("{stem}.csv")))
                 .unwrap_or_else(|e| panic!("results/{stem}.csv is not committed: {e}"));
             let committed = text.lines().next().unwrap_or("");
-            assert!(
-                header == committed || header == format!("{committed},aborts"),
-                "{stem}: {committed}"
-            );
+            assert_eq!(header, committed, "{stem}");
         }
     }
 

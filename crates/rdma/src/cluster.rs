@@ -134,9 +134,9 @@ struct FaultState {
     server_up: Vec<bool>,
     /// When each currently-down server crashed (None while up).
     crashed_at: Vec<Option<SimTime>>,
-    /// Restarts of any server: client caches compare it on every page
-    /// load.
-    restart_epoch: u64,
+    /// Completed restarts of each server; client caches compare their
+    /// sum on every page load.
+    restarts: Vec<u64>,
     /// Killed compute clients; their verbs fail with `Cancelled`.
     dead_clients: BTreeSet<u64>,
     /// Clients to kill immediately after their next successful
@@ -161,7 +161,7 @@ impl FaultState {
         FaultState {
             server_up: vec![true; n],
             crashed_at: vec![None; n],
-            restart_epoch: 0,
+            restarts: vec![0; n],
             dead_clients: BTreeSet::new(),
             kill_on_lock_acquire: BTreeSet::new(),
             acquire_shape: None,
@@ -367,7 +367,7 @@ impl Cluster {
 
     /// Restart a crashed memory server.
     /// In-flight RPC core queues are not drained retroactively; requests
-    /// granted a core after the crash fail at the grant.
+    /// granted a core after the crash fail at the grant, restarted or not.
     ///
     /// Under [`Durability::Off`] the restart is instant (memory
     /// survived): the server is up on return, its restart counter bumped,
@@ -383,7 +383,7 @@ impl Cluster {
             if !f.server_up[s] {
                 f.server_up[s] = true;
                 f.crashed_at[s] = None;
-                f.restart_epoch += 1;
+                f.restarts[s] += 1;
             }
             return;
         }
@@ -460,7 +460,7 @@ impl Cluster {
         let crashed_at = {
             let mut f = self.inner.faults.borrow_mut();
             f.server_up[s] = true;
-            f.restart_epoch += 1;
+            f.restarts[s] += 1;
             f.crashed_at[s].take().unwrap_or(restarted_at)
         };
         self.inner.recovering.borrow_mut()[s] = false;
@@ -498,7 +498,14 @@ impl Cluster {
     /// remote memory (cached pages and routes, the learned model) is
     /// valid for one value of this and flushed when it moves.
     pub fn restart_epoch(&self) -> u64 {
-        self.inner.faults.borrow().restart_epoch
+        self.inner.faults.borrow().restarts.iter().sum()
+    }
+
+    /// Server `s`'s completed restarts while it is up, `None` while it is
+    /// down: an incarnation serves no request its predecessor received.
+    pub fn incarnation(&self, s: usize) -> Option<u64> {
+        let f = self.inner.faults.borrow();
+        f.server_up[s].then_some(f.restarts[s])
     }
 
     /// Kill compute client `client`: every verb it issues from now on

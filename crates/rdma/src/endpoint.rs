@@ -24,10 +24,10 @@
 //!   [`VerbError::ServerUnreachable`] after a round-trip's detection
 //!   delay (both at issue and, for crashes that land mid-flight, at
 //!   completion — the effect is then *not* applied);
-//! * a verb whose completion would miss `issue + verb_timeout` — link
-//!   degradation, a dropped message, or NIC queueing — parks until the
-//!   deadline and fails with [`VerbError::Timeout`]. Dropped and
-//!   deadline-refused messages never apply their effect. The deadline is
+//! * a round — a one-sided verb, or one leg of an RPC — that is dropped
+//!   or would complete past its send plus `VERB_TIMEOUT` (link
+//!   degradation, NIC queueing) parks until then, fails with
+//!   [`VerbError::Timeout`] and applies no effect. The deadline is
 //!   computed analytically against the FIFO NIC model, so a refused verb
 //!   does not occupy the wire and counts none of its bytes.
 //!
@@ -247,17 +247,17 @@ impl Endpoint {
     /// this round's earlier messages to it, and the round is refused,
     /// charged to the slowest message, if its last arrival plus `latency`
     /// (the round trip for one-sided verbs, half of it per RPC leg)
-    /// passes `deadline`. Only an admitted round counts bytes and
-    /// occupies the wire.
+    /// passes its deadline, `VERB_TIMEOUT` after it is sent. Only an
+    /// admitted round counts bytes and occupies the wire.
     async fn round(
         &self,
         msgs: &[(usize, Msg)],
         queues: &mut [u64],
         latency: SimDur,
-        deadline: SimTime,
     ) -> Result<(), VerbError> {
         let sim = self.sim();
         let now = sim.now();
+        let deadline = now + VERB_TIMEOUT;
         // The last drop, the last wire or local copy end, the last arrival
         // and whose it is, and whether any message leaves the machine.
         let (mut dropped, mut wired, mut arrival) = (None, now, now);
@@ -316,11 +316,6 @@ impl Endpoint {
         sim.sleep_until(wired).await;
         sim.sleep_until(completion).await;
         Ok(())
-    }
-
-    /// This verb's completion deadline.
-    fn deadline(&self) -> SimTime {
-        self.cluster.sim().now() + VERB_TIMEOUT
     }
 
     /// Park until server `s`'s log `w` is durable through `lsn`. A crash
@@ -406,13 +401,12 @@ impl Endpoint {
         if let Some(s) = self.down(msgs) {
             return Err(self.fail_unreachable(s).await);
         }
-        let deadline = self.deadline();
         if ops {
             for &(s, _) in msgs {
                 self.cluster.server(s).onesided_ops.inc();
             }
         }
-        self.round(msgs, queues, RT_LATENCY, deadline).await?;
+        self.round(msgs, queues, RT_LATENCY).await?;
         if let Some(s) = self.down(msgs) {
             return Err(self.fail_unreachable(s).await);
         }
@@ -681,10 +675,12 @@ impl Endpoint {
     /// handler-reported CPU time (scaled by the server's QPI factor), and
     /// ships the handler-reported response.
     ///
-    /// Failure semantics are at-least-once: once the request leg lands,
-    /// the handler runs (and its server-side effects stick) even if the
-    /// response is lost to a crash or deadline — the caller then sees an
-    /// error and cannot tell whether the handler executed.
+    /// Each leg has its own deadline from its send; between them only a
+    /// crash fails the call, restarted from or not. Failure semantics are
+    /// at-least-once: once the request leg lands, the handler runs (and
+    /// its server-side effects stick) even if the response is lost to a
+    /// crash or deadline — the caller then sees an error and cannot tell
+    /// whether the handler executed.
     pub async fn rpc<R>(
         &self,
         s: usize,
@@ -697,7 +693,6 @@ impl Endpoint {
         if !self.cluster.server_up(s) {
             return Err(self.fail_unreachable(s).await);
         }
-        let deadline = self.deadline();
         let spec = self.cluster.spec();
         let server = self.cluster.server(s);
         server.rpcs.inc();
@@ -706,12 +701,12 @@ impl Endpoint {
         // handler core) and executing on the handler core, for the
         // completion event.
         let mut queue = [0];
-        self.round(&[(s, Msg::In(req_bytes))], &mut queue, half, deadline)
+        self.round(&[(s, Msg::In(req_bytes))], &mut queue, half)
             .await?;
         let mut queue_nanos = queue[0];
-        if !self.cluster.server_up(s) {
+        let Some(landed) = self.cluster.incarnation(s) else {
             return Err(self.fail_unreachable(s).await);
-        }
+        };
 
         // Handler: queue for a core, run, hold the core for the work done.
         // RC connection state adds per-client pressure (see
@@ -719,14 +714,10 @@ impl Endpoint {
         let cpu_wait_from = sim.now();
         let grant = server.cpu.acquire(sim).await;
         queue_nanos += (sim.now() - cpu_wait_from).as_nanos();
-        if !self.cluster.server_up(s) {
+        if self.cluster.incarnation(s) != Some(landed) {
             // The server crashed while the request sat in its queue.
             grant.complete(sim, SimDur::ZERO).await;
             return Err(self.fail_unreachable(s).await);
-        }
-        if sim.now() > deadline {
-            grant.complete(sim, SimDur::ZERO).await;
-            return Err(self.fail_timeout(s, deadline).await);
         }
         let mark = self.log_mark(s);
         let reply = handler();
@@ -735,7 +726,7 @@ impl Endpoint {
             SimDur::from_secs_f64((reply.cpu + state_penalty).as_secs_f64() * spec.cpu_factor(s));
         grant.complete(sim, service).await;
         let server_nanos = service.as_nanos();
-        if !self.cluster.server_up(s) {
+        if self.cluster.incarnation(s) != Some(landed) {
             return Err(self.fail_unreachable(s).await);
         }
         // The response leg releases only once the handler's records are
@@ -743,7 +734,7 @@ impl Endpoint {
         self.ack_durable(s, mark).await?;
 
         let resp = Msg::Out(reply.resp_bytes);
-        self.round(&[(s, resp)], &mut queue, half, deadline).await?;
+        self.round(&[(s, resp)], &mut queue, half).await?;
         queue_nanos += queue[0];
         if self.cluster.has_observers() {
             self.cluster.observe_rpc(RpcEvent {
@@ -1032,6 +1023,171 @@ mod tests {
             crowded > lone + 2_000,
             "240 clients must add RC state pressure: {lone} vs {crowded}"
         );
+    }
+
+    /// Each RPC leg is one round with its own deadline, from its own
+    /// send; the wait for a handler core and the handler's run have
+    /// none. A leg's completion from `from` on idle, undegraded server
+    /// 0: its port time plus half a round trip.
+    fn rpc_leg(from: SimTime, bytes: usize) -> SimTime {
+        from + OP_WIRE_OVERHEAD
+            + SimDur::from_secs_f64(bytes as f64 / NIC_BANDWIDTH)
+            + RT_LATENCY / 2
+    }
+
+    /// (a) A handler that runs three deadlines long still answers: the
+    /// call returns at request leg + handler + response leg.
+    #[test]
+    fn rpc_handler_longer_than_the_verb_timeout_is_served() {
+        let (sim, cluster) = harness();
+        let cpu = SimDur::from_millis(3);
+        assert!(cpu > VERB_TIMEOUT);
+        let done = rpc_leg(rpc_leg(SimTime::ZERO, 32) + cpu, 128);
+        let ep = Endpoint::new(&cluster);
+        let outcome = Rc::new(Cell::new(None));
+        let (out, s) = (outcome.clone(), sim.clone());
+        sim.spawn(async move {
+            let reply = || RpcReply {
+                value: 5u8,
+                cpu,
+                resp_bytes: 128,
+            };
+            out.set(Some((ep.rpc(0, 32, reply).await, s.now())));
+        });
+        sim.run();
+        assert_eq!(outcome.get(), Some((Ok(5), done)));
+        assert_eq!(cluster.fault_stats().verbs_timed_out, 0);
+    }
+
+    /// (b) The 11th of 11 concurrent 1.5 ms RPCs on a 10-core server
+    /// queues for the first core to free up, past its issue plus
+    /// `VERB_TIMEOUT`, and is still served: a busy server queues.
+    #[test]
+    fn rpc_queued_for_a_core_past_the_verb_timeout_is_served() {
+        let (sim, cluster) = harness();
+        let cores = cluster.spec().rpc_cores_per_server;
+        let cpu = SimDur::from_micros(1_500);
+        // The requests cross port 0 one behind another; the last waits
+        // for the core the first holds.
+        let first = rpc_leg(SimTime::ZERO, 16);
+        let wire = first - SimTime::ZERO - RT_LATENCY / 2;
+        let last = first + wire * cores as u64;
+        let granted = first + cpu;
+        assert!(
+            granted - last > VERB_TIMEOUT,
+            "waits longer than a deadline"
+        );
+        let done = rpc_leg(granted + cpu, 16);
+        let outcomes = Rc::new(RefCell::new(vec![]));
+        for i in 0..=cores {
+            let ep = Endpoint::new(&cluster);
+            let (out, s) = (outcomes.clone(), sim.clone());
+            sim.spawn(async move {
+                let reply = || RpcReply {
+                    value: i,
+                    cpu,
+                    resp_bytes: 16,
+                };
+                let r = ep.rpc(0, 16, reply).await;
+                out.borrow_mut().push((r, s.now()));
+            });
+        }
+        sim.run();
+        let outcomes = outcomes.borrow();
+        assert_eq!(outcomes.len(), cores + 1);
+        assert!(outcomes.iter().all(|(r, _)| r.is_ok()), "{outcomes:?}");
+        assert_eq!(outcomes.last(), Some(&(Ok(cores), done)));
+        assert_eq!(cluster.fault_stats().verbs_timed_out, 0);
+    }
+
+    /// (c) A link that degrades past `VERB_TIMEOUT` while the handler
+    /// runs refuses the response leg: the call fails with `Timeout` one
+    /// `VERB_TIMEOUT` after the response's send, the handler's work
+    /// stands (at-least-once), and the response never reaches the wire.
+    #[test]
+    fn rpc_response_leg_times_out_from_its_own_send() {
+        let (sim, cluster) = harness();
+        let cpu = SimDur::from_micros(100);
+        let sent = rpc_leg(SimTime::ZERO, 16) + cpu;
+        let ep = Endpoint::new(&cluster);
+        let outcome = Rc::new(Cell::new(None));
+        let (out, s) = (outcome.clone(), sim.clone());
+        sim.spawn(async move {
+            let reply = || RpcReply {
+                value: (),
+                cpu,
+                resp_bytes: 16,
+            };
+            out.set(Some((ep.rpc(0, 16, reply).await, s.now())));
+        });
+        let (c, s) = (cluster.clone(), sim.clone());
+        sim.spawn(async move {
+            s.sleep(cpu / 2).await;
+            let extra_delay = VERB_TIMEOUT + SimDur::from_micros(1);
+            c.degrade_link(
+                0,
+                LinkDegrade {
+                    extra_delay,
+                    ..LinkDegrade::default()
+                },
+            );
+        });
+        sim.run();
+        let timeout = Err(VerbError::Timeout { server: 0 });
+        assert_eq!(outcome.get(), Some((timeout, sent + VERB_TIMEOUT)));
+        let stats = cluster.server_stats(0);
+        assert_eq!(
+            (stats.bytes_in, stats.bytes_out, stats.cpu_busy_nanos),
+            (16, 0, cpu.as_nanos())
+        );
+        assert_eq!(cluster.fault_stats().verbs_timed_out, 1);
+    }
+
+    /// A crash and an instant restart (`Durability::Off`) while ten
+    /// handlers hold every core: the eleventh request, queued behind
+    /// them, is granted a core by the new incarnation and refused
+    /// unserved, and the ten fail too, since their responses died with
+    /// the old one.
+    #[test]
+    fn rpc_granted_a_core_after_a_restart_is_refused() {
+        let (sim, cluster) = harness();
+        let cores = cluster.spec().rpc_cores_per_server;
+        let cpu = SimDur::from_micros(100);
+        let served = Rc::new(Cell::new(0));
+        let outcomes = Rc::new(RefCell::new(vec![]));
+        for _ in 0..=cores {
+            let ep = Endpoint::new(&cluster);
+            let (out, served) = (outcomes.clone(), served.clone());
+            sim.spawn(async move {
+                let reply = || {
+                    served.set(served.get() + 1);
+                    RpcReply {
+                        value: (),
+                        cpu,
+                        resp_bytes: 16,
+                    }
+                };
+                let r = ep.rpc(0, 16, reply).await;
+                out.borrow_mut().push(r);
+            });
+        }
+        let (c, s) = (cluster.clone(), sim.clone());
+        sim.spawn(async move {
+            s.sleep(cpu / 2).await;
+            c.fail_server(0);
+            c.restart_server(0);
+            assert!(c.server_up(0));
+        });
+        sim.run();
+        let unreachable = Err(VerbError::ServerUnreachable { server: 0 });
+        assert_eq!(*outcomes.borrow(), vec![unreachable; cores + 1]);
+        assert_eq!(served.get(), cores, "the eleventh handler never ran");
+        let stats = cluster.server_stats(0);
+        assert_eq!(
+            (stats.bytes_out, stats.cpu_busy_nanos),
+            (0, cores as u64 * cpu.as_nanos())
+        );
+        assert_eq!(cluster.incarnation(0), Some(1));
     }
 
     #[test]

@@ -77,12 +77,12 @@ pub const RPC_CLIENT_PENALTY: SimDur = SimDur::from_nanos(25);
 
 // --- failure model (fault injection + recovery) ---
 
-/// Completion deadline of a verb from its issue; an RPC's two legs, its
-/// wait for a handler core and the handler's run share one. A verb that
-/// cannot complete by then (queueing, degradation, a dropped message, a
-/// long handler) fails with `VerbError::Timeout` at the deadline. Not
-/// generous: fault-free full-scale CG `range_sel0.1` cells of fig07 and
-/// fig08 abort on it, at 0.0 ops/s (ROADMAP item 1).
+/// Deadline of one round of messages from its send: a one-sided verb
+/// (sent at its issue) or one leg of an RPC. A round that cannot complete
+/// by then (queueing, degradation, a dropped message) fails with
+/// `VerbError::Timeout` at it. A live but busy RPC server queues with no
+/// deadline (§3.2). A response its port cannot move within it still
+/// fails: fig10's 10M-key CG `range_sel0.1` cell (ROADMAP item 1).
 pub const VERB_TIMEOUT: SimDur = SimDur::from_millis(1);
 /// First retry backoff step for retryable verb failures.
 pub const RETRY_BACKOFF_BASE: SimDur = SimDur::from_micros(2);
@@ -98,8 +98,8 @@ pub const RETRY_LIMIT: u32 = 16;
 /// exceed the longest *legitimate* hold. A live holder's critical
 /// section issues at most [`MAX_LOCK_HOLD_VERBS`] verbs after its
 /// acquire CAS (page alloc, split-sibling WRITE, in-place WRITE-back,
-/// unlock FAA), in at most as many sequential rounds, and every round
-/// either applies its effects or fails with none by
+/// unlock FAA), in at most as many sequential one-sided rounds, and
+/// every round either applies its effects or fails with none by
 /// `issue + VERB_TIMEOUT`. So after `MAX_LOCK_HOLD_VERBS * VERB_TIMEOUT`
 /// of an unchanged locked word, no effect of a live holder can still
 /// land — only then is the break CAS safe, and "a live holder can never
