@@ -204,29 +204,25 @@ impl LocalTree {
         (node.get(key), stats)
     }
 
-    /// The live entries of the one leaf holding `key`'s ceiling (the
-    /// smallest stored live key `>= key`), from that ceiling on, handed
-    /// to `take` in key order until it returns false. The hybrid design's
-    /// upper levels map a key to the leaf pointer at its ceiling, and a
-    /// range to the run of pointers after it.
+    /// The live entries from `key`'s ceiling (the smallest stored live
+    /// key `>= key`) on, handed to `take` in key order, across leaves,
+    /// until it returns false or the tree ends. The hybrid design's upper
+    /// levels map a key to the leaf pointer at its ceiling, and a range
+    /// to the run of pointers after it.
     pub fn ceiling_run(&self, key: Key, mut take: impl FnMut(Key, Value) -> bool) -> WorkStats {
         let mut stats = WorkStats::default();
         let mut cur = self.descend(key, &mut stats, None);
         loop {
             let node = LeafNodeRef::new(self.page(cur));
-            let mut taken = false;
             for i in node.lower_bound(key)..node.count() {
                 let (k, v, deleted) = node.entry(i);
                 stats.entries_scanned += 1;
-                if !deleted {
-                    taken = true;
-                    if !take(k, v) {
-                        return stats;
-                    }
+                if !deleted && !take(k, v) {
+                    return stats;
                 }
             }
             let next = node.right_sibling();
-            if taken || next.is_null() {
+            if next.is_null() {
                 return stats;
             }
             stats.nodes_visited += 1;

@@ -260,6 +260,11 @@ impl CacheLayer {
         }))
     }
 
+    /// Whether `client` holds a page for `ptr`, counting nothing.
+    pub fn holds_page(&self, client: u64, ptr: RemotePtr) -> bool {
+        self.client(client).pages.get(ptr.raw()).is_some()
+    }
+
     /// Install `page` for `client`: the interned frame if it holds these
     /// bytes, else a new one that replaces it in the intern table.
     pub fn put_page(&self, client: u64, ptr: RemotePtr, page: impl AsRef<[u8]>) {

@@ -276,7 +276,7 @@ impl Index {
         let mut parent = RemotePtr::NULL;
         let mut cur = self.start(ep, key, req_bytes).await?;
         loop {
-            let page = self.load(ep, cur).await?;
+            let page = self.load(ep, cur, None).await?;
             match kind_of(&page) {
                 NodeKind::Inner => {
                     let node = InnerNodeRef::new(&page);
@@ -364,19 +364,21 @@ impl Index {
 
     /// The plan after `plan`, whose last leaf was planned with high key
     /// `high < hi` (whether it kept it or split since): the level-1
-    /// page's right sibling or the RPC's next run. A model's plan covers
-    /// `hi` already.
+    /// page's right sibling, taken from `prefetched` if a leaf batch
+    /// brought it, or the RPC's next run. A model's plan covers `hi`
+    /// already.
     async fn next_plan(
         &self,
         ep: &Endpoint,
         plan: &Plan,
         high: Key,
         hi: Key,
+        prefetched: &mut BTreeMap<u64, PageBuf>,
     ) -> Result<Option<Plan>, VerbError> {
         Ok(match (&plan.src, self.local()) {
             (Source::Node(_, page), _) => {
                 let next = rp(InnerNodeRef::new(page).right_sibling());
-                let page = self.load(ep, next).await?;
+                let page = self.load(ep, next, prefetched.remove(&next.raw())).await?;
                 if kind_of(&page) != NodeKind::Inner {
                     return Err(VerbError::Invariant("a level-1 sibling is no inner node"));
                 }
@@ -385,7 +387,8 @@ impl Index {
                 Some(Plan::new(Source::Node(next, page), high + 1, hi))
             }
             (Source::Reply(_), Some(local)) => {
-                let run = local.leaf_plan(ep, high + 1, hi).await?;
+                // The run ended with its partition's last local leaf.
+                let run = local.leaf_plan(ep, local.past_partition(high), hi).await?;
                 Some(Plan::new(Source::Reply(run), high + 1, hi))
             }
             _ => None,
@@ -412,7 +415,7 @@ impl Index {
             // position is loaded here.
             let page = match pending.take() {
                 Some(p) => p,
-                None => self.load(ep, cur).await?.into_owned(),
+                None => self.load(ep, cur, None).await?.into_owned(),
             };
             let locked = lock_node(ep, cur, page).await?;
             let leaf = LeafNodeRef::new(&locked.page);
@@ -729,7 +732,7 @@ enum Source {
     Model(Rc<PgmModel>),
     /// The level-1 page at the pointer, READ by this scan or cached.
     Node(RemotePtr, Page),
-    /// The run of one local leaf a resolution RPC returned.
+    /// A resolution RPC's run: its partition's leaves through the range's end.
     Reply(Vec<(Key, u64)>),
 }
 
@@ -778,8 +781,8 @@ impl Plan {
 /// leaves are READ in `scan_batch` batches: a leaf that kept its planned
 /// high key is followed by the plan's next, a split one by its sibling
 /// until the plan resumes. A plan used up below `hi` is followed by the
-/// source's next, split or not. Off a plan (a one-leaf tree, a restart
-/// mid-scan), each leaf is READ on its own.
+/// source's next, split or not, from the sibling on. Off a plan (a
+/// one-leaf tree, a restart mid-scan), each leaf is READ on its own.
 async fn scan_chain(
     idx: &Index,
     ep: &Endpoint,
@@ -811,8 +814,9 @@ async fn scan_chain(
     cur = plan.as_ref().and_then(Plan::next).map_or(cur, |e| e.1);
     let ps = idx.layout().page_size();
     let batch = idx.chain().map_or(0, |c| c.scan_batch).max(1);
+    // A batch's leaves, and perhaps the next level-1 page.
     let mut batch_reqs: Vec<(RemotePtr, usize)> =
-        Vec::with_capacity(plan.as_ref().map_or(0, |p| batch.min(p.span.len())));
+        Vec::with_capacity(plan.as_ref().map_or(0, |p| batch.min(p.span.len()) + 1));
     let mut out = Vec::new();
     let mut prefetched: BTreeMap<u64, PageBuf> = BTreeMap::new();
     // Keys below `from` lie in leaves already scanned.
@@ -850,6 +854,16 @@ async fn scan_chain(
                     crate::note_fence(ep, FenceKind::CachedUse, ptr);
                 }
                 batch_reqs.push((ptr, ps));
+            }
+            // A batch that finishes a level-1 page's span below `hi` also
+            // READs its right sibling, unless the cache will serve it.
+            if let Source::Node(_, page) = &plan.src {
+                let node = InnerNodeRef::new(page);
+                let next = rp(node.right_sibling());
+                let cached = matches!(idx.cache(), Some(c) if c.holds_page(ep.client_id(), next));
+                if plan.span.len() <= batch && node.high_key() < hi && !cached {
+                    batch_reqs.push((next, ps));
+                }
             }
             let pages = ep.read_many(&batch_reqs).await?;
             for ((p, _), bytes) in batch_reqs.iter().zip(pages) {
@@ -901,13 +915,13 @@ async fn scan_chain(
                     idx.invalidate(ep, high, origin);
                 }
                 // A plan used up below `hi` is followed by its source's
-                // next, keyed by the planned high key, split or not.
+                // next, keyed by the planned high key, split or not, from
+                // the sibling on: a split since may put leaves before its
+                // first (DESIGN.md §15). Past a split leaf, too, the walk
+                // follows its sibling until it meets the plan again.
                 if p.span.is_empty() && high < hi {
-                    plan = idx.next_plan(ep, p, high, hi).await?;
-                }
-                // Past a split leaf the walk follows its sibling, through
-                // the leaves split off it, until it meets the plan again.
-                if intact {
+                    plan = idx.next_plan(ep, p, high, hi, &mut prefetched).await?;
+                } else if intact {
                     cur = plan.as_ref().and_then(Plan::next).map_or(cur, |e| e.1);
                 }
             }
@@ -1214,6 +1228,84 @@ mod tests {
     fn a_hybrid_scan_fetches_the_next_plan_past_a_split_last_leaf() {
         let nam = NamCluster::new(&Sim::new(), ClusterSpec::default());
         scan_survives_a_split_of_a_planned_leaf(&nam, hybrid_twin(&nam), true);
+    }
+
+    /// A hybrid scan crossing a partition bound returns every row when
+    /// the chain leaf spanning the bound splits on the bound's left side
+    /// after the left partition's run came back and before the right
+    /// one's is asked: that run ended before the leaf, and the right
+    /// partition now maps its old high key to the split-off half. Both
+    /// registration steps are made here on the setup path.
+    #[test]
+    fn a_hybrid_scan_keeps_a_leaf_split_left_of_a_partition_bound() {
+        use blink::node::LeafNodeMut;
+        let items = || (0..500u64).map(|i| (i * 8, i));
+        let ps = small_cfg().layout.page_size();
+        // Where the chain leaf holding key 2000 would split: its keys
+        // follow from the items alone, so a twin shows them.
+        let (sep, old_high) = {
+            let twin = NamCluster::new(&Sim::new(), ClusterSpec::default());
+            let idx = hybrid_twin(&twin);
+            let src = idx.setup_source();
+            let first = idx.chain().unwrap().first();
+            let (_, mut page) = src
+                .chain(first)
+                .find(|(_, page)| LeafNodeRef::new(page).high_key() >= 2000)
+                .unwrap();
+            let old_high = LeafNodeRef::new(&page).high_key();
+            let sep = LeafNodeMut::new(&mut page).split_into(
+                &mut vec![0; ps],
+                first.as_page_ptr(),
+                first.as_page_ptr(),
+            );
+            (sep, old_high)
+        };
+        // Server 0's partition ends at the separator, so the leaf's
+        // left half belongs to it and its old high key to server 1.
+        let bounds = vec![sep, old_high + 400, old_high + 800, u64::MAX];
+        let sim = Sim::new();
+        let nam = NamCluster::new(&sim, ClusterSpec::default());
+        let partition = PartitionMap::Range { bounds };
+        let idx = Hybrid::build(&nam, small_cfg(), partition, items());
+        let (lo, hi) = (sep - 200, old_high + 200);
+        {
+            let (idx, sim, cluster) = (idx.clone(), sim.clone(), nam.rdma.clone());
+            sim.clone().spawn(async move {
+                // The first leaf batch goes out once server 0's run is back.
+                while (0..4).all(|s| cluster.server_stats(s).onesided_ops == 0) {
+                    sim.sleep(SimDur::from_nanos(10)).await;
+                }
+                assert_eq!(cluster.server_stats(1).rpcs, 0, "server 1 not asked yet");
+                let src = idx.setup_source();
+                let first = idx.chain().unwrap().first();
+                let (split, mut left) = src
+                    .chain(first)
+                    .find(|(_, page)| LeafNodeRef::new(page).high_key() == old_high)
+                    .unwrap();
+                let right = cluster.setup_alloc(split.server(), ps as u64);
+                let mut right_page = vec![0; ps];
+                let at = LeafNodeMut::new(&mut left).split_into(
+                    &mut right_page,
+                    split.as_page_ptr(),
+                    right.as_page_ptr(),
+                );
+                assert_eq!(at, sep);
+                cluster.setup_write(right, &right_page);
+                cluster.setup_write(split, &left);
+                let nodes = idx.local().unwrap().nodes();
+                nodes[0].with_tree(|t| t.insert_at_leaf(sep, split.raw()));
+                let repointed = nodes[1].with_tree(|t| t.update_value(old_high, right.raw()));
+                assert!(repointed.0, "server 1 maps the old high key");
+            });
+        }
+        let got = Rc::new(RefCell::new(Vec::new()));
+        let (out, ep) = (got.clone(), rdma_sim::Endpoint::new(&nam.rdma));
+        sim.spawn(async move {
+            *out.borrow_mut() = idx.range(&ep, lo, hi).await.unwrap();
+        });
+        sim.run();
+        let oracle: Vec<(Key, Value)> = items().filter(|&(k, _)| (lo..=hi).contains(&k)).collect();
+        assert_eq!(*got.borrow(), oracle);
     }
 
     /// `merge` hands back every recorded row once, in server order or

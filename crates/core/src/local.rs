@@ -132,11 +132,11 @@ impl DurableState for ServerNode {
 
 /// Translate the work an RPC handler performed into CPU service time:
 /// the spec's fixed per-RPC cost covers receive/dispatch/send;
-/// traversal work scales with nodes visited, entries scanned, and
-/// splits performed.
+/// traversal work scales with nodes visited (a sibling hop visits one),
+/// entries scanned, and splits performed.
 fn handler_cpu_time(spec: &ClusterSpec, work: WorkStats) -> SimDur {
     spec.rpc_fixed_cpu
-        + CPU_PER_NODE * (work.nodes_visited + work.sibling_hops) as u64
+        + CPU_PER_NODE * work.nodes_visited as u64
         + CPU_PER_ENTRY * work.entries_scanned as u64
         + CPU_PER_SPLIT * work.splits as u64
 }
@@ -376,8 +376,9 @@ impl Local {
     }
 
     /// A scan's upper-level resolution: the `(high key, leaf)` entries
-    /// of the one local leaf holding `lo`'s ceiling, through the first
-    /// whose high key is `>= hi` — the chain leaves the scan crosses next.
+    /// from `lo`'s ceiling through the first whose high key is `>= hi`,
+    /// or through the partition's last — the chain leaves the scan
+    /// crosses next.
     pub(crate) async fn leaf_plan(
         &self,
         ep: &Endpoint,
@@ -394,6 +395,12 @@ impl Local {
             ((!run.is_empty()).then_some(run), work, resp)
         })
         .await
+    }
+
+    /// The first key past the partition holding `key`.
+    pub(crate) fn past_partition(&self, key: Key) -> Key {
+        let bound = self.partition.upper_bound(self.partition.server_of(key));
+        bound.map_or(key, |b| b.saturating_add(1))
     }
 
     /// Ask the servers from `key`'s owner rightwards until `probe` finds
@@ -905,6 +912,54 @@ mod tests {
         );
         assert!(large > small);
         assert!(small >= spec.rpc_fixed_cpu);
+    }
+
+    /// A sibling hop visits one node and is charged as one: a scan plan
+    /// that crosses into server 0's second local leaf costs exactly one
+    /// `CPU_PER_NODE` more, plus its extra entry, than one that ends on
+    /// the first leaf's last entry.
+    #[test]
+    fn a_plan_crossing_a_local_leaf_pays_one_node_more() {
+        use blink::node::LeafNodeRef;
+        let sim = Sim::new();
+        let (nam, idx) = build_index(&sim, 10_000);
+        let local = idx.local().expect("local trees");
+        let last = local.nodes()[0].with_tree(|t| {
+            let ps = t.layout().page_size();
+            let at = (t.leftmost_leaf().raw() as usize - 1) * ps;
+            let leaf = LeafNodeRef::new(&t.image()[at..at + ps]);
+            leaf.entry(leaf.count() - 1).0
+        });
+        // Per plan: (entries, server 0's CPU time).
+        let mut plans = Vec::new();
+        for hi in [last, last + 8] {
+            let (idx, ep) = (idx.clone(), Endpoint::new(&nam.rdma));
+            let len: Rc<std::cell::Cell<u64>> = Rc::default();
+            let before = nam.rdma.server_stats(0).cpu_busy_nanos;
+            let out = Rc::clone(&len);
+            sim.spawn(async move {
+                let run = idx.local().unwrap().leaf_plan(&ep, 0, hi).await.unwrap();
+                out.set(run.len() as u64);
+            });
+            sim.run();
+            let cpu = nam.rdma.server_stats(0).cpu_busy_nanos - before;
+            plans.push((len.get(), cpu));
+        }
+        let [(within, within_cpu), (across, across_cpu)] = plans[..] else {
+            panic!("two plans: {plans:?}");
+        };
+        assert_eq!(
+            within,
+            last / 8 + 1,
+            "the first plan is the whole first leaf"
+        );
+        assert_eq!(
+            across,
+            within + 1,
+            "the second plan crosses into the next leaf"
+        );
+        let per_entry = CPU_PER_ENTRY.as_nanos();
+        assert_eq!(across_cpu - within_cpu, CPU_PER_NODE.as_nanos() + per_entry);
     }
 
     fn loaded_node(n: u64) -> ServerNode {

@@ -58,7 +58,7 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use blink::layout::lock_word;
-use blink::node::{kind_of, NodeKind};
+use blink::node::{kind_of, version_lock_of, NodeKind};
 use blink::{Key, PageLayout, Ptr, Value};
 use rdma_sim::{Cluster, Endpoint, FenceKind, PageBuf, RemotePtr, VerbError};
 
@@ -356,8 +356,15 @@ impl Index {
         Some(ptr)
     }
 
-    /// Current bytes of the page at `ptr` (spins past locked copies).
-    pub(crate) async fn load(&self, ep: &Endpoint, ptr: RemotePtr) -> Result<Page, VerbError> {
+    /// Current bytes of the page at `ptr` (spins past locked copies): a
+    /// cache hit, else `prefetched`, a copy READ beside other pages, if
+    /// it is unlocked, else a READ.
+    pub(crate) async fn load(
+        &self,
+        ep: &Endpoint,
+        ptr: RemotePtr,
+        prefetched: Option<PageBuf>,
+    ) -> Result<Page, VerbError> {
         // Only remote inner levels are READ by the client, so only they
         // are worth caching as pages.
         let cache = self.root().and_then(|_| self.fenced_cache(ep));
@@ -369,10 +376,11 @@ impl Index {
         // Mutation `LearnedNoReread`: read a predicted page raw, skipping
         // `read_unlocked`'s locked-spin re-read, so a mid-write snapshot
         // can escape into the descent.
-        let page = if self.router.is_some() && crate::mutated(Mutation::LearnedNoReread) {
-            ep.read(ptr, ps).await?
-        } else {
-            read_unlocked(ep, ptr, ps).await?
+        let raw = self.router.is_some() && crate::mutated(Mutation::LearnedNoReread);
+        let page = match prefetched.filter(|p| !lock_word::is_locked(version_lock_of(p))) {
+            Some(page) => page,
+            None if raw => ep.read(ptr, ps).await?,
+            None => read_unlocked(ep, ptr, ps).await?,
         };
         if let Some(cache) = cache {
             if kind_of(&page) == NodeKind::Inner {

@@ -46,7 +46,9 @@
 //! `cargo xtask pairs --parent <exe> --change <exe> --workload W` is the
 //! host-clock measuring loop of a performance change: alternating runs
 //! of two builds of the repository benchmark, seed by seed. It reads
-//! host clocks, so it gates nothing and CI does not run it.
+//! host clocks, so it gates nothing and CI does not run it. With
+//! `--claim METRIC` it also verifies a virtual gain: that metric better
+//! in every pair, every other virtual metric the same or better.
 //!
 //! `cargo xtask loc` counts non-test lines: per crate under `crates/` and
 //! for `src/`, the lines of each `.rs` file above its first
@@ -795,17 +797,18 @@ fn check_all() -> ExitCode {
 // ---------------------------------------------------------------------
 // pairs: alternating parent/change runs of the repository benchmark.
 
-/// The benchmark's end-to-end metrics, and whether each is virtual: a
-/// pure function of the seed, on which the two sides must agree bit for
-/// bit. The others are host costs — lower is better.
-const END_TO_END: [(&str, bool); 7] = [
-    ("setup_s", false),
-    ("host_ns_per_op", false),
-    ("peak_rss_mib", false),
-    ("sim_ops_per_s", true),
-    ("sim_p99_us", true),
-    ("sim_wire_bytes_per_op", true),
-    ("ok_ops_ratio", true),
+/// The benchmark's end-to-end metrics: whether each is virtual — a pure
+/// function of the seed, on which the two sides agree bit for bit unless
+/// a change claims to move it — and whether higher is better. The others
+/// are host costs, lower being better.
+const END_TO_END: [(&str, bool, bool); 7] = [
+    ("setup_s", false, false),
+    ("host_ns_per_op", false, false),
+    ("peak_rss_mib", false, false),
+    ("sim_ops_per_s", true, true),
+    ("sim_p99_us", true, false),
+    ("sim_wire_bytes_per_op", true, false),
+    ("ok_ops_ratio", true, true),
 ];
 
 /// `"name": {"value": 1.5, …` in the benchmark's one-line JSON report.
@@ -827,7 +830,7 @@ fn bench_run(exe: &str, workload: &str, seed: u64, reps: u64) -> Result<Vec<f64>
     if !out.status.success() || !report.contains("\"correct\": true") {
         return Err(format!("{exe} --seed {seed}: {}: {report}", out.status));
     }
-    let metric = |(name, _): &(&str, bool)| {
+    let metric = |(name, ..): &(&str, bool, bool)| {
         report_value(report, name).ok_or_else(|| format!("{exe}: no {name} in: {report}"))
     };
     END_TO_END.iter().map(metric).collect()
@@ -840,16 +843,40 @@ fn quantile(sorted: &[f64], p: f64) -> f64 {
     below + (above - below) * at.fract()
 }
 
+/// Whether a `(parent, change)` pair shows the change better.
+fn improves(higher: bool, (p, c): (f64, f64)) -> bool {
+    if higher {
+        c > p
+    } else {
+        c < p
+    }
+}
+
+/// Whether virtual metric `name`'s `(parent, change)` pairs keep the
+/// rule: without a claim the sides agree bit for bit; a claimed metric
+/// is better in every pair; beside a claim, another metric is the same
+/// or better in each.
+fn virtual_holds(claim: Option<&str>, name: &str, higher: bool, pairs: &[(f64, f64)]) -> bool {
+    let same = |&(p, c): &(f64, f64)| p.to_bits() == c.to_bits();
+    match claim {
+        Some(c) if c == name => pairs.iter().all(|&pc| improves(higher, pc)),
+        Some(_) => pairs.iter().all(|&pc| same(&pc) || improves(higher, pc)),
+        None => pairs.iter().all(same),
+    }
+}
+
 const PAIRS_USAGE: &str = "usage: cargo xtask pairs --parent <exe> --change <exe> --workload W \
-                           [--pairs 10] [--reps 3] [--seed0 1]";
+                           [--pairs 10] [--reps 3] [--seed0 1] [--claim METRIC]";
 
 /// `cargo xtask pairs`: pair `i` runs both executables on seed
 /// `seed0 + i`, the parent first when `i` is even and the change first
-/// when it is odd, so a drift of the machine favours neither side.
+/// when it is odd, so a drift of the machine favours neither side. It
+/// fails if a virtual metric moves: any move without `--claim`; with it,
+/// the claimed metric not better, or another one worse, in some pair.
 fn pairs(args: &[String]) -> Result<(), String> {
     let usage = || PAIRS_USAGE.to_string();
     let mut exes = [None, None];
-    let (mut workload, mut n, mut reps, mut seed0) = (None, 10, 3, 1);
+    let (mut workload, mut n, mut reps, mut seed0, mut claim) = (None, 10, 3, 1, None);
     for flag in args.chunks(2) {
         let [name, value] = flag else {
             return Err(usage());
@@ -862,12 +889,17 @@ fn pairs(args: &[String]) -> Result<(), String> {
             "--pairs" => n = num()?,
             "--reps" => reps = num()?,
             "--seed0" => seed0 = num()?,
+            "--claim" => claim = Some(value.as_str()),
             _ => return Err(usage()),
         }
     }
     let ([Some(parent), Some(change)], Some(workload), 1..) = (exes, workload, n) else {
         return Err(usage());
     };
+    let virtual_metric = |c: &str| END_TO_END.iter().any(|&(name, v, _)| v && name == c);
+    if claim.is_some_and(|c| !virtual_metric(c)) {
+        return Err(usage());
+    }
     // runs[side][pair][metric]; side 0 is the parent.
     let mut runs = [Vec::new(), Vec::new()];
     for pair in 0..n {
@@ -880,19 +912,33 @@ fn pairs(args: &[String]) -> Result<(), String> {
     }
     let last = seed0 + n - 1;
     println!("{workload}: {n} pairs, seeds {seed0}..={last}, --reps {reps}");
-    let mut moved = 0;
-    for (m, &(name, is_virtual)) in END_TO_END.iter().enumerate() {
+    let mut failed = Vec::new();
+    for (m, &(name, is_virtual, higher)) in END_TO_END.iter().enumerate() {
         let [parent, change] =
             [0, 1].map(|side| runs[side].iter().map(|run| run[m]).collect::<Vec<f64>>());
-        println!("\n{name}: seed, parent, change");
+        let claimed = claim == Some(name);
+        let ratio = if claimed { ", change / parent" } else { "" };
+        println!("\n{name}: seed, parent, change{ratio}");
         for (seed, (p, c)) in (seed0..).zip(parent.iter().zip(&change)) {
-            println!("  {seed:>6} {p:>16.3} {c:>16.3}");
+            let ratio = if claimed {
+                format!(" {:>9.5}", c / p)
+            } else {
+                String::new()
+            };
+            println!("  {seed:>6} {p:>16.3} {c:>16.3}{ratio}");
         }
         if is_virtual {
-            let differ = |(p, c): &(&f64, &f64)| p.to_bits() != c.to_bits();
-            let differing = parent.iter().zip(&change).filter(differ).count();
-            println!("  virtual: the sides differ within a seed in {differing}/{n} pairs");
-            moved += differing;
+            let pairs: Vec<(f64, f64)> =
+                parent.iter().copied().zip(change.iter().copied()).collect();
+            let differing = pairs
+                .iter()
+                .filter(|(p, c)| p.to_bits() != c.to_bits())
+                .count();
+            let better = pairs.iter().filter(|&&pc| improves(higher, pc)).count();
+            println!("  virtual: the sides differ within a seed in {differing}/{n} pairs, the change better in {better}/{n}");
+            if !virtual_holds(claim, name, higher, &pairs) {
+                failed.push(name);
+            }
             continue;
         }
         for (side, sample) in [("parent", &parent), ("change", &change)] {
@@ -908,12 +954,15 @@ fn pairs(args: &[String]) -> Result<(), String> {
             "  change lower in {wins}/{n} pairs; every change run below every parent run: {clear}"
         );
     }
-    if moved > 0 {
-        return Err(format!(
-            "{moved} virtual value(s) moved — the sides must agree bit for bit"
-        ));
+    match (failed.is_empty(), claim) {
+        (true, _) => Ok(()),
+        (false, None) => Err(format!(
+            "virtual {failed:?} moved — the sides must agree bit for bit"
+        )),
+        (false, Some(c)) => Err(format!(
+            "virtual {failed:?} broke the claim: {c} better in every pair, the others the same or better"
+        )),
     }
-    Ok(())
 }
 
 /// Lines of one source file above its first `#[cfg(test)]` line (all of
@@ -1136,9 +1185,25 @@ mod tests {
             &[&both[..], &["--pairs", "0"]].concat(),
             &[&both[..], &["--pairs", "x"]].concat(),
             &[&both[..], &["--pair", "3"]].concat(), // unknown flag
+            &[&both[..], &["--claim", "host_ns_per_op"]].concat(), // a host metric
+            &[&both[..], &["--claim", "sim_ops"]].concat(), // no metric
         ] {
             assert_eq!(pairs(&args(bad)), Err(PAIRS_USAGE.to_string()), "{bad:?}");
         }
+        // A claimed gain holds in every pair; beside it the other
+        // virtual metrics may only stay or improve; without a claim
+        // nothing virtual moves.
+        let (up, same, down) = ([(1.0, 2.0)], [(1.0, 1.0)], [(2.0, 1.0)]);
+        let two = [(1.0, 2.0), (1.0, 1.0)];
+        let ops = Some("sim_ops_per_s");
+        assert!(virtual_holds(ops, "sim_ops_per_s", true, &up));
+        assert!(!virtual_holds(ops, "sim_ops_per_s", true, &two));
+        assert!(!virtual_holds(ops, "sim_ops_per_s", true, &down));
+        assert!(virtual_holds(ops, "sim_p99_us", false, &down));
+        assert!(virtual_holds(ops, "sim_p99_us", false, &same));
+        assert!(!virtual_holds(ops, "sim_p99_us", false, &up));
+        assert!(virtual_holds(None, "sim_p99_us", false, &same));
+        assert!(!virtual_holds(None, "sim_p99_us", false, &down));
     }
 
     #[test]

@@ -13,7 +13,10 @@
 //! disjoint key spans, so a later successful lookup by the owner settles
 //! an uncertain key to whatever the index actually holds. At quiesce the
 //! index and the oracle must agree exactly on every certain key, for
-//! every design, under pinned seeds.
+//! every design, under pinned seeds. The dynamic checker rides along:
+//! scans here cross level-1 pages and local leaves while other clients
+//! split them, and the run must leave no race finding and a well-formed
+//! tree.
 
 use namdex::prelude::*;
 use std::cell::RefCell;
@@ -153,6 +156,8 @@ fn oracle_scenario(kind: IndexKind, seed: u64) {
     let sim = Sim::new();
     let nam = NamCluster::new(&sim, ClusterSpec::default());
     let idx = build(kind, &nam);
+    let race = Racecheck::install(&nam.rdma, idx.index().layout().page_size());
+    namdex::racecheck::walk::register_design(&race, &idx);
 
     let oracle: Oracle = Rc::new(RefCell::new((0..LOAD_UNITS).map(|i| (i * 8, i)).collect()));
     let uncertain: Uncertain = Rc::new(RefCell::new(BTreeSet::new()));
@@ -223,6 +228,15 @@ fn oracle_scenario(kind: IndexKind, seed: u64) {
         );
     });
     sim.run();
+    race.assert_clean();
+    assert_eq!(race.check_structure(&idx), 0, "structural walk");
+    // Only the designs with a leaf chain READ pages; theirs must have
+    // been checked, or the verdict says nothing.
+    let reads = race.counts().reads_checked;
+    assert!(
+        kind == IndexKind::CoarseGrained || reads > 0,
+        "no page READ checked"
+    );
 }
 
 #[test]

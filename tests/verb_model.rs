@@ -10,8 +10,9 @@
 //! check also pins the `L`-polynomials to the actual tree height. The
 //! range row is one test per chain design: a scan over `n` leaves of a
 //! static tree READs each once, plus what naming them costs — nothing
-//! (Learned), the level-1 nodes (FG), one RPC per server-local leaf
-//! (Hybrid, with or without a client cache).
+//! (Learned), the level-1 nodes (FG, all but the first batched with the
+//! leaves), one RPC per partition server (Hybrid, with or without a
+//! client cache).
 
 use namdex::prelude::*;
 use std::cell::{Cell, RefCell};
@@ -22,6 +23,8 @@ const PAGE_SIZE: usize = 256;
 const KEYS: u64 = 2_000;
 /// Ops per phase.
 const K: u64 = 32;
+/// Leaves per scan READ batch.
+const SCAN_BATCH: usize = 4;
 /// Key-unit stride between ops: far enough apart that every op hits its
 /// own leaf, so inserts never split a page another phase op touched.
 const STRIDE: u64 = KEYS / K;
@@ -77,7 +80,7 @@ fn build_cached(kind: IndexKind, nam: &NamCluster, cache_capacity: Option<usize>
     let cfg = FgConfig {
         layout: PageLayout::new(PAGE_SIZE),
         fill: 0.7,
-        scan_batch: 4,
+        scan_batch: SCAN_BATCH,
         cache_capacity,
     };
     Design::build(kind, nam, cfg, partition, items)
@@ -268,21 +271,14 @@ fn a_learned_scan_reads_each_spanned_leaf_once() {
     });
 }
 
-/// FG: the descent stops at the level-1 node covering `lo` (`L − 1`
-/// READs), whose entries name the leaves; each further level-1 node the
-/// range reaches is one READ of the right sibling. So `n` leaves under
-/// `k` level-1 nodes cost `(L − 1) + (k − 1) + n` READs.
-#[test]
-fn an_fg_scan_reads_the_level_above_the_leaves_once_per_node() {
+/// FG's tree height `L`, and its level-1 table: down the left edge to
+/// level 1, then along it, every child's separator with the index of the
+/// level-1 node holding it.
+fn fg_level_one(idx: &Design) -> (u64, Vec<(u64, usize)>) {
     use blink::node::InnerNodeRef;
-    let sim = Sim::new();
-    let nam = NamCluster::new(&sim, ClusterSpec::default());
-    let idx = build(IndexKind::FineGrained, &nam);
     let src = idx.index().setup_source();
     let root = idx.index().root().expect("remote inner levels");
     let height = InnerNodeRef::new(&src.load(root)).level() as u64 + 1;
-    // Down the left edge to level 1, then along it: every child's
-    // separator, with the index of the level-1 node holding it.
     let mut cur = root;
     while InnerNodeRef::new(&src.load(cur)).level() > 1 {
         cur = RemotePtr::from_page_ptr(InnerNodeRef::new(&src.load(cur)).entry(0).1);
@@ -297,6 +293,19 @@ fn an_fg_scan_reads_the_level_above_the_leaves_once_per_node() {
         node += 1;
     }
     assert!(node > 4, "the ranges cross level-1 nodes: {node}");
+    (height, table)
+}
+
+/// FG: the descent stops at the level-1 node covering `lo` (`L − 1`
+/// READs), whose entries name the leaves; each further level-1 node the
+/// range reaches is one READ of the right sibling. So `n` leaves under
+/// `k` level-1 nodes cost `(L − 1) + (k − 1) + n` READs.
+#[test]
+fn an_fg_scan_reads_the_level_above_the_leaves_once_per_node() {
+    let sim = Sim::new();
+    let nam = NamCluster::new(&sim, ClusterSpec::default());
+    let idx = build(IndexKind::FineGrained, &nam);
+    let (height, table) = fg_level_one(&idx);
     let ep = Endpoint::new(&nam.rdma);
     check_scan_costs(&idx, &nam, &sim, &ep, |lo, hi| {
         let (n, k) = spanned(&table, lo, hi);
@@ -304,48 +313,103 @@ fn an_fg_scan_reads_the_level_above_the_leaves_once_per_node() {
     });
 }
 
-/// Hybrid: each resolution RPC returns the run of one server-local leaf,
-/// so `n` leaves registered under `k` local leaves cost `k` RPCs and `n`
-/// READs. Each partition boundary crossed costs one RPC more: the
-/// request for the keys after a server's last local leaf goes to that
-/// server first, and falls through.
+/// FG's port time: a scan over `k` level-1 nodes holds ports for
+/// exactly the descent's `L − 1` single-message READs, and every other
+/// message rides in a batch: the READ of each further level-1 node rides
+/// with the last leaves of the node before it. (A batch of one is the
+/// single READ it is, and only the last node's final batch can be one.)
+/// Per server, `ops` messages holding the port for `busy` nanoseconds
+/// are `x` singles and `ops − x` batched exactly when
+/// `busy = x·(OP + t) + (ops − x)·(BATCHED + t)`, with `t` the page's
+/// wire time on that server's link.
+#[test]
+fn an_fg_scan_holds_ports_for_single_reads_only_in_its_descent() {
+    use namdex::rdma::spec::{BATCHED_WIRE_OVERHEAD, OP_WIRE_OVERHEAD};
+    let sim = Sim::new();
+    let nam = NamCluster::new(&sim, ClusterSpec::default());
+    let idx = build(IndexKind::FineGrained, &nam);
+    let (height, table) = fg_level_one(&idx);
+    let per_server = |nam: &NamCluster| -> Vec<(u64, u64)> {
+        (0..nam.num_servers())
+            .map(|s| nam.rdma.server_stats(s))
+            .map(|st| (st.onesided_ops, st.nic_busy_nanos))
+            .collect()
+    };
+    let ep = Endpoint::new(&nam.rdma);
+    let covering = |key: u64| table.partition_point(|&(high, _)| high < key);
+    let (mut want, mut got, mut crossed) = (Vec::new(), Vec::new(), false);
+    for (lo, hi) in scan_ranges() {
+        // The leaves the scan spans under the last level-1 node it reaches.
+        let (first, last) = (covering(lo), covering(hi));
+        let on_last = table[first..=last].iter().filter(|e| e.1 == table[last].1);
+        let lone = on_last.count() % SCAN_BATCH == 1;
+        want.push((height - 1) + lone as u64);
+        crossed |= table[first].1 != table[last].1;
+        let before = per_server(&nam);
+        let (idx, ep) = (idx.clone(), ep.clone());
+        sim.spawn(async move {
+            idx.range(&ep, lo, hi).await.expect("range");
+        });
+        sim.run();
+        let mut singles = 0;
+        for (s, (b, a)) in before.iter().zip(per_server(&nam)).enumerate() {
+            let (ops, busy) = (a.0 - b.0, a.1 - b.1);
+            let bw = nam.rdma.spec().effective_bandwidth(s);
+            let page = SimDur::from_secs_f64(PAGE_SIZE as f64 / bw);
+            let (one, many) = (OP_WIRE_OVERHEAD + page, BATCHED_WIRE_OVERHEAD + page);
+            let (extra, step) = (busy - ops * many.as_nanos(), (one - many).as_nanos());
+            assert_eq!(
+                extra % step,
+                0,
+                "server {s}: {busy} ns is no mix of messages"
+            );
+            singles += extra / step;
+        }
+        got.push(singles);
+    }
+    assert_eq!(got, want, "single-message READs per scan at L = {height}");
+    assert!(crossed, "some scan crosses level-1 nodes");
+}
+
+/// Hybrid: a resolution RPC returns the run of its partition's local
+/// leaves from the one holding `lo`'s ceiling through the first whose
+/// high key is `>= hi`, so `n` leaves cost `n` READs and one RPC per
+/// partition server the range reaches: from `lo`'s through the one
+/// holding the high key of the leaf covering `hi` (a chain leaf is
+/// registered under its high key, so the leaf spanning a boundary
+/// resolves through the next partition).
 fn hybrid_scan_cost(idx: &Design, nam: &NamCluster) -> impl Fn(u64, u64) -> (u64, u64) {
-    use blink::node::LeafNodeRef;
     let local = idx.index().local().expect("local upper levels");
-    // Every server's local leaves in key order: each entry's high key,
-    // with the index of the local leaf holding it.
+    // Every registered leaf high key, in key order.
     let mut table = Vec::new();
-    let mut node = 0;
     for server in local.nodes() {
         server.with_tree(|t| {
-            let ps = t.layout().page_size();
-            let mut cur = t.leftmost_leaf();
-            while !cur.is_null() {
-                let at = (cur.raw() as usize - 1) * ps;
-                let leaf = LeafNodeRef::new(&t.image()[at..at + ps]);
-                table.extend((0..leaf.count()).map(|i| (leaf.entry(i).0, node)));
-                cur = leaf.right_sibling();
-                node += 1;
-            }
+            t.ceiling_run(0, |high, _| {
+                table.push((high, 0));
+                true
+            })
         });
     }
-    assert!(node > 8, "the ranges cross local leaves: {node}");
     let pm = PartitionMap::range_uniform(nam.num_servers(), KEYS * 8);
     move |lo, hi| {
-        let (n, k) = spanned(&table, lo, hi);
         let last = table[table.partition_point(|&(high, _)| high < hi)].0;
-        let crossed = (pm.server_of(last) - pm.server_of(lo)) as u64;
-        (k + crossed, n)
+        let servers = (pm.server_of(last) - pm.server_of(lo) + 1) as u64;
+        (servers, spanned(&table, lo, hi).0)
     }
 }
 
 #[test]
-fn a_hybrid_scan_asks_the_server_once_per_local_node() {
+fn a_hybrid_scan_asks_each_partition_server_once() {
     let sim = Sim::new();
     let nam = NamCluster::new(&sim, ClusterSpec::default());
     let idx = build(IndexKind::Hybrid, &nam);
     let ep = Endpoint::new(&nam.rdma);
-    check_scan_costs(&idx, &nam, &sim, &ep, hybrid_scan_cost(&idx, &nam));
+    let cost = hybrid_scan_cost(&idx, &nam);
+    assert!(
+        scan_ranges().iter().any(|&(lo, hi)| cost(lo, hi).0 > 1),
+        "some range crosses a partition boundary"
+    );
+    check_scan_costs(&idx, &nam, &sim, &ep, cost);
 }
 
 /// A cached route names one leaf, not the leaves after it: a Hybrid
