@@ -13,7 +13,8 @@
 //!
 //! The chain is only leaves. A range scan prefetches the leaves the node
 //! above them names — a level-1 page, a local upper level's reply, a
-//! model — in `scan_batch` READs at a time ([`crate::engine`]), where
+//! model — `scan_batch` leaves to a READ batch ([`crate::engine`]), one
+//! READ per run of leaves that abut in one server's pool, where
 //! the paper's §4.3 interposes *head nodes* listing each group of
 //! leaves; the sibling pointers carry it past anything that plan did
 //! not name (a concurrent split).

@@ -104,6 +104,16 @@ enum OneSided {
     Alloc(usize),
 }
 
+/// Whether request `i` of a READ batch starts on the byte where the
+/// batch's previous request to its server ends: one READ carries both.
+fn extends_run(reqs: &[(RemotePtr, usize)], i: usize) -> bool {
+    let ptr = reqs[i].0;
+    reqs[..i]
+        .iter()
+        .rfind(|(p, _)| p.server() == ptr.server())
+        .is_some_and(|&(p, len)| p.offset() + len as u64 == ptr.offset())
+}
+
 /// What an RPC handler returns: the caller-visible value plus the costs
 /// the simulator must charge.
 pub struct RpcReply<R> {
@@ -461,39 +471,54 @@ impl Endpoint {
 
     /// Fan out one-sided READs (selectively signalled, §4.3) as one
     /// round: all wires are reserved at once and the caller waits for the
-    /// last completion, so transfers to different servers overlap. A
-    /// batch of one is the single READ it is, priced as one; an empty
-    /// batch is no verb at all: nothing is counted, rolled or awaited.
+    /// last completion, so transfers to different servers overlap. One
+    /// READ carries each server run (DESIGN.md §10); each request is still
+    /// copied and reported on its own. A batch of one is the single READ
+    /// it is, priced as one, and a larger batch is never one message: it
+    /// keeps one per request then, since a single READ costs more. An
+    /// empty batch is no verb at all: nothing is counted, rolled or awaited.
     pub async fn read_many(&self, reqs: &[(RemotePtr, usize)]) -> Result<Vec<PageBuf>, VerbError> {
         if reqs.is_empty() {
             return Ok(Vec::new());
         }
         let issued = self.sim().now();
         self.check_alive()?;
-        let single = reqs.len() == 1;
-        let mut msgs = Vec::with_capacity(reqs.len());
-        for &(ptr, len) in reqs {
-            let msg = if single {
-                Msg::Out(len)
-            } else {
-                Msg::Batched(len)
-            };
-            msgs.push((self.decode(ptr)?, msg));
+        let n = reqs.len();
+        let mut several = false;
+        for (i, &(ptr, _)) in reqs.iter().enumerate() {
+            self.decode(ptr)?;
+            several |= i > 0 && !extends_run(reqs, i);
         }
-        let mut queues = vec![0; reqs.len()];
-        self.onesided(&msgs, &mut queues, true).await?;
+        let msg = if n == 1 { Msg::Out } else { Msg::Batched };
+        // Each message's queue wait, then the message each request rides in.
+        let (mut msgs, mut queues) = (Vec::<(usize, Msg)>::with_capacity(n), vec![0; 2 * n]);
+        for (i, &(ptr, len)) in reqs.iter().enumerate() {
+            let run = msgs.iter().rposition(|&(s, _)| s == ptr.server());
+            queues[n + i] = match run.filter(|_| several && extends_run(reqs, i)) {
+                Some(j) => {
+                    msgs[j].1 = Msg::Batched(msgs[j].1.parts().1 + len);
+                    j
+                }
+                None => {
+                    msgs.push((ptr.server(), msg(len)));
+                    msgs.len() - 1
+                }
+            } as u64;
+        }
+        self.onesided(&msgs, &mut queues[..n], true).await?;
         let bufs: Vec<_> = reqs
             .iter()
             .map(|&(ptr, len)| self.copy_out(ptr, len))
             .collect();
-        for (&(ptr, len), &queue) in reqs.iter().zip(&queues) {
+        let (waits, rides) = queues.split_at(reqs.len());
+        for (&(ptr, len), &j) in reqs.iter().zip(rides) {
             self.emit(
                 ptr.server(),
                 ptr.offset(),
                 len,
                 VerbKind::Read,
                 issued,
-                queue,
+                waits[j as usize],
             );
         }
         Ok(bufs)
@@ -757,6 +782,15 @@ mod tests {
     use crate::spec::{ClusterSpec, NIC_BANDWIDTH};
     use std::cell::{Cell, RefCell};
     use std::rc::Rc;
+
+    /// Every completed verb, in completion order.
+    struct Events(RefCell<Vec<VerbEvent>>);
+
+    impl crate::observer::VerbObserver for Events {
+        fn on_verb(&self, e: &VerbEvent) {
+            self.0.borrow_mut().push(*e);
+        }
+    }
 
     fn harness() -> (Sim, Cluster) {
         let sim = Sim::new();
@@ -1232,6 +1266,95 @@ mod tests {
         assert!(batched < cluster.server_stats(2).nic_busy_nanos);
     }
 
+    /// A READ batch posts one message per server run: a request that
+    /// starts where the batch's previous request to its server ends
+    /// rides in that request's message, which holds the port for one
+    /// batched cost plus the run's bytes. Gaps and other servers start
+    /// new messages, a batch that would make one message keeps one per
+    /// request, and every request is still reported once, with its own
+    /// bytes.
+    #[test]
+    fn read_batches_post_one_message_per_server_run() {
+        const PAGE: usize = 1024;
+        let wire = |pages: usize| {
+            (BATCHED_WIRE_OVERHEAD + SimDur::from_secs_f64((pages * PAGE) as f64 / NIC_BANDWIDTH))
+                .as_nanos()
+        };
+        // Servers 0 and 2 are the first of their machines: no QPI hop.
+        // (pages to allocate as (server, bytes), the batch as indexes
+        // into them, per server 0 and 2 the messages and port time)
+        type Case<'a> = (&'a [(usize, usize)], &'a [usize], [(u64, u64); 2]);
+        let cases: [Case; 5] = [
+            // two abutting pages on 0, out of order with one on 2
+            (
+                &[(0, PAGE), (0, PAGE), (2, PAGE)],
+                &[0, 2, 1],
+                [(1, wire(2)), (1, wire(1))],
+            ),
+            // a gap on 0 splits the run
+            (
+                &[(0, PAGE), (0, 8), (0, PAGE), (2, PAGE)],
+                &[0, 2, 3],
+                [(2, 2 * wire(1)), (1, wire(1))],
+            ),
+            // a run starts with its lowest page
+            (
+                &[(0, PAGE), (0, PAGE), (2, PAGE)],
+                &[1, 0, 2],
+                [(2, 2 * wire(1)), (1, wire(1))],
+            ),
+            // server 2's page starts at the byte where 0's ends
+            (
+                &[(0, PAGE), (2, PAGE), (2, PAGE)],
+                &[0, 2],
+                [(1, wire(1)), (1, wire(1))],
+            ),
+            // one message would be a single READ: priced as before
+            (&[(0, PAGE), (0, PAGE)], &[0, 1], [(2, 2 * wire(1)), (0, 0)]),
+        ];
+        for (pages, batch, want) in cases {
+            let (sim, cluster) = harness();
+            let ptrs: Vec<_> = pages
+                .iter()
+                .enumerate()
+                .map(|(i, &(s, len))| {
+                    let ptr = cluster.setup_alloc(s, len as u64);
+                    cluster.setup_write(ptr, &vec![i as u8 + 1; len]);
+                    (ptr, len)
+                })
+                .collect();
+            let reqs: Vec<_> = batch.iter().map(|&i| ptrs[i]).collect();
+            let seen = Rc::new(Events(RefCell::new(vec![])));
+            cluster.add_observer(seen.clone());
+            let ep = Endpoint::new(&cluster);
+            let (batch_reqs, fills) = (reqs.clone(), batch.iter().map(|&i| i as u8 + 1));
+            let fills: Vec<_> = fills.collect();
+            sim.spawn(async move {
+                let bufs = ep.read_many(&batch_reqs).await.unwrap();
+                for ((&(_, len), buf), fill) in batch_reqs.iter().zip(bufs).zip(fills) {
+                    assert_eq!(&buf[..], &vec![fill; len][..]);
+                }
+            });
+            sim.run();
+            let got = [0, 2].map(|s| {
+                let st = cluster.server_stats(s);
+                (st.onesided_ops, st.nic_busy_nanos)
+            });
+            assert_eq!(got, want, "{batch:?}");
+            let reported: Vec<_> = seen
+                .0
+                .borrow()
+                .iter()
+                .map(|e| (e.server, e.offset, e.len))
+                .collect();
+            let asked: Vec<_> = reqs
+                .iter()
+                .map(|&(p, len)| (p.server(), p.offset(), len))
+                .collect();
+            assert_eq!(reported, asked, "{batch:?}");
+        }
+    }
+
     #[test]
     fn colocated_read_skips_nic() {
         let sim = Sim::new();
@@ -1611,12 +1734,6 @@ mod tests {
     /// refusal is charged to.
     #[test]
     fn one_round_prices_single_reads_and_batches() {
-        struct Events(RefCell<Vec<VerbEvent>>);
-        impl crate::observer::VerbObserver for Events {
-            fn on_verb(&self, e: &VerbEvent) {
-                self.0.borrow_mut().push(*e);
-            }
-        }
         let slow = LinkDegrade {
             extra_delay: SimDur::from_nanos(3_000),
             bandwidth_factor: 0.25,
@@ -1684,8 +1801,24 @@ mod tests {
             } else {
                 BATCHED_WIRE_OVERHEAD
             };
-            let msgs: Vec<_> = reqs.iter().map(|&(s, len)| (s, cost, len)).collect();
-            let (queues, done, slowest) = expected_round(&ep, &msgs);
+            // A server's requests are allocated back to back, so in a
+            // batch its later ones ride in its first one's message, and
+            // each request reports that message's queue wait.
+            let (mut msgs, mut rides) = (vec![], vec![]);
+            for &(s, len) in reqs {
+                match msgs.iter().position(|m: &(usize, SimDur, usize)| m.0 == s) {
+                    Some(j) if !single => {
+                        msgs[j].2 += len;
+                        rides.push(j);
+                    }
+                    _ => {
+                        rides.push(msgs.len());
+                        msgs.push((s, cost, len));
+                    }
+                }
+            }
+            let (waits, done, slowest) = expected_round(&ep, &msgs);
+            let queues: Vec<_> = rides.iter().map(|&j| waits[j]).collect();
             let ports: Vec<_> = (0..4).map(|s| cluster.server(s).nic.busy_until()).collect();
             let local: Vec<_> = (0..4).map(|s| ep.is_local(s)).collect();
             let seen = Rc::new(Events(RefCell::new(vec![])));

@@ -82,7 +82,7 @@ pub const RPC_CLIENT_PENALTY: SimDur = SimDur::from_nanos(25);
 /// by then (queueing, degradation, a dropped message) fails with
 /// `VerbError::Timeout` at it. A live but busy RPC server queues with no
 /// deadline (§3.2). A response its port cannot move within it still
-/// fails: fig10's 10M-key CG `range_sel0.1` cell (ROADMAP item 1).
+/// fails: fig10's 10M-key CG `range_sel0.1` cell (ROADMAP item 4(b)).
 pub const VERB_TIMEOUT: SimDur = SimDur::from_millis(1);
 /// First retry backoff step for retryable verb failures.
 pub const RETRY_BACKOFF_BASE: SimDur = SimDur::from_micros(2);

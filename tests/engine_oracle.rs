@@ -11,12 +11,21 @@
 //! op returns `Ok` (an `Err` — or a kill mid-await — leaves the key
 //! uncertain: the mutation may or may not have landed). Clients own
 //! disjoint key spans, so a later successful lookup by the owner settles
-//! an uncertain key to whatever the index actually holds. At quiesce the
-//! index and the oracle must agree exactly on every certain key, for
-//! every design, under pinned seeds. The dynamic checker rides along:
-//! scans here cross level-1 pages and local leaves while other clients
-//! split them, and the run must leave no race finding and a well-formed
-//! tree.
+//! an uncertain key to whatever the index actually holds. A scan may
+//! also cover a neighbour's keys; of those it asserts only the ones no
+//! operation touched while it ran. At quiesce the index and the oracle
+//! must agree exactly on every certain key, for every design, under
+//! pinned seeds. The dynamic checker rides along: scans here cross
+//! level-1 pages and local leaves while other clients split them, and
+//! the run must leave no race finding and a well-formed tree.
+//!
+//! Client `c`'s span is partition `c`. With [`Keys::Edges`], every
+//! operation lands near a partition bound and every scan crosses one, a
+//! leaf per READ: a scan of the left partition's leaves gives the
+//! neighbour time to split the leaf spanning the bound before the right
+//! partition is asked for its plan, which a scan must not let skip the
+//! split's left half (Hybrid seeds 117 and 270 lose its rows if the scan
+//! jumps to the new plan's first leaf).
 
 use namdex::prelude::*;
 use std::cell::RefCell;
@@ -31,6 +40,42 @@ const LOAD_UNITS: u64 = CLIENTS * SPAN;
 
 type Oracle = Rc<RefCell<BTreeMap<Key, Value>>>;
 type Uncertain = Rc<RefCell<BTreeSet<Key>>>;
+type Touched = Rc<RefCell<Touches>>;
+
+/// When each key last had a mutating operation issued or returned, on a
+/// tick that counts those events: a scan asserts no key touched since it
+/// began.
+#[derive(Default)]
+struct Touches {
+    tick: u64,
+    last: BTreeMap<Key, u64>,
+}
+
+impl Touches {
+    fn touch(&mut self, key: Key) {
+        self.tick += 1;
+        self.last.insert(key, self.tick);
+    }
+
+    fn since(&self, tick: u64, key: &Key) -> bool {
+        self.last.get(key).is_some_and(|&t| t > tick)
+    }
+}
+
+/// Where a client's operations fall in its span.
+#[derive(Clone, Copy)]
+enum Keys {
+    /// Anywhere, with scans inside the span.
+    Spread,
+    /// Within `EDGE` units of either end, with scans across the bound.
+    Edges,
+}
+
+/// Units from a span's end that [`Keys::Edges`] operations keep to.
+const EDGE: u64 = 12;
+/// Units left of the bound a [`Keys::Edges`] scan covers (it reaches
+/// `EDGE` units right of it).
+const REACH: u64 = 120;
 
 fn small_cfg() -> FgConfig {
     FgConfig {
@@ -41,10 +86,17 @@ fn small_cfg() -> FgConfig {
     }
 }
 
-fn build(kind: IndexKind, nam: &NamCluster) -> Design {
+fn build(kind: IndexKind, nam: &NamCluster, keys: Keys) -> Design {
     let items = (0..LOAD_UNITS).map(|i| (i * 8, i));
     let partition = PartitionMap::range_uniform(nam.num_servers(), LOAD_UNITS * 8);
-    Design::build(kind, nam, small_cfg(), partition, items)
+    let cfg = match keys {
+        Keys::Spread => small_cfg(),
+        Keys::Edges => FgConfig {
+            scan_batch: 1,
+            ..small_cfg()
+        },
+    };
+    Design::build(kind, nam, cfg, partition, items)
 }
 
 /// One client's sequential op stream over its own key span.
@@ -53,9 +105,11 @@ async fn client_loop(
     idx: Design,
     ep: Endpoint,
     c: u64,
+    keys: Keys,
     seed: u64,
     oracle: Oracle,
     uncertain: Uncertain,
+    touched: Touched,
 ) {
     let base = c * SPAN;
     let mut rng = simnet::rng::DetRng::seed_from_u64(seed ^ (0xC11E57 + c));
@@ -64,7 +118,14 @@ async fn client_loop(
     // need multi-set oracle bookkeeping).
     let mut inserted: BTreeSet<Key> = BTreeSet::new();
     for _ in 0..OPS_PER_CLIENT {
-        let unit = base + rng.next_u64_below(SPAN);
+        let unit = base
+            + match keys {
+                Keys::Spread => rng.next_u64_below(SPAN),
+                Keys::Edges => match rng.next_u64_below(2 * EDGE) {
+                    u if u < EDGE => u,
+                    u => SPAN - 2 * EDGE + u,
+                },
+            };
         match rng.next_u64_below(100) {
             // Insert a fresh key at an odd offset inside the span.
             0..=29 => {
@@ -75,7 +136,10 @@ async fn client_loop(
                 inserted.insert(key);
                 let value = key ^ 0xABCD;
                 uncertain.borrow_mut().insert(key);
-                if idx.insert(&ep, key, value).await.is_ok() {
+                touched.borrow_mut().touch(key);
+                let done = idx.insert(&ep, key, value).await;
+                touched.borrow_mut().touch(key);
+                if done.is_ok() {
                     oracle.borrow_mut().insert(key, value);
                     uncertain.borrow_mut().remove(&key);
                 }
@@ -89,7 +153,10 @@ async fn client_loop(
                 };
                 let certain = !uncertain.borrow().contains(&key);
                 uncertain.borrow_mut().insert(key);
-                if let Ok(found) = idx.delete(&ep, key).await {
+                touched.borrow_mut().touch(key);
+                let done = idx.delete(&ep, key).await;
+                touched.borrow_mut().touch(key);
+                if let Ok(found) = done {
                     if certain {
                         assert_eq!(
                             found,
@@ -126,41 +193,55 @@ async fn client_loop(
                     );
                 }
             }
-            // Range over a window inside the span: rows must agree with
-            // the oracle slice, modulo uncertain keys on either side.
+            // Range over a window inside the span, or across either of
+            // its bounds: rows must agree with the oracle slice, modulo
+            // uncertain keys and keys touched while the scan ran.
             _ => {
-                let lo = (base + rng.next_u64_below(SPAN.saturating_sub(30))) * 8;
-                let hi = lo + 30 * 8;
+                let (lo, hi) = match keys {
+                    Keys::Spread => {
+                        let lo = (base + rng.next_u64_below(SPAN.saturating_sub(30))) * 8;
+                        (lo, lo + 30 * 8)
+                    }
+                    Keys::Edges => {
+                        let bound = base + SPAN * rng.next_u64_below(2);
+                        (bound.saturating_sub(REACH) * 8, (bound + EDGE) * 8)
+                    }
+                };
+                let began = touched.borrow().tick;
                 let Ok(rows) = idx.range(&ep, lo, hi).await else {
                     continue;
                 };
                 let unc = uncertain.borrow();
+                let touched = touched.borrow();
+                let settled = |k: &Key| !unc.contains(k) && !touched.since(began, k);
                 let oracle = oracle.borrow();
-                let got: Vec<(Key, Value)> = rows
-                    .iter()
-                    .copied()
-                    .filter(|(k, _)| !unc.contains(k))
-                    .collect();
+                let got: Vec<(Key, Value)> =
+                    rows.iter().copied().filter(|(k, _)| settled(k)).collect();
                 let want: Vec<(Key, Value)> = oracle
                     .range(lo..=hi)
-                    .filter(|(k, _)| !unc.contains(k))
+                    .filter(|(k, _)| settled(k))
                     .map(|(k, v)| (*k, *v))
                     .collect();
-                assert_eq!(got, want, "range [{lo}, {hi}] disagrees with oracle");
+                if got != want {
+                    let missing: Vec<_> = want.iter().filter(|r| !got.contains(r)).collect();
+                    let extra: Vec<_> = got.iter().filter(|r| !want.contains(r)).collect();
+                    panic!("range [{lo}, {hi}] disagrees with oracle: missing {missing:?}, extra {extra:?}");
+                }
             }
         }
     }
 }
 
-fn oracle_scenario(kind: IndexKind, seed: u64) {
+fn oracle_scenario(kind: IndexKind, seed: u64, keys: Keys) {
     let sim = Sim::new();
     let nam = NamCluster::new(&sim, ClusterSpec::default());
-    let idx = build(kind, &nam);
+    let idx = build(kind, &nam, keys);
     let race = Racecheck::install(&nam.rdma, idx.index().layout().page_size());
     namdex::racecheck::walk::register_design(&race, &idx);
 
     let oracle: Oracle = Rc::new(RefCell::new((0..LOAD_UNITS).map(|i| (i * 8, i)).collect()));
     let uncertain: Uncertain = Rc::new(RefCell::new(BTreeSet::new()));
+    let touched: Touched = Rc::default();
 
     // Endpoints first, so the fault plan can name a victim client.
     let eps: Vec<Endpoint> = (0..CLIENTS).map(|_| Endpoint::new(&nam.rdma)).collect();
@@ -175,9 +256,11 @@ fn oracle_scenario(kind: IndexKind, seed: u64) {
             idx.clone(),
             ep,
             c as u64,
+            keys,
             seed,
             oracle.clone(),
             uncertain.clone(),
+            touched.clone(),
         ));
     }
     sim.run();
@@ -241,24 +324,27 @@ fn oracle_scenario(kind: IndexKind, seed: u64) {
 
 #[test]
 fn cg_agrees_with_oracle_under_chaos() {
-    oracle_scenario(IndexKind::CoarseGrained, 7);
-    oracle_scenario(IndexKind::CoarseGrained, 1_001);
+    oracle_scenario(IndexKind::CoarseGrained, 7, Keys::Spread);
+    oracle_scenario(IndexKind::CoarseGrained, 1_001, Keys::Spread);
 }
 
 #[test]
 fn fg_agrees_with_oracle_under_chaos() {
-    oracle_scenario(IndexKind::FineGrained, 7);
-    oracle_scenario(IndexKind::FineGrained, 1_001);
+    oracle_scenario(IndexKind::FineGrained, 7, Keys::Spread);
+    oracle_scenario(IndexKind::FineGrained, 1_001, Keys::Spread);
 }
 
 #[test]
 fn hybrid_agrees_with_oracle_under_chaos() {
-    oracle_scenario(IndexKind::Hybrid, 7);
-    oracle_scenario(IndexKind::Hybrid, 1_001);
+    oracle_scenario(IndexKind::Hybrid, 7, Keys::Spread);
+    oracle_scenario(IndexKind::Hybrid, 1_001, Keys::Spread);
+    oracle_scenario(IndexKind::Hybrid, 117, Keys::Edges);
+    oracle_scenario(IndexKind::Hybrid, 270, Keys::Edges);
 }
 
 #[test]
 fn learned_agrees_with_oracle_under_chaos() {
-    oracle_scenario(IndexKind::Learned, 7);
-    oracle_scenario(IndexKind::Learned, 1_001);
+    oracle_scenario(IndexKind::Learned, 7, Keys::Spread);
+    oracle_scenario(IndexKind::Learned, 1_001, Keys::Spread);
+    oracle_scenario(IndexKind::Learned, 270, Keys::Edges);
 }
