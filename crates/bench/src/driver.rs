@@ -14,8 +14,8 @@ use std::path::PathBuf;
 use std::rc::Rc;
 
 use blink::PageLayout;
-use chaos::{ChaosController, FaultPlan};
 use namdex_core::{Design, FgConfig, IndexKind, LearnedStats, NamCluster, PartitionMap};
+use rdma_sim::chaos::{ChaosController, FaultPlan};
 use rdma_sim::{ClusterSpec, Durability, Endpoint, FaultStats, RecoveryRecord, ServerStats};
 use simnet::rng::Zipf;
 use simnet::stats::{Counter, Histogram};

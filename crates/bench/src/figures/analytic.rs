@@ -1,7 +1,7 @@
 //! The analytic entries: Tables 1–2 and Figure 3 evaluate the paper's
 //! scalability model and run no simulation.
 
-use analysis::{figure3, table1 as symbols, Dist, ModelParams, Query, Scheme};
+use namdex_core::model::{figure3, table1 as symbols, Dist, ModelParams, Query, Scheme};
 
 use super::{Ctx, Rows};
 use crate::plot::{ascii_chart, format_si, Series};

@@ -16,12 +16,12 @@
 //!
 //! `--seed N` changes the workload; `--fault-seed N` replaces the
 //! scripted schedule with a randomized plan drawn from that seed
-//! (`chaos::FaultPlan::randomized`). Same seeds, same timelines — the
+//! (`rdma_sim::chaos::FaultPlan::randomized`). Same seeds, same timelines — the
 //! whole run is virtual-time deterministic.
 
-use chaos::{FaultPlan, LinkDegrade, RandomProfile};
 use namdex_core::IndexKind;
-use rdma_sim::Durability;
+use rdma_sim::chaos::{FaultPlan, RandomProfile};
+use rdma_sim::{Durability, LinkDegrade};
 use simnet::{SimDur, SimTime};
 use ycsb::Workload;
 

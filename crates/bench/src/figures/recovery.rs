@@ -1,7 +1,7 @@
 //! Extension: the recovery-time objective (RTO) curve.
 //!
 //! The paper's NAM architecture treats memory servers as durable by
-//! fiat; the durability subsystem (`crates/wal`, DESIGN.md §16) makes
+//! fiat; the durability subsystem (`rdma_sim::wal`, DESIGN.md §16) makes
 //! the cost model honest. This experiment measures what that costs at
 //! restart: for each design, grow the un-checkpointed log with batches
 //! of acknowledged inserts, crash a memory server (RAM genuinely

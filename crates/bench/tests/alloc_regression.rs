@@ -256,11 +256,8 @@ fn learned_build_allocations(n: u64) -> u64 {
     let index = Learned::build(&nam, FgConfig::default(), partition, data.iter());
     COUNTING.set(false);
     let model = index.router().and_then(|r| r.model()).expect("trained");
-    assert!(
-        model.info().leaves as u64 > n / 61,
-        "{n} keys, {:?}",
-        model.info()
-    );
+    let leaves = model.table().len();
+    assert!(leaves as u64 > n / 61, "{n} keys, {leaves} leaves");
     ALLOCS.get()
 }
 

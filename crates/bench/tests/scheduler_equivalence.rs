@@ -11,9 +11,9 @@
 //! history; this test keeps working even when the golden is re-blessed.)
 
 use bench::{run_experiment, ExperimentConfig, ExperimentResult};
-use chaos::{FaultPlan, LinkDegrade};
 use namdex_core::IndexKind;
-use rdma_sim::Durability;
+use rdma_sim::chaos::FaultPlan;
+use rdma_sim::{Durability, LinkDegrade};
 use simnet::{SchedulerKind, SimDur, SimTime};
 use ycsb::Workload;
 

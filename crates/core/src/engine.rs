@@ -51,9 +51,9 @@ use std::future::Future;
 use std::ops::Range;
 use std::rc::Rc;
 
+use crate::learned::PgmModel;
 use blink::node::{kind_of, InnerNodeMut, InnerNodeRef, LeafNodeMut, LeafNodeRef, NodeKind};
 use blink::{Key, Ptr, Value};
-use learned_index::PgmModel;
 use rdma_sim::spec::{RETRY_BACKOFF_BASE, RETRY_BACKOFF_CAP, RETRY_LIMIT};
 use rdma_sim::{Endpoint, FenceKind, OpKind, PageBuf, RegionKind, RemotePtr, VerbError};
 use simnet::SimDur;

@@ -38,7 +38,9 @@ pub mod cache;
 pub mod chain;
 pub mod engine;
 pub mod gc;
+pub mod learned;
 pub mod local;
+pub mod model;
 mod msg;
 pub(crate) mod onesided;
 pub mod partition;

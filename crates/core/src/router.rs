@@ -8,7 +8,7 @@
 //! makes an index a member of that fourth family: attached to the
 //! hybrid layout (server-local upper trees plus a scattered leaf
 //! chain), it routes descents with a PGM-style piecewise-linear model
-//! ([`learned_index::PgmModel`]) trained over the leaf-level
+//! ([`crate::learned::PgmModel`]) trained over the leaf-level
 //! `high_key → leaf pointer` table and read by clients from the
 //! [`crate::Index`] itself, touching zero servers on the hot path.
 //!
@@ -50,9 +50,9 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
+use crate::learned::PgmModel;
 use blink::node::{kind_of, LeafNodeRef, NodeKind};
 use blink::{Key, Ptr};
-use learned_index::PgmModel;
 use rdma_sim::{Cluster, RemotePtr};
 
 use crate::resolve::SetupSource;

@@ -27,9 +27,9 @@ use crate::history::{Event, History, OpArgs, OpOutcome};
 use crate::lin::{self, CheckStats, LinViolation, Spec};
 use crate::policy::{new_trace, Pct, RandomWalk, Replay, SharedTrace};
 use blink::PageLayout;
-use chaos::{ChaosController, FaultPlan};
 use namdex_core::{Design, FgConfig, IndexKind, Mutation, NamCluster, PartitionMap};
 use racecheck::{HeldLock, Racecheck, Violation};
+use rdma_sim::chaos::{ChaosController, FaultPlan};
 use rdma_sim::{ClusterSpec, Durability, Endpoint, LinkDegrade};
 use simnet::rng::DetRng;
 use simnet::{FifoPolicy, Sim, SimDur, SimTime};

@@ -10,7 +10,7 @@ use simnet::rng::DetRng;
 use simnet::stats::Counter;
 use simnet::{Sim, SimTime};
 
-use wal::{CheckpointPayload, CheckpointSource, ServerWal, WalConfig, WalRecord, WalStats};
+use crate::wal::{CheckpointPayload, CheckpointSource, ServerWal, WalConfig, WalRecord, WalStats};
 
 use crate::fault::{FaultStats, LinkDegrade};
 use crate::observer::OpKind;
@@ -330,7 +330,7 @@ impl Cluster {
         id
     }
 
-    // ---- fault injection (mechanism; schedules live in `chaos`) ----
+    // ---- fault injection (mechanism; schedules live in `chaos.rs`) ----
 
     /// Seed the drop-roll RNG used by degraded links. Call before the
     /// run for reproducible probabilistic drops.

@@ -43,7 +43,7 @@
 
 use simnet::{Sim, SimDur, SimTime};
 
-use wal::{ServerWal, WaitOutcome, WalRecord};
+use crate::wal::{ServerWal, WaitOutcome, WalRecord};
 
 use crate::buf::PageBuf;
 use crate::cluster::Cluster;

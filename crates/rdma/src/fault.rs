@@ -4,8 +4,8 @@
 //! memory servers and killed clients all surface as failed completions.
 //! This module holds the error type every verb returns, the per-link
 //! degradation knobs, and the counters the cluster keeps about injected
-//! faults. The *schedule* of faults lives in `crates/chaos`; this layer
-//! only exposes the mechanism (`Cluster::{fail_server, kill_client,
+//! faults. The *schedule* of faults lives in [`crate::chaos`]; this
+//! module only exposes the mechanism (`Cluster::{fail_server, kill_client,
 //! degrade_link, ...}`).
 
 use std::fmt;

@@ -33,6 +33,7 @@
 //! saturation point.
 
 pub mod buf;
+pub mod chaos;
 pub mod cluster;
 pub mod endpoint;
 pub mod fault;
@@ -40,6 +41,7 @@ pub mod observer;
 pub mod pool;
 pub mod ptr;
 pub mod spec;
+pub mod wal;
 
 pub use buf::{BufArena, PageBuf};
 pub use cluster::{Cluster, DurableState, RecoveryRecord, ServerStats};
@@ -49,6 +51,4 @@ pub use observer::{FenceKind, OpKind, RegionKind, RpcEvent, VerbEvent, VerbKind,
 pub use pool::MemPool;
 pub use ptr::{PtrDecodeError, RemotePtr};
 pub use spec::{ClusterSpec, Durability, MAX_LOCK_HOLD_VERBS};
-// The durability subsystem's own vocabulary, re-exported so index layers
-// log records and read counters without depending on `wal` directly.
 pub use wal::{WalRecord, WalStats};

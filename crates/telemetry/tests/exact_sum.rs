@@ -5,8 +5,8 @@
 //! invariant at close time and `breakdown_mismatches()` counts
 //! violations.
 
-use chaos::{ChaosController, FaultPlan};
 use namdex_core::{Design, FgConfig, Hybrid, NamCluster, PartitionMap};
+use rdma_sim::chaos::{ChaosController, FaultPlan};
 use rdma_sim::{ClusterSpec, Endpoint};
 use simnet::rng::DetRng;
 use simnet::{Sim, SimDur, SimTime};

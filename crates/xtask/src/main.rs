@@ -43,6 +43,12 @@
 //! not plain `cargo test`/`cargo clippy`: lint, trace-check,
 //! engine-parity, racecheck.
 //!
+//! `cargo xtask figures --check` runs every figure of the registry but
+//! Fig 10 (and `trace_demo`, which writes no committed file) at full
+//! scale into a scratch directory and fails unless each file it writes
+//! equals its copy in `results/`, naming every stale, missing or extra
+//! file — the proof that a change moved no committed number.
+//!
 //! `cargo xtask pairs --parent <exe> --change <exe> --workload W` is the
 //! host-clock measuring loop of a performance change: alternating runs
 //! of two builds of the repository benchmark, seed by seed. It reads
@@ -795,6 +801,109 @@ fn check_all() -> ExitCode {
 }
 
 // ---------------------------------------------------------------------
+// figures --check: the committed figures reproduce byte for byte.
+
+/// Registry entries `figures --check` does not run: Fig 10's 10M-key
+/// cells peak near 4.5 GB, more than a CI runner has, and `trace_demo`
+/// writes no committed file (`trace-check` pins its trace).
+const FIGURES_SKIPPED: [&str; 2] = ["fig10_datasize", "trace_demo"];
+
+/// Committed files the full-scale run does not write: Fig 10's, and the
+/// two 100k-key sweeps that only the quick scale writes (CI's quick
+/// smoke compares those).
+const FIGURES_NOT_WRITTEN: [&str; 3] = [
+    "fig10_datasize.csv",
+    "sweep_skew_100000keys.csv",
+    "sweep_uniform_100000keys.csv",
+];
+
+/// `cargo xtask figures --check`: build `bench` once, run every registry
+/// entry but [`FIGURES_SKIPPED`] at full scale into a scratch results
+/// directory, and compare what they write with the committed `results/`.
+fn figures_check() -> Result<(), String> {
+    let root = repo_root();
+    let bench = |args: &[&str]| {
+        let mut cmd = std::process::Command::new("cargo");
+        cmd.current_dir(&root)
+            .args(["run", "--release", "--quiet", "-p", "bench", "--"])
+            .args(args)
+            .env_remove("NAMDEX_QUICK")
+            .env_remove("NAMDEX_DESIGNS");
+        cmd
+    };
+    let list = bench(&["list"])
+        .stderr(std::process::Stdio::inherit())
+        .output()
+        .map_err(|e| format!("failed to launch cargo: {e}"))?;
+    if !list.status.success() {
+        return Err(format!("bench list exited with {}", list.status));
+    }
+    let list = String::from_utf8_lossy(&list.stdout);
+    let names: Vec<&str> = list
+        .lines()
+        .filter(|l| !l.starts_with("flags:"))
+        .filter_map(|l| l.split_whitespace().next())
+        .filter(|name| !FIGURES_SKIPPED.contains(name))
+        .collect();
+    let out = root.join("target").join("figures-check");
+    // A file left by an earlier run would read as written by this one.
+    if out.exists() {
+        fs::remove_dir_all(&out).map_err(|e| format!("cannot clear {}: {e}", out.display()))?;
+    }
+    let status = bench(&names)
+        .env("NAMDEX_RESULTS_DIR", &out)
+        .status()
+        .map_err(|e| format!("failed to launch cargo: {e}"))?;
+    if !status.success() {
+        return Err(format!("bench exited with {status}"));
+    }
+    let tracked = std::process::Command::new("git")
+        .current_dir(&root)
+        .args(["ls-files", "results"])
+        .output()
+        .map_err(|e| format!("failed to launch git: {e}"))?;
+    let tracked = String::from_utf8_lossy(&tracked.stdout);
+    let committed: Vec<&str> = tracked
+        .lines()
+        .filter_map(|l| l.strip_prefix("results/"))
+        .filter(|f| !FIGURES_NOT_WRITTEN.contains(f))
+        .collect();
+    let mut written: Vec<String> = fs::read_dir(&out)
+        .map_err(|e| format!("cannot read {}: {e}", out.display()))?
+        .filter_map(|e| e.ok()?.file_name().into_string().ok())
+        .collect();
+    written.sort();
+    let mut faults = Vec::new();
+    for f in &committed {
+        match fs::read(out.join(f)) {
+            Err(_) => faults.push(format!("missing: {f} (committed, not written)")),
+            Ok(bytes) if fs::read(root.join("results").join(f)).ok().as_ref() != Some(&bytes) => {
+                faults.push(format!("stale: results/{f} differs from the run"))
+            }
+            Ok(_) => {}
+        }
+    }
+    for f in written.iter().filter(|f| !committed.contains(&f.as_str())) {
+        faults.push(format!("extra: {f} (written, not committed)"));
+    }
+    for fault in &faults {
+        eprintln!("figures: {fault}");
+    }
+    if !faults.is_empty() {
+        return Err(format!(
+            "{} of the committed figures do not reproduce",
+            faults.len()
+        ));
+    }
+    println!(
+        "figures: {} entries wrote {} files, each equal to its copy in results/ — ok",
+        names.len(),
+        written.len()
+    );
+    Ok(())
+}
+
+// ---------------------------------------------------------------------
 // pairs: alternating parent/change runs of the repository benchmark.
 
 /// The benchmark's end-to-end metrics: whether each is virtual — a pure
@@ -1033,6 +1142,13 @@ fn main() -> ExitCode {
         Some("racecheck") if args.len() == 1 => racecheck_gate(),
         Some("check-all") if args.len() == 1 => check_all(),
         Some("loc") if args.len() == 1 => loc(),
+        Some("figures") if args.len() == 2 && args[1] == "--check" => match figures_check() {
+            Ok(()) => ExitCode::SUCCESS,
+            Err(e) => {
+                eprintln!("figures: {e}");
+                ExitCode::FAILURE
+            }
+        },
         Some("pairs") => match pairs(&args[1..]) {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => {
@@ -1042,7 +1158,7 @@ fn main() -> ExitCode {
         },
         _ => {
             eprintln!(
-                "usage: cargo xtask <lint [--self-test] | trace-check | engine-parity [--bless] | mc [--quick] | racecheck | check-all | loc | pairs ...>"
+                "usage: cargo xtask <lint [--self-test] | trace-check | engine-parity [--bless] | mc [--quick] | racecheck | check-all | loc | figures --check | pairs ...>"
             );
             ExitCode::FAILURE
         }

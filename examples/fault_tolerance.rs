@@ -1,7 +1,7 @@
 //! Fault-injection quickstart: a hybrid index rides out a scripted
 //! fault schedule.
 //!
-//! Demonstrates the `chaos` crate end to end: a seed-deterministic
+//! Demonstrates the `chaos` module end to end: a seed-deterministic
 //! [`FaultPlan`] kills a client the instant its lock-acquire CAS
 //! succeeds (orphaning a leaf lock that a contender must break after
 //! the lease expires), crashes and restarts a memory server (moving

@@ -19,9 +19,9 @@
 //! | [`rdma`] | `rdma-sim` | simulated RDMA verbs: memory pools, remote pointers, one-/two-sided ops, NIC/QPI model |
 //! | [`tree`] | `blink` | B-link tree pages and local trees with optimistic lock coupling |
 //! | [`index`] | `namdex-core` | **the paper's contribution**: the coarse-grained, fine-grained and hybrid designs, plus the learned-routing extension |
+//! | [`model`] | `namdex-core` | the §2.3 analytical scalability model |
+//! | [`chaos`] | `rdma-sim` | deterministic fault injection: fault plans, client kills, server crashes, link degradation |
 //! | [`workload`] | `ycsb` | the paper's modified YCSB (Table 3) |
-//! | [`model`] | `analysis` | the §2.3 analytical scalability model |
-//! | [`chaos`] | `chaos` | deterministic fault injection: fault plans, client kills, server crashes, link degradation |
 //! | [`telemetry`] | `telemetry` | metrics registry, causal op spans, Chrome-trace/Perfetto export |
 //! | [`racecheck`] | `racecheck` | the dynamic checker: protocol, happens-before and structural rules over one shadow page table fed by the verb-observer bus |
 //!
@@ -58,12 +58,12 @@
 //! sim.run();
 //! ```
 
-pub use analysis as model;
 pub use blink as tree;
-pub use chaos;
 pub use namdex_core as index;
+pub use namdex_core::model;
 pub use racecheck;
 pub use rdma_sim as rdma;
+pub use rdma_sim::chaos;
 pub use simnet as sim;
 pub use telemetry;
 pub use ycsb as workload;
@@ -72,12 +72,12 @@ pub use ycsb as workload;
 /// cluster.
 pub mod prelude {
     pub use blink::{Key, LocalTree, PageLayout, Value};
-    pub use chaos::{ChaosController, FaultEvent, FaultPlan, RandomProfile};
     pub use namdex_core::{
         CoarseGrained, Design, FgConfig, FineGrained, Hybrid, Index, IndexKind, Learned,
         LearnedStats, NamCluster, OpError, PartitionMap,
     };
     pub use racecheck::Racecheck;
+    pub use rdma_sim::chaos::{ChaosController, FaultEvent, FaultPlan, RandomProfile};
     pub use rdma_sim::{
         Cluster, ClusterSpec, Durability, Endpoint, LinkDegrade, RecoveryRecord, RemotePtr,
         VerbError, WalStats,

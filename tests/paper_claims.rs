@@ -1,11 +1,11 @@
 //! The paper's claims as the committed `results/` CSVs state them: who
 //! wins, by what factor, and where a crossover falls. Nothing is
-//! simulated here; CI's byte compare keeps those files what the code
-//! prints, so a claim that fails here is a claim the model lost. The
-//! one file it does not compare is `fig10_datasize.csv`: its 10M-key
-//! cells outgrow the CI runner's memory until range results stream
-//! (ROADMAP item 4), so fig10's rows here are only as current as the
-//! last full-scale `bench all` that wrote them.
+//! simulated here; `cargo xtask figures --check` keeps those files what
+//! the code prints, so a claim that fails here is a claim the model
+//! lost. The one file it does not compare is `fig10_datasize.csv`: its
+//! 10M-key cells outgrow the CI runner's memory until range results
+//! stream (ROADMAP item 4), so fig10's rows here are only as current as
+//! the last full-scale `bench all` that wrote them.
 
 use std::path::Path;
 
@@ -137,6 +137,51 @@ fn fine_grained_overtakes_coarse_grained_on_inserts() {
         assert!(
             tput(fg, clients) > tput(cg, clients),
             "FG-50 leads at {clients}"
+        );
+    }
+}
+
+/// Fig 11 at 120 clients: adding memory servers scales FG on either
+/// distribution and CG only on uniform data. FG gains at least 5 % at
+/// every step of S = 2 → 4 → 6 → 8 on both panels, and its skewed rows
+/// are within 1 % of its uniform ones, since round-robin placement
+/// spreads a skewed key range over every server. Uniform CG gains at
+/// least 5 % per step too; skewed CG, bound to the server that holds
+/// most of the range, gains at most 20 % from S = 2 to 8.
+#[test]
+fn memory_servers_scale_fine_grained_and_uniform_coarse_grained() {
+    let c = csv("fig11_servers");
+    let series = |design: &str, panel: &str, dist: &str| {
+        ["2", "4", "6", "8"].map(|servers| {
+            let key = [
+                ("design", design),
+                ("panel", panel),
+                ("dist", dist),
+                ("servers", servers),
+            ];
+            c.value(&key, "throughput")
+        })
+    };
+    let rises = |t: &[f64; 4]| t.windows(2).all(|w| w[1] >= 1.05 * w[0]);
+    for panel in ["point", "range_sel0.01"] {
+        let fg = series("Fine-Grained", panel, "uniform");
+        let fg_skew = series("Fine-Grained", panel, "skew");
+        assert!(
+            rises(&fg) && rises(&fg_skew),
+            "FG {panel}: {fg:?}, skew {fg_skew:?}"
+        );
+        for (u, s) in fg.iter().zip(&fg_skew) {
+            assert!(
+                (s - u).abs() <= 0.01 * u,
+                "FG {panel}: skew {s} vs uniform {u}"
+            );
+        }
+        let cg = series("Coarse-Grained", panel, "uniform");
+        assert!(rises(&cg), "uniform CG {panel}: {cg:?}");
+        let cg_skew = series("Coarse-Grained", panel, "skew");
+        assert!(
+            cg_skew[3] <= 1.2 * cg_skew[0],
+            "skewed CG {panel}: {cg_skew:?}"
         );
     }
 }
