@@ -51,9 +51,12 @@ pub fn chain<L: Fn(Ptr) -> Vec<u8>>(first: Ptr, load: L) -> impl Iterator<Item =
 /// keys sorted and inside `(previous high key, high key]`, high keys
 /// ascending up to `KEY_MAX`, no inner page and no cycle. From the root
 /// down: no page locked,
-/// inner nodes hold `1..=capacity` strictly ascending separators, each
-/// equal to its child's high key, the last to the node's own; children
-/// sit one level below; every leaf reached is on the chain.
+/// inner nodes hold `1..=capacity` strictly ascending separators, the
+/// last equal to the node's own high key; children sit one level below;
+/// every leaf reached is on the chain. A child's high key equals its
+/// separator, or lies below it when the child's right-sibling run
+/// reaches a node whose high key is the separator without passing it:
+/// a split whose parent entry has not landed yet.
 pub fn check(
     layout: PageLayout,
     first: Ptr,
@@ -68,12 +71,33 @@ pub fn check(
     out
 }
 
-/// High key of an arbitrary node page.
-fn high_key_of(page: &[u8]) -> Key {
+/// High key and right sibling of an arbitrary node page.
+fn fences_of(page: &[u8]) -> (Key, Ptr) {
     match kind_of(page) {
-        NodeKind::Leaf => LeafNodeRef::new(page).high_key(),
-        NodeKind::Inner => InnerNodeRef::new(page).high_key(),
+        NodeKind::Leaf => {
+            let node = LeafNodeRef::new(page);
+            (node.high_key(), node.right_sibling())
+        }
+        NodeKind::Inner => {
+            let node = InnerNodeRef::new(page);
+            (node.high_key(), node.right_sibling())
+        }
     }
+}
+
+/// Whether a node with high key `high` and right sibling `next` ends at
+/// separator `sep`: its high key is `sep`, or its right-sibling run
+/// reaches a node whose high key is `sep` through ascending high keys
+/// below it (a split whose parent entry has not landed).
+fn run_reaches(mut high: Key, mut next: Ptr, sep: Key, load: &impl Fn(Ptr) -> Vec<u8>) -> bool {
+    while high < sep && !next.is_null() {
+        let (h, sibling) = fences_of(&load(next));
+        if h <= high {
+            return false;
+        }
+        (high, next) = (h, sibling);
+    }
+    high == sep
 }
 
 /// The chain half of [`check`]: returns the leaves it passed, for the
@@ -198,8 +222,8 @@ fn check_inner(
                         let detail = format!("child level {child_level} under inner level {level}");
                         flag(cur, detail);
                     }
-                    let ch = high_key_of(&child_page);
-                    if ch != sep {
+                    let (ch, sibling) = fences_of(&child_page);
+                    if !run_reaches(ch, sibling, sep, load) {
                         let detail =
                             format!("child high fence {ch} != separator {sep} at slot {i}");
                         flag(cur, detail);

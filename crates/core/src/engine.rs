@@ -897,7 +897,10 @@ async fn scan_chain(
                     discard_rest(ep, &prefetched);
                     return Ok(out);
                 }
-                from = leaf.high_key() + 1;
+                // A planned leaf split left of `lo` since its plan was made
+                // has a high key below `from`; its split-born sibling still
+                // holds keys under `lo`.
+                from = from.max(leaf.high_key() + 1);
                 cur = rp(leaf.right_sibling());
                 let Some(((high, _), p)) = planned.zip(plan.as_mut()) else {
                     continue;
@@ -1106,57 +1109,84 @@ mod tests {
         sim.run();
     }
 
+    /// Which planned leaf of a scan splits.
+    #[derive(Clone, Copy, PartialEq)]
+    enum SplitAt {
+        /// A leaf mid-range.
+        Mid,
+        /// The last leaf of the scan's first plan.
+        PlanEnd,
+        /// The first planned leaf, at a separator below `lo`.
+        First,
+    }
+
     /// A scan whose plan names a leaf that has split since — a split
     /// whose registration has not reached the level above yet, made here
     /// on the setup path — still returns every row: it leaves the plan at
     /// the split leaf, READs the split-born leaf through its sibling
     /// pointer and rejoins the plan at the next planned leaf, for one
     /// READ more than before the split. Mid-plan, that leaf is still in
-    /// the plan; at the plan's end (`plan_end`) it is the first of the
-    /// plan fetched next, exactly as without the split: a level-1 page's
-    /// sibling READ or one RPC, and the planned leaves after it in
-    /// batches (walking them singly instead READs no sibling page or asks
-    /// no server). (The learned twin, whose plan is the model's, is in
-    /// `router.rs`.)
-    fn scan_survives_a_split_of_a_planned_leaf(nam: &NamCluster, idx: Rc<Index>, plan_end: bool) {
+    /// the plan; at the plan's end it is the first of the plan fetched
+    /// next, exactly as without the split: a level-1 page's sibling READ
+    /// or one RPC, and the planned leaves after it in batches (walking
+    /// them singly instead READs no sibling page or asks no server). A
+    /// first leaf split left of `lo` yields no row below `lo` from its
+    /// split-born half. (The learned twin, whose plan is the model's, is
+    /// in `router.rs`.)
+    fn scan_survives_a_split_of_a_planned_leaf(nam: &NamCluster, idx: Rc<Index>, at: SplitAt) {
         use blink::node::LeafNodeMut;
-        let (lo, hi) = (100 * 8, 199 * 8);
         let src = idx.setup_source();
-        let sim = nam.rdma.sim().clone();
-        let split = if plan_end {
-            // The last leaf of the scan's first plan.
-            let (idx, ep) = (idx.clone(), rdma_sim::Endpoint::new(&nam.rdma));
-            let last = Rc::new(Cell::new(RemotePtr::NULL));
-            let out = last.clone();
-            sim.spawn(async move {
-                let src = match idx.local() {
-                    Some(local) => Source::Reply(local.leaf_plan(&ep, lo, hi).await.unwrap()),
-                    None => {
-                        let level1 = idx.descend(&ep, lo, msg::range_req(), None, 1);
-                        let (ptr, page) = level1.await.unwrap();
-                        Source::Node(ptr, page)
-                    }
-                };
-                let plan = Plan::new(src, lo, hi);
-                let (high, ptr) = plan.entry(plan.span.end - 1).unwrap();
-                assert!(
-                    (lo + 80..hi - 80).contains(&high),
-                    "the scan goes on past {high}"
-                );
-                out.set(ptr);
-            });
-            sim.run();
-            last.get()
-        } else {
-            // A leaf mid-range.
-            let inside: Vec<RemotePtr> = src
-                .chain(idx.chain().unwrap().first())
-                .filter(|(_, page)| (lo + 80..hi - 80).contains(&LeafNodeRef::new(page).high_key()))
-                .map(|(ptr, _)| ptr)
-                .collect();
-            inside[inside.len() / 2]
+        let (head, page) = src
+            .chain(idx.chain().unwrap().first())
+            .find(|(_, page)| LeafNodeRef::new(page).high_key() >= 100 * 8)
+            .unwrap();
+        let (lo, hi) = match at {
+            // The last key of its leaf, in the half a split moves right.
+            SplitAt::First => {
+                let leaf = LeafNodeRef::new(&page);
+                (leaf.entry(leaf.count() - 1).0, 199 * 8)
+            }
+            SplitAt::Mid | SplitAt::PlanEnd => (100 * 8, 199 * 8),
         };
-        let oracle: Vec<(Key, Value)> = (100..200u64).map(|i| (i * 8, i)).collect();
+        let sim = nam.rdma.sim().clone();
+        let split = match at {
+            SplitAt::First => head,
+            SplitAt::PlanEnd => {
+                let (idx, ep) = (idx.clone(), rdma_sim::Endpoint::new(&nam.rdma));
+                let last = Rc::new(Cell::new(RemotePtr::NULL));
+                let out = last.clone();
+                sim.spawn(async move {
+                    let src = match idx.local() {
+                        Some(local) => Source::Reply(local.leaf_plan(&ep, lo, hi).await.unwrap()),
+                        None => {
+                            let level1 = idx.descend(&ep, lo, msg::range_req(), None, 1);
+                            let (ptr, page) = level1.await.unwrap();
+                            Source::Node(ptr, page)
+                        }
+                    };
+                    let plan = Plan::new(src, lo, hi);
+                    let (high, ptr) = plan.entry(plan.span.end - 1).unwrap();
+                    assert!(
+                        (lo + 80..hi - 80).contains(&high),
+                        "the scan goes on past {high}"
+                    );
+                    out.set(ptr);
+                });
+                sim.run();
+                last.get()
+            }
+            SplitAt::Mid => {
+                let inside: Vec<RemotePtr> = src
+                    .chain(idx.chain().unwrap().first())
+                    .filter(|(_, page)| {
+                        (lo + 80..hi - 80).contains(&LeafNodeRef::new(page).high_key())
+                    })
+                    .map(|(ptr, _)| ptr)
+                    .collect();
+                inside[inside.len() / 2]
+            }
+        };
+        let oracle: Vec<(Key, Value)> = (lo / 8..200u64).map(|i| (i * 8, i)).collect();
         let scan = || {
             let cluster = nam.rdma.clone();
             let verbs = move || {
@@ -1186,7 +1216,11 @@ mod tests {
             split.as_page_ptr(),
             right.as_page_ptr(),
         );
-        assert!((lo..hi).contains(&sep));
+        if at == SplitAt::First {
+            assert!(sep < lo, "the split-born half holds keys in ({sep}, {lo})");
+        } else {
+            assert!((lo..hi).contains(&sep));
+        }
         nam.rdma.setup_write(right, &right_page);
         nam.rdma.setup_write(split, &left_page);
         assert_eq!(
@@ -1209,25 +1243,37 @@ mod tests {
     #[test]
     fn an_fg_scan_leaves_the_plan_at_a_split_and_rejoins_it() {
         let nam = NamCluster::new(&Sim::new(), ClusterSpec::default());
-        scan_survives_a_split_of_a_planned_leaf(&nam, fg_twin(&nam), false);
+        scan_survives_a_split_of_a_planned_leaf(&nam, fg_twin(&nam), SplitAt::Mid);
     }
 
     #[test]
     fn a_hybrid_scan_leaves_the_plan_at_a_split_and_rejoins_it() {
         let nam = NamCluster::new(&Sim::new(), ClusterSpec::default());
-        scan_survives_a_split_of_a_planned_leaf(&nam, hybrid_twin(&nam), false);
+        scan_survives_a_split_of_a_planned_leaf(&nam, hybrid_twin(&nam), SplitAt::Mid);
     }
 
     #[test]
     fn an_fg_scan_fetches_the_next_plan_past_a_split_last_leaf() {
         let nam = NamCluster::new(&Sim::new(), ClusterSpec::default());
-        scan_survives_a_split_of_a_planned_leaf(&nam, fg_twin(&nam), true);
+        scan_survives_a_split_of_a_planned_leaf(&nam, fg_twin(&nam), SplitAt::PlanEnd);
     }
 
     #[test]
     fn a_hybrid_scan_fetches_the_next_plan_past_a_split_last_leaf() {
         let nam = NamCluster::new(&Sim::new(), ClusterSpec::default());
-        scan_survives_a_split_of_a_planned_leaf(&nam, hybrid_twin(&nam), true);
+        scan_survives_a_split_of_a_planned_leaf(&nam, hybrid_twin(&nam), SplitAt::PlanEnd);
+    }
+
+    #[test]
+    fn an_fg_scan_skips_rows_below_lo_of_a_split_first_leaf() {
+        let nam = NamCluster::new(&Sim::new(), ClusterSpec::default());
+        scan_survives_a_split_of_a_planned_leaf(&nam, fg_twin(&nam), SplitAt::First);
+    }
+
+    #[test]
+    fn a_hybrid_scan_skips_rows_below_lo_of_a_split_first_leaf() {
+        let nam = NamCluster::new(&Sim::new(), ClusterSpec::default());
+        scan_survives_a_split_of_a_planned_leaf(&nam, hybrid_twin(&nam), SplitAt::First);
     }
 
     /// A hybrid scan crossing a partition bound returns every row when

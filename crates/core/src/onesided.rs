@@ -593,9 +593,6 @@ pub(crate) mod tests {
         let ptr = setup_leaf(&cluster);
         let victim = Endpoint::new(&cluster);
         let contender = Endpoint::new(&cluster);
-        // Bare cluster (no index build ran): install the acquire shape
-        // the builds would normally inject before arming the trigger.
-        cluster.set_lock_acquire_shape(lock_word::is_acquire);
         cluster.arm_kill_on_lock_acquire(victim.client_id());
         let done = Rc::new(Cell::new(0u64));
         {

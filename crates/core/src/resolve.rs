@@ -150,12 +150,6 @@ impl Index {
         upper: Upper,
         cache_capacity: Option<usize>,
     ) -> Index {
-        // The index layer owns the lock-word encoding; teach the
-        // transport's fault injector what an acquire CAS looks like.
-        // (A chain-less index issues no lock CAS, but fault plans are
-        // shared across designs: a KillOnNextLockAcquire event must arm
-        // cleanly there too — it simply never fires.)
-        cluster.set_lock_acquire_shape(lock_word::is_acquire);
         cluster.seal_setup();
         Index {
             setup: SetupSource::new(cluster, layout),

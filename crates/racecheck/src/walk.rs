@@ -241,4 +241,41 @@ mod tests {
             }
         }
     }
+
+    /// An FG leaf split on the setup path, its parent untouched, is the
+    /// state a split leaves before its parent entry lands: well-formed,
+    /// since the split-born half is the left half's sibling. Unlinking
+    /// that half leaves a gap the parent's separator shows.
+    #[test]
+    fn a_split_missing_its_parent_entry_is_well_formed_unless_unlinked() {
+        for linked in [true, false] {
+            let nam = NamCluster::new(&Sim::new(), ClusterSpec::default());
+            let design = Design::Fg(FineGrained::build(&nam.rdma, cfg(), items()));
+            let idx = design.index();
+            let src = idx.setup_source();
+            let first = idx.chain().map(|c| c.first()).unwrap_or_default();
+            let leaves: Vec<RemotePtr> = src.chain(first).map(|(ptr, _)| ptr).collect();
+            let (left, next) = (leaves[5], leaves[6]);
+            let right = nam.rdma.setup_alloc(left.server(), PAGE as u64);
+            let (mut left_page, mut right_page) = (src.load(left), vec![0; PAGE]);
+            let mut node = LeafNodeMut::new(&mut left_page);
+            node.split_into(&mut right_page, left.as_page_ptr(), right.as_page_ptr());
+            if !linked {
+                node.set_right_sibling(next.as_page_ptr());
+            }
+            nam.rdma.setup_write(right, &right_page);
+            nam.rdma.setup_write(left, &left_page);
+            let found = check_design(&design);
+            if linked {
+                assert!(found.is_empty(), "{found:?}");
+            } else {
+                assert!(
+                    found
+                        .iter()
+                        .any(|v| v.rule == "structural" && v.detail.contains("!= separator")),
+                    "{found:?}"
+                );
+            }
+        }
+    }
 }

@@ -434,9 +434,6 @@ mod tests {
         let sim = Sim::new();
         let cluster = Cluster::new(&sim, ClusterSpec::default());
         let ptr = cluster.setup_alloc(0, 64);
-        // Bare cluster (no index build ran): inject blink's acquire
-        // shape before the plan arms.
-        cluster.set_lock_acquire_shape(lock_word::is_acquire);
         let plan = FaultPlan::new().kill_on_lock_acquire(SimTime::from_nanos(0), 0);
         ChaosController::install(&sim, &cluster, plan);
         let ep = Endpoint::new(&cluster);

@@ -1,7 +1,7 @@
 //! The simulated cluster: memory servers, their NIC ports, RPC cores,
 //! registered memory, and traffic counters.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeSet;
 use std::rc::{Rc, Weak};
 
@@ -10,15 +10,15 @@ use simnet::rng::DetRng;
 use simnet::stats::Counter;
 use simnet::{Sim, SimTime};
 
-use crate::wal::{CheckpointPayload, CheckpointSource, ServerWal, WalConfig, WalRecord, WalStats};
+use blink::layout::lock_word;
+
+use crate::wal::{CheckpointPayload, CheckpointSource, ServerWal, WalRecord, WalStats};
 
 use crate::fault::{FaultStats, LinkDegrade};
 use crate::observer::OpKind;
 use crate::pool::MemPool;
 use crate::ptr::RemotePtr;
-use crate::spec::{
-    ClusterSpec, Durability, WAL_READ_BANDWIDTH, WAL_REPLAY_CPU_PER_RECORD, WAL_WRITE_BANDWIDTH,
-};
+use crate::spec::{ClusterSpec, Durability};
 
 /// Server-local index state that must survive crashes under
 /// [`Durability::Wal`]. Implemented by the layer that owns the state (the
@@ -71,7 +71,21 @@ impl RecoveryRecord {
     }
 }
 
-/// One memory server's simulated hardware and state.
+/// Where a memory server is in its crash / restart cycle.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Life {
+    /// Serving verbs.
+    Up,
+    /// Crashed at `crashed_at`; verbs fail with `ServerUnreachable`.
+    Down { crashed_at: SimTime },
+    /// Restart commanded under [`Durability::Wal`], replay not yet
+    /// finished; verbs still fail with `ServerUnreachable`.
+    Recovering { crashed_at: SimTime },
+}
+
+/// One memory server: its simulated hardware, its memory and where it is
+/// in its crash / restart cycle. A crash and a restart act on the whole
+/// record.
 pub(crate) struct MemServer {
     /// The server's NIC port (wire-time FIFO).
     pub nic: FifoLink,
@@ -81,6 +95,19 @@ pub(crate) struct MemServer {
     pub pool: RefCell<MemPool>,
     /// The server's durability subsystem (`None` under [`Durability::Off`]).
     pub wal: Option<Rc<ServerWal>>,
+    /// Registered durable index state: checkpoint capture, crash wipe and
+    /// replay target under [`Durability::Wal`].
+    pub durable: RefCell<Option<Rc<dyn DurableState>>>,
+    /// Liveness. What a crash does to memory is mode-dependent: under
+    /// [`Durability::Off`] RAM survives (the NAM paper's recoverable-region
+    /// assumption taken on faith); under [`Durability::Wal`] RAM is wiped
+    /// and only the WAL and checkpoint on the log device persist.
+    pub life: Cell<Life>,
+    /// Completed restarts; client caches compare the sum over servers on
+    /// every page load.
+    pub restarts: Cell<u64>,
+    /// Link degradation, if any.
+    pub degrade: Cell<Option<LinkDegrade>>,
     /// Bytes received over the wire (writes, atomics, RPC requests), by
     /// admitted messages only.
     pub bytes_in: Counter,
@@ -100,23 +127,17 @@ struct Inner {
     spec: ClusterSpec,
     servers: Vec<MemServer>,
     /// Connected compute clients (drives per-RPC RC state overhead).
-    active_clients: std::cell::Cell<usize>,
+    active_clients: Cell<usize>,
     /// Endpoint id allocator (stable, creation-ordered).
-    next_client: std::cell::Cell<u64>,
-    /// Injected-fault state (all servers up, no faults, by default).
+    next_client: Cell<u64>,
+    /// Cluster-wide injected-fault state (no faults by default).
     faults: RefCell<FaultState>,
     /// Installed verb observers (checker, telemetry, ...), fired in
     /// registration order.
     observers: RefCell<Vec<Rc<dyn crate::observer::VerbObserver>>>,
     /// Mirror of `!observers.is_empty()`; a plain `Cell` read so the verb
     /// hot path pays one flag check when nothing is listening.
-    observers_active: std::cell::Cell<bool>,
-    /// Per-server registered durable index state (checkpoint capture +
-    /// crash wipe + replay target under [`Durability::Wal`]).
-    durable: RefCell<Vec<Option<Rc<dyn DurableState>>>>,
-    /// Servers currently mid-recovery (restart commanded, replay not yet
-    /// complete); guards double restarts.
-    recovering: RefCell<Vec<bool>>,
+    observers_active: Cell<bool>,
     /// Completed crash-recovery cycles, in completion order.
     recovery_log: RefCell<Vec<RecoveryRecord>>,
     /// Reusable verb-payload buffers shared by every endpoint on this
@@ -124,52 +145,19 @@ struct Inner {
     arena: crate::buf::BufArena,
 }
 
-/// Mutable fault-injection state; see [`crate::fault`].
+/// Cluster-wide fault-injection state; see [`crate::fault`]. What a fault
+/// does to one server lives in that server's [`MemServer`].
 struct FaultState {
-    /// Per-server liveness. What a crash does to the server's memory is
-    /// mode-dependent: under [`Durability::Off`] RAM magically survives
-    /// (the NAM paper's recoverable-region assumption taken on faith);
-    /// under [`Durability::Wal`] RAM is wiped and only the WAL +
-    /// checkpoint on the server's log device persist.
-    server_up: Vec<bool>,
-    /// When each currently-down server crashed (None while up).
-    crashed_at: Vec<Option<SimTime>>,
-    /// Completed restarts of each server; client caches compare their
-    /// sum on every page load.
-    restarts: Vec<u64>,
     /// Killed compute clients; their verbs fail with `Cancelled`.
     dead_clients: BTreeSet<u64>,
     /// Clients to kill immediately after their next successful
     /// lock-acquire CAS (realises "die between lock CAS and unlock FAA"
     /// deterministically).
     kill_on_lock_acquire: BTreeSet<u64>,
-    /// Predicate deciding whether a CAS `(expected, new)` has the shape
-    /// of a lock acquire. Injected by the index layer that owns the
-    /// lock-word encoding (the transport knows nothing about it); the
-    /// kill-on-lock-acquire trigger cannot fire until one is installed.
-    acquire_shape: Option<fn(u64, u64) -> bool>,
-    /// Per-server link degradation, if any.
-    degrade: Vec<Option<LinkDegrade>>,
     /// Drop-roll RNG; only consulted when a degraded link has a nonzero
     /// drop chance, so fault-free runs draw nothing from it.
     rng: DetRng,
     stats: FaultStats,
-}
-
-impl FaultState {
-    fn new(n: usize) -> Self {
-        FaultState {
-            server_up: vec![true; n],
-            crashed_at: vec![None; n],
-            restarts: vec![0; n],
-            dead_clients: BTreeSet::new(),
-            kill_on_lock_acquire: BTreeSet::new(),
-            acquire_shape: None,
-            degrade: vec![None; n],
-            rng: DetRng::seed_from_u64(0),
-            stats: FaultStats::default(),
-        }
-    }
 }
 
 /// Handle to the simulated cluster; cheap to clone.
@@ -195,7 +183,7 @@ impl CheckpointSource for ServerSnapshot {
             let pool = sv.pool.borrow();
             (pool.image(), pool.allocated())
         };
-        let state = inner.durable.borrow()[self.server].clone();
+        let state = sv.durable.borrow().clone();
         let tree_entries = state.map(|st| st.snapshot()).unwrap_or_default();
         Some(CheckpointPayload {
             pool_image,
@@ -233,26 +221,19 @@ impl Cluster {
             "remote pointers address at most 128 servers"
         );
         spec.validate();
-        let spec_servers = spec.num_servers();
-        let servers = (0..spec_servers)
+        let servers = (0..spec.num_servers())
             .map(|_| MemServer {
                 nic: FifoLink::new(),
                 cpu: CpuPool::new(spec.rpc_cores_per_server),
                 pool: RefCell::new(MemPool::new()),
                 wal: match spec.durability {
                     Durability::Off => None,
-                    Durability::Wal => Some(ServerWal::new(
-                        sim,
-                        WalConfig {
-                            write_bandwidth: WAL_WRITE_BANDWIDTH,
-                            read_bandwidth: WAL_READ_BANDWIDTH,
-                            fsync_latency: spec.wal_fsync_latency,
-                            group_commit: spec.wal_group_commit,
-                            checkpoint_every_bytes: spec.wal_checkpoint_every_bytes,
-                            replay_cpu_per_record: WAL_REPLAY_CPU_PER_RECORD,
-                        },
-                    )),
+                    Durability::Wal => Some(ServerWal::new(sim, &spec)),
                 },
+                durable: RefCell::new(None),
+                life: Cell::new(Life::Up),
+                restarts: Cell::new(0),
+                degrade: Cell::new(None),
                 bytes_in: Counter::new(),
                 bytes_out: Counter::new(),
                 local_bytes: Counter::new(),
@@ -265,13 +246,16 @@ impl Cluster {
                 sim: sim.clone(),
                 spec,
                 servers,
-                active_clients: std::cell::Cell::new(0),
-                next_client: std::cell::Cell::new(0),
-                faults: RefCell::new(FaultState::new(spec_servers)),
+                active_clients: Cell::new(0),
+                next_client: Cell::new(0),
+                faults: RefCell::new(FaultState {
+                    dead_clients: BTreeSet::new(),
+                    kill_on_lock_acquire: BTreeSet::new(),
+                    rng: DetRng::seed_from_u64(0),
+                    stats: FaultStats::default(),
+                }),
                 observers: RefCell::new(Vec::new()),
-                observers_active: std::cell::Cell::new(false),
-                durable: RefCell::new(vec![None; spec_servers]),
-                recovering: RefCell::new(vec![false; spec_servers]),
+                observers_active: Cell::new(false),
                 recovery_log: RefCell::new(Vec::new()),
                 arena: crate::buf::BufArena::new(),
             }),
@@ -344,53 +328,49 @@ impl Cluster {
     /// under [`Durability::Wal`] RAM is *lost* — the pool and any
     /// registered [`DurableState`] are wiped, the WAL's pending buffer
     /// vanishes (verbs awaiting durability fail), and a log flush caught
-    /// mid-device-write persists only its torn byte prefix.
+    /// mid-device-write persists only its torn byte prefix. A server
+    /// that is down or recovering is left as it is.
     pub fn fail_server(&self, s: usize) {
         let now = self.inner.sim.now();
-        {
-            let mut f = self.inner.faults.borrow_mut();
-            if !f.server_up[s] {
-                return;
-            }
-            f.server_up[s] = false;
-            f.crashed_at[s] = Some(now);
+        let sv = self.server(s);
+        if sv.life.get() != Life::Up {
+            return;
         }
-        if let Some(w) = &self.inner.servers[s].wal {
+        sv.life.set(Life::Down { crashed_at: now });
+        if let Some(w) = &sv.wal {
             w.crash(now);
-            self.inner.servers[s].pool.borrow_mut().wipe();
-            let state = self.inner.durable.borrow()[s].clone();
+            sv.pool.borrow_mut().wipe();
+            let state = sv.durable.borrow().clone();
             if let Some(state) = state {
                 state.wipe();
             }
         }
     }
 
-    /// Restart a crashed memory server.
+    /// Restart a crashed memory server; a server that is up or already
+    /// recovering is left as it is.
     /// In-flight RPC core queues are not drained retroactively; requests
     /// granted a core after the crash fail at the grant, restarted or not.
     ///
     /// Under [`Durability::Off`] the restart is instant (memory
-    /// survived): the server is up on return, its restart counter bumped,
-    /// recovered hooks fired synchronously. Under [`Durability::Wal`]
+    /// survived): the server is up on return, its restart counter bumped.
+    /// Under [`Durability::Wal`]
     /// this *commands* a restart: a recovery task boots the process,
     /// streams checkpoint + log back from the log device, replays, and
     /// only then marks the server up — until that instant verbs keep
     /// failing with `ServerUnreachable`. Measured cycles appear in
     /// [`Cluster::recovery_records`].
     pub fn restart_server(&self, s: usize) {
-        if self.inner.servers[s].wal.is_none() {
-            let mut f = self.inner.faults.borrow_mut();
-            if !f.server_up[s] {
-                f.server_up[s] = true;
-                f.crashed_at[s] = None;
-                f.restarts[s] += 1;
-            }
+        let sv = self.server(s);
+        let Life::Down { crashed_at } = sv.life.get() else {
+            return;
+        };
+        if sv.wal.is_none() {
+            sv.life.set(Life::Up);
+            sv.restarts.set(sv.restarts.get() + 1);
             return;
         }
-        if self.inner.faults.borrow().server_up[s] || self.inner.recovering.borrow()[s] {
-            return;
-        }
-        self.inner.recovering.borrow_mut()[s] = true;
+        sv.life.set(Life::Recovering { crashed_at });
         let cluster = self.clone();
         self.inner
             .sim
@@ -401,43 +381,32 @@ impl Cluster {
     /// the device, re-apply, mark healthy.
     async fn recovery_task(self, s: usize) {
         let sim = self.inner.sim.clone();
+        let sv = self.server(s);
         let restarted_at = sim.now();
         sim.sleep(self.inner.spec.wal_restart_boot_latency).await;
-        let w = self.inner.servers[s]
-            .wal
-            .as_ref()
-            .expect("wal-mode server")
-            .clone();
+        let w = sv.wal.as_ref().expect("wal-mode server");
         let plan = w.recover();
         w.replay_read(plan.replay_bytes).await;
         sim.sleep(plan.cpu_duration).await;
-        {
-            let mut pool = self.inner.servers[s].pool.borrow_mut();
-            pool.restore(&plan.pool_image, plan.allocated);
-        }
-        let state = self.inner.durable.borrow()[s].clone();
+        sv.pool
+            .borrow_mut()
+            .restore(&plan.pool_image, plan.allocated);
+        let state = sv.durable.borrow().clone();
         if let Some(st) = &state {
             st.restore(&plan.tree_entries);
         }
         for rec in &plan.records {
             match rec {
                 WalRecord::PoolWrite { offset, data } => {
-                    self.inner.servers[s]
-                        .pool
-                        .borrow_mut()
-                        .replay_write(*offset, data);
+                    sv.pool.borrow_mut().replay_write(*offset, data);
                 }
                 WalRecord::PoolWriteWord { offset, word } => {
-                    self.inner.servers[s]
-                        .pool
+                    sv.pool
                         .borrow_mut()
                         .replay_write(*offset, &word.to_le_bytes());
                 }
                 WalRecord::PoolAllocTo { next } => {
-                    self.inner.servers[s]
-                        .pool
-                        .borrow_mut()
-                        .replay_alloc_to(*next);
+                    sv.pool.borrow_mut().replay_alloc_to(*next);
                 }
                 WalRecord::TreeUpsert { key, value } => {
                     if let Some(st) = &state {
@@ -457,13 +426,11 @@ impl Cluster {
             }
         }
         let healthy_at = sim.now();
-        let crashed_at = {
-            let mut f = self.inner.faults.borrow_mut();
-            f.server_up[s] = true;
-            f.restarts[s] += 1;
-            f.crashed_at[s].take().unwrap_or(restarted_at)
+        let Life::Recovering { crashed_at } = sv.life.get() else {
+            unreachable!("only a recovering server finishes a recovery");
         };
-        self.inner.recovering.borrow_mut()[s] = false;
+        sv.life.set(Life::Up);
+        sv.restarts.set(sv.restarts.get() + 1);
         self.inner.recovery_log.borrow_mut().push(RecoveryRecord {
             server: s,
             crashed_at,
@@ -481,7 +448,7 @@ impl Cluster {
     /// Whether server `s` is mid-recovery (restart commanded, replay not
     /// yet finished). Always `false` under [`Durability::Off`].
     pub fn server_recovering(&self, s: usize) -> bool {
-        self.inner.recovering.borrow()[s]
+        matches!(self.server(s).life.get(), Life::Recovering { .. })
     }
 
     /// Completed crash-recovery cycles (Wal mode), in completion order.
@@ -491,21 +458,21 @@ impl Cluster {
 
     /// Whether memory server `s` is up.
     pub fn server_up(&self, s: usize) -> bool {
-        self.inner.faults.borrow().server_up[s]
+        self.server(s).life.get() == Life::Up
     }
 
     /// Restarts of any server so far. Client-resident state derived from
     /// remote memory (cached pages and routes, the learned model) is
     /// valid for one value of this and flushed when it moves.
     pub fn restart_epoch(&self) -> u64 {
-        self.inner.faults.borrow().restarts.iter().sum()
+        self.inner.servers.iter().map(|sv| sv.restarts.get()).sum()
     }
 
     /// Server `s`'s completed restarts while it is up, `None` while it is
     /// down: an incarnation serves no request its predecessor received.
     pub fn incarnation(&self, s: usize) -> Option<u64> {
-        let f = self.inner.faults.borrow();
-        f.server_up[s].then_some(f.restarts[s])
+        let sv = self.server(s);
+        (sv.life.get() == Life::Up).then(|| sv.restarts.get())
     }
 
     /// Kill compute client `client`: every verb it issues from now on
@@ -529,51 +496,31 @@ impl Cluster {
         self.inner.faults.borrow().dead_clients.contains(&client)
     }
 
-    /// Install the predicate that recognises a lock-acquire CAS shape
-    /// `(expected, new)`. The transport is agnostic to any index's
-    /// lock-word encoding; the layer that owns the encoding (e.g.
-    /// `namdex-core`, which installs `blink::layout::lock_word::is_acquire`
-    /// when building an index) injects it here so the
-    /// kill-on-lock-acquire trigger can recognise acquisitions.
-    /// Replaces any previously installed shape.
-    pub fn set_lock_acquire_shape(&self, shape: fn(u64, u64) -> bool) {
-        self.inner.faults.borrow_mut().acquire_shape = Some(shape);
-    }
-
     /// Arm a one-shot trigger: the next time `client` wins a
-    /// lock-acquire CAS, kill it immediately after the CAS's remote
-    /// effect applies — deterministically realising "client dies between
-    /// its lock CAS and its unlock FAA". Requires a lock-acquire shape
-    /// ([`Cluster::set_lock_acquire_shape`]) so the trigger cannot
-    /// silently never fire.
+    /// lock-acquire CAS (in `blink`'s lock-word encoding), kill it
+    /// immediately after the CAS's remote effect applies —
+    /// deterministically realising "client dies between its lock CAS and
+    /// its unlock FAA".
     pub fn arm_kill_on_lock_acquire(&self, client: u64) {
-        let mut f = self.inner.faults.borrow_mut();
-        assert!(
-            f.acquire_shape.is_some(),
-            "arm_kill_on_lock_acquire needs a lock-acquire shape; install \
-             one with Cluster::set_lock_acquire_shape (index builds in \
-             namdex-core do this automatically)"
-        );
-        f.kill_on_lock_acquire.insert(client);
+        self.inner
+            .faults
+            .borrow_mut()
+            .kill_on_lock_acquire
+            .insert(client);
     }
 
     /// Fire the lock-kill trigger for `client` if it is armed and the
-    /// successful CAS `expected -> new` matches the installed
-    /// acquire shape. Returns whether the client was just killed.
+    /// successful CAS `expected -> new` is a lock acquire. Returns whether
+    /// the client was just killed.
     pub(crate) fn maybe_fire_lock_kill(&self, client: u64, expected: u64, new: u64) -> bool {
         let mut f = self.inner.faults.borrow_mut();
-        if !f.kill_on_lock_acquire.contains(&client) {
+        if !f.kill_on_lock_acquire.contains(&client) || !lock_word::is_acquire(expected, new) {
             return false;
         }
-        match f.acquire_shape {
-            Some(shape) if shape(expected, new) => {
-                f.kill_on_lock_acquire.remove(&client);
-                f.dead_clients.insert(client);
-                f.stats.lock_kills_fired += 1;
-                true
-            }
-            _ => false,
-        }
+        f.kill_on_lock_acquire.remove(&client);
+        f.dead_clients.insert(client);
+        f.stats.lock_kills_fired += 1;
+        true
     }
 
     /// Degrade server `s`'s link (drops, delay spikes, reduced
@@ -587,26 +534,26 @@ impl Cluster {
             (0.0..=1.0).contains(&degrade.drop_chance),
             "drop_chance must be a probability"
         );
-        self.inner.faults.borrow_mut().degrade[s] = Some(degrade);
+        self.server(s).degrade.set(Some(degrade));
     }
 
     /// Remove any degradation from server `s`'s link.
     pub fn restore_link(&self, s: usize) {
-        self.inner.faults.borrow_mut().degrade[s] = None;
+        self.server(s).degrade.set(None);
     }
 
     /// Current degradation of server `s`'s link, if any.
     pub fn link_degrade(&self, s: usize) -> Option<LinkDegrade> {
-        self.inner.faults.borrow().degrade[s]
+        self.server(s).degrade.get()
     }
 
     /// Roll the drop die for one remote verb against server `s`. Only
     /// consumes randomness when a nonzero drop chance is configured, so
     /// fault-free runs stay byte-identical to pre-fault builds.
     pub(crate) fn roll_drop(&self, s: usize) -> bool {
-        let mut f = self.inner.faults.borrow_mut();
-        match f.degrade[s] {
+        match self.server(s).degrade.get() {
             Some(d) if d.drop_chance > 0.0 => {
+                let mut f = self.inner.faults.borrow_mut();
                 let dropped = f.rng.chance(d.drop_chance);
                 if dropped {
                     f.stats.verbs_dropped += 1;
@@ -655,7 +602,7 @@ impl Cluster {
     /// wiped on crash, snapshotted into checkpoints, and replayed into on
     /// recovery; under [`Durability::Off`] registration is inert.
     pub fn register_durable_state(&self, s: usize, state: Rc<dyn DurableState>) {
-        self.inner.durable.borrow_mut()[s] = Some(state);
+        *self.server(s).durable.borrow_mut() = Some(state);
     }
 
     /// Declare setup/loading complete: every server's WAL seals its

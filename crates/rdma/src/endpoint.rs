@@ -571,10 +571,7 @@ impl Endpoint {
             // Fault-injection hook: a client armed with kill-on-lock-acquire
             // dies the instant its acquire CAS lands — after the remote
             // effect, before any later verb — orphaning the lock it just
-            // won. What counts as an acquire is a predicate injected by
-            // the index layer (`Cluster::set_lock_acquire_shape`); the
-            // transport knows nothing about any particular lock-word
-            // encoding.
+            // won.
             self.cluster
                 .maybe_fire_lock_kill(self.client, expected, new);
         }
@@ -1447,9 +1444,6 @@ mod tests {
         let (sim, cluster) = harness();
         let ptr = cluster.setup_alloc(0, 8);
         let ep = Endpoint::new(&cluster);
-        // The transport is encoding-agnostic: the index layer injects
-        // what an acquire CAS looks like before arming the trigger.
-        cluster.set_lock_acquire_shape(blink::layout::lock_word::is_acquire);
         cluster.arm_kill_on_lock_acquire(ep.client_id());
         let c = cluster.clone();
         sim.spawn(async move {

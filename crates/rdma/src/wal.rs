@@ -53,31 +53,12 @@ use std::task::{Context, Poll, Waker};
 
 use simnet::{Sim, SimDur, SimTime};
 
+use crate::spec::{
+    ClusterSpec, WAL_READ_BANDWIDTH, WAL_REPLAY_CPU_PER_RECORD, WAL_WRITE_BANDWIDTH,
+};
+
 pub use device::NvmeDevice;
 pub use record::{decode_log, DecodedLog, WalRecord};
-
-/// Durability knobs for one server's WAL (mirrors the `wal_*` fields of
-/// [`crate::ClusterSpec`]).
-#[derive(Clone, Debug)]
-pub struct WalConfig {
-    /// Log-device write bandwidth, bytes/second.
-    pub write_bandwidth: f64,
-    /// Log-device read bandwidth (recovery replay), bytes/second.
-    pub read_bandwidth: f64,
-    /// Fixed per-flush durable-write latency (the cost group commit
-    /// amortises).
-    pub fsync_latency: SimDur,
-    /// Coalesce all pending records into one device write per flush.
-    /// `false` flushes one record per device op (the comparison baseline
-    /// for the group-commit telemetry cross-check).
-    pub group_commit: bool,
-    /// Take a checkpoint once the durable log exceeds this many bytes
-    /// (0 disables runtime checkpoints; the setup-time base image is
-    /// still installed).
-    pub checkpoint_every_bytes: u64,
-    /// CPU cost to decode + apply one record during replay.
-    pub replay_cpu_per_record: SimDur,
-}
 
 /// A consistent snapshot of one server's recoverable state, captured by
 /// the host layer at checkpoint time.
@@ -123,18 +104,6 @@ struct InFlight {
     end: SimTime,
     last_lsn: u64,
     records: u64,
-}
-
-#[derive(Default)]
-struct WalStatsInner {
-    appends: u64,
-    records_flushed: u64,
-    flushed_bytes: u64,
-    checkpoints: u64,
-    checkpoint_bytes: u64,
-    torn_bytes_discarded: u64,
-    recoveries: u64,
-    records_replayed: u64,
 }
 
 /// Counters for one server's durability subsystem.
@@ -183,13 +152,19 @@ struct WalInner {
     next_waiter: u64,
     checkpoint: Option<Checkpoint>,
     source: Option<Rc<dyn CheckpointSource>>,
-    stats: WalStatsInner,
+    /// Counters; the device's two are filled in by [`ServerWal::stats`].
+    stats: WalStats,
 }
 
 /// One memory server's write-ahead log + checkpoint + recovery state.
 pub struct ServerWal {
     sim: Sim,
-    cfg: WalConfig,
+    /// [`ClusterSpec::wal_group_commit`]: coalesce every pending record
+    /// into one device write per flush.
+    group_commit: bool,
+    /// [`ClusterSpec::wal_checkpoint_every_bytes`]: take a checkpoint
+    /// once the durable log reaches this many bytes.
+    checkpoint_every_bytes: u64,
     dev: NvmeDevice,
     inner: RefCell<WalInner>,
 }
@@ -226,13 +201,18 @@ pub struct RecoveryPlan {
 }
 
 impl ServerWal {
-    /// New WAL over an idle device.
-    pub fn new(sim: &Sim, cfg: WalConfig) -> Rc<Self> {
-        let dev = NvmeDevice::new(cfg.write_bandwidth, cfg.read_bandwidth, cfg.fsync_latency);
+    /// New WAL over an idle device, configured by `spec`'s `wal_*`
+    /// settings.
+    pub fn new(sim: &Sim, spec: &ClusterSpec) -> Rc<Self> {
         Rc::new(ServerWal {
             sim: sim.clone(),
-            cfg,
-            dev,
+            group_commit: spec.wal_group_commit,
+            checkpoint_every_bytes: spec.wal_checkpoint_every_bytes,
+            dev: NvmeDevice::new(
+                WAL_WRITE_BANDWIDTH,
+                WAL_READ_BANDWIDTH,
+                spec.wal_fsync_latency,
+            ),
             inner: RefCell::new(WalInner {
                 pending: VecDeque::new(),
                 next_lsn: 1,
@@ -245,7 +225,7 @@ impl ServerWal {
                 next_waiter: 0,
                 checkpoint: None,
                 source: None,
-                stats: WalStatsInner::default(),
+                stats: WalStats::default(),
             }),
         })
     }
@@ -314,11 +294,6 @@ impl ServerWal {
         self.inner.borrow().next_lsn - 1
     }
 
-    /// Highest durable LSN.
-    pub fn durable_lsn(&self) -> u64 {
-        self.inner.borrow().durable_lsn
-    }
-
     /// Current crash epoch.
     pub fn epoch(&self) -> u64 {
         self.inner.borrow().epoch
@@ -351,7 +326,7 @@ impl ServerWal {
                     inner.pump_running = false;
                     return;
                 }
-                let take = if self.cfg.group_commit {
+                let take = if self.group_commit {
                     inner.pending.len()
                 } else {
                     1
@@ -399,9 +374,7 @@ impl ServerWal {
     async fn maybe_checkpoint(&self, epoch: u64) {
         let source = {
             let inner = self.inner.borrow();
-            if self.cfg.checkpoint_every_bytes == 0
-                || (inner.log.len() as u64) < self.cfg.checkpoint_every_bytes
-            {
+            if (inner.log.len() as u64) < self.checkpoint_every_bytes {
                 return;
             }
             match &inner.source {
@@ -509,7 +482,7 @@ impl ServerWal {
             pool_image,
             allocated,
             tree_entries,
-            cpu_duration: self.cfg.replay_cpu_per_record * records.len() as u64,
+            cpu_duration: WAL_REPLAY_CPU_PER_RECORD * records.len() as u64,
             records,
             replay_bytes,
             torn_bytes: torn,
@@ -528,18 +501,10 @@ impl ServerWal {
 
     /// Counter snapshot.
     pub fn stats(&self) -> WalStats {
-        let inner = self.inner.borrow();
         WalStats {
-            appends: inner.stats.appends,
-            records_flushed: inner.stats.records_flushed,
             device_flushes: self.dev.flushes(),
-            flushed_bytes: inner.stats.flushed_bytes,
-            checkpoints: inner.stats.checkpoints,
-            checkpoint_bytes: inner.stats.checkpoint_bytes,
-            torn_bytes_discarded: inner.stats.torn_bytes_discarded,
-            recoveries: inner.stats.recoveries,
-            records_replayed: inner.stats.records_replayed,
             device_busy_nanos: self.dev.busy_time().as_nanos(),
+            ..self.inner.borrow().stats
         }
     }
 }
@@ -618,14 +583,11 @@ mod tests {
     use super::*;
     use std::cell::Cell;
 
-    fn cfg() -> WalConfig {
-        WalConfig {
-            write_bandwidth: 1e9,
-            read_bandwidth: 2e9,
-            fsync_latency: SimDur::from_micros(10),
-            group_commit: true,
-            checkpoint_every_bytes: 0,
-            replay_cpu_per_record: SimDur::from_nanos(100),
+    /// The default WAL settings with runtime checkpoints out of reach.
+    fn spec() -> ClusterSpec {
+        ClusterSpec {
+            wal_checkpoint_every_bytes: u64::MAX,
+            ..ClusterSpec::default()
         }
     }
 
@@ -636,7 +598,7 @@ mod tests {
     #[test]
     fn append_then_wait_becomes_durable_after_flush() {
         let sim = Sim::new();
-        let wal = ServerWal::new(&sim, cfg());
+        let wal = ServerWal::new(&sim, &spec());
         let done = Rc::new(Cell::new(0u64));
         {
             let wal = wal.clone();
@@ -649,9 +611,10 @@ mod tests {
             });
         }
         sim.run();
-        // One flush: fsync (10us) + bytes at 1 GB/s.
-        let bytes = rec(1).encoded_len() as u64;
-        assert_eq!(done.get(), 10_000 + bytes);
+        // One flush: fsync + the record's bytes at the device's bandwidth.
+        let bytes = rec(1).encoded_len() as f64;
+        let flush = spec().wal_fsync_latency + SimDur::from_secs_f64(bytes / WAL_WRITE_BANDWIDTH);
+        assert_eq!(done.get(), flush.as_nanos());
         assert_eq!(wal.stats().device_flushes, 1);
         assert_eq!(wal.stats().records_flushed, 1);
         assert_eq!(sim.live_tasks(), 0, "pump must have exited");
@@ -663,9 +626,9 @@ mod tests {
             let sim = Sim::new();
             let wal = ServerWal::new(
                 &sim,
-                WalConfig {
-                    group_commit: group,
-                    ..cfg()
+                &ClusterSpec {
+                    wal_group_commit: group,
+                    ..spec()
                 },
             );
             for i in 0..16u64 {
@@ -693,7 +656,7 @@ mod tests {
     #[test]
     fn already_durable_wait_resolves_without_suspending() {
         let sim = Sim::new();
-        let wal = ServerWal::new(&sim, cfg());
+        let wal = ServerWal::new(&sim, &spec());
         {
             let wal = wal.clone();
             sim.spawn(async move {
@@ -709,7 +672,7 @@ mod tests {
     #[test]
     fn crash_fails_pending_waiters_and_keeps_torn_prefix() {
         let sim = Sim::new();
-        let wal = ServerWal::new(&sim, cfg());
+        let wal = ServerWal::new(&sim, &spec());
         let outcome = Rc::new(Cell::new(None));
         {
             let wal = wal.clone();
@@ -740,7 +703,7 @@ mod tests {
     #[test]
     fn crash_after_flush_preserves_durable_records() {
         let sim = Sim::new();
-        let wal = ServerWal::new(&sim, cfg());
+        let wal = ServerWal::new(&sim, &spec());
         {
             let wal = wal.clone();
             let sim_c = sim.clone();
@@ -768,9 +731,9 @@ mod tests {
         let sim = Sim::new();
         let wal = ServerWal::new(
             &sim,
-            WalConfig {
-                checkpoint_every_bytes: 256,
-                ..cfg()
+            &ClusterSpec {
+                wal_checkpoint_every_bytes: 256,
+                ..spec()
             },
         );
         wal.set_source(Rc::new(FixedSource(CheckpointPayload {
@@ -809,7 +772,7 @@ mod tests {
     #[test]
     fn seal_base_covers_prior_state_without_device_cost() {
         let sim = Sim::new();
-        let wal = ServerWal::new(&sim, cfg());
+        let wal = ServerWal::new(&sim, &spec());
         wal.set_source(Rc::new(FixedSource(CheckpointPayload {
             pool_image: vec![9u8; 128],
             allocated: 128,
@@ -826,7 +789,7 @@ mod tests {
     #[test]
     fn waits_resolve_in_append_order() {
         let sim = Sim::new();
-        let wal = ServerWal::new(&sim, cfg());
+        let wal = ServerWal::new(&sim, &spec());
         let order = Rc::new(RefCell::new(Vec::new()));
         for i in 0..4u64 {
             let wal = wal.clone();

@@ -20,7 +20,6 @@ pub struct NvmeDevice {
     read_bandwidth: f64,
     fsync_latency: SimDur,
     flushes: Cell<u64>,
-    reads: Cell<u64>,
 }
 
 impl NvmeDevice {
@@ -36,7 +35,6 @@ impl NvmeDevice {
             read_bandwidth,
             fsync_latency,
             flushes: Cell::new(0),
-            reads: Cell::new(0),
         }
     }
 
@@ -64,7 +62,6 @@ impl NvmeDevice {
     /// Occupy the device for a sequential read of `bytes` (recovery
     /// replay), queueing FIFO behind in-flight writes.
     pub async fn read(&self, sim: &Sim, bytes: u64) {
-        self.reads.set(self.reads.get() + 1);
         self.link.acquire(sim, self.read_duration(bytes)).await;
     }
 
@@ -72,11 +69,6 @@ impl NvmeDevice {
     /// one per flush, however many records the flush coalesced).
     pub fn flushes(&self) -> u64 {
         self.flushes.get()
-    }
-
-    /// Sequential read operations issued so far.
-    pub fn reads(&self) -> u64 {
-        self.reads.get()
     }
 
     /// Total virtual time the device has been occupied.

@@ -63,7 +63,7 @@ impl Touches {
 }
 
 /// Where a client's operations fall in its span.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Debug)]
 enum Keys {
     /// Anywhere, with scans inside the span.
     Spread,
@@ -157,11 +157,14 @@ async fn client_loop(
                 let done = idx.delete(&ep, key).await;
                 touched.borrow_mut().touch(key);
                 if let Ok(found) = done {
-                    if certain {
-                        assert_eq!(
-                            found,
+                    // A delete RPC runs at least once: an attempt whose
+                    // response was lost may have removed the key, so a
+                    // later one finds nothing. Only finding a key the
+                    // oracle holds absent is wrong.
+                    if certain && found {
+                        assert!(
                             was.is_some(),
-                            "delete({key}) found-flag disagrees with oracle"
+                            "delete({key}) found a key the oracle holds absent"
                         );
                     }
                     oracle.borrow_mut().remove(&key);
@@ -232,7 +235,9 @@ async fn client_loop(
     }
 }
 
-fn oracle_scenario(kind: IndexKind, seed: u64, keys: Keys) {
+/// Runs one scenario and checks everything but how many keys it left
+/// uncertain, which it returns.
+fn run_scenario(kind: IndexKind, seed: u64, keys: Keys) -> usize {
     let sim = Sim::new();
     let nam = NamCluster::new(&sim, ClusterSpec::default());
     let idx = build(kind, &nam, keys);
@@ -302,13 +307,6 @@ fn oracle_scenario(kind: IndexKind, seed: u64, keys: Keys) {
                 "scan and lookup disagree on uncertain key {k}"
             );
         }
-        // Uncertainty must be the exception, not the rule, or the
-        // differential check is vacuous.
-        assert!(
-            unc.len() < 48,
-            "too many unresolved ops ({}) — fault plan too aggressive",
-            unc.len()
-        );
     });
     sim.run();
     race.assert_clean();
@@ -320,18 +318,40 @@ fn oracle_scenario(kind: IndexKind, seed: u64, keys: Keys) {
         kind == IndexKind::CoarseGrained || reads > 0,
         "no page READ checked"
     );
+    let unresolved = uncertain.borrow().len();
+    unresolved
 }
 
+/// Uncertainty must be the exception, not the rule, or the differential
+/// check is vacuous.
+const MAX_UNRESOLVED: usize = 48;
+
+fn oracle_scenario(kind: IndexKind, seed: u64, keys: Keys) {
+    let unresolved = run_scenario(kind, seed, keys);
+    assert!(
+        unresolved < MAX_UNRESOLVED,
+        "too many unresolved ops ({unresolved}) — fault plan too aggressive"
+    );
+}
+
+/// CG seed 0 loses a delete's response and retries it: the retry finds
+/// nothing to delete.
 #[test]
 fn cg_agrees_with_oracle_under_chaos() {
     oracle_scenario(IndexKind::CoarseGrained, 7, Keys::Spread);
     oracle_scenario(IndexKind::CoarseGrained, 1_001, Keys::Spread);
+    oracle_scenario(IndexKind::CoarseGrained, 0, Keys::Spread);
+    oracle_scenario(IndexKind::CoarseGrained, 0, Keys::Edges);
 }
 
+/// FG seeds 16 and 31 end with a leaf split whose parent entry never
+/// landed.
 #[test]
 fn fg_agrees_with_oracle_under_chaos() {
     oracle_scenario(IndexKind::FineGrained, 7, Keys::Spread);
     oracle_scenario(IndexKind::FineGrained, 1_001, Keys::Spread);
+    oracle_scenario(IndexKind::FineGrained, 16, Keys::Edges);
+    oracle_scenario(IndexKind::FineGrained, 31, Keys::Spread);
 }
 
 #[test]
@@ -342,9 +362,44 @@ fn hybrid_agrees_with_oracle_under_chaos() {
     oracle_scenario(IndexKind::Hybrid, 270, Keys::Edges);
 }
 
+/// Learned seeds 2 and 6 scan a first planned leaf that split left of
+/// the range's start.
 #[test]
 fn learned_agrees_with_oracle_under_chaos() {
     oracle_scenario(IndexKind::Learned, 7, Keys::Spread);
     oracle_scenario(IndexKind::Learned, 1_001, Keys::Spread);
     oracle_scenario(IndexKind::Learned, 270, Keys::Edges);
+    oracle_scenario(IndexKind::Learned, 2, Keys::Spread);
+    oracle_scenario(IndexKind::Learned, 6, Keys::Spread);
+}
+
+/// Seeds 0–299 of every design in both key modes, with the vacuity bound
+/// on each (design, mode)'s mean: single Hybrid `Spread` seeds leave up
+/// to 56 keys unresolved.
+#[test]
+#[ignore = "a seed sweep; CI runs it in release"]
+fn every_design_agrees_with_oracle_over_a_seed_sweep() {
+    let kinds = [
+        IndexKind::CoarseGrained,
+        IndexKind::FineGrained,
+        IndexKind::Hybrid,
+        IndexKind::Learned,
+    ];
+    for kind in kinds {
+        for keys in [Keys::Spread, Keys::Edges] {
+            let seeds = 0..300u64;
+            let total: usize = seeds
+                .clone()
+                .map(|seed| {
+                    std::panic::catch_unwind(|| run_scenario(kind, seed, keys))
+                        .unwrap_or_else(|_| panic!("{kind:?} {keys:?} seed {seed} failed"))
+                })
+                .sum();
+            let mean = total as f64 / seeds.count() as f64;
+            assert!(
+                mean < MAX_UNRESOLVED as f64,
+                "{kind:?} {keys:?}: mean unresolved ops {mean} — fault plan too aggressive"
+            );
+        }
+    }
 }
