@@ -128,7 +128,7 @@ impl Default for ExperimentConfig {
             measure: SimDur::from_millis(40),
             seed: 42,
             page_size: PageLayout::DEFAULT_PAGE_SIZE,
-            scan_batch: 8,
+            scan_batch: FgConfig::default().scan_batch,
             cache_capacity: None,
             durability: Durability::Off,
             fault_plan: None,

@@ -40,7 +40,9 @@ pub struct FgConfig {
     /// Bulk-load fill factor in `(0, 1]`.
     pub fill: f64,
     /// The number of planned leaves a scan READs in one batch (one when
-    /// `0`).
+    /// `0`). The default, 64, posts a bulk-loaded level-1 page's whole
+    /// plan in one round; what bounds it is each server's READ clearing
+    /// its port queue within `VERB_TIMEOUT` (DESIGN.md §15).
     pub scan_batch: usize,
     /// Client-side cache capacity in entries per client (`Some(0)` =
     /// unbounded); `None` disables caching entirely — the descent is an
@@ -53,7 +55,7 @@ impl Default for FgConfig {
         FgConfig {
             layout: PageLayout::default(),
             fill: 0.7,
-            scan_batch: 8,
+            scan_batch: 64,
             cache_capacity: None,
         }
     }

@@ -204,6 +204,8 @@ struct Page {
     /// published, or seen lock-word traffic. Until then it is a page
     /// being initialised, and plain writes to it are not judged.
     sync_seen: bool,
+    /// When the page was allocated or first touched.
+    born: SimTime,
     clocks: hb::PageClocks,
 }
 
@@ -217,6 +219,7 @@ impl Page {
             private_to: None,
             locked_since: time,
             sync_seen: false,
+            born: time,
             clocks: hb::PageClocks::default(),
         };
         page.resync(word, time);

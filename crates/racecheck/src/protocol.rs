@@ -16,6 +16,9 @@
 //! 3. **No blind mutation** (`unreachable-write`) — a client that saw a
 //!    server unreachable re-validates with a READ before it mutates
 //!    there again; otherwise it may be applying pre-crash cached state.
+//!    Initialising a page it allocated there since is not blind: the
+//!    page holds nothing from before the outage (a split's new right
+//!    half, built from the leaf the client has just locked and read).
 //!
 //! The page functions here are the only code that moves a [`Page`]'s
 //! shadow word, holder, privacy and `sync_seen`; [`crate::hb`] reads
@@ -71,8 +74,20 @@ impl Traffic {
             VerbKind::Write => false,
             VerbKind::Cas { .. } | VerbKind::Faa { .. } => true,
         };
-        // Reported once per unreachable episode.
-        if let Some(seen) = self.unreachable.remove(&(ev.client, ev.server)) {
+        // Reported once per unreachable episode. A WRITE into a page the
+        // client allocated since the episode began leaves it open.
+        let episode = (ev.client, ev.server);
+        let initialises = |seen: &SimTime| {
+            let page = find(pages, ev.server, ev.offset, ev.len).and_then(|key| pages.get(&key));
+            !atomic && page.is_some_and(|p| p.private_to == Some(ev.client) && p.born >= *seen)
+        };
+        if let Some(seen) = self
+            .unreachable
+            .get(&episode)
+            .copied()
+            .filter(|t| !initialises(t))
+        {
+            self.unreachable.remove(&episode);
             let detail = format!(
                 "{:?} without re-validating READ after server was unreachable at t={}ns",
                 ev.kind,

@@ -2,9 +2,9 @@
 //!
 //! Sweeps the fine-grained design's scan READ batch (`scan_batch`: how
 //! many of the leaves a level-1 page names go out in one round trip, the
-//! paper's head-node stride, §4.3) from one leaf at a time upwards, and
-//! shows how the scan cost scales with selectivity — the effect behind
-//! Figures 7(b–d).
+//! paper's head-node stride, §4.3) from one leaf at a time up to the
+//! default, 64, and shows how the scan cost scales with selectivity —
+//! the effect behind Figures 7(b–d).
 //!
 //! ```sh
 //! cargo run --release --example analytics_scan
@@ -55,7 +55,7 @@ fn scan_time(scan_batch: usize, sel: f64) -> (f64, usize) {
 }
 
 fn main() {
-    const BATCHES: [usize; 4] = [1, 4, 8, 16];
+    const BATCHES: [usize; 5] = [1, 4, 8, 16, 64];
     println!("analytical scans over {KEYS} keys (fine-grained design), us per scan\n");
     print!("{:>10} {:>10}", "sel", "rows");
     for batch in BATCHES {

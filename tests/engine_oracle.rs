@@ -20,12 +20,15 @@
 //! the run must leave no race finding and a well-formed tree.
 //!
 //! Client `c`'s span is partition `c`. With [`Keys::Edges`], every
-//! operation lands near a partition bound and every scan crosses one, a
-//! leaf per READ: a scan of the left partition's leaves gives the
+//! operation lands near a partition bound and every scan crosses one. A
+//! leaf per READ, a scan of the left partition's leaves gives the
 //! neighbour time to split the leaf spanning the bound before the right
 //! partition is asked for its plan, which a scan must not let skip the
 //! split's left half (Hybrid seeds 117 and 270 lose its rows if the scan
-//! jumps to the new plan's first leaf).
+//! jumps to the new plan's first leaf). Four leaves per READ, a batch
+//! spans the server crash (Learned seeds 33 and 211 split a leaf onto
+//! the restarted server, a page the checker must not take for pre-crash
+//! state).
 
 use namdex::prelude::*;
 use std::cell::RefCell;
@@ -67,8 +70,9 @@ impl Touches {
 enum Keys {
     /// Anywhere, with scans inside the span.
     Spread,
-    /// Within `EDGE` units of either end, with scans across the bound.
-    Edges,
+    /// Within `EDGE` units of either end, with scans across the bound
+    /// that READ `batch` planned leaves at a time.
+    Edges { batch: usize },
 }
 
 /// Units from a span's end that [`Keys::Edges`] operations keep to.
@@ -91,8 +95,8 @@ fn build(kind: IndexKind, nam: &NamCluster, keys: Keys) -> Design {
     let partition = PartitionMap::range_uniform(nam.num_servers(), LOAD_UNITS * 8);
     let cfg = match keys {
         Keys::Spread => small_cfg(),
-        Keys::Edges => FgConfig {
-            scan_batch: 1,
+        Keys::Edges { batch } => FgConfig {
+            scan_batch: batch,
             ..small_cfg()
         },
     };
@@ -121,7 +125,7 @@ async fn client_loop(
         let unit = base
             + match keys {
                 Keys::Spread => rng.next_u64_below(SPAN),
-                Keys::Edges => match rng.next_u64_below(2 * EDGE) {
+                Keys::Edges { .. } => match rng.next_u64_below(2 * EDGE) {
                     u if u < EDGE => u,
                     u => SPAN - 2 * EDGE + u,
                 },
@@ -205,7 +209,7 @@ async fn client_loop(
                         let lo = (base + rng.next_u64_below(SPAN.saturating_sub(30))) * 8;
                         (lo, lo + 30 * 8)
                     }
-                    Keys::Edges => {
+                    Keys::Edges { .. } => {
                         let bound = base + SPAN * rng.next_u64_below(2);
                         (bound.saturating_sub(REACH) * 8, (bound + EDGE) * 8)
                     }
@@ -341,7 +345,7 @@ fn cg_agrees_with_oracle_under_chaos() {
     oracle_scenario(IndexKind::CoarseGrained, 7, Keys::Spread);
     oracle_scenario(IndexKind::CoarseGrained, 1_001, Keys::Spread);
     oracle_scenario(IndexKind::CoarseGrained, 0, Keys::Spread);
-    oracle_scenario(IndexKind::CoarseGrained, 0, Keys::Edges);
+    oracle_scenario(IndexKind::CoarseGrained, 0, Keys::Edges { batch: 1 });
 }
 
 /// FG seeds 16 and 31 end with a leaf split whose parent entry never
@@ -350,7 +354,7 @@ fn cg_agrees_with_oracle_under_chaos() {
 fn fg_agrees_with_oracle_under_chaos() {
     oracle_scenario(IndexKind::FineGrained, 7, Keys::Spread);
     oracle_scenario(IndexKind::FineGrained, 1_001, Keys::Spread);
-    oracle_scenario(IndexKind::FineGrained, 16, Keys::Edges);
+    oracle_scenario(IndexKind::FineGrained, 16, Keys::Edges { batch: 1 });
     oracle_scenario(IndexKind::FineGrained, 31, Keys::Spread);
 }
 
@@ -358,8 +362,8 @@ fn fg_agrees_with_oracle_under_chaos() {
 fn hybrid_agrees_with_oracle_under_chaos() {
     oracle_scenario(IndexKind::Hybrid, 7, Keys::Spread);
     oracle_scenario(IndexKind::Hybrid, 1_001, Keys::Spread);
-    oracle_scenario(IndexKind::Hybrid, 117, Keys::Edges);
-    oracle_scenario(IndexKind::Hybrid, 270, Keys::Edges);
+    oracle_scenario(IndexKind::Hybrid, 117, Keys::Edges { batch: 1 });
+    oracle_scenario(IndexKind::Hybrid, 270, Keys::Edges { batch: 1 });
 }
 
 /// Learned seeds 2 and 6 scan a first planned leaf that split left of
@@ -368,14 +372,16 @@ fn hybrid_agrees_with_oracle_under_chaos() {
 fn learned_agrees_with_oracle_under_chaos() {
     oracle_scenario(IndexKind::Learned, 7, Keys::Spread);
     oracle_scenario(IndexKind::Learned, 1_001, Keys::Spread);
-    oracle_scenario(IndexKind::Learned, 270, Keys::Edges);
+    oracle_scenario(IndexKind::Learned, 33, Keys::Edges { batch: 4 });
+    oracle_scenario(IndexKind::Learned, 211, Keys::Edges { batch: 4 });
+    oracle_scenario(IndexKind::Learned, 270, Keys::Edges { batch: 1 });
     oracle_scenario(IndexKind::Learned, 2, Keys::Spread);
     oracle_scenario(IndexKind::Learned, 6, Keys::Spread);
 }
 
-/// Seeds 0–299 of every design in both key modes, with the vacuity bound
-/// on each (design, mode)'s mean: single Hybrid `Spread` seeds leave up
-/// to 56 keys unresolved.
+/// Seeds 0–299 of every design in each key mode (edges at one and at
+/// four leaves per READ), with the vacuity bound on each (design, mode)'s
+/// mean: single Hybrid `Spread` seeds leave up to 56 keys unresolved.
 #[test]
 #[ignore = "a seed sweep; CI runs it in release"]
 fn every_design_agrees_with_oracle_over_a_seed_sweep() {
@@ -386,7 +392,11 @@ fn every_design_agrees_with_oracle_over_a_seed_sweep() {
         IndexKind::Learned,
     ];
     for kind in kinds {
-        for keys in [Keys::Spread, Keys::Edges] {
+        for keys in [
+            Keys::Spread,
+            Keys::Edges { batch: 1 },
+            Keys::Edges { batch: 4 },
+        ] {
             let seeds = 0..300u64;
             let total: usize = seeds
                 .clone()

@@ -122,6 +122,28 @@ fn skew_caps_coarse_grained_range_scans() {
     assert!(uniform >= 2.5 * skew, "uniform {uniform} vs skew {skew}");
 }
 
+/// Long scans use every server's port: on uniform data at 120 clients,
+/// FG, Hybrid and Learned each run sel-0.1 scans at least 15 % faster
+/// than CG. The margin clears the 3–12.5 % steps in which a sel-0.1
+/// cell counts whole lockstep scans (ROADMAP Finding D).
+#[test]
+fn one_sided_designs_beat_coarse_grained_on_long_uniform_scans() {
+    let c = csv("fig08_throughput_unif");
+    let tput = |design: &str| {
+        let key = [
+            ("design", design),
+            ("panel", "range_sel0.1"),
+            ("clients", "120"),
+        ];
+        c.value(&key, "throughput")
+    };
+    let cg = tput("Coarse-Grained");
+    for design in ["Fine-Grained", "Hybrid", "Learned"] {
+        let t = tput(design);
+        assert!(t >= 1.15 * cg, "{design} {t} vs CG {cg}");
+    }
+}
+
 /// Fig 12's crossover: at 50 % inserts CG's handler cores beat FG's
 /// lock traffic up to 120 clients, and FG wins from 180 on, once the
 /// handler queues and the per-client RC state bind.

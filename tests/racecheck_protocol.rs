@@ -399,6 +399,38 @@ fn detects_write_after_unreachable_without_revalidation() {
 }
 
 #[test]
+fn initialising_a_page_allocated_after_an_outage_is_not_blind() {
+    let (sim, nam) = cluster();
+    let (idx, race) = armed_fg(&sim, &nam);
+    let root = idx.root().expect("remote upper level");
+    let cluster = nam.rdma.clone();
+    let ep = Endpoint::new(&nam.rdma);
+    let sim2 = sim.clone();
+    sim.spawn(async move {
+        cluster.fail_server(root.server());
+        assert!(ep.read(root, 8).await.is_err());
+        cluster.restart_server(root.server());
+        sim2.sleep(SimDur::from_micros(5)).await;
+        // A split's new right half: allocated after the outage and
+        // filled from state read elsewhere.
+        let fresh = ep.alloc(root.server(), 256).await.unwrap();
+        ep.write(fresh, &[7u8; 256]).await.unwrap();
+        // The episode is still open for the server's older pages.
+        ep.write(RemotePtr::new(root.server(), root.offset() + 40), &[9u8; 8])
+            .await
+            .unwrap();
+    });
+    sim.run();
+    let vs = race.violations();
+    let hits: Vec<_> = vs
+        .iter()
+        .filter(|v| v.rule == "unreachable-write")
+        .collect();
+    assert_eq!(hits.len(), 1, "{vs:?}");
+    assert_eq!(hits[0].offset, root.offset() + 40);
+}
+
+#[test]
 fn read_revalidation_clears_the_unreachable_flag() {
     let (sim, nam) = cluster();
     let (idx, race) = armed_fg(&sim, &nam);

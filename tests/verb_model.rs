@@ -539,3 +539,123 @@ fn a_commit_writes_back_and_unlocks_in_one_round() {
         }
     }
 }
+
+/// Keys behind the default-geometry scans: 1 KB pages, so a level-1
+/// node names a few dozen leaves.
+const DEFAULT_KEYS: u64 = 50_000;
+
+fn build_default(kind: IndexKind, nam: &NamCluster, scan_batch: usize) -> Design {
+    let items = (0..DEFAULT_KEYS).map(|i| (i * 8, i));
+    let partition = PartitionMap::range_uniform(nam.num_servers(), DEFAULT_KEYS * 8);
+    let cfg = FgConfig {
+        scan_batch,
+        ..FgConfig::default()
+    };
+    Design::build(kind, nam, cfg, partition, items)
+}
+
+/// The default batch covers a scan's whole plan: a bulk-loaded scan of
+/// `N` leaves under one level-1 node and in one partition posts its
+/// leaves in one round, one READ per server (the load deals them out
+/// round-robin, so each server's abut), and every such READ is priced
+/// as a batch's — no single-priced tail. Before it FG descends `L − 1`
+/// single READs; Hybrid asks one RPC; Learned neither. A plan longer
+/// than the batch takes `⌈N / scan_batch⌉` rounds.
+#[test]
+fn a_default_scan_posts_its_plan_in_one_round_of_one_read_per_server() {
+    use namdex::rdma::spec::{BATCHED_WIRE_OVERHEAD, OP_WIRE_OVERHEAD};
+    const N: usize = 25;
+    let default_batch = FgConfig::default().scan_batch;
+    assert!(default_batch >= N, "the default batch holds the plan");
+    // The range: leaves 1..=N of the first level-1 node past the first
+    // that names more than N of them.
+    let sim = Sim::new();
+    let nam = NamCluster::new(&sim, ClusterSpec::default());
+    let (height, table) = fg_level_one(&build_default(IndexKind::FineGrained, &nam, default_batch));
+    let node = (1..)
+        .find(|&j| table.iter().filter(|e| e.1 == j).count() > N)
+        .expect("a wide level-1 node");
+    let start = table
+        .iter()
+        .position(|e| e.1 == node)
+        .expect("its first leaf");
+    let (lo, hi) = (table[start].0 + 1, table[start + N].0);
+    let pm = PartitionMap::range_uniform(nam.num_servers(), DEFAULT_KEYS * 8);
+    // One partition, with a margin of leaves before its bound.
+    assert_eq!(pm.server_of(lo), pm.server_of(hi + 8 * 50), "one partition");
+
+    for kind in [
+        IndexKind::FineGrained,
+        IndexKind::Hybrid,
+        IndexKind::Learned,
+    ] {
+        let descent = if kind == IndexKind::FineGrained {
+            height as usize - 1
+        } else {
+            0
+        };
+        for scan_batch in [default_batch, 8] {
+            let sim = Sim::new();
+            let nam = NamCluster::new(&sim, ClusterSpec::default());
+            let idx = build_default(kind, &nam, scan_batch);
+            let verbs = Rc::new(Verbs::default());
+            nam.rdma.add_observer(verbs.clone());
+            let stats = |nam: &NamCluster| -> Vec<_> {
+                (0..nam.num_servers())
+                    .map(|s| nam.rdma.server_stats(s))
+                    .collect()
+            };
+            let before = stats(&nam);
+            let ep = Endpoint::new(&nam.rdma);
+            let idx2 = idx.clone();
+            sim.spawn(async move {
+                let rows = idx2.range(&ep, lo, hi).await.expect("range");
+                assert_eq!(rows.len() as u64, (hi - lo) / 8 + 1);
+            });
+            sim.run();
+            let mut rounds = std::collections::BTreeMap::<u64, Vec<_>>::new();
+            for ev in verbs.0.borrow().iter() {
+                assert_eq!(ev.kind, namdex::rdma::VerbKind::Read, "{}", kind.key());
+                rounds.entry(ev.issued.as_nanos()).or_default().push(*ev);
+            }
+            let rounds: Vec<_> = rounds.into_values().collect();
+            let sizes: Vec<usize> = rounds.iter().map(Vec::len).collect();
+            let mut want = vec![1; descent];
+            want.extend((0..N).step_by(scan_batch).map(|b| (N - b).min(scan_batch)));
+            assert_eq!(sizes, want, "{} at scan_batch {scan_batch}", kind.key());
+            if scan_batch != default_batch {
+                continue;
+            }
+            for (s, (b, a)) in before.iter().zip(stats(&nam)).enumerate() {
+                let on = |evs: &[namdex::rdma::VerbEvent]| {
+                    evs.iter().filter(|e| e.server == s).count() as u64
+                };
+                let singles: u64 = rounds[..descent].iter().map(|r| on(r)).sum();
+                let leaves = on(&rounds[descent]);
+                assert_eq!(
+                    a.onesided_ops - b.onesided_ops,
+                    singles + 1,
+                    "{} server {s}: one leaf READ",
+                    kind.key()
+                );
+                if a.rpcs > b.rpcs {
+                    continue;
+                }
+                let bw = nam.rdma.spec().effective_bandwidth(s);
+                let wire = |pages: u64| {
+                    SimDur::from_secs_f64(
+                        (pages * PageLayout::DEFAULT_PAGE_SIZE as u64) as f64 / bw,
+                    )
+                };
+                let busy = (OP_WIRE_OVERHEAD + wire(1)).as_nanos() * singles
+                    + (BATCHED_WIRE_OVERHEAD + wire(leaves)).as_nanos();
+                assert_eq!(
+                    a.nic_busy_nanos - b.nic_busy_nanos,
+                    busy,
+                    "{} server {s}: the leaf READ is priced as a batch's",
+                    kind.key()
+                );
+            }
+        }
+    }
+}
