@@ -339,9 +339,9 @@ pub fn explore(cfg: &ExploreConfig) -> ExploreReport {
                 cell_idx += 1;
             }
         }
-        // Bounded-exhaustive DFS on a tiny scan workload (whole-history
-        // linearizability) — exhaustiveness only makes sense when the
-        // schedule space is small, so the scenario is minimal.
+        // Bounded-exhaustive DFS on a tiny scan workload — exhaustiveness
+        // only makes sense when the schedule space is small, so the
+        // scenario is minimal.
         if cfg.dfs_schedules > 0 {
             let label = format!("{}/nofault/dfs", design.key());
             let sc = Scenario {
@@ -451,7 +451,7 @@ fn hunt(m: Mutation, budget: u64, out_dir: &Path) -> MutationResult {
         ),
         // Needs a leaf split the model has not retrained over when a
         // scan crosses it; the quiescent scan loses the split-born
-        // leaf's loaded keys.
+        // leaf's keys.
         Mutation::LearnedScanSkipsSplit => (
             Learned,
             FaultMode::None,
@@ -534,7 +534,7 @@ fn hunt(m: Mutation, budget: u64, out_dir: &Path) -> MutationResult {
 ///   without checking that its high key is still the trained one, so
 ///   a leaf split since training loses its split-born sibling's rows.
 ///   Caught as a linearizability violation (the quiescent scan misses
-///   loaded keys).
+///   keys that are live).
 pub fn run_mutation_hunts(budget: u64, out_dir: &Path) -> Vec<MutationResult> {
     assert!(
         namdex_core::mutations_enabled(),

@@ -14,7 +14,8 @@
 //!   invoke/response window, recorded where the scenario issues it;
 //! * [`lin`] — a Wing & Gong linearizability checker (with Lowe's
 //!   per-key partitioning) validating each explored schedule against a
-//!   sequential map spec;
+//!   sequential map spec; a scan is judged as one observation per key
+//!   over its own window, the guarantee a B-link scan gives;
 //! * [`scenario`] — tiny deterministic workloads over the four
 //!   designs, with dynamic-checker, leak and quiescence checks folded
 //!   into a single [`scenario::RunReport`];

@@ -4,12 +4,13 @@
 //!
 //! ## Spec shape
 //!
-//! The workload ([`crate::scenario`]) is constructed so that every
-//! insert of a key uses the *same canonical value* (`value_of(key)`)
-//! and no two in-flight inserts of one `(key, value)` pair exist
+//! The workload is constructed so that every insert of a key uses the
+//! *same canonical value* (`value_of(key)`, or a loaded key's loaded
+//! value) and no two in-flight inserts of one `(key, value)` pair exist
 //! (retry-absorption is value-based, so colliding pairs would make
 //! exactly-once undecidable). Under that discipline the sequential
-//! state of a key collapses to a **live-entry counter**:
+//! state of a key collapses to a **live-entry counter**, starting at 1
+//! for a loaded key and at 0 for any other:
 //!
 //! * `insert`           → `n + 1`
 //! * `delete -> true`   → legal iff `n > 0`, then `n - 1`
@@ -18,10 +19,15 @@
 //! * `lookup -> None`   → legal iff `n == 0`
 //! * scan rows of a key → exactly `n` copies of the canonical value
 //!
-//! Preloaded keys are immutable (the workload never inserts or deletes
-//! them): a scan must report each in-window loaded key exactly once
-//! with its loaded value, checked eagerly; loaded keys then drop out of
-//! the search entirely.
+//! ## Scans
+//!
+//! A B-link scan is not a snapshot: it walks the leaf chain and
+//! validates one leaf at a time, so each row comes from some leaf at
+//! some instant inside the scan's window. Every scan, concurrent or
+//! not, therefore decomposes into one `Observe(count)` op per key of
+//! its range that the history or the load names, each over the scan's
+//! own invoke/response window. A key with no rows observes 0, which is
+//! what catches a lost entry.
 //!
 //! ## Failed and pending operations
 //!
@@ -51,25 +57,20 @@
 //!
 //! ## Search
 //!
-//! Per Lowe, point ops partition by key: each key's subhistory is
-//! checked independently over its counter (Wing & Gong DFS, memoized on
-//! `(applied-op mask, counter)`). Scans are handled two ways:
-//!
-//! * a scan that is *sequentially after* every other response (the
-//!   harness's quiescent verification scan) is decomposed into per-key
-//!   `Observe(count)` ops, keeping the fast partitioned path;
-//! * a scan concurrent with point ops forces whole-history mode: one
-//!   DFS over all ops with the full `key -> counter` map as state,
-//!   memoized on `(mask, exact state)`. Scan workloads are kept tiny
-//!   for exactly this reason.
+//! Per Lowe, ops partition by key: each key's subhistory is checked
+//! independently over its counter (Wing & Gong DFS, memoized on
+//! `(applied-op mask, counter)`). Preprocessing stays flat: a scan's
+//! rows become run-length counts, and one sort of `(key, op)` pairs
+//! groups every key's subhistory.
 
 use crate::history::{Event, OpArgs, OpOutcome};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The sequential spec the history is validated against.
 pub struct Spec {
-    /// Immutable preloaded entries: key → value. The workload must
-    /// never insert or delete these keys.
+    /// Preloaded entries: key → value. Each starts live (count 1) with
+    /// its loaded value as its canonical value; the workload may delete
+    /// it, and an insert of it must carry that value.
     pub loaded: BTreeMap<u64, u64>,
     /// Canonical value for workload keys: every insert of `key` carries
     /// `value_of(key)`.
@@ -82,8 +83,7 @@ pub struct Spec {
 /// A linearizability violation, with enough detail to read the failure.
 #[derive(Clone, Debug)]
 pub struct LinViolation {
-    /// Offending key for partitioned findings; `None` for whole-history
-    /// or preprocessing findings.
+    /// Offending key; `None` only for a malformed history event.
     pub key: Option<u64>,
     /// Human-readable description.
     pub detail: String,
@@ -98,14 +98,11 @@ impl std::fmt::Display for LinViolation {
     }
 }
 
-/// How the history was checked (for coverage reporting).
+/// What a passing check judged (for coverage reporting).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CheckStats {
-    /// Number of per-key subhistories searched.
-    pub point_keys: usize,
-    /// Whether whole-history mode was required (concurrent scans).
-    pub whole_history: bool,
-    /// Total ops checked (after dropping failed reads).
+    /// Ops the search judged: each point op (failed mutators included,
+    /// failed reads dropped) and each per-key scan observation.
     pub ops: usize,
 }
 
@@ -126,7 +123,7 @@ enum PKind {
     Lookup {
         found: bool,
     },
-    /// Count observation decomposed from a quiescent scan.
+    /// One key's row count in one scan, over the scan's window.
     Observe {
         count: u32,
     },
@@ -253,403 +250,159 @@ fn linearizable_key(init: u32, ops: &[POp]) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// Whole-history mode (concurrent scans).
-// ---------------------------------------------------------------------------
-
-#[derive(Clone, Debug)]
-enum WKind {
-    Point {
-        key: u64,
-        kind: PKind,
-    },
-    /// Scan over `[lo, hi]` that observed `counts` live entries per
-    /// workload key (loaded keys already validated and stripped).
-    Scan {
-        lo: u64,
-        hi: u64,
-        counts: BTreeMap<u64, u32>,
-    },
-}
-
-#[derive(Clone, Debug)]
-struct WOp {
-    invoke: u64,
-    response: u64,
-    kind: WKind,
-}
-
-fn linearizable_whole(ops: &[WOp], keys: &[u64], init: &[u32]) -> bool {
-    let n = ops.len();
-    assert!(n <= 64, "whole-history too large ({n} ops)");
-    let full: u64 = if n == 64 { !0u64 } else { (1u64 << n) - 1 };
-    let idx_of = |key: u64| keys.binary_search(&key).expect("untracked key");
-    let mut memo: BTreeSet<(u64, Vec<u32>)> = BTreeSet::new();
-    let mut beh = Vec::with_capacity(2);
-    let mut stack: Vec<(u64, Vec<u32>)> = vec![(0, init.to_vec())];
-    while let Some((mask, state)) = stack.pop() {
-        if mask == full {
-            return true;
-        }
-        if !memo.insert((mask, state.clone())) {
-            continue;
-        }
-        let min_resp = (0..n)
-            .filter(|i| mask & (1 << i) == 0)
-            .map(|i| ops[i].response)
-            .min()
-            .unwrap_or(u64::MAX);
-        for (i, op) in ops.iter().enumerate() {
-            if mask & (1 << i) != 0 || op.invoke > min_resp {
-                continue;
-            }
-            match &op.kind {
-                WKind::Point { key, kind } => {
-                    let ki = idx_of(*key);
-                    behaviors(*kind, state[ki], &mut beh);
-                    for &c2 in &beh {
-                        let mut s2 = state.clone();
-                        s2[ki] = c2;
-                        stack.push((mask | (1 << i), s2));
-                    }
-                }
-                WKind::Scan { lo, hi, counts } => {
-                    let legal = keys.iter().enumerate().all(|(ki, &k)| {
-                        if k < *lo || k > *hi {
-                            true
-                        } else {
-                            state[ki] == counts.get(&k).copied().unwrap_or(0)
-                        }
-                    });
-                    if legal {
-                        stack.push((mask | (1 << i), state.clone()));
-                    }
-                }
-            }
-        }
-    }
-    false
-}
-
-// ---------------------------------------------------------------------------
 // Preprocessing + top-level check.
 // ---------------------------------------------------------------------------
 
-fn nanos(t: simnet::SimTime) -> u64 {
-    t.as_nanos()
+/// A scan that returned: its window and its rows' run-length counts, in
+/// key order.
+struct Scan {
+    invoke: u64,
+    response: u64,
+    lo: u64,
+    hi: u64,
+    counts: Vec<(u64, u32)>,
 }
 
 /// Check `events` against `spec`. `Ok` carries coverage stats; `Err`
 /// the first violation found.
 pub fn check(events: &[Event], spec: &Spec) -> Result<CheckStats, LinViolation> {
     let viol = |key: Option<u64>, detail: String| LinViolation { key, detail };
+    let canonical = |k: u64| spec.loaded.get(&k).copied().unwrap_or((spec.value_of)(k));
+    let strict = spec.strict_delete_flag;
 
-    // Per-key point ops and scans, preprocessed.
-    let mut point: BTreeMap<u64, Vec<POp>> = BTreeMap::new();
-    struct Scan {
-        invoke: u64,
-        response: u64,
-        lo: u64,
-        hi: u64,
-        counts: BTreeMap<u64, u32>,
-    }
+    let mut ops: Vec<(u64, POp)> = Vec::new();
     let mut scans: Vec<Scan> = Vec::new();
-    let mut ops_checked = 0usize;
-    // Latest point-op/scan response, for the quiescent-scan test.
-    let mut max_point_resp = 0u64;
-
     for ev in events {
-        let (invoke, response) = (nanos(ev.invoke), nanos(ev.response));
-        let key_of = |k: u64| -> Result<(), LinViolation> {
-            if spec.loaded.contains_key(&k) {
-                return Err(viol(
-                    Some(k),
-                    "workload mutated a preloaded key (scenario bug)".into(),
-                ));
-            }
-            Ok(())
-        };
-        match (&ev.args, &ev.outcome) {
-            (OpArgs::Insert { key, .. }, OpOutcome::Insert) => {
-                key_of(*key)?;
-                point.entry(*key).or_default().push(POp {
-                    invoke,
-                    response,
-                    kind: PKind::Insert { ok: true },
-                });
-            }
-            (OpArgs::Insert { key, .. }, OpOutcome::Failed) => {
-                key_of(*key)?;
-                point.entry(*key).or_default().push(POp {
-                    invoke,
-                    response,
-                    kind: PKind::Insert { ok: false },
-                });
-            }
+        let (invoke, response) = (ev.invoke.as_nanos(), ev.response.as_nanos());
+        let (key, kind) = match (&ev.args, &ev.outcome) {
+            (OpArgs::Insert { key, .. }, OpOutcome::Insert) => (*key, PKind::Insert { ok: true }),
+            (OpArgs::Insert { key, .. }, OpOutcome::Failed) => (*key, PKind::Insert { ok: false }),
             (OpArgs::Delete { key }, OpOutcome::Delete(found)) => {
-                key_of(*key)?;
-                point.entry(*key).or_default().push(POp {
-                    invoke,
-                    response,
-                    kind: PKind::Delete {
-                        res: Some(*found),
-                        strict: spec.strict_delete_flag,
-                    },
-                });
+                let res = Some(*found);
+                (*key, PKind::Delete { res, strict })
             }
             (OpArgs::Delete { key }, OpOutcome::Failed) => {
-                key_of(*key)?;
-                point.entry(*key).or_default().push(POp {
-                    invoke,
-                    response,
-                    kind: PKind::Delete {
-                        res: None,
-                        strict: spec.strict_delete_flag,
-                    },
-                });
+                (*key, PKind::Delete { res: None, strict })
             }
             (OpArgs::Lookup { key }, OpOutcome::Lookup(got)) => {
-                if let Some(&lv) = spec.loaded.get(key) {
-                    // Loaded keys are immutable: the lookup must see
-                    // exactly the loaded value.
-                    if *got != Some(lv) {
-                        return Err(viol(
-                            Some(*key),
-                            format!("lookup of immutable loaded key returned {got:?}, expected Some({lv})"),
-                        ));
-                    }
-                    ops_checked += 1;
-                    continue;
+                let want = canonical(*key);
+                if let Some(v) = got.filter(|&v| v != want) {
+                    let detail = format!("lookup returned value {v}, canonical is {want}");
+                    return Err(viol(Some(*key), detail));
                 }
-                if let Some(v) = got {
-                    let want = (spec.value_of)(*key);
-                    if *v != want {
-                        return Err(viol(
-                            Some(*key),
-                            format!("lookup returned value {v}, canonical is {want}"),
-                        ));
-                    }
-                }
-                point.entry(*key).or_default().push(POp {
-                    invoke,
-                    response,
-                    kind: PKind::Lookup {
-                        found: got.is_some(),
-                    },
-                });
+                let found = got.is_some();
+                (*key, PKind::Lookup { found })
             }
             // Failed reads observed nothing; drop them.
-            (OpArgs::Lookup { .. }, OpOutcome::Failed)
-            | (OpArgs::Range { .. }, OpOutcome::Failed) => {
-                ops_checked += 1;
-                continue;
-            }
-            (OpArgs::Range { lo, hi }, OpOutcome::Range(rows)) => {
-                // Rows must be sorted and in-window; loaded keys must
-                // appear exactly once with the loaded value; workload
-                // rows must carry the canonical value.
-                let mut counts: BTreeMap<u64, u32> = BTreeMap::new();
-                let mut loaded_seen: BTreeMap<u64, u32> = BTreeMap::new();
-                let mut prev: Option<u64> = None;
+            (OpArgs::Lookup { .. } | OpArgs::Range { .. }, OpOutcome::Failed) => continue,
+            (&OpArgs::Range { lo, hi }, OpOutcome::Range(rows)) => {
+                let mut counts: Vec<(u64, u32)> = Vec::new();
                 for &(k, v) in rows {
-                    if k < *lo || k > *hi {
-                        return Err(viol(
-                            Some(k),
-                            format!("scan [{lo}, {hi}] returned out-of-window key {k}"),
-                        ));
+                    if k < lo || k > hi {
+                        let detail = format!("scan [{lo}, {hi}] returned out-of-window key {k}");
+                        return Err(viol(Some(k), detail));
                     }
-                    if let Some(p) = prev {
-                        if k < p {
-                            return Err(viol(
-                                Some(k),
-                                format!("scan rows out of order: {k} after {p}"),
-                            ));
+                    let want = canonical(k);
+                    if v != want {
+                        let detail = format!("scan saw value {v}, canonical is {want}");
+                        return Err(viol(Some(k), detail));
+                    }
+                    match counts.last_mut() {
+                        Some((p, c)) if *p == k => *c += 1,
+                        Some(&mut (p, _)) if k < p => {
+                            let detail = format!("scan rows out of order: {k} after {p}");
+                            return Err(viol(Some(k), detail));
                         }
-                    }
-                    prev = Some(k);
-                    if let Some(&lv) = spec.loaded.get(&k) {
-                        if v != lv {
-                            return Err(viol(
-                                Some(k),
-                                format!("scan saw loaded key with value {v}, expected {lv}"),
-                            ));
-                        }
-                        *loaded_seen.entry(k).or_insert(0) += 1;
-                    } else {
-                        let want = (spec.value_of)(k);
-                        if v != want {
-                            return Err(viol(
-                                Some(k),
-                                format!("scan saw value {v}, canonical is {want}"),
-                            ));
-                        }
-                        *counts.entry(k).or_insert(0) += 1;
-                    }
-                }
-                for (&k, &c) in &loaded_seen {
-                    if c != 1 {
-                        return Err(viol(
-                            Some(k),
-                            format!("immutable loaded key appeared {c} times in scan"),
-                        ));
-                    }
-                }
-                for (&k, &lv) in spec.loaded.range(*lo..=*hi) {
-                    if !loaded_seen.contains_key(&k) {
-                        let _ = lv;
-                        return Err(viol(
-                            Some(k),
-                            "immutable loaded key missing from scan".into(),
-                        ));
+                        _ => counts.push((k, 1)),
                     }
                 }
                 scans.push(Scan {
                     invoke,
                     response,
-                    lo: *lo,
-                    hi: *hi,
+                    lo,
+                    hi,
                     counts,
                 });
                 continue;
             }
             (args, outcome) => {
-                return Err(viol(
-                    None,
-                    format!("malformed history event: {args:?} -> {outcome:?}"),
-                ));
+                let detail = format!("malformed history event: {args:?} -> {outcome:?}");
+                return Err(viol(None, detail));
             }
-        }
-        max_point_resp = max_point_resp.max(response);
-        ops_checked += 1;
+        };
+        ops.push((
+            key,
+            POp {
+                invoke,
+                response,
+                kind,
+            },
+        ));
     }
 
-    // Fault runs: model the at-least-once insert-retry re-application
-    // (see `PKind::Resurrect`). Each delete of a key — whatever it
-    // reported, since retries launder the flag — may have removed the
-    // first attempt's entry and thereby enabled one re-application by
-    // the insert's retry, so the key's single insert gets one optional
-    // Resurrect per delete, scoped to the insert's own real-time window.
-    if !spec.strict_delete_flag {
-        for ops in point.values_mut() {
-            let removals = ops
+    // Every scan observes each key of its range that the history or the
+    // load names; a key with no rows observes 0.
+    let mut keys: Vec<u64> = ops.iter().map(|&(k, _)| k).collect();
+    keys.extend(scans.iter().flat_map(|s| s.counts.iter().map(|&(k, _)| k)));
+    keys.extend(spec.loaded.keys());
+    keys.sort_unstable();
+    keys.dedup();
+    for s in &scans {
+        let window =
+            &keys[keys.partition_point(|&k| k < s.lo)..keys.partition_point(|&k| k <= s.hi)];
+        let mut rows = s.counts.iter().peekable();
+        for &k in window {
+            let count = rows.next_if(|&&(rk, _)| rk == k).map_or(0, |&(_, c)| c);
+            let (invoke, response) = (s.invoke, s.response);
+            let kind = PKind::Observe { count };
+            ops.push((
+                k,
+                POp {
+                    invoke,
+                    response,
+                    kind,
+                },
+            ));
+        }
+    }
+    let judged = ops.len();
+
+    // Stable: each key's ops keep their history order.
+    ops.sort_by_key(|&(k, _)| k);
+    let mut key_ops: Vec<POp> = Vec::new();
+    for group in ops.chunk_by(|a, b| a.0 == b.0) {
+        let key = group[0].0;
+        key_ops.clear();
+        key_ops.extend(group.iter().map(|&(_, op)| op));
+        // Fault runs: model the at-least-once insert-retry re-application
+        // (see `PKind::Resurrect`). Each delete of a key — whatever it
+        // reported, since retries launder the flag — may have removed the
+        // first attempt's entry and thereby enabled one re-application by
+        // the insert's retry, so the key's single insert gets one optional
+        // Resurrect per delete, scoped to the insert's own real-time window.
+        if !strict {
+            let removals = key_ops
                 .iter()
                 .filter(|o| matches!(o.kind, PKind::Delete { .. }))
                 .count();
-            if removals == 0 {
-                continue;
-            }
-            let ins = ops
+            let insert = key_ops
                 .iter()
                 .find(|o| matches!(o.kind, PKind::Insert { .. }))
                 .copied();
-            if let Some(ins) = ins {
-                for _ in 0..removals {
-                    ops.push(POp {
-                        invoke: ins.invoke,
-                        response: ins.response,
-                        kind: PKind::Resurrect,
-                    });
-                }
+            if let Some(ins) = insert {
+                let kind = PKind::Resurrect;
+                key_ops.extend((0..removals).map(|_| POp { kind, ..ins }));
             }
+        }
+        let init = spec.loaded.contains_key(&key) as u32;
+        if !linearizable_key(init, &key_ops) {
+            let n = key_ops.len();
+            let detail =
+                format!("no legal linearization of {n} ops from count {init}: {key_ops:?}");
+            return Err(viol(Some(key), detail));
         }
     }
-
-    // Quiescent scans (invoked after every point response, and after
-    // every earlier scan's response) decompose into per-key observations.
-    let mut whole_history = false;
-    let mut prior_scan_resp = 0u64;
-    let mut sequential = true;
-    for s in &scans {
-        if s.invoke < max_point_resp.max(prior_scan_resp) {
-            sequential = false;
-        }
-        prior_scan_resp = prior_scan_resp.max(s.response);
-    }
-
-    if sequential {
-        for s in &scans {
-            // Every workload key in the window gets an Observe — keys
-            // with no rows observe count 0, which catches lost entries.
-            let mut window_keys: BTreeSet<u64> = s.counts.keys().copied().collect();
-            for (&k, _) in point.range(s.lo..=s.hi) {
-                window_keys.insert(k);
-            }
-            for k in window_keys {
-                if k < s.lo || k > s.hi {
-                    continue;
-                }
-                point.entry(k).or_default().push(POp {
-                    invoke: s.invoke,
-                    response: s.response,
-                    kind: PKind::Observe {
-                        count: s.counts.get(&k).copied().unwrap_or(0),
-                    },
-                });
-                ops_checked += 1;
-            }
-        }
-        let point_keys = point.len();
-        for (key, ops) in &point {
-            if !linearizable_key(0, ops) {
-                return Err(viol(
-                    Some(*key),
-                    format!("no legal linearization of {} ops: {ops:?}", ops.len()),
-                ));
-            }
-        }
-        Ok(CheckStats {
-            point_keys,
-            whole_history,
-            ops: ops_checked,
-        })
-    } else {
-        whole_history = true;
-        // Flatten everything into one search.
-        let mut keys: BTreeSet<u64> = point.keys().copied().collect();
-        for s in &scans {
-            keys.extend(s.counts.keys().copied());
-        }
-        let keys: Vec<u64> = keys.into_iter().collect();
-        let init = vec![0u32; keys.len()];
-        let mut ops: Vec<WOp> = Vec::new();
-        for (key, pops) in &point {
-            for p in pops {
-                ops.push(WOp {
-                    invoke: p.invoke,
-                    response: p.response,
-                    kind: WKind::Point {
-                        key: *key,
-                        kind: p.kind,
-                    },
-                });
-            }
-        }
-        for s in scans {
-            ops.push(WOp {
-                invoke: s.invoke,
-                response: s.response,
-                kind: WKind::Scan {
-                    lo: s.lo,
-                    hi: s.hi,
-                    counts: s.counts,
-                },
-            });
-        }
-        if !linearizable_whole(&ops, &keys, &init) {
-            return Err(viol(
-                None,
-                format!(
-                    "no legal linearization of whole history ({} ops over {} keys)",
-                    ops.len(),
-                    keys.len()
-                ),
-            ));
-        }
-        Ok(CheckStats {
-            point_keys: 0,
-            whole_history,
-            ops: ops_checked,
-        })
-    }
+    Ok(CheckStats { ops: judged })
 }
 
 #[cfg(test)]
@@ -808,37 +561,126 @@ mod tests {
         assert!(!linearizable_key(0, &dup));
     }
 
-    #[test]
-    fn whole_history_scan_constraints() {
-        // Scan concurrent with an insert: may see 0 or 1 copies.
-        let mk = |seen: u32| {
-            let ops = vec![
-                WOp {
-                    invoke: 0,
-                    response: 10,
-                    kind: WKind::Point {
-                        key: 8,
-                        kind: PKind::Insert { ok: true },
-                    },
-                },
-                WOp {
-                    invoke: 5,
-                    response: 9,
-                    kind: WKind::Scan {
-                        lo: 0,
-                        hi: 100,
-                        counts: if seen == 0 {
-                            BTreeMap::new()
-                        } else {
-                            [(8u64, seen)].into_iter().collect()
-                        },
-                    },
-                },
-            ];
-            linearizable_whole(&ops, &[8], &[0])
+    fn ev(args: OpArgs, outcome: OpOutcome, invoke: u64, response: u64) -> Event {
+        Event {
+            client: 0,
+            args,
+            outcome,
+            invoke: simnet::SimTime::from_nanos(invoke),
+            response: simnet::SimTime::from_nanos(response),
+        }
+    }
+
+    fn canonical(key: u64) -> u64 {
+        key ^ 0xABCD
+    }
+
+    fn spec(loaded: &[u64]) -> Spec {
+        Spec {
+            loaded: loaded.iter().map(|&k| (k, k / 8)).collect(),
+            value_of: canonical,
+            strict_delete_flag: true,
+        }
+    }
+
+    fn insert(key: u64, invoke: u64, response: u64) -> Event {
+        let args = OpArgs::Insert {
+            key,
+            value: canonical(key),
         };
-        assert!(mk(0));
-        assert!(mk(1));
-        assert!(!mk(2));
+        ev(args, OpOutcome::Insert, invoke, response)
+    }
+
+    fn delete(key: u64, invoke: u64, response: u64) -> Event {
+        ev(
+            OpArgs::Delete { key },
+            OpOutcome::Delete(true),
+            invoke,
+            response,
+        )
+    }
+
+    fn scan(rows: Vec<(u64, u64)>, invoke: u64, response: u64) -> Event {
+        let args = OpArgs::Range { lo: 0, hi: 100 };
+        ev(args, OpOutcome::Range(rows), invoke, response)
+    }
+
+    #[test]
+    fn a_scan_beside_an_insert_observes_zero_or_one_copy() {
+        let run = |copies: usize| {
+            let rows = vec![(8, canonical(8)); copies];
+            check(&[insert(8, 0, 10), scan(rows, 5, 9)], &spec(&[]))
+        };
+        assert!(run(0).is_ok());
+        assert!(run(1).is_ok());
+        assert_eq!(run(2).unwrap_err().key, Some(8));
+    }
+
+    #[test]
+    fn a_scan_need_not_be_a_snapshot() {
+        // The scan reads b before its delete and a after its insert:
+        // no single instant holds both, yet each row was live at some
+        // instant of the scan's window.
+        let (a, b) = (8, 16);
+        let rows = vec![(a, canonical(a)), (b, canonical(b))];
+        let events = [
+            insert(b, 0, 5),
+            delete(b, 10, 20),
+            insert(a, 30, 40),
+            scan(rows, 6, 100),
+        ];
+        assert!(check(&events, &spec(&[])).is_ok());
+    }
+
+    #[test]
+    fn a_deleted_loaded_key_may_observe_zero() {
+        let events = [delete(8, 0, 10), scan(vec![], 20, 30)];
+        assert!(check(&events, &spec(&[8])).is_ok());
+        // Concurrent with the delete, either count is legal.
+        for rows in [vec![], vec![(8, 1)]] {
+            let events = [delete(8, 0, 10), scan(rows, 5, 15)];
+            assert!(check(&events, &spec(&[8])).is_ok());
+        }
+    }
+
+    #[test]
+    fn a_loaded_key_missing_from_a_scan_is_named() {
+        let events = [scan(vec![(8, 1), (16, 2)], 0, 10)];
+        assert!(check(&events, &spec(&[8, 16])).is_ok());
+        let events = [scan(vec![(16, 2)], 0, 10)];
+        let err = check(&events, &spec(&[8, 16])).unwrap_err();
+        assert_eq!(err.key, Some(8), "{err}");
+    }
+
+    #[test]
+    fn ops_counts_exactly_what_the_search_judged() {
+        let failed = |args| ev(args, OpOutcome::Failed, 0, 5);
+        let events = [
+            insert(8, 0, 5),
+            failed(OpArgs::Insert {
+                key: 24,
+                value: canonical(24),
+            }),
+            failed(OpArgs::Delete { key: 32 }),
+            failed(OpArgs::Lookup { key: 8 }),
+            failed(OpArgs::Range { lo: 0, hi: 100 }),
+            ev(
+                OpArgs::Lookup { key: 8 },
+                OpOutcome::Lookup(Some(canonical(8))),
+                6,
+                7,
+            ),
+            // Observes loaded 16, workload 8, 24, 32 — not 200, outside.
+            ev(
+                OpArgs::Range { lo: 0, hi: 40 },
+                OpOutcome::Range(vec![(8, canonical(8)), (16, 2)]),
+                10,
+                20,
+            ),
+            ev(OpArgs::Lookup { key: 200 }, OpOutcome::Lookup(None), 30, 40),
+        ];
+        // Three mutators, two lookups, four observations.
+        let stats = check(&events, &spec(&[16])).expect("legal");
+        assert_eq!(stats.ops, 9);
     }
 }

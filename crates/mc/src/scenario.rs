@@ -15,7 +15,8 @@
 //!   any `(key, value)` pair is ever issued and the index layer's
 //!   value-probe retry absorption is exact;
 //! * preloaded keys (offset 0 of every unit) are never inserted or
-//!   deleted — they are immutable ballast the scans validate exactly.
+//!   deleted — the checker starts each at one live entry, so every scan
+//!   over it must report it.
 //!
 //! Deletes and lookups intentionally target *any* workload offset, so
 //! clients still contend on the same keys — that cross-client traffic
@@ -94,8 +95,8 @@ pub struct Scenario {
     pub clients: u64,
     /// Sequential ops each client issues.
     pub ops_per_client: u64,
-    /// Issue mid-run range scans (forces whole-history linearizability
-    /// checking — keep the workload tiny).
+    /// Issue mid-run range scans over the hot units (each judged as one
+    /// observation per key over its own window).
     pub with_scans: bool,
     /// Client-side cache capacity handed to the design build (`Some(0)`
     /// = unbounded, `None` = caching off). Cache-coherence bugs (a
@@ -121,7 +122,7 @@ impl Scenario {
         }
     }
 
-    /// Tiny scenario with concurrent scans (whole-history checking).
+    /// Small scenario with scans concurrent with point ops.
     pub fn with_scans(design: IndexKind, fault: FaultMode, seed: u64) -> Scenario {
         Scenario {
             design,
