@@ -319,12 +319,12 @@ impl Endpoint {
                 *queue = (start - now).as_nanos();
             }
         }
-        // Two timers, last wire end then completion (fusing them exactly
-        // is ROADMAP item 7(ii)); an all-local round's second returns at
-        // once. Read no argument after an await: the future would keep a
-        // second copy of it.
-        sim.sleep_until(wired).await;
-        sim.sleep_until(completion).await;
+        // Two timers, last wire end then completion, in one sleep: the
+        // executor re-arms the first at the completion without polling
+        // this task, drawing the sequence number a second sleep would. An
+        // all-local round completes at its wire end. Read no argument
+        // after the await: the future would keep a second copy of it.
+        sim.sleep_until_then(wired, completion).await;
         Ok(())
     }
 

@@ -6,6 +6,18 @@
 //! event loop tiny and every run deterministic: events fire in
 //! `(virtual time, sequence number)` order.
 //!
+//! ## Two-instant sleeps
+//!
+//! [`Sim::sleep_until_then`] waits for one instant and then for a later
+//! one, as two `sleep_until`s in a row would, but the task is polled only
+//! at the second. Its first timer carries the task as usual; the second
+//! instant waits in the task's slab entry. When the task comes off the
+//! ready queue at or after the first instant, the executor draws the next
+//! sequence number and pushes the timer at the second instant *instead of
+//! polling the task* — at exactly the point where the poll that a second
+//! `sleep_until` costs would have drawn it. Every same-instant tie and
+//! [`Sim::events_processed`] therefore stay what the two sleeps give.
+//!
 //! ## Timer queue
 //!
 //! Two interchangeable timer-queue implementations exist, selected at
@@ -433,6 +445,10 @@ impl Wake for TaskWaker {
 struct TaskEntry {
     fut: BoxedFuture,
     waker: Waker,
+    /// A [`Sim::sleep_until_then`]'s `(first, then)` while its timer at
+    /// `first` is pending: the task's first ready pop at or after `first`
+    /// re-arms the timer at `then` instead of polling the task.
+    rearm: Option<(SimTime, SimTime)>,
 }
 
 struct SimInner {
@@ -455,6 +471,10 @@ struct SimInner {
     /// The task the executor is currently polling; [`Sleep`] reads it to
     /// register its timer without touching the context waker.
     current: Cell<TaskId>,
+    /// A two-instant [`Sleep`]'s `(first, then)`, registered by the poll in
+    /// progress; the executor moves it into the task's entry after the
+    /// poll (the slab stays borrowed while a task runs).
+    armed: Cell<Option<(SimTime, SimTime)>>,
     /// Installed schedule policy; `None` keeps the raw FIFO fast path.
     policy: RefCell<Option<Box<dyn SchedulePolicy>>>,
     /// Mirrors `policy.is_some()` (one `Cell` read on the hot path).
@@ -497,6 +517,7 @@ impl Sim {
                 ready: ReadyQueue::default(),
                 live_tasks: Cell::new(0),
                 current: Cell::new(TaskId(0)),
+                armed: Cell::new(None),
                 policy: RefCell::new(None),
                 has_policy: Cell::new(false),
             }),
@@ -549,9 +570,19 @@ impl Sim {
     /// Future resolving at virtual instant `deadline` (immediately if the
     /// deadline has passed).
     pub fn sleep_until(&self, deadline: SimTime) -> Sleep {
+        self.sleep_until_then(deadline, deadline)
+    }
+
+    /// Future resolving once virtual instant `first` and then `then` have
+    /// passed: `sleep_until(first).await; sleep_until(then).await` with the
+    /// same timers, sequence numbers and [`Sim::events_processed`], but
+    /// with the task polled once, at `then`, instead of at both instants
+    /// (module docs). A `then` not after `first` resolves at `first`.
+    pub fn sleep_until_then(&self, first: SimTime, then: SimTime) -> Sleep {
         Sleep {
             sim: self.clone(),
-            deadline,
+            first,
+            deadline: then.max(first),
             registered: false,
         }
     }
@@ -650,7 +681,11 @@ impl Sim {
                     if tasks.len() <= slot {
                         tasks.resize_with(slot + 1, || None);
                     }
-                    tasks[slot] = Some(TaskEntry { fut, waker });
+                    tasks[slot] = Some(TaskEntry {
+                        fut,
+                        waker,
+                        rearm: None,
+                    });
                 }
             }
             let id = if self.inner.has_policy.get() {
@@ -672,9 +707,31 @@ impl Sim {
                 let Some(entry) = tasks.get_mut(id.0 as usize).and_then(Option::as_mut) else {
                     continue;
                 };
+                if let Some((first, then)) = entry.rearm {
+                    // Its timer at `first` has fired: that pop comes
+                    // before any wake at the same instant. The poll a
+                    // second `sleep_until` would cost draws its timer's
+                    // sequence number here (`then > first`, or `Sleep`
+                    // would not have armed).
+                    if self.inner.now.get() >= first {
+                        entry.rearm = None;
+                        let seq = self.next_seq();
+                        let ev = TimerEvent {
+                            at: then,
+                            seq,
+                            task: id,
+                        };
+                        self.inner.timers.borrow_mut().push(ev);
+                        continue;
+                    }
+                }
                 self.inner.current.set(id);
                 let mut cx = Context::from_waker(&entry.waker);
-                entry.fut.as_mut().poll(&mut cx).is_ready()
+                let done = entry.fut.as_mut().poll(&mut cx).is_ready();
+                if let Some(armed) = self.inner.armed.take() {
+                    entry.rearm = Some(armed);
+                }
+                done
             };
             if done {
                 // Remove outside the poll borrow; drop the future after
@@ -732,9 +789,11 @@ impl Sim {
     }
 }
 
-/// Timer future created by [`Sim::sleep_until`].
+/// Timer future created by [`Sim::sleep_until`] and
+/// [`Sim::sleep_until_then`] (`first == deadline` for the former).
 pub struct Sleep {
     sim: Sim,
+    first: SimTime,
     deadline: SimTime,
     registered: bool,
 }
@@ -744,7 +803,9 @@ impl Future for Sleep {
 
     fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
         let this = self.get_mut();
-        if this.sim.now() >= this.deadline {
+        let inner = &this.sim.inner;
+        let now = inner.now.get();
+        if now >= this.deadline {
             return Poll::Ready(());
         }
         if !this.registered {
@@ -756,12 +817,16 @@ impl Future for Sleep {
             // exactly what waking the context waker would do — minus the
             // clone, the allocation-backed vtable hop, and the
             // reference-count traffic.
-            let task = this.sim.inner.current.get();
-            this.sim.inner.timers.borrow_mut().push(TimerEvent {
-                at: this.deadline,
-                seq,
-                task,
-            });
+            let task = inner.current.get();
+            // A first instant still ahead carries the timer, and the
+            // executor re-arms it at the deadline.
+            let at = if now < this.first && this.first < this.deadline {
+                inner.armed.set(Some((this.first, this.deadline)));
+                this.first
+            } else {
+                this.deadline
+            };
+            inner.timers.borrow_mut().push(TimerEvent { at, seq, task });
         }
         Poll::Pending
     }
@@ -1089,6 +1154,179 @@ mod tests {
             sim.run();
             assert!(hit.get());
             assert_eq!(sim.live_tasks(), 0);
+        }
+    }
+
+    /// How a task waits for two instants in [`fused_mix`].
+    #[derive(Clone, Copy, PartialEq, Debug)]
+    enum Wait {
+        TwoSleeps,
+        Fused,
+    }
+
+    /// Forty tasks, each waiting three times for two instants `a <= b`
+    /// (`a` at or after now, `a == b` in a third of the waits), beside ten
+    /// tasks of plain sleeps landing on the same instants, and a waker
+    /// that wakes every fourth task at instants before, at, between and
+    /// after its two. Returns each task's `(task, instant)` log of its
+    /// resumptions in global order, and the events sequenced.
+    fn fused_mix(
+        kind: SchedulerKind,
+        policy: Option<Box<dyn SchedulePolicy>>,
+        wait: Wait,
+    ) -> (Vec<(u64, u64)>, u64) {
+        let sim = Sim::with_scheduler(kind);
+        if let Some(p) = policy {
+            sim.set_schedule_policy(p);
+        }
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let wakers: Rc<RefCell<Vec<Waker>>> = Rc::default();
+        for i in 0..40u64 {
+            let (s, l, w) = (sim.clone(), log.clone(), wakers.clone());
+            sim.spawn(async move {
+                if i % 4 == 0 {
+                    std::future::poll_fn(|cx| {
+                        w.borrow_mut().push(cx.waker().clone());
+                        Poll::Ready(())
+                    })
+                    .await;
+                }
+                for round in 0..3 {
+                    let a = s.now() + SimDur::from_nanos((i + round) % 4 * 100);
+                    let b = a + SimDur::from_nanos((i + round) % 3 * 50);
+                    match wait {
+                        Wait::TwoSleeps => {
+                            s.sleep_until(a).await;
+                            s.sleep_until(b).await;
+                        }
+                        Wait::Fused => s.sleep_until_then(a, b).await,
+                    }
+                    l.borrow_mut().push((i, s.now().as_nanos()));
+                }
+            });
+        }
+        for i in 40..50u64 {
+            let (s, l) = (sim.clone(), log.clone());
+            sim.spawn(async move {
+                for _ in 0..4 {
+                    s.sleep(SimDur::from_nanos(i % 5 * 50)).await;
+                    l.borrow_mut().push((i, s.now().as_nanos()));
+                }
+            });
+        }
+        let s = sim.clone();
+        sim.spawn(async move {
+            for t in [50u64, 100, 125, 150, 175, 200, 300, 400] {
+                s.sleep_until(SimTime::from_nanos(t)).await;
+                wakers.borrow().iter().for_each(Waker::wake_by_ref);
+            }
+        });
+        sim.run();
+        let log = log.borrow().clone();
+        (log, sim.events_processed())
+    }
+
+    /// A two-instant sleep resumes every task at the instant and in the
+    /// order two sleeps do, with as many events, on either timer queue,
+    /// with or without a policy, past spurious wakes at any instant.
+    #[test]
+    fn a_fused_sleep_schedules_exactly_as_two_sleeps() {
+        for kind in [SchedulerKind::Wheel, SchedulerKind::Heap] {
+            let policies = || -> [Option<Box<dyn SchedulePolicy>>; 2] {
+                [None, Some(Box::new(ReversePolicy))]
+            };
+            for (two, fused) in policies().into_iter().zip(policies()) {
+                let reverse = two.is_some();
+                let want = fused_mix(kind, two, Wait::TwoSleeps);
+                assert_eq!(want.0.len(), 40 * 3 + 10 * 4);
+                assert_eq!(
+                    fused_mix(kind, fused, Wait::Fused),
+                    want,
+                    "{kind:?}, reverse policy: {reverse}"
+                );
+            }
+        }
+        // The policy does reorder ties, so the mix has some.
+        let fifo = fused_mix(SchedulerKind::Wheel, None, Wait::Fused);
+        let rev = fused_mix(
+            SchedulerKind::Wheel,
+            Some(Box::new(ReversePolicy)),
+            Wait::Fused,
+        );
+        assert_ne!(fifo.0, rev.0);
+    }
+
+    /// Polls of a task that sleeps until `a` and then `b`, given as
+    /// nanoseconds, starting at `start`; and the instant it resumes.
+    fn polls_for(wait: Wait, start: u64, a: u64, b: u64) -> (u32, u64) {
+        let sim = Sim::new();
+        let polls = Rc::new(Cell::new(0));
+        let s = sim.clone();
+        let mut body = Box::pin(async move {
+            s.sleep_until(SimTime::from_nanos(start)).await;
+            let (a, b) = (SimTime::from_nanos(a), SimTime::from_nanos(b));
+            match wait {
+                Wait::TwoSleeps => {
+                    s.sleep_until(a).await;
+                    s.sleep_until(b).await;
+                }
+                Wait::Fused => s.sleep_until_then(a, b).await,
+            }
+        });
+        let p = polls.clone();
+        sim.spawn(std::future::poll_fn(move |cx| {
+            p.set(p.get() + 1);
+            body.as_mut().poll(cx)
+        }));
+        let end = sim.run().as_nanos();
+        (polls.get(), end)
+    }
+
+    /// The fused sleep saves the poll at `a` when `b` lies after it, and
+    /// is a plain sleep when `a` is past at registration or `a == b`;
+    /// a `b` before `a` resolves at `a`, as two sleeps do.
+    #[test]
+    fn a_fused_sleep_polls_its_task_once_per_wait() {
+        // Spawn poll, the poll at `start`, then one at `b` (and at `a`).
+        assert_eq!(polls_for(Wait::Fused, 10, 20, 30), (3, 30));
+        assert_eq!(polls_for(Wait::TwoSleeps, 10, 20, 30), (4, 30));
+        for (a, b) in [(5, 30), (10, 30), (20, 20), (30, 20)] {
+            let two = polls_for(Wait::TwoSleeps, 10, a, b);
+            assert_eq!(polls_for(Wait::Fused, 10, a, b), two, "a {a}, b {b}");
+        }
+    }
+
+    /// `shutdown` with a fused sleep's first timer pending, or its second
+    /// armed, leaves no timer behind: the clock and the event count stand
+    /// through a later `run`, and the `Sim` runs new tasks.
+    #[test]
+    fn shutdown_leaves_no_fused_timer_behind() {
+        for kind in [SchedulerKind::Wheel, SchedulerKind::Heap] {
+            for horizon in [5u64, 10, 15] {
+                let sim = Sim::with_scheduler(kind);
+                let s = sim.clone();
+                sim.spawn(async move {
+                    let (a, b) = (SimTime::from_nanos(10), SimTime::from_nanos(20));
+                    s.sleep_until_then(a, b).await;
+                    unreachable!("shut down before {b:?}");
+                });
+                sim.run_until(SimTime::from_nanos(horizon));
+                let events = sim.events_processed();
+                assert_eq!(events, 1 + u64::from(horizon >= 10));
+                sim.shutdown();
+                assert_eq!(sim.run().as_nanos(), horizon, "a timer survived");
+                assert_eq!(sim.events_processed(), events);
+                let hit = Rc::new(Cell::new(false));
+                let (s, h) = (sim.clone(), hit.clone());
+                sim.spawn(async move {
+                    s.sleep_until_then(SimTime::from_nanos(30), SimTime::from_nanos(40))
+                        .await;
+                    h.set(true);
+                });
+                assert_eq!(sim.run().as_nanos(), 40);
+                assert!(hit.get());
+                assert_eq!(sim.live_tasks(), 0);
+            }
         }
     }
 
